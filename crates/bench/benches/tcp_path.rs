@@ -27,11 +27,12 @@ use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
 use bytes::{Bytes, BytesMut};
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use oaf_nvmeof::pdu::{DataPdu, DataRef, Pdu};
 use oaf_nvmeof::tcp::{TcpConfig, TcpTransport};
 use oaf_nvmeof::transport::Transport;
 use oaf_nvmeof::tune::{BusyPollController, ChunkCostModel, ChunkSelector, PollClass, KIB, MIB};
+use oaf_store::crc32::{crc32_update, crc32_update_table, digest_impl};
 
 /// Counts allocations on the bench thread when tracking is on;
 /// delegates to [`System`]. Thread-local so the sink threads don't
@@ -323,6 +324,26 @@ fn bench_tcp_path(c: &mut Criterion) {
     g.finish();
 }
 
+/// The frame/journal digest alone: the table fold against whatever
+/// [`crc32_update`] dispatches to on this host (the CRC32C instruction
+/// where there is one), at a control-frame, a 4 KiB and a 128 KiB
+/// payload size. Criterion reports GiB/s from the byte throughput.
+fn bench_digest(c: &mut Criterion) {
+    let mut g = c.benchmark_group("digest");
+    let dispatched = format!("dispatched-{:?}", digest_impl());
+    for size in [64usize, 4 * 1024, 128 * 1024] {
+        g.throughput(Throughput::Bytes(size as u64));
+        let data: Vec<u8> = (0..size).map(|i| (i * 31) as u8).collect();
+        g.bench_function(BenchmarkId::new("table", size), |b| {
+            b.iter(|| crc32_update_table(!0, black_box(&data)))
+        });
+        g.bench_function(BenchmarkId::new(dispatched.as_str(), size), |b| {
+            b.iter(|| crc32_update(!0, black_box(&data)))
+        });
+    }
+    g.finish();
+}
+
 /// Manual before/after report — MB/s and sender-side allocations per
 /// I/O for both paths at every size, printed even under `-- --test` so
 /// the numbers land in EXPERIMENTS.md straight from the smoke run.
@@ -384,5 +405,5 @@ fn report_throughput(_c: &mut Criterion) {
     }
 }
 
-criterion_group!(benches, bench_tcp_path, report_throughput);
+criterion_group!(benches, bench_tcp_path, bench_digest, report_throughput);
 criterion_main!(benches);

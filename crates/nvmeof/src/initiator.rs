@@ -19,12 +19,15 @@ use crate::nvme::command::{NvmeCommand, Opcode};
 use crate::nvme::completion::{NvmeCompletion, Status};
 use crate::nvme::controller::IdentifyInfo;
 use crate::payload::{PayloadChannel, WriteLease};
-use crate::pdu::{Abort, CapsuleCmd, DataPdu, DataRef, Degrade, ICReq, KeepAlive, Pdu, AF_CAP_SHM};
+use crate::pdu::{
+    land_chunk, Abort, CapsuleCmd, DataPdu, DataPduView, DataRef, DataView, Degrade, ICReq,
+    KeepAlive, Pdu, PduView, AF_CAP_SHM,
+};
 use crate::recovery::{
     Action, BarrierGraceMode, DataArrival, DataNeed, InitiatorRecovery, KeepAliveNanos, Nanos,
     RecoveryConfig,
 };
-use crate::transport::{BackoffConfig, Frame, Transport, WaitLadder, WaitStep};
+use crate::transport::{self, BackoffConfig, Frame, Transport, WaitLadder, WaitStep};
 use crate::tune::{BusyPollController, PollClass};
 use crate::FlowMode;
 
@@ -168,6 +171,10 @@ struct PendingIo {
     /// The cid handed to the caller at submit time; completions are
     /// reported under it no matter how many wire cids retries burned.
     user_cid: u16,
+    /// Bytes a buffered read owes the caller (0 for everything else).
+    read_len: usize,
+    /// Where C2H chunks land, once each: unallocated until the first
+    /// chunk and never pre-zeroed (see [`land_chunk`]).
     read_buf: Vec<u8>,
     stashed_write: Option<Bytes>,
     /// Borrowed read (§4.4.3): leave shm payloads in the region and hand
@@ -268,7 +275,7 @@ impl ClientState {
     fn track(
         &mut self,
         mut cmd: NvmeCommand,
-        read_buf: Vec<u8>,
+        read_len: usize,
         stashed_write: Option<Bytes>,
         borrow: bool,
         need: DataNeed,
@@ -282,7 +289,8 @@ impl ClientState {
             PendingIo {
                 cmd,
                 user_cid: cid,
-                read_buf,
+                read_len,
+                read_buf: Vec::new(),
                 stashed_write,
                 borrow,
                 shm_data: None,
@@ -322,24 +330,6 @@ impl ClientState {
         self.metrics
             .busy_poll_write_us
             .set(self.poller.budget(PollClass::Write).as_micros() as i64);
-    }
-
-    /// Sends a data-bearing PDU, preferring the transport's vectored
-    /// `[prefix, payload]` path when it has one (the socket transport's
-    /// `write_vectored`, which skips the payload coalescing copy);
-    /// everything else takes the ordinary scratch-encode path.
-    fn send_pdu_data<T: Transport + ?Sized>(
-        &mut self,
-        transport: &T,
-        pdu: &Pdu,
-    ) -> Result<(), NvmeofError> {
-        if transport.prefers_split() {
-            self.scratch.clear();
-            if let Some(payload) = pdu.encode_split_into(&mut self.scratch) {
-                return transport.send_split(&self.scratch, payload);
-            }
-        }
-        self.send_pdu(transport, pdu)
     }
 
     /// Like [`send_pdu`], but treats ring congestion as transient: the
@@ -470,6 +460,7 @@ impl ClientState {
         io.cmd.gseq = gseq;
         // The fresh attempt refills the buffer from byte zero.
         io.got = 0;
+        io.read_buf.clear();
         let data = match io.retry_payload.clone() {
             Some(data) if data.len() <= self.in_capsule_max => Some(DataRef::Inline(data)),
             Some(data) => {
@@ -520,6 +511,11 @@ impl ClientState {
         if let Some((_, len)) = pending.shm_data {
             self.metrics.zero_copy_bytes.add(u64::from(len));
             self.metrics.copies_avoided.inc();
+        }
+        // Only a failed read can come up short; it hands back zeroes
+        // past whatever arrived, as a pre-zeroed buffer would have.
+        if pending.read_buf.len() < pending.read_len {
+            pending.read_buf.resize(pending.read_len, 0);
         }
         self.completed.push(IoResult {
             cid: pending.user_cid,
@@ -718,9 +714,7 @@ impl<T: Transport> Initiator<T> {
                 stashed = Some(data.clone());
             }
         }
-        let cmd = self
-            .state
-            .track(cmd, Vec::new(), stashed, false, DataNeed::None);
+        let cmd = self.state.track(cmd, 0, stashed, false, DataNeed::None);
         let io = self.state.pending.get_mut(&cmd.cid).expect("just tracked");
         io.retry_payload = Some(data);
         io.published_slot = published;
@@ -806,7 +800,7 @@ impl<T: Transport> Initiator<T> {
         }
         let cmd = self.state.track(
             NvmeCommand::write(0, nsid, slba, nlb),
-            Vec::new(),
+            0,
             None,
             false,
             DataNeed::None,
@@ -842,7 +836,7 @@ impl<T: Transport> Initiator<T> {
     ) -> Result<u16, NvmeofError> {
         let cmd = self.state.track(
             NvmeCommand::read(0, nsid, slba, nlb),
-            vec![0u8; expected_len],
+            expected_len,
             None,
             false,
             DataNeed::Bytes(expected_len as u32),
@@ -870,11 +864,6 @@ impl<T: Transport> Initiator<T> {
         expected_len: usize,
     ) -> Result<u16, NvmeofError> {
         let borrow = self.state.shm_active && self.state.payload.is_some();
-        let read_buf = if borrow {
-            Vec::new()
-        } else {
-            vec![0u8; expected_len]
-        };
         // A borrowed read is satisfied by *any* arrival (a parked slot
         // reference or an inline fallback chunk); a buffered read owes
         // the caller the whole transfer.
@@ -885,7 +874,7 @@ impl<T: Transport> Initiator<T> {
         };
         let cmd = self.state.track(
             NvmeCommand::read(0, nsid, slba, nlb),
-            read_buf,
+            if borrow { 0 } else { expected_len },
             None,
             borrow,
             need,
@@ -948,7 +937,7 @@ impl<T: Transport> Initiator<T> {
     ) -> Result<u16, NvmeofError> {
         let cmd = self.state.track(
             NvmeCommand::write_zeroes(0, nsid, slba, nlb),
-            Vec::new(),
+            0,
             None,
             false,
             DataNeed::None,
@@ -966,7 +955,7 @@ impl<T: Transport> Initiator<T> {
     pub fn submit_trim(&mut self, nsid: u32, slba: u64, nlb: u32) -> Result<u16, NvmeofError> {
         let cmd = self.state.track(
             NvmeCommand::trim(0, nsid, slba, nlb),
-            Vec::new(),
+            0,
             None,
             false,
             DataNeed::None,
@@ -994,13 +983,9 @@ impl<T: Transport> Initiator<T> {
 
     /// Submits a flush.
     pub fn submit_flush(&mut self, nsid: u32) -> Result<u16, NvmeofError> {
-        let cmd = self.state.track(
-            NvmeCommand::flush(0, nsid),
-            Vec::new(),
-            None,
-            false,
-            DataNeed::None,
-        );
+        let cmd = self
+            .state
+            .track(NvmeCommand::flush(0, nsid), 0, None, false, DataNeed::None);
         self.state.send_pdu(
             &self.transport,
             &Pdu::CapsuleCmd(CapsuleCmd { cmd, data: None }),
@@ -1100,13 +1085,120 @@ impl<T: Transport> Initiator<T> {
 }
 
 impl ClientState {
+    fn on_c2h_data<T: Transport + ?Sized>(
+        &mut self,
+        transport: &T,
+        d: DataPduView<'_>,
+        now: Nanos,
+    ) -> Result<(), NvmeofError> {
+        let Some(pending) = self.pending.get_mut(&d.cid) else {
+            if self.core.is_retired_cid(d.cid) {
+                self.metrics.stale_frames.inc();
+                // A stale shm reference must still be drained or its
+                // slot leaks until the next reclaim sweep.
+                if let DataView::ShmSlot { slot, len } = d.data {
+                    if let Some(ch) = self.payload.as_ref() {
+                        let _ = ch.consume_with(slot, len, &mut |_| {});
+                    }
+                }
+                return Ok(());
+            }
+            return Err(NvmeofError::Protocol(format!(
+                "C2H data for unknown cid {}",
+                d.cid
+            )));
+        };
+        let off = d.offset as usize;
+        let mut consume_failed = false;
+        let mut arrival = None;
+        match d.data {
+            DataView::Inline(b) => {
+                let op = pending.cmd.opcode;
+                if op == Opcode::Identify || op == Opcode::Flush {
+                    pending.got = b.len().max(1);
+                    pending.read_buf = b.to_vec();
+                    arrival = Some(DataArrival::All);
+                } else {
+                    // A buffered read owes exactly `read_len` bytes. A
+                    // borrowed read the target answered inline anyway
+                    // (e.g. the payload exceeded the slot size) buffers
+                    // whatever arrives as a fallback.
+                    if !pending.borrow && off + b.len() > pending.read_len {
+                        return Err(NvmeofError::Protocol("C2H data beyond read buffer".into()));
+                    }
+                    let total = pending.read_len.max(off + b.len());
+                    land_chunk(&mut pending.read_buf, total, off, b);
+                    if off <= pending.got {
+                        pending.got = pending.got.max(off + b.len());
+                    }
+                    arrival = Some(DataArrival::Chunk {
+                        offset: d.offset,
+                        len: b.len() as u32,
+                    });
+                }
+            }
+            DataView::ShmSlot { slot, len } => {
+                if pending.borrow {
+                    // Zero-copy: park the reference; the caller borrows
+                    // the bytes via consume_read_with.
+                    pending.shm_data = Some((slot, len));
+                    arrival = Some(DataArrival::All);
+                } else {
+                    let ch = self
+                        .payload
+                        .as_ref()
+                        .ok_or_else(|| NvmeofError::Protocol("shm ref without channel".into()))?;
+                    if off + len as usize > pending.read_len {
+                        return Err(NvmeofError::Protocol(
+                            "C2H shm data beyond read buffer".into(),
+                        ));
+                    }
+                    // The channel's `consume` copies into an initialized
+                    // slice (shm payload code is left as it was).
+                    let end = off + len as usize;
+                    if pending.read_buf.len() < end {
+                        pending.read_buf.resize(end, 0);
+                    }
+                    consume_failed = ch
+                        .consume(slot, len, &mut pending.read_buf[off..end])
+                        .is_err();
+                    if !consume_failed {
+                        if off <= pending.got {
+                            pending.got = pending.got.max(off + len as usize);
+                        }
+                        arrival = Some(DataArrival::Chunk {
+                            offset: d.offset,
+                            len,
+                        });
+                    }
+                }
+            }
+        }
+        if consume_failed {
+            // The region died with the payload inside: abandon shm and
+            // re-fetch this read over TCP.
+            self.degrade(transport)?;
+            self.core.retry(d.cid, now, &mut self.actions);
+            self.apply_actions(transport)?;
+        } else if let Some(arrival) = arrival {
+            // The core advances its contiguous-prefix watermark and
+            // releases a held completion once the transfer is whole.
+            self.core.on_data(d.cid, arrival, now, &mut self.actions);
+            self.apply_actions(transport)?;
+        }
+        Ok(())
+    }
+
     fn on_frame<T: Transport + ?Sized>(
         &mut self,
         transport: &T,
         frame: Frame<'_>,
     ) -> Result<(), NvmeofError> {
-        let pdu = match Pdu::decode_frame(frame) {
-            Ok(pdu) => pdu,
+        // C2H payload bytes stay borrowed from the frame (for a socket,
+        // the transport's receive window) until they land in the read
+        // buffer.
+        let view = match PduView::decode(frame.as_slice()) {
+            Ok(view) => view,
             // Bit damage is dropped, not fatal: the sender's own
             // deadline machinery re-covers the lost frame.
             Err(NvmeofError::CorruptFrame) | Err(NvmeofError::Codec(_)) => {
@@ -1118,6 +1210,15 @@ impl ClientState {
         let now = self.now();
         // Any decoded traffic proves the peer alive.
         self.core.on_rx(now);
+        let pdu = match view {
+            PduView::C2HData(d) => return self.on_c2h_data(transport, d, now),
+            PduView::Control(pdu) => pdu,
+            other => {
+                return Err(NvmeofError::Protocol(format!(
+                    "unexpected PDU at initiator: {other:?}"
+                )))
+            }
+        };
         match pdu {
             Pdu::R2T(r2t) => {
                 let Some(pending) = self.pending.get_mut(&r2t.cid) else {
@@ -1190,7 +1291,9 @@ impl ClientState {
                         let mut sent = 0u64;
                         while off < total {
                             let end = (off + chunk).min(total);
-                            self.send_pdu_data(
+                            // Data PDUs take the transport's vectored
+                            // `[prefix, payload]` send where it has one.
+                            transport::send_pdu(
                                 transport,
                                 &Pdu::H2CData(DataPdu {
                                     cid: r2t.cid,
@@ -1199,6 +1302,7 @@ impl ClientState {
                                     last: end == total,
                                     data: DataRef::Inline(data.slice(off..end)),
                                 }),
+                                &mut self.scratch,
                             )?;
                             off = end;
                             sent += 1;
@@ -1207,7 +1311,7 @@ impl ClientState {
                         self.metrics.h2c_chunks.add(sent);
                     }
                     dref => {
-                        self.send_pdu_data(
+                        transport::send_pdu(
                             transport,
                             &Pdu::H2CData(DataPdu {
                                 cid: r2t.cid,
@@ -1216,113 +1320,10 @@ impl ClientState {
                                 last: true,
                                 data: dref,
                             }),
+                            &mut self.scratch,
                         )?;
                         self.metrics.h2c_chunks.inc();
                     }
-                }
-            }
-            Pdu::C2HData(d) => {
-                if !self.pending.contains_key(&d.cid) {
-                    if self.core.is_retired_cid(d.cid) {
-                        self.metrics.stale_frames.inc();
-                        // A stale shm reference must still be drained or
-                        // its slot leaks until the next reclaim sweep.
-                        if let DataRef::ShmSlot { slot, len } = d.data {
-                            if let Some(ch) = self.payload.as_ref() {
-                                let _ = ch.consume_with(slot, len, &mut |_| {});
-                            }
-                        }
-                        return Ok(());
-                    }
-                    return Err(NvmeofError::Protocol(format!(
-                        "C2H data for unknown cid {}",
-                        d.cid
-                    )));
-                }
-                let pending = self.pending.get_mut(&d.cid).expect("checked above");
-                let off = d.offset as usize;
-                let mut consume_failed = false;
-                let mut arrival = None;
-                match d.data {
-                    DataRef::Inline(b) => {
-                        let op = pending.cmd.opcode;
-                        if op == Opcode::Identify || op == Opcode::Flush {
-                            pending.got = b.len().max(1);
-                            pending.read_buf = b.to_vec();
-                            arrival = Some(DataArrival::All);
-                        } else if pending.borrow {
-                            // Borrowed read that the target answered
-                            // inline anyway (e.g. payload exceeded the
-                            // slot size): buffer it as a fallback.
-                            if pending.read_buf.len() < off + b.len() {
-                                pending.read_buf.resize(off + b.len(), 0);
-                            }
-                            pending.read_buf[off..off + b.len()].copy_from_slice(&b);
-                            if off <= pending.got {
-                                pending.got = pending.got.max(off + b.len());
-                            }
-                            arrival = Some(DataArrival::Chunk {
-                                offset: d.offset,
-                                len: b.len() as u32,
-                            });
-                        } else {
-                            if off + b.len() > pending.read_buf.len() {
-                                return Err(NvmeofError::Protocol(
-                                    "C2H data beyond read buffer".into(),
-                                ));
-                            }
-                            pending.read_buf[off..off + b.len()].copy_from_slice(&b);
-                            if off <= pending.got {
-                                pending.got = pending.got.max(off + b.len());
-                            }
-                            arrival = Some(DataArrival::Chunk {
-                                offset: d.offset,
-                                len: b.len() as u32,
-                            });
-                        }
-                    }
-                    DataRef::ShmSlot { slot, len } => {
-                        if pending.borrow {
-                            // Zero-copy: park the reference; the caller
-                            // borrows the bytes via consume_read_with.
-                            pending.shm_data = Some((slot, len));
-                            arrival = Some(DataArrival::All);
-                        } else {
-                            let ch = self.payload.as_ref().ok_or_else(|| {
-                                NvmeofError::Protocol("shm ref without channel".into())
-                            })?;
-                            if off + len as usize > pending.read_buf.len() {
-                                return Err(NvmeofError::Protocol(
-                                    "C2H shm data beyond read buffer".into(),
-                                ));
-                            }
-                            consume_failed = ch
-                                .consume(slot, len, &mut pending.read_buf[off..off + len as usize])
-                                .is_err();
-                            if !consume_failed {
-                                if off <= pending.got {
-                                    pending.got = pending.got.max(off + len as usize);
-                                }
-                                arrival = Some(DataArrival::Chunk {
-                                    offset: d.offset,
-                                    len,
-                                });
-                            }
-                        }
-                    }
-                }
-                if consume_failed {
-                    // The region died with the payload inside: abandon
-                    // shm and re-fetch this read over TCP.
-                    self.degrade(transport)?;
-                    self.core.retry(d.cid, now, &mut self.actions);
-                    self.apply_actions(transport)?;
-                } else if let Some(arrival) = arrival {
-                    // The core advances its contiguous-prefix watermark
-                    // and releases a held completion once the transfer
-                    // is whole.
-                    self.core.on_data(d.cid, arrival, now, &mut self.actions);
-                    self.apply_actions(transport)?;
                 }
             }
             Pdu::CapsuleResp(r) => {
@@ -1441,7 +1442,7 @@ impl<T: Transport> Initiator<T> {
                 fua: false,
                 gseq: 0,
             },
-            Vec::new(),
+            0,
             None,
             false,
             // Identify data arrives as one inline chunk of unpredictable

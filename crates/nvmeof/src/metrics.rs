@@ -268,12 +268,19 @@ pub struct TcpMetrics {
     /// Bytes currently parked in the send backlog; `hwm()` is the worst
     /// case observed.
     pub tx_backlog_bytes: Gauge,
+    /// Which frame-digest (CRC32C) implementation this host runs —
+    /// 0 = slicing-by-8 tables, 1 = x86-64 SSE4.2 instruction, 2 =
+    /// AArch64 `crc` instructions ([`oaf_store::crc32::DigestImpl`]). A
+    /// socket path an order of magnitude slower than its peers reads 0.
+    pub digest_hw: Gauge,
 }
 
 impl TcpMetrics {
     /// Fresh, detached bundle.
     pub fn new() -> Arc<Self> {
-        Arc::new(Self::default())
+        let m = Self::default();
+        m.digest_hw.set(oaf_store::crc32::digest_impl() as i64);
+        Arc::new(m)
     }
 
     /// Publish every metric of this bundle into `scope`.
@@ -285,6 +292,7 @@ impl TcpMetrics {
         scope.adopt_counter("partial_read_resumptions", &self.partial_read_resumptions);
         scope.adopt_counter("rx_compactions", &self.rx_compactions);
         scope.adopt_gauge("tx_backlog_bytes", &self.tx_backlog_bytes);
+        scope.adopt_gauge("digest_hw", &self.digest_hw);
     }
 }
 

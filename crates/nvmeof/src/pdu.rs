@@ -15,12 +15,18 @@
 //! Frames are length-prefixed and self-contained: the in-process transports
 //! are frame-oriented, so no cross-frame reassembly state is needed. The
 //! header mirrors the spec's common header: `type, flags, hlen, rsvd,
-//! plen` where `plen` covers the whole PDU, followed by a CRC32 over the
-//! entire frame (header digest + data digest collapsed into one word,
-//! computed with the CRC field itself zeroed). A frame whose CRC does not
-//! match decodes to [`NvmeofError::CorruptFrame`] instead of parsing
-//! garbage, so bit-flips on the fabric surface as a typed, droppable
-//! error rather than a protocol wedge.
+//! plen` where `plen` covers the whole PDU, followed by a CRC32C over the
+//! entire frame (the spec's header digest + data digest, same polynomial,
+//! collapsed into one word, computed with the CRC field itself zeroed). A
+//! frame whose CRC does not match decodes to
+//! [`NvmeofError::CorruptFrame`] instead of parsing garbage, so bit-flips
+//! on the fabric surface as a typed, droppable error rather than a
+//! protocol wedge.
+//!
+//! There is one decoder, the crate-internal `PduView::decode`, and it
+//! never copies a payload: inline bytes stay borrowed from the frame, so
+//! the reactors land them straight from a transport's receive window.
+//! The owned [`Pdu::decode`] family is that decode plus a to-owned step.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -35,19 +41,20 @@ pub const HEADER_LEN: usize = 12;
 /// Byte offset of the CRC32 word within the common header.
 const CRC_OFFSET: usize = 8;
 
-// The CRC implementation (slicing-by-8, IEEE polynomial) is shared with
-// the on-disk intent-log format — one codec for fabric and storage, so
-// the two can never drift on polynomial or table construction.
+// The CRC32C implementation (the CPU's instruction where the host has
+// one, tables otherwise) is shared with the on-disk intent-log format —
+// one codec for fabric and storage, so the two can never drift on
+// polynomial or construction.
 use oaf_store::crc32::crc32_update;
 
-/// CRC32 of a whole frame with the header's CRC field treated as zero.
-fn frame_crc(frame: &[u8]) -> u32 {
-    let mut c = crc32_update(0xFFFF_FFFF, &frame[..CRC_OFFSET]);
+/// CRC32C of the logical frame `head ++ tail` with the header's CRC
+/// field treated as zero. `head` must cover at least the common header;
+/// `tail` is the borrowed payload of a split encode (empty otherwise).
+fn frame_crc(head: &[u8], tail: &[u8]) -> u32 {
+    let mut c = crc32_update(0xFFFF_FFFF, &head[..CRC_OFFSET]);
     c = crc32_update(c, &[0u8; 4]);
-    if frame.len() > HEADER_LEN {
-        c = crc32_update(c, &frame[HEADER_LEN..]);
-    }
-    !c
+    c = crc32_update(c, &head[HEADER_LEN..]);
+    !crc32_update(c, tail)
 }
 
 /// Flag: payload is a shared-memory slot reference, not inline bytes.
@@ -114,6 +121,87 @@ impl DataRef {
     pub fn is_shm(&self) -> bool {
         matches!(self, DataRef::ShmSlot { .. })
     }
+}
+
+/// [`DataRef`] with inline bytes still borrowed from the frame.
+#[derive(Clone, Copy)]
+pub(crate) enum DataView<'a> {
+    Inline(&'a [u8]),
+    ShmSlot { slot: u32, len: u32 },
+}
+
+/// Protocol errors quote the offending PDU; a payload shows as its size.
+impl std::fmt::Debug for DataView<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            DataView::Inline(b) => write!(f, "Inline({} bytes)", b.len()),
+            DataView::ShmSlot { slot, len } => write!(f, "ShmSlot {{ slot: {slot}, len: {len} }}"),
+        }
+    }
+}
+
+impl DataView<'_> {
+    fn into_owned(self, own: impl Fn(&[u8]) -> Bytes) -> DataRef {
+        match self {
+            DataView::Inline(b) => DataRef::Inline(own(b)),
+            DataView::ShmSlot { slot, len } => DataRef::ShmSlot { slot, len },
+        }
+    }
+}
+
+/// [`DataPdu`] with its payload still borrowed from the frame.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct DataPduView<'a> {
+    pub cid: u16,
+    pub ttag: u16,
+    pub offset: u32,
+    pub last: bool,
+    pub data: DataView<'a>,
+}
+
+impl DataPduView<'_> {
+    fn into_owned(self, own: impl Fn(&[u8]) -> Bytes) -> DataPdu {
+        DataPdu {
+            cid: self.cid,
+            ttag: self.ttag,
+            offset: self.offset,
+            last: self.last,
+            data: self.data.into_owned(own),
+        }
+    }
+}
+
+/// A decoded frame whose inline payload, if it has one, is still
+/// borrowed from the frame: what the reactors match on, so payload
+/// bytes go from the receive window to their destination in one copy.
+#[derive(Debug)]
+pub(crate) enum PduView<'a> {
+    /// Command capsule, in-capsule data borrowed.
+    CapsuleCmd {
+        cmd: NvmeCommand,
+        data: Option<DataView<'a>>,
+    },
+    /// Host-to-controller data, payload borrowed.
+    H2CData(DataPduView<'a>),
+    /// Controller-to-host data, payload borrowed.
+    C2HData(DataPduView<'a>),
+    /// Every kind that cannot carry payload bytes, already owned.
+    Control(Pdu),
+}
+
+/// Lands one data-PDU chunk at byte `off` of a reassembly buffer that is
+/// never pre-zeroed: `buf.len()` is the high-water mark of landed bytes,
+/// in-order chunks append past it, and only the gap an out-of-order
+/// chunk leaves behind is zero-filled. `total` is the whole transfer,
+/// reserved on the first chunk so appends never reallocate.
+pub(crate) fn land_chunk(buf: &mut Vec<u8>, total: usize, off: usize, chunk: &[u8]) {
+    buf.reserve_exact(total.saturating_sub(buf.len()));
+    if buf.len() < off {
+        buf.resize(off, 0);
+    }
+    let overlap = (buf.len() - off).min(chunk.len());
+    buf[off..off + overlap].copy_from_slice(&chunk[..overlap]);
+    buf.extend_from_slice(&chunk[overlap..]);
 }
 
 /// Connection initialization request (client → target).
@@ -297,39 +385,7 @@ fn encode_dataref(dst: &mut BytesMut, data: &DataRef) {
     }
 }
 
-/// Decode source: either an owned `Bytes` frame (inline payloads are
-/// carved out zero-copy via `split_to`) or a borrowed slice straight
-/// out of a ring (inline payloads are copied; slot references — the
-/// steady-state shm control traffic — need nothing).
-trait FrameBuf: Buf + Sized {
-    fn take_bytes(&mut self, len: usize) -> Bytes;
-    /// The unconsumed frame as one contiguous slice (both sources are
-    /// contiguous), used for whole-frame CRC verification before any
-    /// bytes are consumed.
-    fn whole(&self) -> &[u8];
-}
-
-impl FrameBuf for Bytes {
-    fn take_bytes(&mut self, len: usize) -> Bytes {
-        self.split_to(len)
-    }
-    fn whole(&self) -> &[u8] {
-        self.as_ref()
-    }
-}
-
-impl FrameBuf for &[u8] {
-    fn take_bytes(&mut self, len: usize) -> Bytes {
-        let out = Bytes::copy_from_slice(&self[..len]);
-        self.advance(len);
-        out
-    }
-    fn whole(&self) -> &[u8] {
-        self
-    }
-}
-
-fn decode_dataref<B: FrameBuf>(src: &mut B, flags: u8) -> Result<DataRef, NvmeofError> {
+fn decode_dataview<'a>(src: &mut &'a [u8], flags: u8) -> Result<DataView<'a>, NvmeofError> {
     if src.remaining() < 4 {
         return Err(NvmeofError::Codec("dataref truncated".into()));
     }
@@ -339,7 +395,7 @@ fn decode_dataref<B: FrameBuf>(src: &mut B, flags: u8) -> Result<DataRef, Nvmeof
             return Err(NvmeofError::Codec("shm slot truncated".into()));
         }
         let slot = src.get_u32_le();
-        Ok(DataRef::ShmSlot { slot, len })
+        Ok(DataView::ShmSlot { slot, len })
     } else {
         if src.remaining() < len as usize {
             return Err(NvmeofError::Codec(format!(
@@ -347,7 +403,174 @@ fn decode_dataref<B: FrameBuf>(src: &mut B, flags: u8) -> Result<DataRef, Nvmeof
                 src.remaining()
             )));
         }
-        Ok(DataRef::Inline(src.take_bytes(len as usize)))
+        let (payload, rest) = src.split_at(len as usize);
+        *src = rest;
+        Ok(DataView::Inline(payload))
+    }
+}
+
+impl<'a> PduView<'a> {
+    /// The one PDU decoder: structural checks, then the frame CRC, then
+    /// the body — with any inline payload left in place in `frame`.
+    pub(crate) fn decode(frame: &'a [u8]) -> Result<PduView<'a>, NvmeofError> {
+        if frame.len() < HEADER_LEN {
+            return Err(NvmeofError::Codec("header truncated".into()));
+        }
+        let mut src = frame;
+        let ptype = src.get_u8();
+        let flags = src.get_u8();
+        let hlen = src.get_u8();
+        let _rsvd = src.get_u8();
+        let plen = src.get_u32_le() as usize;
+        let stored_crc = src.get_u32_le();
+        if hlen as usize != HEADER_LEN {
+            return Err(NvmeofError::Codec(format!("bad hlen {hlen}")));
+        }
+        if plen != frame.len() {
+            return Err(NvmeofError::Codec(format!(
+                "plen {plen} does not match frame length {}",
+                frame.len()
+            )));
+        }
+        if frame_crc(frame, &[]) != stored_crc {
+            return Err(NvmeofError::CorruptFrame);
+        }
+        let control = match ptype {
+            ptype::ICREQ => {
+                if src.remaining() < 18 {
+                    return Err(NvmeofError::Codec("icreq truncated".into()));
+                }
+                Pdu::ICReq(ICReq {
+                    pfv: src.get_u16_le(),
+                    maxr2t: src.get_u32_le(),
+                    af_caps: src.get_u32_le(),
+                    host_id: src.get_u64_le(),
+                })
+            }
+            ptype::ICRESP => {
+                if src.remaining() < 18 {
+                    return Err(NvmeofError::Codec("icresp truncated".into()));
+                }
+                Pdu::ICResp(ICResp {
+                    pfv: src.get_u16_le(),
+                    ioccsz: src.get_u32_le(),
+                    af_caps: src.get_u32_le(),
+                    target_id: src.get_u64_le(),
+                })
+            }
+            ptype::CAPSULE_CMD => {
+                let cmd = NvmeCommand::decode(&mut src)?;
+                if src.remaining() < 1 {
+                    return Err(NvmeofError::Codec("capsule data marker missing".into()));
+                }
+                let has_data = src.get_u8() != 0;
+                let data = if has_data {
+                    Some(decode_dataview(&mut src, flags)?)
+                } else {
+                    None
+                };
+                return Ok(PduView::CapsuleCmd { cmd, data });
+            }
+            ptype::CAPSULE_RESP => Pdu::CapsuleResp(CapsuleResp {
+                completion: NvmeCompletion::decode(&mut src)?,
+            }),
+            ptype::R2T => {
+                if src.remaining() < 12 {
+                    return Err(NvmeofError::Codec("r2t truncated".into()));
+                }
+                Pdu::R2T(R2T {
+                    cid: src.get_u16_le(),
+                    ttag: src.get_u16_le(),
+                    offset: src.get_u32_le(),
+                    len: src.get_u32_le(),
+                })
+            }
+            ptype::H2C_DATA | ptype::C2H_DATA => {
+                if src.remaining() < 8 {
+                    return Err(NvmeofError::Codec("data pdu truncated".into()));
+                }
+                let view = DataPduView {
+                    cid: src.get_u16_le(),
+                    ttag: src.get_u16_le(),
+                    offset: src.get_u32_le(),
+                    last: flags & FLAG_LAST != 0,
+                    data: decode_dataview(&mut src, flags)?,
+                };
+                return Ok(if ptype == ptype::H2C_DATA {
+                    PduView::H2CData(view)
+                } else {
+                    PduView::C2HData(view)
+                });
+            }
+            ptype::TERM_REQ => {
+                if src.remaining() < 2 {
+                    return Err(NvmeofError::Codec("termreq truncated".into()));
+                }
+                Pdu::TermReq(TermReq {
+                    reason: src.get_u16_le(),
+                })
+            }
+            ptype::KEEP_ALIVE | ptype::KEEP_ALIVE_ACK => {
+                if src.remaining() < 8 {
+                    return Err(NvmeofError::Codec("keep-alive truncated".into()));
+                }
+                let ka = KeepAlive {
+                    seq: src.get_u64_le(),
+                };
+                if ptype == ptype::KEEP_ALIVE {
+                    Pdu::KeepAlive(ka)
+                } else {
+                    Pdu::KeepAliveAck(ka)
+                }
+            }
+            ptype::ABORT => {
+                if src.remaining() < 6 {
+                    return Err(NvmeofError::Codec("abort truncated".into()));
+                }
+                Pdu::Abort(Abort {
+                    cid: src.get_u16_le(),
+                    gseq: src.get_u32_le(),
+                })
+            }
+            ptype::ABORT_ACK => {
+                if src.remaining() < 3 + COMPLETION_WIRE_LEN {
+                    return Err(NvmeofError::Codec("abort ack truncated".into()));
+                }
+                let cid = src.get_u16_le();
+                let applied = src.get_u8() != 0;
+                let completion = NvmeCompletion::decode(&mut src)?;
+                Pdu::AbortAck(AbortAck {
+                    cid,
+                    applied,
+                    completion,
+                })
+            }
+            ptype::DEGRADE => {
+                if src.remaining() < 2 {
+                    return Err(NvmeofError::Codec("degrade truncated".into()));
+                }
+                Pdu::Degrade(Degrade {
+                    reason: src.get_u16_le(),
+                })
+            }
+            other => return Err(NvmeofError::Codec(format!("unknown pdu type {other:#x}"))),
+        };
+        Ok(PduView::Control(control))
+    }
+
+    /// The to-owned step: `own` turns a borrowed inline payload into
+    /// `Bytes` (a copy for a borrowed frame, a shared slice of an owned
+    /// one).
+    fn into_owned(self, own: impl Fn(&[u8]) -> Bytes) -> Pdu {
+        match self {
+            PduView::CapsuleCmd { cmd, data } => Pdu::CapsuleCmd(CapsuleCmd {
+                cmd,
+                data: data.map(|d| d.into_owned(own)),
+            }),
+            PduView::H2CData(d) => Pdu::H2CData(d.into_owned(own)),
+            PduView::C2HData(d) => Pdu::C2HData(d.into_owned(own)),
+            PduView::Control(pdu) => pdu,
+        }
     }
 }
 
@@ -372,7 +595,7 @@ impl Pdu {
         // Patch the CRC over the finished frame. The CRC field itself is
         // still zero at this point, so hashing the frame as-is matches
         // the zeroed-field convention the decoder verifies against.
-        let crc = frame_crc(&dst[start..]);
+        let crc = frame_crc(&dst[start..], &[]);
         dst[start + CRC_OFFSET..start + CRC_OFFSET + 4].copy_from_slice(&crc.to_le_bytes());
     }
 
@@ -409,11 +632,7 @@ impl Pdu {
         // CRC over the logical frame (prefix ++ payload) with the CRC
         // field zeroed, continued incrementally over the borrowed
         // payload so the bytes never pass through `dst`.
-        let mut crc = crc32_update(0xFFFF_FFFF, &dst[start..start + CRC_OFFSET]);
-        crc = crc32_update(crc, &[0u8; 4]);
-        crc = crc32_update(crc, &dst[start + HEADER_LEN..]);
-        crc = crc32_update(crc, b);
-        let crc = !crc;
+        let crc = frame_crc(&dst[start..], b);
         dst[start + CRC_OFFSET..start + CRC_OFFSET + 4].copy_from_slice(&crc.to_le_bytes());
         Some(b)
     }
@@ -533,18 +752,23 @@ impl Pdu {
         }
     }
 
-    /// Decodes one frame produced by [`Pdu::encode`].
+    /// Decodes one frame produced by [`Pdu::encode`]. An inline payload
+    /// comes back as a view into `frame`'s storage, not a copy.
     pub fn decode(frame: Bytes) -> Result<Pdu, NvmeofError> {
-        Self::decode_impl(frame)
+        let base = frame.as_ptr() as usize;
+        Ok(PduView::decode(&frame)?.into_owned(|payload| {
+            let off = payload.as_ptr() as usize - base;
+            frame.slice(off..off + payload.len())
+        }))
     }
 
-    /// Decodes a borrowed frame in place — the batched receive path.
+    /// Decodes a borrowed frame.
     ///
     /// Slot-reference PDUs (the steady-state shm control traffic) decode
     /// without touching the heap; inline payloads are copied out, since
-    /// the ring slot is recycled as soon as the drain callback returns.
+    /// the caller's slice does not outlive the call.
     pub fn decode_slice(frame: &[u8]) -> Result<Pdu, NvmeofError> {
-        Self::decode_impl(frame)
+        Ok(PduView::decode(frame)?.into_owned(Bytes::copy_from_slice))
     }
 
     /// Decodes a [`Frame`] from [`Transport::recv_batch`], picking the
@@ -555,161 +779,6 @@ impl Pdu {
         match frame {
             Frame::Owned(b) => Self::decode(b),
             Frame::Borrowed(s) => Self::decode_slice(s),
-        }
-    }
-
-    fn decode_impl<B: FrameBuf>(mut src: B) -> Result<Pdu, NvmeofError> {
-        if src.remaining() < HEADER_LEN {
-            return Err(NvmeofError::Codec("header truncated".into()));
-        }
-        let ptype = src.get_u8();
-        let flags = src.get_u8();
-        let hlen = src.get_u8();
-        let rsvd = src.get_u8();
-        let plen = src.get_u32_le() as usize;
-        let stored_crc = src.get_u32_le();
-        if hlen as usize != HEADER_LEN {
-            return Err(NvmeofError::Codec(format!("bad hlen {hlen}")));
-        }
-        if plen != HEADER_LEN + src.remaining() {
-            return Err(NvmeofError::Codec(format!(
-                "plen {plen} does not match frame length {}",
-                HEADER_LEN + src.remaining()
-            )));
-        }
-        // Structural checks passed; now verify integrity. The header has
-        // already been consumed, so hash its fields back in front of the
-        // remaining body, with the CRC field zeroed per convention.
-        let mut crc = crc32_update(0xFFFF_FFFF, &[ptype, flags, hlen, rsvd]);
-        crc = crc32_update(crc, &(plen as u32).to_le_bytes());
-        crc = crc32_update(crc, &[0u8; 4]);
-        crc = crc32_update(crc, src.whole());
-        if !crc != stored_crc {
-            return Err(NvmeofError::CorruptFrame);
-        }
-        match ptype {
-            ptype::ICREQ => {
-                if src.remaining() < 18 {
-                    return Err(NvmeofError::Codec("icreq truncated".into()));
-                }
-                Ok(Pdu::ICReq(ICReq {
-                    pfv: src.get_u16_le(),
-                    maxr2t: src.get_u32_le(),
-                    af_caps: src.get_u32_le(),
-                    host_id: src.get_u64_le(),
-                }))
-            }
-            ptype::ICRESP => {
-                if src.remaining() < 18 {
-                    return Err(NvmeofError::Codec("icresp truncated".into()));
-                }
-                Ok(Pdu::ICResp(ICResp {
-                    pfv: src.get_u16_le(),
-                    ioccsz: src.get_u32_le(),
-                    af_caps: src.get_u32_le(),
-                    target_id: src.get_u64_le(),
-                }))
-            }
-            ptype::CAPSULE_CMD => {
-                let cmd = NvmeCommand::decode(&mut src)?;
-                if src.remaining() < 1 {
-                    return Err(NvmeofError::Codec("capsule data marker missing".into()));
-                }
-                let has_data = src.get_u8() != 0;
-                let data = if has_data {
-                    Some(decode_dataref(&mut src, flags)?)
-                } else {
-                    None
-                };
-                Ok(Pdu::CapsuleCmd(CapsuleCmd { cmd, data }))
-            }
-            ptype::CAPSULE_RESP => Ok(Pdu::CapsuleResp(CapsuleResp {
-                completion: NvmeCompletion::decode(&mut src)?,
-            })),
-            ptype::R2T => {
-                if src.remaining() < 12 {
-                    return Err(NvmeofError::Codec("r2t truncated".into()));
-                }
-                Ok(Pdu::R2T(R2T {
-                    cid: src.get_u16_le(),
-                    ttag: src.get_u16_le(),
-                    offset: src.get_u32_le(),
-                    len: src.get_u32_le(),
-                }))
-            }
-            ptype::H2C_DATA | ptype::C2H_DATA => {
-                if src.remaining() < 8 {
-                    return Err(NvmeofError::Codec("data pdu truncated".into()));
-                }
-                let cid = src.get_u16_le();
-                let ttag = src.get_u16_le();
-                let offset = src.get_u32_le();
-                let data = decode_dataref(&mut src, flags)?;
-                let pdu = DataPdu {
-                    cid,
-                    ttag,
-                    offset,
-                    last: flags & FLAG_LAST != 0,
-                    data,
-                };
-                if ptype == ptype::H2C_DATA {
-                    Ok(Pdu::H2CData(pdu))
-                } else {
-                    Ok(Pdu::C2HData(pdu))
-                }
-            }
-            ptype::TERM_REQ => {
-                if src.remaining() < 2 {
-                    return Err(NvmeofError::Codec("termreq truncated".into()));
-                }
-                Ok(Pdu::TermReq(TermReq {
-                    reason: src.get_u16_le(),
-                }))
-            }
-            ptype::KEEP_ALIVE | ptype::KEEP_ALIVE_ACK => {
-                if src.remaining() < 8 {
-                    return Err(NvmeofError::Codec("keep-alive truncated".into()));
-                }
-                let ka = KeepAlive {
-                    seq: src.get_u64_le(),
-                };
-                if ptype == ptype::KEEP_ALIVE {
-                    Ok(Pdu::KeepAlive(ka))
-                } else {
-                    Ok(Pdu::KeepAliveAck(ka))
-                }
-            }
-            ptype::ABORT => {
-                if src.remaining() < 6 {
-                    return Err(NvmeofError::Codec("abort truncated".into()));
-                }
-                Ok(Pdu::Abort(Abort {
-                    cid: src.get_u16_le(),
-                    gseq: src.get_u32_le(),
-                }))
-            }
-            ptype::ABORT_ACK => {
-                if src.remaining() < 3 + COMPLETION_WIRE_LEN {
-                    return Err(NvmeofError::Codec("abort ack truncated".into()));
-                }
-                let cid = src.get_u16_le();
-                let applied = src.get_u8() != 0;
-                let completion = NvmeCompletion::decode(&mut src)?;
-                Ok(Pdu::AbortAck(AbortAck {
-                    cid,
-                    applied,
-                    completion,
-                }))
-            }
-            ptype::DEGRADE => {
-                if src.remaining() < 2 {
-                    return Err(NvmeofError::Codec("degrade truncated".into()));
-                }
-                Ok(Pdu::Degrade(Degrade {
-                    reason: src.get_u16_le(),
-                }))
-            }
-            other => Err(NvmeofError::Codec(format!("unknown pdu type {other:#x}"))),
         }
     }
 
@@ -752,13 +821,46 @@ impl Pdu {
 mod tests {
     use super::*;
 
+    /// The inline payload a view borrows, if its kind carries one.
+    fn borrowed_payload<'a>(view: &PduView<'a>) -> Option<&'a [u8]> {
+        match *view {
+            PduView::CapsuleCmd {
+                data: Some(DataView::Inline(b)),
+                ..
+            } => Some(b),
+            PduView::H2CData(DataPduView {
+                data: DataView::Inline(b),
+                ..
+            })
+            | PduView::C2HData(DataPduView {
+                data: DataView::Inline(b),
+                ..
+            }) => Some(b),
+            _ => None,
+        }
+    }
+
+    /// Every decode entry point agrees on `p`, and the borrowed decode
+    /// leaves an inline payload where it arrived: inside the frame.
     fn roundtrip(p: Pdu) {
         let frame = p.encode();
         assert_eq!(frame.len(), p.encoded_len());
-        let from_slice = Pdu::decode_slice(&frame).unwrap();
-        assert_eq!(from_slice, p);
-        let back = Pdu::decode(frame).unwrap();
-        assert_eq!(back, p);
+        let view = PduView::decode(&frame).unwrap();
+        match borrowed_payload(&view) {
+            Some(b) => {
+                assert_eq!(b.len(), p.payload_hint());
+                assert!(
+                    frame.as_ptr_range().contains(&b.as_ptr()) || b.is_empty(),
+                    "borrowed decode copied the payload out of the frame"
+                );
+            }
+            None => assert_eq!(p.payload_hint(), 0, "inline payload lost by the view"),
+        }
+        assert_eq!(view.into_owned(Bytes::copy_from_slice), p);
+        assert_eq!(Pdu::decode_slice(&frame).unwrap(), p);
+        assert_eq!(Pdu::decode_frame(Frame::Borrowed(&frame)).unwrap(), p);
+        assert_eq!(Pdu::decode_frame(Frame::Owned(frame.clone())).unwrap(), p);
+        assert_eq!(Pdu::decode(frame).unwrap(), p);
     }
 
     #[test]
@@ -815,6 +917,27 @@ mod tests {
                 len: 65536,
             },
         }));
+        roundtrip(Pdu::C2HData(DataPdu {
+            cid: 3,
+            ttag: 0,
+            offset: 8192,
+            last: true,
+            data: DataRef::Inline(Bytes::from(vec![0x3c; 4096])),
+        }));
+        roundtrip(Pdu::H2CData(DataPdu {
+            cid: 4,
+            ttag: 7,
+            offset: 0,
+            last: true,
+            data: DataRef::ShmSlot { slot: 9, len: 512 },
+        }));
+        roundtrip(Pdu::C2HData(DataPdu {
+            cid: 5,
+            ttag: 0,
+            offset: 0,
+            last: true,
+            data: DataRef::Inline(Bytes::new()),
+        }));
     }
 
     #[test]
@@ -826,6 +949,9 @@ mod tests {
             len: 128 * 1024,
         }));
         roundtrip(Pdu::TermReq(TermReq { reason: 2 }));
+        roundtrip(Pdu::CapsuleResp(CapsuleResp {
+            completion: NvmeCompletion::ok(11),
+        }));
     }
 
     #[test]
@@ -862,7 +988,7 @@ mod tests {
         raw.put_u8(0);
         raw.put_u32_le(HEADER_LEN as u32);
         raw.put_u32_le(0);
-        let crc = frame_crc(&raw);
+        let crc = frame_crc(&raw, &[]);
         raw[CRC_OFFSET..CRC_OFFSET + 4].copy_from_slice(&crc.to_le_bytes());
         assert!(matches!(
             Pdu::decode(raw.freeze()),
@@ -912,6 +1038,58 @@ mod tests {
         }
         // The pristine frame still decodes.
         assert_eq!(Pdu::decode(clean).unwrap(), p);
+    }
+
+    #[test]
+    fn corrupted_payload_byte_fails_every_decode_path() {
+        // A payload-sized data PDU: the digest runs its interleaved
+        // rounds, and the borrowed decode must check it before lending
+        // a single payload byte.
+        let payload: Vec<u8> = (0..128 * 1024u32).map(|i| (i % 253) as u8).collect();
+        let clean = Pdu::H2CData(DataPdu {
+            cid: 5,
+            ttag: 2,
+            offset: 0,
+            last: true,
+            data: DataRef::Inline(Bytes::from(payload)),
+        })
+        .encode();
+        let payload_at = clean.len() - 128 * 1024;
+        for pos in [payload_at, payload_at + 4097, clean.len() - 1] {
+            let mut bad = clean.to_vec();
+            bad[pos] ^= 0x01;
+            assert!(matches!(
+                PduView::decode(&bad),
+                Err(NvmeofError::CorruptFrame)
+            ));
+            assert!(matches!(
+                Pdu::decode_slice(&bad),
+                Err(NvmeofError::CorruptFrame)
+            ));
+            assert!(matches!(
+                Pdu::decode(Bytes::from(bad)),
+                Err(NvmeofError::CorruptFrame)
+            ));
+        }
+    }
+
+    #[test]
+    fn land_chunk_appends_in_order_and_zero_fills_only_gaps() {
+        let mut buf = Vec::new();
+        land_chunk(&mut buf, 12, 0, b"abcd");
+        assert_eq!(buf.capacity(), 12, "whole transfer reserved up front");
+        land_chunk(&mut buf, 12, 4, b"efgh");
+        assert_eq!(buf, b"abcdefgh");
+        // Out of order: the hole reads as zeroes until its chunk lands.
+        let mut buf = Vec::new();
+        land_chunk(&mut buf, 12, 8, b"ijkl");
+        assert_eq!(buf, b"\0\0\0\0\0\0\0\0ijkl");
+        land_chunk(&mut buf, 12, 0, b"abcd");
+        // A duplicate that straddles the high-water mark overwrites and
+        // extends.
+        buf.truncate(6);
+        land_chunk(&mut buf, 12, 4, b"efgh");
+        assert_eq!(buf, b"abcdefgh");
     }
 
     #[test]

@@ -18,7 +18,7 @@ use crate::nvme::controller::Controller;
 use crate::payload::PayloadChannel;
 use crate::pdu::Pdu;
 use crate::target::{TargetConfig, TargetConnection, TargetHandle};
-use crate::transport::Transport;
+use crate::transport::{send_pdu, Transport};
 use crate::tune::{BusyPollController, PollClass};
 use oaf_telemetry::Registry;
 
@@ -161,26 +161,9 @@ impl Reactor {
             // hot while syncs are retiring.
             drained_total += l.conn.poll_parked(controller, &mut l.out);
             for pdu in l.out.drain(..) {
-                l.scratch.clear();
-                // Socket transports take the vectored header +
-                // borrowed-payload path so large C2H data never gets
-                // coalesced into the scratch buffer.
-                let sent = if l.transport.prefers_split() {
-                    match pdu.encode_split_into(&mut l.scratch) {
-                        Some(payload) => l.transport.send_split(&l.scratch, payload),
-                        None => {
-                            l.scratch.clear();
-                            pdu.encode_into(&mut l.scratch);
-                            l.transport.send_frame(&l.scratch)
-                        }
-                    }
-                } else {
-                    pdu.encode_into(&mut l.scratch);
-                    l.transport.send_frame(&l.scratch)
-                };
                 // A peer that hung up or a ring stuck full past the
                 // backoff budget kills the connection, not the reactor.
-                match sent {
+                match send_pdu(&*l.transport, &pdu, &mut l.scratch) {
                     Ok(()) => {}
                     Err(NvmeofError::TransportClosed) | Err(NvmeofError::RingFull) => {
                         l.alive = false;

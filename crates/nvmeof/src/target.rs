@@ -22,11 +22,11 @@ use crate::nvme::controller::Controller;
 use crate::nvme::namespace::{BarrierPoll, BarrierTicket};
 use crate::payload::PayloadChannel;
 use crate::pdu::{
-    AbortAck, CapsuleCmd, CapsuleResp, DataPdu, DataRef, Degrade, ICResp, KeepAlive, Pdu,
-    AF_CAP_SHM, AF_CAP_SHM_INCAPSULE, AF_CAP_ZERO_COPY, R2T,
+    land_chunk, AbortAck, CapsuleResp, DataPdu, DataPduView, DataRef, DataView, Degrade, ICResp,
+    KeepAlive, Pdu, PduView, AF_CAP_SHM, AF_CAP_SHM_INCAPSULE, AF_CAP_ZERO_COPY, R2T,
 };
 use crate::recovery::{AbortDecision, TargetRecovery};
-use crate::transport::{Frame, Transport};
+use crate::transport::{send_pdu, Frame, Transport};
 
 /// Target-side configuration.
 #[derive(Clone, Debug)]
@@ -56,6 +56,12 @@ impl Default for TargetConfig {
 
 struct PendingWrite {
     cmd: NvmeCommand,
+    /// Bytes the R2T granted (the command's transfer length).
+    granted: usize,
+    /// Staging for a transfer that arrives in several chunks: unallocated
+    /// until the first chunk that does not cover the whole grant, never
+    /// pre-zeroed (see [`land_chunk`]). A single-chunk transfer executes
+    /// straight from the receive window and never touches it.
     buf: Vec<u8>,
     received: usize,
 }
@@ -222,8 +228,8 @@ impl TargetConnection {
 
     /// Drains an unconsumed shm payload reference from a dropped frame so
     /// its slot returns to the pool instead of leaking.
-    fn drain_stale_ref(&self, data: &DataRef) {
-        if let DataRef::ShmSlot { slot, len } = *data {
+    fn drain_stale_ref(&self, data: DataView<'_>) {
+        if let DataView::ShmSlot { slot, len } = data {
             if let Some(ch) = self.payload.as_ref() {
                 let _ = ch.consume_with(slot, len, &mut |_| {});
             }
@@ -274,8 +280,17 @@ impl TargetConnection {
         ctrl: &mut Controller,
         out: &mut Vec<Pdu>,
     ) -> Result<(), NvmeofError> {
-        let pdu = match Pdu::decode_frame(frame) {
-            Ok(pdu) => pdu,
+        // Payload bytes stay borrowed from the frame (for a socket, the
+        // transport's receive window) until the device copy.
+        let pdu = match PduView::decode(frame.as_slice()) {
+            Ok(PduView::CapsuleCmd { cmd, data }) => return self.on_command(cmd, data, ctrl, out),
+            Ok(PduView::H2CData(d)) => return self.on_h2c_data(d, ctrl, out),
+            Ok(PduView::C2HData(d)) => {
+                return Err(NvmeofError::Protocol(format!(
+                    "unexpected PDU at target: {d:?}"
+                )))
+            }
+            Ok(PduView::Control(pdu)) => pdu,
             // Bit damage on the fabric: drop the frame and let the
             // client's deadline machinery re-cover the loss.
             Err(NvmeofError::CorruptFrame) | Err(NvmeofError::Codec(_)) => {
@@ -314,8 +329,6 @@ impl TargetConnection {
                 }));
                 Ok(())
             }
-            Pdu::CapsuleCmd(c) => self.on_command(c, ctrl, out),
-            Pdu::H2CData(d) => self.on_h2c_data(d, ctrl, out),
             Pdu::Abort(a) => {
                 self.require_handshake()?;
                 self.on_abort(a.cid, a.gseq, out);
@@ -405,64 +418,65 @@ impl TargetConnection {
 
     fn on_command(
         &mut self,
-        c: CapsuleCmd,
+        cmd: NvmeCommand,
+        data: Option<DataView<'_>>,
         ctrl: &mut Controller,
         out: &mut Vec<Pdu>,
     ) -> Result<(), NvmeofError> {
         self.require_handshake()?;
-        if self.core.should_drop_command(c.cmd.cid, c.cmd.gseq) {
+        if self.core.should_drop_command(cmd.cid, cmd.gseq) {
             // Late duplicate of a command we already answered an abort
             // for: the client resubmitted it under a fresh cid, so
             // applying this copy would double-apply.
-            if let Some(data) = &c.data {
+            if let Some(data) = data {
                 self.drain_stale_ref(data);
             }
             return Ok(());
         }
-        match c.cmd.opcode {
-            Opcode::Read => self.on_read(c.cmd, ctrl, out),
+        match cmd.opcode {
+            Opcode::Read => self.on_read(cmd, ctrl, out),
             // Anything shipping host data (write, compare) goes through
             // the in-capsule/R2T/shm-reference write path; everything
             // else (flush, identify, write-zeroes, DSM) executes
             // directly from the capsule. The classification lives on
             // `Opcode` so the initiator's retry policy and this dispatch
             // can never drift apart.
-            op if op.carries_host_data() => self.on_write(c, ctrl, out),
+            op if op.carries_host_data() => self.on_write(cmd, data, ctrl, out),
             _ => {
-                let (comp, payload, ticket) = ctrl.execute_async(&c.cmd, None);
+                let (comp, payload, ticket) = ctrl.execute_async(&cmd, None);
                 if let Some(data) = payload {
                     out.push(Pdu::C2HData(DataPdu {
-                        cid: c.cmd.cid,
+                        cid: cmd.cid,
                         ttag: 0,
                         offset: 0,
                         last: true,
                         data: DataRef::Inline(Bytes::from(data)),
                     }));
                 }
-                self.finish_or_park(c.cmd.nsid, c.cmd.gseq, comp, ticket, out);
+                self.finish_or_park(cmd.nsid, cmd.gseq, comp, ticket, out);
                 Ok(())
             }
         }
     }
 
     /// Executes a data-bearing command with the payload *borrowed* in
-    /// place: inline bytes straight from the capsule, shm payloads lent
-    /// by the channel for the duration of the device copy. The only copy
-    /// left is slot → device — the one copy that cannot be avoided
-    /// (§4.4.3); the old materialize-into-a-`Vec` staging hop is gone.
+    /// place: inline bytes straight from the received frame, shm payloads
+    /// lent by the channel for the duration of the device copy. The only
+    /// copy left is frame/slot → device — the one copy that cannot be
+    /// avoided (§4.4.3).
     fn execute_borrowed(
         &self,
         cmd: &NvmeCommand,
-        data: DataRef,
+        data: DataView<'_>,
         ctrl: &mut Controller,
     ) -> Result<(NvmeCompletion, Option<BarrierTicket>), NvmeofError> {
         match data {
-            DataRef::Inline(b) => {
+            DataView::Inline(b) => {
                 self.metrics.inline_payloads.inc();
-                let (comp, _, ticket) = ctrl.execute_async(cmd, Some(&b));
+                let (comp, _, ticket) = ctrl.execute_async(cmd, Some(b));
                 Ok((comp, ticket))
             }
-            DataRef::ShmSlot { slot, len } => {
+            DataView::ShmSlot { slot, len } => {
                 self.metrics.shm_payloads.inc();
                 let ch = self
                     .payload
@@ -484,22 +498,23 @@ impl TargetConnection {
 
     fn on_write(
         &mut self,
-        c: CapsuleCmd,
+        cmd: NvmeCommand,
+        data: Option<DataView<'_>>,
         ctrl: &mut Controller,
         out: &mut Vec<Pdu>,
     ) -> Result<(), NvmeofError> {
-        let cmd = c.cmd;
-        let expected = self.transfer_len(&cmd, ctrl);
-        match c.data {
+        match data {
             Some(data) => {
                 // In-capsule write (small I/O, or any size over the
                 // shared-memory flow control, §4.4.2).
-                if !data.is_shm() && data.len() > self.cfg.in_capsule_max {
-                    return Err(NvmeofError::Protocol(format!(
-                        "in-capsule data {} exceeds ioccsz {}",
-                        data.len(),
-                        self.cfg.in_capsule_max
-                    )));
+                if let DataView::Inline(b) = data {
+                    if b.len() > self.cfg.in_capsule_max {
+                        return Err(NvmeofError::Protocol(format!(
+                            "in-capsule data {} exceeds ioccsz {}",
+                            b.len(),
+                            self.cfg.in_capsule_max
+                        )));
+                    }
                 }
                 let (comp, ticket) = match self.execute_borrowed(&cmd, data, ctrl) {
                     Ok(executed) => executed,
@@ -518,15 +533,17 @@ impl TargetConnection {
                 Ok(())
             }
             None => {
-                // Conservative flow: allocate a buffer, grant an R2T
-                // (Fig. 7 step 2).
+                // Conservative flow: grant an R2T for the whole
+                // transfer (Fig. 7 step 2).
+                let granted = self.transfer_len(&cmd, ctrl);
                 let ttag = self.next_ttag;
                 self.next_ttag = self.next_ttag.wrapping_add(1).max(1);
                 self.pending_writes.insert(
                     ttag,
                     PendingWrite {
                         cmd,
-                        buf: vec![0u8; expected],
+                        granted,
+                        buf: Vec::new(),
                         received: 0,
                     },
                 );
@@ -535,7 +552,7 @@ impl TargetConnection {
                     cid: cmd.cid,
                     ttag,
                     offset: 0,
-                    len: expected as u32,
+                    len: granted as u32,
                 }));
                 Ok(())
             }
@@ -544,42 +561,51 @@ impl TargetConnection {
 
     fn on_h2c_data(
         &mut self,
-        d: DataPdu,
+        d: DataPduView<'_>,
         ctrl: &mut Controller,
         out: &mut Vec<Pdu>,
     ) -> Result<(), NvmeofError> {
         self.require_handshake()?;
-        let metrics = Arc::clone(&self.metrics);
-        let ch = self.payload.clone();
-        let data_len = d.data.len();
         let Some(pending) = self.pending_writes.get_mut(&d.ttag) else {
             if self.core.is_retired_ttag(d.ttag) {
                 // Late duplicate chunk for a staging buffer that already
                 // completed or was aborted: drain and drop.
-                self.drain_stale_ref(&d.data);
+                self.drain_stale_ref(d.data);
                 return Ok(());
             }
             return Err(NvmeofError::Protocol(format!("unknown ttag {}", d.ttag)));
         };
         let off = d.offset as usize;
-        if off + data_len > pending.buf.len() {
+        let data_len = match d.data {
+            DataView::Inline(b) => b.len(),
+            DataView::ShmSlot { len, .. } => len as usize,
+        };
+        if off + data_len > pending.granted {
             return Err(NvmeofError::Protocol("H2C data beyond R2T grant".into()));
         }
-        // Land the chunk in the staging buffer directly — borrowed from
-        // the capsule or lent by the channel, never via an intermediate
-        // materialized `Vec`.
         match d.data {
-            DataRef::Inline(b) => {
-                metrics.inline_payloads.inc();
-                pending.buf[off..off + b.len()].copy_from_slice(&b);
+            DataView::Inline(b) => {
+                self.metrics.inline_payloads.inc();
+                if b.len() == pending.granted {
+                    // One chunk covers the grant: execute straight from
+                    // the received frame, no staging hop.
+                    let pw = self.pending_writes.remove(&d.ttag).expect("present");
+                    self.core.retire_ttag(d.ttag);
+                    let (comp, _, ticket) = ctrl.execute_async(&pw.cmd, Some(b));
+                    self.finish_or_park(pw.cmd.nsid, pw.cmd.gseq, comp, ticket, out);
+                    return Ok(());
+                }
+                land_chunk(&mut pending.buf, pending.granted, off, b);
             }
-            DataRef::ShmSlot { slot, len } => {
-                metrics.shm_payloads.inc();
-                let ch =
-                    ch.ok_or_else(|| NvmeofError::Protocol("shm ref without channel".into()))?;
-                let dst = &mut pending.buf[off..off + len as usize];
+            DataView::ShmSlot { slot, len } => {
+                self.metrics.shm_payloads.inc();
+                let ch = self
+                    .payload
+                    .as_ref()
+                    .ok_or_else(|| NvmeofError::Protocol("shm ref without channel".into()))?;
+                let (buf, granted) = (&mut pending.buf, pending.granted);
                 if ch
-                    .consume_with(slot, len, &mut |bytes| dst.copy_from_slice(bytes))
+                    .consume_with(slot, len, &mut |bytes| land_chunk(buf, granted, off, bytes))
                     .is_err()
                 {
                     // The region died with the chunk inside: fail this
@@ -593,13 +619,16 @@ impl TargetConnection {
                     self.finish(cmd.gseq, comp, out);
                     return Ok(());
                 }
-                metrics.copies_avoided.inc();
+                self.metrics.copies_avoided.inc();
             }
         }
         pending.received += data_len;
-        if d.last || pending.received >= pending.buf.len() {
-            let pw = self.pending_writes.remove(&d.ttag).expect("present");
+        if d.last || pending.received >= pending.granted {
+            let mut pw = self.pending_writes.remove(&d.ttag).expect("present");
             self.core.retire_ttag(d.ttag);
+            // A LAST-flagged transfer that stopped short executes over
+            // zeroes past its high-water mark.
+            pw.buf.resize(pw.granted, 0);
             let (comp, _, ticket) = ctrl.execute_async(&pw.cmd, Some(&pw.buf));
             self.finish_or_park(pw.cmd.nsid, pw.cmd.gseq, comp, ticket, out);
         }
@@ -813,7 +842,8 @@ pub fn spawn_target_observed<T: Transport + 'static>(
             let mut conn = conn_init;
             // Reusable per-connection buffers: the steady-state loop
             // allocates nothing — frames arrive borrowed, responses are
-            // encoded into `scratch` and sent as borrowed slices.
+            // encoded into `scratch` and sent as borrowed slices (data
+            // payloads ride beside it on transports that send split).
             let mut out: Vec<Pdu> = Vec::new();
             let mut scratch = BytesMut::with_capacity(4096);
             while !stop2.load(Ordering::Acquire) && !conn.terminated() {
@@ -840,9 +870,7 @@ pub fn spawn_target_observed<T: Transport + 'static>(
                         // waiting for new frames.
                         let released = conn.poll_parked(&controller, &mut out);
                         for pdu in out.drain(..) {
-                            scratch.clear();
-                            pdu.encode_into(&mut scratch);
-                            match transport.send_frame(&scratch) {
+                            match send_pdu(&transport, &pdu, &mut scratch) {
                                 Ok(()) => {}
                                 Err(NvmeofError::TransportClosed) => return Ok(()),
                                 Err(e) => return Err(e),
@@ -876,7 +904,7 @@ pub fn spawn_target_observed<T: Transport + 'static>(
 mod tests {
     use super::*;
     use crate::nvme::namespace::Namespace;
-    use crate::pdu::ICReq;
+    use crate::pdu::{CapsuleCmd, ICReq};
 
     fn controller() -> Controller {
         let mut c = Controller::new();

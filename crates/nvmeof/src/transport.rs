@@ -21,11 +21,12 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 
 use crate::error::NvmeofError;
 use crate::metrics::TransportMetrics;
+use crate::pdu::Pdu;
 use oaf_shmem::RingStats;
 
 /// A received frame: owned (channel transports hand over their buffer)
@@ -55,6 +56,26 @@ impl Frame<'_> {
             Frame::Borrowed(s) => Bytes::copy_from_slice(s),
         }
     }
+}
+
+/// Encodes one PDU into `scratch` and sends it — the send step of both
+/// target reactor loops and of the initiator's data path. A data PDU
+/// with an inline payload goes out as `[prefix, borrowed payload]` on
+/// transports that [prefer the split](Transport::prefers_split), so the
+/// payload never passes through `scratch`; everything else is one frame.
+pub fn send_pdu<T: Transport + ?Sized>(
+    transport: &T,
+    pdu: &Pdu,
+    scratch: &mut BytesMut,
+) -> Result<(), NvmeofError> {
+    scratch.clear();
+    if transport.prefers_split() {
+        if let Some(payload) = pdu.encode_split_into(scratch) {
+            return transport.send_split(scratch, payload);
+        }
+    }
+    pdu.encode_into(scratch);
+    transport.send_frame(scratch)
 }
 
 /// Ring-wait tuning knobs, settable per connection (through

@@ -938,3 +938,144 @@ fn steady_state_recovery_bookkeeping_allocates_nothing() {
     ini.disconnect().expect("disconnect");
     handle.shutdown().expect("shutdown");
 }
+
+/// The socket data path's copy/allocation budget, end to end through
+/// the real state machines: an [`Initiator`] and a [`TargetConnection`]
+/// on a live loopback socket pair, both played on this thread so each
+/// side's allocations can be counted apart. A 128 KiB read costs the
+/// client exactly the buffer it hands back in `IoResult::data` (C2H
+/// chunks land in it straight from the receive window); a single-chunk
+/// 128 KiB write costs the target nothing (it executes from the receive
+/// window, no staging buffer).
+///
+/// [`Initiator`]: oaf_nvmeof::initiator::Initiator
+/// [`TargetConnection`]: oaf_nvmeof::target::TargetConnection
+#[test]
+fn socket_reads_cost_one_client_buffer_and_single_chunk_writes_no_target_allocation() {
+    use bytes::Bytes;
+    use oaf_nvmeof::initiator::{Initiator, InitiatorOptions};
+    use oaf_nvmeof::nvme::controller::Controller;
+    use oaf_nvmeof::nvme::namespace::Namespace;
+    use oaf_nvmeof::target::{TargetConfig, TargetConnection};
+    use oaf_nvmeof::tcp::{TcpConfig, TcpTransport};
+    use oaf_nvmeof::transport::send_pdu;
+
+    const LEN: usize = 128 * 1024;
+    const NLB: u32 = (LEN / 4096) as u32;
+
+    /// Runs `f` with this thread's allocations counted into `into`.
+    fn counted<R>(into: &mut u64, f: impl FnOnce() -> R) -> R {
+        ALLOCS.with(|c| c.set(0));
+        TRACK.with(|t| t.set(true));
+        let r = f();
+        TRACK.with(|t| t.set(false));
+        *into += ALLOCS.with(Cell::get);
+        r
+    }
+
+    struct Target {
+        transport: TcpTransport,
+        conn: TargetConnection,
+        ctrl: Controller,
+        out: Vec<Pdu>,
+        scratch: BytesMut,
+    }
+    impl Target {
+        /// One reactor pass: drain, execute, respond.
+        fn pump(&mut self) {
+            let Target {
+                transport,
+                conn,
+                ctrl,
+                out,
+                scratch,
+            } = self;
+            transport
+                .recv_batch(&mut |frame| conn.handle(frame, ctrl, out).expect("target handle"))
+                .expect("target drain");
+            for pdu in out.drain(..) {
+                send_pdu(&*transport, &pdu, scratch).expect("target send");
+            }
+        }
+    }
+
+    let (client_tr, target_tr) =
+        TcpTransport::loopback_pair(TcpConfig::default()).expect("loopback sockets");
+    let mut ctrl = Controller::new();
+    ctrl.add_namespace(Namespace::new(1, 4096, 256));
+    let mut target = Target {
+        transport: target_tr,
+        conn: TargetConnection::new(TargetConfig::default(), None),
+        ctrl,
+        out: Vec::new(),
+        scratch: BytesMut::with_capacity(256),
+    };
+    // `connect` blocks on the handshake, so it runs on a helper thread
+    // while this one serves it.
+    let mut client = std::thread::scope(|s| {
+        let connecting = s.spawn(|| {
+            Initiator::connect(
+                client_tr,
+                InitiatorOptions::default(),
+                None,
+                std::time::Duration::from_secs(5),
+            )
+        });
+        while !connecting.is_finished() {
+            target.pump();
+            std::thread::yield_now();
+        }
+        connecting.join().expect("connect thread").expect("connect")
+    });
+
+    let payload = Bytes::from(vec![0xa5u8; LEN]);
+    let mut results = Vec::with_capacity(4);
+    let mut op = |read: bool, client_allocs: &mut u64, target_allocs: &mut u64| {
+        counted(client_allocs, || {
+            if read {
+                client.submit_read(1, 0, NLB, LEN)
+            } else {
+                // A refcount bump: the payload is never copied client-side.
+                client.submit_write(1, 0, NLB, payload.clone())
+            }
+        })
+        .expect("submit");
+        while results.is_empty() {
+            counted(target_allocs, || target.pump());
+            counted(client_allocs, || client.poll_into(&mut results)).expect("client poll");
+        }
+        let done = results.pop().expect("one completion");
+        assert!(done.status.is_ok(), "{:?}", done.status);
+        if read {
+            assert_eq!(done.data.len(), LEN);
+            assert!(
+                done.data.iter().all(|&b| b == 0xa5),
+                "read back wrong bytes"
+            );
+        }
+    };
+
+    // Warm-up: write first so reads verify, then let every reusable
+    // buffer (receive windows, send backlogs, maps, scratch) settle.
+    let (mut unused_c, mut unused_t) = (0, 0);
+    for i in 0..32 {
+        op(i % 2 == 1, &mut unused_c, &mut unused_t);
+    }
+
+    const OPS: u64 = 200;
+    let (mut client_on_reads, mut target_on_writes) = (0, 0);
+    for _ in 0..OPS {
+        op(true, &mut client_on_reads, &mut unused_t);
+        op(false, &mut unused_c, &mut target_on_writes);
+    }
+    assert_eq!(
+        client_on_reads, OPS,
+        "a socket read must cost the client exactly the buffer it returns"
+    );
+    assert_eq!(
+        target_on_writes, 0,
+        "a single-chunk socket write must not allocate on the target"
+    );
+    // The target's C2H data rode the vectored split path.
+    assert!(target.transport.tcp_metrics().vectored_sends.get() >= OPS);
+}

@@ -72,7 +72,7 @@ use crate::cache::BlockCache;
 use crate::commit::{GroupCommit, SyncHandle, SyncStatus};
 use crate::log::{
     rec_len, RecordHeader, RecordKind, Superblock, LOG_OFFSET, REC_FLAG_FUA, REC_HDR_LEN,
-    SB_SLOT_LEN,
+    SB_SLOT_LEN, SB_VERSION,
 };
 use crate::metrics::StoreMetrics;
 use crate::vfs::{RealVfs, Vfs};
@@ -237,7 +237,11 @@ impl FileDisk {
                 }
             }
         }
-        let sb = best.ok_or_else(|| BlockError::Io("no valid superblock".into()))?;
+        let sb = best.ok_or_else(|| {
+            BlockError::Io(format!(
+                "no valid superblock (unsupported version or damaged; this build mounts format v{SB_VERSION})"
+            ))
+        })?;
         let len = vfs.len().map_err(|e| io_err("len", e))?;
         if len < sb.file_len() {
             return Err(BlockError::Io(format!(
@@ -1196,6 +1200,45 @@ mod tests {
         let mut img = vec![0u8; len as usize];
         d.vfs.read_at(0, &mut img).unwrap();
         img
+    }
+
+    #[test]
+    fn v1_image_sealed_with_the_ieee_crc_is_refused() {
+        // Format v1 sealed superblock and log records with the IEEE
+        // polynomial. A well-formed v1 image must be refused with the
+        // typed error — not panic, and not mount as an empty store.
+        fn crc32_ieee(bytes: &[u8]) -> u32 {
+            !bytes.iter().fold(!0u32, |mut c, &b| {
+                c ^= u32::from(b);
+                for _ in 0..8 {
+                    c = if c & 1 != 0 {
+                        0xEDB8_8320 ^ (c >> 1)
+                    } else {
+                        c >> 1
+                    };
+                }
+                c
+            })
+        }
+        let mut d = mem_disk(64 * 1024);
+        d.write(3, 1, &[0x42u8; 512], true).unwrap();
+        let mut image = image_of(&d);
+        for slot in image[..2 * SB_SLOT_LEN].chunks_exact_mut(SB_SLOT_LEN) {
+            if Superblock::decode(slot).is_none() {
+                continue;
+            }
+            slot[8..12].copy_from_slice(&1u32.to_le_bytes());
+            let crc = crc32_ieee(&slot[..48]);
+            slot[48..52].copy_from_slice(&crc.to_le_bytes());
+        }
+        match FileDisk::open_on(Box::new(MemVfs::from_image(image))) {
+            Err(BlockError::Io(msg)) => {
+                assert!(msg.contains("no valid superblock"), "{msg}");
+                assert!(msg.contains("unsupported version"), "{msg}");
+            }
+            Err(other) => panic!("wrong error for a v1 image: {other:?}"),
+            Ok(_) => panic!("a v1 image must not mount"),
+        }
     }
 
     #[test]

@@ -26,7 +26,7 @@ use crate::crc32::{crc32, crc32_update};
 /// Superblock magic: "OAFSTORE".
 pub const SB_MAGIC: u64 = 0x4F41_4653_544F_5245;
 /// On-disk format version.
-pub const SB_VERSION: u32 = 1;
+pub const SB_VERSION: u32 = 2;
 /// Byte size of one superblock slot.
 pub const SB_SLOT_LEN: usize = 512;
 /// Offset of the fixed-position log region.

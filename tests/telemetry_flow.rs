@@ -147,7 +147,38 @@ fn remote_traffic_reports_through_the_same_registry() {
     assert_eq!(snap.counter("fabric", "locality_remote"), 1);
     assert_eq!(snap.counter("fabric", "control_tcp"), 1);
     assert_eq!(snap.counter("fabric", "control_in_region"), 0);
+    // Both socket endpoints say which frame-digest implementation the
+    // host dispatched to (0 = tables, 1 = sse4.2, 2 = armv8 crc).
+    let digest = nvme_oaf::store::crc32::digest_impl() as i64;
+    for scope in ["tcp_client", "tcp_target"] {
+        assert_eq!(snap.gauge(scope, "digest_hw"), Some((digest, digest)));
+    }
 
+    p.client.disconnect().expect("disconnect");
+    p.target.shutdown().expect("shutdown");
+}
+
+#[test]
+fn remote_reads_leave_the_single_connection_reactor_sending_vectored() {
+    // `launch` serves a remote pair from the single-connection reactor
+    // (`spawn_target`). Its C2H data must take the same split send as
+    // the multi-connection reactor's: header from the scratch, payload
+    // borrowed, one `write_vectored`.
+    let mut p = pair(false);
+    let len = 128 * 1024;
+    let mut buf = p.client.alloc(len).expect("alloc");
+    buf.copy_from_slice(&vec![0x5a; len]);
+    p.client.write(1, 0, 32, buf, TIMEOUT).expect("write");
+    for _ in 0..4 {
+        let back = p.client.read(1, 0, 32, len, TIMEOUT).expect("read");
+        assert!(back.iter().all(|&b| b == 0x5a));
+    }
+    let snap = p.telemetry.snapshot();
+    assert!(
+        snap.counter("tcp_target", "vectored_sends") >= 4,
+        "target sent {} vectored frames for 4 reads",
+        snap.counter("tcp_target", "vectored_sends")
+    );
     p.client.disconnect().expect("disconnect");
     p.target.shutdown().expect("shutdown");
 }
