@@ -16,6 +16,10 @@
 //! copies more than the kernel forces it to, so the delta isolates the
 //! sender-side framing discipline.
 //!
+//! The `cork` group prices the queued send path: a burst of 16 small
+//! frames as 16 `send_frame` calls (one `write` each) against
+//! 16 `queue_frame` calls and one `flush_queued` (one `write` in all).
+//!
 //! Run:    cargo bench -p oaf-bench --bench tcp_path
 //! Smoke:  cargo bench -p oaf-bench --bench tcp_path -- --test
 //!         (also prints MB/s + allocs/op for EXPERIMENTS.md)
@@ -344,6 +348,53 @@ fn bench_digest(c: &mut Criterion) {
     g.finish();
 }
 
+/// A burst of 16 frames to a draining sink: written one by one, or
+/// queued and flushed once. Frame sizes are a control capsule's and a
+/// 4 KiB data PDU's.
+fn bench_cork(c: &mut Criterion) {
+    const BURST: usize = 16;
+    let mut g = c.benchmark_group("cork");
+    for size in [64usize, 4 * 1024] {
+        g.throughput(Throughput::Elements(BURST as u64));
+        let mut frame = vec![0x5au8; size];
+        frame[4..8].copy_from_slice(&(size as u32).to_le_bytes());
+
+        let (tr, peer) =
+            TcpTransport::loopback_pair(TcpConfig::default()).expect("loopback sockets");
+        let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let stop_sink = stop.clone();
+        let sink = std::thread::spawn(move || {
+            while !stop_sink.load(std::sync::atomic::Ordering::Relaxed) {
+                match peer.recv_batch(&mut |f| {
+                    black_box(f.as_slice().len());
+                }) {
+                    Ok(0) => std::thread::yield_now(),
+                    Ok(_) => {}
+                    Err(_) => return,
+                }
+            }
+        });
+        g.bench_function(BenchmarkId::new("send_frame-x16", size), |b| {
+            b.iter(|| {
+                for _ in 0..BURST {
+                    tr.send_frame(&frame).expect("send");
+                }
+            })
+        });
+        g.bench_function(BenchmarkId::new("queue-x16+flush", size), |b| {
+            b.iter(|| {
+                for _ in 0..BURST {
+                    tr.queue_frame(&frame).expect("queue");
+                }
+                tr.flush_queued().expect("flush");
+            })
+        });
+        stop.store(true, std::sync::atomic::Ordering::Relaxed);
+        sink.join().expect("sink");
+    }
+    g.finish();
+}
+
 /// Manual before/after report — MB/s and sender-side allocations per
 /// I/O for both paths at every size, printed even under `-- --test` so
 /// the numbers land in EXPERIMENTS.md straight from the smoke run.
@@ -405,5 +456,11 @@ fn report_throughput(_c: &mut Criterion) {
     }
 }
 
-criterion_group!(benches, bench_tcp_path, bench_digest, report_throughput);
+criterion_group!(
+    benches,
+    bench_tcp_path,
+    bench_digest,
+    bench_cork,
+    report_throughput
+);
 criterion_main!(benches);

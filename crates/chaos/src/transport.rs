@@ -4,10 +4,11 @@
 //! dropping, delaying, duplicating, reordering or corrupting a frame on
 //! receipt is indistinguishable (to the protocol above) from the same
 //! misfortune anywhere along the path, and keeping injection on one
-//! side keeps the decision stream deterministic per endpoint. The
-//! wrapper implements only the three primitive transport methods;
-//! the batched helpers inherit the trait defaults and therefore route
-//! every frame through the chaos filter.
+//! side keeps the decision stream deterministic per endpoint. On the
+//! receive side the wrapper implements only the primitive methods; the
+//! batched helper inherits the trait default and therefore routes every
+//! frame through the chaos filter. On the send side it also forwards the
+//! queued path, so the wrapped transport corks exactly as it would bare.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -234,6 +235,20 @@ impl<T: Transport> Transport for ChaosTransport<T> {
         self.inner.send(frame)
     }
 
+    fn queue_frame(&self, frame: &[u8]) -> Result<(), NvmeofError> {
+        if self.dead() {
+            return Ok(());
+        }
+        self.inner.queue_frame(frame)
+    }
+
+    fn flush_queued(&self) -> Result<(), NvmeofError> {
+        if self.dead() {
+            return Ok(());
+        }
+        self.inner.flush_queued()
+    }
+
     fn try_recv(&self) -> Result<Option<Bytes>, NvmeofError> {
         self.pull()
     }
@@ -448,6 +463,28 @@ mod tests {
         assert_eq!(faults, 3);
         // Bit-for-bit reproducible: no seed, no rolls.
         assert_eq!(run().0, got);
+    }
+
+    #[test]
+    fn queued_sends_reach_the_wrapped_transports_queue() {
+        use oaf_nvmeof::tcp::{TcpConfig, TcpTransport};
+        let (a, b) = TcpTransport::loopback_pair(TcpConfig::default()).expect("loopback sockets");
+        let (ca, cb, controls) = wrap_pair(a, b, &FaultPlan::quiet(5));
+        controls.arm();
+        let mut wire = vec![0u8; 16];
+        wire[4..8].copy_from_slice(&16u32.to_le_bytes());
+        for _ in 0..4 {
+            ca.queue_frame(&wire).unwrap();
+        }
+        // Held in the socket transport's queue, not written one by one
+        // through the trait's default.
+        assert_eq!(ca.inner().tcp_metrics().tx_syscalls.get(), 0);
+        ca.flush_queued().unwrap();
+        assert_eq!(ca.inner().tcp_metrics().tx_syscalls.get(), 1);
+        for _ in 0..4 {
+            let got = cb.recv_timeout(Duration::from_secs(1)).unwrap().unwrap();
+            assert_eq!(&got[..], &wire[..]);
+        }
     }
 
     #[test]

@@ -436,7 +436,11 @@ impl AfClient {
     }
 
     /// Asynchronous variant of [`AfClient::write`]: returns the command
-    /// id; match completions via [`AfClient::poll`].
+    /// id; match completions via [`AfClient::poll`]. The command is
+    /// queued: on the wire by the next [`AfClient::poll`]/`wait`,
+    /// immediately if nothing else was in flight on this connection (or
+    /// once 32 KiB of payload is queued) — see
+    /// [`Initiator`].
     pub fn submit_write(
         &mut self,
         nsid: u32,
@@ -521,7 +525,9 @@ impl AfClient {
         self.stats.clone()
     }
 
-    /// Asynchronous read submission.
+    /// Asynchronous read submission. Queued like
+    /// [`AfClient::submit_write`]: on the wire by the next
+    /// [`AfClient::poll`]/`wait`, immediately if the connection was idle.
     pub fn submit_read(
         &mut self,
         nsid: u32,
@@ -642,7 +648,8 @@ impl AfClient {
     /// Asynchronous variant of [`AfClient::write_fua`]: returns the
     /// command id; match completions via [`AfClient::poll`]. With many
     /// FUA submissions in flight the target's group-commit coordinator
-    /// retires their barriers on shared `fdatasync`es.
+    /// retires their barriers on shared `fdatasync`es. Queued like
+    /// [`AfClient::submit_write`].
     pub fn submit_write_fua(
         &mut self,
         nsid: u32,

@@ -234,9 +234,13 @@ struct ClientState {
     pending: HashMap<u16, PendingIo>,
     completed: Vec<IoResult>,
     /// Reusable encode scratch: every control PDU is encoded here and
-    /// handed to [`Transport::send_frame`], so the steady state
+    /// handed to [`Transport::queue_frame`], so the steady state
     /// allocates nothing on the send side.
     scratch: BytesMut,
+    /// Payload bytes described by the command capsules queued since the
+    /// last flush (a read's length, a write's data) — what the
+    /// submit-time flush rule weighs against the cork budget.
+    queued_bytes: usize,
     metrics: Arc<InitiatorMetrics>,
     /// User cids whose retry budget ran out; `wait` surfaces them as
     /// [`NvmeofError::Timeout`].
@@ -256,6 +260,24 @@ struct ClientState {
 }
 
 /// An NVMe-oF initiator over a transport.
+///
+/// # When a submitted command reaches the wire
+///
+/// Every `submit_*` *queues* its capsule on the transport
+/// ([`Transport::queue_frame`]) so that a socket pays one `write` for a
+/// burst, not one per command. A queued command is on the wire
+///
+/// * immediately, if the connection was idle (it is the only command in
+///   flight) — a lone submit never waits;
+/// * immediately, once the commands queued since the last flush describe
+///   32 KiB of payload between them;
+/// * otherwise by the end of the next [`poll`](Initiator::poll) /
+///   [`poll_into`](Initiator::poll_into) (and so by the first step of
+///   [`wait`](Initiator::wait)), which flush after their deadline tick.
+///
+/// A caller that submits behind in-flight work and then never polls again
+/// has its commands flushed by [`disconnect`](Initiator::disconnect) or
+/// drop. Ring and channel transports send at once; none of this applies.
 pub struct Initiator<T: Transport> {
     transport: T,
     state: ClientState,
@@ -305,16 +327,47 @@ impl ClientState {
         cmd
     }
 
-    /// Encodes `pdu` into the connection scratch and sends the borrowed
-    /// slice — the zero-allocation send path.
-    fn send_pdu<T: Transport + ?Sized>(
+    /// Encodes `pdu` into the connection scratch and queues it on the
+    /// transport — the zero-allocation send path of everything the
+    /// initiator originates. It is on the wire once [`flush`] runs: at
+    /// the end of every poll, or earlier by [`submit_capsule`]'s rule.
+    ///
+    /// [`flush`]: ClientState::flush
+    /// [`submit_capsule`]: ClientState::submit_capsule
+    fn queue_pdu<T: Transport + ?Sized>(
         &mut self,
         transport: &T,
         pdu: &Pdu,
     ) -> Result<(), NvmeofError> {
-        self.scratch.clear();
-        pdu.encode_into(&mut self.scratch);
-        transport.send_frame(&self.scratch)
+        transport::queue_pdu(transport, pdu, &mut self.scratch)
+    }
+
+    /// Queues the capsule of a just-tracked command that describes
+    /// `describes` payload bytes, and flushes when the connection was
+    /// idle (the command is alone in flight) or the queued commands
+    /// together describe a cork budget's worth of payload. Nagle's rule
+    /// with `poll` as the ACK clock: a lone submit is on the wire when
+    /// it returns, a burst behind in-flight work leaves with the next
+    /// poll.
+    fn submit_capsule<T: Transport + ?Sized>(
+        &mut self,
+        transport: &T,
+        cmd: NvmeCommand,
+        data: Option<DataRef>,
+        describes: usize,
+    ) -> Result<(), NvmeofError> {
+        self.queue_pdu(transport, &Pdu::CapsuleCmd(CapsuleCmd { cmd, data }))?;
+        self.queued_bytes += describes;
+        if self.pending.len() <= 1 || self.queued_bytes >= transport::CORK_BUDGET {
+            self.flush(transport)?;
+        }
+        Ok(())
+    }
+
+    /// Puts everything queued so far on the wire.
+    fn flush<T: Transport + ?Sized>(&mut self, transport: &T) -> Result<(), NvmeofError> {
+        self.queued_bytes = 0;
+        transport.flush_queued()
     }
 
     /// Feeds one completed wait into the adaptive busy-poll controller
@@ -332,18 +385,18 @@ impl ClientState {
             .set(self.poller.budget(PollClass::Write).as_micros() as i64);
     }
 
-    /// Like [`send_pdu`], but treats ring congestion as transient: the
+    /// Like [`queue_pdu`], but treats ring congestion as transient: the
     /// recovery machinery's own traffic (aborts, heartbeats, degrade
     /// notices) must never escalate a full ring into a dead connection —
     /// the next deadline sweep simply tries again.
     ///
-    /// [`send_pdu`]: ClientState::send_pdu
-    fn send_pdu_lossy<T: Transport + ?Sized>(
+    /// [`queue_pdu`]: ClientState::queue_pdu
+    fn queue_pdu_lossy<T: Transport + ?Sized>(
         &mut self,
         transport: &T,
         pdu: &Pdu,
     ) -> Result<(), NvmeofError> {
-        match self.send_pdu(transport, pdu) {
+        match self.queue_pdu(transport, pdu) {
             Err(NvmeofError::RingFull) => Ok(()),
             other => other,
         }
@@ -388,7 +441,7 @@ impl ClientState {
             Action::SendAbort { cid, gseq } => {
                 self.metrics.retries.inc();
                 self.metrics.aborts_sent.inc();
-                self.send_pdu_lossy(transport, &Pdu::Abort(Abort { cid, gseq }))
+                self.queue_pdu_lossy(transport, &Pdu::Abort(Abort { cid, gseq }))
             }
             Action::GiveUp { wire_cid } => {
                 self.do_give_up(wire_cid);
@@ -401,7 +454,7 @@ impl ClientState {
                 if missed_previous {
                     self.metrics.keepalive_misses.inc();
                 }
-                self.send_pdu_lossy(transport, &Pdu::KeepAlive(KeepAlive { seq }))
+                self.queue_pdu_lossy(transport, &Pdu::KeepAlive(KeepAlive { seq }))
             }
             Action::PeerDead => {
                 self.metrics.keepalive_misses.inc();
@@ -422,7 +475,7 @@ impl ClientState {
         }
         self.shm_active = false;
         self.metrics.degradations.inc();
-        self.send_pdu_lossy(transport, &Pdu::Degrade(Degrade { reason: 1 }))?;
+        self.queue_pdu_lossy(transport, &Pdu::Degrade(Degrade { reason: 1 }))?;
         self.apply_actions(transport)?;
         // Quarantine + sweep: no new leases succeed, and published-but-
         // unconsumed slots return to the pool (counted by the channel's
@@ -472,7 +525,7 @@ impl ClientState {
         let cmd = io.cmd;
         self.pending.insert(new_cid, io);
         self.metrics.retries.inc();
-        self.send_pdu_lossy(transport, &Pdu::CapsuleCmd(CapsuleCmd { cmd, data }))
+        self.queue_pdu_lossy(transport, &Pdu::CapsuleCmd(CapsuleCmd { cmd, data }))
     }
 
     /// Executes the core's give-up decision: the retry budget is spent,
@@ -598,6 +651,7 @@ impl<T: Transport> Initiator<T> {
                 // Control PDUs top out well under this; sized so the
                 // steady state never regrows it.
                 scratch: BytesMut::with_capacity(256),
+                queued_bytes: 0,
                 metrics: InitiatorMetrics::new(),
                 // Pre-sized so cold recovery paths (give-up, the abort
                 // round-trip) don't pay a first-growth allocation when
@@ -648,7 +702,9 @@ impl<T: Transport> Initiator<T> {
     }
 
     /// Submits a write of `data` (must be `nlb * block_size` bytes).
-    /// Returns the command id to match against completions.
+    /// Returns the command id to match against completions. Queued: on
+    /// the wire by the next `poll`/`wait`, immediately if the connection
+    /// was idle (see [`Initiator`]).
     pub fn submit_write(
         &mut self,
         nsid: u32,
@@ -677,6 +733,7 @@ impl<T: Transport> Initiator<T> {
                 .payload
                 .as_ref()
                 .is_some_and(|ch| data.len() <= ch.max_payload());
+        let describes = data.len();
         let mut stashed = None;
         let mut published = None;
         let mut capsule_data = None;
@@ -724,13 +781,8 @@ impl<T: Transport> Initiator<T> {
         if published.is_some() {
             self.state.core.mark_published(cmd.cid);
         }
-        self.state.send_pdu(
-            &self.transport,
-            &Pdu::CapsuleCmd(CapsuleCmd {
-                cmd,
-                data: capsule_data,
-            }),
-        )?;
+        self.state
+            .submit_capsule(&self.transport, cmd, capsule_data, describes)?;
         Ok(cmd.cid)
     }
 
@@ -815,18 +867,19 @@ impl<T: Transport> Initiator<T> {
             .expect("just tracked")
             .published_slot = Some((slot, len));
         self.state.core.mark_published(cid);
-        self.state.send_pdu(
+        self.state.submit_capsule(
             &self.transport,
-            &Pdu::CapsuleCmd(CapsuleCmd {
-                cmd,
-                data: Some(DataRef::ShmSlot { slot, len }),
-            }),
+            cmd,
+            Some(DataRef::ShmSlot { slot, len }),
+            len as usize,
         )?;
         Ok(cid)
     }
 
     /// Submits a read of `nlb` blocks; the buffer is sized from
-    /// `expected_len` (namespace block size × nlb).
+    /// `expected_len` (namespace block size × nlb). Queued: on the wire
+    /// by the next `poll`/`wait`, immediately if the connection was idle
+    /// (see [`Initiator`]).
     pub fn submit_read(
         &mut self,
         nsid: u32,
@@ -841,10 +894,8 @@ impl<T: Transport> Initiator<T> {
             false,
             DataNeed::Bytes(expected_len as u32),
         );
-        self.state.send_pdu(
-            &self.transport,
-            &Pdu::CapsuleCmd(CapsuleCmd { cmd, data: None }),
-        )?;
+        self.state
+            .submit_capsule(&self.transport, cmd, None, expected_len)?;
         Ok(cmd.cid)
     }
 
@@ -879,10 +930,8 @@ impl<T: Transport> Initiator<T> {
             borrow,
             need,
         );
-        self.state.send_pdu(
-            &self.transport,
-            &Pdu::CapsuleCmd(CapsuleCmd { cmd, data: None }),
-        )?;
+        self.state
+            .submit_capsule(&self.transport, cmd, None, expected_len)?;
         Ok(cmd.cid)
     }
 
@@ -942,10 +991,7 @@ impl<T: Transport> Initiator<T> {
             false,
             DataNeed::None,
         );
-        self.state.send_pdu(
-            &self.transport,
-            &Pdu::CapsuleCmd(CapsuleCmd { cmd, data: None }),
-        )?;
+        self.state.submit_capsule(&self.transport, cmd, None, 0)?;
         Ok(cmd.cid)
     }
 
@@ -960,10 +1006,7 @@ impl<T: Transport> Initiator<T> {
             false,
             DataNeed::None,
         );
-        self.state.send_pdu(
-            &self.transport,
-            &Pdu::CapsuleCmd(CapsuleCmd { cmd, data: None }),
-        )?;
+        self.state.submit_capsule(&self.transport, cmd, None, 0)?;
         Ok(cmd.cid)
     }
 
@@ -986,10 +1029,7 @@ impl<T: Transport> Initiator<T> {
         let cmd = self
             .state
             .track(NvmeCommand::flush(0, nsid), 0, None, false, DataNeed::None);
-        self.state.send_pdu(
-            &self.transport,
-            &Pdu::CapsuleCmd(CapsuleCmd { cmd, data: None }),
-        )?;
+        self.state.submit_capsule(&self.transport, cmd, None, 0)?;
         Ok(cmd.cid)
     }
 
@@ -1024,6 +1064,9 @@ impl<T: Transport> Initiator<T> {
             return Err(e);
         }
         state.tick(transport)?;
+        // Whatever this poll queued — recovery traffic from `tick`,
+        // echoes, commands submitted since the last poll — leaves now.
+        state.flush(transport)?;
         let n = state.completed.len();
         out.append(&mut state.completed);
         Ok(n)
@@ -1348,7 +1391,7 @@ impl ClientState {
             }
             Pdu::KeepAlive(ka) => {
                 // Heartbeat from the peer: echo it.
-                self.send_pdu_lossy(transport, &Pdu::KeepAliveAck(KeepAlive { seq: ka.seq }))?;
+                self.queue_pdu_lossy(transport, &Pdu::KeepAliveAck(KeepAlive { seq: ka.seq }))?;
             }
             Pdu::KeepAliveAck(_) => {
                 self.core.on_keepalive_ack();
@@ -1449,10 +1492,7 @@ impl<T: Transport> Initiator<T> {
             // size; any arrival satisfies it.
             DataNeed::Any,
         );
-        self.state.send_pdu(
-            &self.transport,
-            &Pdu::CapsuleCmd(CapsuleCmd { cmd, data: None }),
-        )?;
+        self.state.submit_capsule(&self.transport, cmd, None, 0)?;
         let result = self.wait(cmd.cid, timeout)?;
         if !result.status.is_ok() {
             return Err(NvmeofError::Nvme(result.status));
@@ -1461,12 +1501,21 @@ impl<T: Transport> Initiator<T> {
             .ok_or_else(|| NvmeofError::Codec("identify payload malformed".into()))
     }
 
-    /// Sends a termination request.
+    /// Sends a termination request, behind anything still queued.
     pub fn disconnect(&mut self) -> Result<(), NvmeofError> {
-        self.state.send_pdu(
+        self.state.queue_pdu(
             &self.transport,
             &Pdu::TermReq(crate::pdu::TermReq { reason: 0 }),
-        )
+        )?;
+        self.state.flush(&self.transport)
+    }
+}
+
+impl<T: Transport> Drop for Initiator<T> {
+    /// Commands queued behind in-flight work and never polled again
+    /// still leave before the transport closes.
+    fn drop(&mut self) {
+        let _ = self.transport.flush_queued();
     }
 }
 

@@ -67,12 +67,6 @@ impl TransportMetrics {
     }
 
     #[inline]
-    pub(crate) fn on_send_burst(&self, frames: u64, bytes: u64) {
-        self.frames_sent.add(frames);
-        self.bytes_sent.add(bytes);
-    }
-
-    #[inline]
     pub(crate) fn on_recv_owned(&self, bytes: usize) {
         self.frames_received.inc();
         self.bytes_received.add(bytes as u64);
@@ -268,6 +262,12 @@ pub struct TcpMetrics {
     /// Bytes currently parked in the send backlog; `hwm()` is the worst
     /// case observed.
     pub tx_backlog_bytes: Gauge,
+    /// Frames accepted by `queue_frame` instead of being written at once.
+    pub frames_queued: Counter,
+    /// Queued frames released per flush decision — how much each
+    /// `write` of the corked path amortises. Flushes that found nothing
+    /// queued are not recorded.
+    pub frames_per_flush: Histo,
     /// Which frame-digest (CRC32C) implementation this host runs —
     /// 0 = slicing-by-8 tables, 1 = x86-64 SSE4.2 instruction, 2 =
     /// AArch64 `crc` instructions ([`oaf_store::crc32::DigestImpl`]). A
@@ -292,6 +292,8 @@ impl TcpMetrics {
         scope.adopt_counter("partial_read_resumptions", &self.partial_read_resumptions);
         scope.adopt_counter("rx_compactions", &self.rx_compactions);
         scope.adopt_gauge("tx_backlog_bytes", &self.tx_backlog_bytes);
+        scope.adopt_counter("frames_queued", &self.frames_queued);
+        scope.adopt_histo("frames_per_flush", &self.frames_per_flush);
         scope.adopt_gauge("digest_hw", &self.digest_hw);
     }
 }
@@ -332,6 +334,10 @@ pub struct TargetMetrics {
     /// Wall time a parked barrier completion waited for its sync ticket
     /// to retire, nanoseconds.
     pub barrier_park_ns: Histo,
+    /// Payload bytes moved at the device copy (reads and writes, inline
+    /// or shared-memory) — the counter the serve pass's mid-pass flush
+    /// budget reads.
+    pub payload_bytes: Counter,
 }
 
 impl TargetMetrics {
@@ -355,6 +361,7 @@ impl TargetMetrics {
         scope.adopt_counter("corrupt_frames", &self.corrupt_frames);
         scope.adopt_counter("barriers_parked", &self.barriers_parked);
         scope.adopt_histo("barrier_park_ns", &self.barrier_park_ns);
+        scope.adopt_counter("payload_bytes", &self.payload_bytes);
     }
 }
 

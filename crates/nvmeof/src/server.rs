@@ -18,7 +18,7 @@ use crate::nvme::controller::Controller;
 use crate::payload::PayloadChannel;
 use crate::pdu::Pdu;
 use crate::target::{TargetConfig, TargetConnection, TargetHandle};
-use crate::transport::{send_pdu, Transport};
+use crate::transport::{queue_pdu, Frame, Transport, CORK_BUDGET};
 use crate::tune::{BusyPollController, PollClass};
 use oaf_telemetry::Registry;
 
@@ -43,10 +43,13 @@ pub struct ConnectionSpec {
 pub struct LiveConnection {
     transport: Box<dyn Transport>,
     conn: TargetConnection,
-    alive: bool,
+    pub(crate) alive: bool,
     /// Reusable response staging and encode scratch: the steady-state
-    /// poll pass allocates nothing per frame.
+    /// serve pass allocates nothing per frame.
     out: Vec<Pdu>,
+    /// Indices into `out` where the pass flushes the transport's queue
+    /// before queueing further (strictly increasing).
+    flush_at: Vec<usize>,
     scratch: BytesMut,
 }
 
@@ -69,8 +72,110 @@ impl LiveConnection {
             transport: spec.transport,
             alive: true,
             out: Vec::new(),
+            flush_at: Vec::with_capacity(16),
             scratch: BytesMut::with_capacity(4096),
         }
+    }
+
+    /// One serve pass — the body of every target reactor loop: drain
+    /// the ready frames in one batch, execute them, release parked
+    /// barrier completions whose sync retired, and answer.
+    ///
+    /// Small responses are queued on the transport and leave with one
+    /// flush at the end of the pass; large inline data goes out split at
+    /// once, behind whatever was queued before it. So that a deep batch
+    /// does not hold its first answers until its last device copy is done
+    /// (client and target would stop overlapping), the queue is also
+    /// flushed wherever the ops handled since the last flush moved
+    /// [`CORK_BUDGET`] bytes.
+    ///
+    /// Returns the progress made (frames drained + completions released;
+    /// 0 = idle). A peer that hung up, broke the protocol or left its
+    /// ring full past the backoff budget ends this connection, never the
+    /// reactor; only a transport fault is an error.
+    pub(crate) fn pass(&mut self, controller: &mut Controller) -> Result<usize, NvmeofError> {
+        let LiveConnection {
+            transport,
+            conn,
+            alive,
+            out,
+            flush_at,
+            scratch,
+        } = self;
+        let transport: &dyn Transport = &**transport;
+        let mut flushed_at = conn.metrics().payload_bytes.get();
+        let mut err = None;
+        // Nothing is sent from inside the callback: the transport's
+        // receive window is borrowed for its whole duration.
+        let drained = transport.recv_batch(&mut |frame| {
+            if err.is_some() {
+                return;
+            }
+            if let Err(e) = conn.handle(frame, controller, out) {
+                err = Some(e);
+                return;
+            }
+            let moved = conn.metrics().payload_bytes.get();
+            if moved - flushed_at >= CORK_BUDGET as u64 && flush_at.last() != Some(&out.len()) {
+                flush_at.push(out.len());
+                flushed_at = moved;
+            }
+        });
+        let mut progress = match (drained, err) {
+            (Err(NvmeofError::TransportClosed), _) | (_, Some(_)) => {
+                *alive = false;
+                return Ok(0);
+            }
+            (Err(e), _) => return Err(e),
+            (Ok(n), None) => n,
+        };
+        // Probe the connection's sync-done queue: barrier completions
+        // parked on offloaded tickets release here, and count as
+        // progress so the idle policy keeps the reactor hot while syncs
+        // are retiring.
+        progress += conn.poll_parked(controller, out);
+        let mut flush_points = flush_at.drain(..).peekable();
+        let sent = out
+            .drain(..)
+            .enumerate()
+            .try_for_each(|(i, pdu)| {
+                if flush_points.next_if_eq(&i).is_some() {
+                    transport.flush_queued()?;
+                }
+                queue_pdu(transport, &pdu, scratch)
+            })
+            .and_then(|()| transport.flush_queued());
+        match sent {
+            Ok(()) => {}
+            Err(NvmeofError::TransportClosed) | Err(NvmeofError::RingFull) => *alive = false,
+            Err(e) => return Err(e),
+        }
+        if conn.terminated() {
+            *alive = false;
+        }
+        Ok(progress)
+    }
+
+    /// The single-connection loop's idle step: park in the transport for
+    /// up to `timeout` and execute the frame that ends the wait, if any.
+    /// Its answers leave with the next [`pass`](LiveConnection::pass).
+    pub(crate) fn wait_frame(
+        &mut self,
+        controller: &mut Controller,
+        timeout: Duration,
+    ) -> Result<(), NvmeofError> {
+        match self.transport.recv_timeout(timeout) {
+            Ok(Some(frame)) => {
+                let handled = self
+                    .conn
+                    .handle(Frame::Owned(frame), controller, &mut self.out);
+                self.alive = handled.is_ok();
+            }
+            Ok(None) => {}
+            Err(NvmeofError::TransportClosed) => self.alive = false,
+            Err(e) => return Err(e),
+        }
+        Ok(())
     }
 }
 
@@ -119,64 +224,14 @@ impl Reactor {
     }
 
     /// One fair round-robin pass over every live connection (like an
-    /// SPDK poll group): drain ready frames batched, execute against
-    /// `controller`, flush responses. Returns how many frames were
-    /// drained (0 = the pass was idle).
+    /// SPDK poll group), each served by [`LiveConnection::pass`].
+    /// Returns the total progress (0 = the pass was idle).
     pub(crate) fn poll_pass(&mut self, controller: &mut Controller) -> Result<usize, NvmeofError> {
-        let mut drained_total = 0;
-        for l in self.live.iter_mut() {
-            if !l.alive {
-                continue;
-            }
-            let mut err = None;
-            let drained = {
-                let conn = &mut l.conn;
-                let out = &mut l.out;
-                l.transport.recv_batch(&mut |frame| {
-                    if err.is_none() {
-                        if let Err(e) = conn.handle(frame, controller, out) {
-                            err = Some(e);
-                        }
-                    }
-                })
-            };
-            match (drained, err) {
-                (Err(NvmeofError::TransportClosed), _) => {
-                    l.alive = false;
-                    continue;
-                }
-                // A misbehaving peer (protocol violation) kills its own
-                // connection, never the reactor — the other clients keep
-                // their storage service.
-                (_, Some(_)) => {
-                    l.alive = false;
-                    continue;
-                }
-                (Err(e), _) => return Err(e),
-                (Ok(n), None) => drained_total += n,
-            }
-            // Probe the connection's sync-done queue: barrier
-            // completions parked on offloaded tickets release here, and
-            // count as progress so the idle policy keeps the reactor
-            // hot while syncs are retiring.
-            drained_total += l.conn.poll_parked(controller, &mut l.out);
-            for pdu in l.out.drain(..) {
-                // A peer that hung up or a ring stuck full past the
-                // backoff budget kills the connection, not the reactor.
-                match send_pdu(&*l.transport, &pdu, &mut l.scratch) {
-                    Ok(()) => {}
-                    Err(NvmeofError::TransportClosed) | Err(NvmeofError::RingFull) => {
-                        l.alive = false;
-                        break;
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-            if l.conn.terminated() {
-                l.alive = false;
-            }
+        let mut progress = 0;
+        for l in self.live.iter_mut().filter(|l| l.alive) {
+            progress += l.pass(controller)?;
         }
-        Ok(drained_total)
+        Ok(progress)
     }
 
     /// Advances the adaptive idle policy after a poll pass: spin while

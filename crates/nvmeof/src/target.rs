@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 
 use crate::error::NvmeofError;
 use crate::metrics::TargetMetrics;
@@ -26,7 +26,8 @@ use crate::pdu::{
     KeepAlive, Pdu, PduView, AF_CAP_SHM, AF_CAP_SHM_INCAPSULE, AF_CAP_ZERO_COPY, R2T,
 };
 use crate::recovery::{AbortDecision, TargetRecovery};
-use crate::transport::{send_pdu, Frame, Transport};
+use crate::server::{ConnectionSpec, LiveConnection};
+use crate::transport::{Frame, Transport};
 
 /// Target-side configuration.
 #[derive(Clone, Debug)]
@@ -473,6 +474,7 @@ impl TargetConnection {
         match data {
             DataView::Inline(b) => {
                 self.metrics.inline_payloads.inc();
+                self.metrics.payload_bytes.add(b.len() as u64);
                 let (comp, _, ticket) = ctrl.execute_async(cmd, Some(b));
                 Ok((comp, ticket))
             }
@@ -488,6 +490,7 @@ impl TargetConnection {
                     res = Some((c, t));
                 })?;
                 self.metrics.zero_copy_bytes.add(u64::from(len));
+                self.metrics.payload_bytes.add(u64::from(len));
                 self.metrics.copies_avoided.inc();
                 res.ok_or_else(|| {
                     NvmeofError::Protocol("payload channel did not lend slot bytes".into())
@@ -591,6 +594,7 @@ impl TargetConnection {
                     // the received frame, no staging hop.
                     let pw = self.pending_writes.remove(&d.ttag).expect("present");
                     self.core.retire_ttag(d.ttag);
+                    self.metrics.payload_bytes.add(b.len() as u64);
                     let (comp, _, ticket) = ctrl.execute_async(&pw.cmd, Some(b));
                     self.finish_or_park(pw.cmd.nsid, pw.cmd.gseq, comp, ticket, out);
                     return Ok(());
@@ -629,6 +633,7 @@ impl TargetConnection {
             // A LAST-flagged transfer that stopped short executes over
             // zeroes past its high-water mark.
             pw.buf.resize(pw.granted, 0);
+            self.metrics.payload_bytes.add(pw.granted as u64);
             let (comp, _, ticket) = ctrl.execute_async(&pw.cmd, Some(&pw.buf));
             self.finish_or_park(pw.cmd.nsid, pw.cmd.gseq, comp, ticket, out);
         }
@@ -648,6 +653,7 @@ impl TargetConnection {
         let comp = ctrl.read_into(&cmd, &mut lease);
         if comp.status.is_ok() {
             let bytes = lease.len() as u64;
+            self.metrics.payload_bytes.add(bytes);
             let zero_copy = lease.is_zero_copy();
             let ch = self
                 .payload
@@ -701,6 +707,7 @@ impl TargetConnection {
         }
         let (comp, payload) = ctrl.execute(&cmd, None);
         if let Some(data) = payload {
+            self.metrics.payload_bytes.add(data.len() as u64);
             let mut published = None;
             if self.shm_active
                 && self
@@ -830,65 +837,26 @@ pub fn spawn_target_observed<T: Transport + 'static>(
     payload: Option<Arc<dyn PayloadChannel>>,
     registry: Option<&oaf_telemetry::Registry>,
 ) -> TargetHandle {
-    let conn_init = TargetConnection::new(cfg, payload);
-    if let Some(reg) = registry {
-        conn_init.metrics().register(&reg.scope("target"));
-    }
+    let mut live = LiveConnection::build(
+        ConnectionSpec {
+            transport: Box::new(transport),
+            cfg,
+            payload,
+            scope: Some("target".into()),
+        },
+        0,
+        registry,
+    );
     let stop = Arc::new(AtomicBool::new(false));
     let stop2 = stop.clone();
     let join = std::thread::Builder::new()
         .name("nvmeof-target".into())
         .spawn(move || {
-            let mut conn = conn_init;
-            // Reusable per-connection buffers: the steady-state loop
-            // allocates nothing — frames arrive borrowed, responses are
-            // encoded into `scratch` and sent as borrowed slices (data
-            // payloads ride beside it on transports that send split).
-            let mut out: Vec<Pdu> = Vec::new();
-            let mut scratch = BytesMut::with_capacity(4096);
-            while !stop2.load(Ordering::Acquire) && !conn.terminated() {
-                // Drain every frame already ready in one batched pass.
-                let mut err = None;
-                let drained = {
-                    let conn = &mut conn;
-                    let controller = &mut controller;
-                    let out = &mut out;
-                    transport.recv_batch(&mut |frame| {
-                        if err.is_none() {
-                            if let Err(e) = conn.handle(frame, controller, out) {
-                                err = Some(e);
-                            }
-                        }
-                    })
-                };
-                match (drained, err) {
-                    (Err(NvmeofError::TransportClosed), _) => break,
-                    (Err(e), _) | (_, Some(e)) => return Err(e),
-                    (Ok(n), None) => {
-                        // Probe the sync-done queue: completions parked
-                        // on offloaded barriers release here, without
-                        // waiting for new frames.
-                        let released = conn.poll_parked(&controller, &mut out);
-                        for pdu in out.drain(..) {
-                            match send_pdu(&transport, &pdu, &mut scratch) {
-                                Ok(()) => {}
-                                Err(NvmeofError::TransportClosed) => return Ok(()),
-                                Err(e) => return Err(e),
-                            }
-                        }
-                        if n == 0 && released == 0 {
-                            // Idle: bounded spin→yield wait inside the
-                            // transport, never a blind spin.
-                            match transport.recv_timeout(Duration::from_millis(1)) {
-                                Ok(Some(frame)) => {
-                                    conn.handle(Frame::Owned(frame), &mut controller, &mut out)?
-                                }
-                                Ok(None) => {}
-                                Err(NvmeofError::TransportClosed) => break,
-                                Err(e) => return Err(e),
-                            }
-                        }
-                    }
+            while !stop2.load(Ordering::Acquire) && live.alive {
+                if live.pass(&mut controller)? == 0 {
+                    // Idle: bounded spin→yield wait inside the
+                    // transport, never a blind spin.
+                    live.wait_frame(&mut controller, Duration::from_millis(1))?;
                 }
             }
             Ok(())

@@ -8,6 +8,11 @@
 //!   `write_vectored`, so large H2C/C2H payloads never pass through a
 //!   coalescing copy (the PR-1 zero-allocation steady state survives
 //!   the socket hop).
+//! * **Queued sends.** [`Transport::queue_frame`] appends a small frame
+//!   to the send queue and [`Transport::flush_queued`] writes the queue
+//!   with one `write`; a vectored send that finds frames queued ahead of
+//!   it takes them along in the same `writev`. `send`, `send_frame` and
+//!   `send_split` themselves never defer.
 //! * **Resumable partial I/O.** Short writes park the unsent tail in a
 //!   per-connection backlog that later sends *and* receive polls
 //!   resume; short reads accumulate in a fixed receive window that
@@ -133,13 +138,20 @@ impl Default for TcpConfig {
     }
 }
 
-/// Resumable send state: bytes accepted but not yet written to the
-/// socket. `head` marks how much of `backlog` has already gone out, so
-/// resuming a short write is a slice, not a memmove.
+/// Send queue: bytes accepted but not yet written to the socket —
+/// frames queued for the next flush and the tail of a write the socket
+/// cut short alike. `head` marks how much of `backlog` has already gone
+/// out, so resuming a short write is a slice, not a memmove.
 struct TxState {
     backlog: Vec<u8>,
     head: usize,
+    /// Frames queued since the last flush decision.
+    queued_frames: u64,
 }
+
+/// Initial capacity of the send queue: the cork budget plus one
+/// queueable frame, so steady-state queueing never grows it.
+const TX_QUEUE_CAPACITY: usize = 64 * 1024;
 
 impl TxState {
     fn pending(&self) -> usize {
@@ -204,8 +216,9 @@ impl TcpTransport {
         Ok(TcpTransport {
             stream,
             tx: Mutex::new(TxState {
-                backlog: Vec::new(),
+                backlog: Vec::with_capacity(TX_QUEUE_CAPACITY),
                 head: 0,
+                queued_frames: 0,
             }),
             rx: Mutex::new(RxState {
                 buf: vec![0; rx_window],
@@ -277,8 +290,8 @@ impl TcpTransport {
         }
     }
 
-    /// Pushes any parked backlog toward the socket without blocking.
-    /// Returns `true` when nothing is left parked.
+    /// Pushes the send queue toward the socket without blocking.
+    /// Returns `true` when nothing is left in it.
     ///
     /// The receive paths already flush opportunistically, so a duplex
     /// poll loop never needs this; it exists for one-directional
@@ -286,89 +299,108 @@ impl TcpTransport {
     /// would otherwise wait for a send or receive that never comes.
     pub fn flush(&self) -> Result<bool, NvmeofError> {
         let mut tx = lock_ignore_poison(&self.tx);
-        self.flush_backlog(&mut tx)
+        self.write_out(&mut tx, &[], &[]).map(|_| tx.pending() == 0)
     }
 
-    /// Writes as much of the backlog as the socket accepts right now.
-    /// Returns `true` when the backlog is fully drained.
-    fn flush_backlog(&self, tx: &mut TxState) -> Result<bool, NvmeofError> {
-        while tx.head < tx.backlog.len() {
-            let res = (&self.stream).write(&tx.backlog[tx.head..]);
+    /// Writes `queue ++ prefix ++ payload` with as few syscalls as the
+    /// socket allows — one `write`/`writev` unless it cuts the call
+    /// short — and stops at the first `WouldBlock`; with nothing to
+    /// write it makes no call. Returns how many bytes of
+    /// `prefix ++ payload` went out; the queue's share is accounted in
+    /// `tx`.
+    fn write_out(
+        &self,
+        tx: &mut TxState,
+        prefix: &[u8],
+        payload: &[u8],
+    ) -> Result<usize, NvmeofError> {
+        if tx.queued_frames > 0 {
+            self.tcp.frames_per_flush.record(tx.queued_frames);
+            tx.queued_frames = 0;
+        }
+        let queued = tx.pending();
+        let total = queued + prefix.len() + payload.len();
+        let mut done = 0usize;
+        let mut blocked = false;
+        while done < total {
+            let mut iov = [IoSlice::new(&[]); 3];
+            let mut parts = 0;
+            let mut skip = done;
+            for part in [&tx.backlog[tx.head..], prefix, payload] {
+                if skip >= part.len() {
+                    skip -= part.len();
+                } else {
+                    iov[parts] = IoSlice::new(&part[skip..]);
+                    parts += 1;
+                    skip = 0;
+                }
+            }
+            let res = if parts == 1 {
+                (&self.stream).write(&iov[0])
+            } else {
+                (&self.stream).write_vectored(&iov[..parts])
+            };
             self.tcp.tx_syscalls.inc();
             match res {
                 Ok(0) => return Err(NvmeofError::TransportClosed),
-                Ok(n) => tx.head += n,
+                Ok(n) => done += n,
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    self.tcp.tx_backlog_bytes.set(tx.pending() as i64);
-                    return Ok(false);
+                    blocked = true;
+                    break;
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(e) => return Err(closed(e)),
             }
         }
-        tx.backlog.clear();
-        tx.head = 0;
-        self.tcp.tx_backlog_bytes.set(0);
-        Ok(true)
+        if done >= queued {
+            tx.backlog.clear();
+            tx.head = 0;
+        } else {
+            tx.head += done;
+        }
+        if blocked || queued > 0 {
+            self.tcp.tx_backlog_bytes.set(tx.pending() as i64);
+        }
+        Ok(done.saturating_sub(queued))
     }
 
-    /// If a sender parked bytes, try to push them out — called from the
-    /// receive paths so a poll loop drives both directions (poll-mode
-    /// duplex: two peers with parked tails always make progress off
-    /// each other's receive polls).
+    /// If bytes are waiting in the send queue, try to push them out —
+    /// called from the receive paths so a poll loop drives both
+    /// directions (poll-mode duplex: two peers with parked tails always
+    /// make progress off each other's receive polls).
     fn opportunistic_flush(&self) {
         if let Ok(mut tx) = self.tx.try_lock() {
-            if tx.head < tx.backlog.len() {
-                // A send error here will resurface on the next send.
-                let _ = self.flush_backlog(&mut tx);
-            }
+            // A send error here will resurface on the next send.
+            let _ = self.write_out(&mut tx, &[], &[]);
         }
     }
 
-    /// Core send: transmit `prefix ++ payload` as one logical frame,
-    /// parking whatever the socket won't take in the backlog.
+    /// Core send: transmit `prefix ++ payload` as one logical frame
+    /// behind whatever is queued, parking what the socket won't take.
     fn transmit(&self, prefix: &[u8], payload: &[u8]) -> Result<(), NvmeofError> {
-        let total = prefix.len() + payload.len();
         let mut tx = lock_ignore_poison(&self.tx);
-        let mut written = 0usize;
-        if self.flush_backlog(&mut tx)? {
-            if !payload.is_empty() {
-                self.tcp.vectored_sends.inc();
-            }
-            loop {
-                let res = if written < prefix.len() {
-                    if payload.is_empty() {
-                        (&self.stream).write(&prefix[written..])
-                    } else {
-                        (&self.stream).write_vectored(&[
-                            IoSlice::new(&prefix[written..]),
-                            IoSlice::new(payload),
-                        ])
-                    }
-                } else {
-                    (&self.stream).write(&payload[written - prefix.len()..])
-                };
-                self.tcp.tx_syscalls.inc();
-                match res {
-                    Ok(0) => return Err(NvmeofError::TransportClosed),
-                    Ok(n) => {
-                        written += n;
-                        if written >= total {
-                            self.metrics.on_send(total);
-                            return Ok(());
-                        }
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(e) => return Err(closed(e)),
-                }
-            }
+        self.transmit_locked(&mut tx, prefix, payload)
+    }
+
+    fn transmit_locked(
+        &self,
+        tx: &mut TxState,
+        prefix: &[u8],
+        payload: &[u8],
+    ) -> Result<(), NvmeofError> {
+        let total = prefix.len() + payload.len();
+        if !payload.is_empty() {
+            self.tcp.vectored_sends.inc();
+        }
+        let written = self.write_out(tx, prefix, payload)?;
+        if written >= total {
+            self.metrics.on_send(total);
+            return Ok(());
         }
         // The socket is full. Park the unsent tail so a later send or
         // receive poll resumes it; a frame that already hit the wire
         // partially *must* be queued to keep the stream framed.
-        let mid_frame = written > 0;
-        if mid_frame {
+        if written > 0 {
             self.tcp.partial_write_resumptions.inc();
         }
         let queued_from = tx.backlog.len();
@@ -390,7 +422,8 @@ impl TcpTransport {
         let deadline = Instant::now() + self.cfg.backoff.send_full_timeout;
         let mut ladder = WaitLadder::until(deadline, &self.cfg.backoff);
         loop {
-            if self.flush_backlog(&mut tx)? || tx.pending() <= self.cfg.max_backlog {
+            self.write_out(tx, &[], &[])?;
+            if tx.pending() <= self.cfg.max_backlog {
                 self.metrics.on_send(total);
                 return Ok(());
             }
@@ -398,7 +431,10 @@ impl TcpTransport {
                 WaitStep::Again => {}
                 WaitStep::Sleep(d) => std::thread::sleep(d),
                 WaitStep::Expired => {
-                    if mid_frame {
+                    // Judged now, not before the wait: the flushes above
+                    // may have put the head of this very frame on the
+                    // wire (it alone can exceed `max_backlog`).
+                    if written > 0 || tx.head > queued_from {
                         // Can't drop a half-sent frame without breaking
                         // the stream; accept it and let later polls
                         // drain the tail.
@@ -529,6 +565,25 @@ impl Transport for TcpTransport {
 
     fn prefers_split(&self) -> bool {
         true
+    }
+
+    fn queue_frame(&self, frame: &[u8]) -> Result<(), NvmeofError> {
+        let mut tx = lock_ignore_poison(&self.tx);
+        if tx.pending() + frame.len() > self.cfg.max_backlog {
+            // Nothing has flushed for a long time: take the immediate
+            // path, which drains the queue or blocks on it.
+            return self.transmit_locked(&mut tx, frame, &[]);
+        }
+        tx.backlog.extend_from_slice(frame);
+        tx.queued_frames += 1;
+        self.tcp.frames_queued.inc();
+        self.metrics.on_send(frame.len());
+        Ok(())
+    }
+
+    fn flush_queued(&self) -> Result<(), NvmeofError> {
+        let mut tx = lock_ignore_poison(&self.tx);
+        self.write_out(&mut tx, &[], &[]).map(drop)
     }
 
     fn try_recv(&self) -> Result<Option<Bytes>, NvmeofError> {
@@ -688,6 +743,130 @@ mod tests {
             }
             assert!(Instant::now() < deadline, "desync never surfaced");
         }
+    }
+
+    #[test]
+    fn queued_frames_leave_on_flush_in_order_behind_one_write() {
+        let (a, b) = pair();
+        let frames: Vec<Bytes> = (0..16u16)
+            .map(|cid| {
+                Pdu::CapsuleResp(CapsuleResp {
+                    completion: crate::nvme::completion::NvmeCompletion::ok(cid),
+                })
+                .encode()
+            })
+            .collect();
+        for f in &frames {
+            a.queue_frame(f).unwrap();
+        }
+        assert_eq!(a.tcp_metrics().tx_syscalls.get(), 0, "queueing wrote");
+        assert_eq!(a.metrics().frames_sent.get(), 16);
+        assert_eq!(a.tcp_metrics().frames_queued.get(), 16);
+        a.flush_queued().unwrap();
+        assert_eq!(a.tcp_metrics().tx_syscalls.get(), 1);
+        assert_eq!(a.tcp_metrics().frames_per_flush.count(), 1);
+        for f in &frames {
+            let got = b.recv_timeout(Duration::from_secs(2)).unwrap().unwrap();
+            assert_eq!(&got, f);
+        }
+        // Nothing queued: a flush costs no syscall.
+        a.flush_queued().unwrap();
+        assert_eq!(a.tcp_metrics().tx_syscalls.get(), 1);
+    }
+
+    #[test]
+    fn immediate_send_carries_the_queue_ahead_of_it() {
+        let (a, b) = pair();
+        a.queue_frame(&[1u8, 0, 0, 0, 13, 0, 0, 0, 0, 0, 0, 0, 0xaa])
+            .unwrap();
+        // `send_frame` never defers, and it may not overtake the queue.
+        a.send_frame(&[2u8, 0, 0, 0, 13, 0, 0, 0, 0, 0, 0, 0, 0xbb])
+            .unwrap();
+        assert_eq!(a.tcp_metrics().tx_syscalls.get(), 1, "one writev for both");
+        for tag in [0xaau8, 0xbb] {
+            let got = b.recv_timeout(Duration::from_secs(2)).unwrap().unwrap();
+            assert_eq!(got[12], tag);
+        }
+    }
+
+    /// A frame larger than `max_backlog` that the over-budget wait puts
+    /// partly on the wire must survive the wait's expiry: cutting it out
+    /// of the backlog would both desynchronise the stream and leave
+    /// `head` past the backlog's end.
+    #[test]
+    fn half_flushed_frame_survives_backlog_timeout() {
+        use std::sync::mpsc::channel;
+
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let cfg = TcpConfig {
+            sndbuf: Some(4096),
+            max_backlog: 1024,
+            backoff: BackoffConfig {
+                spin_limit: 8,
+                send_full_timeout: Duration::from_millis(400),
+            },
+            ..TcpConfig::default()
+        };
+        let tx = TcpTransport::connect(listener.local_addr().unwrap(), cfg).unwrap();
+        let (mut peer, _) = listener.accept().unwrap();
+
+        let frame = |tag: u8, len: usize| {
+            let mut f = vec![tag; len];
+            f[4..8].copy_from_slice(&(len as u32).to_le_bytes());
+            f
+        };
+        // Fill the socket until a filler's tail parks.
+        let filler = frame(1, 512);
+        let mut accepted = 0usize;
+        while tx.tcp_metrics().tx_backlog_bytes.get() == 0 {
+            tx.send_frame(&filler).unwrap();
+            accepted += 1;
+            assert!(accepted < 1_000_000, "socket never filled");
+        }
+
+        let (go, wait_go) = channel::<()>();
+        let (resume, wait_resume) = channel::<()>();
+        let reader = std::thread::spawn(move || {
+            let mut got = Vec::new();
+            wait_go.recv().unwrap();
+            // Read a little while the sender sits in its over-budget
+            // wait, so that wait flushes the head of the big frame...
+            std::thread::sleep(Duration::from_millis(50));
+            let mut some = vec![0u8; 48 * 1024];
+            peer.read_exact(&mut some).unwrap();
+            got.extend_from_slice(&some);
+            // ...then stall until the wait has expired.
+            wait_resume.recv().unwrap();
+            peer.read_to_end(&mut got).unwrap();
+            got
+        });
+
+        const BIG: usize = 256 * 1024;
+        go.send(()).unwrap();
+        tx.send_frame(&frame(2, BIG))
+            .expect("a frame partly on the wire is kept, not refused");
+        resume.send(()).unwrap();
+        while !tx.flush().unwrap() {
+            std::thread::yield_now();
+        }
+        drop(tx);
+
+        // The stream still parses: every filler, then the big frame.
+        let got = reader.join().unwrap();
+        let mut at = 0usize;
+        let mut lens = Vec::new();
+        while at < got.len() {
+            let plen = u32::from_le_bytes(got[at + 4..at + 8].try_into().unwrap()) as usize;
+            assert!(
+                got[at + 8..at + plen].iter().all(|&b| b == got[at]),
+                "frame at byte {at} is torn"
+            );
+            lens.push(plen);
+            at += plen;
+        }
+        assert_eq!(at, got.len());
+        assert_eq!(lens.len(), accepted + 1);
+        assert_eq!(lens.last(), Some(&BIG));
     }
 
     #[test]

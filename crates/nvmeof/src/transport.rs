@@ -10,13 +10,19 @@
 //!
 //! # Hot-path discipline
 //!
-//! Reactor loops should prefer the batched half of the trait —
-//! [`Transport::recv_batch`] and [`Transport::send_batch`] — which let
+//! Reactor loops receive through [`Transport::recv_batch`], which lets
 //! ring-based transports hand out *borrowed* frames ([`Frame`]) and
 //! amortize one Acquire/Release pair over every frame ready in the
 //! poll-loop iteration, with zero allocations in the steady state.
 //! Waiting is a bounded adaptive spin→yield backoff, never a blind
 //! spin.
+//!
+//! Sends come in two kinds. `send`, `send_frame` and `send_split` never
+//! defer: the frame is on the transport when the call returns. The
+//! poll loops instead *queue* their small PDUs
+//! ([`Transport::queue_frame`], [`queue_pdu`]) and release them at a
+//! point they choose ([`Transport::flush_queued`]), so a socket pays one
+//! `write` per pass instead of one per frame.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -58,9 +64,18 @@ impl Frame<'_> {
     }
 }
 
-/// Encodes one PDU into `scratch` and sends it — the send step of both
-/// target reactor loops and of the initiator's data path. A data PDU
-/// with an inline payload goes out as `[prefix, borrowed payload]` on
+/// Payload bytes a poll loop lets its queued frames describe before it
+/// flushes them mid-pass (W). Both ends share it: corking everything a
+/// pass holds would stop the client's fill/verify and the target's
+/// device copy from overlapping (DESIGN.md, "who flushes when").
+pub(crate) const CORK_BUDGET: usize = 32 * 1024;
+
+/// Largest encoded frame [`queue_pdu`] copies into the transport's
+/// queue; anything bigger is sent at once (split where that pays).
+const SMALL_FRAME_MAX: usize = 16 * 1024;
+
+/// Encodes one PDU into `scratch` and sends it now. A data PDU with an
+/// inline payload goes out as `[prefix, borrowed payload]` on
 /// transports that [prefer the split](Transport::prefers_split), so the
 /// payload never passes through `scratch`; everything else is one frame.
 pub fn send_pdu<T: Transport + ?Sized>(
@@ -76,6 +91,27 @@ pub fn send_pdu<T: Transport + ?Sized>(
     }
     pdu.encode_into(scratch);
     transport.send_frame(scratch)
+}
+
+/// Encodes one PDU into `scratch` and queues it for the caller's next
+/// [`Transport::flush_queued`] — the send step of the target's serve
+/// pass and of everything the initiator originates. A frame too large to
+/// be worth copying into the queue is sent at once through [`send_pdu`],
+/// *after* the queue is released: the small frames ahead of it (an R2T,
+/// a completion) are what the peer's next piece of work waits for, and
+/// must not sit through the digest and kernel copy of a large payload.
+pub fn queue_pdu<T: Transport + ?Sized>(
+    transport: &T,
+    pdu: &Pdu,
+    scratch: &mut BytesMut,
+) -> Result<(), NvmeofError> {
+    if pdu.encoded_len() > SMALL_FRAME_MAX {
+        transport.flush_queued()?;
+        return send_pdu(transport, pdu, scratch);
+    }
+    scratch.clear();
+    pdu.encode_into(scratch);
+    transport.queue_frame(scratch)
 }
 
 /// Ring-wait tuning knobs, settable per connection (through
@@ -275,12 +311,20 @@ pub trait Transport: Send {
         false
     }
 
-    /// Sends every frame in `frames` (draining it), letting ring
-    /// transports publish the whole burst with one Release store.
-    fn send_batch(&self, frames: &mut Vec<Bytes>) -> Result<(), NvmeofError> {
-        for frame in frames.drain(..) {
-            self.send(frame)?;
-        }
+    /// Accepts one frame for sending no later than the caller's next
+    /// [`Transport::flush_queued`]. Order against every other send on
+    /// this endpoint is kept. Socket transports append to their send
+    /// queue so a poll loop pays one `write` for everything it queued;
+    /// ring and channel transports, where a send is already a memcpy,
+    /// send at once.
+    fn queue_frame(&self, frame: &[u8]) -> Result<(), NvmeofError> {
+        self.send_frame(frame)
+    }
+
+    /// Puts every frame accepted by [`Transport::queue_frame`] on the
+    /// transport. Only the caller knows when its batch ends, so whoever
+    /// queues must call this before it waits for the answer.
+    fn flush_queued(&self) -> Result<(), NvmeofError> {
         Ok(())
     }
 
@@ -542,50 +586,6 @@ impl Transport for ShmTransport {
         }
     }
 
-    fn send_batch(&self, frames: &mut Vec<Bytes>) -> Result<(), NvmeofError> {
-        let mut sent = 0usize;
-        let mut backoff = Backoff::until(
-            Instant::now() + self.config.send_full_timeout,
-            self.config.spin_limit,
-        );
-        let result = loop {
-            if sent >= frames.len() {
-                break Ok(());
-            }
-            // One Release publish per burst that fits.
-            match self.tx.push_n(frames[sent..].iter()) {
-                Ok(0) => {
-                    if !backoff.snooze() {
-                        self.metrics.ring_full.inc();
-                        break Err(NvmeofError::RingFull);
-                    }
-                }
-                Ok(n) => {
-                    let bytes: u64 = frames[sent..sent + n].iter().map(|f| f.len() as u64).sum();
-                    self.metrics.on_send_burst(n as u64, bytes);
-                    sent += n;
-                    backoff.flush(&self.metrics);
-                    backoff = Backoff::until(
-                        Instant::now() + self.config.send_full_timeout,
-                        self.config.spin_limit,
-                    );
-                }
-                Err(e) => break Err(NvmeofError::Payload(e.to_string())),
-            }
-        };
-        backoff.flush(&self.metrics);
-        match result {
-            Ok(()) => {
-                frames.clear();
-                Ok(())
-            }
-            Err(e) => {
-                frames.drain(..sent);
-                Err(e)
-            }
-        }
-    }
-
     fn recv_batch(&self, f: &mut dyn FnMut(Frame<'_>)) -> Result<usize, NvmeofError> {
         // Borrowed frames straight out of the ring: zero copies, zero
         // allocations, one Acquire/Release pair for the whole batch.
@@ -693,11 +693,19 @@ impl Transport for ControlTransport {
         }
     }
 
-    fn send_batch(&self, frames: &mut Vec<Bytes>) -> Result<(), NvmeofError> {
+    fn queue_frame(&self, frame: &[u8]) -> Result<(), NvmeofError> {
         match self {
-            ControlTransport::Mem(t) => t.send_batch(frames),
-            ControlTransport::Shm(t) => t.send_batch(frames),
-            ControlTransport::Tcp(t) => t.send_batch(frames),
+            ControlTransport::Mem(t) => t.queue_frame(frame),
+            ControlTransport::Shm(t) => t.queue_frame(frame),
+            ControlTransport::Tcp(t) => t.queue_frame(frame),
+        }
+    }
+
+    fn flush_queued(&self) -> Result<(), NvmeofError> {
+        match self {
+            ControlTransport::Mem(t) => t.flush_queued(),
+            ControlTransport::Shm(t) => t.flush_queued(),
+            ControlTransport::Tcp(t) => t.flush_queued(),
         }
     }
 
@@ -735,8 +743,12 @@ impl Transport for Box<dyn Transport> {
         (**self).prefers_split()
     }
 
-    fn send_batch(&self, frames: &mut Vec<Bytes>) -> Result<(), NvmeofError> {
-        (**self).send_batch(frames)
+    fn queue_frame(&self, frame: &[u8]) -> Result<(), NvmeofError> {
+        (**self).queue_frame(frame)
+    }
+
+    fn flush_queued(&self) -> Result<(), NvmeofError> {
+        (**self).flush_queued()
     }
 
     fn recv_batch(&self, f: &mut dyn FnMut(Frame<'_>)) -> Result<usize, NvmeofError> {
@@ -824,22 +836,34 @@ impl<T: Transport> RateLimited<T> {
     }
 }
 
-impl<T: Transport> Transport for RateLimited<T> {
-    fn send(&self, frame: Bytes) -> Result<(), NvmeofError> {
-        // Encode the delivery deadline as an 8-byte prefix of nanos offset
-        // from the send instant, resolved at the receiver. Simpler and
-        // cheaper: delay the *sender* for serialization (back-pressure) and
-        // prefix the remaining latency for the receiver to honor.
+impl<T: Transport> RateLimited<T> {
+    /// Delays the *sender* for `frame`'s serialization time
+    /// (back-pressure) and returns the frame behind an 8-byte prefix of
+    /// the remaining latency, in nanos, for the receiver to honor.
+    fn shape(&self, frame: &[u8]) -> Vec<u8> {
         let wait = self.stamp(frame.len());
-        // Serialization back-pressure happens inline.
         let ser_part = wait.saturating_sub(self.params.latency);
         if !ser_part.is_zero() {
             std::thread::sleep(ser_part);
         }
         let mut framed = Vec::with_capacity(8 + frame.len());
         framed.extend_from_slice(&self.params.latency.as_nanos().to_le_bytes()[..8]);
-        framed.extend_from_slice(&frame);
-        self.inner.send(Bytes::from(framed))
+        framed.extend_from_slice(frame);
+        framed
+    }
+}
+
+impl<T: Transport> Transport for RateLimited<T> {
+    fn send(&self, frame: Bytes) -> Result<(), NvmeofError> {
+        self.inner.send(Bytes::from(self.shape(&frame)))
+    }
+
+    fn queue_frame(&self, frame: &[u8]) -> Result<(), NvmeofError> {
+        self.inner.queue_frame(&self.shape(frame))
+    }
+
+    fn flush_queued(&self) -> Result<(), NvmeofError> {
+        self.inner.flush_queued()
     }
 
     fn try_recv(&self) -> Result<Option<Bytes>, NvmeofError> {
@@ -1010,14 +1034,13 @@ mod tests {
     }
 
     #[test]
-    fn shm_batch_roundtrip_borrowed_frames() {
+    fn shm_queued_frames_roundtrip_borrowed() {
         let (a, b) = ShmTransport::pair(64 * 1024);
-        let mut burst: Vec<Bytes> = (0..20u32)
-            .map(|i| Bytes::from(vec![i as u8; 16 + i as usize]))
-            .collect();
-        let expect = burst.clone();
-        a.send_batch(&mut burst).unwrap();
-        assert!(burst.is_empty());
+        let burst: Vec<Vec<u8>> = (0..20u32).map(|i| vec![i as u8; 16 + i as usize]).collect();
+        for frame in &burst {
+            a.queue_frame(frame).unwrap();
+        }
+        a.flush_queued().unwrap();
         let mut seen = Vec::new();
         let n = b
             .recv_batch(&mut |frame| {
@@ -1026,14 +1049,17 @@ mod tests {
             })
             .unwrap();
         assert_eq!(n, 20);
-        assert_eq!(seen, expect.iter().map(|b| b.to_vec()).collect::<Vec<_>>());
+        assert_eq!(seen, burst);
     }
 
     #[test]
-    fn mem_batch_default_path_works() {
+    fn mem_queue_default_path_sends_at_once() {
         let (a, b) = MemTransport::pair();
-        let mut burst: Vec<Bytes> = (0..5u8).map(|i| Bytes::from(vec![i; 4])).collect();
-        a.send_batch(&mut burst).unwrap();
+        for i in 0..5u8 {
+            a.queue_frame(&[i; 4]).unwrap();
+        }
+        // No flush: a transport that does not override the queue must
+        // not hold frames back.
         let mut count = 0;
         b.recv_batch(&mut |frame| {
             assert!(matches!(frame, Frame::Owned(_)));
@@ -1042,6 +1068,54 @@ mod tests {
         })
         .unwrap();
         assert_eq!(count, 5);
+        a.flush_queued().unwrap();
+    }
+
+    /// Counts what reaches it, so a wrapper that falls back to the trait
+    /// defaults (queue → `send_frame`, flush → no-op) is caught.
+    #[derive(Default)]
+    struct QueueProbe {
+        queued: std::sync::atomic::AtomicUsize,
+        flushed: std::sync::atomic::AtomicUsize,
+    }
+
+    impl Transport for Arc<QueueProbe> {
+        fn send(&self, _: Bytes) -> Result<(), NvmeofError> {
+            panic!("queued frame fell back to an immediate send");
+        }
+        fn try_recv(&self) -> Result<Option<Bytes>, NvmeofError> {
+            Ok(None)
+        }
+        fn recv_timeout(&self, _: Duration) -> Result<Option<Bytes>, NvmeofError> {
+            Ok(None)
+        }
+        fn queue_frame(&self, _: &[u8]) -> Result<(), NvmeofError> {
+            self.queued
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            Ok(())
+        }
+        fn flush_queued(&self) -> Result<(), NvmeofError> {
+            self.flushed
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn wrappers_forward_the_queued_path() {
+        use std::sync::atomic::Ordering::Relaxed;
+        let probe = Arc::new(QueueProbe::default());
+        let boxed: Box<dyn Transport> = Box::new(probe.clone());
+        boxed.queue_frame(b"x").unwrap();
+        boxed.flush_queued().unwrap();
+        let shaped = RateLimited::new(
+            probe.clone(),
+            ShapeParams::gbps(100.0, Duration::from_micros(1)),
+        );
+        shaped.queue_frame(b"y").unwrap();
+        shaped.flush_queued().unwrap();
+        assert_eq!(probe.queued.load(Relaxed), 2);
+        assert_eq!(probe.flushed.load(Relaxed), 2);
     }
 
     #[test]

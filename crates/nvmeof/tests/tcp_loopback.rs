@@ -1,6 +1,7 @@
 //! The real-socket NVMe/TCP data plane under duress (§4.5).
 //!
-//! Two kinds of pressure on the loopback transport:
+//! Two kinds of pressure on the loopback transport, and the queued-send
+//! contract ("who flushes when") seen from both ends:
 //!
 //! * **Partial-I/O torture.** Deliberately tiny `SO_SNDBUF`/`SO_RCVBUF`
 //!   force short writes and short reads mid-header and mid-payload; the
@@ -10,17 +11,22 @@
 //!   workload the per-direction EWMA controller must settle on a longer
 //!   spin budget for writes than for reads (Fig. 10), observable through
 //!   the published telemetry gauges.
+//! * **Corking semantics.** What a submit, a poll, a disconnect and a
+//!   drop each put on the wire, counted in the client's own
+//!   `tx_syscalls` and observed by a target pumped by hand.
 
 use std::time::Duration;
 
 use bytes::{Bytes, BytesMut};
-use oaf_nvmeof::initiator::{Initiator, InitiatorOptions};
+use oaf_nvmeof::error::NvmeofError;
+use oaf_nvmeof::initiator::{Initiator, InitiatorOptions, KeepAliveConfig};
+use oaf_nvmeof::metrics::TcpMetrics;
 use oaf_nvmeof::nvme::controller::Controller;
 use oaf_nvmeof::nvme::namespace::Namespace;
 use oaf_nvmeof::pdu::{DataPdu, DataRef, Pdu};
-use oaf_nvmeof::target::{spawn_target, TargetConfig};
+use oaf_nvmeof::target::{spawn_target, TargetConfig, TargetConnection};
 use oaf_nvmeof::tcp::{TcpConfig, TcpTransport};
-use oaf_nvmeof::transport::Transport;
+use oaf_nvmeof::transport::{queue_pdu, Transport};
 use oaf_nvmeof::tune::PollClass;
 use oaf_telemetry::Registry;
 
@@ -295,4 +301,234 @@ fn busy_poll_budgets_settle_write_above_read() {
 
     ini.disconnect().expect("disconnect");
     handle.shutdown().expect("shutdown");
+}
+
+/// A target played by hand on the test thread, so a test decides when
+/// the target looks at its socket and the client's polls are the only
+/// other clock.
+struct PumpedTarget {
+    transport: TcpTransport,
+    conn: TargetConnection,
+    ctrl: Controller,
+    out: Vec<Pdu>,
+    scratch: BytesMut,
+    hung_up: bool,
+}
+
+impl PumpedTarget {
+    /// One serve pass: drain, execute, answer, flush.
+    fn pump(&mut self) {
+        let PumpedTarget {
+            transport,
+            conn,
+            ctrl,
+            out,
+            scratch,
+            hung_up,
+        } = self;
+        match transport.recv_batch(&mut |f| conn.handle(f, ctrl, out).expect("target handle")) {
+            Ok(_) => {}
+            Err(NvmeofError::TransportClosed) => *hung_up = true,
+            Err(e) => panic!("target drain: {e}"),
+        }
+        for pdu in out.drain(..) {
+            queue_pdu(&*transport, &pdu, scratch).expect("target queue");
+        }
+        transport.flush_queued().expect("target flush");
+    }
+
+    /// Pumps, without ever polling the client, until `done` holds.
+    fn pump_until(&mut self, what: &str, done: impl Fn(&PumpedTarget) -> bool) {
+        let deadline = std::time::Instant::now() + TIMEOUT;
+        while !done(self) {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "target never saw {what}"
+            );
+            self.pump();
+            std::thread::yield_now();
+        }
+    }
+
+    fn ops(&self) -> u64 {
+        self.conn.metrics().ops.get()
+    }
+}
+
+/// A connected initiator, the hand-pumped target behind it, and the
+/// client socket's counters.
+fn pumped_pair(
+    opts: InitiatorOptions,
+) -> (
+    Initiator<TcpTransport>,
+    PumpedTarget,
+    std::sync::Arc<TcpMetrics>,
+) {
+    let (ct, tt) = TcpTransport::loopback_pair(TcpConfig::default()).expect("loopback sockets");
+    let client_tcp = ct.tcp_metrics().clone();
+    let mut target = PumpedTarget {
+        transport: tt,
+        conn: TargetConnection::new(TargetConfig::default(), None),
+        ctrl: controller(),
+        out: Vec::new(),
+        scratch: BytesMut::with_capacity(256),
+        hung_up: false,
+    };
+    // `connect` blocks on the handshake, so it runs on a helper thread
+    // while this one serves it.
+    let ini = std::thread::scope(|s| {
+        let connecting = s.spawn(|| Initiator::connect(ct, opts, None, TIMEOUT));
+        while !connecting.is_finished() {
+            target.pump();
+            std::thread::yield_now();
+        }
+        connecting.join().expect("connect thread").expect("connect")
+    });
+    (ini, target, client_tcp)
+}
+
+/// Polls the client and pumps the target until `want` completions are in.
+fn drain(ini: &mut Initiator<TcpTransport>, target: &mut PumpedTarget, want: usize) {
+    let mut done = Vec::new();
+    let deadline = std::time::Instant::now() + TIMEOUT;
+    while done.len() < want {
+        assert!(std::time::Instant::now() < deadline, "completions stalled");
+        target.pump();
+        ini.poll_into(&mut done).expect("client poll");
+    }
+    assert_eq!(done.len(), want);
+    assert!(done.iter().all(|r| r.status.is_ok()));
+}
+
+/// (a) Nagle's rule with `poll` as the ACK clock: a submit on an idle
+/// connection is on the wire when it returns.
+#[test]
+fn lone_submit_is_on_the_wire_before_any_poll() {
+    let (mut ini, mut target, tcp) = pumped_pair(InitiatorOptions::default());
+    let before = tcp.tx_syscalls.get();
+    ini.submit_read(1, 0, 1, 4096).expect("submit");
+    assert_eq!(tcp.tx_syscalls.get(), before + 1);
+    target.pump_until("the lone read", |t| t.ops() == 1);
+    drain(&mut ini, &mut target, 1);
+}
+
+/// (b) Submits behind in-flight work wait for the next poll — or leave
+/// earlier, once they describe a cork budget's worth of payload.
+#[test]
+fn submits_behind_inflight_work_leave_with_the_next_poll_or_at_the_budget() {
+    let (mut ini, mut target, tcp) = pumped_pair(InitiatorOptions::default());
+    ini.submit_read(1, 0, 1, 4096).expect("first submit");
+    let flushed = tcp.tx_syscalls.get();
+
+    for lba in 1..4 {
+        ini.submit_read(1, lba, 1, 4096).expect("queued submit");
+    }
+    assert_eq!(tcp.tx_syscalls.get(), flushed, "12 KiB of reads left early");
+    assert_eq!(ini.inflight(), 4);
+    let mut done = Vec::new();
+    ini.poll_into(&mut done).expect("poll");
+    assert!(done.is_empty(), "the target has not run yet");
+    assert_eq!(
+        tcp.tx_syscalls.get(),
+        flushed + 1,
+        "one write for the burst"
+    );
+    target.pump_until("the burst", |t| t.ops() == 4);
+
+    // Eight 4 KiB reads describe 32 KiB: the eighth submit flushes.
+    for lba in 4..11 {
+        ini.submit_read(1, lba, 1, 4096).expect("queued submit");
+    }
+    assert_eq!(tcp.tx_syscalls.get(), flushed + 1);
+    ini.submit_read(1, 11, 1, 4096).expect("budget submit");
+    assert_eq!(tcp.tx_syscalls.get(), flushed + 2, "no poll was needed");
+    target.pump_until("the budget burst", |t| t.ops() == 12);
+    drain(&mut ini, &mut target, 12);
+    assert_eq!(tcp.frames_queued.get(), 12);
+}
+
+/// (c) Recovery traffic emitted by `tick()` is on the wire when the poll
+/// that emitted it returns.
+#[test]
+fn keepalive_from_tick_leaves_with_its_own_poll() {
+    let (mut ini, mut target, tcp) = pumped_pair(InitiatorOptions {
+        // Long enough that a descheduled test thread cannot run into
+        // the 3× grace and turn the heartbeat into a PeerDead.
+        keepalive: Some(KeepAliveConfig::with_interval(Duration::from_millis(200))),
+        ..InitiatorOptions::default()
+    });
+    std::thread::sleep(Duration::from_millis(250));
+    let before = tcp.tx_syscalls.get();
+    let mut done = Vec::new();
+    ini.poll_into(&mut done).expect("poll");
+    assert_eq!(tcp.tx_syscalls.get(), before + 1, "heartbeat held back");
+    target.pump_until("the heartbeat", |t| t.conn.metrics().keepalives.get() == 1);
+}
+
+/// (d) `disconnect()` and drop both push out what was still queued.
+#[test]
+fn disconnect_and_drop_flush_the_queue() {
+    let (mut ini, mut target, tcp) = pumped_pair(InitiatorOptions::default());
+    ini.submit_read(1, 0, 1, 4096).expect("first submit");
+    ini.submit_read(1, 1, 1, 4096).expect("queued submit");
+    let before = tcp.tx_syscalls.get();
+    ini.disconnect().expect("disconnect");
+    assert_eq!(
+        tcp.tx_syscalls.get(),
+        before + 1,
+        "read + TermReq, one write"
+    );
+    target.pump_until("the TermReq", |t| t.conn.terminated());
+    assert_eq!(target.ops(), 2, "the queued read went out ahead of it");
+
+    let (mut ini, mut target, _) = pumped_pair(InitiatorOptions::default());
+    ini.submit_read(1, 0, 1, 4096).expect("first submit");
+    ini.submit_read(1, 1, 1, 4096).expect("queued submit");
+    drop(ini);
+    target.pump_until("the hang-up", |t| t.hung_up);
+    assert_eq!(target.ops(), 2, "drop lost a queued command");
+}
+
+/// (e) A split send never defers and never overtakes: it takes the frames
+/// queued ahead of it along in its own `writev`.
+#[test]
+fn split_send_carries_the_queue_in_one_writev() {
+    let (a, b) = TcpTransport::loopback_pair(TcpConfig {
+        // Room for the whole frame, so the socket cannot cut the call short.
+        sndbuf: Some(1024 * 1024),
+        ..TcpConfig::default()
+    })
+    .expect("loopback sockets");
+    let mut scratch = BytesMut::new();
+    let small = Pdu::R2T(oaf_nvmeof::pdu::R2T {
+        cid: 1,
+        ttag: 1,
+        offset: 0,
+        len: 4096,
+    });
+    queue_pdu(&a, &small, &mut scratch).expect("queue");
+    assert_eq!(a.tcp_metrics().tx_syscalls.get(), 0);
+    let big = Pdu::C2HData(DataPdu {
+        cid: 2,
+        ttag: 0,
+        offset: 0,
+        last: true,
+        data: DataRef::Inline(Bytes::from(vec![0x3cu8; 128 * 1024])),
+    });
+    scratch.clear();
+    let tail = big
+        .encode_split_into(&mut scratch)
+        .expect("inline data pdu");
+    a.send_split(&scratch, tail).expect("split send");
+    assert_eq!(a.tcp_metrics().tx_syscalls.get(), 1);
+    assert_eq!(a.tcp_metrics().vectored_sends.get(), 1);
+
+    let mut got = Vec::new();
+    let deadline = std::time::Instant::now() + TIMEOUT;
+    while got.len() < 2 {
+        assert!(std::time::Instant::now() < deadline, "frames never arrived");
+        b.recv_batch(&mut |f| got.push(Pdu::decode_slice(f.as_slice()).expect("decode")))
+            .expect("recv");
+    }
+    assert_eq!(got, [small, big]);
 }

@@ -1079,3 +1079,161 @@ fn socket_reads_cost_one_client_buffer_and_single_chunk_writes_no_target_allocat
     // The target's C2H data rode the vectored split path.
     assert!(target.transport.tcp_metrics().vectored_sends.get() >= OPS);
 }
+
+/// The corked socket path's allocation budget: waves of eight 4 KiB
+/// commands through an [`Initiator`] and a [`TargetConnection`] on a live
+/// loopback pair, both played on this thread so each side is counted
+/// apart. Queueing frames, the submit-time and end-of-poll flushes and
+/// the target's queue-then-flush answer step allocate nothing: a wave of
+/// writes costs neither side anything, and a wave of reads costs the
+/// client exactly the eight buffers it hands back. (The target's inline
+/// read path builds its data buffer on the heap, as it did before the
+/// queue existed, so on read waves only its send half is pinned to 0.)
+///
+/// [`Initiator`]: oaf_nvmeof::initiator::Initiator
+/// [`TargetConnection`]: oaf_nvmeof::target::TargetConnection
+#[test]
+fn corked_socket_waves_allocate_only_the_read_buffers_returned() {
+    use bytes::Bytes;
+    use oaf_nvmeof::initiator::{Initiator, InitiatorOptions};
+    use oaf_nvmeof::nvme::controller::Controller;
+    use oaf_nvmeof::nvme::namespace::Namespace;
+    use oaf_nvmeof::target::{TargetConfig, TargetConnection};
+    use oaf_nvmeof::tcp::{TcpConfig, TcpTransport};
+    use oaf_nvmeof::transport::queue_pdu;
+
+    const LEN: usize = 4096;
+    const QD: usize = 8;
+
+    /// Runs `f` with this thread's allocations counted into `into`.
+    fn counted<R>(into: &mut u64, f: impl FnOnce() -> R) -> R {
+        ALLOCS.with(|c| c.set(0));
+        TRACK.with(|t| t.set(true));
+        let r = f();
+        TRACK.with(|t| t.set(false));
+        *into += ALLOCS.with(Cell::get);
+        r
+    }
+
+    struct Target {
+        transport: TcpTransport,
+        conn: TargetConnection,
+        ctrl: Controller,
+        out: Vec<Pdu>,
+        scratch: BytesMut,
+    }
+    impl Target {
+        /// One serve pass, its two halves counted apart: drain + execute
+        /// into `serving`, queue + flush into `sending`.
+        fn pump(&mut self, serving: &mut u64, sending: &mut u64) {
+            let Target {
+                transport,
+                conn,
+                ctrl,
+                out,
+                scratch,
+            } = self;
+            counted(serving, || {
+                transport
+                    .recv_batch(&mut |frame| conn.handle(frame, ctrl, out).expect("target handle"))
+                    .expect("target drain");
+            });
+            counted(sending, || {
+                for pdu in out.drain(..) {
+                    queue_pdu(&*transport, &pdu, scratch).expect("target queue");
+                }
+                transport.flush_queued().expect("target flush");
+            });
+        }
+    }
+
+    let (client_tr, target_tr) =
+        TcpTransport::loopback_pair(TcpConfig::default()).expect("loopback sockets");
+    let client_tcp = client_tr.tcp_metrics().clone();
+    let mut ctrl = Controller::new();
+    ctrl.add_namespace(Namespace::new(1, 4096, 256));
+    let mut target = Target {
+        transport: target_tr,
+        conn: TargetConnection::new(TargetConfig::default(), None),
+        ctrl,
+        out: Vec::new(),
+        scratch: BytesMut::with_capacity(256),
+    };
+    let (mut unused_a, mut unused_b) = (0, 0);
+    let mut client = std::thread::scope(|s| {
+        let connecting = s.spawn(|| {
+            Initiator::connect(
+                client_tr,
+                InitiatorOptions::default(),
+                None,
+                std::time::Duration::from_secs(5),
+            )
+        });
+        while !connecting.is_finished() {
+            target.pump(&mut unused_a, &mut unused_b);
+            std::thread::yield_now();
+        }
+        connecting.join().expect("connect thread").expect("connect")
+    });
+
+    let payload = Bytes::from(vec![0x5au8; LEN]);
+    let mut results = Vec::with_capacity(2 * QD);
+    let mut wave = |read: bool, client_allocs: &mut u64, serving: &mut u64, sending: &mut u64| {
+        counted(client_allocs, || {
+            for lba in 0..QD as u64 {
+                if read {
+                    client.submit_read(1, lba, 1, LEN)
+                } else {
+                    // A refcount bump: the payload is never copied here.
+                    client.submit_write(1, lba, 1, payload.clone())
+                }
+                .expect("submit");
+            }
+        });
+        while results.len() < QD {
+            target.pump(serving, sending);
+            counted(client_allocs, || client.poll_into(&mut results)).expect("client poll");
+        }
+        for done in results.drain(..) {
+            assert!(done.status.is_ok(), "{:?}", done.status);
+            if read {
+                assert!(done.data.len() == LEN && done.data.iter().all(|&b| b == 0x5a));
+            }
+        }
+    };
+
+    // Warm-up: writes first so reads verify, then let every reusable
+    // buffer (receive windows, send queues, maps, scratch) settle.
+    for i in 0..16 {
+        wave(i % 2 == 1, &mut unused_a, &mut unused_b, &mut 0);
+    }
+
+    const WAVES: u64 = 500;
+    let sent_before = client_tcp.tx_syscalls.get();
+    let (mut client_reads, mut client_writes) = (0, 0);
+    let (mut target_writes, mut target_sending) = (0, 0);
+    for _ in 0..WAVES {
+        wave(
+            false,
+            &mut client_writes,
+            &mut target_writes,
+            &mut target_sending,
+        );
+        wave(true, &mut client_reads, &mut unused_a, &mut target_sending);
+    }
+    assert_eq!(client_writes, 0, "a corked write wave must not allocate");
+    assert_eq!(
+        client_reads,
+        WAVES * QD as u64,
+        "a corked read wave must cost the client exactly the buffers it returns"
+    );
+    assert_eq!(
+        target_writes, 0,
+        "serving in-capsule writes must not allocate"
+    );
+    assert_eq!(target_sending, 0, "queue + flush must not allocate");
+    // And the waves really were corked: the first submit of a wave leaves
+    // alone, the other seven with the next poll.
+    let per_wave = (client_tcp.tx_syscalls.get() - sent_before) as f64 / (2 * WAVES) as f64;
+    assert!(per_wave <= 3.0, "{per_wave} client writes per wave of {QD}");
+}

@@ -263,3 +263,84 @@ fn scaled_out_group_reports_per_connection_scopes() {
     }
     group.target.shutdown().expect("shutdown");
 }
+
+#[test]
+fn remote_group_traffic_is_corked_at_both_ends() {
+    // Both ends of a remote `launch_many` connection reach their socket
+    // through `ControlTransport::Tcp`, a wrapper that must forward the
+    // queued send path. If it fell back to the trait default, every
+    // queued frame would be written on its own and each side would pay
+    // at least one `write` per frame it sends.
+    let registry = Arc::new(HostRegistry::new());
+    let mut group = launch_many(
+        &registry,
+        &[(ProcessId(10), 1)],
+        (ProcessId(2), 2),
+        controller(4096),
+        FabricSettings::default(),
+    )
+    .expect("group establishment");
+    let client = &mut group.clients[0];
+    assert!(!client.shm_active());
+
+    const QD: u64 = 8;
+    const WAVES: u64 = 32;
+    let len = 4096;
+    for wave in 0..WAVES {
+        let write = wave % 2 == 0;
+        for i in 0..QD {
+            if write {
+                let mut buf = client.alloc(len).expect("alloc");
+                buf.copy_from_slice(&vec![i as u8; len]);
+                client.submit_write(1, i, 1, buf).expect("submit write");
+            } else {
+                client.submit_read(1, i, 1, len).expect("submit read");
+            }
+        }
+        let mut done = 0;
+        let deadline = std::time::Instant::now() + TIMEOUT;
+        while done < QD {
+            assert!(std::time::Instant::now() < deadline, "wave {wave} stalled");
+            for r in client.poll().expect("poll") {
+                assert!(r.status.is_ok());
+                assert!(write || r.data[0] < QD as u8);
+                done += 1;
+            }
+            std::thread::yield_now();
+        }
+    }
+
+    let snap = group.telemetry.snapshot();
+    let submitted = snap.counter("client0", "submitted");
+    let responses = snap.counter("target_conn0", "responses");
+    assert_eq!(submitted, WAVES * QD);
+    assert_eq!(responses, WAVES * QD);
+    assert!(
+        snap.counter("tcp_client0", "tx_syscalls") < submitted,
+        "client: {} writes for {submitted} commands",
+        snap.counter("tcp_client0", "tx_syscalls")
+    );
+    assert!(
+        snap.counter("tcp_target0", "tx_syscalls") < responses,
+        "target: {} writes for {responses} responses",
+        snap.counter("tcp_target0", "tx_syscalls")
+    );
+    // Both ends record what their queue did, and the target the bytes
+    // its flush budget counts.
+    for scope in ["tcp_client0", "tcp_target0"] {
+        assert!(snap.counter(scope, "frames_queued") > 0, "{scope}");
+        assert!(
+            snap.histo(scope, "frames_per_flush").expect(scope).count > 0,
+            "{scope}"
+        );
+    }
+    assert_eq!(
+        snap.counter("target_conn0", "payload_bytes"),
+        WAVES * QD * len as u64
+    );
+
+    for mut c in group.clients.drain(..) {
+        c.disconnect().expect("disconnect");
+    }
+    group.target.shutdown().expect("shutdown");
+}
