@@ -2,10 +2,8 @@
 //! against the thread-per-core sharded target at 1, 2, 4 and 8 shards —
 //! on this box all oversubscribing one core, so the numbers witness
 //! *overhead* (per-shard steering, mailbox polling, merged telemetry),
-//! not parallel speed-up. The 1-shard point doubles as the regression
-//! guard against the single-reactor `spawn_multi` path: both run one
-//! reactor thread over the same connection machinery, so their
-//! round-trip times must be within noise of each other.
+//! not parallel speed-up. The 1-shard point is also what `spawn_multi`
+//! costs: it runs the same reactor, once.
 //!
 //! Run:    cargo bench -p oaf-bench --bench sharded
 //! Smoke:  cargo bench -p oaf-bench --bench sharded -- --test
@@ -17,8 +15,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use oaf_nvmeof::initiator::{Initiator, InitiatorOptions};
 use oaf_nvmeof::nvme::controller::Controller;
 use oaf_nvmeof::nvme::namespace::Namespace;
-use oaf_nvmeof::server::{spawn_multi, ConnectionSpec};
-use oaf_nvmeof::shard::{spawn_sharded, ShardConfig, ShardedTarget};
+use oaf_nvmeof::server::ConnectionSpec;
+use oaf_nvmeof::shard::{spawn_sharded, ShardConfig};
 use oaf_nvmeof::target::TargetConfig;
 use oaf_nvmeof::transport::ShmTransport;
 
@@ -75,30 +73,13 @@ fn rotate_writes(clients: &mut [Initiator<ShmTransport>], lba: &mut u64) {
 
 fn bench_sharded_scale(c: &mut Criterion) {
     let mut g = c.benchmark_group("sharded_roundtrip");
-    // Single-reactor baseline: the pre-sharding spawn_multi path with
-    // one connection — the "no regression vs the previous runtime"
-    // yardstick for the 1-shard point below.
-    g.throughput(Throughput::Bytes(IO_BYTES as u64));
-    g.bench_function("spawn_multi_baseline", |b| {
-        let (specs, sides) = wire(1);
-        let handle = spawn_multi(controller(), specs);
-        let mut clients = connect_all(sides);
-        let mut lba = 0u64;
-        b.iter(|| rotate_writes(&mut clients, &mut lba));
-        for mut cl in clients {
-            cl.disconnect().expect("disconnect");
-        }
-        handle.shutdown().expect("shutdown");
-    });
-
     for shards in [1usize, 2, 4, 8] {
         // One client per shard; throughput is per full rotation so the
         // per-shard cost stays comparable across scales.
         g.throughput(Throughput::Bytes((IO_BYTES * shards) as u64));
         g.bench_with_input(BenchmarkId::new("shards", shards), &shards, |b, &shards| {
             let (specs, sides) = wire(shards);
-            let target: ShardedTarget =
-                spawn_sharded(controller(), specs, ShardConfig::new(shards), None);
+            let target = spawn_sharded(controller(), specs, ShardConfig::new(shards), None);
             let mut clients = connect_all(sides);
             let mut lba = 0u64;
             b.iter(|| rotate_writes(&mut clients, &mut lba));

@@ -6,9 +6,9 @@
 //! target memory for little gain; 512 KiB is the sweet spot for 25 G.
 
 use oaf_core::sim::{run_uniform, FabricKind, Pattern};
-use oaf_core::tcp_opt::{ChunkCostModel, ChunkSelector};
+use oaf_nvmeof::tune::{ChunkCostModel, ChunkSelector};
 use oaf_simnet::time::SimDuration;
-use oaf_simnet::units::{Rate, KIB, MIB};
+use oaf_simnet::units::{KIB, MIB};
 
 use crate::config::workload;
 use crate::{FigureReport, ShapeCheck, Table};
@@ -57,11 +57,7 @@ pub fn run() -> FigureReport {
         .expect("non-empty")
         .0;
     // The analytic selector's pick (what the adaptive fabric would use).
-    let selector = ChunkSelector::new(ChunkCostModel {
-        per_chunk_cpu: SimDuration::from_micros(12),
-        goodput: Rate::gbps(25.0).scaled(0.94),
-        mem_quad_us_at_512k: 14.0,
-    });
+    let selector = ChunkSelector::new(ChunkCostModel::for_link_gbps(25.0));
     let picked = selector.select(&ios);
 
     rep.checks.push(ShapeCheck::holds(

@@ -1,20 +1,26 @@
 //! The Connection Manager (§4.1, Fig. 5).
 //!
-//! Establishes an adaptive-fabric connection between an NVMe-oF client
-//! and target:
+//! Establishes every adaptive-fabric connection between an NVMe-oF
+//! client and target — [`launch`](crate::runtime::launch)'s single pair
+//! and each client of a group alike:
 //!
-//! 1. the client opens the TCP connection (a real nonblocking loopback
-//!    socket pair via [`oaf_nvmeof::tcp::TcpTransport`], §4.5) and both
-//!    sides create their AF endpoint objects;
-//! 2. the Connection Manager consults [`HostRegistry`] — the helper
+//! 1. the Connection Manager consults [`HostRegistry`] — the helper
 //!    process — for locality; for co-located pairs an isolated
 //!    shared-memory channel is hot-plugged and announced on the flag
 //!    pages (§4.2);
-//! 3. connection configuration parameters travel in ICReq/ICResp: the
+//! 2. the control connection opens: a real nonblocking loopback socket
+//!    pair ([`oaf_nvmeof::tcp::TcpTransport`], §4.5), or in-region byte
+//!    rings when [`ControlPath::InRegion`] is set *and* the pair is
+//!    co-located (§5.5);
+//! 3. the caller starts the storage service over the target end — the
+//!    one step the entry points differ in;
+//! 4. connection configuration parameters travel in ICReq/ICResp: the
 //!    client requests the AF capabilities it can use, the target grants
 //!    the intersection;
-//! 4. both AF endpoint objects connect; data can flow.
+//! 5. the AF endpoint object connects; data can flow.
 //!
+//! Every per-connection telemetry scope carries the caller's *tag* as a
+//! suffix: empty for a single pair, the client index in a group.
 //! Teardown reclaims the region through [`HostRegistry::unplug`].
 
 use std::sync::Arc;
@@ -26,7 +32,7 @@ use oaf_nvmeof::payload::PayloadChannel;
 use oaf_nvmeof::pdu::{AF_CAP_SHM, AF_CAP_SHM_INCAPSULE, AF_CAP_ZERO_COPY};
 use oaf_nvmeof::target::{spawn_target_observed, TargetConfig, TargetHandle};
 use oaf_nvmeof::tcp::{TcpConfig, TcpTransport};
-use oaf_nvmeof::transport::{BackoffConfig, ControlTransport, MemTransport, ShmTransport};
+use oaf_nvmeof::transport::{BackoffConfig, ControlTransport, ShmTransport};
 use oaf_nvmeof::tune::{ChunkCostModel, ChunkSelector, KIB, MIB};
 use oaf_nvmeof::{FlowMode, NvmeofError};
 use oaf_shmem::channel::Side;
@@ -40,9 +46,8 @@ use crate::payload_impl::ShmPayloadChannel;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ControlPath {
     /// NVMe/TCP over a real nonblocking socket (§4.5) — always
-    /// available. When the environment forbids sockets entirely the
-    /// manager falls back to the in-memory [`MemTransport`] stand-in so
-    /// the fabric still comes up.
+    /// available; an environment that forbids sockets fails the
+    /// connection with the socket's error.
     Tcp,
     /// In-region control over shared-memory byte rings (§5.5). Requires
     /// co-location; falls back to [`ControlPath::Tcp`] when the helper
@@ -137,6 +142,30 @@ pub struct EstablishedFabric {
     pub target: TargetHandle,
 }
 
+/// The target end of a wired connection: what the storage service is
+/// spawned over.
+pub(crate) struct TargetSide {
+    pub(crate) transport: ControlTransport,
+    pub(crate) cfg: TargetConfig,
+    pub(crate) payload: Option<Arc<dyn PayloadChannel>>,
+}
+
+/// The client end of a wired connection, held until the target serves
+/// its peer end and [`ConnectionManager::connect`] can handshake.
+pub(crate) struct ClientSide {
+    pid: ProcessId,
+    transport: ControlTransport,
+    shm: Option<Arc<ShmPayloadChannel>>,
+}
+
+/// A connected client's parts: its initiator, its AF endpoint object and
+/// its side of the shared-memory payload channel, when local.
+pub(crate) type ConnectedClient = (
+    Initiator<ControlTransport>,
+    Arc<AfEndpoint>,
+    Option<Arc<ShmPayloadChannel>>,
+);
+
 /// The Connection Manager.
 pub struct ConnectionManager {
     registry: Arc<HostRegistry>,
@@ -199,19 +228,23 @@ impl ConnectionManager {
             .set(settings.ring_full_timeout.as_millis() as i64);
     }
 
-    /// Establishes a connection between a registered client and target,
-    /// spawning the target reactor over `controller`. Locality decides
-    /// the data channel; everything else follows Fig. 5.
-    pub fn establish(
+    /// Wires one connection between two registered processes: locality,
+    /// data channel and control transport (module steps 1–2), recorded
+    /// once in the `fabric` scope and per endpoint under
+    /// `transport_{client,target}<tag>`, plus `tcp_*<tag>`,
+    /// `control_ring_*<tag>` and `bufmgr_*<tag>` where those exist.
+    pub(crate) fn wire(
         &self,
         client: ProcessId,
         target: ProcessId,
-        controller: Controller,
         settings: &FabricSettings,
-    ) -> Result<EstablishedFabric, NvmeofError> {
-        let endpoint = AfEndpoint::new(client.0);
+        tag: &str,
+    ) -> Result<(TargetSide, ClientSide), NvmeofError> {
+        let scope = |name: &str| self.telemetry.scope(&format!("{name}{tag}"));
 
-        // Step 2: locality detection via the helper process (§4.2).
+        // Locality detection via the helper process (§4.2), which
+        // hot-plugs an isolated region per co-located client (the §6
+        // security model).
         let hotplug = self
             .registry
             .hotplug(client, target, settings.depth, settings.slot_size);
@@ -221,79 +254,82 @@ impl ConnectionManager {
                 let t = ShmPayloadChannel::new(&hp.channel, Side::Target);
                 // Each side's lease pool (Buffer Manager) reports lease
                 // traffic and occupancy alongside the transport scopes.
-                c.lease_stats()
-                    .register(&self.telemetry.scope("bufmgr_client"));
-                t.lease_stats()
-                    .register(&self.telemetry.scope("bufmgr_target"));
+                c.lease_stats().register(&scope("bufmgr_client"));
+                t.lease_stats().register(&scope("bufmgr_target"));
                 (Some(c), Some(t))
             }
             None => (None, None),
         };
 
-        // Step 1 (ordered after locality so the control path can use
-        // it): the control connection. In-region control (§5.5) needs
-        // co-location, so it rides the same locality verdict as the data
-        // channel and falls back to the TCP stand-in otherwise.
+        // The control connection, ordered after locality so it can use
+        // the verdict: in-region control (§5.5) needs co-location;
+        // everything else rides the real-socket NVMe/TCP data plane over
+        // loopback (§4.5).
         let (client_tr, target_tr) = if settings.control == ControlPath::InRegion
             && hotplug.is_some()
         {
             let (c, t) = ShmTransport::pair_with(settings.control_ring_bytes, settings.backoff());
             // The in-region path also exposes producer-side ring
             // occupancy and full events per endpoint.
-            c.tx_ring_stats()
-                .register(&self.telemetry.scope("control_ring_client"));
-            t.tx_ring_stats()
-                .register(&self.telemetry.scope("control_ring_target"));
+            c.tx_ring_stats().register(&scope("control_ring_client"));
+            t.tx_ring_stats().register(&scope("control_ring_target"));
             (ControlTransport::Shm(c), ControlTransport::Shm(t))
         } else {
-            // Remote (or remote-preferring) pairs get the real-socket
-            // NVMe/TCP data plane over loopback (§4.5). Environments
-            // that forbid sockets keep the in-memory stand-in so the
-            // fabric still comes up.
-            match TcpTransport::loopback_pair(TcpConfig {
+            let (c, t) = TcpTransport::loopback_pair(TcpConfig {
                 backoff: settings.backoff(),
                 ..TcpConfig::default()
-            }) {
-                Ok((c, t)) => (ControlTransport::Tcp(c), ControlTransport::Tcp(t)),
-                Err(_) => {
-                    let (c, t) = MemTransport::pair();
-                    (ControlTransport::Mem(c), ControlTransport::Mem(t))
-                }
-            }
+            })
+            .map_err(|_| NvmeofError::TransportClosed)?;
+            (ControlTransport::Tcp(c), ControlTransport::Tcp(t))
         };
         self.record_fabric(settings, hotplug.is_some(), client_tr.is_in_region());
-        client_tr
-            .metrics()
-            .register(&self.telemetry.scope("transport_client"));
-        target_tr
-            .metrics()
-            .register(&self.telemetry.scope("transport_target"));
+        client_tr.metrics().register(&scope("transport_client"));
+        target_tr.metrics().register(&scope("transport_target"));
         // The socket path additionally reports syscall/partial-I/O
         // counters per endpoint under the `tcp` scopes.
         if let Some(m) = client_tr.tcp_metrics() {
-            m.register(&self.telemetry.scope("tcp_client"));
+            m.register(&scope("tcp_client"));
         }
         if let Some(m) = target_tr.tcp_metrics() {
-            m.register(&self.telemetry.scope("tcp_target"));
+            m.register(&scope("tcp_target"));
         }
 
-        // Step 3: target side comes up first (it answers the ICReq).
-        let target_cfg = TargetConfig {
-            in_capsule_max: settings.in_capsule_max,
-            read_chunk: settings.read_chunk,
-            af_caps: AF_CAP_SHM | AF_CAP_SHM_INCAPSULE | AF_CAP_ZERO_COPY,
-            target_id: target.0,
-        };
-        let target_handle = spawn_target_observed(
-            target_tr,
-            controller,
-            target_cfg,
-            target_shm.map(|t| t as Arc<dyn PayloadChannel>),
-            Some(&self.telemetry),
-        );
+        Ok((
+            TargetSide {
+                transport: target_tr,
+                cfg: TargetConfig {
+                    in_capsule_max: settings.in_capsule_max,
+                    read_chunk: settings.read_chunk,
+                    af_caps: AF_CAP_SHM | AF_CAP_SHM_INCAPSULE | AF_CAP_ZERO_COPY,
+                    target_id: target.0,
+                },
+                payload: target_shm.map(|t| t as Arc<dyn PayloadChannel>),
+            },
+            ClientSide {
+                pid: client,
+                transport: client_tr,
+                shm: client_shm,
+            },
+        ))
+    }
 
-        // Step 4: client handshake with the capabilities locality allows.
-        let af_caps = if client_shm.is_some() {
+    /// Connects a wired client whose target end is being served: the
+    /// ICReq/ICResp handshake with the capabilities locality allows,
+    /// then the AF endpoint object (module steps 4–5). The initiator
+    /// reports under `client<tag>`.
+    pub(crate) fn connect(
+        &self,
+        side: ClientSide,
+        target: ProcessId,
+        settings: &FabricSettings,
+        tag: &str,
+    ) -> Result<ConnectedClient, NvmeofError> {
+        let ClientSide {
+            pid,
+            transport,
+            shm,
+        } = side;
+        let af_caps = if shm.is_some() {
             AF_CAP_SHM | AF_CAP_SHM_INCAPSULE | AF_CAP_ZERO_COPY
         } else {
             0
@@ -301,7 +337,7 @@ impl ConnectionManager {
         // Runtime chunking (Fig. 9): on the socket path, large H2C data
         // is streamed as write_chunk-sized sub-PDUs sized for the link;
         // in-memory channels move payloads whole.
-        let write_chunk = if client_tr.is_socket() {
+        let write_chunk = if transport.is_socket() {
             let selector = ChunkSelector::new(ChunkCostModel::for_link_gbps(settings.link_gbps));
             let mix = [128 * KIB, 256 * KIB, 512 * KIB, MIB, 2 * MIB];
             selector.select(&mix) as usize
@@ -313,7 +349,7 @@ impl ConnectionManager {
             .gauge("write_chunk")
             .set(write_chunk as i64);
         let opts = InitiatorOptions {
-            host_id: client.0,
+            host_id: pid.0,
             af_caps,
             flow: settings.flow,
             maxr2t: 16,
@@ -328,16 +364,16 @@ impl ConnectionManager {
             ..InitiatorOptions::default()
         };
         let initiator = Initiator::connect(
-            client_tr,
+            transport,
             opts,
-            client_shm.clone().map(|c| c as Arc<dyn PayloadChannel>),
+            shm.clone().map(|c| c as Arc<dyn PayloadChannel>),
             Duration::from_secs(5),
         )?;
         initiator
             .metrics()
-            .register(&self.telemetry.scope("client"));
+            .register(&self.telemetry.scope(&format!("client{tag}")));
 
-        // Step 5: connect the AF endpoint object.
+        let endpoint = AfEndpoint::new(pid.0);
         let channel = if initiator.shm_active() {
             ChannelKind::Shm
         } else {
@@ -345,10 +381,33 @@ impl ConnectionManager {
         };
         endpoint.connect(target.0, channel);
 
+        Ok((initiator, endpoint, shm))
+    }
+
+    /// Establishes a connection between a registered client and target,
+    /// spawning the target reactor over `controller`. Locality decides
+    /// the data channel; everything else follows Fig. 5. Scopes carry no
+    /// tag, and the target side reports under `target`.
+    pub fn establish(
+        &self,
+        client: ProcessId,
+        target: ProcessId,
+        controller: Controller,
+        settings: &FabricSettings,
+    ) -> Result<EstablishedFabric, NvmeofError> {
+        let (served, side) = self.wire(client, target, settings, "")?;
+        let target_handle = spawn_target_observed(
+            served.transport,
+            controller,
+            served.cfg,
+            served.payload,
+            Some(&self.telemetry),
+        );
+        let (initiator, endpoint, shm) = self.connect(side, target, settings, "")?;
         Ok(EstablishedFabric {
             initiator,
             endpoint,
-            shm: client_shm,
+            shm,
             target: target_handle,
         })
     }

@@ -22,8 +22,9 @@
 //!
 //! * [`flow`] — shared-memory flow control: in-capsule semantics for every
 //!   I/O size, eliminating two of four control messages per write (§4.4.2);
-//! * [`tcp_opt`] — TCP-channel optimizations: application-level chunk-size
-//!   selection (Fig. 9) and workload-adaptive busy polling (Fig. 10, §4.5);
+//! * [`oaf_nvmeof::tune`] — TCP-channel optimizations, shared with the
+//!   socket transport: application-level chunk-size selection (Fig. 9)
+//!   and workload-adaptive busy polling (Fig. 10, §4.5);
 //! * [`payload_impl`] — the lock-free double-buffer payload channel
 //!   implementing [`oaf_nvmeof::PayloadChannel`] over real shared memory,
 //!   plus the locked baseline variant for the Fig. 8 ablation.
@@ -49,7 +50,6 @@ pub mod payload_impl;
 pub mod runtime;
 pub mod sim;
 pub mod stats;
-pub mod tcp_opt;
 
 pub use conn::ConnectionManager;
 pub use endpoint::{AfEndpoint, ChannelKind};

@@ -14,15 +14,19 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use oaf_nvmeof::nvme::controller::{Controller, IdentifyInfo};
-use oaf_nvmeof::transport::{ControlTransport, MemTransport};
+use oaf_nvmeof::server::{spawn_multi_observed, ConnectionSpec};
+use oaf_nvmeof::shard::{spawn_sharded, ShardConfig};
+use oaf_nvmeof::target::TargetHandle;
+use oaf_nvmeof::transport::ControlTransport;
 use oaf_nvmeof::{Initiator, NvmeofError};
 
 use crate::buf::{BufferManager, DpdkPool, IoBuffer};
 use crate::conn::{ConnectionManager, EstablishedFabric, FabricSettings};
 use crate::endpoint::AfEndpoint;
 use crate::locality::{HostRegistry, ProcessId};
+use crate::payload_impl::ShmPayloadChannel;
 use crate::stats::{ClientStats, StatsSnapshot};
-use oaf_telemetry::Registry;
+use oaf_telemetry::{Registry, Scope};
 
 /// Default I/O timeout for the blocking convenience API.
 pub const DEFAULT_TIMEOUT: Duration = Duration::from_secs(10);
@@ -44,7 +48,7 @@ pub struct AfPair {
     /// The connected client.
     pub client: AfClient,
     /// The running target.
-    pub target: oaf_nvmeof::target::TargetHandle,
+    pub target: TargetHandle,
     /// Telemetry registry every layer of this fabric reports into:
     /// initiator (`client`), target (`target`), both transport endpoints,
     /// the in-region control rings when active, fabric decisions
@@ -52,8 +56,11 @@ pub struct AfPair {
     pub telemetry: Arc<Registry>,
 }
 
-/// One-call setup: registers both processes, establishes the fabric, and
-/// wraps the initiator in the co-designed client API.
+/// One-call setup of a single client↔target pair: registers both
+/// processes, has the [`ConnectionManager`] establish the fabric with the
+/// target on its own single-connection loop, and wraps the initiator in
+/// the co-designed client API. Telemetry scopes carry no suffix
+/// (`client`, `target`, `transport_client`, …).
 ///
 /// ```
 /// use std::sync::Arc;
@@ -97,25 +104,10 @@ pub fn launch(
         shm,
         target,
     } = cm.establish(client.0, target.0, controller, &settings)?;
-    // Pool buffers are sized generously past the slot/chunk size so
-    // block-level read-modify-write spans (payload + straddled blocks)
-    // still fit in one buffer.
-    let pool = DpdkPool::new(
-        settings.slot_size.max(settings.read_chunk) * 2,
-        settings.depth.max(8),
-    );
-    let bufmgr = BufferManager::new(pool, shm);
-    let stats = ClientStats::new();
     let telemetry = cm.telemetry().clone();
-    stats.register(&telemetry.scope("app"));
+    let app = telemetry.scope("app");
     Ok(AfPair {
-        client: AfClient {
-            initiator,
-            bufmgr,
-            endpoint,
-            stats,
-            inflight_meta: std::collections::HashMap::new(),
-        },
+        client: AfClient::new(initiator, endpoint, shm, &settings, &app),
         target,
         telemetry,
     })
@@ -126,11 +118,27 @@ pub fn launch(
 pub struct AfGroup {
     /// One connected client per requested `(ProcessId, host)`.
     pub clients: Vec<AfClient>,
-    /// The single storage-service reactor serving all of them.
-    pub target: oaf_nvmeof::target::TargetHandle,
-    /// Telemetry registry with per-connection scopes: `client<i>`,
-    /// `target_conn<i>`, `transport_client<i>`, and `app<i>` for each
-    /// requested client index.
+    /// The storage service serving all of them.
+    pub target: TargetHandle,
+    /// Telemetry registry with per-connection scopes suffixed by the
+    /// client index: `client<i>`, `transport_client<i>`, `app<i>`, … and
+    /// `target_conn<i>`.
+    pub telemetry: Arc<Registry>,
+}
+
+/// [`AfGroup`] plus the shard assignment, returned by
+/// [`launch_many_sharded`]. A type of its own only because callers
+/// destructure `AfGroup` exhaustively, so it cannot grow a field.
+pub struct AfShardedGroup {
+    /// One connected client per requested `(ProcessId, host)`.
+    pub clients: Vec<AfClient>,
+    /// `shard_of[i]` is the reactor shard serving client `i`.
+    pub shard_of: Vec<usize>,
+    /// The sharded storage service (per-shard stats, late accepts).
+    pub target: TargetHandle,
+    /// As [`AfGroup::telemetry`], with the target-side reactor scopes
+    /// merged from the per-shard registries under `shard<n>_…` prefixes
+    /// (`shard0_target_conn0`, `shard1_reactor`, …).
     pub telemetry: Arc<Registry>,
 }
 
@@ -146,175 +154,14 @@ fn register_store_metrics(controller: &Controller, telemetry: &Registry) {
     }
 }
 
-/// Per-client wiring produced by [`wire_clients`]: the client's process
-/// id, its control transport, and its side of the shm payload channel
-/// (when co-located).
-type ClientSide = (
-    ProcessId,
-    ControlTransport,
-    Option<Arc<crate::payload_impl::ShmPayloadChannel>>,
-);
-
-/// Builds the target-side [`ConnectionSpec`]s and client-side transport
-/// endpoints for every requested client — the wiring shared by
-/// [`launch_many`] and [`launch_many_sharded`].
-///
-/// [`ConnectionSpec`]: oaf_nvmeof::server::ConnectionSpec
-fn wire_clients(
-    registry: &Arc<HostRegistry>,
-    clients: &[(ProcessId, u64)],
-    target: (ProcessId, u64),
-    settings: &FabricSettings,
-    telemetry: &Registry,
-) -> (Vec<oaf_nvmeof::server::ConnectionSpec>, Vec<ClientSide>) {
-    use oaf_nvmeof::payload::PayloadChannel;
-    use oaf_nvmeof::pdu::{AF_CAP_SHM, AF_CAP_SHM_INCAPSULE, AF_CAP_ZERO_COPY};
-    use oaf_nvmeof::server::ConnectionSpec;
-    use oaf_nvmeof::target::TargetConfig;
-    use oaf_shmem::channel::Side;
-
-    let mut specs = Vec::new();
-    let mut client_sides = Vec::new();
-    for (i, &(pid, host)) in clients.iter().enumerate() {
-        registry.register(pid, host);
-        // The helper process hot-plugs an isolated region per co-located
-        // client (the §6 security model).
-        let hotplug = registry.hotplug(pid, target.0, settings.depth, settings.slot_size);
-        // Co-located clients keep the in-memory control channel next to
-        // their shm payload region; remote clients ride the real-socket
-        // NVMe/TCP data plane (§4.5), falling back to the in-memory
-        // stand-in only where the environment forbids sockets.
-        let (ct, tt) = if hotplug.is_some() {
-            let (c, t) = MemTransport::pair();
-            (ControlTransport::Mem(c), ControlTransport::Mem(t))
-        } else {
-            match oaf_nvmeof::tcp::TcpTransport::loopback_pair(oaf_nvmeof::tcp::TcpConfig {
-                backoff: settings.backoff(),
-                ..oaf_nvmeof::tcp::TcpConfig::default()
-            }) {
-                Ok((c, t)) => (ControlTransport::Tcp(c), ControlTransport::Tcp(t)),
-                Err(_) => {
-                    let (c, t) = MemTransport::pair();
-                    (ControlTransport::Mem(c), ControlTransport::Mem(t))
-                }
-            }
-        };
-        ct.metrics()
-            .register(&telemetry.scope(&format!("transport_client{i}")));
-        if let Some(m) = ct.tcp_metrics() {
-            m.register(&telemetry.scope(&format!("tcp_client{i}")));
-        }
-        if let Some(m) = tt.tcp_metrics() {
-            m.register(&telemetry.scope(&format!("tcp_target{i}")));
-        }
-        let (client_shm, target_shm) = match &hotplug {
-            Some(hp) => {
-                let c = crate::payload_impl::ShmPayloadChannel::new(&hp.channel, Side::Client);
-                let t = crate::payload_impl::ShmPayloadChannel::new(&hp.channel, Side::Target);
-                c.lease_stats()
-                    .register(&telemetry.scope(&format!("bufmgr_client{i}")));
-                t.lease_stats()
-                    .register(&telemetry.scope(&format!("bufmgr_target{i}")));
-                (Some(c), Some(t))
-            }
-            None => (None, None),
-        };
-        specs.push(ConnectionSpec {
-            transport: Box::new(tt),
-            cfg: TargetConfig {
-                in_capsule_max: settings.in_capsule_max,
-                read_chunk: settings.read_chunk,
-                af_caps: AF_CAP_SHM | AF_CAP_SHM_INCAPSULE | AF_CAP_ZERO_COPY,
-                target_id: target.0 .0,
-            },
-            payload: target_shm.map(|t| t as Arc<dyn PayloadChannel>),
-            scope: Some(format!("target_conn{i}")),
-        });
-        client_sides.push((pid, ct, client_shm));
-    }
-    (specs, client_sides)
-}
-
-/// Connects every wired client side and wraps it in the co-designed
-/// [`AfClient`] API — the second half shared by [`launch_many`] and
-/// [`launch_many_sharded`].
-fn connect_clients(
-    client_sides: Vec<ClientSide>,
-    target_pid: ProcessId,
-    settings: &FabricSettings,
-    telemetry: &Registry,
-) -> Result<Vec<AfClient>, NvmeofError> {
-    use oaf_nvmeof::initiator::InitiatorOptions;
-    use oaf_nvmeof::payload::PayloadChannel;
-    use oaf_nvmeof::pdu::{AF_CAP_SHM, AF_CAP_SHM_INCAPSULE, AF_CAP_ZERO_COPY};
-
-    // Fig. 9 runtime chunking for whichever clients landed on sockets.
-    let socket_chunk = {
-        use oaf_nvmeof::tune::{ChunkCostModel, ChunkSelector, KIB, MIB};
-        let selector = ChunkSelector::new(ChunkCostModel::for_link_gbps(settings.link_gbps));
-        selector.select(&[128 * KIB, 256 * KIB, 512 * KIB, MIB, 2 * MIB]) as usize
-    };
-    let mut afs = Vec::new();
-    for (i, (pid, ct, client_shm)) in client_sides.into_iter().enumerate() {
-        let af_caps = if client_shm.is_some() {
-            AF_CAP_SHM | AF_CAP_SHM_INCAPSULE | AF_CAP_ZERO_COPY
-        } else {
-            0
-        };
-        let write_chunk = if ct.is_socket() { socket_chunk } else { 0 };
-        let initiator = Initiator::connect(
-            ct,
-            InitiatorOptions {
-                host_id: pid.0,
-                af_caps,
-                flow: settings.flow,
-                maxr2t: 16,
-                write_chunk,
-                cmd_deadline: settings.cmd_deadline,
-                max_retries: settings.max_retries,
-                retry_backoff: settings.retry_backoff,
-                keepalive: settings
-                    .keepalive_interval
-                    .map(oaf_nvmeof::initiator::KeepAliveConfig::with_interval),
-                backoff: settings.backoff(),
-                ..InitiatorOptions::default()
-            },
-            client_shm.clone().map(|c| c as Arc<dyn PayloadChannel>),
-            Duration::from_secs(5),
-        )?;
-        initiator
-            .metrics()
-            .register(&telemetry.scope(&format!("client{i}")));
-        let endpoint = AfEndpoint::new(pid.0);
-        endpoint.connect(
-            target_pid.0,
-            if initiator.shm_active() {
-                crate::endpoint::ChannelKind::Shm
-            } else {
-                crate::endpoint::ChannelKind::Tcp
-            },
-        );
-        let pool = DpdkPool::new(
-            settings.slot_size.max(settings.read_chunk) * 2,
-            settings.depth.max(8),
-        );
-        let stats = ClientStats::new();
-        stats.register(&telemetry.scope(&format!("app{i}")));
-        afs.push(AfClient {
-            initiator,
-            bufmgr: BufferManager::new(pool, client_shm),
-            endpoint,
-            stats,
-            inflight_meta: std::collections::HashMap::new(),
-        });
-    }
-    Ok(afs)
-}
-
 /// Multi-client setup matching the paper's architecture (Fig. 1): one
-/// storage service, several client applications, each over its own
-/// connection with its own isolated shared-memory channel when
-/// co-located (§4.2/§6).
+/// storage service — a single reactor — and several client applications,
+/// each over its own connection with its own isolated shared-memory
+/// channel when co-located (§4.2/§6). Every connection is established by
+/// the same [`ConnectionManager`] routine as [`launch`]'s, so the control
+/// transport follows `settings.control` and locality the same way;
+/// telemetry scopes carry the client index (`client0`, `target_conn0`,
+/// …).
 pub fn launch_many(
     registry: &Arc<HostRegistry>,
     clients: &[(ProcessId, u64)],
@@ -322,35 +169,14 @@ pub fn launch_many(
     controller: Controller,
     settings: FabricSettings,
 ) -> Result<AfGroup, NvmeofError> {
-    use oaf_nvmeof::server::spawn_multi_observed;
-
-    registry.register(target.0, target.1);
-    let telemetry = Arc::new(Registry::new());
-    register_store_metrics(&controller, &telemetry);
-    let (specs, client_sides) = wire_clients(registry, clients, target, &settings, &telemetry);
-    let target_handle = spawn_multi_observed(controller, specs, Some(&telemetry));
-    let afs = connect_clients(client_sides, target.0, &settings, &telemetry)?;
-    Ok(AfGroup {
-        clients: afs,
-        target: target_handle,
-        telemetry,
-    })
-}
-
-/// Handles returned by [`launch_many_sharded`]: the clients, their shard
-/// assignment, and the sharded storage service.
-pub struct AfShardedGroup {
-    /// One connected client per requested `(ProcessId, host)`.
-    pub clients: Vec<AfClient>,
-    /// `shard_of[i]` is the reactor shard serving client `i`.
-    pub shard_of: Vec<usize>,
-    /// The sharded storage service (per-shard stats, admin mailboxes).
-    pub target: oaf_nvmeof::shard::ShardedTarget,
-    /// Telemetry registry. Client-side scopes are flat (`client<i>`,
-    /// `transport_client<i>`, `app<i>`, …); target-side scopes arrive
-    /// merged from the per-shard registries under `shard<n>_…` prefixes
-    /// (`shard0_target_conn0`, `shard1_reactor`, …).
-    pub telemetry: Arc<Registry>,
+    launch_group(
+        registry,
+        clients,
+        target,
+        controller,
+        settings,
+        |c, specs, t| spawn_multi_observed(c, specs, Some(t)),
+    )
 }
 
 /// [`launch_many`] scaled out: the storage service runs one reactor
@@ -367,28 +193,99 @@ pub fn launch_many_sharded(
     settings: FabricSettings,
     shards: usize,
 ) -> Result<AfShardedGroup, NvmeofError> {
-    use oaf_nvmeof::shard::{spawn_sharded, ShardConfig, Steering};
-
-    registry.register(target.0, target.1);
-    let telemetry = Arc::new(Registry::new());
-    register_store_metrics(&controller, &telemetry);
-    let (specs, client_sides) = wire_clients(registry, clients, target, &settings, &telemetry);
-    let cfg = ShardConfig::new(shards);
-    let shard_of: Vec<usize> = (0..clients.len())
-        .map(|i| cfg.steering.shard_for(i, shards))
-        .collect();
-    debug_assert!(matches!(cfg.steering, Steering::RoundRobin));
-    let sharded = spawn_sharded(controller, specs, cfg, Some(&telemetry));
-    let afs = connect_clients(client_sides, target.0, &settings, &telemetry)?;
+    let AfGroup {
+        clients,
+        target,
+        telemetry,
+    } = launch_group(
+        registry,
+        clients,
+        target,
+        controller,
+        settings,
+        |c, specs, t| spawn_sharded(c, specs, ShardConfig::new(shards), Some(t)),
+    )?;
     Ok(AfShardedGroup {
+        shard_of: (0..clients.len()).map(|i| target.shard_of(i)).collect(),
+        clients,
+        target,
+        telemetry,
+    })
+}
+
+/// The group bring-up: wire every client, have `serve` start the storage
+/// service over all the target ends, then connect every client.
+fn launch_group(
+    registry: &Arc<HostRegistry>,
+    clients: &[(ProcessId, u64)],
+    target: (ProcessId, u64),
+    controller: Controller,
+    settings: FabricSettings,
+    serve: impl FnOnce(Controller, Vec<ConnectionSpec>, &Registry) -> TargetHandle,
+) -> Result<AfGroup, NvmeofError> {
+    registry.register(target.0, target.1);
+    let cm = ConnectionManager::new(registry.clone());
+    let telemetry = cm.telemetry().clone();
+    register_store_metrics(&controller, &telemetry);
+
+    let mut specs = Vec::with_capacity(clients.len());
+    let mut sides = Vec::with_capacity(clients.len());
+    for (i, &(pid, host)) in clients.iter().enumerate() {
+        registry.register(pid, host);
+        let tag = i.to_string();
+        let (served, side) = cm.wire(pid, target.0, &settings, &tag)?;
+        specs.push(ConnectionSpec {
+            transport: Box::new(served.transport),
+            cfg: served.cfg,
+            payload: served.payload,
+            scope: Some(format!("target_conn{i}")),
+        });
+        sides.push((tag, side));
+    }
+    let target_handle = serve(controller, specs, &telemetry);
+
+    let mut afs = Vec::with_capacity(clients.len());
+    for (tag, side) in sides {
+        let (initiator, endpoint, shm) = cm.connect(side, target.0, &settings, &tag)?;
+        let app = telemetry.scope(&format!("app{tag}"));
+        afs.push(AfClient::new(initiator, endpoint, shm, &settings, &app));
+    }
+    Ok(AfGroup {
         clients: afs,
-        shard_of,
-        target: sharded,
+        target: target_handle,
         telemetry,
     })
 }
 
 impl AfClient {
+    /// Wraps a connected initiator in the co-designed API: its Buffer
+    /// Manager (zero-copy leases over `shm` when local, the pool
+    /// otherwise) and its application-view counters under `app`.
+    fn new(
+        initiator: Initiator<ControlTransport>,
+        endpoint: Arc<AfEndpoint>,
+        shm: Option<Arc<ShmPayloadChannel>>,
+        settings: &FabricSettings,
+        app: &Scope,
+    ) -> Self {
+        // Pool buffers are sized generously past the slot/chunk size so
+        // block-level read-modify-write spans (payload + straddled blocks)
+        // still fit in one buffer.
+        let pool = DpdkPool::new(
+            settings.slot_size.max(settings.read_chunk) * 2,
+            settings.depth.max(8),
+        );
+        let stats = ClientStats::new();
+        stats.register(app);
+        AfClient {
+            initiator,
+            bufmgr: BufferManager::new(pool, shm),
+            endpoint,
+            stats,
+            inflight_meta: std::collections::HashMap::new(),
+        }
+    }
+
     /// The client's AF endpoint object.
     pub fn endpoint(&self) -> &Arc<AfEndpoint> {
         &self.endpoint

@@ -11,6 +11,7 @@
 //! processing, including the client-side buffer fill and copy-out the
 //! zero-copy design removes).
 
+use oaf_nvmeof::tune::{ChunkCostModel, ChunkSelector};
 use oaf_simnet::time::{SimDuration, SimTime};
 use oaf_simnet::units::{Rate, KIB};
 use oaf_ssd::IoOp;
@@ -85,12 +86,8 @@ impl FabricKind {
                 // The adaptive fabric tunes its TCP fallback per link:
                 // chunk size from the analytic selector (§4.5, Fig. 9)
                 // and the busy-poll controller's steady-state budget
-                // (see `tcp_opt::BusyPollController`).
-                let selector = crate::tcp_opt::ChunkSelector::new(crate::tcp_opt::ChunkCostModel {
-                    per_chunk_cpu: SimDuration::from_micros(12),
-                    goodput: oaf_simnet::units::Rate::gbps(tcp_gbps).scaled(0.94),
-                    mem_quad_us_at_512k: 14.0,
-                });
+                // (see `oaf_nvmeof::tune::BusyPollController`).
+                let selector = ChunkSelector::new(ChunkCostModel::for_link_gbps(tcp_gbps));
                 let mix = [128 * KIB, 512 * KIB, 1024 * KIB, 2048 * KIB];
                 FabricKind::TcpOpt {
                     gbps: tcp_gbps,

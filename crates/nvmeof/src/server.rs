@@ -5,9 +5,10 @@
 //! and — when co-located — its own isolated shared-memory channel (§4.2,
 //! §6). [`spawn_multi`] runs a single poll-mode reactor (an SPDK poll
 //! group) that services every connection against one shared controller
-//! set.
+//! set; the sharded runtime in [`crate::shard`] runs several of the same
+//! reactor, each over its own connections.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -17,7 +18,9 @@ use crate::error::NvmeofError;
 use crate::nvme::controller::Controller;
 use crate::payload::PayloadChannel;
 use crate::pdu::Pdu;
-use crate::target::{TargetConfig, TargetConnection, TargetHandle};
+use crate::shard::{ShardConfig, ShardStats, Steering, ThreadHook};
+use crate::spsc::spsc;
+use crate::target::{ReactorPort, TargetConfig, TargetConnection, TargetHandle};
 use crate::transport::{queue_pdu, Frame, Transport, CORK_BUDGET};
 use crate::tune::{BusyPollController, PollClass};
 use oaf_telemetry::Registry;
@@ -38,8 +41,8 @@ pub struct ConnectionSpec {
 
 /// A wired, servable connection owned by exactly one reactor. Opaque
 /// outside the crate: instances are built by the spawn functions (or
-/// [`crate::shard::ShardedTarget::add_connection`]) and only ever
-/// travel *into* a reactor, never out.
+/// [`TargetHandle::add_connection`]) and only ever travel *into* a
+/// reactor, never out.
 pub struct LiveConnection {
     transport: Box<dyn Transport>,
     conn: TargetConnection,
@@ -179,11 +182,8 @@ impl LiveConnection {
     }
 }
 
-/// One poll-mode reactor's connection set and idle policy — the reusable
-/// core of both [`spawn_multi`] (one reactor, every connection) and the
-/// sharded runtime in [`crate::shard`] (one reactor per shard, each
-/// owning a disjoint connection set).
-pub(crate) struct Reactor {
+/// One poll-mode reactor's connection set and idle policy.
+struct Reactor {
     live: Vec<LiveConnection>,
     poller: BusyPollController,
     last_work: std::time::Instant,
@@ -199,7 +199,7 @@ impl Reactor {
     const IDLE_SLEEP_MAX: Duration = Duration::from_micros(500);
     const GAP_CLAMP: Duration = Duration::from_millis(1);
 
-    pub(crate) fn new(live: Vec<LiveConnection>) -> Self {
+    fn new(live: Vec<LiveConnection>) -> Self {
         Reactor {
             live,
             poller: BusyPollController::new(),
@@ -208,25 +208,14 @@ impl Reactor {
         }
     }
 
-    /// Adopts another connection into this reactor's set (sharded
-    /// runtime: delivered through the shard's admin mailbox, so only the
-    /// owning thread ever touches the set).
-    pub(crate) fn add(&mut self, conn: LiveConnection) {
-        self.live.push(conn);
-    }
-
-    pub(crate) fn any_alive(&self) -> bool {
-        self.live.iter().any(|l| l.alive)
-    }
-
-    pub(crate) fn alive_count(&self) -> usize {
+    fn alive_count(&self) -> usize {
         self.live.iter().filter(|l| l.alive).count()
     }
 
     /// One fair round-robin pass over every live connection (like an
     /// SPDK poll group), each served by [`LiveConnection::pass`].
     /// Returns the total progress (0 = the pass was idle).
-    pub(crate) fn poll_pass(&mut self, controller: &mut Controller) -> Result<usize, NvmeofError> {
+    fn poll_pass(&mut self, controller: &mut Controller) -> Result<usize, NvmeofError> {
         let mut progress = 0;
         for l in self.live.iter_mut().filter(|l| l.alive) {
             progress += l.pass(controller)?;
@@ -237,7 +226,7 @@ impl Reactor {
     /// Advances the adaptive idle policy after a poll pass: spin while
     /// the next arrival is expected within the learned budget, back off
     /// exponentially past it.
-    pub(crate) fn idle_step(&mut self, progressed: bool) {
+    fn idle_step(&mut self, progressed: bool) {
         if progressed {
             self.poller.observe(
                 PollClass::Read,
@@ -254,41 +243,101 @@ impl Reactor {
     }
 }
 
+impl TargetHandle {
+    /// Adds one reactor thread (shard `self.shards()`) to this target —
+    /// the only place a reactor is spawned: [`spawn_multi`] calls it
+    /// once, [`spawn_sharded`](crate::shard::spawn_sharded) once per
+    /// shard.
+    ///
+    /// The reactor exclusively owns `live` and its `controller` view and
+    /// records into `stats`. Besides the stop flag, only the admin
+    /// mailbox created here reaches into it: connections adopted at
+    /// runtime (built against `registry`), drained between poll passes
+    /// with a wait-free `pop`. It runs until told to stop, even with no
+    /// live connection left. `hook` runs first on the new thread.
+    pub(crate) fn spawn_reactor(
+        &mut self,
+        live: Vec<LiveConnection>,
+        mut controller: Controller,
+        stats: Arc<ShardStats>,
+        registry: Arc<Registry>,
+        mailbox_depth: usize,
+        hook: Option<ThreadHook>,
+    ) {
+        assert!(mailbox_depth > 0, "admin mailbox needs a slot");
+        let (mailbox, rx) = spsc::<Box<LiveConnection>>(mailbox_depth);
+        stats.conns.set(live.len() as i64);
+        let n = self.ports.len();
+        let stop = self.stop.clone();
+        let thread_stats = stats.clone();
+        let join = std::thread::Builder::new()
+            .name(format!("oaf-shard{n}"))
+            .spawn(move || {
+                if let Some(hook) = hook {
+                    hook(n);
+                }
+                let mut reactor = Reactor::new(live);
+                while !stop.load(Ordering::Acquire) {
+                    let mut progressed = false;
+                    while let Some(conn) = rx.pop() {
+                        thread_stats.admin_cmds.inc();
+                        progressed = true;
+                        reactor.live.push(*conn);
+                    }
+                    let drained = reactor.poll_pass(&mut controller)?;
+                    if drained > 0 {
+                        thread_stats.ops.add(drained as u64);
+                        progressed = true;
+                    }
+                    thread_stats.polls.inc();
+                    thread_stats.conns.set(reactor.alive_count() as i64);
+                    reactor.idle_step(progressed);
+                }
+                Ok(())
+            })
+            .expect("spawn reactor thread");
+        self.joins.push(join);
+        self.ports.push(ReactorPort {
+            mailbox,
+            stats,
+            registry,
+        });
+    }
+}
+
 /// Spawns one reactor servicing `conns` connections over a shared
-/// controller. The reactor exits once every connection has terminated or
-/// the handle requests shutdown.
+/// controller: [`spawn_sharded`](crate::shard::spawn_sharded) with one
+/// shard, minus the per-shard registry (see [`spawn_multi_observed`]).
 pub fn spawn_multi(controller: Controller, conns: Vec<ConnectionSpec>) -> TargetHandle {
     spawn_multi_observed(controller, conns, None)
 }
 
 /// [`spawn_multi`] with telemetry: each connection's target-side metric
-/// bundle is registered into `registry` under the spec's scope name (or
-/// `target_conn<index>`) before the reactor starts, so observers see the
-/// per-connection split from the first served command.
+/// bundle is registered straight into `registry` under the spec's scope
+/// name (or `target_conn<index>`, no `shard0_` prefix) before the reactor
+/// starts, so observers see the per-connection split from the first
+/// served command. The reactor's own [`ShardStats`] are readable through
+/// the handle but registered nowhere.
 pub fn spawn_multi_observed(
-    mut controller: Controller,
+    controller: Controller,
     conns: Vec<ConnectionSpec>,
     registry: Option<&Registry>,
 ) -> TargetHandle {
-    let live_init: Vec<LiveConnection> = conns
+    let live: Vec<LiveConnection> = conns
         .into_iter()
         .enumerate()
         .map(|(i, c)| LiveConnection::build(c, i, registry))
         .collect();
-    let stop = Arc::new(AtomicBool::new(false));
-    let stop2 = stop.clone();
-    let join = std::thread::Builder::new()
-        .name("nvmeof-target-multi".into())
-        .spawn(move || {
-            let mut reactor = Reactor::new(live_init);
-            while !stop2.load(Ordering::Acquire) && reactor.any_alive() {
-                let drained = reactor.poll_pass(&mut controller)?;
-                reactor.idle_step(drained > 0);
-            }
-            Ok(())
-        })
-        .expect("spawn multi-target thread");
-    TargetHandle::from_parts(stop, join)
+    let mut handle = TargetHandle::new(Steering::RoundRobin, live.len());
+    handle.spawn_reactor(
+        live,
+        controller,
+        Arc::default(),
+        Arc::default(),
+        ShardConfig::MAILBOX_DEPTH,
+        None,
+    );
+    handle
 }
 
 #[cfg(test)]

@@ -2,8 +2,8 @@
 //!
 //! [`spawn_multi`] runs *one* reactor over every connection — faithful to
 //! a single SPDK poll group, but capped at one core. This module scales
-//! the storage service out the way NVMe itself scales: N reactors
-//! ([`spawn_sharded`]), each exclusively owning
+//! the storage service out the way NVMe itself scales: N of the same
+//! reactor ([`spawn_sharded`]), each exclusively owning
 //!
 //! * a disjoint set of connections (steered at accept time, never
 //!   migrated),
@@ -14,31 +14,20 @@
 //!
 //! so that **no lock crosses cores on the data path**. The only
 //! cross-shard structure is one bounded SPSC admin mailbox per shard
-//! ([`crate::spsc`]) through which the control plane delivers
-//! [`ShardCommand`]s; the reactor drains it between poll passes with a
-//! wait-free `pop`, never a mutex.
+//! ([`crate::spsc`]) through which the control plane delivers the
+//! connections accepted at runtime; the reactor drains it between poll
+//! passes with a wait-free `pop`, never a mutex.
 //!
 //! [`spawn_multi`]: crate::server::spawn_multi
 //! [`Registry::merge`]: oaf_telemetry::Registry::merge
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use crate::error::NvmeofError;
 use crate::nvme::controller::Controller;
-use crate::server::{ConnectionSpec, LiveConnection, Reactor};
-use crate::spsc::{spsc, SpscSender};
+use crate::server::{ConnectionSpec, LiveConnection};
+use crate::target::TargetHandle;
 use oaf_telemetry::{Counter, Gauge, Registry};
-
-/// Admin commands a shard's reactor drains from its mailbox between
-/// poll passes. This is the *only* way anything crosses into a running
-/// shard.
-pub enum ShardCommand {
-    /// Adopt a fully built connection into the shard's set.
-    Add(Box<LiveConnection>),
-    /// Finish the current pass and exit the reactor loop.
-    Shutdown,
-}
 
 /// Per-shard reactor telemetry, registered into the shard's own registry
 /// under scope `reactor` (so the merged view shows
@@ -49,7 +38,7 @@ pub struct ShardStats {
     pub ops: Counter,
     /// Poll passes (idle or not) the reactor has run.
     pub polls: Counter,
-    /// Admin commands drained from the mailbox.
+    /// Connections adopted from the admin mailbox.
     pub admin_cmds: Counter,
     /// Live connections currently owned by the shard.
     pub conns: Gauge,
@@ -107,6 +96,9 @@ impl Steering {
     }
 }
 
+/// Per-thread setup hook of a reactor, called with the shard index.
+pub type ThreadHook = Arc<dyn Fn(usize) + Send + Sync>;
+
 /// Configuration for [`spawn_sharded`].
 pub struct ShardConfig {
     /// Reactor threads to run. On a machine with fewer cores the shards
@@ -120,32 +112,21 @@ pub struct ShardConfig {
     /// Optional per-thread setup hook, called first thing on each shard
     /// thread with the shard index (CPU pinning, allocator tracking in
     /// tests, …).
-    #[allow(clippy::type_complexity)]
-    pub thread_hook: Option<Arc<dyn Fn(usize) + Send + Sync>>,
+    pub thread_hook: Option<ThreadHook>,
 }
 
 impl ShardConfig {
+    pub(crate) const MAILBOX_DEPTH: usize = 64;
+
     /// `shards` reactors, round-robin steering, depth-64 mailboxes.
     pub fn new(shards: usize) -> Self {
         ShardConfig {
             shards,
             steering: Steering::RoundRobin,
-            mailbox_depth: 64,
+            mailbox_depth: Self::MAILBOX_DEPTH,
             thread_hook: None,
         }
     }
-}
-
-/// Handle to a running sharded target: per-shard mailboxes, stats and
-/// registries, plus the join handles.
-pub struct ShardedTarget {
-    senders: Vec<SpscSender<ShardCommand>>,
-    stats: Vec<Arc<ShardStats>>,
-    shard_regs: Vec<Arc<Registry>>,
-    stop: Arc<AtomicBool>,
-    joins: Vec<std::thread::JoinHandle<Result<(), NvmeofError>>>,
-    next_conn: usize,
-    steering: Steering,
 }
 
 /// Spawns `cfg.shards` reactor threads, each exclusively owning the
@@ -160,9 +141,8 @@ pub fn spawn_sharded(
     conns: Vec<ConnectionSpec>,
     cfg: ShardConfig,
     registry: Option<&Registry>,
-) -> ShardedTarget {
+) -> TargetHandle {
     assert!(cfg.shards > 0, "need at least one shard");
-    assert!(cfg.mailbox_depth > 0, "admin mailbox needs a slot");
 
     // Partition the initial connections by the steering policy. Global
     // connection numbering keeps telemetry scope names
@@ -176,107 +156,63 @@ pub fn spawn_sharded(
         next_conn += 1;
     }
 
-    let stop = Arc::new(AtomicBool::new(false));
-    let mut senders = Vec::with_capacity(cfg.shards);
-    let mut stats = Vec::with_capacity(cfg.shards);
-    let mut shard_regs = Vec::with_capacity(cfg.shards);
-    let mut joins = Vec::with_capacity(cfg.shards);
-
+    let mut handle = TargetHandle::new(cfg.steering, next_conn);
     for (n, initial) in per_shard.into_iter().enumerate() {
         let shard_reg = Arc::new(Registry::new());
         let shard_stats = Arc::new(ShardStats::default());
         shard_stats.register(&shard_reg);
-
-        // Every shard gets its own controller view over the one storage
-        // service — the NVMe multi-queue model. No `&mut` is shared.
-        let shard_controller = controller.share();
-
         let live: Vec<LiveConnection> = initial
             .into_iter()
             .map(|(i, spec)| LiveConnection::build(spec, i, Some(&shard_reg)))
             .collect();
-        shard_stats.conns.set(live.len() as i64);
-
-        let (tx, rx) = spsc::<ShardCommand>(cfg.mailbox_depth);
-        let stop_flag = stop.clone();
-        let thread_stats = shard_stats.clone();
-        let hook = cfg.thread_hook.clone();
-        let join = std::thread::Builder::new()
-            .name(format!("oaf-shard{n}"))
-            .spawn(move || {
-                if let Some(hook) = hook {
-                    hook(n);
-                }
-                let mut controller = shard_controller;
-                let mut reactor = Reactor::new(live);
-                let mut local_stop = false;
-                // Unlike spawn_multi, a shard with zero live connections
-                // keeps polling its mailbox: new connections arrive at
-                // runtime.
-                while !local_stop && !stop_flag.load(Ordering::Acquire) {
-                    let mut progressed = false;
-                    while let Some(cmd) = rx.pop() {
-                        thread_stats.admin_cmds.inc();
-                        progressed = true;
-                        match cmd {
-                            ShardCommand::Add(conn) => reactor.add(*conn),
-                            ShardCommand::Shutdown => local_stop = true,
-                        }
-                    }
-                    let drained = reactor.poll_pass(&mut controller)?;
-                    if drained > 0 {
-                        thread_stats.ops.add(drained as u64);
-                        progressed = true;
-                    }
-                    thread_stats.polls.inc();
-                    thread_stats.conns.set(reactor.alive_count() as i64);
-                    reactor.idle_step(progressed);
-                }
-                Ok(())
-            })
-            .expect("spawn shard thread");
-
         if let Some(reg) = registry {
             reg.merge(&format!("shard{n}"), &shard_reg);
         }
-        senders.push(tx);
-        stats.push(shard_stats);
-        shard_regs.push(shard_reg);
-        joins.push(join);
+        // Every shard gets its own controller view over the one storage
+        // service — the NVMe multi-queue model. No `&mut` is shared.
+        handle.spawn_reactor(
+            live,
+            controller.share(),
+            shard_stats,
+            shard_reg,
+            cfg.mailbox_depth,
+            cfg.thread_hook.clone(),
+        );
     }
-
-    ShardedTarget {
-        senders,
-        stats,
-        shard_regs,
-        stop,
-        joins,
-        next_conn,
-        steering: cfg.steering,
-    }
+    handle
 }
 
-impl ShardedTarget {
+/// The per-shard view of a running target. A [`spawn_target`] handle has
+/// no reactor shard: `shards()` is 0 and it adopts no connection.
+///
+/// [`spawn_target`]: crate::target::spawn_target
+impl TargetHandle {
     /// Number of reactor shards.
     pub fn shards(&self) -> usize {
-        self.joins.len()
+        self.ports.len()
     }
 
     /// Shard `n`'s reactor telemetry.
     pub fn shard_stats(&self, n: usize) -> &Arc<ShardStats> {
-        &self.stats[n]
+        &self.ports[n].stats
     }
 
-    /// Shard `n`'s private registry (already merged into the parent
-    /// registry, when one was supplied).
+    /// Shard `n`'s private registry: where connections it adopts at
+    /// runtime register. [`spawn_sharded`] merged it into the parent
+    /// registry, when one was supplied.
     pub fn shard_registry(&self, n: usize) -> &Arc<Registry> {
-        &self.shard_regs[n]
+        &self.ports[n].registry
     }
 
     /// Frames executed by each shard so far — the load-balance witness
     /// (`max/min ≤ bound` in the scale tests).
     pub fn ops_per_shard(&self) -> Vec<u64> {
-        self.stats.iter().map(|s| s.ops.get()).collect()
+        self.ports.iter().map(|p| p.stats.ops.get()).collect()
+    }
+
+    /// The shard connection number `conn` is steered to (0 without shards).
+    pub fn shard_of(&self, conn: usize) -> usize {
+        self.steering.shard_for(conn, self.shards().max(1))
     }
 
     /// Steers `spec` to its shard (per the configured policy), builds
@@ -284,42 +220,23 @@ impl ShardedTarget {
     /// through the shard's admin mailbox. Returns the shard index.
     ///
     /// Fails with [`NvmeofError::RingFull`] if the shard's mailbox is
-    /// full (the reactor is wedged or shutdown already drained it).
+    /// full (the reactor is wedged or shutdown already drained it), and
+    /// with a protocol error on a handle without reactor shards.
     pub fn add_connection(&mut self, spec: ConnectionSpec) -> Result<usize, NvmeofError> {
+        if self.ports.is_empty() {
+            return Err(NvmeofError::Protocol(
+                "a single-connection target adopts no connection".into(),
+            ));
+        }
         let conn_index = self.next_conn;
         self.next_conn += 1;
-        let shard = self.steering.shard_for(conn_index, self.shards());
-        let live = LiveConnection::build(spec, conn_index, Some(&self.shard_regs[shard]));
-        self.senders[shard]
-            .push(ShardCommand::Add(Box::new(live)))
+        let shard = self.shard_of(conn_index);
+        let port = &self.ports[shard];
+        let live = LiveConnection::build(spec, conn_index, Some(&port.registry));
+        port.mailbox
+            .push(Box::new(live))
             .map_err(|_| NvmeofError::RingFull)?;
         Ok(shard)
-    }
-
-    /// Requests shutdown on every shard (mailbox command + stop flag)
-    /// and joins all reactor threads, returning the first error any
-    /// shard hit.
-    pub fn shutdown(mut self) -> Result<(), NvmeofError> {
-        for tx in &self.senders {
-            // Best effort: the stop flag below covers a full mailbox.
-            let _ = tx.push(ShardCommand::Shutdown);
-        }
-        self.stop.store(true, Ordering::Release);
-        let mut first_err = None;
-        for join in self.joins.drain(..) {
-            match join.join() {
-                Ok(Ok(())) => {}
-                Ok(Err(e)) => first_err = first_err.or(Some(e)),
-                Err(_) => {
-                    first_err =
-                        first_err.or(Some(NvmeofError::Protocol("shard thread panicked".into())))
-                }
-            }
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
     }
 }
 
@@ -456,6 +373,29 @@ mod tests {
         }
         b.disconnect().unwrap();
         target.shutdown().unwrap();
+    }
+
+    #[test]
+    fn dropping_the_handle_stops_every_reactor() {
+        use crate::transport::Transport;
+        let (c1, t1) = MemTransport::pair();
+        let (c2, t2) = MemTransport::pair();
+        let target = spawn_sharded(
+            controller(),
+            vec![spec(t1), spec(t2)],
+            ShardConfig::new(2),
+            None,
+        );
+        drop(target); // no shutdown()
+
+        // A stopped reactor drops its transports; a leaked one would keep
+        // both connections open (and its thread polling) forever.
+        for client in [c1, c2] {
+            assert!(matches!(
+                client.recv_timeout(Duration::from_secs(1)),
+                Err(NvmeofError::TransportClosed)
+            ));
+        }
     }
 
     #[test]

@@ -27,7 +27,10 @@ use crate::pdu::{
 };
 use crate::recovery::{AbortDecision, TargetRecovery};
 use crate::server::{ConnectionSpec, LiveConnection};
+use crate::shard::{ShardStats, Steering};
+use crate::spsc::SpscSender;
 use crate::transport::{Frame, Transport};
+use oaf_telemetry::Registry;
 
 /// Target-side configuration.
 #[derive(Clone, Debug)]
@@ -777,43 +780,66 @@ impl TargetConnection {
     }
 }
 
-/// Handle to a running target reactor thread.
+/// The control-plane end of one reactor: its admin mailbox, its stats,
+/// and the registry connections it adopts at runtime register into.
+pub(crate) struct ReactorPort {
+    pub(crate) mailbox: SpscSender<Box<LiveConnection>>,
+    pub(crate) stats: Arc<ShardStats>,
+    pub(crate) registry: Arc<Registry>,
+}
+
+/// Handle to a running target — the one handle every spawn function
+/// returns: [`spawn_target`] (one connection on its own loop, no reactor
+/// shard), [`spawn_multi`] (one reactor shard) and [`spawn_sharded`] (N).
+/// Dropping it stops and joins every thread; [`TargetHandle::shutdown`]
+/// does the same and reports the first error a thread hit. The per-shard
+/// accessors live in [`crate::shard`].
+///
+/// [`spawn_multi`]: crate::server::spawn_multi
+/// [`spawn_sharded`]: crate::shard::spawn_sharded
 pub struct TargetHandle {
-    stop: Arc<AtomicBool>,
-    join: Option<std::thread::JoinHandle<Result<(), NvmeofError>>>,
+    pub(crate) stop: Arc<AtomicBool>,
+    pub(crate) joins: Vec<std::thread::JoinHandle<Result<(), NvmeofError>>>,
+    pub(crate) ports: Vec<ReactorPort>,
+    pub(crate) next_conn: usize,
+    pub(crate) steering: Steering,
 }
 
 impl TargetHandle {
-    /// Assembles a handle from a stop flag and reactor join handle (used
-    /// by the multi-connection server in [`crate::server`]).
-    pub fn from_parts(
-        stop: Arc<AtomicBool>,
-        join: std::thread::JoinHandle<Result<(), NvmeofError>>,
-    ) -> Self {
+    /// A handle with no thread yet; `next_conn` is the number the first
+    /// connection added at runtime gets.
+    pub(crate) fn new(steering: Steering, next_conn: usize) -> Self {
         TargetHandle {
-            stop,
-            join: Some(join),
+            stop: Arc::new(AtomicBool::new(false)),
+            joins: Vec::new(),
+            ports: Vec::new(),
+            next_conn,
+            steering,
         }
     }
 
-    /// Requests shutdown and joins the reactor.
+    /// Requests shutdown and joins every thread, returning the first
+    /// error any of them hit.
     pub fn shutdown(mut self) -> Result<(), NvmeofError> {
+        self.stop_and_join()
+    }
+
+    fn stop_and_join(&mut self) -> Result<(), NvmeofError> {
         self.stop.store(true, Ordering::Release);
-        match self.join.take() {
-            Some(h) => h
+        let mut result = Ok(());
+        for join in self.joins.drain(..) {
+            let joined = join
                 .join()
-                .map_err(|_| NvmeofError::Protocol("target reactor panicked".into()))?,
-            None => Ok(()),
+                .unwrap_or_else(|_| Err(NvmeofError::Protocol("target reactor panicked".into())));
+            result = result.and(joined);
         }
+        result
     }
 }
 
 impl Drop for TargetHandle {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(h) = self.join.take() {
-            let _ = h.join();
-        }
+        let _ = self.stop_and_join();
     }
 }
 
@@ -830,12 +856,22 @@ pub fn spawn_target<T: Transport + 'static>(
 /// [`spawn_target`] with telemetry: the connection's target-side metric
 /// bundle is registered into `registry` under the `target` scope before
 /// the reactor starts.
+///
+/// This loop is deliberately not the shared reactor of
+/// [`crate::server`]: with exactly one transport it idles by *parking in
+/// it* (`wait_frame`, 1 ms), where the reactor idles by learned spin then
+/// back-off sleep. Swapping only that idle step cost `inregion_4k_qd32`
+/// 10–17 % IOPS and +26 % read p95, and `oshm_4k_qd1` up to 17 % IOPS
+/// (EXPERIMENTS.md, "One way to bring a fabric up"); and the reactor
+/// cannot park per connection without `wait_frame`'s owned frame, an
+/// allocation per wake that the sharded steady state forbids. The two
+/// merge once the reactor has a wake source (ROADMAP item 1).
 pub fn spawn_target_observed<T: Transport + 'static>(
     transport: T,
     mut controller: Controller,
     cfg: TargetConfig,
     payload: Option<Arc<dyn PayloadChannel>>,
-    registry: Option<&oaf_telemetry::Registry>,
+    registry: Option<&Registry>,
 ) -> TargetHandle {
     let mut live = LiveConnection::build(
         ConnectionSpec {
@@ -847,12 +883,12 @@ pub fn spawn_target_observed<T: Transport + 'static>(
         0,
         registry,
     );
-    let stop = Arc::new(AtomicBool::new(false));
-    let stop2 = stop.clone();
+    let mut handle = TargetHandle::new(Steering::RoundRobin, 1);
+    let stop = handle.stop.clone();
     let join = std::thread::Builder::new()
         .name("nvmeof-target".into())
         .spawn(move || {
-            while !stop2.load(Ordering::Acquire) && live.alive {
+            while !stop.load(Ordering::Acquire) && live.alive {
                 if live.pass(&mut controller)? == 0 {
                     // Idle: bounded spin→yield wait inside the
                     // transport, never a blind spin.
@@ -862,10 +898,8 @@ pub fn spawn_target_observed<T: Transport + 'static>(
             Ok(())
         })
         .expect("spawn target thread");
-    TargetHandle {
-        stop,
-        join: Some(join),
-    }
+    handle.joins.push(join);
+    handle
 }
 
 #[cfg(test)]

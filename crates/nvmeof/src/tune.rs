@@ -1,9 +1,8 @@
 //! Runtime tuning knobs for the TCP data path (§4.5).
 //!
 //! The paper's two inter-node optimizations, expressed on plain
-//! [`std::time::Duration`] + `f64` so the *real* socket transport and the
-//! simulator share one implementation (`oaf_core::tcp_opt` keeps its
-//! simulation-typed API as thin wrappers over this module):
+//! [`std::time::Duration`] + `f64` so the *real* socket transport, the
+//! discrete-event fabric and the figure harness share one implementation:
 //!
 //! * **Application-level chunk size.** Stock NVMe/TCP statically splits
 //!   I/O into 128 KiB sub-requests, and the chunk size also sizes the
@@ -212,14 +211,45 @@ mod tests {
     }
 
     #[test]
-    fn controller_separates_directions_on_std_durations() {
+    fn tiny_chunks_lose_to_cpu_cost() {
+        let m = ChunkCostModel::for_link_gbps(25.0);
+        assert!(m.cost_us(2 * MIB, 64 * KIB) > m.cost_us(2 * MIB, 512 * KIB));
+    }
+
+    #[test]
+    fn huge_chunks_lose_to_memory_penalty() {
+        let m = ChunkCostModel::for_link_gbps(25.0);
+        assert!(m.cost_us(128 * KIB, 2 * MIB) > m.cost_us(128 * KIB, 512 * KIB));
+    }
+
+    #[test]
+    fn controller_tracks_waits_and_separates_classes() {
         let mut c = BusyPollController::new();
         for _ in 0..400 {
             c.observe(PollClass::Read, Duration::from_micros(28));
             c.observe(PollClass::Write, Duration::from_micros(85));
         }
+        assert_eq!(c.samples(), 800);
+        assert!((c.estimate_us(PollClass::Read) - 28.0).abs() < 2.0);
+        assert!((c.estimate_us(PollClass::Write) - 85.0).abs() < 3.0);
+        // Reads settle on a mid budget, writes on the long one — the
+        // paper's "carefully selects the busy polling rate based on the
+        // type of workload".
         assert_eq!(c.budget(PollClass::Read), Duration::from_micros(50));
         assert_eq!(c.budget(PollClass::Write), Duration::from_micros(100));
+    }
+
+    #[test]
+    fn controller_adapts_when_workload_shifts() {
+        let mut c = BusyPollController::new();
+        for _ in 0..400 {
+            c.observe(PollClass::Read, Duration::from_micros(18));
+        }
+        assert_eq!(c.budget(PollClass::Read), Duration::from_micros(25));
+        for _ in 0..800 {
+            c.observe(PollClass::Read, Duration::from_micros(70));
+        }
+        assert_eq!(c.budget(PollClass::Read), Duration::from_micros(100));
     }
 
     #[test]

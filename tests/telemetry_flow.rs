@@ -11,7 +11,7 @@ use nvme_oaf::nvmeof::nvme::controller::Controller;
 use nvme_oaf::nvmeof::nvme::namespace::Namespace;
 use nvme_oaf::oaf::conn::{ControlPath, FabricSettings};
 use nvme_oaf::oaf::locality::{HostRegistry, ProcessId};
-use nvme_oaf::oaf::runtime::{launch, launch_many, AfPair};
+use nvme_oaf::oaf::runtime::{launch, launch_many, launch_many_sharded, AfGroup, AfPair};
 use oaf_telemetry::export;
 
 const TIMEOUT: Duration = Duration::from_secs(10);
@@ -343,4 +343,164 @@ fn remote_group_traffic_is_corked_at_both_ends() {
         c.disconnect().expect("disconnect");
     }
     group.target.shutdown().expect("shutdown");
+}
+
+/// `launch_many` over `hosts` (one client per entry) against a target on
+/// host 1, with one blocking 4 KiB write per client so every connection
+/// has carried traffic and drained it.
+fn group_after_one_write_each(hosts: &[u64], control: ControlPath) -> AfGroup {
+    let registry = Arc::new(HostRegistry::new());
+    let clients: Vec<_> = (10..).map(ProcessId).zip(hosts.iter().copied()).collect();
+    let mut group = launch_many(
+        &registry,
+        &clients,
+        (ProcessId(2), 1),
+        controller(4096),
+        FabricSettings {
+            control,
+            ..FabricSettings::default()
+        },
+    )
+    .expect("group establishment");
+    for (i, client) in group.clients.iter_mut().enumerate() {
+        let mut buf = client.alloc(4096).expect("alloc");
+        buf.fill(i as u8);
+        client.write(1, i as u64, 1, buf, TIMEOUT).expect("write");
+    }
+    group
+}
+
+fn shut_down(mut group: AfGroup) {
+    for mut c in group.clients.drain(..) {
+        c.disconnect().expect("disconnect");
+    }
+    group.target.shutdown().expect("shutdown");
+}
+
+#[test]
+fn co_located_group_control_follows_the_settings_like_a_single_pair() {
+    // Default settings: NVMe-oSHM keeps its control PDUs on the real
+    // loopback socket, never an in-process stand-in.
+    let group = group_after_one_write_each(&[1, 1], ControlPath::Tcp);
+    let snap = group.telemetry.snapshot();
+    assert_eq!(snap.counter("fabric", "locality_local"), 2);
+    assert_eq!(snap.counter("fabric", "control_tcp"), 2);
+    for i in 0..2 {
+        assert!(group.clients[i].shm_active());
+        assert!(snap.counter(&format!("tcp_client{i}"), "tx_syscalls") > 0);
+    }
+    shut_down(group);
+
+    // In-region control asked for and possible: the rings, no socket.
+    let group = group_after_one_write_each(&[1, 1], ControlPath::InRegion);
+    let snap = group.telemetry.snapshot();
+    assert_eq!(snap.counter("fabric", "control_in_region"), 2);
+    let scopes = group.telemetry.scope_names();
+    for i in 0..2 {
+        assert!(snap.counter(&format!("control_ring_client{i}"), "frames") > 0);
+        assert!(!scopes.contains(&format!("tcp_client{i}")), "{scopes:?}");
+    }
+    shut_down(group);
+}
+
+#[test]
+fn mixed_locality_group_transports_are_symmetric_per_connection() {
+    let group = group_after_one_write_each(&[1, 2], ControlPath::Tcp);
+    assert!(group.clients[0].shm_active() && !group.clients[1].shm_active());
+    let snap = group.telemetry.snapshot();
+    for i in 0..2 {
+        let sent = snap.counter(&format!("transport_client{i}"), "frames_sent");
+        assert!(sent > 0);
+        assert_eq!(
+            snap.counter(&format!("transport_target{i}"), "frames_received"),
+            sent,
+            "connection {i}"
+        );
+    }
+    shut_down(group);
+}
+
+#[test]
+fn scope_names_follow_one_rule_at_every_entry_point() {
+    // Per-connection scopes carry the caller's tag: none for `launch`,
+    // the client index for groups (whose target side is `target_conn<i>`,
+    // under `shard<n>_` when sharded). Which scopes exist depends only on
+    // locality and the control path. Target on host 1 throughout.
+    let single = |client_host: u64, control: ControlPath| {
+        let registry = Arc::new(HostRegistry::new());
+        let settings = FabricSettings {
+            control,
+            ..FabricSettings::default()
+        };
+        let target = (ProcessId(2), 1);
+        let p = launch(
+            &registry,
+            (ProcessId(1), client_host),
+            target,
+            controller(64),
+            settings,
+        )
+        .expect("pair");
+        (p.telemetry.clone(), p.target)
+    };
+    let grouped = |shards: Option<usize>| {
+        let registry = Arc::new(HostRegistry::new());
+        let clients = [(ProcessId(10), 1), (ProcessId(11), 2)];
+        let target = (ProcessId(2), 1);
+        let settings = FabricSettings::default();
+        match shards {
+            None => {
+                let g = launch_many(&registry, &clients, target, controller(64), settings);
+                let g = g.expect("group");
+                (g.telemetry, g.target)
+            }
+            Some(n) => {
+                let g =
+                    launch_many_sharded(&registry, &clients, target, controller(64), settings, n);
+                let g = g.expect("sharded group");
+                (g.telemetry, g.target)
+            }
+        }
+    };
+    let table = [
+        (
+            "launch, local",
+            single(1, ControlPath::Tcp),
+            "app bufmgr_client bufmgr_target client fabric target tcp_client tcp_target \
+             transport_client transport_target",
+        ),
+        (
+            "launch, remote",
+            single(2, ControlPath::Tcp),
+            "app client fabric target tcp_client tcp_target transport_client transport_target",
+        ),
+        (
+            "launch, in-region",
+            single(1, ControlPath::InRegion),
+            "app bufmgr_client bufmgr_target client control_ring_client control_ring_target \
+             fabric target transport_client transport_target",
+        ),
+        (
+            "launch_many, local + remote",
+            grouped(None),
+            "app0 app1 bufmgr_client0 bufmgr_target0 client0 client1 fabric target_conn0 \
+             target_conn1 tcp_client0 tcp_client1 tcp_target0 tcp_target1 transport_client0 \
+             transport_client1 transport_target0 transport_target1",
+        ),
+        (
+            "launch_many_sharded, 2 shards",
+            grouped(Some(2)),
+            "app0 app1 bufmgr_client0 bufmgr_target0 client0 client1 fabric shard0_reactor \
+             shard0_target_conn0 shard1_reactor shard1_target_conn1 tcp_client0 tcp_client1 \
+             tcp_target0 tcp_target1 transport_client0 transport_client1 transport_target0 \
+             transport_target1",
+        ),
+    ];
+    for (case, (telemetry, target), expected) in table {
+        let mut names = telemetry.scope_names();
+        names.sort();
+        let expected: Vec<&str> = expected.split_whitespace().collect();
+        assert_eq!(names, expected, "{case}");
+        drop(target); // stops and joins the service
+    }
 }
