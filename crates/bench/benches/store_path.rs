@@ -9,7 +9,7 @@
 //! through the sync coordinator.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use oaf_ssd::{BlockStore, RamDisk};
+use oaf_ssd::{BlockStore, SharedRamDisk};
 use oaf_store::vfs::MemVfs;
 use oaf_store::FileDisk;
 
@@ -20,7 +20,7 @@ const BLOCKS: u64 = 64 * 1024; // 256 MiB namespace, as examples/perf.rs
 fn bench_ram_baseline(c: &mut Criterion) {
     let mut g = c.benchmark_group("store/ram-baseline");
     for &size in SIZES {
-        let mut disk = RamDisk::new(BS as u32, BLOCKS);
+        let disk = SharedRamDisk::new(BS as u32, BLOCKS);
         let payload = vec![0xabu8; size];
         let nlb = (size / BS) as u32;
         let mut lba = 0u64;
@@ -193,8 +193,8 @@ fn bench_mixed_read_fua_qd(c: &mut Criterion) {
     // reads immediately, draining the ticket at the end of the round.
     // The sync carries a 100µs device delay so the barrier dominates
     // the inline rounds the way a real disk's flush would.
+    use oaf_ssd::BarrierPoll;
     use oaf_store::vfs::SharedMemVfs;
-    use oaf_store::SyncStatus;
 
     let mut g = c.benchmark_group("store/mixed-read-fua");
     let sync_delay = std::time::Duration::from_micros(100);
@@ -206,7 +206,7 @@ fn bench_mixed_read_fua_qd(c: &mut Criterion) {
                 .and_then(|d| d.with_cache(256))
                 .expect("fmt")
                 .into_shared();
-            let disk = if offloaded {
+            let mut disk = if offloaded {
                 disk.with_sync_worker(Box::new(vfs))
             } else {
                 disk
@@ -230,7 +230,7 @@ fn bench_mixed_read_fua_qd(c: &mut Criterion) {
                     for _ in 0..iters {
                         let t0 = std::time::Instant::now();
                         let ticket = disk
-                            .write_async(64 + (qd as u64 % 8), 1, &payload, true)
+                            .write_submit(64 + (qd as u64 % 8), 1, &payload, true)
                             .expect("fua write");
                         for q in 0..qd as u64 {
                             disk.read(q, 1, &mut out).expect("read");
@@ -240,9 +240,9 @@ fn bench_mixed_read_fua_qd(c: &mut Criterion) {
                         if let Some(t) = ticket {
                             loop {
                                 match disk.poll_barrier(t) {
-                                    SyncStatus::Durable => break,
-                                    SyncStatus::Failed => panic!("sync failed"),
-                                    SyncStatus::Pending => std::hint::spin_loop(),
+                                    BarrierPoll::Durable => break,
+                                    BarrierPoll::Failed => panic!("sync failed"),
+                                    BarrierPoll::Pending => std::hint::spin_loop(),
                                 }
                             }
                         }

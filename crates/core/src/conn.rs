@@ -176,15 +176,9 @@ impl ConnectionManager {
     /// Creates a manager over a helper-process registry with a fresh
     /// telemetry registry.
     pub fn new(registry: Arc<HostRegistry>) -> Self {
-        Self::with_telemetry(registry, Arc::new(Registry::new()))
-    }
-
-    /// Creates a manager publishing into an existing telemetry registry
-    /// (one registry can observe several managers or other subsystems).
-    pub fn with_telemetry(registry: Arc<HostRegistry>, telemetry: Arc<Registry>) -> Self {
         ConnectionManager {
             registry,
-            telemetry,
+            telemetry: Arc::new(Registry::new()),
         }
     }
 

@@ -16,7 +16,7 @@
 //! * an in-process duplex [`transport::MemTransport`] (with an optional
 //!   rate-limited wrapper emulating NIC speeds in wall-clock time), and
 //! * a polled [`target::TargetConnection`] / [`initiator::Initiator`]
-//!   pair that actually moves bytes into a [`oaf_ssd::RamDisk`]-backed
+//!   pair that actually moves bytes into a [`oaf_ssd::SharedRamDisk`]-backed
 //!   namespace, plus a multi-connection storage service
 //!   ([`server::spawn_multi`]) matching the paper's one-service,
 //!   many-clients architecture (Fig. 1),

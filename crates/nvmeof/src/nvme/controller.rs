@@ -114,226 +114,121 @@ impl Controller {
         }
     }
 
-    /// Executes a command. `write_payload` must be `Some` for writes and
-    /// carry exactly the command's transfer length. Returns the completion
-    /// and, for reads/identify, the response payload.
+    /// Executes a command to completion. `write_payload` must be `Some`
+    /// for writes and carry exactly the command's transfer length.
+    /// Returns the completion and, for reads/identify, the response
+    /// payload. This is [`execute_async`](Controller::execute_async)
+    /// plus waiting out a returned ticket, so it is for callers with
+    /// nothing else to serve meanwhile (the target uses it for inline
+    /// reads only, which never ticket).
     pub fn execute(
         &mut self,
         cmd: &NvmeCommand,
         write_payload: Option<&[u8]>,
     ) -> (NvmeCompletion, Option<Vec<u8>>) {
-        match cmd.opcode {
-            Opcode::Identify => {
-                let Some(ns) = self.namespaces.get(&cmd.nsid) else {
-                    return (
-                        NvmeCompletion::error(cmd.cid, Status::InvalidNamespace),
-                        None,
-                    );
-                };
-                let info = IdentifyInfo {
-                    nsid: ns.id(),
-                    block_size: ns.block_size(),
-                    capacity_blocks: ns.capacity_blocks(),
-                };
-                (NvmeCompletion::ok(cmd.cid), Some(info.to_bytes().to_vec()))
-            }
-            Opcode::Flush => {
-                let Some(ns) = self.namespaces.get_mut(&cmd.nsid) else {
-                    return (
-                        NvmeCompletion::error(cmd.cid, Status::InvalidNamespace),
-                        None,
-                    );
-                };
-                // Real durability barrier on file-backed stores; RAM
-                // disks ack it as a no-op.
-                let status = ns.flush();
-                (
-                    NvmeCompletion {
-                        cid: cmd.cid,
-                        status,
-                    },
-                    None,
-                )
-            }
-            Opcode::Read => {
-                let Some(ns) = self.namespaces.get(&cmd.nsid) else {
-                    return (
-                        NvmeCompletion::error(cmd.cid, Status::InvalidNamespace),
-                        None,
-                    );
-                };
-                let len = cmd.transfer_len(ns.block_size()) as usize;
-                let mut out = vec![0u8; len];
-                let comp = self.read_into(cmd, &mut out);
-                if comp.status.is_ok() {
-                    (comp, Some(out))
-                } else {
-                    (comp, None)
+        let (mut comp, payload, ticket) = self.execute_async(cmd, write_payload);
+        if let Some(ticket) = ticket {
+            let verdict = loop {
+                match self.poll_barrier(cmd.nsid, ticket) {
+                    BarrierPoll::Pending => std::thread::yield_now(),
+                    resolved => break resolved,
                 }
-            }
-            Opcode::Write => {
-                let Some(ns) = self.namespaces.get_mut(&cmd.nsid) else {
-                    return (
-                        NvmeCompletion::error(cmd.cid, Status::InvalidNamespace),
-                        None,
-                    );
-                };
-                let Some(payload) = write_payload else {
-                    return (
-                        NvmeCompletion::error(cmd.cid, Status::InvalidFieldLength),
-                        None,
-                    );
-                };
-                let status = ns.write(cmd.slba, cmd.nlb, payload, cmd.fua);
-                (
-                    NvmeCompletion {
-                        cid: cmd.cid,
-                        status,
-                    },
-                    None,
-                )
-            }
-            Opcode::Compare => {
-                let Some(ns) = self.namespaces.get(&cmd.nsid) else {
-                    return (
-                        NvmeCompletion::error(cmd.cid, Status::InvalidNamespace),
-                        None,
-                    );
-                };
-                let Some(payload) = write_payload else {
-                    return (
-                        NvmeCompletion::error(cmd.cid, Status::InvalidFieldLength),
-                        None,
-                    );
-                };
-                let len = cmd.transfer_len(ns.block_size()) as usize;
-                let mut stored = vec![0u8; len];
-                let status = ns.read(cmd.slba, cmd.nlb, &mut stored);
-                if !status.is_ok() {
-                    return (NvmeCompletion::error(cmd.cid, status), None);
-                }
-                if stored == payload {
-                    (NvmeCompletion::ok(cmd.cid), None)
-                } else {
-                    (NvmeCompletion::error(cmd.cid, Status::CompareFailure), None)
-                }
-            }
-            Opcode::WriteZeroes | Opcode::Dsm => {
-                let Some(ns) = self.namespaces.get_mut(&cmd.nsid) else {
-                    return (
-                        NvmeCompletion::error(cmd.cid, Status::InvalidNamespace),
-                        None,
-                    );
-                };
-                let mut status = if cmd.opcode == Opcode::Dsm {
-                    ns.trim(cmd.slba, cmd.nlb)
-                } else {
-                    ns.write_zeroes(cmd.slba, cmd.nlb)
-                };
-                if status.is_ok() && cmd.fua {
-                    status = ns.flush();
-                }
-                (
-                    NvmeCompletion {
-                        cid: cmd.cid,
-                        status,
-                    },
-                    None,
-                )
+            };
+            if verdict == BarrierPoll::Failed {
+                comp = NvmeCompletion::error(cmd.cid, Status::InternalError);
             }
         }
+        (comp, payload)
     }
 
-    /// Like [`execute`](Controller::execute), but barrier-class
+    /// Executes a command — the one opcode dispatch. Barrier-class
     /// commands (Flush, FUA writes, FUA zero/trim) against a namespace
-    /// with an offloaded sync worker return a [`BarrierTicket`]: the
+    /// whose store has a sync worker return a [`BarrierTicket`]: the
     /// mutation is journaled and applied, its `fdatasync` is in flight,
     /// and the returned (success) completion must be parked until
     /// [`poll_barrier`](Controller::poll_barrier) resolves the ticket.
-    /// Non-barrier commands — and every command on an inline-sync
-    /// namespace — behave exactly like `execute` (ticket `None`).
+    /// Everything else completes here (ticket `None`).
     pub fn execute_async(
         &mut self,
         cmd: &NvmeCommand,
         write_payload: Option<&[u8]>,
     ) -> (NvmeCompletion, Option<Vec<u8>>, Option<BarrierTicket>) {
-        match cmd.opcode {
+        let Some(ns) = self.namespaces.get_mut(&cmd.nsid) else {
+            let comp = NvmeCompletion::error(cmd.cid, Status::InvalidNamespace);
+            return (comp, None, None);
+        };
+        let mut payload = None;
+        let mut ticket = None;
+        let status = match cmd.opcode {
+            Opcode::Identify => {
+                let info = IdentifyInfo {
+                    nsid: ns.id(),
+                    block_size: ns.block_size(),
+                    capacity_blocks: ns.capacity_blocks(),
+                };
+                payload = Some(info.to_bytes().to_vec());
+                Status::Success
+            }
+            // Real durability barrier on file-backed stores; RAM disks
+            // ack it as a no-op.
             Opcode::Flush => {
-                let Some(ns) = self.namespaces.get_mut(&cmd.nsid) else {
-                    return (
-                        NvmeCompletion::error(cmd.cid, Status::InvalidNamespace),
-                        None,
-                        None,
-                    );
-                };
-                let (status, ticket) = ns.flush_submit();
-                (
-                    NvmeCompletion {
-                        cid: cmd.cid,
-                        status,
-                    },
-                    None,
-                    ticket,
-                )
+                let (status, t) = ns.flush_submit();
+                ticket = t;
+                status
             }
-            Opcode::Write => {
-                let Some(ns) = self.namespaces.get_mut(&cmd.nsid) else {
-                    return (
-                        NvmeCompletion::error(cmd.cid, Status::InvalidNamespace),
-                        None,
-                        None,
-                    );
-                };
-                let Some(payload) = write_payload else {
-                    return (
-                        NvmeCompletion::error(cmd.cid, Status::InvalidFieldLength),
-                        None,
-                        None,
-                    );
-                };
-                let (status, ticket) = ns.write_submit(cmd.slba, cmd.nlb, payload, cmd.fua);
-                (
-                    NvmeCompletion {
-                        cid: cmd.cid,
-                        status,
-                    },
-                    None,
-                    ticket,
-                )
+            Opcode::Read => {
+                // `nlb` is a wire field: the range is checked before it
+                // sizes the buffer.
+                let len = cmd.transfer_len(ns.block_size()) as usize;
+                let mut status = ns.check(cmd.slba, cmd.nlb, len);
+                if status.is_ok() {
+                    let mut out = vec![0u8; len];
+                    status = ns.read(cmd.slba, cmd.nlb, &mut out);
+                    payload = status.is_ok().then_some(out);
+                }
+                status
             }
+            Opcode::Write => match write_payload {
+                Some(src) => {
+                    let (status, t) = ns.write_submit(cmd.slba, cmd.nlb, src, cmd.fua);
+                    ticket = t;
+                    status
+                }
+                None => Status::InvalidFieldLength,
+            },
+            Opcode::Compare => match write_payload {
+                Some(expected) => {
+                    // Range and payload length are checked before the
+                    // payload's length sizes the scratch buffer.
+                    let mut status = ns.check(cmd.slba, cmd.nlb, expected.len());
+                    if status.is_ok() {
+                        let mut stored = vec![0u8; expected.len()];
+                        status = ns.read(cmd.slba, cmd.nlb, &mut stored);
+                        if status.is_ok() && stored != expected {
+                            status = Status::CompareFailure;
+                        }
+                    }
+                    status
+                }
+                None => Status::InvalidFieldLength,
+            },
             Opcode::WriteZeroes | Opcode::Dsm => {
-                let Some(ns) = self.namespaces.get_mut(&cmd.nsid) else {
-                    return (
-                        NvmeCompletion::error(cmd.cid, Status::InvalidNamespace),
-                        None,
-                        None,
-                    );
-                };
                 let mut status = if cmd.opcode == Opcode::Dsm {
                     ns.trim(cmd.slba, cmd.nlb)
                 } else {
                     ns.write_zeroes(cmd.slba, cmd.nlb)
                 };
-                let mut ticket = None;
                 if status.is_ok() && cmd.fua {
-                    let (s, t) = ns.flush_submit();
-                    status = s;
-                    ticket = t;
+                    (status, ticket) = ns.flush_submit();
                 }
-                (
-                    NvmeCompletion {
-                        cid: cmd.cid,
-                        status,
-                    },
-                    None,
-                    ticket,
-                )
+                status
             }
-            _ => {
-                let (comp, payload) = self.execute(cmd, write_payload);
-                (comp, payload, None)
-            }
-        }
+        };
+        let comp = NvmeCompletion {
+            cid: cmd.cid,
+            status,
+        };
+        (comp, payload, ticket)
     }
 
     /// Resolution state of a parked barrier ticket issued by
@@ -420,6 +315,24 @@ mod tests {
         assert!(payload.is_none());
     }
 
+    /// `nlb` comes off the wire; it must be range-checked before it
+    /// sizes a buffer (at 4 KiB blocks `u32::MAX` asks for 16 TiB,
+    /// which aborts the process instead of failing the command).
+    #[test]
+    fn oversized_nlb_is_refused_before_a_buffer_is_sized() {
+        let mut c = controller();
+        let (comp, payload) = c.execute(&NvmeCommand::read(1, 2, 0, u32::MAX), None);
+        assert_eq!(comp.status, Status::LbaOutOfRange);
+        assert!(payload.is_none());
+        let one_block = vec![0u8; 4096];
+        let (comp, _) = c.execute(&NvmeCommand::compare(2, 2, 0, u32::MAX), Some(&one_block));
+        assert_eq!(comp.status, Status::LbaOutOfRange, "range before length");
+        // In range but the payload is short: a field-length error, not
+        // a compare against a buffer sized from `nlb`.
+        let (comp, _) = c.execute(&NvmeCommand::compare(3, 2, 0, 2), Some(&one_block));
+        assert_eq!(comp.status, Status::InvalidFieldLength);
+    }
+
     #[test]
     #[should_panic(expected = "duplicate namespace")]
     fn duplicate_nsid_panics() {
@@ -496,7 +409,7 @@ mod tests {
         let disk = oaf_store::FileDisk::create_on(Box::new(vfs.clone()), 512, 64, 64 * 1024)
             .unwrap()
             .into_shared()
-            .with_sync_worker(Box::new(vfs));
+            .with_sync_worker(Box::new(vfs.clone()));
         let mut c = Controller::new();
         c.add_namespace(Namespace::with_shared_file(1, disk));
         c.add_namespace(Namespace::new(2, 512, 16));
@@ -523,6 +436,13 @@ mod tests {
         let (rw, _, ram_t) = c.execute_async(&NvmeCommand::write_fua(4, 2, 0, 1), Some(&data));
         assert!(rw.status.is_ok());
         assert!(ram_t.is_none(), "RAM namespace must not ticket");
+        // `execute` is the same dispatch plus waiting the ticket out:
+        // durable → success, failed sync → InternalError.
+        let (w, _) = c.execute(&NvmeCommand::write_fua(5, 1, 1, 1), Some(&data));
+        assert!(w.status.is_ok());
+        vfs.set_fail_sync(true);
+        let (w, _) = c.execute(&NvmeCommand::write_fua(6, 1, 2, 1), Some(&data));
+        assert_eq!(w.status, Status::InternalError);
     }
 
     #[test]

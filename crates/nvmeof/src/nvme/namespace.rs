@@ -1,74 +1,73 @@
-//! NVMe namespaces over a pluggable block store.
+//! NVMe namespaces over the one storage seam, [`oaf_ssd::BlockStore`].
 //!
-//! The backing storage is anything implementing
-//! [`oaf_ssd::BlockStore`]: the RAM disks for ephemeral targets, or
-//! `oaf-store`'s durable [`FileDisk`] for persistence. Each backend has
-//! an exclusively-owned single-queue form and a shared multi-queue form
-//! that [`Namespace::share`] converts between.
+//! A namespace holds its backing store as a trait object and never asks
+//! what kind it is: the RAM disk for ephemeral targets, `oaf-store`'s
+//! durable file disk for persistence. It always sits on the store's
+//! *multi-queue* form ([`SharedRamDisk`], [`SharedFileDisk`]), so
+//! [`Namespace::share`] is a clone of the view and a sharded target's
+//! reactors all drive one storage service. Whether a durability barrier
+//! hands back a [`BarrierTicket`] or blocks is the store's decision
+//! (see [`BlockStore::write_submit`]); this module only maps the result
+//! to an NVMe status.
 
 use std::sync::Arc;
 
-use oaf_ssd::ram::{BlockError, RamDisk, SharedRamDisk};
+use oaf_ssd::ram::{check_range, BlockError, SharedRamDisk};
 use oaf_ssd::BlockStore;
-use oaf_store::{FileDisk, SharedFileDisk, StoreMetrics, SyncHandle, SyncStatus};
+use oaf_store::{FileDisk, SharedFileDisk, StoreMetrics};
 
 use crate::nvme::completion::Status;
 
-/// A parked durability barrier: the data is journaled and applied, the
-/// `fdatasync` making it durable is in flight on the store's sync
-/// worker. The completion must not be posted until
-/// [`Namespace::poll_barrier`] reports it resolved.
-#[derive(Clone, Copy, Debug)]
-pub struct BarrierTicket(SyncHandle);
+pub use oaf_ssd::block::{BarrierPoll, BarrierTicket};
 
-/// Resolution state of a [`BarrierTicket`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BarrierPoll {
-    /// The sync covering the ticket has not retired yet.
-    Pending,
-    /// Durable: the success completion may be posted.
-    Durable,
-    /// The sync failed; the barrier must complete with an error.
-    Failed,
+/// A multi-queue block store: cloning it yields another `&mut`-free
+/// queue into the *same* storage. Implemented by exactly the two shared
+/// store types, so "a namespace sits on a multi-queue store" is checked
+/// by the compiler rather than by a `match`.
+trait SharedStore: BlockStore {
+    /// Another view of the same storage.
+    fn share(&self) -> Box<dyn SharedStore>;
 }
 
-/// Backing storage: exclusively owned until [`Namespace::share`]
-/// converts it to the multi-queue shared form.
-enum Store {
-    Owned(RamDisk),
-    Shared(SharedRamDisk),
-    File(Box<FileDisk>),
-    SharedFile(SharedFileDisk),
+impl SharedStore for SharedRamDisk {
+    fn share(&self) -> Box<dyn SharedStore> {
+        Box::new(self.clone())
+    }
 }
 
-/// A namespace: an LBA range with a block size, backed by a [`RamDisk`]
-/// or a durable [`FileDisk`] (shared forms once split across queue
-/// controllers).
+impl SharedStore for SharedFileDisk {
+    fn share(&self) -> Box<dyn SharedStore> {
+        Box::new(self.clone())
+    }
+}
+
+/// A namespace: an LBA range with a block size over a shared
+/// [`BlockStore`].
 pub struct Namespace {
     id: u32,
-    store: Store,
+    store: Box<dyn SharedStore>,
+    /// The durable store's metric bundle, captured by the file-backed
+    /// constructors (which know the concrete type).
+    metrics: Option<Arc<StoreMetrics>>,
 }
 
 impl Namespace {
+    fn over(id: u32, store: Box<dyn SharedStore>, metrics: Option<Arc<StoreMetrics>>) -> Self {
+        assert!(id != 0, "nsid 0 is reserved");
+        Namespace { id, store, metrics }
+    }
+
     /// Creates namespace `id` with `blocks` blocks of `block_size`
     /// bytes, RAM-backed (ephemeral).
     pub fn new(id: u32, block_size: u32, blocks: u64) -> Self {
-        assert!(id != 0, "nsid 0 is reserved");
-        Namespace {
-            id,
-            store: Store::Owned(RamDisk::new(block_size, blocks)),
-        }
+        Self::over(id, Box::new(SharedRamDisk::new(block_size, blocks)), None)
     }
 
     /// Creates namespace `id` over a durable file-backed store. Flush
-    /// and FUA become real `fdatasync` barriers; TRIM punches and
-    /// journals the range.
+    /// and FUA become real `fdatasync` barriers (taken inline, through
+    /// group commit); TRIM punches and journals the range.
     pub fn with_file(id: u32, disk: FileDisk) -> Self {
-        assert!(id != 0, "nsid 0 is reserved");
-        Namespace {
-            id,
-            store: Store::File(Box::new(disk)),
-        }
+        Self::with_shared_file(id, disk.into_shared())
     }
 
     /// Creates namespace `id` directly over a shared durable store —
@@ -76,15 +75,11 @@ impl Namespace {
     /// sync worker via [`SharedFileDisk::with_sync_worker`]) before the
     /// target was wired.
     pub fn with_shared_file(id: u32, disk: SharedFileDisk) -> Self {
-        assert!(id != 0, "nsid 0 is reserved");
-        Namespace {
-            id,
-            store: Store::SharedFile(disk),
-        }
+        let metrics = Arc::clone(disk.metrics());
+        Self::over(id, Box::new(disk), Some(metrics))
     }
 
-    /// Converts the backing store to the shared multi-queue form (if
-    /// not already) and returns another view of the *same* storage.
+    /// Returns another view of the *same* storage.
     ///
     /// This is how a sharded target gives every reactor thread its own
     /// `&mut`-free I/O queue into one storage service — the NVMe
@@ -93,21 +88,10 @@ impl Namespace {
     /// contract on overlapping writes (the file-backed form inherits
     /// the same contract).
     pub fn share(&mut self) -> Namespace {
-        let store = match std::mem::replace(&mut self.store, Store::Owned(RamDisk::new(512, 0))) {
-            Store::Owned(disk) => Store::Shared(disk.into_shared()),
-            Store::Shared(disk) => Store::Shared(disk),
-            Store::File(disk) => Store::SharedFile(disk.into_shared()),
-            Store::SharedFile(disk) => Store::SharedFile(disk),
-        };
-        let twin = match &store {
-            Store::Shared(d) => Store::Shared(d.clone()),
-            Store::SharedFile(d) => Store::SharedFile(d.clone()),
-            _ => unreachable!("share() always lands in a shared variant"),
-        };
-        self.store = store;
         Namespace {
             id: self.id,
-            store: twin,
+            store: self.store.share(),
+            metrics: self.metrics.clone(),
         }
     }
 
@@ -116,43 +100,21 @@ impl Namespace {
         self.id
     }
 
-    fn store(&self) -> &dyn BlockStore {
-        match &self.store {
-            Store::Owned(d) => d,
-            Store::Shared(d) => d,
-            Store::File(d) => &**d,
-            Store::SharedFile(d) => d,
-        }
-    }
-
-    fn store_mut(&mut self) -> &mut dyn BlockStore {
-        match &mut self.store {
-            Store::Owned(d) => d,
-            Store::Shared(d) => d,
-            Store::File(d) => &mut **d,
-            Store::SharedFile(d) => d,
-        }
-    }
-
     /// The durable store's metric bundle, if this namespace is
     /// file-backed (`None` for RAM disks). Register it under a `store`
     /// telemetry scope at wiring time.
     pub fn store_metrics(&self) -> Option<&Arc<StoreMetrics>> {
-        match &self.store {
-            Store::File(d) => Some(d.metrics()),
-            Store::SharedFile(d) => Some(d.metrics()),
-            _ => None,
-        }
+        self.metrics.as_ref()
     }
 
     /// Block size in bytes.
     pub fn block_size(&self) -> u32 {
-        self.store().block_size()
+        self.store.block_size()
     }
 
     /// Capacity in blocks.
     pub fn capacity_blocks(&self) -> u64 {
-        self.store().capacity_blocks()
+        self.store.capacity_blocks()
     }
 
     fn map_err(e: BlockError) -> Status {
@@ -170,54 +132,52 @@ impl Namespace {
         }
     }
 
+    fn submitted(
+        res: Result<Option<BarrierTicket>, BlockError>,
+    ) -> (Status, Option<BarrierTicket>) {
+        match res {
+            Ok(ticket) => (Status::Success, ticket),
+            Err(e) => (Self::map_err(e), None),
+        }
+    }
+
+    /// Validates `nlb` blocks at `slba` carrying `len` payload bytes
+    /// against the geometry — the check every store operation starts
+    /// with, exposed so a command can be refused *before* a buffer is
+    /// sized from its wire fields.
+    pub fn check(&self, slba: u64, nlb: u32, len: usize) -> Status {
+        let checked = check_range(self.block_size(), self.capacity_blocks(), slba, nlb, len);
+        Self::status(checked.map(|_| ()))
+    }
+
     /// Reads `nlb` blocks at `slba` into `dst`.
     pub fn read(&self, slba: u64, nlb: u32, dst: &mut [u8]) -> Status {
-        Self::status(self.store().read(slba, nlb, dst))
+        Self::status(self.store.read(slba, nlb, dst))
     }
 
     /// Writes `nlb` blocks at `slba` from `src`; with `fua` the write
-    /// is durable before the completion is posted.
+    /// is durable before this returns.
     pub fn write(&mut self, slba: u64, nlb: u32, src: &[u8], fua: bool) -> Status {
-        Self::status(self.store_mut().write(slba, nlb, src, fua))
+        Self::status(self.store.write(slba, nlb, src, fua))
     }
 
     /// Zeroes `nlb` blocks at `slba` in place — no staging buffer, so
     /// Write Zeroes stays allocation-free on the target hot path.
     pub fn write_zeroes(&mut self, slba: u64, nlb: u32) -> Status {
-        Self::status(self.store_mut().write_zeroes(slba, nlb))
+        Self::status(self.store.write_zeroes(slba, nlb))
     }
 
     /// Deallocates `nlb` blocks at `slba` (Dataset Management with the
     /// deallocate attribute). Reads of a trimmed range return zeroes.
     pub fn trim(&mut self, slba: u64, nlb: u32) -> Status {
-        Self::status(self.store_mut().trim(slba, nlb))
-    }
-
-    /// Durability barrier: everything acknowledged before this flush
-    /// survives power loss (a no-op for RAM disks, `fdatasync` for
-    /// file-backed stores).
-    pub fn flush(&mut self) -> Status {
-        Self::status(self.store_mut().flush())
-    }
-
-    /// Whether barriers on this namespace resolve through an offloaded
-    /// sync worker (so [`write_submit`]/[`flush_submit`] can return
-    /// tickets instead of blocking in `fdatasync`).
-    ///
-    /// [`write_submit`]: Namespace::write_submit
-    /// [`flush_submit`]: Namespace::flush_submit
-    pub fn barrier_offloaded(&self) -> bool {
-        match &self.store {
-            Store::SharedFile(d) => d.sync_offloaded(),
-            _ => false,
-        }
+        Self::status(self.store.trim(slba, nlb))
     }
 
     /// Like [`write`](Namespace::write), but when the store has a sync
     /// worker a FUA write journals and applies, then returns
     /// `(Success, Some(ticket))` with the `fdatasync` still in flight —
     /// the caller parks the completion until the ticket resolves. Every
-    /// other path behaves exactly like `write` and returns `None`.
+    /// other store blocks like `write` and returns `None`.
     pub fn write_submit(
         &mut self,
         slba: u64,
@@ -225,77 +185,193 @@ impl Namespace {
         src: &[u8],
         fua: bool,
     ) -> (Status, Option<BarrierTicket>) {
-        if let Store::SharedFile(d) = &self.store {
-            if d.sync_offloaded() {
-                return match d.write_async(slba, nlb, src, fua) {
-                    Ok(handle) => (Status::Success, handle.map(BarrierTicket)),
-                    Err(e) => (Self::map_err(e), None),
-                };
-            }
-        }
-        (self.write(slba, nlb, src, fua), None)
+        Self::submitted(self.store.write_submit(slba, nlb, src, fua))
     }
 
-    /// Like [`flush`](Namespace::flush), but through the sync worker
-    /// when one is attached: returns `(Success, Some(ticket))` with the
-    /// barrier submitted rather than waited on.
+    /// Durability barrier: everything acknowledged before this flush
+    /// survives power loss (a no-op for RAM disks, `fdatasync` for
+    /// file-backed stores). Submitted as a ticket when the store has a
+    /// sync worker, waited on otherwise.
     pub fn flush_submit(&mut self) -> (Status, Option<BarrierTicket>) {
-        if let Store::SharedFile(d) = &self.store {
-            if d.sync_offloaded() {
-                return match d.flush_async() {
-                    Ok(handle) => (Status::Success, handle.map(BarrierTicket)),
-                    Err(e) => (Self::map_err(e), None),
-                };
-            }
-        }
-        (self.flush(), None)
+        Self::submitted(self.store.flush_submit())
     }
 
-    /// Resolution state of a parked barrier ticket. On a store without
-    /// a worker (ticket could not have been issued here) this reports
-    /// `Durable`, keeping the caller's drain loop total.
+    /// Resolution state of a barrier ticket this namespace handed out.
     pub fn poll_barrier(&self, ticket: BarrierTicket) -> BarrierPoll {
-        match &self.store {
-            Store::SharedFile(d) => match d.poll_barrier(ticket.0) {
-                SyncStatus::Pending => BarrierPoll::Pending,
-                SyncStatus::Durable => BarrierPoll::Durable,
-                SyncStatus::Failed => BarrierPoll::Failed,
-            },
-            _ => BarrierPoll::Durable,
-        }
+        self.store.poll_barrier(ticket)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oaf_store::vfs::MemVfs;
+    use oaf_store::vfs::{MemVfs, SharedMemVfs};
 
-    fn file_ns(id: u32) -> Namespace {
-        let disk = FileDisk::create_on(Box::new(MemVfs::new()), 512, 64, 64 * 1024).unwrap();
-        Namespace::with_file(id, disk)
+    const BS: usize = 512;
+    const BLOCKS: u64 = 64;
+
+    fn mem_disk() -> FileDisk {
+        FileDisk::create_on(Box::new(MemVfs::new()), BS as u32, BLOCKS, 64 * 1024).unwrap()
     }
 
-    #[test]
-    fn io_roundtrip() {
-        let mut ns = Namespace::new(1, 512, 64);
-        let data = vec![7u8; 1024];
-        assert_eq!(ns.write(0, 2, &data, false), Status::Success);
-        let mut out = vec![0u8; 1024];
-        assert_eq!(ns.read(0, 2, &mut out), Status::Success);
-        assert_eq!(out, data);
+    /// One way of building a namespace, and what the contract promises
+    /// about it.
+    struct Backend {
+        name: &'static str,
+        build: fn() -> Namespace,
+        /// File-backed: exposes a metric bundle, barriers really sync.
+        durable: bool,
+        /// A sync worker is attached: barriers come back as tickets.
+        tickets: bool,
     }
 
-    #[test]
-    fn errors_map_to_nvme_statuses() {
-        let mut ns = Namespace::new(1, 512, 4);
-        assert_eq!(ns.write(4, 1, &[0u8; 512], false), Status::LbaOutOfRange);
+    const BACKENDS: [Backend; 4] = [
+        Backend {
+            name: "new",
+            build: || Namespace::new(7, BS as u32, BLOCKS),
+            durable: false,
+            tickets: false,
+        },
+        Backend {
+            name: "with_file",
+            build: || Namespace::with_file(7, mem_disk()),
+            durable: true,
+            tickets: false,
+        },
+        Backend {
+            name: "with_shared_file",
+            build: || Namespace::with_shared_file(7, mem_disk().into_shared()),
+            durable: true,
+            tickets: false,
+        },
+        Backend {
+            name: "with_shared_file + worker",
+            build: || {
+                let vfs = SharedMemVfs::new();
+                let disk = FileDisk::create_on(Box::new(vfs.clone()), BS as u32, BLOCKS, 64 * 1024)
+                    .unwrap()
+                    .into_shared()
+                    .with_sync_worker(Box::new(vfs));
+                Namespace::with_shared_file(7, disk)
+            },
+            durable: true,
+            tickets: true,
+        },
+    ];
+
+    /// Asserts "a ticket comes back iff a worker is attached" and waits
+    /// a returned ticket out to `Durable`.
+    fn settle(ns: &Namespace, b: &Backend, submitted: (Status, Option<BarrierTicket>)) {
+        let (status, ticket) = submitted;
+        assert_eq!(status, Status::Success, "{}", b.name);
+        assert_eq!(ticket.is_some(), b.tickets, "{}: ticket iff worker", b.name);
+        if let Some(t) = ticket {
+            while ns.poll_barrier(t) == BarrierPoll::Pending {
+                std::thread::yield_now();
+            }
+            assert_eq!(ns.poll_barrier(t), BarrierPoll::Durable, "{}", b.name);
+        }
+    }
+
+    fn read_block(ns: &Namespace, lba: u64) -> Vec<u8> {
+        let mut out = vec![0xffu8; BS];
+        assert_eq!(ns.read(lba, 1, &mut out), Status::Success);
+        out
+    }
+
+    /// The namespace contract, on blocks `base..base + 4`.
+    fn exercise(ns: &mut Namespace, b: &Backend, base: u64) {
+        let n = b.name;
+        assert_eq!(
+            (ns.id(), ns.block_size(), ns.capacity_blocks()),
+            (7, 512, 64)
+        );
+        assert_eq!(ns.store_metrics().is_some(), b.durable, "{n}");
+        let before = ns.store_metrics().map(|m| (m.fsyncs.get(), m.trims.get()));
+
+        // Plain write (blocking and submitting form) and read-back.
+        let data = vec![0x11u8; 2 * BS];
+        assert_eq!(ns.write(base, 2, &data, false), Status::Success, "{n}");
+        let mut out = vec![0u8; 2 * BS];
+        assert_eq!(ns.read(base, 2, &mut out), Status::Success, "{n}");
+        assert_eq!(out, data, "{n}");
+        let plain = ns.write_submit(base + 2, 1, &[0x22u8; BS], false);
+        assert_eq!(
+            plain,
+            (Status::Success, None),
+            "{n}: plain writes never ticket"
+        );
+
+        // The two barriers: FUA write and flush.
+        assert_eq!(ns.write(base + 3, 1, &[0x33u8; BS], true), Status::Success);
+        let fua = ns.write_submit(base + 3, 1, &[0x44u8; BS], true);
+        settle(ns, b, fua);
+        assert!(read_block(ns, base + 3).iter().all(|&x| x == 0x44), "{n}");
+        let flush = ns.flush_submit();
+        settle(ns, b, flush);
+
+        // TRIM and Write Zeroes both read back zero.
+        assert_eq!(ns.trim(base, 1), Status::Success, "{n}");
+        assert!(read_block(ns, base).iter().all(|&x| x == 0), "{n}");
+        assert_eq!(ns.write_zeroes(base + 2, 1), Status::Success, "{n}");
+        assert!(read_block(ns, base + 2).iter().all(|&x| x == 0), "{n}");
+        assert!(read_block(ns, base + 1).iter().all(|&x| x == 0x11), "{n}");
+
+        // Error mapping, identical on every path into the store.
+        let block = [0u8; BS];
+        assert_eq!(ns.write(BLOCKS, 1, &block, false), Status::LbaOutOfRange);
         assert_eq!(
             ns.write(0, 1, &[0u8; 100], false),
             Status::InvalidFieldLength
         );
-        let mut buf = [0u8; 512];
-        assert_eq!(ns.read(100, 1, &mut buf), Status::LbaOutOfRange);
+        assert_eq!(
+            ns.write_submit(BLOCKS, 1, &block, true),
+            (Status::LbaOutOfRange, None)
+        );
+        assert_eq!(
+            ns.write_submit(0, 1, &[0u8; 100], true),
+            (Status::InvalidFieldLength, None)
+        );
+        assert_eq!(ns.read(100, 1, &mut [0u8; BS]), Status::LbaOutOfRange);
+        assert_eq!(ns.trim(BLOCKS - 1, 2), Status::LbaOutOfRange);
+        assert_eq!(ns.write_zeroes(0, 0), Status::LbaOutOfRange);
+        assert_eq!(ns.check(0, u32::MAX, BS), Status::LbaOutOfRange);
+        assert_eq!(ns.check(0, 1, BS + 1), Status::InvalidFieldLength);
+        assert_eq!(ns.check(BLOCKS - 1, 1, BS), Status::Success);
+
+        if let (Some(m), Some((fsyncs, trims))) = (ns.store_metrics(), before) {
+            assert!(m.fsyncs.get() >= fsyncs + 2, "{n}: FUA + flush both sync");
+            assert_eq!(m.trims.get(), trims + 1, "{n}");
+        }
+    }
+
+    #[test]
+    fn every_backend_and_its_shared_view_honor_one_contract() {
+        for b in &BACKENDS {
+            let mut ns = (b.build)();
+            exercise(&mut ns, b, 0);
+            // Bytes written before sharing are the view's bytes too.
+            let mut view = ns.share();
+            assert!(
+                read_block(&view, 1).iter().all(|&x| x == 0x11),
+                "{}",
+                b.name
+            );
+            exercise(&mut view, b, 8);
+            // One storage, whichever side writes; `share` is repeatable.
+            let mut third = ns.share();
+            assert_eq!(third.write(20, 1, &[0x55u8; BS], false), Status::Success);
+            assert_eq!(ns.write(21, 1, &[0x66u8; BS], false), Status::Success);
+            assert_eq!(read_block(&ns, 20)[0], 0x55, "{}", b.name);
+            assert_eq!(read_block(&view, 21)[0], 0x66, "{}", b.name);
+            assert_eq!(read_block(&third, 9)[0], 0x11, "{}", b.name);
+            // …and one journal: every view reports the same bundle.
+            match (ns.store_metrics(), view.store_metrics()) {
+                (Some(a), Some(v)) => assert!(Arc::ptr_eq(a, v), "{}", b.name),
+                (None, None) => assert!(!b.durable),
+                _ => panic!("{}: views disagree about metrics", b.name),
+            }
+        }
     }
 
     #[test]
@@ -305,65 +381,8 @@ mod tests {
     }
 
     #[test]
-    fn geometry_reported() {
-        let ns = Namespace::new(9, 4096, 1000);
-        assert_eq!(ns.id(), 9);
-        assert_eq!(ns.block_size(), 4096);
-        assert_eq!(ns.capacity_blocks(), 1000);
-    }
-
-    #[test]
-    fn shared_views_see_one_storage() {
-        let mut a = Namespace::new(1, 512, 64);
-        // Bytes written before sharing survive the conversion.
-        assert_eq!(a.write(0, 1, &[0x11u8; 512], false), Status::Success);
-        let mut b = a.share();
-        let mut c = a.share(); // idempotent: still the same storage
-        assert_eq!(b.write(1, 1, &[0x22u8; 512], false), Status::Success);
-        assert_eq!(c.write(2, 1, &[0x33u8; 512], false), Status::Success);
-        let mut out = vec![0u8; 512 * 3];
-        assert_eq!(a.read(0, 3, &mut out), Status::Success);
-        assert_eq!(out[0], 0x11);
-        assert_eq!(out[512], 0x22);
-        assert_eq!(out[1024], 0x33);
-        assert_eq!(b.capacity_blocks(), 64);
-        assert_eq!(b.block_size(), 512);
-        assert_eq!(b.id(), 1);
-    }
-
-    #[test]
-    fn shared_views_keep_error_mapping() {
-        let mut a = Namespace::new(1, 512, 4);
-        let mut b = a.share();
-        assert_eq!(b.write(4, 1, &[0u8; 512], false), Status::LbaOutOfRange);
-        assert_eq!(
-            b.write(0, 1, &[0u8; 100], false),
-            Status::InvalidFieldLength
-        );
-    }
-
-    #[test]
-    fn file_backed_namespace_flush_trim_fua() {
-        let mut ns = file_ns(1);
-        assert_eq!(ns.write(0, 1, &[0x5au8; 512], true), Status::Success);
-        assert_eq!(ns.flush(), Status::Success);
-        assert_eq!(ns.trim(0, 1), Status::Success);
-        let mut out = [0xffu8; 512];
-        assert_eq!(ns.read(0, 1, &mut out), Status::Success);
-        assert!(out.iter().all(|&b| b == 0));
-        let m = ns.store_metrics().expect("file-backed ns exposes metrics");
-        assert!(m.fsyncs.get() >= 2, "FUA + flush both sync");
-        assert_eq!(m.trims.get(), 1);
-        assert!(Namespace::new(2, 512, 4).store_metrics().is_none());
-    }
-
-    #[test]
     fn cached_file_backed_namespace_serves_hits_and_stays_durable() {
-        let disk = FileDisk::create_on(Box::new(MemVfs::new()), 512, 64, 64 * 1024)
-            .unwrap()
-            .with_cache(8)
-            .unwrap();
-        let mut ns = Namespace::with_file(1, disk);
+        let mut ns = Namespace::with_file(1, mem_disk().with_cache(8).unwrap());
         assert_eq!(ns.write(3, 1, &[0x77u8; 512], false), Status::Success);
         let mut out = [0u8; 512];
         assert_eq!(ns.read(3, 1, &mut out), Status::Success);
@@ -379,67 +398,8 @@ mod tests {
         // Shared views keep the same cache + journal.
         let mut b = ns.share();
         assert_eq!(b.write(5, 1, &[0x99u8; 512], false), Status::Success);
-        assert_eq!(b.flush(), Status::Success);
+        assert_eq!(b.flush_submit(), (Status::Success, None));
         assert_eq!(ns.read(5, 1, &mut out), Status::Success);
         assert_eq!(out[0], 0x99);
-    }
-
-    #[test]
-    fn offloaded_namespace_tickets_barriers() {
-        use oaf_store::vfs::SharedMemVfs;
-        let vfs = SharedMemVfs::new();
-        let disk = FileDisk::create_on(Box::new(vfs.clone()), 512, 64, 64 * 1024)
-            .unwrap()
-            .into_shared()
-            .with_sync_worker(Box::new(vfs));
-        let mut ns = Namespace::with_shared_file(1, disk);
-        assert!(ns.barrier_offloaded());
-        let (st, ticket) = ns.write_submit(0, 1, &[0xaau8; 512], true);
-        assert_eq!(st, Status::Success);
-        let t = ticket.expect("FUA tickets on an offloaded store");
-        loop {
-            match ns.poll_barrier(t) {
-                BarrierPoll::Durable => break,
-                BarrierPoll::Pending => std::thread::yield_now(),
-                BarrierPoll::Failed => panic!("healthy sync failed"),
-            }
-        }
-        // Plain writes never ticket; flush does.
-        let (st, none_t) = ns.write_submit(1, 1, &[1u8; 512], false);
-        assert_eq!(st, Status::Success);
-        assert!(none_t.is_none());
-        let (st, t2) = ns.flush_submit();
-        assert_eq!(st, Status::Success);
-        let t2 = t2.expect("flush tickets on an offloaded store");
-        while ns.poll_barrier(t2) == BarrierPoll::Pending {
-            std::thread::yield_now();
-        }
-        assert_eq!(ns.poll_barrier(t2), BarrierPoll::Durable);
-        let mut out = [0u8; 512];
-        assert_eq!(ns.read(0, 1, &mut out), Status::Success);
-        assert!(out.iter().all(|&b| b == 0xaa));
-        // A worker-less namespace falls back to the blocking path.
-        let mut plain = file_ns(2);
-        assert!(!plain.barrier_offloaded());
-        let (st, t3) = plain.write_submit(0, 1, &[2u8; 512], true);
-        assert_eq!(st, Status::Success);
-        assert!(t3.is_none(), "inline-sync store must not ticket");
-    }
-
-    #[test]
-    fn file_backed_share_keeps_one_journal() {
-        let mut a = file_ns(1);
-        let mut b = a.share();
-        assert_eq!(a.write(0, 1, &[1u8; 512], false), Status::Success);
-        assert_eq!(b.write(1, 1, &[2u8; 512], false), Status::Success);
-        assert_eq!(b.flush(), Status::Success);
-        let mut out = [0u8; 512];
-        assert_eq!(a.read(1, 1, &mut out), Status::Success);
-        assert_eq!(out[0], 2);
-        // Same underlying metric bundle through both views.
-        assert_eq!(
-            a.store_metrics().unwrap().log_appends.get(),
-            b.store_metrics().unwrap().log_appends.get()
-        );
     }
 }

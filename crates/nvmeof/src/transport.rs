@@ -602,13 +602,9 @@ impl Transport for ShmTransport {
 }
 
 /// Static dispatch over the real-runtime control paths, so the
-/// connection manager can pick per connection (real kernel-TCP socket,
-/// channel stand-in, or the §5.5 in-region byte rings) without boxing
-/// the hot path.
+/// connection manager can pick per connection (real kernel-TCP socket
+/// or the §5.5 in-region byte rings) without boxing the hot path.
 pub enum ControlTransport {
-    /// Channel-backed in-process stand-in (tests, or when socket setup
-    /// is unavailable).
-    Mem(MemTransport),
     /// In-region control path over shared-memory byte rings.
     Shm(ShmTransport),
     /// Real nonblocking kernel-TCP socket (§4.5).
@@ -619,7 +615,6 @@ impl ControlTransport {
     /// This endpoint's transport metrics, whichever path is active.
     pub fn metrics(&self) -> &Arc<TransportMetrics> {
         match self {
-            ControlTransport::Mem(t) => t.metrics(),
             ControlTransport::Shm(t) => t.metrics(),
             ControlTransport::Tcp(t) => t.metrics(),
         }
@@ -647,7 +642,6 @@ impl ControlTransport {
 impl Transport for ControlTransport {
     fn send(&self, frame: Bytes) -> Result<(), NvmeofError> {
         match self {
-            ControlTransport::Mem(t) => t.send(frame),
             ControlTransport::Shm(t) => t.send(frame),
             ControlTransport::Tcp(t) => t.send(frame),
         }
@@ -655,7 +649,6 @@ impl Transport for ControlTransport {
 
     fn try_recv(&self) -> Result<Option<Bytes>, NvmeofError> {
         match self {
-            ControlTransport::Mem(t) => t.try_recv(),
             ControlTransport::Shm(t) => t.try_recv(),
             ControlTransport::Tcp(t) => t.try_recv(),
         }
@@ -663,7 +656,6 @@ impl Transport for ControlTransport {
 
     fn recv_timeout(&self, timeout: Duration) -> Result<Option<Bytes>, NvmeofError> {
         match self {
-            ControlTransport::Mem(t) => t.recv_timeout(timeout),
             ControlTransport::Shm(t) => t.recv_timeout(timeout),
             ControlTransport::Tcp(t) => t.recv_timeout(timeout),
         }
@@ -671,7 +663,6 @@ impl Transport for ControlTransport {
 
     fn send_frame(&self, frame: &[u8]) -> Result<(), NvmeofError> {
         match self {
-            ControlTransport::Mem(t) => t.send_frame(frame),
             ControlTransport::Shm(t) => t.send_frame(frame),
             ControlTransport::Tcp(t) => t.send_frame(frame),
         }
@@ -679,7 +670,6 @@ impl Transport for ControlTransport {
 
     fn send_split(&self, prefix: &[u8], payload: &[u8]) -> Result<(), NvmeofError> {
         match self {
-            ControlTransport::Mem(t) => t.send_split(prefix, payload),
             ControlTransport::Shm(t) => t.send_split(prefix, payload),
             ControlTransport::Tcp(t) => t.send_split(prefix, payload),
         }
@@ -687,7 +677,6 @@ impl Transport for ControlTransport {
 
     fn prefers_split(&self) -> bool {
         match self {
-            ControlTransport::Mem(t) => t.prefers_split(),
             ControlTransport::Shm(t) => t.prefers_split(),
             ControlTransport::Tcp(t) => t.prefers_split(),
         }
@@ -695,7 +684,6 @@ impl Transport for ControlTransport {
 
     fn queue_frame(&self, frame: &[u8]) -> Result<(), NvmeofError> {
         match self {
-            ControlTransport::Mem(t) => t.queue_frame(frame),
             ControlTransport::Shm(t) => t.queue_frame(frame),
             ControlTransport::Tcp(t) => t.queue_frame(frame),
         }
@@ -703,7 +691,6 @@ impl Transport for ControlTransport {
 
     fn flush_queued(&self) -> Result<(), NvmeofError> {
         match self {
-            ControlTransport::Mem(t) => t.flush_queued(),
             ControlTransport::Shm(t) => t.flush_queued(),
             ControlTransport::Tcp(t) => t.flush_queued(),
         }
@@ -711,7 +698,6 @@ impl Transport for ControlTransport {
 
     fn recv_batch(&self, f: &mut dyn FnMut(Frame<'_>)) -> Result<usize, NvmeofError> {
         match self {
-            ControlTransport::Mem(t) => t.recv_batch(f),
             ControlTransport::Shm(t) => t.recv_batch(f),
             ControlTransport::Tcp(t) => t.recv_batch(f),
         }
@@ -1135,14 +1121,20 @@ mod tests {
 
     #[test]
     fn control_transport_dispatches_both_paths() {
-        let (am, bm) = MemTransport::pair();
+        let (at, bt) = crate::tcp::TcpTransport::loopback_pair(Default::default()).unwrap();
         let (asx, bsx) = ShmTransport::pair(16 * 1024);
         for (a, b) in [
-            (ControlTransport::Mem(am), ControlTransport::Mem(bm)),
+            (ControlTransport::Tcp(at), ControlTransport::Tcp(bt)),
             (ControlTransport::Shm(asx), ControlTransport::Shm(bsx)),
         ] {
-            a.send(Bytes::from_static(b"hi")).unwrap();
-            assert_eq!(b.try_recv().unwrap().unwrap(), Bytes::from_static(b"hi"));
+            // A real PDU: the socket finds frame boundaries by its header.
+            let frame = Pdu::CapsuleResp(crate::pdu::CapsuleResp {
+                completion: crate::nvme::completion::NvmeCompletion::ok(7),
+            })
+            .encode();
+            a.send(frame.clone()).unwrap();
+            let got = b.recv_timeout(Duration::from_secs(5)).unwrap();
+            assert_eq!(got.unwrap(), frame);
         }
     }
 

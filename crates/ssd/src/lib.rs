@@ -10,11 +10,13 @@
 //!   semantics via [`qpair::QueuePair`]. Presets in [`config`] are
 //!   calibrated for the paper's two device classes (RAM-backed QEMU
 //!   emulation vs. a real datacenter SSD).
-//! * [`ram::RamDisk`] — a functional RAM-backed block store used by the
-//!   *real* (threaded) NVMe-oF runtime, so integration tests and examples
-//!   move actual bytes end to end — and [`ram::SharedRamDisk`], its
-//!   multi-queue form: one storage service shared lock-free by the
+//! * [`ram::SharedRamDisk`] — a functional RAM-backed block store used
+//!   by the *real* (threaded) NVMe-oF runtime, so integration tests and
+//!   examples move actual bytes end to end. It is the multi-queue form
+//!   from the start: one storage service shared lock-free by the
 //!   reactor threads of a sharded target.
+//! * [`block::BlockStore`] — the one trait every backing store sits
+//!   behind, durability barriers (blocking and ticketed) included.
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
@@ -25,8 +27,8 @@ pub mod device;
 pub mod qpair;
 pub mod ram;
 
-pub use block::BlockStore;
+pub use block::{BarrierPoll, BarrierTicket, BlockStore};
 pub use config::SsdParams;
 pub use device::{IoOp, SsdDevice};
 pub use qpair::QueuePair;
-pub use ram::{BlockError, RamDisk, SharedRamDisk};
+pub use ram::{BlockError, SharedRamDisk};

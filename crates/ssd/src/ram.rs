@@ -89,77 +89,6 @@ pub fn check_range(
     Ok((off, expected))
 }
 
-/// A RAM-backed block device.
-pub struct RamDisk {
-    block_size: u32,
-    data: Vec<u8>,
-}
-
-impl RamDisk {
-    /// Creates a zero-filled disk of `blocks` blocks of `block_size` bytes.
-    pub fn new(block_size: u32, blocks: u64) -> Self {
-        assert!(
-            block_size > 0 && block_size.is_power_of_two(),
-            "block size must be a power of two"
-        );
-        let len = (blocks * u64::from(block_size)) as usize;
-        RamDisk {
-            block_size,
-            data: vec![0u8; len],
-        }
-    }
-
-    /// Block size in bytes.
-    pub fn block_size(&self) -> u32 {
-        self.block_size
-    }
-
-    /// Capacity in blocks.
-    pub fn capacity_blocks(&self) -> u64 {
-        self.data.len() as u64 / u64::from(self.block_size)
-    }
-
-    fn check(&self, lba: u64, count: u32, buf_len: usize) -> Result<(usize, usize), BlockError> {
-        check_range(self.block_size, self.capacity_blocks(), lba, count, buf_len)
-    }
-
-    /// Reads `count` blocks starting at `lba` into `buf`.
-    pub fn read(&self, lba: u64, count: u32, buf: &mut [u8]) -> Result<(), BlockError> {
-        let (off, len) = self.check(lba, count, buf.len())?;
-        buf.copy_from_slice(&self.data[off..off + len]);
-        Ok(())
-    }
-
-    /// Writes `count` blocks starting at `lba` from `buf`.
-    pub fn write(&mut self, lba: u64, count: u32, buf: &[u8]) -> Result<(), BlockError> {
-        let (off, len) = self.check(lba, count, buf.len())?;
-        self.data[off..off + len].copy_from_slice(buf);
-        Ok(())
-    }
-
-    /// Zeroes `count` blocks starting at `lba` in place (NVMe Write
-    /// Zeroes): no staging buffer, so the op stays allocation-free no
-    /// matter how large the range is.
-    pub fn write_zeroes(&mut self, lba: u64, count: u32) -> Result<(), BlockError> {
-        let expected = count as usize * self.block_size as usize;
-        let (off, len) = self.check(lba, count, expected)?;
-        self.data[off..off + len].fill(0);
-        Ok(())
-    }
-
-    /// Converts this disk into a [`SharedRamDisk`] holding the same
-    /// bytes, for multi-queue access from several reactor threads.
-    pub fn into_shared(self) -> SharedRamDisk {
-        SharedRamDisk {
-            cell: Arc::new(SharedCell {
-                block_size: self.block_size,
-                len: self.data.len(),
-                data: UnsafeCell::new(self.data.into_boxed_slice()),
-            }),
-        }
-    }
-}
-
 struct SharedCell {
     block_size: u32,
     /// Byte length of `data`, fixed at construction (kept outside the
@@ -202,7 +131,18 @@ impl SharedRamDisk {
     /// Creates a zero-filled shared disk of `blocks` blocks of
     /// `block_size` bytes.
     pub fn new(block_size: u32, blocks: u64) -> Self {
-        RamDisk::new(block_size, blocks).into_shared()
+        assert!(
+            block_size > 0 && block_size.is_power_of_two(),
+            "block size must be a power of two"
+        );
+        let len = (blocks * u64::from(block_size)) as usize;
+        SharedRamDisk {
+            cell: Arc::new(SharedCell {
+                block_size,
+                len,
+                data: UnsafeCell::new(vec![0u8; len].into_boxed_slice()),
+            }),
+        }
     }
 
     /// Block size in bytes.
@@ -285,7 +225,8 @@ mod tests {
 
     #[test]
     fn roundtrip() {
-        let mut d = RamDisk::new(512, 128);
+        let d = SharedRamDisk::new(512, 128);
+        assert_eq!((d.block_size(), d.capacity_blocks()), (512, 128));
         let payload: Vec<u8> = (0..1024u32).map(|i| (i % 251) as u8).collect();
         d.write(4, 2, &payload).unwrap();
         let mut out = vec![0u8; 1024];
@@ -295,7 +236,7 @@ mod tests {
 
     #[test]
     fn unwritten_blocks_read_zero() {
-        let d = RamDisk::new(512, 8);
+        let d = SharedRamDisk::new(512, 8);
         let mut out = vec![0xffu8; 512];
         d.read(7, 1, &mut out).unwrap();
         assert!(out.iter().all(|&b| b == 0));
@@ -303,7 +244,7 @@ mod tests {
 
     #[test]
     fn out_of_range_rejected() {
-        let mut d = RamDisk::new(512, 8);
+        let d = SharedRamDisk::new(512, 8);
         let buf = vec![0u8; 512];
         assert!(matches!(
             d.write(8, 1, &buf),
@@ -318,11 +259,16 @@ mod tests {
             d.write(u64::MAX, 1, &buf),
             Err(BlockError::OutOfRange { .. })
         ));
+        let mut out = [0u8; 512];
+        assert!(matches!(
+            d.read(8, 1, &mut out),
+            Err(BlockError::OutOfRange { .. })
+        ));
     }
 
     #[test]
     fn zero_count_rejected() {
-        let d = RamDisk::new(512, 8);
+        let d = SharedRamDisk::new(512, 8);
         let mut buf = vec![];
         assert!(matches!(
             d.read(0, 0, &mut buf),
@@ -332,7 +278,7 @@ mod tests {
 
     #[test]
     fn buffer_length_must_match() {
-        let d = RamDisk::new(512, 8);
+        let d = SharedRamDisk::new(512, 8);
         let mut small = vec![0u8; 100];
         let err = d.read(0, 1, &mut small).unwrap_err();
         assert_eq!(
@@ -343,47 +289,30 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("100"));
+        assert!(matches!(
+            d.write(0, 1, &small),
+            Err(BlockError::BadBuffer { .. })
+        ));
     }
 
     #[test]
     #[should_panic(expected = "power of two")]
     fn non_power_of_two_block_size_rejected() {
-        let _ = RamDisk::new(500, 8);
+        let _ = SharedRamDisk::new(500, 8);
     }
 
     #[test]
-    fn shared_disk_preserves_bytes_across_conversion() {
-        let mut d = RamDisk::new(512, 16);
-        d.write(3, 1, &[0x42u8; 512]).unwrap();
-        let shared = d.into_shared();
-        assert_eq!(shared.block_size(), 512);
-        assert_eq!(shared.capacity_blocks(), 16);
+    fn clones_are_views_of_one_storage() {
+        let shared = SharedRamDisk::new(512, 16);
+        shared.write(3, 1, &[0x42u8; 512]).unwrap();
+        let view = shared.clone();
         let mut out = [0u8; 512];
-        shared.read(3, 1, &mut out).unwrap();
+        view.read(3, 1, &mut out).unwrap();
         assert!(out.iter().all(|&b| b == 0x42));
         // Writes through one clone are visible through another.
-        let view = shared.clone();
         shared.write(5, 1, &[7u8; 512]).unwrap();
         view.read(5, 1, &mut out).unwrap();
         assert!(out.iter().all(|&b| b == 7));
-    }
-
-    #[test]
-    fn shared_disk_rejects_bad_ranges() {
-        let d = SharedRamDisk::new(512, 4);
-        let mut buf = [0u8; 512];
-        assert!(matches!(
-            d.read(4, 1, &mut buf),
-            Err(BlockError::OutOfRange { .. })
-        ));
-        assert!(matches!(
-            d.write(0, 1, &buf[..100]),
-            Err(BlockError::BadBuffer { .. })
-        ));
-        assert!(matches!(
-            d.write(u64::MAX, 1, &buf),
-            Err(BlockError::OutOfRange { .. })
-        ));
     }
 
     #[test]
@@ -417,7 +346,7 @@ mod tests {
 
     #[test]
     fn overlapping_writes_last_wins() {
-        let mut d = RamDisk::new(512, 8);
+        let d = SharedRamDisk::new(512, 8);
         d.write(0, 1, &[1u8; 512]).unwrap();
         d.write(0, 1, &[2u8; 512]).unwrap();
         let mut out = [0u8; 512];

@@ -36,7 +36,7 @@
 //! the coordinator grows a second, *completion-decoupled* face:
 //!
 //! - [`submit_sync`](GroupCommit::submit_sync) enrolls a barrier ticket
-//!   and returns a [`SyncHandle`] immediately — no blocking, no
+//!   and returns a [`BarrierTicket`] immediately — no blocking, no
 //!   allocation. The worker is woken through a condvar.
 //! - The worker loops on `next_sync_request` / `complete_sync`
 //!   (crate-private worker rounds): each round snapshots
@@ -58,36 +58,10 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 
+use oaf_ssd::block::{BarrierPoll, BarrierTicket};
 use oaf_ssd::ram::BlockError;
 
 use crate::metrics::StoreMetrics;
-
-/// Outcome of polling a submitted barrier ticket.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SyncStatus {
-    /// The covering sync has not finished yet; poll again later.
-    Pending,
-    /// Every record at or below the ticket's sequence is on the platter.
-    Durable,
-    /// The sync covering this ticket failed; the write is journaled but
-    /// not known durable. Later tickets may still succeed.
-    Failed,
-}
-
-/// A parked durability barrier: the sequence number whose durability the
-/// submitter is waiting on. `Copy` and allocation-free by design — the
-/// reactor parks these in preallocated rings.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SyncHandle {
-    seq: u64,
-}
-
-impl SyncHandle {
-    /// The record sequence this ticket waits on.
-    pub fn seq(&self) -> u64 {
-        self.seq
-    }
-}
 
 /// Coordinator state: the durability watermark plus the in-flight flag.
 #[derive(Default)]
@@ -149,10 +123,10 @@ impl GroupCommit {
     }
 
     /// Enroll a non-blocking barrier ticket for `seq` and wake the sync
-    /// worker. Allocation-free. The returned handle is resolved with
+    /// worker. Allocation-free. The returned ticket is resolved with
     /// [`poll_sync`](GroupCommit::poll_sync); a ticket that is already
     /// durable resolves on the first poll.
-    pub fn submit_sync(&self, seq: u64, metrics: &StoreMetrics) -> SyncHandle {
+    pub fn submit_sync(&self, seq: u64, metrics: &StoreMetrics) -> BarrierTicket {
         let mut guard = self.state.lock().expect("commit lock poisoned");
         metrics.barriers_offloaded.inc();
         if guard.durable_seq < seq {
@@ -165,20 +139,20 @@ impl GroupCommit {
                 .set((guard.tickets + guard.syncing_tickets) as i64);
             self.work.notify_one();
         }
-        SyncHandle { seq }
+        BarrierTicket::new(seq)
     }
 
     /// Lock-free status probe for a submitted ticket. Durability is
     /// checked first: a later successful sync genuinely covered the
     /// ticket even if an earlier round failed.
     #[inline]
-    pub fn poll_sync(&self, handle: SyncHandle) -> SyncStatus {
-        if self.durable.load(Ordering::Acquire) >= handle.seq {
-            SyncStatus::Durable
-        } else if self.failed.load(Ordering::Acquire) >= handle.seq {
-            SyncStatus::Failed
+    pub fn poll_sync(&self, ticket: BarrierTicket) -> BarrierPoll {
+        if self.durable.load(Ordering::Acquire) >= ticket.seq() {
+            BarrierPoll::Durable
+        } else if self.failed.load(Ordering::Acquire) >= ticket.seq() {
+            BarrierPoll::Failed
         } else {
-            SyncStatus::Pending
+            BarrierPoll::Pending
         }
     }
 
@@ -464,20 +438,20 @@ mod tests {
         gc.attach_worker();
         let h1 = gc.submit_sync(1, &m);
         let h2 = gc.submit_sync(2, &m);
-        assert_eq!(gc.poll_sync(h1), SyncStatus::Pending);
+        assert_eq!(gc.poll_sync(h1), BarrierPoll::Pending);
         assert_eq!(m.sync_queue_depth.get(), 2);
         assert_eq!(m.barriers_offloaded.get(), 2);
         // Play the worker: one round covers both tickets.
         let target = gc.next_sync_request().expect("work pending");
         assert_eq!(target, 2);
         gc.complete_sync(target, Ok(5), &m);
-        assert_eq!(gc.poll_sync(h1), SyncStatus::Durable);
-        assert_eq!(gc.poll_sync(h2), SyncStatus::Durable);
+        assert_eq!(gc.poll_sync(h1), BarrierPoll::Durable);
+        assert_eq!(gc.poll_sync(h2), BarrierPoll::Durable);
         assert_eq!(m.sync_queue_depth.get(), 0);
         assert_eq!(m.commit_batch.snapshot().count, 1);
         // Already-durable submits resolve on the first poll, no new work.
         let h3 = gc.submit_sync(4, &m);
-        assert_eq!(gc.poll_sync(h3), SyncStatus::Durable);
+        assert_eq!(gc.poll_sync(h3), BarrierPoll::Durable);
     }
 
     #[test]
@@ -489,19 +463,19 @@ mod tests {
         let h2 = gc.submit_sync(2, &m);
         let target = gc.next_sync_request().unwrap();
         gc.complete_sync(target, Err(BlockError::Io("dead".into())), &m);
-        assert_eq!(gc.poll_sync(h1), SyncStatus::Failed);
-        assert_eq!(gc.poll_sync(h2), SyncStatus::Failed);
+        assert_eq!(gc.poll_sync(h1), BarrierPoll::Failed);
+        assert_eq!(gc.poll_sync(h2), BarrierPoll::Failed);
         // A ticket submitted after the failure is NOT failed by it…
         let h3 = gc.submit_sync(3, &m);
-        assert_eq!(gc.poll_sync(h3), SyncStatus::Pending);
+        assert_eq!(gc.poll_sync(h3), BarrierPoll::Pending);
         // …and a later successful round makes everything durable —
         // including the earlier tickets, whose records the new device
         // barrier genuinely covered (durability wins over failure).
         let target = gc.next_sync_request().unwrap();
         assert_eq!(target, 3);
         gc.complete_sync(target, Ok(3), &m);
-        assert_eq!(gc.poll_sync(h3), SyncStatus::Durable);
-        assert_eq!(gc.poll_sync(h1), SyncStatus::Durable);
+        assert_eq!(gc.poll_sync(h3), BarrierPoll::Durable);
+        assert_eq!(gc.poll_sync(h1), BarrierPoll::Durable);
     }
 
     #[test]

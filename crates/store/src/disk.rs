@@ -65,11 +65,11 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
-use oaf_ssd::block::BlockStore;
+use oaf_ssd::block::{BarrierPoll, BarrierTicket, BlockStore};
 use oaf_ssd::ram::{check_range, BlockError};
 
 use crate::cache::BlockCache;
-use crate::commit::{GroupCommit, SyncHandle, SyncStatus};
+use crate::commit::GroupCommit;
 use crate::log::{
     rec_len, RecordHeader, RecordKind, Superblock, LOG_OFFSET, REC_FLAG_FUA, REC_HDR_LEN,
     SB_SLOT_LEN, SB_VERSION,
@@ -125,7 +125,7 @@ fn io_err(ctx: &str, e: std::io::Error) -> BlockError {
 }
 
 /// A durable, log-structured, file-backed block device. Drop-in behind
-/// a `Namespace` wherever `RamDisk` goes; [`FileDisk::into_shared`] is
+/// a `Namespace` wherever the RAM disk goes; [`FileDisk::into_shared`] is
 /// the multi-queue form.
 pub struct FileDisk {
     vfs: Box<dyn Vfs>,
@@ -974,10 +974,9 @@ impl SharedFileDisk {
     /// durability barrier — blocking [`write`](SharedFileDisk::write)/
     /// [`flush`](SharedFileDisk::flush) calls included — is served by
     /// the worker's `fdatasync` instead of one taken on the calling
-    /// thread, and the non-blocking
-    /// [`write_async`](SharedFileDisk::write_async)/
-    /// [`flush_async`](SharedFileDisk::flush_async) paths become
-    /// available.
+    /// thread, and [`BlockStore::write_submit`]/
+    /// [`BlockStore::flush_submit`] hand out tickets instead of
+    /// blocking.
     ///
     /// `sync_vfs` must be a second handle onto the *same backing
     /// storage* whose `sync` makes the disk handle's writes durable —
@@ -1004,17 +1003,6 @@ impl SharedFileDisk {
         }
     }
 
-    /// True when barriers are offloaded to a sync worker — the
-    /// precondition for the `*_async` submit paths to return tickets.
-    pub fn sync_offloaded(&self) -> bool {
-        self.commit.offloaded()
-    }
-
-    /// Non-blocking poll of a submitted barrier ticket (lock-free).
-    #[inline]
-    pub fn poll_barrier(&self, handle: SyncHandle) -> SyncStatus {
-        self.commit.poll_sync(handle)
-    }
     /// Block size in bytes.
     pub fn block_size(&self) -> u32 {
         self.block_size
@@ -1045,6 +1033,19 @@ impl SharedFileDisk {
             .barrier(seq, &self.metrics, || self.inner.lock().seal())
     }
 
+    /// The ticket-or-block decision for a barrier on record `seq`, the
+    /// one place outside [`GroupCommit`] that asks whether a worker is
+    /// attached: with one the barrier is submitted and the ticket
+    /// handed back, without one it is retired here and now.
+    fn submit_barrier(&self, seq: u64) -> Result<Option<BarrierTicket>, BlockError> {
+        if self.commit.offloaded() {
+            Ok(Some(self.commit.submit_sync(seq, &self.metrics)))
+        } else {
+            self.barrier(seq)?;
+            Ok(None)
+        }
+    }
+
     /// Reads `count` blocks starting at `lba` into `buf`.
     pub fn read(&self, lba: u64, count: u32, buf: &mut [u8]) -> Result<(), BlockError> {
         self.inner.lock().read(lba, count, buf)
@@ -1059,47 +1060,6 @@ impl SharedFileDisk {
             self.barrier(seq)?;
         }
         Ok(())
-    }
-
-    /// Journals (and applies/caches) a write like
-    /// [`write`](SharedFileDisk::write), but when `fua` is set and a
-    /// sync worker is attached, the durability barrier is *submitted*
-    /// instead of awaited: the returned [`SyncHandle`] parks until
-    /// [`poll_barrier`](SharedFileDisk::poll_barrier) reports it
-    /// durable (or failed). Without a worker — or without `fua` — this
-    /// degenerates to the blocking semantics and returns `None`
-    /// already-retired.
-    pub fn write_async(
-        &self,
-        lba: u64,
-        count: u32,
-        buf: &[u8],
-        fua: bool,
-    ) -> Result<Option<SyncHandle>, BlockError> {
-        let seq = self.inner.lock().write_journaled(lba, count, buf, fua)?;
-        if !fua {
-            return Ok(None);
-        }
-        if self.commit.offloaded() {
-            Ok(Some(self.commit.submit_sync(seq, &self.metrics)))
-        } else {
-            self.barrier(seq)?;
-            Ok(None)
-        }
-    }
-
-    /// Journals a Flush and submits its barrier to the sync worker,
-    /// returning a parked [`SyncHandle`]; falls back to the blocking
-    /// group-commit barrier (returning `None`) when no worker is
-    /// attached.
-    pub fn flush_async(&self) -> Result<Option<SyncHandle>, BlockError> {
-        let seq = self.inner.lock().append_flush_record()?;
-        if self.commit.offloaded() {
-            Ok(Some(self.commit.submit_sync(seq, &self.metrics)))
-        } else {
-            self.barrier(seq)?;
-            Ok(None)
-        }
     }
 
     /// Zeroes `count` blocks starting at `lba` (journaled).
@@ -1147,6 +1107,40 @@ impl BlockStore for SharedFileDisk {
 
     fn flush(&mut self) -> Result<(), BlockError> {
         SharedFileDisk::flush(self)
+    }
+
+    /// Journals (and applies/caches) the write; an FUA barrier is
+    /// *submitted* to the sync worker when one is attached, and the
+    /// returned ticket parks until
+    /// [`poll_barrier`](BlockStore::poll_barrier) reports it durable
+    /// (or failed). Without a worker — or without `fua` — this is the
+    /// blocking [`write`](SharedFileDisk::write).
+    fn write_submit(
+        &mut self,
+        lba: u64,
+        count: u32,
+        buf: &[u8],
+        fua: bool,
+    ) -> Result<Option<BarrierTicket>, BlockError> {
+        let seq = self.inner.lock().write_journaled(lba, count, buf, fua)?;
+        if fua {
+            self.submit_barrier(seq)
+        } else {
+            Ok(None)
+        }
+    }
+
+    /// Journals a Flush and submits its barrier to the sync worker;
+    /// the blocking group-commit barrier when no worker is attached.
+    fn flush_submit(&mut self) -> Result<Option<BarrierTicket>, BlockError> {
+        let seq = self.inner.lock().append_flush_record()?;
+        self.submit_barrier(seq)
+    }
+
+    /// Lock-free: two atomic loads.
+    #[inline]
+    fn poll_barrier(&self, ticket: BarrierTicket) -> BarrierPoll {
+        self.commit.poll_sync(ticket)
     }
 }
 
@@ -1453,11 +1447,7 @@ mod tests {
 
     use crate::vfs::SharedMemVfs;
 
-    fn poll_until(
-        d: &SharedFileDisk,
-        h: crate::commit::SyncHandle,
-        want: crate::commit::SyncStatus,
-    ) {
+    fn poll_until(d: &SharedFileDisk, h: BarrierTicket, want: BarrierPoll) {
         let deadline = Instant::now() + std::time::Duration::from_secs(5);
         loop {
             let got = d.poll_barrier(h);
@@ -1466,7 +1456,7 @@ mod tests {
             }
             assert_eq!(
                 got,
-                crate::commit::SyncStatus::Pending,
+                BarrierPoll::Pending,
                 "ticket resolved to the wrong state"
             );
             assert!(Instant::now() < deadline, "ticket never left Pending");
@@ -1475,23 +1465,23 @@ mod tests {
     }
 
     #[test]
-    fn offloaded_write_async_parks_then_retires() {
+    fn offloaded_write_submit_parks_then_retires() {
         let vfs = SharedMemVfs::new();
-        let d = FileDisk::create_on(Box::new(vfs.clone()), 512, 64, 64 * 1024)
+        let mut d = FileDisk::create_on(Box::new(vfs.clone()), 512, 64, 64 * 1024)
             .unwrap()
             .into_shared()
             .with_sync_worker(Box::new(vfs));
-        assert!(d.sync_offloaded());
+        assert!(d.group_commit().offloaded());
         let h = d
-            .write_async(3, 1, &[0x5au8; 512], true)
+            .write_submit(3, 1, &[0x5au8; 512], true)
             .unwrap()
             .expect("fua on an offloaded disk returns a ticket");
-        poll_until(&d, h, crate::commit::SyncStatus::Durable);
+        poll_until(&d, h, BarrierPoll::Durable);
         // Plain writes never ticket; blocking FUA rides the worker.
-        assert!(d.write_async(4, 1, &[1u8; 512], false).unwrap().is_none());
+        assert!(d.write_submit(4, 1, &[1u8; 512], false).unwrap().is_none());
         d.write(5, 1, &[2u8; 512], true).unwrap();
-        let h2 = d.flush_async().unwrap().expect("flush tickets too");
-        poll_until(&d, h2, crate::commit::SyncStatus::Durable);
+        let h2 = d.flush_submit().unwrap().expect("flush tickets too");
+        poll_until(&d, h2, BarrierPoll::Durable);
         let m = d.metrics();
         assert!(m.barriers_offloaded.get() >= 3);
         assert_eq!(m.barriers_inline.get(), 0, "no barrier ran inline");
@@ -1504,19 +1494,19 @@ mod tests {
     #[test]
     fn worker_sync_failure_fails_parked_tickets_then_recovers() {
         let vfs = SharedMemVfs::new();
-        let d = FileDisk::create_on(Box::new(vfs.clone()), 512, 64, 64 * 1024)
+        let mut d = FileDisk::create_on(Box::new(vfs.clone()), 512, 64, 64 * 1024)
             .unwrap()
             .into_shared()
             .with_sync_worker(Box::new(vfs.clone()));
         vfs.set_fail_sync(true);
-        let h = d.write_async(0, 1, &[9u8; 512], true).unwrap().unwrap();
-        poll_until(&d, h, crate::commit::SyncStatus::Failed);
+        let h = d.write_submit(0, 1, &[9u8; 512], true).unwrap().unwrap();
+        poll_until(&d, h, BarrierPoll::Failed);
         // Blocking path surfaces the same failure as an error…
         assert!(d.write(1, 1, &[8u8; 512], true).is_err());
         // …and once the device heals, new barriers succeed.
         vfs.set_fail_sync(false);
-        let h2 = d.write_async(2, 1, &[7u8; 512], true).unwrap().unwrap();
-        poll_until(&d, h2, crate::commit::SyncStatus::Durable);
+        let h2 = d.write_submit(2, 1, &[7u8; 512], true).unwrap().unwrap();
+        poll_until(&d, h2, BarrierPoll::Durable);
     }
 
     #[test]

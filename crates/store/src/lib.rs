@@ -2,7 +2,7 @@
 //!
 //! The persistence layer behind the NVMe-oAF target: a
 //! [`FileDisk`]/[`SharedFileDisk`] pair that slots in behind a
-//! `Namespace` anywhere `RamDisk`/`SharedRamDisk` does, but survives
+//! `Namespace` anywhere `SharedRamDisk` does, but survives
 //! process death.
 //!
 //! * **Data journaling.** Every mutation (write, TRIM, Write Zeroes,
@@ -21,11 +21,14 @@
 //!   views coalesce into one `fdatasync` per batch window via a ticket
 //!   protocol ([`commit::GroupCommit`]).
 //! * **Async durability pipeline.** With a sync worker attached
-//!   ([`SharedFileDisk::with_sync_worker`]), barriers are *submitted*
-//!   as tickets ([`commit::SyncHandle`]) and resolved by a lock-free
-//!   poll — the `fdatasync` runs on the worker with the disk lock
-//!   released, so reads and journaled writes flow at full rate while a
-//!   sync is in flight.
+//!   ([`SharedFileDisk::with_sync_worker`]), the trait's
+//!   `write_submit`/`flush_submit` hand back an
+//!   [`oaf_ssd::BarrierTicket`] resolved by a lock-free poll — the
+//!   `fdatasync` runs on the worker with the disk lock released, so
+//!   reads and journaled writes flow at full rate while a sync is in
+//!   flight. Whether a barrier tickets or blocks is decided in one
+//!   place, [`SharedFileDisk`]'s `BlockStore` impl; every other store
+//!   takes the trait's provided (blocking, never-ticketing) methods.
 //! * **Block cache.** A fixed-capacity segmented-LRU write-back cache
 //!   ([`cache::BlockCache`]) serves read hits with zero syscalls and
 //!   defers in-place applies; dirty entries are pinned to journal
@@ -48,6 +51,6 @@ pub mod metrics;
 pub mod vfs;
 
 pub use cache::BlockCache;
-pub use commit::{GroupCommit, SyncHandle, SyncStatus};
+pub use commit::GroupCommit;
 pub use disk::{CacheAdaptConfig, FileDisk, SharedFileDisk, DEFAULT_LOG_BYTES};
 pub use metrics::StoreMetrics;
