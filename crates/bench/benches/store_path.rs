@@ -287,6 +287,31 @@ fn bench_real_file_fdatasync(c: &mut Criterion) {
                 lba = (lba + u64::from(nlb)) % (4096 - 16);
             })
         });
+        // A barrier over a dirty write-back cache: DIRTY scattered 4 KiB
+        // blocks parked dirty (untimed), then the timed `flush`. The
+        // barrier syncs the journal; the blocks stay cached until
+        // eviction or a checkpoint drains them.
+        const DIRTY: u64 = 256;
+        let mut disk = disk.with_cache(2 * DIRTY as usize).expect("cache");
+        let block = [0xcdu8; BS];
+        let mut round = 0u64;
+        g.throughput(Throughput::Elements(DIRTY));
+        g.bench_with_input(BenchmarkId::new("cached-flush", DIRTY), &DIRTY, |b, &n| {
+            b.iter_custom(|iters| {
+                let mut flushing = std::time::Duration::ZERO;
+                for _ in 0..iters {
+                    for i in 0..n {
+                        let lba = (i * 613 + round * 7) % 4096;
+                        disk.write(lba, 1, &block, false).expect("write");
+                    }
+                    round += 1;
+                    let t0 = std::time::Instant::now();
+                    disk.flush().expect("flush");
+                    flushing += t0.elapsed();
+                }
+                flushing
+            })
+        });
     }
     let _ = std::fs::remove_file(&path);
     g.finish();

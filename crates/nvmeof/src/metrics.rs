@@ -334,6 +334,11 @@ pub struct TargetMetrics {
     /// Wall time a parked barrier completion waited for its sync ticket
     /// to retire, nanoseconds.
     pub barrier_park_ns: Histo,
+    /// Timed transport waits the single-connection loop entered while
+    /// this connection held a parked completion — each one a release
+    /// left to a timer. A parked completion keeps both idle paths
+    /// polling, so this stays 0.
+    pub timer_wakeups: Counter,
     /// Payload bytes moved at the device copy (reads and writes, inline
     /// or shared-memory) — the counter the serve pass's mid-pass flush
     /// budget reads.
@@ -361,6 +366,7 @@ impl TargetMetrics {
         scope.adopt_counter("corrupt_frames", &self.corrupt_frames);
         scope.adopt_counter("barriers_parked", &self.barriers_parked);
         scope.adopt_histo("barrier_park_ns", &self.barrier_park_ns);
+        scope.adopt_counter("timer_wakeups", &self.timer_wakeups);
         scope.adopt_counter("payload_bytes", &self.payload_bytes);
     }
 }

@@ -382,7 +382,11 @@ mod tests {
 
     #[test]
     fn cached_file_backed_namespace_serves_hits_and_stays_durable() {
-        let mut ns = Namespace::with_file(1, mem_disk().with_cache(8).unwrap());
+        let vfs = SharedMemVfs::new();
+        let disk = FileDisk::create_on(Box::new(vfs.clone()), BS as u32, BLOCKS, 64 * 1024)
+            .and_then(|d| d.with_cache(8))
+            .unwrap();
+        let mut ns = Namespace::with_file(1, disk);
         assert_eq!(ns.write(3, 1, &[0x77u8; 512], false), Status::Success);
         let mut out = [0u8; 512];
         assert_eq!(ns.read(3, 1, &mut out), Status::Success);
@@ -392,14 +396,26 @@ mod tests {
             m.cache_hits.get() >= 1,
             "write-allocate must serve the read"
         );
-        // FUA through the cache drains dirty entries before the sync.
+        // A FUA write makes the journal durable, not the cache: its block
+        // parks dirty like any other and nothing is written back.
+        let writebacks = m.cache_writebacks.get();
         assert_eq!(ns.write(4, 1, &[0x88u8; 512], true), Status::Success);
-        assert_eq!(m.cache_dirty.get(), 0, "barrier leaves no dirty entries");
+        assert_eq!(m.cache_dirty.get(), 2, "barrier leaves the dirty entries");
         // Shared views keep the same cache + journal.
         let mut b = ns.share();
         assert_eq!(b.write(5, 1, &[0x99u8; 512], false), Status::Success);
         assert_eq!(b.flush_submit(), (Status::Success, None));
+        assert_eq!(m.cache_dirty.get(), 3);
+        assert_eq!(m.cache_writebacks.get(), writebacks);
+        assert_eq!(m.checkpoints.get(), 0);
         assert_eq!(ns.read(5, 1, &mut out), Status::Success);
         assert_eq!(out[0], 0x99);
+        // The image as the barrier left it, no checkpoint since: every
+        // acknowledged byte comes back through journal replay.
+        let reopened = FileDisk::open_on(Box::new(MemVfs::from_image(vfs.image()))).unwrap();
+        for (lba, stamp) in [(3u64, 0x77u8), (4, 0x88), (5, 0x99)] {
+            reopened.read(lba, 1, &mut out).unwrap();
+            assert!(out.iter().all(|&b| b == stamp), "lba {lba} lost");
+        }
     }
 }

@@ -159,14 +159,27 @@ impl LiveConnection {
         Ok(progress)
     }
 
+    /// Whether a completion is parked on a sync ticket. That is work
+    /// outstanding whose producer — the store's sync worker — cannot
+    /// wake an idle loop, so no idle path may sleep while it is held:
+    /// the loop polls until [`pass`](LiveConnection::pass) releases it.
+    pub(crate) fn has_parked(&self) -> bool {
+        self.conn.parked_barriers() > 0
+    }
+
     /// The single-connection loop's idle step: park in the transport for
     /// up to `timeout` and execute the frame that ends the wait, if any.
     /// Its answers leave with the next [`pass`](LiveConnection::pass).
+    /// Callers poll instead while [`has_parked`](LiveConnection::has_parked);
+    /// a wait entered anyway is counted in `timer_wakeups`.
     pub(crate) fn wait_frame(
         &mut self,
         controller: &mut Controller,
         timeout: Duration,
     ) -> Result<(), NvmeofError> {
+        if self.has_parked() {
+            self.conn.metrics().timer_wakeups.inc();
+        }
         match self.transport.recv_timeout(timeout) {
             Ok(Some(frame)) => {
                 let handled = self
@@ -225,7 +238,9 @@ impl Reactor {
 
     /// Advances the adaptive idle policy after a poll pass: spin while
     /// the next arrival is expected within the learned budget, back off
-    /// exponentially past it.
+    /// exponentially past it — unless a completion is parked, which is
+    /// outstanding work: then yield and poll again, so its release
+    /// waits for the sync worker, never for the back-off timer.
     fn idle_step(&mut self, progressed: bool) {
         if progressed {
             self.poller.observe(
@@ -236,6 +251,8 @@ impl Reactor {
             self.idle_sleep = Self::IDLE_SLEEP_MIN;
         } else if self.last_work.elapsed() < self.poller.budget(PollClass::Read) {
             std::hint::spin_loop();
+        } else if self.live.iter().any(LiveConnection::has_parked) {
+            std::thread::yield_now();
         } else {
             std::thread::sleep(self.idle_sleep);
             self.idle_sleep = (self.idle_sleep * 2).min(Self::IDLE_SLEEP_MAX);
@@ -404,6 +421,63 @@ mod tests {
         a.disconnect().unwrap();
         b.disconnect().unwrap();
         handle.shutdown().unwrap();
+    }
+
+    #[test]
+    fn a_timed_wait_entered_with_a_parked_completion_is_counted() {
+        use crate::nvme::command::NvmeCommand;
+        use crate::pdu::{CapsuleCmd, DataRef, ICReq};
+        use oaf_store::vfs::SharedMemVfs;
+
+        let vfs = SharedMemVfs::new();
+        let disk = oaf_store::FileDisk::create_on(Box::new(vfs.clone()), 4096, 64, 256 * 1024)
+            .unwrap()
+            .into_shared()
+            .with_sync_worker(Box::new(vfs.clone()));
+        let mut ctrl = Controller::new();
+        ctrl.add_namespace(Namespace::with_shared_file(1, disk));
+        let (client, served) = MemTransport::pair();
+        let mut live = LiveConnection::build(
+            ConnectionSpec {
+                transport: Box::new(served),
+                cfg: TargetConfig::default(),
+                payload: None,
+                scope: None,
+            },
+            0,
+            None,
+        );
+        vfs.hold_syncs(true);
+        let icreq = ICReq {
+            pfv: 1,
+            maxr2t: 4,
+            af_caps: 0,
+            host_id: 7,
+        };
+        client.send(Pdu::ICReq(icreq).encode()).unwrap();
+        let fua = CapsuleCmd {
+            cmd: NvmeCommand::write_fua(1, 1, 0, 1),
+            data: Some(DataRef::Inline(Bytes::from(vec![0xab; 4096]))),
+        };
+        client.send(Pdu::CapsuleCmd(fua).encode()).unwrap();
+        live.pass(&mut ctrl).unwrap();
+        assert!(live.has_parked(), "the FUA completion parks on its ticket");
+        let metrics = Arc::clone(live.conn.metrics());
+        live.wait_frame(&mut ctrl, Duration::from_micros(100))
+            .unwrap();
+        assert_eq!(metrics.timer_wakeups.get(), 1);
+        vfs.hold_syncs(false);
+        while live.has_parked() {
+            live.pass(&mut ctrl).unwrap();
+            std::thread::yield_now();
+        }
+        live.wait_frame(&mut ctrl, Duration::from_micros(100))
+            .unwrap();
+        assert_eq!(
+            metrics.timer_wakeups.get(),
+            1,
+            "nothing parked, nothing counted"
+        );
     }
 
     #[test]

@@ -540,8 +540,20 @@ impl TargetConnection {
             }
             None => {
                 // Conservative flow: grant an R2T for the whole
-                // transfer (Fig. 7 step 2).
-                let granted = self.transfer_len(&cmd, ctrl);
+                // transfer (Fig. 7 step 2) — once the wire's range is
+                // known to fit, since the grant later sizes a staging
+                // buffer.
+                let (granted, status) = match ctrl.namespace(cmd.nsid) {
+                    Some(ns) => {
+                        let len = cmd.transfer_len(ns.block_size()) as usize;
+                        (len, ns.check(cmd.slba, cmd.nlb, len))
+                    }
+                    None => (0, Status::InvalidNamespace),
+                };
+                if !status.is_ok() {
+                    self.finish(cmd.gseq, NvmeCompletion::error(cmd.cid, status), out);
+                    return Ok(());
+                }
                 let ttag = self.next_ttag;
                 self.next_ttag = self.next_ttag.wrapping_add(1).max(1);
                 self.pending_writes.insert(
@@ -772,12 +784,6 @@ impl TargetConnection {
         self.finish(cmd.gseq, comp, out);
         Ok(())
     }
-
-    fn transfer_len(&self, cmd: &NvmeCommand, ctrl: &Controller) -> usize {
-        ctrl.namespace(cmd.nsid)
-            .map(|ns| cmd.transfer_len(ns.block_size()) as usize)
-            .unwrap_or(0)
-    }
 }
 
 /// The control-plane end of one reactor: its admin mailbox, its stats,
@@ -866,6 +872,12 @@ pub fn spawn_target<T: Transport + 'static>(
 /// cannot park per connection without `wait_frame`'s owned frame, an
 /// allocation per wake that the sharded steady state forbids. The two
 /// merge once the reactor has a wake source (ROADMAP item 1).
+///
+/// The transport is the only thing that can end that wait early, so
+/// while a completion is parked on a sync ticket — released by the
+/// store's sync worker, not by a frame — the loop does not park: it
+/// yields and passes again until the release, which then waits for the
+/// worker's `fdatasync` alone, never for the 1 ms timer.
 pub fn spawn_target_observed<T: Transport + 'static>(
     transport: T,
     mut controller: Controller,
@@ -889,7 +901,12 @@ pub fn spawn_target_observed<T: Transport + 'static>(
         .name("nvmeof-target".into())
         .spawn(move || {
             while !stop.load(Ordering::Acquire) && live.alive {
-                if live.pass(&mut controller)? == 0 {
+                if live.pass(&mut controller)? > 0 {
+                    continue;
+                }
+                if live.has_parked() {
+                    std::thread::yield_now();
+                } else {
                     // Idle: bounded spin→yield wait inside the
                     // transport, never a blind spin.
                     live.wait_frame(&mut controller, Duration::from_millis(1))?;
@@ -1136,6 +1153,51 @@ mod tests {
                 other => panic!("shm={shm}: expected one CapsuleResp, got {other:?}"),
             }
             assert!(!conn.terminated());
+        }
+    }
+
+    /// Host-data capsules without data whose range does not fit — a
+    /// 16 TiB `nlb`, a range past the end — are refused with a typed
+    /// status instead of an R2T: the grant would let a short LAST chunk
+    /// size the staging buffer to the whole transfer.
+    #[test]
+    fn oversized_r2t_write_capsule_gets_a_status_not_a_grant() {
+        let mut ctrl = controller();
+        let mut conn = TargetConnection::new(TargetConfig::default(), None);
+        handshake(&mut conn, &mut ctrl, 0);
+        for cmd in [
+            NvmeCommand::write(1, 1, 0, u32::MAX),
+            NvmeCommand::compare(2, 1, 0, u32::MAX),
+            NvmeCommand::write(3, 1, 1020, 8),
+        ] {
+            let capsule = Pdu::CapsuleCmd(CapsuleCmd { cmd, data: None }).encode();
+            let mut out = Vec::new();
+            conn.handle(Frame::Owned(capsule), &mut ctrl, &mut out)
+                .unwrap();
+            match out.as_slice() {
+                [Pdu::CapsuleResp(r)] => {
+                    assert_eq!(r.completion.cid, cmd.cid);
+                    assert_eq!(r.completion.status, Status::LbaOutOfRange);
+                }
+                other => panic!("nlb {}: expected one CapsuleResp, got {other:?}", cmd.nlb),
+            }
+        }
+        assert!(!conn.terminated());
+        assert_eq!(conn.metrics().r2t_grants.get(), 0);
+        // The connection keeps granting transfers that fit.
+        let frames = conn
+            .on_frame(
+                Pdu::CapsuleCmd(CapsuleCmd {
+                    cmd: NvmeCommand::write(4, 1, 1016, 8),
+                    data: None,
+                })
+                .encode(),
+                &mut ctrl,
+            )
+            .unwrap();
+        match Pdu::decode(frames[0].clone()).unwrap() {
+            Pdu::R2T(r) => assert_eq!(r.len, 8 * 4096),
+            other => panic!("{other:?}"),
         }
     }
 

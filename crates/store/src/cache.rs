@@ -22,7 +22,7 @@
 //! record carrying its payload. The write path appends that record
 //! **before** inserting the entry, so by construction every dirty block
 //! the cache can ever write back is already present in the log:
-//! writing it to the data region early (eviction) or late (barrier
+//! writing it to the data region early (eviction) or late (checkpoint
 //! drain) is indistinguishable from the uncached path's
 //! append-then-apply ordering, and recovery's replay heals any torn
 //! interleaving. The one order that must never happen — folding the

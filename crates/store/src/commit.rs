@@ -19,7 +19,9 @@
 //!    coordination lock, take the disk lock, and sync *everything
 //!    appended so far* (the covered sequence is read under the disk
 //!    lock, so no append can sneak past it). Publish the covered
-//!    sequence, wake every waiter.
+//!    sequence, wake every waiter. The sync is of the journal alone:
+//!    the store journals every payload, so dirty cache blocks need not
+//!    reach the data region first (only a checkpoint drains them).
 //! 3. **follower** — a sync is in flight: park on the condvar. The
 //!    leader's wakeup re-runs the loop, so a ticket the finished sync
 //!    did not cover elects the next leader instead of being lost — no
@@ -40,11 +42,14 @@
 //!   allocation. The worker is woken through a condvar.
 //! - The worker loops on `next_sync_request` / `complete_sync`
 //!   (crate-private worker rounds): each round snapshots
-//!   the highest requested sequence, runs one device barrier *off every
-//!   reactor thread*, and publishes either a new `durable_seq` or a
-//!   `failed_seq` watermark equal to the snapshot target — so an error
-//!   fails exactly the set of tickets that were parked behind that sync
-//!   and nothing submitted after it.
+//!   the highest requested sequence, reads the covered watermark under
+//!   the disk lock (no I/O), runs one device barrier *off every reactor
+//!   thread* and off the disk lock, and publishes either a new
+//!   `durable_seq` or a `failed_seq` watermark equal to the snapshot
+//!   target — so an error fails exactly the set of tickets that were
+//!   parked behind that sync and nothing submitted after it. A round
+//!   that retires k tickets counts one `fsyncs` and k − 1
+//!   `fsyncs_coalesced`, the same accounting as the inline path.
 //! - [`poll_sync`](GroupCommit::poll_sync) is a lock-free read of two
 //!   monotonic atomics, cheap enough for a reactor to probe every pass.
 //!   Durability wins over failure: a ticket covered by a *later*
@@ -138,6 +143,8 @@ impl GroupCommit {
                 .sync_queue_depth
                 .set((guard.tickets + guard.syncing_tickets) as i64);
             self.work.notify_one();
+        } else {
+            metrics.fsyncs_coalesced.inc();
         }
         BarrierTicket::new(seq)
     }
@@ -211,8 +218,16 @@ impl GroupCommit {
         match res {
             Ok(covered) => {
                 guard.durable_seq = guard.durable_seq.max(covered);
+                if guard.requested_seq <= guard.durable_seq {
+                    // Tickets enrolled after the snapshot whose records
+                    // this sync still covered retire with it; otherwise
+                    // they count in the round that must follow.
+                    guard.syncing_tickets += std::mem::take(&mut guard.tickets);
+                }
+                let batch = guard.syncing_tickets.max(1);
+                metrics.commit_batch.record(batch);
+                metrics.fsyncs_coalesced.add(batch - 1);
                 self.durable.store(guard.durable_seq, Ordering::Release);
-                metrics.commit_batch.record(guard.syncing_tickets.max(1));
             }
             Err(e) => {
                 guard.failed_seq = guard.failed_seq.max(target);
@@ -449,9 +464,42 @@ mod tests {
         assert_eq!(gc.poll_sync(h2), BarrierPoll::Durable);
         assert_eq!(m.sync_queue_depth.get(), 0);
         assert_eq!(m.commit_batch.snapshot().count, 1);
+        assert_eq!(m.fsyncs_coalesced.get(), 1, "two tickets, one sync");
         // Already-durable submits resolve on the first poll, no new work.
         let h3 = gc.submit_sync(4, &m);
         assert_eq!(gc.poll_sync(h3), BarrierPoll::Durable);
+        assert_eq!(m.fsyncs_coalesced.get(), 2);
+    }
+
+    #[test]
+    fn a_ticket_enrolled_mid_round_is_counted_once() {
+        let gc = GroupCommit::new();
+        let m = StoreMetrics::new();
+        gc.attach_worker();
+        gc.submit_sync(1, &m);
+        let target = gc.next_sync_request().unwrap();
+        // Enrolls after the snapshot, but its record predates the
+        // round's watermark read: the round retires it.
+        let late = gc.submit_sync(2, &m);
+        gc.complete_sync(target, Ok(2), &m);
+        assert_eq!(gc.poll_sync(late), BarrierPoll::Durable);
+        assert_eq!(m.commit_batch.snapshot().count, 1);
+        assert_eq!(m.fsyncs_coalesced.get(), 1);
+        assert_eq!(
+            m.sync_queue_depth.get(),
+            0,
+            "nothing left for a later round"
+        );
+        // Enrolled mid-round and *not* covered: the next round counts it.
+        gc.submit_sync(3, &m);
+        let target = gc.next_sync_request().unwrap();
+        gc.submit_sync(4, &m);
+        gc.complete_sync(target, Ok(3), &m);
+        assert_eq!(m.sync_queue_depth.get(), 1);
+        let target = gc.next_sync_request().unwrap();
+        gc.complete_sync(target, Ok(4), &m);
+        assert_eq!(m.commit_batch.snapshot().count, 3);
+        assert_eq!(m.fsyncs_coalesced.get(), 1, "4 tickets, 3 rounds");
     }
 
     #[test]

@@ -20,9 +20,15 @@
 //! With a [`BlockCache`] configured ([`FileDisk::with_cache`]), step 3
 //! is *deferred*: the payload parks dirty in the cache (pinned to the
 //! record's sequence) and reaches the data region on eviction or at the
-//! next barrier drain. The journal append in step 2 still happens
-//! first, so the deferred apply is indistinguishable from the eager one
-//! to recovery. Read hits are served from the cache with zero syscalls.
+//! next checkpoint. The journal append in step 2 still happens first,
+//! so the deferred apply is indistinguishable from the eager one to
+//! recovery. Read hits are served from the cache with zero syscalls.
+//!
+//! A barrier (FUA, Flush) makes the *journal* durable and nothing else:
+//! its `fdatasync` covers every record up to the barrier's sequence, and
+//! mount replays every one of them, so a dirty block need not reach the
+//! data region first. Only a checkpoint, which folds the log away,
+//! drains the cache.
 //!
 //! Under [`SharedFileDisk`], FUA/Flush barriers go through a
 //! [`GroupCommit`] coordinator: concurrent barriers from many queues
@@ -47,8 +53,9 @@
 //!
 //! ## Checkpoint
 //!
-//! When the log fills: sync everything, bump the epoch, write the
-//! superblock into the *alternate* slot, sync again, reset the tail.
+//! When the log fills: write every dirty cache block back, sync
+//! everything, bump the epoch, write the superblock into the
+//! *alternate* slot, sync again, reset the tail.
 //! Records of the old epoch left in the log region fail the epoch check
 //! on the next open, so the log is logically empty without being
 //! erased.
@@ -443,9 +450,11 @@ impl FileDisk {
     }
 
     /// Writes every dirty cache entry back to the data region. The
-    /// checkpoint-drain invariant lives here: this runs before any sync
-    /// that retires a barrier and before any epoch roll, so a journaled
+    /// checkpoint-drain invariant lives here: this runs before every
+    /// epoch roll (and before the cache is replaced), so a journaled
     /// payload can never exist only in cache once its log is folded.
+    /// Barriers do not call it — the journal they make durable already
+    /// holds every dirty payload.
     fn writeback_all(&mut self) -> Result<(), BlockError> {
         if self.cache.get_mut().dirty_blocks() == 0 {
             return Ok(());
@@ -471,28 +480,27 @@ impl FileDisk {
         Ok(())
     }
 
-    /// Drain the cache and take one durability barrier; returns the
-    /// highest record sequence the barrier covered. This is the `sync`
-    /// closure [`GroupCommit`] leaders run (under the disk lock, so no
-    /// append can slip between the covered-sequence read and the
+    /// Take one durability barrier over the journal; returns the highest
+    /// record sequence it covered. Dirty cache blocks stay cached: their
+    /// records are in the journal this sync makes durable. This is the
+    /// `sync` closure [`GroupCommit`] leaders run (under the disk lock,
+    /// so no append can slip between the covered-sequence read and the
     /// fsync).
     pub(crate) fn seal(&mut self) -> Result<u64, BlockError> {
-        self.writeback_all()?;
         self.sync_barrier()?;
         Ok(self.next_seq - 1)
     }
 
     /// Phase 1 of an *offloaded* barrier, run by the sync worker under
-    /// the disk lock: drain the cache and pin the covered watermark,
-    /// but do **not** sync — the worker issues the `fdatasync` through
-    /// its own vfs handle after releasing this lock, so reads and
-    /// journaled writes keep flowing for the barrier's whole duration.
-    /// Returns `(covered_seq, dirty_bytes_taken)`; the worker accounts
-    /// the bytes to `flushed_bytes` once the sync lands.
-    pub(crate) fn prepare_offload_sync(&mut self) -> Result<(u64, u64), BlockError> {
-        self.writeback_all()?;
+    /// the disk lock: a watermark read with no I/O. The worker issues
+    /// the `fdatasync` through its own vfs handle after releasing this
+    /// lock, so reads and journaled writes keep flowing for the
+    /// barrier's whole duration. Returns `(covered_seq,
+    /// dirty_bytes_taken)`; the worker accounts the bytes to
+    /// `flushed_bytes` once the sync lands.
+    pub(crate) fn prepare_offload_sync(&mut self) -> (u64, u64) {
         let dirty = std::mem::take(&mut self.dirty_bytes);
-        Ok((self.next_seq - 1, dirty))
+        (self.next_seq - 1, dirty)
     }
 
     /// One durability barrier: `fdatasync` + the flushed-bytes/latency
@@ -560,15 +568,16 @@ impl FileDisk {
         Ok(())
     }
 
-    /// Folds the log into the data region: sync everything, bump the
-    /// epoch, persist the superblock into the alternate slot, sync
-    /// again, reset the tail. Crash-safe at every step — either the old
-    /// epoch (replayable log) or the new one (empty log over synced
-    /// data) mounts.
+    /// Folds the log into the data region: drain the cache, sync
+    /// everything, bump the epoch, persist the superblock into the
+    /// alternate slot, sync again, reset the tail. Crash-safe at every
+    /// step — either the old epoch (replayable log) or the new one
+    /// (empty log over synced data) mounts.
     fn checkpoint(&mut self) -> Result<(), BlockError> {
+        let t0 = Instant::now();
         // Dirty cache entries hold journaled-but-unapplied payloads;
         // they must reach the data region before the log folds away
-        // beneath them.
+        // beneath them. Barriers leave them be; this is the one drain.
         self.writeback_all()?;
         self.sync_barrier()?;
         let next = Superblock {
@@ -583,6 +592,7 @@ impl FileDisk {
         self.sb = next;
         self.log_tail = 0;
         self.metrics.checkpoints.inc();
+        self.metrics.checkpoint_ns.record_nanos(t0.elapsed());
         Ok(())
     }
 
@@ -907,10 +917,12 @@ impl BlockStore for FileDisk {
 /// Durability barriers do **not** simply queue behind that lock: a
 /// FUA/Flush releases the disk lock after its journal append, then
 /// takes a [`GroupCommit`] ticket for its record's sequence. One
-/// elected leader re-acquires the lock, drains the cache and issues a
-/// single `fdatasync` covering every sequence appended so far; all
+/// elected leader (or the sync worker, when attached) issues a single
+/// `fdatasync` covering every sequence appended so far; all
 /// concurrently waiting barriers retire on that one sync
-/// (`fsyncs_coalesced` counts them).
+/// (`fsyncs_coalesced` counts them). The sync makes the journal
+/// durable and leaves dirty cache blocks where they are — only a
+/// checkpoint drains them.
 ///
 /// [`SharedRamDisk`]: oaf_ssd::ram::SharedRamDisk
 #[derive(Clone)]
@@ -943,12 +955,13 @@ impl Drop for SyncWorkerHandle {
     }
 }
 
-/// The sync worker loop: wait for barrier tickets, drain the cache
-/// under the disk lock (phase 1), then run the `fdatasync` through a
-/// *dedicated* vfs handle with the disk lock released (phase 2), and
-/// publish the outcome. Reads and journaled writes proceed on other
-/// threads for the entire syscall; an error fails exactly the round's
-/// parked set via [`GroupCommit::complete_sync`].
+/// The sync worker loop: wait for barrier tickets, read the covered
+/// watermark under the disk lock (phase 1, no I/O), then run the
+/// `fdatasync` through a *dedicated* vfs handle with the disk lock
+/// released (phase 2), and publish the outcome. Reads and journaled
+/// writes proceed on other threads for the entire syscall; an error
+/// fails exactly the round's parked set via
+/// [`GroupCommit::complete_sync`].
 fn run_sync_worker(
     commit: Arc<GroupCommit>,
     inner: Arc<parking_lot::Mutex<FileDisk>>,
@@ -957,7 +970,7 @@ fn run_sync_worker(
 ) {
     while let Some(target) = commit.next_sync_request() {
         let res = (|| {
-            let (covered, dirty) = inner.lock().prepare_offload_sync()?;
+            let (covered, dirty) = inner.lock().prepare_offload_sync();
             let t0 = Instant::now();
             sync_vfs.sync().map_err(|e| io_err("fsync", e))?;
             metrics.fsyncs.inc();
@@ -1026,8 +1039,7 @@ impl SharedFileDisk {
 
     /// Retires a durability barrier for record `seq` through group
     /// commit: coalesces with any in-flight sync that covers it, else
-    /// leads one `seal` (cache drain + `fdatasync`) under the disk
-    /// lock.
+    /// leads one `seal` (a journal `fdatasync`) under the disk lock.
     fn barrier(&self, seq: u64) -> Result<(), BlockError> {
         self.commit
             .barrier(seq, &self.metrics, || self.inner.lock().seal())
@@ -1355,19 +1367,77 @@ mod tests {
         assert_eq!(d.metrics().cache_hits.get(), 3);
     }
 
+    /// The raw data-region bytes of `lba` in a disk image.
+    fn data_block(d: &FileDisk, image: &[u8], lba: u64) -> Vec<u8> {
+        let off = d.data_off(lba) as usize;
+        image[off..off + d.sb.block_size as usize].to_vec()
+    }
+
     #[test]
     fn cached_dirty_blocks_survive_reopen_after_barrier() {
         let mut d = mem_disk(64 * 1024).with_cache(16).unwrap();
+        let acked = [(3u64, 0x42u8), (5, 0x43), (6, 0x44)];
         d.write(3, 1, &[0x42u8; 512], false).unwrap();
         d.write(5, 1, &[0x43u8; 512], false).unwrap();
-        assert!(d.metrics().cache_dirty.get() > 0, "applies are deferred");
+        assert_eq!(d.metrics().cache_dirty.get(), 2, "applies are deferred");
+        let writebacks = d.metrics().cache_writebacks.get();
+        // Both barrier kinds make the journal durable and nothing else.
+        d.write(6, 1, &[0x44u8; 512], true).unwrap();
         d.flush().unwrap();
-        assert_eq!(d.metrics().cache_dirty.get(), 0, "barrier drains dirty");
-        assert!(d.metrics().cache_writebacks.get() >= 2);
-        let reopened = FileDisk::open_on(Box::new(MemVfs::from_image(image_of(&d)))).unwrap();
+        assert_eq!(
+            d.metrics().cache_dirty.get(),
+            3,
+            "barriers leave the cache dirty"
+        );
+        assert_eq!(d.metrics().cache_writebacks.get(), writebacks);
+        assert_eq!(d.metrics().checkpoints.get(), 0);
+        // The data region never saw the payloads; replay of the durable
+        // journal alone brings every acknowledged byte back.
+        let image = image_of(&d);
+        for (lba, _) in acked {
+            assert!(data_block(&d, &image, lba).iter().all(|&b| b == 0));
+        }
+        let reopened = FileDisk::open_on(Box::new(MemVfs::from_image(image))).unwrap();
+        assert!(reopened.metrics().replay_ops.get() >= 4);
         let mut out = [0u8; 512];
-        reopened.read(5, 1, &mut out).unwrap();
-        assert!(out.iter().all(|&b| b == 0x43));
+        for (lba, stamp) in acked {
+            reopened.read(lba, 1, &mut out).unwrap();
+            assert!(out.iter().all(|&b| b == stamp), "lba {lba} lost");
+        }
+    }
+
+    #[test]
+    fn log_full_checkpoint_drains_every_journaled_byte_to_the_data_region() {
+        let mut d = mem_disk(64 * 1024).with_cache(64).unwrap();
+        let mut model = [0u8; 64];
+        let mut i = 0u64;
+        // Fill the log with writes while a whole record still fits…
+        while d.log_tail + rec_len(512) as u64 <= d.sb.log_bytes {
+            let (lba, stamp) = ((i * 7) % 63, (i % 250) as u8 + 1);
+            d.write(lba, 1, &[stamp; 512], false).unwrap();
+            model[lba as usize] = stamp;
+            i += 1;
+        }
+        // …then with payload-free records on the one block no write
+        // touches, until the next one cannot fit: it folds the log.
+        while d.metrics().checkpoints.get() == 0 {
+            d.trim(63, 1).unwrap();
+        }
+        let m = Arc::clone(d.metrics());
+        assert_eq!(m.checkpoints.get(), 1);
+        assert_eq!(m.checkpoint_ns.count(), 1);
+        assert_eq!(m.cache_dirty.get(), 0, "the checkpoint drains the cache");
+        assert_eq!(d.cache.get_mut().dirty_blocks(), 0);
+        assert!(m.cache_writebacks.get() > 0);
+        let image = image_of(&d);
+        for (lba, &stamp) in model.iter().enumerate() {
+            assert!(
+                data_block(&d, &image, lba as u64)
+                    .iter()
+                    .all(|&b| b == stamp),
+                "lba {lba}: journaled bytes missing from the data region after the fold"
+            );
+        }
     }
 
     #[test]

@@ -31,8 +31,15 @@ pub struct StoreMetrics {
     pub replay_ops: Counter,
     /// Checkpoints taken (log full → fold into data region, bump epoch).
     pub checkpoints: Counter,
-    /// Durability barriers retired by another barrier's `fdatasync`
-    /// (group commit) instead of issuing their own.
+    /// Wall time of each checkpoint — cache drain, both syncs and the
+    /// superblock write — nanoseconds. The append that fills the log
+    /// waits all of it out.
+    pub checkpoint_ns: Histo,
+    /// Durability barriers retired by an `fdatasync` some other barrier
+    /// started (an inline leader's, or a sync-worker round run for an
+    /// earlier ticket) instead of one of their own. `fsyncs` +
+    /// `fsyncs_coalesced` counts every barrier once when no checkpoint
+    /// syncs in between.
     pub fsyncs_coalesced: Counter,
     /// Tickets retired per group-commit sync (batch size).
     pub commit_batch: Histo,
@@ -40,8 +47,8 @@ pub struct StoreMetrics {
     pub cache_hits: Counter,
     /// Block-cache read misses (blocks fetched from the data region).
     pub cache_misses: Counter,
-    /// Dirty cache blocks written back to the data region (eviction or
-    /// barrier drain).
+    /// Dirty cache blocks written back to the data region (eviction,
+    /// resize or checkpoint drain).
     pub cache_writebacks: Counter,
     /// Cache entries evicted to make room (clean or dirty).
     pub cache_evictions: Counter,
@@ -87,6 +94,7 @@ impl StoreMetrics {
         scope.adopt_counter("torn_records", &self.torn_records);
         scope.adopt_counter("replay_ops", &self.replay_ops);
         scope.adopt_counter("checkpoints", &self.checkpoints);
+        scope.adopt_histo("checkpoint_ns", &self.checkpoint_ns);
         scope.adopt_counter("fsyncs_coalesced", &self.fsyncs_coalesced);
         scope.adopt_histo("commit_batch", &self.commit_batch);
         scope.adopt_counter("cache_hits", &self.cache_hits);
@@ -151,9 +159,11 @@ mod tests {
         m.barriers_inline.inc();
         m.cache_capacity.set(256);
         m.cache_grows.inc();
+        m.checkpoint_ns.record(7_500_000);
         let registry = Registry::new();
         m.register(&registry.scope("store"));
         let snap = registry.snapshot();
+        assert_eq!(snap.histo("store", "checkpoint_ns").unwrap().count, 1);
         assert_eq!(snap.gauge("store", "sync_queue_depth").unwrap().0, 2);
         assert_eq!(snap.counter("store", "barriers_offloaded"), 5);
         assert_eq!(snap.counter("store", "barriers_inline"), 1);

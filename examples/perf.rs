@@ -329,15 +329,17 @@ fn print_store_report(snap: &oaf_telemetry::Snapshot) {
     let Some(fsync) = snap.histo(scope, "fsync_ns") else {
         return;
     };
+    let fold_p99 = snap.histo(scope, "checkpoint_ns").map_or(0, |h| h.p99());
     println!(
         "store: {} journal appends ({} MiB), {} fsyncs (p99 {:.0}us), \
-         {} trims, {} checkpoints",
+         {} trims, {} checkpoints (p99 {:.1}ms)",
         snap.counter(scope, "log_appends"),
         snap.counter(scope, "log_bytes") >> 20,
         snap.counter(scope, "fsyncs"),
         fsync.p99() as f64 / 1e3,
         snap.counter(scope, "trims"),
         snap.counter(scope, "checkpoints"),
+        fold_p99 as f64 / 1e6,
     );
     let led = snap.counter(scope, "fsyncs");
     let coalesced = snap.counter(scope, "fsyncs_coalesced");

@@ -504,3 +504,77 @@ fn scope_names_follow_one_rule_at_every_entry_point() {
         drop(target); // stops and joins the service
     }
 }
+
+#[test]
+fn file_backed_fua_burst_releases_without_a_timer_and_times_every_fold() {
+    use nvme_oaf::store::vfs::SharedMemVfs;
+    use nvme_oaf::store::FileDisk;
+
+    // Each `fdatasync` takes 500 µs on the sync worker. FUA completions
+    // park on their tickets meanwhile, with nothing else arriving on the
+    // socket — exactly when a loop parked in a timed transport wait
+    // would leave their release to the timer. The 64 KiB journal holds
+    // 15 of these 4 KiB records, so the burst also folds the log.
+    let vfs = SharedMemVfs::new();
+    vfs.set_sync_delay(Duration::from_micros(500));
+    let disk = FileDisk::create_on(Box::new(vfs.clone()), 4096, 256, 64 * 1024)
+        .and_then(|d| d.with_cache(64))
+        .expect("format store")
+        .into_shared()
+        .with_sync_worker(Box::new(vfs));
+    let mut controller = Controller::new();
+    controller.add_namespace(Namespace::with_shared_file(1, disk));
+    let registry = Arc::new(HostRegistry::new());
+    let mut p = launch(
+        &registry,
+        (ProcessId(1), 1),
+        (ProcessId(2), 1),
+        controller,
+        FabricSettings::default(),
+    )
+    .expect("fabric establishment");
+
+    const QD: u64 = 8;
+    const WAVES: u64 = 8;
+    for wave in 0..WAVES {
+        for i in 0..QD {
+            let mut buf = p.client.alloc(4096).expect("alloc");
+            buf.fill(wave as u8 + 1);
+            p.client
+                .submit_write_fua(1, wave * QD + i, 1, buf)
+                .expect("submit fua");
+        }
+        let mut done = 0;
+        let deadline = std::time::Instant::now() + TIMEOUT;
+        while done < QD {
+            assert!(std::time::Instant::now() < deadline, "wave {wave} stalled");
+            for r in p.client.poll().expect("poll") {
+                assert!(r.status.is_ok());
+                done += 1;
+            }
+            std::thread::yield_now();
+        }
+    }
+
+    let snap = p.telemetry.snapshot();
+    let parked = snap.counter("target", "barriers_parked");
+    assert!(parked > 0, "no FUA completion took the parked path");
+    assert_eq!(
+        snap.histo("target", "barrier_park_ns").map(|h| h.count),
+        Some(parked)
+    );
+    assert_eq!(
+        snap.counter("target", "timer_wakeups"),
+        0,
+        "a parked completion waited on the idle timer"
+    );
+    let folds = snap.counter("store_ns1", "checkpoints");
+    assert!(folds >= 2, "{folds} checkpoints for {} records", WAVES * QD);
+    assert_eq!(
+        snap.histo("store_ns1", "checkpoint_ns").map(|h| h.count),
+        Some(folds)
+    );
+
+    p.client.disconnect().expect("disconnect");
+    p.target.shutdown().expect("shutdown");
+}
