@@ -6,7 +6,7 @@
 //! syscalls. The cached-read group measures the block cache's hit
 //! (pure memcpy, zero syscalls) and miss (fill + thrash) paths, and
 //! the group-commit group measures concurrent FUA barriers coalescing
-//! through the sync coordinator.
+//! through the shared disk's sync worker.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use oaf_ssd::{BlockStore, SharedRamDisk};
@@ -145,9 +145,9 @@ fn bench_cached_read(c: &mut Criterion) {
 }
 
 fn bench_group_commit(c: &mut Criterion) {
-    // FUA barriers through the shared disk's sync coordinator: the
-    // 1-writer leg is the solo barrier cost, the 4-writer leg shows
-    // concurrent barriers retiring on one another's syncs.
+    // FUA barriers through the shared disk's sync worker: the 1-writer
+    // leg is the solo barrier cost, the 4-writer leg shows concurrent
+    // barriers retiring on one another's worker rounds.
     let mut g = c.benchmark_group("store/group-commit");
     for &writers in &[1usize, 4] {
         let disk = FileDisk::create_on(Box::new(MemVfs::new()), BS as u32, BLOCKS, 4 << 20)
@@ -187,70 +187,58 @@ fn bench_group_commit(c: &mut Criterion) {
 fn bench_mixed_read_fua_qd(c: &mut Criterion) {
     // The async durability pipeline's headline workload: one FUA write
     // dispatched, then a queue-depth of reads served behind it on the
-    // same thread — the reactor's shape. `inline` retires the barrier
-    // in the dispatch (every queued read waits out the `fdatasync`);
-    // `offloaded` parks it on the sync worker's ticket and serves the
-    // reads immediately, draining the ticket at the end of the round.
-    // The sync carries a 100µs device delay so the barrier dominates
-    // the inline rounds the way a real disk's flush would.
+    // same thread — the reactor's shape. The barrier parks on the sync
+    // worker's ticket and the reads are served immediately; the ticket
+    // drains at the end of the round. The sync carries a 100µs device
+    // delay, the way a real disk's flush would.
     use oaf_ssd::BarrierPoll;
-    use oaf_store::vfs::SharedMemVfs;
 
     let mut g = c.benchmark_group("store/mixed-read-fua");
     let sync_delay = std::time::Duration::from_micros(100);
     for &qd in &[1usize, 8, 32] {
-        for offloaded in [false, true] {
-            let vfs = SharedMemVfs::new();
-            vfs.set_sync_delay(sync_delay);
-            let disk = FileDisk::create_on(Box::new(vfs.clone()), BS as u32, BLOCKS, 4 << 20)
-                .and_then(|d| d.with_cache(256))
-                .expect("fmt")
-                .into_shared();
-            let mut disk = if offloaded {
-                disk.with_sync_worker(Box::new(vfs))
-            } else {
-                disk
-            };
-            let payload = [0xabu8; BS];
-            let mut out = [0u8; BS];
-            // Seed the read targets.
-            for lba in 0..qd as u64 {
-                disk.write(lba, 1, &payload, false).expect("seed");
-            }
-            let mode = if offloaded { "offloaded" } else { "inline" };
-            // The figure of merit is *read service time*: from the FUA
-            // dispatch until the last queued read is answered. The
-            // barrier still retires every round — its drain just
-            // happens outside the timed region, like a parked
-            // completion released by a later poll pass.
-            g.throughput(Throughput::Elements(qd as u64));
-            g.bench_with_input(BenchmarkId::new(mode, qd), &qd, |b, &qd| {
-                b.iter_custom(|iters| {
-                    let mut in_reads = std::time::Duration::ZERO;
-                    for _ in 0..iters {
-                        let t0 = std::time::Instant::now();
-                        let ticket = disk
-                            .write_submit(64 + (qd as u64 % 8), 1, &payload, true)
-                            .expect("fua write");
-                        for q in 0..qd as u64 {
-                            disk.read(q, 1, &mut out).expect("read");
-                        }
-                        in_reads += t0.elapsed();
-                        // Drain so every round carries one full barrier.
-                        if let Some(t) = ticket {
-                            loop {
-                                match disk.poll_barrier(t) {
-                                    BarrierPoll::Durable => break,
-                                    BarrierPoll::Failed => panic!("sync failed"),
-                                    BarrierPoll::Pending => std::hint::spin_loop(),
-                                }
-                            }
+        let vfs = MemVfs::new();
+        vfs.set_sync_delay(sync_delay);
+        let mut disk = FileDisk::create_on(Box::new(vfs), BS as u32, BLOCKS, 4 << 20)
+            .and_then(|d| d.with_cache(256))
+            .expect("fmt")
+            .into_shared();
+        let payload = [0xabu8; BS];
+        let mut out = [0u8; BS];
+        // Seed the read targets.
+        for lba in 0..qd as u64 {
+            disk.write(lba, 1, &payload, false).expect("seed");
+        }
+        // The figure of merit is *read service time*: from the FUA
+        // dispatch until the last queued read is answered. The barrier
+        // still retires every round — its drain just happens outside
+        // the timed region, like a parked completion released by a
+        // later poll pass.
+        g.throughput(Throughput::Elements(qd as u64));
+        g.bench_with_input(BenchmarkId::new("offloaded", qd), &qd, |b, &qd| {
+            b.iter_custom(|iters| {
+                let mut in_reads = std::time::Duration::ZERO;
+                for _ in 0..iters {
+                    let t0 = std::time::Instant::now();
+                    let ticket = disk
+                        .write_submit(64 + (qd as u64 % 8), 1, &payload, true)
+                        .expect("fua write")
+                        .expect("a shared disk tickets FUA");
+                    for q in 0..qd as u64 {
+                        disk.read(q, 1, &mut out).expect("read");
+                    }
+                    in_reads += t0.elapsed();
+                    // Drain so every round carries one full barrier.
+                    loop {
+                        match disk.poll_barrier(ticket) {
+                            BarrierPoll::Durable => break,
+                            BarrierPoll::Failed => panic!("sync failed"),
+                            BarrierPoll::Pending => std::hint::spin_loop(),
                         }
                     }
-                    in_reads
-                })
-            });
-        }
+                }
+                in_reads
+            })
+        });
     }
     g.finish();
 }

@@ -45,6 +45,9 @@ struct RxState {
     delayed: Vec<(u64, Bytes)>,
     /// A duplicated frame awaiting its second delivery.
     dup_pending: Option<Bytes>,
+    /// A script-reordered frame waiting for the next fresh frame to
+    /// overtake it.
+    overtake: Option<Bytes>,
     /// Fresh frames observed while armed (the scripted-fault index).
     fresh: u64,
 }
@@ -81,6 +84,7 @@ impl<T: Transport> ChaosTransport<T> {
                 armed_polls: 0,
                 delayed: Vec::new(),
                 dup_pending: None,
+                overtake: None,
                 fresh: 0,
             }),
         }
@@ -148,8 +152,16 @@ impl<T: Transport> ChaosTransport<T> {
         }
         let frame = match self.inner.try_recv()? {
             Some(f) => f,
+            // Once disarmed, a reordered frame that nothing overtook
+            // still goes out.
+            None if !armed => return Ok(st.overtake.take()),
             None => return Ok(None),
         };
+        // A reordered frame goes out on the poll after the one frame that
+        // overtakes it.
+        if let Some(held) = st.overtake.take() {
+            st.delayed.push((now + 1, held));
+        }
         if !armed {
             return Ok(Some(frame));
         }
@@ -169,7 +181,11 @@ impl<T: Transport> ChaosTransport<T> {
                     return Ok(None);
                 }
                 Some(FaultKind::Reorder) => {
-                    st.delayed.push((now + 2, frame));
+                    // Held until exactly one later frame has passed it,
+                    // however long the sender takes to produce that
+                    // frame: a hold counted in polls loses the race to a
+                    // receiver that polls faster than the peer sends.
+                    st.overtake = Some(frame);
                     self.stats.record(FaultKind::Reorder);
                     return Ok(None);
                 }

@@ -36,8 +36,8 @@ pub enum CmdKind {
     /// A plain write (payload clone retained, so replayable after an
     /// abort round-trip).
     Write,
-    /// A force-unit-access write: barrier-class, pauses the effective
-    /// clock while in flight.
+    /// A force-unit-access write: barrier-class, so its deadline carries
+    /// the barrier grace.
     WriteFua,
     /// A flush: barrier-class, no data either way.
     Flush,
@@ -194,8 +194,8 @@ pub struct FaultBudget {
 /// How the modeled target makes barrier-class commands durable.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum SyncMode {
-    /// The dispatch path syncs inline: a barrier's completion is queued
-    /// the moment its command is delivered (the pre-offload target).
+    /// A barrier's completion is queued the moment its command is
+    /// delivered — a RAM namespace, whose barriers complete at dispatch.
     #[default]
     Inline,
     /// The async durability pipeline: a delivered barrier *applies* but
@@ -242,8 +242,8 @@ pub struct Scenario {
     pub faults: FaultBudget,
     /// Payload chunks per read (transfer size = `data_chunks × CHUNK`).
     pub data_chunks: u32,
-    /// Whether the target syncs barriers inline or parks their
-    /// completions on an offloaded sync worker.
+    /// Whether the target completes barriers at dispatch or parks their
+    /// completions on a file store's sync worker.
     pub sync: SyncMode,
 }
 
@@ -457,7 +457,7 @@ impl World {
                 }
             }
         }
-        if !self.done() && self.ini.next_timer(self.now).is_some() {
+        if !self.done() && self.ini.next_timer().is_some() {
             out.push(Transition::Timer);
         }
         if !self.sync_pending.is_empty() {
@@ -492,7 +492,7 @@ impl World {
             Transition::Duplicate { dir } => format!("duplicate {dir} {}", head(dir)),
             Transition::Corrupt { dir } => format!("corrupt {dir} {}", head(dir)),
             Transition::Timer => {
-                let t = self.ini.next_timer(self.now).unwrap_or(self.now);
+                let t = self.ini.next_timer().unwrap_or(self.now);
                 format!("timer fires at t={}us", t.max(self.now + 1) / 1_000)
             }
             Transition::SyncComplete { ok } => {
@@ -573,7 +573,7 @@ impl World {
                 None
             }
             Transition::Timer => {
-                let target = self.ini.next_timer(self.now)?;
+                let target = self.ini.next_timer()?;
                 self.now = target.max(self.now + 1);
                 let now = self.now;
                 let mut out = std::mem::take(&mut self.action_buf);
@@ -732,7 +732,7 @@ impl World {
                         *got = (*got).max(offset.saturating_add(len));
                     }
                     self.ini
-                        .on_data(cid, DataArrival::Chunk { offset, len }, now, &mut out);
+                        .on_data(cid, DataArrival::Chunk { offset, len }, &mut out);
                 } else if !self.ini.is_retired_cid(cid) {
                     v = Some(Violation::UnexpectedFrame {
                         what: format!("Data for cid {cid} which is neither live nor retired"),
@@ -745,9 +745,7 @@ impl World {
                 } else {
                     NvmeCompletion::error(cid, Status::InternalError)
                 };
-                if !self.ini.on_completion(cid, comp, now, &mut out)
-                    && !self.ini.is_retired_cid(cid)
-                {
+                if !self.ini.on_completion(cid, comp, &mut out) && !self.ini.is_retired_cid(cid) {
                     v = Some(Violation::UnexpectedFrame {
                         what: format!("Resp for cid {cid} which is neither live nor retired"),
                     });

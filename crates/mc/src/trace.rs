@@ -68,8 +68,8 @@ impl Counterexample {
     ///
     /// Known gap: the model's reorder lets one message overtake any
     /// number of older ones, while the scripted transport's
-    /// [`FaultKind::Reorder`] holds a frame back a fixed two polls.
-    /// Single-overtake reorders (the common minimal counterexample)
+    /// [`FaultKind::Reorder`] holds a frame back until exactly one later
+    /// frame has overtaken it. Single-overtake reorders (the common minimal counterexample)
     /// convert exactly; deeper ones replay as an approximation.
     pub fn to_fault_scripts(&self) -> FaultScripts {
         let mut scripts = FaultScripts {

@@ -65,8 +65,8 @@ fn read_and_write_survive_every_single_fault_schedule() {
 
 #[test]
 fn fua_write_and_flush_barriers_survive_drops_and_reorders() {
-    // Barrier-class commands pause the effective clock; the sweep
-    // proves the pause can never wedge recovery (no Stuck states).
+    // Barrier-class commands carry a padded deadline; the sweep proves
+    // the pad can never wedge recovery (no Stuck states).
     sweep(
         "fua-flush",
         vec![CmdKind::WriteFua, CmdKind::Flush],

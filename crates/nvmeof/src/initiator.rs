@@ -24,8 +24,7 @@ use crate::pdu::{
     KeepAlive, Pdu, PduView, AF_CAP_SHM,
 };
 use crate::recovery::{
-    Action, BarrierGraceMode, DataArrival, DataNeed, InitiatorRecovery, KeepAliveNanos, Nanos,
-    RecoveryConfig,
+    Action, DataArrival, DataNeed, InitiatorRecovery, KeepAliveNanos, Nanos, RecoveryConfig,
 };
 use crate::transport::{self, BackoffConfig, Frame, Transport, WaitLadder, WaitStep};
 use crate::tune::{BusyPollController, PollClass};
@@ -79,25 +78,12 @@ pub struct InitiatorOptions {
     /// Keep-alive probing; `None` disables heartbeats and peer-death
     /// detection.
     pub keepalive: Option<KeepAliveConfig>,
-    /// Longest a single barrier episode — one or more Flush/FUA-class
-    /// commands continuously in flight — may pause the deadline and
-    /// keep-alive clock. A group-commit `fdatasync` on the target's
-    /// reactor thread legitimately silences the connection for tens of
-    /// milliseconds; excluding that window (up to this cap) keeps a
-    /// healthy barrier from blowing command deadlines or keep-alive
-    /// grace at high FUA queue depth. The cap bounds the exclusion so a
-    /// genuinely lost barrier still times out and retries.
+    /// Extra deadline allowance for a barrier-class command (Flush, or
+    /// a FUA write): it completes only once the target's device flush
+    /// has landed. Every other deadline and keep-alive run on live
+    /// time, since the target keeps serving the connection while a
+    /// sync is in flight.
     pub barrier_grace: Duration,
-    /// How `barrier_grace` is applied. The default
-    /// ([`BarrierGraceMode::FreezeClock`]) pauses every deadline and the
-    /// keep-alive clock for the episode — right when the target syncs
-    /// inline on its reactor thread and the whole connection goes
-    /// quiet. When the target offloads `fdatasync` to a sync worker,
-    /// reads keep completing during a barrier, so
-    /// [`BarrierGraceMode::PadBarrierDeadline`] can keep non-barrier
-    /// deadlines and peer-death detection on live time and pad only the
-    /// barrier command's own deadline.
-    pub barrier_grace_mode: BarrierGraceMode,
     /// Re-introduces the PR 4 held-completion bug (success completions
     /// delivered before the data they vouch for) so the `oaf-mc`
     /// mutation leg can prove the model checker finds that class.
@@ -127,7 +113,6 @@ impl Default for InitiatorOptions {
             retry_backoff: Duration::from_millis(2),
             keepalive: None,
             barrier_grace: Duration::from_millis(250),
-            barrier_grace_mode: BarrierGraceMode::FreezeClock,
             #[cfg(feature = "mc-mutations")]
             mc_deliver_early: false,
             backoff: BackoffConfig::default(),
@@ -151,7 +136,6 @@ impl InitiatorOptions {
                 grace: duration_nanos(ka.grace),
             }),
             barrier_grace: duration_nanos(self.barrier_grace),
-            barrier_grace_mode: self.barrier_grace_mode,
             #[cfg(feature = "mc-mutations")]
             mutate_deliver_early: self.mc_deliver_early,
         }
@@ -1226,7 +1210,7 @@ impl ClientState {
         } else if let Some(arrival) = arrival {
             // The core advances its contiguous-prefix watermark and
             // releases a held completion once the transfer is whole.
-            self.core.on_data(d.cid, arrival, now, &mut self.actions);
+            self.core.on_data(d.cid, arrival, &mut self.actions);
             self.apply_actions(transport)?;
         }
         Ok(())
@@ -1375,9 +1359,9 @@ impl ClientState {
                 // overtook the data it vouches for (a reordering fabric
                 // can do that — completing now would hand back a stale
                 // buffer), or resolve the command.
-                let handled =
-                    self.core
-                        .on_completion(wire_cid, r.completion, now, &mut self.actions);
+                let handled = self
+                    .core
+                    .on_completion(wire_cid, r.completion, &mut self.actions);
                 if !handled {
                     if self.core.is_retired_cid(wire_cid) {
                         self.metrics.stale_frames.inc();

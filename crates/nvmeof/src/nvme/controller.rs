@@ -142,8 +142,8 @@ impl Controller {
     }
 
     /// Executes a command — the one opcode dispatch. Barrier-class
-    /// commands (Flush, FUA writes, FUA zero/trim) against a namespace
-    /// whose store has a sync worker return a [`BarrierTicket`]: the
+    /// commands (Flush, FUA writes, FUA zero/trim) against a
+    /// file-backed namespace return a [`BarrierTicket`]: the
     /// mutation is journaled and applied, its `fdatasync` is in flight,
     /// and the returned (success) completion must be parked until
     /// [`poll_barrier`](Controller::poll_barrier) resolves the ticket.
@@ -403,20 +403,17 @@ mod tests {
     }
 
     #[test]
-    fn execute_async_tickets_offloaded_barriers() {
-        use oaf_store::vfs::SharedMemVfs;
-        let vfs = SharedMemVfs::new();
-        let disk = oaf_store::FileDisk::create_on(Box::new(vfs.clone()), 512, 64, 64 * 1024)
-            .unwrap()
-            .into_shared()
-            .with_sync_worker(Box::new(vfs.clone()));
+    fn execute_async_tickets_file_backed_barriers() {
+        let vfs = oaf_store::vfs::MemVfs::new();
+        let disk =
+            oaf_store::FileDisk::create_on(Box::new(vfs.clone()), 512, 64, 64 * 1024).unwrap();
         let mut c = Controller::new();
-        c.add_namespace(Namespace::with_shared_file(1, disk));
+        c.add_namespace(Namespace::with_file(1, disk));
         c.add_namespace(Namespace::new(2, 512, 16));
         let data = vec![0x42u8; 512];
         let (w, _, ticket) = c.execute_async(&NvmeCommand::write_fua(1, 1, 0, 1), Some(&data));
         assert!(w.status.is_ok());
-        let t = ticket.expect("FUA against the offloaded namespace tickets");
+        let t = ticket.expect("FUA against the file-backed namespace tickets");
         while c.poll_barrier(1, t) == BarrierPoll::Pending {
             std::thread::yield_now();
         }

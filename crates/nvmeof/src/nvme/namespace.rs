@@ -6,9 +6,9 @@
 //! *multi-queue* form ([`SharedRamDisk`], [`SharedFileDisk`]), so
 //! [`Namespace::share`] is a clone of the view and a sharded target's
 //! reactors all drive one storage service. Whether a durability barrier
-//! hands back a [`BarrierTicket`] or blocks is the store's decision
-//! (see [`BlockStore::write_submit`]); this module only maps the result
-//! to an NVMe status.
+//! hands back a [`BarrierTicket`] is the store's decision (a file-backed
+//! store always does, see [`BlockStore::write_submit`]); this module
+//! only maps the result to an NVMe status.
 
 use std::sync::Arc;
 
@@ -64,16 +64,17 @@ impl Namespace {
     }
 
     /// Creates namespace `id` over a durable file-backed store. Flush
-    /// and FUA become real `fdatasync` barriers (taken inline, through
-    /// group commit); TRIM punches and journals the range.
+    /// and FUA become real `fdatasync` barriers, run by the store's own
+    /// sync worker (group commit) — the submitting forms hand them back
+    /// as tickets; TRIM punches and journals the range.
     pub fn with_file(id: u32, disk: FileDisk) -> Self {
         Self::with_shared_file(id, disk.into_shared())
     }
 
     /// Creates namespace `id` directly over a shared durable store —
-    /// the entry point when the store was shared (and possibly given a
-    /// sync worker via [`SharedFileDisk::with_sync_worker`]) before the
-    /// target was wired.
+    /// the entry point when the store was shared (and possibly told which
+    /// handle its sync worker syncs through, via
+    /// [`SharedFileDisk::with_sync_worker`]) before the target was wired.
     pub fn with_shared_file(id: u32, disk: SharedFileDisk) -> Self {
         let metrics = Arc::clone(disk.metrics());
         Self::over(id, Box::new(disk), Some(metrics))
@@ -173,11 +174,11 @@ impl Namespace {
         Self::status(self.store.trim(slba, nlb))
     }
 
-    /// Like [`write`](Namespace::write), but when the store has a sync
-    /// worker a FUA write journals and applies, then returns
+    /// Like [`write`](Namespace::write), but on a file-backed store a
+    /// FUA write journals and applies, then returns
     /// `(Success, Some(ticket))` with the `fdatasync` still in flight —
-    /// the caller parks the completion until the ticket resolves. Every
-    /// other store blocks like `write` and returns `None`.
+    /// the caller parks the completion until the ticket resolves. A RAM
+    /// store completes at once and returns `None`.
     pub fn write_submit(
         &mut self,
         slba: u64,
@@ -190,8 +191,7 @@ impl Namespace {
 
     /// Durability barrier: everything acknowledged before this flush
     /// survives power loss (a no-op for RAM disks, `fdatasync` for
-    /// file-backed stores). Submitted as a ticket when the store has a
-    /// sync worker, waited on otherwise.
+    /// file-backed stores, submitted as a ticket).
     pub fn flush_submit(&mut self) -> (Status, Option<BarrierTicket>) {
         Self::submitted(self.store.flush_submit())
     }
@@ -205,7 +205,7 @@ impl Namespace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oaf_store::vfs::{MemVfs, SharedMemVfs};
+    use oaf_store::vfs::MemVfs;
 
     const BS: usize = 512;
     const BLOCKS: u64 = 64;
@@ -219,10 +219,9 @@ mod tests {
     struct Backend {
         name: &'static str,
         build: fn() -> Namespace,
-        /// File-backed: exposes a metric bundle, barriers really sync.
+        /// File-backed: exposes a metric bundle, barriers really sync on
+        /// the store's worker and come back as tickets.
         durable: bool,
-        /// A sync worker is attached: barriers come back as tickets.
-        tickets: bool,
     }
 
     const BACKENDS: [Backend; 4] = [
@@ -230,24 +229,21 @@ mod tests {
             name: "new",
             build: || Namespace::new(7, BS as u32, BLOCKS),
             durable: false,
-            tickets: false,
         },
         Backend {
             name: "with_file",
             build: || Namespace::with_file(7, mem_disk()),
             durable: true,
-            tickets: false,
         },
         Backend {
             name: "with_shared_file",
             build: || Namespace::with_shared_file(7, mem_disk().into_shared()),
             durable: true,
-            tickets: false,
         },
         Backend {
-            name: "with_shared_file + worker",
+            name: "with_shared_file + with_sync_worker",
             build: || {
-                let vfs = SharedMemVfs::new();
+                let vfs = MemVfs::new();
                 let disk = FileDisk::create_on(Box::new(vfs.clone()), BS as u32, BLOCKS, 64 * 1024)
                     .unwrap()
                     .into_shared()
@@ -255,16 +251,20 @@ mod tests {
                 Namespace::with_shared_file(7, disk)
             },
             durable: true,
-            tickets: true,
         },
     ];
 
-    /// Asserts "a ticket comes back iff a worker is attached" and waits
-    /// a returned ticket out to `Durable`.
+    /// Asserts "a ticket comes back iff the namespace is file-backed"
+    /// and waits a returned ticket out to `Durable`.
     fn settle(ns: &Namespace, b: &Backend, submitted: (Status, Option<BarrierTicket>)) {
         let (status, ticket) = submitted;
         assert_eq!(status, Status::Success, "{}", b.name);
-        assert_eq!(ticket.is_some(), b.tickets, "{}: ticket iff worker", b.name);
+        assert_eq!(
+            ticket.is_some(),
+            b.durable,
+            "{}: ticket iff file-backed",
+            b.name
+        );
         if let Some(t) = ticket {
             while ns.poll_barrier(t) == BarrierPoll::Pending {
                 std::thread::yield_now();
@@ -382,7 +382,7 @@ mod tests {
 
     #[test]
     fn cached_file_backed_namespace_serves_hits_and_stays_durable() {
-        let vfs = SharedMemVfs::new();
+        let vfs = MemVfs::new();
         let disk = FileDisk::create_on(Box::new(vfs.clone()), BS as u32, BLOCKS, 64 * 1024)
             .and_then(|d| d.with_cache(8))
             .unwrap();
@@ -404,7 +404,13 @@ mod tests {
         // Shared views keep the same cache + journal.
         let mut b = ns.share();
         assert_eq!(b.write(5, 1, &[0x99u8; 512], false), Status::Success);
-        assert_eq!(b.flush_submit(), (Status::Success, None));
+        let (status, ticket) = b.flush_submit();
+        assert_eq!(status, Status::Success);
+        let ticket = ticket.expect("a file-backed flush tickets");
+        while b.poll_barrier(ticket) == BarrierPoll::Pending {
+            std::thread::yield_now();
+        }
+        assert_eq!(b.poll_barrier(ticket), BarrierPoll::Durable);
         assert_eq!(m.cache_dirty.get(), 3);
         assert_eq!(m.cache_writebacks.get(), writebacks);
         assert_eq!(m.checkpoints.get(), 0);

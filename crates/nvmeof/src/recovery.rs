@@ -28,18 +28,15 @@
 //! replay) collects cids and sorts them before acting. The action
 //! stream is therefore a pure function of the event/time stream.
 //!
-//! ## The effective clock (barrier pause)
+//! ## Barrier grace
 //!
-//! A group-commit `fdatasync` on the target's reactor thread can stall
-//! every response behind it for tens of milliseconds. That silence is
-//! *expected* while a barrier-class command (Flush, or any FUA-flagged
-//! mutation) is in flight — blowing command deadlines or keep-alive
-//! grace over it would degrade a healthy connection at exactly the
-//! moment it is doing durable work. The core therefore runs deadlines
-//! and keep-alive on an **effective clock** that freezes while at least
-//! one barrier-class command is outstanding, capped at
-//! [`RecoveryConfig::barrier_grace`] per barrier episode so a genuinely
-//! lost Flush still times out and retries.
+//! A barrier-class command (Flush, or any FUA-flagged mutation) waits
+//! out a device flush on the target, so its own deadline carries an
+//! extra [`RecoveryConfig::barrier_grace`]. Nothing else bends around
+//! it: the target parks the barrier's completion on its store's sync
+//! worker and keeps answering other commands and keep-alives while the
+//! sync is in flight, so every other deadline and the keep-alive clock
+//! run on live time.
 
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -67,25 +64,6 @@ pub struct KeepAliveNanos {
     pub grace: Nanos,
 }
 
-/// How the core excludes in-flight durability barriers from recovery
-/// timing. See the module docs for why the default freezes the clock.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum BarrierGraceMode {
-    /// Freeze the effective clock while any barrier-class command is in
-    /// flight (capped at [`RecoveryConfig::barrier_grace`] per episode).
-    /// Every deadline and the keep-alive quiet timer pause together —
-    /// the conservative contract every existing test pins.
-    #[default]
-    FreezeClock,
-    /// Keep the clock running and instead pad only the barrier-class
-    /// command's *own* deadline by [`RecoveryConfig::barrier_grace`].
-    /// Non-barrier commands and keep-alive stay on live time, so a
-    /// wedged peer is detected even mid-sync. Safe opt-in when the
-    /// target offloads `fdatasync` off its reactor thread (reads keep
-    /// completing, so honest peers are never mistaken for dead ones).
-    PadBarrierDeadline,
-}
-
 /// Tuning for the recovery core, mirrored from
 /// [`crate::initiator::InitiatorOptions`] by the shell (durations
 /// lowered to [`Nanos`]).
@@ -99,13 +77,9 @@ pub struct RecoveryConfig {
     pub retry_backoff: Nanos,
     /// Keep-alive probing; `None` disables peer-death detection.
     pub keepalive: Option<KeepAliveNanos>,
-    /// Longest one barrier episode may pause the effective clock. Caps
-    /// the deadline/keep-alive exclusion so a lost barrier-class
-    /// command cannot freeze recovery forever.
+    /// Extra deadline allowance for a barrier-class command, which waits
+    /// out a device flush on the target.
     pub barrier_grace: Nanos,
-    /// Whether the grace freezes the whole clock (default) or pads only
-    /// barrier-class deadlines.
-    pub barrier_grace_mode: BarrierGraceMode,
     /// Re-introduces the PR 4 held-completion bug (completions released
     /// before their data) so the model checker's mutation leg can prove
     /// it finds that class. Runtime-selectable and default-off so
@@ -123,7 +97,6 @@ impl Default for RecoveryConfig {
             retry_backoff: 2_000_000,
             keepalive: None,
             barrier_grace: 250_000_000,
-            barrier_grace_mode: BarrierGraceMode::FreezeClock,
             #[cfg(feature = "mc-mutations")]
             mutate_deliver_early: false,
         }
@@ -214,7 +187,8 @@ pub enum Action {
 #[derive(Clone, Debug)]
 struct CmdRecovery {
     opcode: Opcode,
-    /// Barrier-class (Flush / FUA mutation): pauses the effective clock.
+    /// Barrier-class (Flush / FUA mutation): its deadline carries the
+    /// barrier grace.
     barrier: bool,
     /// The shell retained a replayable payload clone.
     replayable: bool,
@@ -262,31 +236,25 @@ pub struct InitiatorRecovery {
     /// cid 0 is never allocated).
     retired: [(u16, u32); RETIRED_RING],
     retired_at: usize,
-    /// Earliest pending deadline (effective clock), tracked as a scalar
-    /// so the steady state pays one comparison per poll.
+    /// Earliest pending deadline, tracked as a scalar so the steady
+    /// state pays one comparison per poll.
     next_deadline: Option<Nanos>,
     /// Reusable scratch for the (cold) deadline sweep and the degrade
     /// replay collection.
     sweep_scratch: Vec<u16>,
-    /// Keep-alive bookkeeping (effective clock).
+    /// Keep-alive bookkeeping.
     last_rx: Nanos,
     last_ka_tx: Nanos,
     ka_seq: u64,
     ka_outstanding: bool,
     degraded: bool,
-    /// Barrier-pause accounting: completed pause time, the raw start of
-    /// the open episode, and how many barrier-class commands are in
-    /// flight.
-    paused_total: Nanos,
-    barrier_since: Option<Nanos>,
-    barriers: u32,
 }
 
 impl InitiatorRecovery {
     /// A fresh core at connection epoch (`now` = 0 is conventional for
     /// the model checker; shells pass the handshake completion time).
     pub fn new(cfg: RecoveryConfig, now: Nanos) -> Self {
-        let mut core = InitiatorRecovery {
+        InitiatorRecovery {
             cfg,
             cmds: HashMap::new(),
             next_cid: 1,
@@ -297,29 +265,12 @@ impl InitiatorRecovery {
             // Pre-sized so the first genuine expiry (a cold path that
             // may first fire long after warm-up) stays allocation-free.
             sweep_scratch: Vec::with_capacity(64),
-            last_rx: 0,
-            last_ka_tx: 0,
+            last_rx: now,
+            last_ka_tx: now,
             ka_seq: 0,
             ka_outstanding: false,
             degraded: false,
-            paused_total: 0,
-            barrier_since: None,
-            barriers: 0,
-        };
-        let eff = core.eff(now);
-        core.last_rx = eff;
-        core.last_ka_tx = eff;
-        core
-    }
-
-    /// The effective clock: raw time minus completed barrier pauses
-    /// minus the open episode's (capped) pause.
-    fn eff(&self, now: Nanos) -> Nanos {
-        let open = match self.barrier_since {
-            Some(since) => now.saturating_sub(since).min(self.cfg.barrier_grace),
-            None => 0,
-        };
-        now.saturating_sub(self.paused_total + open)
+        }
     }
 
     /// Commands in flight (wire cids tracked).
@@ -363,20 +314,13 @@ impl InitiatorRecovery {
         }
     }
 
-    /// Extra deadline allowance for a barrier-class command when the
-    /// config pads instead of freezing the clock.
-    fn barrier_pad(&self, barrier: bool) -> Nanos {
-        if barrier && self.cfg.barrier_grace_mode == BarrierGraceMode::PadBarrierDeadline {
-            self.cfg.barrier_grace
-        } else {
-            0
-        }
-    }
-
-    fn arm_deadline(&mut self, eff_now: Nanos, attempts: u32, pad: Nanos) -> Option<Nanos> {
+    /// Arms a deadline for an attempt; a barrier-class command's carries
+    /// the barrier grace on top.
+    fn arm_deadline(&mut self, now: Nanos, attempts: u32, barrier: bool) -> Option<Nanos> {
         let base = self.cfg.cmd_deadline?;
         let backoff = self.cfg.retry_backoff.saturating_mul(1 << attempts.min(6));
-        let deadline = eff_now + base + backoff + pad;
+        let pad = if barrier { self.cfg.barrier_grace } else { 0 };
+        let deadline = now + base + backoff + pad;
         self.next_deadline = Some(match self.next_deadline {
             Some(d) if d <= deadline => d,
             _ => deadline,
@@ -384,10 +328,9 @@ impl InitiatorRecovery {
         Some(deadline)
     }
 
-    /// Tracks a new command: allocates its wire cid and generation tag,
-    /// arms its deadline, opens a barrier episode if it is
-    /// barrier-class. Returns `(wire_cid, gseq)` for the shell to stamp
-    /// into the outgoing capsule.
+    /// Tracks a new command: allocates its wire cid and generation tag
+    /// and arms its deadline. Returns `(wire_cid, gseq)` for the shell
+    /// to stamp into the outgoing capsule.
     pub fn begin(
         &mut self,
         opcode: Opcode,
@@ -400,15 +343,7 @@ impl InitiatorRecovery {
         let gseq = self.next_gseq;
         self.next_gseq = self.next_gseq.wrapping_add(1);
         let barrier = opcode == Opcode::Flush || (fua && opcode.mutates());
-        if barrier {
-            if self.barriers == 0 && self.cfg.barrier_grace_mode == BarrierGraceMode::FreezeClock {
-                self.barrier_since = Some(now);
-            }
-            self.barriers += 1;
-        }
-        let eff_now = self.eff(now);
-        let pad = self.barrier_pad(barrier);
-        let deadline = self.arm_deadline(eff_now, 0, pad);
+        let deadline = self.arm_deadline(now, 0, barrier);
         self.cmds.insert(
             cid,
             CmdRecovery {
@@ -444,31 +379,17 @@ impl InitiatorRecovery {
         }
     }
 
-    /// Closes a barrier episode share when a barrier-class command
-    /// leaves the in-flight set for good.
-    fn barrier_done(&mut self, now: Nanos) {
-        self.barriers -= 1;
-        if self.barriers == 0 {
-            if let Some(since) = self.barrier_since.take() {
-                self.paused_total += now.saturating_sub(since).min(self.cfg.barrier_grace);
-            }
-        }
-    }
-
     /// Removes and retires a command (resolution of any kind).
-    fn remove(&mut self, cid: u16, now: Nanos) -> Option<CmdRecovery> {
+    fn remove(&mut self, cid: u16) -> Option<CmdRecovery> {
         let cmd = self.cmds.remove(&cid)?;
         self.retire(cid, cmd.gseq);
-        if cmd.barrier {
-            self.barrier_done(now);
-        }
         Some(cmd)
     }
 
     /// Any decoded frame proves the peer alive.
     pub fn on_rx(&mut self, now: Nanos) {
         if self.cfg.keepalive.is_some() {
-            self.last_rx = self.eff(now);
+            self.last_rx = now;
         }
     }
 
@@ -479,7 +400,7 @@ impl InitiatorRecovery {
 
     /// Controller→host payload progress for `cid`. Releases a held
     /// completion once the transfer is whole.
-    pub fn on_data(&mut self, cid: u16, arrival: DataArrival, now: Nanos, out: &mut Vec<Action>) {
+    pub fn on_data(&mut self, cid: u16, arrival: DataArrival, out: &mut Vec<Action>) {
         let Some(cmd) = self.cmds.get_mut(&cid) else {
             return;
         };
@@ -498,18 +419,12 @@ impl InitiatorRecovery {
         }
         if cmd.held.is_some() && cmd.data_ready() {
             let completion = cmd.held.take().expect("checked above");
-            self.complete(cid, completion, now, out);
+            self.complete(cid, completion, out);
         }
     }
 
-    fn complete(
-        &mut self,
-        cid: u16,
-        completion: NvmeCompletion,
-        now: Nanos,
-        out: &mut Vec<Action>,
-    ) {
-        if self.remove(cid, now).is_some() {
+    fn complete(&mut self, cid: u16, completion: NvmeCompletion, out: &mut Vec<Action>) {
+        if self.remove(cid).is_some() {
             out.push(Action::Complete {
                 wire_cid: cid,
                 completion,
@@ -526,7 +441,6 @@ impl InitiatorRecovery {
         &mut self,
         cid: u16,
         completion: NvmeCompletion,
-        now: Nanos,
         out: &mut Vec<Action>,
     ) -> bool {
         let Some(cmd) = self.cmds.get_mut(&cid) else {
@@ -544,7 +458,7 @@ impl InitiatorRecovery {
         }
         // A completion that raced an in-flight abort resolves the
         // command just as well — the late AbortAck is dropped as stale.
-        self.complete(cid, completion, now, out);
+        self.complete(cid, completion, out);
         true
     }
 
@@ -567,13 +481,13 @@ impl InitiatorRecovery {
         if applied {
             // The original landed before (or despite) the abort:
             // complete with the status the target kept.
-            self.complete(cid, completion, now, out);
+            self.complete(cid, completion, out);
         } else if cmd.can_replay() {
             // Never applied, so a resubmission cannot double-apply.
             self.resubmit(cid, now, out);
         } else {
             // Zero-copy published writes retain no payload: un-replayable.
-            self.give_up(cid, now, out);
+            self.give_up(cid, out);
         }
         true
     }
@@ -613,21 +527,19 @@ impl InitiatorRecovery {
             return;
         };
         if cmd.attempts >= self.cfg.max_retries {
-            self.give_up(cid, now, out);
+            self.give_up(cid, out);
             return;
         }
         if cmd.opcode.retries_freely() {
             self.resubmit(cid, now, out);
         } else {
-            let eff_now = self.eff(now);
             let cmd = self.cmds.get_mut(&cid).expect("checked above");
             cmd.attempts += 1;
             cmd.awaiting_abort = true;
             let attempts = cmd.attempts;
             let gseq = cmd.gseq;
             let barrier = cmd.barrier;
-            let pad = self.barrier_pad(barrier);
-            let deadline = self.arm_deadline(eff_now, attempts, pad);
+            let deadline = self.arm_deadline(now, attempts, barrier);
             self.cmds.get_mut(&cid).expect("still present").deadline = deadline;
             out.push(Action::SendAbort { cid, gseq });
         }
@@ -653,9 +565,7 @@ impl InitiatorRecovery {
         cmd.got = 0;
         cmd.held = None;
         cmd.published = false;
-        let eff_now = self.eff(now);
-        let pad = self.barrier_pad(cmd.barrier);
-        cmd.deadline = self.arm_deadline(eff_now, cmd.attempts, pad);
+        cmd.deadline = self.arm_deadline(now, cmd.attempts, cmd.barrier);
         self.cmds.insert(new_cid, cmd);
         out.push(Action::Resubmit {
             old_cid: cid,
@@ -664,14 +574,14 @@ impl InitiatorRecovery {
         });
     }
 
-    fn give_up(&mut self, cid: u16, now: Nanos, out: &mut Vec<Action>) {
-        if self.remove(cid, now).is_some() {
+    fn give_up(&mut self, cid: u16, out: &mut Vec<Action>) {
+        if self.remove(cid).is_some() {
             out.push(Action::GiveUp { wire_cid: cid });
         }
     }
 
-    /// Deadline + keep-alive pass. Cheap when nothing expired: one
-    /// effective-clock computation and two comparisons.
+    /// Deadline + keep-alive pass. Cheap when nothing expired: two
+    /// comparisons.
     pub fn tick(&mut self, now: Nanos, out: &mut Vec<Action>) {
         if self.cfg.cmd_deadline.is_some() {
             self.sweep_deadlines(now, out);
@@ -682,8 +592,7 @@ impl InitiatorRecovery {
     }
 
     fn sweep_deadlines(&mut self, now: Nanos, out: &mut Vec<Action>) {
-        let eff_now = self.eff(now);
-        if self.next_deadline.is_none_or(|d| eff_now < d) {
+        if self.next_deadline.is_none_or(|d| now < d) {
             return;
         }
         // Cold path: something actually expired (or the watermark is
@@ -693,7 +602,7 @@ impl InitiatorRecovery {
         expired.clear();
         for (&cid, cmd) in self.cmds.iter() {
             match cmd.deadline {
-                Some(d) if eff_now >= d => expired.push(cid),
+                Some(d) if now >= d => expired.push(cid),
                 Some(d) => {
                     self.next_deadline = Some(match self.next_deadline {
                         Some(cur) if cur <= d => cur,
@@ -713,16 +622,15 @@ impl InitiatorRecovery {
 
     fn check_keepalive(&mut self, now: Nanos, out: &mut Vec<Action>) {
         let ka = self.cfg.keepalive.expect("caller checked");
-        let eff_now = self.eff(now);
-        let quiet = eff_now.saturating_sub(self.last_rx);
+        let quiet = now.saturating_sub(self.last_rx);
         if quiet >= ka.grace {
             out.push(Action::PeerDead);
             return;
         }
-        if quiet >= ka.interval && eff_now.saturating_sub(self.last_ka_tx) >= ka.interval {
+        if quiet >= ka.interval && now.saturating_sub(self.last_ka_tx) >= ka.interval {
             self.ka_seq += 1;
             let missed_previous = self.ka_outstanding;
-            self.last_ka_tx = eff_now;
+            self.last_ka_tx = now;
             self.ka_outstanding = true;
             out.push(Action::SendKeepAlive {
                 seq: self.ka_seq,
@@ -731,38 +639,20 @@ impl InitiatorRecovery {
         }
     }
 
-    /// Raw time of the next armed timer (deadline watermark or
-    /// keep-alive probe/grace), if any — how the model checker knows
-    /// where to advance its clock. Returns an upper bound: any event
-    /// arriving earlier re-schedules.
-    pub fn next_timer(&self, now: Nanos) -> Option<Nanos> {
-        let mut eff_target: Option<Nanos> = self.next_deadline;
-        if let Some(ka) = self.cfg.keepalive {
-            let probe = self
-                .last_rx
-                .max(self.last_ka_tx)
-                .saturating_add(ka.interval);
-            let death = self.last_rx.saturating_add(ka.grace);
-            let t = probe.min(death);
-            eff_target = Some(match eff_target {
-                Some(cur) if cur <= t => cur,
-                _ => t,
-            });
-        }
-        let eff_target = eff_target?;
-        Some(match self.barrier_since {
-            None => eff_target.saturating_add(self.paused_total),
-            Some(since) => {
-                let frozen_eff = since.saturating_sub(self.paused_total);
-                if eff_target <= frozen_eff {
-                    now
-                } else {
-                    eff_target
-                        .saturating_add(self.paused_total)
-                        .saturating_add(self.cfg.barrier_grace)
-                }
-            }
-        })
+    /// Time of the next armed timer (deadline watermark or keep-alive
+    /// probe/grace), if any — how the model checker knows where to
+    /// advance its clock. Returns an upper bound: any event arriving
+    /// earlier re-schedules.
+    pub fn next_timer(&self) -> Option<Nanos> {
+        let Some(ka) = self.cfg.keepalive else {
+            return self.next_deadline;
+        };
+        let probe = self
+            .last_rx
+            .max(self.last_ka_tx)
+            .saturating_add(ka.interval);
+        let t = probe.min(self.last_rx.saturating_add(ka.grace));
+        Some(self.next_deadline.map_or(t, |d| d.min(t)))
     }
 
     /// Hashes the canonicalized core state (times re-based to `now`, map
@@ -779,7 +669,7 @@ impl InitiatorRecovery {
             c.replayable.hash(h);
             c.published.hash(h);
             c.gseq.hash(h);
-            c.deadline.map(|d| d.wrapping_sub(self.eff(now))).hash(h);
+            c.deadline.map(|d| d.wrapping_sub(now)).hash(h);
             c.attempts.hash(h);
             c.awaiting_abort.hash(h);
             c.need.hash(h);
@@ -793,17 +683,12 @@ impl InitiatorRecovery {
         self.next_gseq.hash(h);
         self.retired.hash(h);
         self.retired_at.hash(h);
-        self.next_deadline
-            .map(|d| d.wrapping_sub(self.eff(now)))
-            .hash(h);
-        let eff = self.eff(now);
-        eff.wrapping_sub(self.last_rx).hash(h);
-        eff.wrapping_sub(self.last_ka_tx).hash(h);
+        self.next_deadline.map(|d| d.wrapping_sub(now)).hash(h);
+        now.wrapping_sub(self.last_rx).hash(h);
+        now.wrapping_sub(self.last_ka_tx).hash(h);
         self.ka_seq.hash(h);
         self.ka_outstanding.hash(h);
         self.degraded.hash(h);
-        self.barriers.hash(h);
-        self.barrier_since.is_some().hash(h);
     }
 }
 
@@ -997,7 +882,7 @@ mod tests {
         assert_ne!(g2, gseq);
         out.clear();
         // Completion for the fresh attempt resolves it.
-        assert!(core.on_completion(new_cid, NvmeCompletion::ok(new_cid), 22 * MS, &mut out));
+        assert!(core.on_completion(new_cid, NvmeCompletion::ok(new_cid), &mut out));
         assert_eq!(out.len(), 1);
         assert!(core.quiesced());
     }
@@ -1027,7 +912,7 @@ mod tests {
         let mut core = InitiatorRecovery::new(cfg(), 0);
         let mut out = Vec::new();
         let (cid, _) = core.begin(Opcode::Read, false, DataNeed::Bytes(8192), false, 0);
-        assert!(core.on_completion(cid, NvmeCompletion::ok(cid), MS, &mut out));
+        assert!(core.on_completion(cid, NvmeCompletion::ok(cid), &mut out));
         assert!(out.is_empty(), "completion must be held before its data");
         core.on_data(
             cid,
@@ -1035,7 +920,6 @@ mod tests {
                 offset: 0,
                 len: 4096,
             },
-            MS,
             &mut out,
         );
         assert!(out.is_empty(), "half the transfer is not enough");
@@ -1046,7 +930,6 @@ mod tests {
                 offset: 8192,
                 len: 4096,
             },
-            MS,
             &mut out,
         );
         assert!(out.is_empty());
@@ -1056,7 +939,6 @@ mod tests {
                 offset: 4096,
                 len: 4096,
             },
-            MS,
             &mut out,
         );
         assert_eq!(out.len(), 1, "whole transfer releases the held completion");
@@ -1096,70 +978,35 @@ mod tests {
     }
 
     #[test]
-    fn barrier_pause_excludes_stall_from_deadline_and_keepalive() {
-        let mut core = InitiatorRecovery::new(cfg(), 0);
-        let mut out = Vec::new();
-        // A FUA write whose durable barrier stalls the target reactor
-        // for 60ms — far past the 10ms deadline and a 150ms-grace
-        // keep-alive check would fire probes from 50ms quiet.
-        let (cid, _) = core.begin(Opcode::Write, true, DataNeed::None, true, 0);
-        core.tick(20 * MS, &mut out);
-        core.tick(60 * MS, &mut out);
-        assert!(
-            out.is_empty(),
-            "deadline/keep-alive must not fire during a barrier: {out:?}"
-        );
-        // The (late) completion still resolves it; afterwards the
-        // effective clock runs again.
-        assert!(core.on_completion(cid, NvmeCompletion::ok(cid), 60 * MS, &mut out));
-        assert_eq!(out.len(), 1);
-        out.clear();
-        let (cid2, _) = core.begin(Opcode::Read, false, DataNeed::Bytes(512), false, 61 * MS);
-        core.tick(62 * MS, &mut out);
-        assert!(out.is_empty());
-        core.tick(85 * MS, &mut out);
-        let [Action::Resubmit { old_cid, .. }] = out[..] else {
-            panic!("post-barrier deadline must arm normally, got {out:?}");
-        };
-        assert_eq!(old_cid, cid2);
-    }
-
-    #[test]
-    fn barrier_pause_is_capped() {
+    fn a_lost_barrier_retries_once_its_pad_is_spent() {
         let mut core = InitiatorRecovery::new(cfg_no_ka(), 0);
         let mut out = Vec::new();
-        // A Flush whose frame was lost: the pause cap (100ms) bounds how
-        // long the stall exclusion can defer recovery.
+        // A Flush whose frame was lost: its deadline is 10+2+100 = 112ms,
+        // so the pad defers recovery but never forever.
         let (cid, _) = core.begin(Opcode::Flush, false, DataNeed::None, false, 0);
         core.tick(90 * MS, &mut out);
         assert!(out.is_empty());
         core.tick(200 * MS, &mut out);
         let [Action::Resubmit { old_cid, .. }] = out[..] else {
-            panic!("capped pause must let the flush retry, got {out:?}");
+            panic!("the padded flush must retry, got {out:?}");
         };
         assert_eq!(old_cid, cid);
     }
 
     #[test]
-    fn pad_mode_keeps_nonbarrier_deadlines_live() {
-        let mut core = InitiatorRecovery::new(
-            RecoveryConfig {
-                barrier_grace_mode: BarrierGraceMode::PadBarrierDeadline,
-                ..cfg_no_ka()
-            },
-            0,
-        );
+    fn barrier_pad_keeps_nonbarrier_deadlines_live() {
+        let mut core = InitiatorRecovery::new(cfg_no_ka(), 0);
         let mut out = Vec::new();
         // FUA write: its own deadline is padded to 10+2+100 = 112ms.
         let (w, _) = core.begin(Opcode::Write, true, DataNeed::None, true, 0);
-        // Concurrent read: plain 12ms deadline, clock NOT frozen.
+        // Concurrent read: plain 12ms deadline.
         let (r, _) = core.begin(Opcode::Read, false, DataNeed::Bytes(512), false, 0);
         core.tick(20 * MS, &mut out);
         let [Action::Resubmit {
             old_cid, new_cid, ..
         }] = out[..]
         else {
-            panic!("read deadline must stay live in pad mode, got {out:?}");
+            panic!("read deadline must stay live beside a barrier, got {out:?}");
         };
         assert_eq!(old_cid, r);
         out.clear();
@@ -1170,10 +1017,9 @@ mod tests {
                 offset: 0,
                 len: 512,
             },
-            21 * MS,
             &mut out,
         );
-        assert!(core.on_completion(new_cid, NvmeCompletion::ok(new_cid), 21 * MS, &mut out));
+        assert!(core.on_completion(new_cid, NvmeCompletion::ok(new_cid), &mut out));
         out.clear();
         // The padded barrier deadline has not expired yet...
         core.tick(100 * MS, &mut out);
@@ -1187,24 +1033,17 @@ mod tests {
     }
 
     #[test]
-    fn pad_mode_keepalive_stays_live_during_barrier() {
-        let mut core = InitiatorRecovery::new(
-            RecoveryConfig {
-                barrier_grace_mode: BarrierGraceMode::PadBarrierDeadline,
-                ..cfg()
-            },
-            0,
-        );
+    fn keepalive_stays_live_during_a_barrier() {
+        let mut core = InitiatorRecovery::new(cfg(), 0);
         let mut out = Vec::new();
         let _ = core.begin(Opcode::Write, true, DataNeed::None, true, 0);
-        // 60ms of silence mid-barrier: freeze mode stays quiet here, pad
-        // mode probes the peer (interval 50ms) without touching the
-        // padded write deadline (112ms).
+        // 60ms of silence mid-barrier: the peer is probed (interval
+        // 50ms) without touching the padded write deadline (112ms).
         core.tick(60 * MS, &mut out);
         assert!(
             out.iter()
                 .any(|a| matches!(a, Action::SendKeepAlive { .. })),
-            "keep-alive must run on live time in pad mode: {out:?}"
+            "keep-alive must run on live time: {out:?}"
         );
         assert!(
             !out.iter()
@@ -1213,11 +1052,11 @@ mod tests {
         );
         out.clear();
         // A peer silent past the grace is declared dead even while the
-        // barrier is nominally outstanding.
+        // barrier is outstanding.
         core.tick(200 * MS, &mut out);
         assert!(
             out.contains(&Action::PeerDead),
-            "pad mode must detect a wedged peer mid-barrier: {out:?}"
+            "a wedged peer must be detected mid-barrier: {out:?}"
         );
     }
 
@@ -1248,7 +1087,7 @@ mod tests {
                 !core.is_retired_cid(cid),
                 "alloc handed out a recently-retired cid {cid}"
             );
-            assert!(core.on_completion(cid, NvmeCompletion::ok(cid), i * MS, &mut out));
+            assert!(core.on_completion(cid, NvmeCompletion::ok(cid), &mut out));
             out.clear();
         }
     }

@@ -427,15 +427,11 @@ mod tests {
     fn a_timed_wait_entered_with_a_parked_completion_is_counted() {
         use crate::nvme::command::NvmeCommand;
         use crate::pdu::{CapsuleCmd, DataRef, ICReq};
-        use oaf_store::vfs::SharedMemVfs;
-
-        let vfs = SharedMemVfs::new();
-        let disk = oaf_store::FileDisk::create_on(Box::new(vfs.clone()), 4096, 64, 256 * 1024)
-            .unwrap()
-            .into_shared()
-            .with_sync_worker(Box::new(vfs.clone()));
+        let vfs = oaf_store::vfs::MemVfs::new();
+        let disk =
+            oaf_store::FileDisk::create_on(Box::new(vfs.clone()), 4096, 64, 256 * 1024).unwrap();
         let mut ctrl = Controller::new();
-        ctrl.add_namespace(Namespace::with_shared_file(1, disk));
+        ctrl.add_namespace(Namespace::with_file(1, disk));
         let (client, served) = MemTransport::pair();
         let mut live = LiveConnection::build(
             ConnectionSpec {

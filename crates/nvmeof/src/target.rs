@@ -1300,14 +1300,12 @@ mod tests {
         assert!(matches!(err, NvmeofError::Protocol(_)));
     }
 
-    fn offloaded_controller() -> (oaf_store::vfs::SharedMemVfs, Controller) {
-        let vfs = oaf_store::vfs::SharedMemVfs::new();
-        let disk = oaf_store::FileDisk::create_on(Box::new(vfs.clone()), 4096, 64, 256 * 1024)
-            .unwrap()
-            .into_shared()
-            .with_sync_worker(Box::new(vfs.clone()));
+    fn file_backed_controller() -> (oaf_store::vfs::MemVfs, Controller) {
+        let vfs = oaf_store::vfs::MemVfs::new();
+        let disk =
+            oaf_store::FileDisk::create_on(Box::new(vfs.clone()), 4096, 64, 256 * 1024).unwrap();
         let mut ctrl = Controller::new();
-        ctrl.add_namespace(Namespace::with_shared_file(1, disk));
+        ctrl.add_namespace(Namespace::with_file(1, disk));
         (vfs, ctrl)
     }
 
@@ -1328,7 +1326,7 @@ mod tests {
 
     #[test]
     fn offloaded_barrier_parks_then_releases() {
-        let (vfs, mut ctrl) = offloaded_controller();
+        let (vfs, mut ctrl) = file_backed_controller();
         let mut conn = TargetConnection::new(TargetConfig::default(), None);
         handshake(&mut conn, &mut ctrl, 0);
         vfs.hold_syncs(true);
@@ -1373,7 +1371,7 @@ mod tests {
 
     #[test]
     fn abort_of_parked_barrier_defers_to_release() {
-        let (vfs, mut ctrl) = offloaded_controller();
+        let (vfs, mut ctrl) = file_backed_controller();
         let mut conn = TargetConnection::new(TargetConfig::default(), None);
         handshake(&mut conn, &mut ctrl, 0);
         vfs.hold_syncs(true);
@@ -1412,7 +1410,7 @@ mod tests {
 
     #[test]
     fn failed_sync_releases_parked_barrier_as_error() {
-        let (vfs, mut ctrl) = offloaded_controller();
+        let (vfs, mut ctrl) = file_backed_controller();
         let mut conn = TargetConnection::new(TargetConfig::default(), None);
         handshake(&mut conn, &mut ctrl, 0);
         vfs.set_fail_sync(true);

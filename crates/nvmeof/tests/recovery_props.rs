@@ -57,7 +57,7 @@ proptest! {
             if let Some(&(old_cid, _)) = retired_gen.last() {
                 if old_cid != cid {
                     prop_assert!(
-                        !core.on_completion(old_cid, NvmeCompletion::ok(old_cid), now, &mut out),
+                        !core.on_completion(old_cid, NvmeCompletion::ok(old_cid), &mut out),
                         "stale completion for retired cid {} was accepted", old_cid
                     );
                     prop_assert!(out.is_empty());
@@ -66,7 +66,7 @@ proptest! {
             match fate {
                 0 => {
                     prop_assert!(core.on_completion(
-                        cid, NvmeCompletion::ok(cid), now, &mut out
+                        cid, NvmeCompletion::ok(cid), &mut out
                     ));
                 }
                 1 => {
@@ -87,7 +87,7 @@ proptest! {
                     retired_gen.push((cid, gseq));
                     out.clear();
                     prop_assert!(core.on_completion(
-                        new_cid, NvmeCompletion::ok(new_cid), now, &mut out
+                        new_cid, NvmeCompletion::ok(new_cid), &mut out
                     ));
                 }
                 _ => {

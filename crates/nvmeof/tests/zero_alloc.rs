@@ -614,6 +614,9 @@ fn steady_state_cached_read_hits_allocate_nothing_and_skip_syscalls() {
         fn set_len(&mut self, len: u64) -> std::io::Result<()> {
             self.inner.set_len(len)
         }
+        fn try_clone(&self) -> std::io::Result<Box<dyn Vfs>> {
+            self.inner.try_clone()
+        }
     }
 
     let reads = Arc::new(AtomicU64::new(0));
@@ -701,10 +704,10 @@ fn steady_state_ops_with_parked_barrier_allocate_nothing() {
     use oaf_nvmeof::pdu::ICReq;
     use oaf_nvmeof::target::{TargetConfig, TargetConnection};
     use oaf_nvmeof::transport::Frame;
-    use oaf_store::vfs::SharedMemVfs;
+    use oaf_store::vfs::MemVfs;
     use oaf_store::FileDisk;
 
-    let vfs = SharedMemVfs::new();
+    let vfs = MemVfs::new();
     // The log is sized so the tracked window never wraps it: a wrap
     // checkpoints, and a checkpoint's superblock barrier would block on
     // the held sync gate below.

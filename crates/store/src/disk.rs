@@ -31,9 +31,9 @@
 //! drains the cache.
 //!
 //! Under [`SharedFileDisk`], FUA/Flush barriers go through a
-//! [`GroupCommit`] coordinator: concurrent barriers from many queues
-//! coalesce into one `fdatasync` per batch window instead of queueing
-//! N syncs behind one lock.
+//! [`GroupCommit`] coordinator to the disk's own sync worker thread:
+//! concurrent barriers from many queues coalesce into one `fdatasync`
+//! per worker round, and no caller ever runs the syscall itself.
 //!
 //! ## Recovery invariants
 //!
@@ -480,19 +480,8 @@ impl FileDisk {
         Ok(())
     }
 
-    /// Take one durability barrier over the journal; returns the highest
-    /// record sequence it covered. Dirty cache blocks stay cached: their
-    /// records are in the journal this sync makes durable. This is the
-    /// `sync` closure [`GroupCommit`] leaders run (under the disk lock,
-    /// so no append can slip between the covered-sequence read and the
-    /// fsync).
-    pub(crate) fn seal(&mut self) -> Result<u64, BlockError> {
-        self.sync_barrier()?;
-        Ok(self.next_seq - 1)
-    }
-
-    /// Phase 1 of an *offloaded* barrier, run by the sync worker under
-    /// the disk lock: a watermark read with no I/O. The worker issues
+    /// Phase 1 of a barrier, run by the sync worker under the disk
+    /// lock: a watermark read with no I/O. The worker issues
     /// the `fdatasync` through its own vfs handle after releasing this
     /// lock, so reads and journaled writes keep flowing for the
     /// barrier's whole duration. Returns `(covered_seq,
@@ -503,8 +492,9 @@ impl FileDisk {
         (self.next_seq - 1, dirty)
     }
 
-    /// One durability barrier: `fdatasync` + the flushed-bytes/latency
-    /// bookkeeping.
+    /// One durability barrier over the journal: `fdatasync` + the
+    /// flushed-bytes/latency bookkeeping. Dirty cache blocks stay
+    /// cached: their records are in the journal this sync makes durable.
     fn sync_barrier(&mut self) -> Result<(), BlockError> {
         let t0 = Instant::now();
         self.vfs.sync().map_err(|e| io_err("fsync", e))?;
@@ -713,10 +703,10 @@ impl FileDisk {
 
     /// Journal + apply without any sync barrier — even for `fua`, whose
     /// flag is still recorded in the header; the *caller* owns the
-    /// barrier (directly via [`Self::seal`], or through
-    /// [`GroupCommit::barrier`] for shared disks). Returns the record's
-    /// sequence number. With a cache, the apply is deferred: blocks
-    /// park dirty, pinned to this sequence.
+    /// barrier (a direct sync for this unshared form, a [`GroupCommit`]
+    /// ticket for shared disks). Returns the record's sequence number.
+    /// With a cache, the apply is deferred: blocks park dirty, pinned to
+    /// this sequence.
     pub(crate) fn write_journaled(
         &mut self,
         lba: u64,
@@ -785,15 +775,31 @@ impl FileDisk {
     }
 
     /// Converts this disk into a [`SharedFileDisk`] over the same file,
-    /// for multi-queue access from several reactor threads.
+    /// for multi-queue access from several reactor threads, and starts
+    /// its sync worker on a second handle ([`Vfs::try_clone`]).
+    ///
+    /// # Panics
+    ///
+    /// When the second handle cannot be opened or the worker thread
+    /// cannot be spawned: a shared disk never syncs on its callers'
+    /// threads.
     pub fn into_shared(self) -> SharedFileDisk {
+        let sync_vfs = self
+            .vfs
+            .try_clone()
+            .expect("second store handle for the sync worker");
+        let commit = Arc::new(GroupCommit::new());
+        let metrics = Arc::clone(&self.metrics);
+        let (block_size, capacity_blocks) = (self.sb.block_size, self.sb.capacity_blocks);
+        let inner = Arc::new(parking_lot::Mutex::new(self));
+        let worker = SyncWorker::spawn(&commit, &inner, &metrics, sync_vfs);
         SharedFileDisk {
-            block_size: self.sb.block_size,
-            capacity_blocks: self.sb.capacity_blocks,
-            metrics: Arc::clone(&self.metrics),
-            commit: Arc::new(GroupCommit::new()),
-            inner: Arc::new(parking_lot::Mutex::new(self)),
-            worker: None,
+            block_size,
+            capacity_blocks,
+            metrics,
+            commit,
+            inner,
+            worker,
         }
     }
 
@@ -858,7 +864,7 @@ impl BlockStore for FileDisk {
     fn write(&mut self, lba: u64, count: u32, buf: &[u8], fua: bool) -> Result<(), BlockError> {
         self.write_journaled(lba, count, buf, fua)?;
         if fua {
-            self.seal()?;
+            self.sync_barrier()?;
         }
         Ok(())
     }
@@ -899,8 +905,7 @@ impl BlockStore for FileDisk {
 
     fn flush(&mut self) -> Result<(), BlockError> {
         self.append_flush_record()?;
-        self.seal()?;
-        Ok(())
+        self.sync_barrier()
     }
 }
 
@@ -914,15 +919,15 @@ impl BlockStore for FileDisk {
 /// for the journal append + (deferred) apply. Geometry queries stay
 /// lock-free.
 ///
-/// Durability barriers do **not** simply queue behind that lock: a
-/// FUA/Flush releases the disk lock after its journal append, then
-/// takes a [`GroupCommit`] ticket for its record's sequence. One
-/// elected leader (or the sync worker, when attached) issues a single
-/// `fdatasync` covering every sequence appended so far; all
-/// concurrently waiting barriers retire on that one sync
-/// (`fsyncs_coalesced` counts them). The sync makes the journal
-/// durable and leaves dirty cache blocks where they are — only a
-/// checkpoint drains them.
+/// Durability barriers do **not** queue behind that lock: a FUA/Flush
+/// releases the disk lock after its journal append, then takes a
+/// [`GroupCommit`] ticket for its record's sequence. The disk's sync
+/// worker issues a single `fdatasync` per round, through its own vfs
+/// handle with the disk lock released, covering every sequence
+/// appended so far; all tickets waiting on it retire together
+/// (`fsyncs_coalesced` counts them). The sync makes the journal durable
+/// and leaves dirty cache blocks where they are — only a checkpoint
+/// drains them.
 ///
 /// [`SharedRamDisk`]: oaf_ssd::ram::SharedRamDisk
 #[derive(Clone)]
@@ -934,30 +939,51 @@ pub struct SharedFileDisk {
     inner: Arc<parking_lot::Mutex<FileDisk>>,
     /// Sync worker lifecycle handle; the last clone to drop shuts the
     /// worker down and joins it.
-    worker: Option<Arc<SyncWorkerHandle>>,
+    worker: Arc<SyncWorker>,
 }
 
-/// Owns the sync worker thread's lifetime. Held behind an `Arc` inside
-/// every [`SharedFileDisk`] clone: dropping the final reference asks
-/// the worker to exit (waking it if parked) and joins the thread, so a
-/// disk never outlives its barrier pipeline.
-struct SyncWorkerHandle {
+/// Owns the sync worker thread's lifetime and the vfs handle it syncs
+/// through. Held behind an `Arc` inside every [`SharedFileDisk`] clone:
+/// dropping the final reference asks the worker to exit (waking it if
+/// parked) and joins the thread, so a disk never outlives its barrier
+/// pipeline.
+struct SyncWorker {
     commit: Arc<GroupCommit>,
-    join: std::sync::Mutex<Option<std::thread::JoinHandle<()>>>,
+    /// The worker's handle onto the disk's bytes (swappable through
+    /// [`SharedFileDisk::with_sync_worker`]).
+    vfs: Arc<std::sync::Mutex<Box<dyn Vfs>>>,
+    join: Option<std::thread::JoinHandle<()>>,
 }
 
-impl Drop for SyncWorkerHandle {
-    fn drop(&mut self) {
-        self.commit.shutdown_worker();
-        if let Some(join) = self.join.lock().expect("worker join poisoned").take() {
-            let _ = join.join();
-        }
+impl SyncWorker {
+    fn spawn(
+        commit: &Arc<GroupCommit>,
+        inner: &Arc<parking_lot::Mutex<FileDisk>>,
+        metrics: &Arc<StoreMetrics>,
+        sync_vfs: Box<dyn Vfs>,
+    ) -> Arc<SyncWorker> {
+        let vfs = Arc::new(std::sync::Mutex::new(sync_vfs));
+        let (commit_w, inner, metrics, vfs_w) = (
+            Arc::clone(commit),
+            Arc::clone(inner),
+            Arc::clone(metrics),
+            Arc::clone(&vfs),
+        );
+        let join = std::thread::Builder::new()
+            .name("oaf-sync".into())
+            .spawn(move || run_sync_worker(commit_w, inner, metrics, vfs_w))
+            .expect("spawn sync worker");
+        Arc::new(SyncWorker {
+            commit: Arc::clone(commit),
+            vfs,
+            join: Some(join),
+        })
     }
 }
 
 /// The sync worker loop: wait for barrier tickets, read the covered
 /// watermark under the disk lock (phase 1, no I/O), then run the
-/// `fdatasync` through a *dedicated* vfs handle with the disk lock
+/// `fdatasync` through the worker's own vfs handle with the disk lock
 /// released (phase 2), and publish the outcome. Reads and journaled
 /// writes proceed on other threads for the entire syscall; an error
 /// fails exactly the round's parked set via
@@ -966,13 +992,14 @@ fn run_sync_worker(
     commit: Arc<GroupCommit>,
     inner: Arc<parking_lot::Mutex<FileDisk>>,
     metrics: Arc<StoreMetrics>,
-    mut sync_vfs: Box<dyn Vfs>,
+    sync_vfs: Arc<std::sync::Mutex<Box<dyn Vfs>>>,
 ) {
     while let Some(target) = commit.next_sync_request() {
         let res = (|| {
             let (covered, dirty) = inner.lock().prepare_offload_sync();
             let t0 = Instant::now();
-            sync_vfs.sync().map_err(|e| io_err("fsync", e))?;
+            let mut vfs = sync_vfs.lock().expect("sync handle lock poisoned");
+            vfs.sync().map_err(|e| io_err("fsync", e))?;
             metrics.fsyncs.inc();
             metrics.fsync_ns.record_nanos(t0.elapsed());
             metrics.flushed_bytes.add(dirty);
@@ -982,38 +1009,25 @@ fn run_sync_worker(
     }
 }
 
-impl SharedFileDisk {
-    /// Attaches a dedicated sync worker thread: from here on, every
-    /// durability barrier — blocking [`write`](SharedFileDisk::write)/
-    /// [`flush`](SharedFileDisk::flush) calls included — is served by
-    /// the worker's `fdatasync` instead of one taken on the calling
-    /// thread, and [`BlockStore::write_submit`]/
-    /// [`BlockStore::flush_submit`] hand out tickets instead of
-    /// blocking.
-    ///
-    /// `sync_vfs` must be a second handle onto the *same backing
-    /// storage* whose `sync` makes the disk handle's writes durable —
-    /// for a real file, the same path opened again (syncing either fd
-    /// flushes the inode); tests pass a clone of a shared vfs. The
-    /// worker syncs through this handle so the disk lock is *not* held
-    /// across the syscall.
-    pub fn with_sync_worker(self, sync_vfs: Box<dyn Vfs>) -> SharedFileDisk {
-        assert!(self.worker.is_none(), "sync worker already attached");
-        self.commit.attach_worker();
-        let commit = Arc::clone(&self.commit);
-        let inner = Arc::clone(&self.inner);
-        let metrics = Arc::clone(&self.metrics);
-        let join = std::thread::Builder::new()
-            .name("oaf-sync".into())
-            .spawn(move || run_sync_worker(commit, inner, metrics, sync_vfs))
-            .expect("spawn sync worker");
-        SharedFileDisk {
-            worker: Some(Arc::new(SyncWorkerHandle {
-                commit: Arc::clone(&self.commit),
-                join: std::sync::Mutex::new(Some(join)),
-            })),
-            ..self
+impl Drop for SyncWorker {
+    fn drop(&mut self) {
+        self.commit.shutdown_worker();
+        if let Some(join) = self.join.take() {
+            let _ = join.join();
         }
+    }
+}
+
+impl SharedFileDisk {
+    /// Makes the sync worker sync through `sync_vfs` instead of the
+    /// handle [`FileDisk::into_shared`] cloned — e.g. a descriptor the
+    /// caller opened itself. `sync_vfs` must be a second handle onto the
+    /// *same backing storage* whose `sync` makes the disk handle's
+    /// writes durable (for a real file, the same path opened again:
+    /// syncing either descriptor flushes the inode).
+    pub fn with_sync_worker(self, sync_vfs: Box<dyn Vfs>) -> SharedFileDisk {
+        *self.worker.vfs.lock().expect("sync handle lock poisoned") = sync_vfs;
+        self
     }
 
     /// Block size in bytes.
@@ -1037,39 +1051,19 @@ impl SharedFileDisk {
         &self.commit
     }
 
-    /// Retires a durability barrier for record `seq` through group
-    /// commit: coalesces with any in-flight sync that covers it, else
-    /// leads one `seal` (a journal `fdatasync`) under the disk lock.
-    fn barrier(&self, seq: u64) -> Result<(), BlockError> {
-        self.commit
-            .barrier(seq, &self.metrics, || self.inner.lock().seal())
-    }
-
-    /// The ticket-or-block decision for a barrier on record `seq`, the
-    /// one place outside [`GroupCommit`] that asks whether a worker is
-    /// attached: with one the barrier is submitted and the ticket
-    /// handed back, without one it is retired here and now.
-    fn submit_barrier(&self, seq: u64) -> Result<Option<BarrierTicket>, BlockError> {
-        if self.commit.offloaded() {
-            Ok(Some(self.commit.submit_sync(seq, &self.metrics)))
-        } else {
-            self.barrier(seq)?;
-            Ok(None)
-        }
-    }
-
     /// Reads `count` blocks starting at `lba` into `buf`.
     pub fn read(&self, lba: u64, count: u32, buf: &mut [u8]) -> Result<(), BlockError> {
         self.inner.lock().read(lba, count, buf)
     }
 
     /// Writes `count` blocks starting at `lba` from `buf`; with `fua`
-    /// the write is durable before returning (via group commit, so
-    /// concurrent FUA writers share one `fdatasync` per batch window).
+    /// the write is durable before returning (a group-commit ticket
+    /// waited out, so concurrent FUA writers share one `fdatasync` per
+    /// worker round).
     pub fn write(&self, lba: u64, count: u32, buf: &[u8], fua: bool) -> Result<(), BlockError> {
         let seq = self.inner.lock().write_journaled(lba, count, buf, fua)?;
         if fua {
-            self.barrier(seq)?;
+            self.commit.barrier(seq, &self.metrics)?;
         }
         Ok(())
     }
@@ -1088,7 +1082,7 @@ impl SharedFileDisk {
     /// coalesced).
     pub fn flush(&self) -> Result<(), BlockError> {
         let seq = self.inner.lock().append_flush_record()?;
-        self.barrier(seq)
+        self.commit.barrier(seq, &self.metrics)
     }
 }
 
@@ -1122,11 +1116,9 @@ impl BlockStore for SharedFileDisk {
     }
 
     /// Journals (and applies/caches) the write; an FUA barrier is
-    /// *submitted* to the sync worker when one is attached, and the
-    /// returned ticket parks until
-    /// [`poll_barrier`](BlockStore::poll_barrier) reports it durable
-    /// (or failed). Without a worker — or without `fua` — this is the
-    /// blocking [`write`](SharedFileDisk::write).
+    /// *submitted* to the sync worker, and the returned ticket parks
+    /// until [`poll_barrier`](BlockStore::poll_barrier) reports it
+    /// durable (or failed).
     fn write_submit(
         &mut self,
         lba: u64,
@@ -1135,18 +1127,13 @@ impl BlockStore for SharedFileDisk {
         fua: bool,
     ) -> Result<Option<BarrierTicket>, BlockError> {
         let seq = self.inner.lock().write_journaled(lba, count, buf, fua)?;
-        if fua {
-            self.submit_barrier(seq)
-        } else {
-            Ok(None)
-        }
+        Ok(fua.then(|| self.commit.submit_sync(seq, &self.metrics)))
     }
 
-    /// Journals a Flush and submits its barrier to the sync worker;
-    /// the blocking group-commit barrier when no worker is attached.
+    /// Journals a Flush and submits its barrier to the sync worker.
     fn flush_submit(&mut self) -> Result<Option<BarrierTicket>, BlockError> {
         let seq = self.inner.lock().append_flush_record()?;
-        self.submit_barrier(seq)
+        Ok(Some(self.commit.submit_sync(seq, &self.metrics)))
     }
 
     /// Lock-free: two atomic loads.
@@ -1515,8 +1502,6 @@ mod tests {
         }
     }
 
-    use crate::vfs::SharedMemVfs;
-
     fn poll_until(d: &SharedFileDisk, h: BarrierTicket, want: BarrierPoll) {
         let deadline = Instant::now() + std::time::Duration::from_secs(5);
         loop {
@@ -1535,17 +1520,12 @@ mod tests {
     }
 
     #[test]
-    fn offloaded_write_submit_parks_then_retires() {
-        let vfs = SharedMemVfs::new();
-        let mut d = FileDisk::create_on(Box::new(vfs.clone()), 512, 64, 64 * 1024)
-            .unwrap()
-            .into_shared()
-            .with_sync_worker(Box::new(vfs));
-        assert!(d.group_commit().offloaded());
+    fn write_submit_parks_then_retires() {
+        let mut d = mem_disk(64 * 1024).into_shared();
         let h = d
             .write_submit(3, 1, &[0x5au8; 512], true)
             .unwrap()
-            .expect("fua on an offloaded disk returns a ticket");
+            .expect("fua on a shared disk returns a ticket");
         poll_until(&d, h, BarrierPoll::Durable);
         // Plain writes never ticket; blocking FUA rides the worker.
         assert!(d.write_submit(4, 1, &[1u8; 512], false).unwrap().is_none());
@@ -1554,7 +1534,6 @@ mod tests {
         poll_until(&d, h2, BarrierPoll::Durable);
         let m = d.metrics();
         assert!(m.barriers_offloaded.get() >= 3);
-        assert_eq!(m.barriers_inline.get(), 0, "no barrier ran inline");
         assert!(m.fsyncs.get() >= 1);
         let mut out = [0u8; 512];
         d.read(3, 1, &mut out).unwrap();
@@ -1563,7 +1542,7 @@ mod tests {
 
     #[test]
     fn worker_sync_failure_fails_parked_tickets_then_recovers() {
-        let vfs = SharedMemVfs::new();
+        let vfs = MemVfs::new();
         let mut d = FileDisk::create_on(Box::new(vfs.clone()), 512, 64, 64 * 1024)
             .unwrap()
             .into_shared()
@@ -1580,12 +1559,27 @@ mod tests {
     }
 
     #[test]
-    fn dropping_every_clone_joins_the_worker() {
-        let vfs = SharedMemVfs::new();
+    fn with_sync_worker_chooses_the_handle_the_worker_syncs_through() {
+        let vfs = MemVfs::new();
+        let own = MemVfs::new();
         let d = FileDisk::create_on(Box::new(vfs.clone()), 512, 64, 64 * 1024)
             .unwrap()
             .into_shared()
-            .with_sync_worker(Box::new(vfs));
+            .with_sync_worker(Box::new(own.clone()));
+        let formatted = vfs.syncs();
+        d.write(0, 1, &[1u8; 512], true).unwrap();
+        d.flush().unwrap();
+        assert_eq!(
+            own.syncs(),
+            2,
+            "both barriers synced through the given handle"
+        );
+        assert_eq!(vfs.syncs(), formatted);
+    }
+
+    #[test]
+    fn dropping_every_clone_joins_the_worker() {
+        let d = mem_disk(64 * 1024).into_shared();
         let d2 = d.clone();
         d2.write(0, 1, &[1u8; 512], true).unwrap();
         drop(d2);

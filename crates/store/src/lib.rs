@@ -18,17 +18,14 @@
 //!   superblock write.
 //!
 //! * **Group commit.** Concurrent durability barriers from multi-queue
-//!   views coalesce into one `fdatasync` per batch window via a ticket
-//!   protocol ([`commit::GroupCommit`]).
-//! * **Async durability pipeline.** With a sync worker attached
-//!   ([`SharedFileDisk::with_sync_worker`]), the trait's
-//!   `write_submit`/`flush_submit` hand back an
-//!   [`oaf_ssd::BarrierTicket`] resolved by a lock-free poll — the
-//!   `fdatasync` runs on the worker with the disk lock released, so
+//!   views coalesce into one `fdatasync` per sync-worker round via a
+//!   ticket protocol ([`commit::GroupCommit`]).
+//! * **Async durability pipeline.** Every [`SharedFileDisk`] owns a
+//!   sync worker, and the trait's `write_submit`/`flush_submit` hand
+//!   back an [`oaf_ssd::BarrierTicket`] resolved by a lock-free poll —
+//!   the `fdatasync` runs on the worker with the disk lock released, so
 //!   reads and journaled writes flow at full rate while a sync is in
-//!   flight. Whether a barrier tickets or blocks is decided in one
-//!   place, [`SharedFileDisk`]'s `BlockStore` impl; every other store
-//!   takes the trait's provided (blocking, never-ticketing) methods.
+//!   flight.
 //! * **Block cache.** A fixed-capacity segmented-LRU write-back cache
 //!   ([`cache::BlockCache`]) serves read hits with zero syscalls and
 //!   defers in-place applies; dirty entries are pinned to journal

@@ -36,8 +36,8 @@ pub struct StoreMetrics {
     /// waits all of it out.
     pub checkpoint_ns: Histo,
     /// Durability barriers retired by an `fdatasync` some other barrier
-    /// started (an inline leader's, or a sync-worker round run for an
-    /// earlier ticket) instead of one of their own. `fsyncs` +
+    /// started (a sync-worker round run for an earlier ticket) instead
+    /// of one of their own. `fsyncs` +
     /// `fsyncs_coalesced` counts every barrier once when no checkpoint
     /// syncs in between.
     pub fsyncs_coalesced: Counter,
@@ -62,12 +62,9 @@ pub struct StoreMetrics {
     /// Barrier tickets submitted to the sync worker and not yet retired
     /// (durable or failed). `hwm()` is the deepest the queue has been.
     pub sync_queue_depth: Gauge,
-    /// Barriers handed to the offloaded sync worker instead of running
-    /// `fdatasync` on the calling thread.
+    /// Barriers handed to the sync worker (every FUA/Flush on a shared
+    /// disk; none runs `fdatasync` on the calling thread).
     pub barriers_offloaded: Counter,
-    /// Barriers served by the inline group-commit path (no worker, or
-    /// worker not attached).
-    pub barriers_inline: Counter,
     /// Current block-cache capacity, in blocks (moves when the adaptive
     /// controller resizes the arena).
     pub cache_capacity: Gauge,
@@ -106,7 +103,6 @@ impl StoreMetrics {
         scope.adopt_gauge("live_bytes", &self.live_bytes);
         scope.adopt_gauge("sync_queue_depth", &self.sync_queue_depth);
         scope.adopt_counter("barriers_offloaded", &self.barriers_offloaded);
-        scope.adopt_counter("barriers_inline", &self.barriers_inline);
         scope.adopt_gauge("cache_capacity", &self.cache_capacity);
         scope.adopt_counter("cache_grows", &self.cache_grows);
         scope.adopt_counter("cache_shrinks", &self.cache_shrinks);
@@ -156,7 +152,6 @@ mod tests {
         let m = StoreMetrics::new();
         m.sync_queue_depth.set(2);
         m.barriers_offloaded.add(5);
-        m.barriers_inline.inc();
         m.cache_capacity.set(256);
         m.cache_grows.inc();
         m.checkpoint_ns.record(7_500_000);
@@ -166,7 +161,6 @@ mod tests {
         assert_eq!(snap.histo("store", "checkpoint_ns").unwrap().count, 1);
         assert_eq!(snap.gauge("store", "sync_queue_depth").unwrap().0, 2);
         assert_eq!(snap.counter("store", "barriers_offloaded"), 5);
-        assert_eq!(snap.counter("store", "barriers_inline"), 1);
         assert_eq!(snap.gauge("store", "cache_capacity").unwrap().0, 256);
         assert_eq!(snap.counter("store", "cache_grows"), 1);
         assert_eq!(snap.counter("store", "cache_shrinks"), 0);

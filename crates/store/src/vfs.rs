@@ -2,31 +2,33 @@
 //! injected exactly where a real power loss bites.
 //!
 //! [`FileDisk`](crate::disk::FileDisk) never touches `std::fs` directly;
-//! every byte goes through a [`Vfs`]. Four implementations:
+//! every byte goes through a [`Vfs`]. Every `Vfs` can hand out a second
+//! handle onto the same bytes ([`Vfs::try_clone`]): the shared disk's
+//! sync worker syncs through one, so `fdatasync` never runs under the
+//! disk lock. Three implementations:
 //!
 //! * [`RealVfs`] — a real file with positional I/O and `fdatasync`;
 //! * [`MemVfs`] — a flat in-memory image with no volatile cache
-//!   (always "durable"), for unit tests and allocation-budget tests;
-//! * [`SharedMemVfs`] — a clone-shareable [`MemVfs`] with slow-sync /
-//!   failing-sync knobs, the harness for sync-worker (offloaded
-//!   durability) tests;
+//!   (always "durable"), for unit tests and allocation-budget tests,
+//!   with slow-sync / failing-sync knobs shared by every handle;
 //! * [`CrashVfs`] — the chaos layer: a volatile-cache model over an
 //!   in-memory image. Writes land in a pending cache and only
 //!   [`Vfs::sync`] makes them durable. At a chosen syscall index the
 //!   "machine dies": a seeded-random subset of the pending cache —
 //!   including a possibly *torn prefix* of the in-flight write — reaches
-//!   the durable image, and every later operation fails. Reopening from
-//!   [`CrashVfs::durable_image`] is exactly a post-power-loss mount.
+//!   the durable image, and every later operation on every handle
+//!   fails. Reopening from [`CrashVfs::durable_image`] is exactly a
+//!   post-power-loss mount.
 
 use std::fs::File;
 use std::io;
 use std::os::unix::fs::FileExt;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
-/// Positional I/O + durability barrier: the five syscalls the store is
+/// Positional I/O + durability barrier: the syscalls the store is
 /// allowed to make.
 #[allow(clippy::len_without_is_empty)] // `len` is a file size, not a collection
 pub trait Vfs: Send {
@@ -47,6 +49,11 @@ pub trait Vfs: Send {
 
     /// Grows (or truncates) the file to `len` bytes.
     fn set_len(&mut self, len: u64) -> io::Result<()>;
+
+    /// A second handle onto the same bytes: a write through either
+    /// handle is visible to reads through both, and `sync` through
+    /// either makes every earlier write durable.
+    fn try_clone(&self) -> io::Result<Box<dyn Vfs>>;
 }
 
 /// A real file. `sync` is `fdatasync` — the store's own metadata lives
@@ -94,15 +101,39 @@ impl Vfs for RealVfs {
     fn set_len(&mut self, len: u64) -> io::Result<()> {
         self.file.set_len(len)
     }
+
+    /// A duplicated descriptor: `fdatasync` on either flushes the inode.
+    fn try_clone(&self) -> io::Result<Box<dyn Vfs>> {
+        Ok(Box::new(RealVfs {
+            file: self.file.try_clone()?,
+        }))
+    }
+}
+
+/// Sync-behaviour knobs shared by every handle of a [`MemVfs`].
+#[derive(Default)]
+struct SyncCtl {
+    delay_ns: AtomicU64,
+    fail: AtomicBool,
+    hold: AtomicBool,
+    syncs: AtomicU64,
 }
 
 /// A flat in-memory image with no volatile cache: every write is
-/// immediately "durable", `sync` is a no-op. Writes inside the sized
-/// image never allocate, so the store's steady-state allocation budget
-/// can be pinned over this backend.
-#[derive(Default)]
+/// immediately "durable". Writes inside the sized image never allocate,
+/// so the store's steady-state allocation budget can be pinned over
+/// this backend.
+///
+/// Every clone views the same image, the way a file opened twice does.
+/// The sync knobs model a slow or failing device; the configured delay
+/// and hold are served without touching the image, so reads and writes
+/// through other handles keep flowing while a sync is "in flight" —
+/// exactly how a real file behaves while `fdatasync` runs on another
+/// descriptor.
+#[derive(Clone, Default)]
 pub struct MemVfs {
-    image: Vec<u8>,
+    image: Arc<Mutex<Vec<u8>>>,
+    ctl: Arc<SyncCtl>,
 }
 
 impl MemVfs {
@@ -115,12 +146,43 @@ impl MemVfs {
     /// An image holding `bytes` — e.g. a [`CrashVfs::durable_image`] to
     /// mount what survived a crash.
     pub fn from_image(bytes: Vec<u8>) -> MemVfs {
-        MemVfs { image: bytes }
+        MemVfs {
+            image: Arc::new(Mutex::new(bytes)),
+            ctl: Arc::default(),
+        }
     }
 
     /// A copy of the current image.
     pub fn image(&self) -> Vec<u8> {
-        self.image.clone()
+        self.bytes().clone()
+    }
+
+    fn bytes(&self) -> MutexGuard<'_, Vec<u8>> {
+        self.image.lock().expect("mem image lock poisoned")
+    }
+
+    /// Every future [`Vfs::sync`] (through any handle) sleeps this long
+    /// first — a slow device.
+    pub fn set_sync_delay(&self, delay: Duration) {
+        let ns = u64::try_from(delay.as_nanos()).unwrap_or(u64::MAX);
+        self.ctl.delay_ns.store(ns, Ordering::SeqCst);
+    }
+
+    /// Every future [`Vfs::sync`] fails with an injected I/O error
+    /// until cleared — a dying device.
+    pub fn set_fail_sync(&self, fail: bool) {
+        self.ctl.fail.store(fail, Ordering::SeqCst);
+    }
+
+    /// While held, [`Vfs::sync`] spins (allocation-free) — a sync frozen
+    /// in flight, released on demand.
+    pub fn hold_syncs(&self, hold: bool) {
+        self.ctl.hold.store(hold, Ordering::SeqCst);
+    }
+
+    /// Completed (successful) syncs across all handles.
+    pub fn syncs(&self) -> u64 {
+        self.ctl.syncs.load(Ordering::SeqCst)
     }
 }
 
@@ -135,107 +197,17 @@ fn range_of(off: u64, len: usize, file_len: usize) -> io::Result<std::ops::Range
 
 impl Vfs for MemVfs {
     fn read_at(&self, off: u64, buf: &mut [u8]) -> io::Result<()> {
-        let r = range_of(off, buf.len(), self.image.len())?;
-        buf.copy_from_slice(&self.image[r]);
+        let image = self.bytes();
+        let r = range_of(off, buf.len(), image.len())?;
+        buf.copy_from_slice(&image[r]);
         Ok(())
     }
 
     fn write_at(&mut self, off: u64, buf: &[u8]) -> io::Result<()> {
-        let r = range_of(off, buf.len(), self.image.len())?;
-        self.image[r].copy_from_slice(buf);
+        let mut image = self.bytes();
+        let r = range_of(off, buf.len(), image.len())?;
+        image[r].copy_from_slice(buf);
         Ok(())
-    }
-
-    fn sync(&mut self) -> io::Result<()> {
-        Ok(())
-    }
-
-    fn len(&self) -> io::Result<u64> {
-        Ok(self.image.len() as u64)
-    }
-
-    fn set_len(&mut self, len: u64) -> io::Result<()> {
-        self.image.resize(len as usize, 0);
-        Ok(())
-    }
-}
-
-/// Sync-behaviour knobs shared by every clone of a [`SharedMemVfs`].
-#[derive(Default)]
-struct SyncCtl {
-    delay_ns: AtomicU64,
-    fail: AtomicBool,
-    hold: AtomicBool,
-    syncs: AtomicU64,
-}
-
-/// A clone-shareable [`MemVfs`]: every clone views the same image, so a
-/// disk and its sync worker can hold two handles onto one "file" — the
-/// [`RealVfs`] analogue is the same path opened twice.
-///
-/// The sync knobs model a slow or failing device. The configured delay
-/// and hold are served *before* the image lock is taken, so reads and
-/// writes through other clones keep flowing while a sync is "in
-/// flight" — exactly how a real file behaves while `fdatasync` runs on
-/// another fd.
-#[derive(Clone, Default)]
-pub struct SharedMemVfs {
-    image: Arc<Mutex<MemVfs>>,
-    ctl: Arc<SyncCtl>,
-}
-
-impl SharedMemVfs {
-    /// An empty shared image.
-    pub fn new() -> SharedMemVfs {
-        SharedMemVfs::default()
-    }
-
-    /// A shared image holding `bytes`.
-    pub fn from_image(bytes: Vec<u8>) -> SharedMemVfs {
-        SharedMemVfs {
-            image: Arc::new(Mutex::new(MemVfs::from_image(bytes))),
-            ctl: Arc::default(),
-        }
-    }
-
-    /// A copy of the current image.
-    pub fn image(&self) -> Vec<u8> {
-        self.image.lock().unwrap().image()
-    }
-
-    /// Every future [`Vfs::sync`] (on any clone) sleeps this long
-    /// before touching the image — a slow device.
-    pub fn set_sync_delay(&self, delay: Duration) {
-        let ns = u64::try_from(delay.as_nanos()).unwrap_or(u64::MAX);
-        self.ctl.delay_ns.store(ns, Ordering::SeqCst);
-    }
-
-    /// Every future [`Vfs::sync`] fails with an injected I/O error
-    /// until cleared — a dying device.
-    pub fn set_fail_sync(&self, fail: bool) {
-        self.ctl.fail.store(fail, Ordering::SeqCst);
-    }
-
-    /// While held, [`Vfs::sync`] spins (allocation-free) without
-    /// touching the image — a sync frozen in flight, released on
-    /// demand.
-    pub fn hold_syncs(&self, hold: bool) {
-        self.ctl.hold.store(hold, Ordering::SeqCst);
-    }
-
-    /// Completed (successful) syncs across all clones.
-    pub fn syncs(&self) -> u64 {
-        self.ctl.syncs.load(Ordering::SeqCst)
-    }
-}
-
-impl Vfs for SharedMemVfs {
-    fn read_at(&self, off: u64, buf: &mut [u8]) -> io::Result<()> {
-        self.image.lock().unwrap().read_at(off, buf)
-    }
-
-    fn write_at(&mut self, off: u64, buf: &[u8]) -> io::Result<()> {
-        self.image.lock().unwrap().write_at(off, buf)
     }
 
     fn sync(&mut self) -> io::Result<()> {
@@ -249,17 +221,21 @@ impl Vfs for SharedMemVfs {
         if self.ctl.fail.load(Ordering::SeqCst) {
             return Err(io::Error::other("injected sync failure"));
         }
-        self.image.lock().unwrap().sync()?;
         self.ctl.syncs.fetch_add(1, Ordering::SeqCst);
         Ok(())
     }
 
     fn len(&self) -> io::Result<u64> {
-        self.image.lock().unwrap().len()
+        Ok(self.bytes().len() as u64)
     }
 
     fn set_len(&mut self, len: u64) -> io::Result<()> {
-        self.image.lock().unwrap().set_len(len)
+        self.bytes().resize(len as usize, 0);
+        Ok(())
+    }
+
+    fn try_clone(&self) -> io::Result<Box<dyn Vfs>> {
+        Ok(Box::new(self.clone()))
     }
 }
 
@@ -279,7 +255,14 @@ struct PendingWrite {
 /// the same generator family `oaf-chaos` uses, so a failing seed replays
 /// bit-for-bit), the in-flight write survives as a random — possibly
 /// empty, possibly torn — prefix, and every subsequent call fails.
-pub struct CrashVfs {
+///
+/// Clones are handles onto one machine: they share the syscall counter,
+/// so a kill point counts the syscalls of every handle, and after the
+/// crash every handle is dead.
+#[derive(Clone)]
+pub struct CrashVfs(Arc<Mutex<CrashState>>);
+
+struct CrashState {
     view: Vec<u8>,
     durable: Vec<u8>,
     pending: Vec<PendingWrite>,
@@ -306,21 +289,13 @@ impl CrashVfs {
     /// syscalls (`write_at`, `sync`) from 1; the counter is exposed via
     /// [`CrashVfs::syscalls`] so tests can size kill windows.
     pub fn new(seed: u64, crash_at: Option<u64>) -> CrashVfs {
-        CrashVfs {
-            view: Vec::new(),
-            durable: Vec::new(),
-            pending: Vec::new(),
-            crash_at,
-            syscalls: 0,
-            rng: seed,
-            crashed: false,
-        }
+        CrashVfs::over_image(Vec::new(), seed, crash_at)
     }
 
     /// A crash layer over an existing durable image (e.g. to crash a
     /// store that already survived one crash).
     pub fn over_image(bytes: Vec<u8>, seed: u64, crash_at: Option<u64>) -> CrashVfs {
-        CrashVfs {
+        CrashVfs(Arc::new(Mutex::new(CrashState {
             view: bytes.clone(),
             durable: bytes,
             pending: Vec::new(),
@@ -328,36 +303,43 @@ impl CrashVfs {
             syscalls: 0,
             rng: seed,
             crashed: false,
-        }
+        })))
     }
 
-    /// Mutating syscalls issued so far.
+    fn state(&self) -> MutexGuard<'_, CrashState> {
+        self.0.lock().expect("crash state lock poisoned")
+    }
+
+    /// Mutating syscalls issued so far, through every handle.
     pub fn syscalls(&self) -> u64 {
-        self.syscalls
+        self.state().syscalls
     }
 
     /// Whether the injected crash has fired.
     pub fn crashed(&self) -> bool {
-        self.crashed
+        self.state().crashed
     }
 
     /// What the platter holds: the bytes a post-crash mount would see.
     /// (Before a crash this is the synced prefix of history.)
     pub fn durable_image(&self) -> Vec<u8> {
-        self.durable
+        let st = self.state();
+        st.durable
             .iter()
             .copied()
             .chain(std::iter::repeat_n(
                 0,
-                self.view.len().saturating_sub(self.durable.len()),
+                st.view.len().saturating_sub(st.durable.len()),
             ))
             .collect()
     }
+}
 
-    fn dead() -> io::Error {
-        io::Error::other("injected crash: store is dead")
-    }
+fn dead() -> io::Error {
+    io::Error::other("injected crash: store is dead")
+}
 
+impl CrashState {
     /// Counts one mutating syscall; returns true when this is the one
     /// that dies.
     fn tick(&mut self) -> bool {
@@ -390,25 +372,27 @@ impl CrashVfs {
 
 impl Vfs for CrashVfs {
     fn read_at(&self, off: u64, buf: &mut [u8]) -> io::Result<()> {
-        if self.crashed {
-            return Err(Self::dead());
+        let st = self.state();
+        if st.crashed {
+            return Err(dead());
         }
-        let r = range_of(off, buf.len(), self.view.len())?;
-        buf.copy_from_slice(&self.view[r]);
+        let r = range_of(off, buf.len(), st.view.len())?;
+        buf.copy_from_slice(&st.view[r]);
         Ok(())
     }
 
     fn write_at(&mut self, off: u64, buf: &[u8]) -> io::Result<()> {
-        if self.crashed {
-            return Err(Self::dead());
+        let mut st = self.state();
+        if st.crashed {
+            return Err(dead());
         }
-        if self.tick() {
-            self.crash(Some((off, buf)));
-            return Err(Self::dead());
+        if st.tick() {
+            st.crash(Some((off, buf)));
+            return Err(dead());
         }
-        let r = range_of(off, buf.len(), self.view.len())?;
-        self.view[r].copy_from_slice(buf);
-        self.pending.push(PendingWrite {
+        let r = range_of(off, buf.len(), st.view.len())?;
+        st.view[r].copy_from_slice(buf);
+        st.pending.push(PendingWrite {
             off,
             data: buf.to_vec(),
         });
@@ -416,33 +400,40 @@ impl Vfs for CrashVfs {
     }
 
     fn sync(&mut self) -> io::Result<()> {
-        if self.crashed {
-            return Err(Self::dead());
+        let mut st = self.state();
+        if st.crashed {
+            return Err(dead());
         }
-        if self.tick() {
+        if st.tick() {
             // Dying inside fsync: the kernel may have written any subset
             // back already — same policy as a write-boundary crash.
-            self.crash(None);
-            return Err(Self::dead());
+            st.crash(None);
+            return Err(dead());
         }
-        self.durable = self.view.clone();
-        self.pending.clear();
+        st.durable = st.view.clone();
+        st.pending.clear();
         Ok(())
     }
 
     fn len(&self) -> io::Result<u64> {
-        if self.crashed {
-            return Err(Self::dead());
+        let st = self.state();
+        if st.crashed {
+            return Err(dead());
         }
-        Ok(self.view.len() as u64)
+        Ok(st.view.len() as u64)
     }
 
     fn set_len(&mut self, len: u64) -> io::Result<()> {
-        if self.crashed {
-            return Err(Self::dead());
+        let mut st = self.state();
+        if st.crashed {
+            return Err(dead());
         }
-        self.view.resize(len as usize, 0);
+        st.view.resize(len as usize, 0);
         Ok(())
+    }
+
+    fn try_clone(&self) -> io::Result<Box<dyn Vfs>> {
+        Ok(Box::new(self.clone()))
     }
 }
 
@@ -461,6 +452,51 @@ mod tests {
         assert!(v.write_at(62, &[0u8; 4]).is_err());
         assert!(v.read_at(64, &mut out).is_err());
         assert_eq!(v.len().unwrap(), 64);
+    }
+
+    /// The `try_clone` contract: a write through either handle reads
+    /// back through the other, and the clone's `sync` succeeds. Returns
+    /// the clone.
+    fn second_handle(v: &mut dyn Vfs) -> Box<dyn Vfs> {
+        v.set_len(64).unwrap();
+        let mut clone = v.try_clone().unwrap();
+        let mut out = [0u8; 4];
+        v.write_at(8, &[7u8; 4]).unwrap();
+        clone.read_at(8, &mut out).unwrap();
+        assert_eq!(out, [7u8; 4]);
+        clone.write_at(16, &[9u8; 4]).unwrap();
+        v.read_at(16, &mut out).unwrap();
+        assert_eq!(out, [9u8; 4]);
+        assert_eq!(clone.len().unwrap(), 64);
+        clone.sync().unwrap();
+        clone
+    }
+
+    #[test]
+    fn every_backend_hands_out_a_second_handle_onto_the_same_bytes() {
+        let path = std::env::temp_dir().join(format!("oaf-vfs-clone-{}", std::process::id()));
+        second_handle(&mut RealVfs::create(&path).unwrap());
+        std::fs::remove_file(&path).unwrap();
+
+        let mut mem = MemVfs::new();
+        second_handle(&mut mem);
+        assert_eq!(mem.syncs(), 1, "the clone's sync is the image's sync");
+
+        // Syscalls 1–3 are the two writes and the clone's sync.
+        let mut crash = CrashVfs::new(3, Some(6));
+        let mut clone = second_handle(&mut crash);
+        let img = crash.durable_image();
+        assert_eq!(&img[8..12], &[7u8; 4], "the clone's sync made it durable");
+        assert_eq!(&img[16..20], &[9u8; 4]);
+        // One machine, one syscall counter: the kill point counts the
+        // syscalls of both handles, and the crash kills both.
+        crash.write_at(0, &[1u8; 4]).unwrap();
+        clone.write_at(4, &[2u8; 4]).unwrap();
+        assert!(clone.sync().is_err(), "syscall 6 dies");
+        assert!(crash.crashed());
+        assert!(crash.read_at(0, &mut [0u8; 1]).is_err());
+        assert!(clone.read_at(0, &mut [0u8; 1]).is_err());
+        assert!(crash.write_at(0, &[1u8; 4]).is_err());
     }
 
     #[test]

@@ -16,10 +16,13 @@
 //! * mounting twice yields the identical image: replay is idempotent
 //!   and detects the same durable prefix both times.
 //!
-//! A failing run prints its seed; `OAF_CHAOS_SEED=<seed>` (plus
-//! `OAF_CRASH_PHASE=<phase>` and `OAF_CACHE_BLOCKS=<n>`) replays it
-//! bit-for-bit. CI's `crash` job runs the seed × phase matrix in
-//! release mode, with a cache-enabled leg.
+//! Every round drives both store forms under the same seed: the
+//! unshared [`FileDisk`] and the shared form a namespace serves, whose
+//! barriers sync on the disk's own worker thread (see [`Form`]). A
+//! failing run prints its seed; `OAF_CHAOS_SEED=<seed>` (plus
+//! `OAF_CRASH_PHASE=<phase>` and `OAF_CACHE_BLOCKS=<n>`) replays it —
+//! bit-for-bit in the unshared form. CI's `crash` job runs the seed ×
+//! phase matrix in release mode, with a cache-enabled leg.
 //!
 //! Every round runs *through* the block cache at several capacities
 //! (0 = uncached, 1 = pure thrash, 8 = mixed hit/evict) — deferred
@@ -27,12 +30,11 @@
 //! under the same kill points and must satisfy the same model.
 
 use std::collections::HashSet;
-use std::sync::{Arc, Mutex};
 
 use oaf_chaos::rng::ChaosRng;
 use oaf_chaos::CrashPoint;
 use oaf_ssd::BlockStore;
-use oaf_store::vfs::{CrashVfs, MemVfs, Vfs};
+use oaf_store::vfs::{CrashVfs, MemVfs};
 use oaf_store::FileDisk;
 
 const BLOCK: usize = 512;
@@ -42,43 +44,6 @@ const LOG_BYTES: u64 = 64 * 1024;
 /// Kill-window upper bound: the workload loops until the crash fires,
 /// so any point in [1, MAX_OPS] is reachable.
 const MAX_OPS: u64 = 600;
-
-/// A [`CrashVfs`] handle the test keeps after boxing the other clone
-/// into the disk, so the post-crash durable image stays reachable.
-#[derive(Clone)]
-struct SharedCrashVfs(Arc<Mutex<CrashVfs>>);
-
-impl SharedCrashVfs {
-    fn new(seed: u64, crash_at: u64) -> SharedCrashVfs {
-        SharedCrashVfs(Arc::new(Mutex::new(CrashVfs::new(seed, Some(crash_at)))))
-    }
-
-    fn durable_image(&self) -> Vec<u8> {
-        self.0.lock().unwrap().durable_image()
-    }
-
-    fn crashed(&self) -> bool {
-        self.0.lock().unwrap().crashed()
-    }
-}
-
-impl Vfs for SharedCrashVfs {
-    fn read_at(&self, off: u64, buf: &mut [u8]) -> std::io::Result<()> {
-        self.0.lock().unwrap().read_at(off, buf)
-    }
-    fn write_at(&mut self, off: u64, buf: &[u8]) -> std::io::Result<()> {
-        self.0.lock().unwrap().write_at(off, buf)
-    }
-    fn sync(&mut self) -> std::io::Result<()> {
-        self.0.lock().unwrap().sync()
-    }
-    fn len(&self) -> std::io::Result<u64> {
-        self.0.lock().unwrap().len()
-    }
-    fn set_len(&mut self, len: u64) -> std::io::Result<()> {
-        self.0.lock().unwrap().set_len(len)
-    }
-}
 
 fn chaos_seed() -> u64 {
     std::env::var("OAF_CHAOS_SEED")
@@ -106,17 +71,20 @@ fn crash_phase() -> Phase {
     }
 }
 
-/// `OAF_SYNC_OFFLOAD=1` runs the soak through a [`SharedFileDisk`] with
-/// the async sync worker attached: every barrier parks on the worker's
-/// `fdatasync`, so kill points land *inside the offloaded sync* with
-/// acknowledged-volatile state outstanding. The worker thread's
-/// syscalls interleave with the workload's, so the seeded kill point is
-/// reproducible in distribution rather than bit-for-bit — the
-/// allowed-set model is ack-driven and holds for every interleaving.
-///
-/// [`SharedFileDisk`]: oaf_store::SharedFileDisk
-fn sync_offload() -> bool {
-    std::env::var("OAF_SYNC_OFFLOAD").as_deref() == Ok("1")
+/// The two store forms a round drives.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Form {
+    /// The unshared [`FileDisk`]: every syscall on the workload's
+    /// thread, so a seed replays bit-for-bit.
+    Unshared,
+    /// `into_shared()`, the form a namespace serves: every barrier parks
+    /// on the disk's sync worker, so kill points land *inside its
+    /// `fdatasync`* with acknowledged-volatile state outstanding. The
+    /// worker's syscalls interleave with the workload's, so the seeded
+    /// kill point is reproducible in distribution rather than
+    /// bit-for-bit — the allowed-set model is ack-driven and holds for
+    /// every interleaving.
+    Shared,
 }
 
 /// Block-cache capacities the soak sweeps per round; `OAF_CACHE_BLOCKS`
@@ -177,19 +145,17 @@ impl Model {
 }
 
 /// One crash iteration: workload (through a `cache_blocks`-entry block
-/// cache) until the kill point fires, then mount the wreckage (twice)
-/// and hold it against the model.
-fn crash_round(seed: u64, phase: Phase, cache_blocks: usize) {
+/// cache, on the store `form`) until the kill point fires, then mount
+/// the wreckage (twice) and hold it against the model.
+fn crash_round(seed: u64, phase: Phase, cache_blocks: usize, form: Form) {
     let point = CrashPoint::seeded(seed, MAX_OPS);
-    let vfs = SharedCrashVfs::new(seed ^ 0x5EED, point.fire_at());
+    let vfs = CrashVfs::new(seed ^ 0x5EED, Some(point.fire_at()));
     let mut rng = ChaosRng::new(seed.wrapping_mul(0x9E37_79B9));
 
     let created = FileDisk::create_on(Box::new(vfs.clone()), BLOCK as u32, BLOCKS, LOG_BYTES)
         .and_then(|d| d.with_cache(cache_blocks));
     let mut disk: Box<dyn BlockStore> = match created {
-        Ok(d) if sync_offload() => {
-            Box::new(d.into_shared().with_sync_worker(Box::new(vfs.clone())))
-        }
+        Ok(d) if form == Form::Shared => Box::new(d.into_shared()),
         Ok(d) => Box::new(d),
         Err(_) => {
             // Died formatting (kill point 1 or 2): the wreckage has no
@@ -318,7 +284,7 @@ fn crash_round(seed: u64, phase: Phase, cache_blocks: usize) {
         point.fire_at()
     );
 
-    // Tear the dead store down first: in the offload leg this joins the
+    // Tear the dead store down first: in the shared form this joins the
     // sync worker, so no thread races the durable-image snapshot.
     drop(disk);
 
@@ -346,8 +312,8 @@ fn crash_round(seed: u64, phase: Phase, cache_blocks: usize) {
                 violations += 1;
                 if violations <= 5 {
                     eprintln!(
-                        "seed {seed} phase {phase:?} cache {cache_blocks}: lba {b} byte {i} = \
-                         {byte:#x}, allowed {:?} (replay with OAF_CHAOS_SEED={seed} \
+                        "seed {seed} phase {phase:?} cache {cache_blocks} {form:?}: lba {b} \
+                         byte {i} = {byte:#x}, allowed {:?} (replay with OAF_CHAOS_SEED={seed} \
                          OAF_CACHE_BLOCKS={cache_blocks})",
                         model.allowed[b]
                     );
@@ -357,8 +323,8 @@ fn crash_round(seed: u64, phase: Phase, cache_blocks: usize) {
     }
     assert_eq!(
         violations, 0,
-        "seed {seed} phase {phase:?} cache {cache_blocks}: {violations} bytes outside the \
-         allowed set (replay with OAF_CHAOS_SEED={seed} OAF_CACHE_BLOCKS={cache_blocks})"
+        "seed {seed} phase {phase:?} cache {cache_blocks} {form:?}: {violations} bytes outside \
+         the allowed set (replay with OAF_CHAOS_SEED={seed} OAF_CACHE_BLOCKS={cache_blocks})"
     );
 
     // Idempotence: a second mount of the same wreckage sees the same
@@ -390,14 +356,15 @@ fn crash_soak_allowed_set_holds() {
     for &cap in &caps {
         for i in 0..rounds {
             let seed = base.wrapping_add(i.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            crash_round(seed, phase, cap);
-            torn_total += 1;
+            for form in [Form::Unshared, Form::Shared] {
+                crash_round(seed, phase, cap, form);
+                torn_total += 1;
+            }
         }
     }
     eprintln!(
         "crash soak: {torn_total} kill points survived (phase {phase:?}, caches {caps:?}, \
-         offload {}, base seed {base:#x})",
-        sync_offload()
+         both forms, base seed {base:#x})"
     );
 }
 
@@ -411,7 +378,7 @@ fn crash_during_checkpoint_is_survivable() {
     for cap in [0usize, 4] {
         for seed in 0..32u64 {
             let point = CrashPoint::seeded(seed, 400);
-            let vfs = SharedCrashVfs::new(seed ^ (cap as u64) << 32, point.fire_at());
+            let vfs = CrashVfs::new(seed ^ (cap as u64) << 32, Some(point.fire_at()));
             let created = FileDisk::create_on(Box::new(vfs.clone()), 512, 16, 64 * 1024)
                 .and_then(|d| d.with_cache(cap));
             let mut disk = match created {

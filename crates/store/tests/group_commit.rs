@@ -15,7 +15,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
 use oaf_ssd::{BarrierPoll, BlockStore};
-use oaf_store::vfs::{MemVfs, SharedMemVfs, Vfs};
+use oaf_store::vfs::{MemVfs, Vfs};
 use oaf_store::{FileDisk, GroupCommit};
 
 /// A [`MemVfs`] whose `sync` takes ~a device barrier's time, so
@@ -53,6 +53,9 @@ impl Vfs for SlowSyncVfs {
     fn set_len(&mut self, len: u64) -> std::io::Result<()> {
         self.inner.lock().unwrap().set_len(len)
     }
+    fn try_clone(&self) -> std::io::Result<Box<dyn Vfs>> {
+        Ok(Box::new(self.clone()))
+    }
 }
 
 const WRITERS: u64 = 8;
@@ -86,7 +89,7 @@ impl SyncGate {
 /// The sync worker's handle onto the disk's image, gated by
 /// [`SyncGate`].
 struct GatedSyncVfs {
-    inner: SharedMemVfs,
+    inner: MemVfs,
     gate: Arc<SyncGate>,
 }
 
@@ -109,23 +112,15 @@ impl Vfs for GatedSyncVfs {
     fn set_len(&mut self, len: u64) -> std::io::Result<()> {
         self.inner.set_len(len)
     }
+    fn try_clone(&self) -> std::io::Result<Box<dyn Vfs>> {
+        self.inner.try_clone()
+    }
 }
 
 /// Coalescing, pinned without timing.
 ///
-/// This test used to run the inline group-commit path over
-/// [`SlowSyncVfs`] and failed on 2-vCPU runners (111 fsyncs for 192
-/// barriers). The inline leader syncs *under the disk lock*, so while
-/// its sync sleeps no other writer can even append its record, let
-/// alone enroll a ticket: a sync retires only the barriers appended
-/// between the previous sync's end and the leader's lock acquisition.
-/// With two cores the writer that just finished a sync usually wins
-/// that race — the unfair mutex lets it re-take the disk lock for its
-/// next append and lead again before the woken writers run — and
-/// batches shrink toward one ticket per sync.
-///
-/// Here every barrier is a ticket on the sync worker, which syncs with
-/// the disk lock released, and the worker's sync waits at
+/// Every barrier is a ticket on the sync worker, which syncs with the
+/// disk lock released, and the worker's sync waits at
 /// [`SyncGate`] until every live writer has a ticket enrolled. Every
 /// ticket enrolled when a round's gate opens is covered by that round
 /// or the next one (whose watermark read comes after it), so each
@@ -135,7 +130,7 @@ impl Vfs for GatedSyncVfs {
 /// does.
 #[test]
 fn concurrent_fua_writers_coalesce_at_least_2x() {
-    let vfs = SharedMemVfs::new();
+    let vfs = MemVfs::new();
     let gate = Arc::new(SyncGate {
         tickets: (0..WRITERS).map(|_| AtomicU64::new(0)).collect(),
         ..SyncGate::default()
@@ -195,7 +190,6 @@ fn concurrent_fua_writers_coalesce_at_least_2x() {
         "expected ≥2× coalescing: {led} fsyncs for {barriers} barriers \
          ({coalesced} coalesced)"
     );
-    assert_eq!(m.barriers_inline.get(), 0, "every barrier rode the worker");
     // The batch histogram saw every sync.
     let batches = m.commit_batch.snapshot();
     assert_eq!(batches.count, led);

@@ -3,7 +3,7 @@
 //! §5.1).
 //!
 //! ```text
-//! cargo run --release --example perf -- [--shards N] [--backend ram|file:<path>] [--cache BLOCKS] [--fua] [--sync-offload] [io_size_kib] [queue_depth] [read_pct] [seconds] [local|remote]
+//! cargo run --release --example perf -- [--shards N] [--backend ram|file:<path>] [--cache BLOCKS] [--fua] [io_size_kib] [queue_depth] [read_pct] [seconds] [local|remote]
 //! cargo run --release --example perf -- 128 32 100 2 local
 //! cargo run --release --example perf -- --shards 4 16 32 100 2 local
 //! cargo run --release --example perf -- --backend file:/tmp/oaf.img 16 32 0 2 local
@@ -21,7 +21,8 @@
 //! back-to-back runs measure cold-cache vs warm-restart behavior. The
 //! summary then includes the store's journal/fsync accounting, the
 //! block-cache hit/miss split, group-commit coalescing, and TRIM
-//! space-reclaim gauges. `--cache BLOCKS` puts a segmented-LRU
+//! space-reclaim gauges. Barriers park on the store's sync worker and
+//! never block the reactor. `--cache BLOCKS` puts a segmented-LRU
 //! write-back cache of that many blocks in front of the data region
 //! (0 = uncached, the default).
 
@@ -85,14 +86,6 @@ fn main() {
         fua = true;
         args.drain(pos..=pos);
     }
-    // `--sync-offload`: attach the async sync worker to the file
-    // backend — barriers park on tickets instead of running `fdatasync`
-    // on the reactor thread.
-    let mut sync_offload = false;
-    if let Some(pos) = args.iter().position(|a| a == "--sync-offload") {
-        sync_offload = true;
-        args.drain(pos..=pos);
-    }
     let io_kib: u64 = args.first().and_then(|s| s.parse().ok()).unwrap_or(128);
     let qd: usize = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(32);
     let read_pct: u32 = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(100);
@@ -133,20 +126,7 @@ fn main() {
                     (cache_blocks as u64 * block_size) >> 20
                 );
             }
-            if sync_offload {
-                // The worker syncs through a second handle onto the
-                // same file (syncing either fd flushes the inode), so
-                // the disk lock is never held across the syscall.
-                let sync_vfs = nvme_oaf::store::vfs::RealVfs::open(std::path::Path::new(path))
-                    .expect("reopen backing file for the sync worker");
-                let shared = disk.into_shared().with_sync_worker(Box::new(sync_vfs));
-                println!(
-                    "store: async sync worker attached (barriers park, never block the reactor)"
-                );
-                controller.add_namespace(Namespace::with_shared_file(1, shared));
-            } else {
-                controller.add_namespace(Namespace::with_file(1, disk));
-            }
+            controller.add_namespace(Namespace::with_file(1, disk));
         }
     }
 

@@ -1,16 +1,16 @@
-//! The tentpole's headline number, pinned as a test: at QD≥8 mixed
-//! read+FUA on a slow-sync device, offloading `fdatasync` to the store's
-//! sync worker improves read p99 by **at least 5×** over the inline
-//! dispatch path.
+//! Reads stay fast while a slow sync is in flight, pinned as a test:
+//! at QD≥8 mixed read+FUA on a slow-sync device, read p99 stays at
+//! least **5×** below the device barrier itself, because the FUA's
+//! `fdatasync` runs on the store's sync worker.
 //!
 //! The harness models one reactor thread the way the target runs it: a
 //! FUA write is dispatched, then a queue-depth of reads that arrived
-//! concurrently with it (same arrival instant) is served. Inline, the
-//! dispatch blocks ~`SYNC_DELAY` in the sync before the first read is
-//! answered, so every read's latency eats the fsync. Offloaded, the FUA
+//! concurrently with it (same arrival instant) is served. The FUA
 //! completion parks on a [`BarrierTicket`] and the reads are served
 //! immediately; the barrier is drained (polled to `Durable`) before the
-//! next round, so both modes retire identical durable work.
+//! next round, so every round retires one full durable barrier. A
+//! dispatch that waited out the sync would put every read's latency at
+//! or above `SYNC_DELAY`.
 //!
 //! [`BarrierTicket`]: nvme_oaf::nvmeof::nvme::namespace::BarrierTicket
 
@@ -19,7 +19,7 @@ use std::time::{Duration, Instant};
 use nvme_oaf::nvmeof::nvme::command::NvmeCommand;
 use nvme_oaf::nvmeof::nvme::controller::Controller;
 use nvme_oaf::nvmeof::nvme::namespace::{BarrierPoll, Namespace};
-use nvme_oaf::store::vfs::SharedMemVfs;
+use nvme_oaf::store::vfs::MemVfs;
 use nvme_oaf::store::FileDisk;
 
 const BS: usize = 512;
@@ -30,19 +30,14 @@ const ROUNDS: usize = 100;
 /// orders of magnitude above an in-memory read.
 const SYNC_DELAY: Duration = Duration::from_millis(5);
 
-fn controller(offloaded: bool) -> (SharedMemVfs, Controller) {
-    let vfs = SharedMemVfs::new();
+fn controller() -> Controller {
+    let vfs = MemVfs::new();
     vfs.set_sync_delay(SYNC_DELAY);
-    let disk = FileDisk::create_on(Box::new(vfs.clone()), BS as u32, BLOCKS, 256 * 1024)
-        .expect("format disk");
-    let disk = if offloaded {
-        disk.into_shared().with_sync_worker(Box::new(vfs.clone()))
-    } else {
-        disk.into_shared()
-    };
+    let disk =
+        FileDisk::create_on(Box::new(vfs), BS as u32, BLOCKS, 256 * 1024).expect("format disk");
     let mut ctrl = Controller::new();
-    ctrl.add_namespace(Namespace::with_shared_file(1, disk));
-    (vfs, ctrl)
+    ctrl.add_namespace(Namespace::with_file(1, disk));
+    ctrl
 }
 
 /// Runs the mixed QD workload and returns every read's latency, where a
@@ -69,18 +64,17 @@ fn read_latencies(ctrl: &mut Controller) -> Vec<Duration> {
             assert!(c.status.is_ok());
             lat.push(t0.elapsed());
         }
-        // Drain the barrier before the next round so both modes carry
-        // the same durable obligation per round.
-        if let Some(t) = ticket {
-            let deadline = Instant::now() + Duration::from_secs(5);
-            loop {
-                match ctrl.poll_barrier(1, t) {
-                    BarrierPoll::Durable => break,
-                    BarrierPoll::Failed => panic!("sync worker failed"),
-                    BarrierPoll::Pending => {
-                        assert!(Instant::now() < deadline, "barrier never drained");
-                        std::thread::yield_now();
-                    }
+        // Drain the barrier before the next round so every round carries
+        // one full durable obligation.
+        let t = ticket.expect("a file-backed FUA tickets");
+        let deadline = Instant::now() + Duration::from_secs(5);
+        loop {
+            match ctrl.poll_barrier(1, t) {
+                BarrierPoll::Durable => break,
+                BarrierPoll::Failed => panic!("sync worker failed"),
+                BarrierPoll::Pending => {
+                    assert!(Instant::now() < deadline, "barrier never drained");
+                    std::thread::yield_now();
                 }
             }
         }
@@ -95,30 +89,13 @@ fn p99(lat: &mut [Duration]) -> Duration {
 
 #[test]
 fn offloaded_sync_improves_read_p99_at_least_5x() {
-    let (_vfs_i, mut inline_ctrl) = controller(false);
-    let mut inline_lat = read_latencies(&mut inline_ctrl);
-
-    let (_vfs_o, mut off_ctrl) = controller(true);
-    let mut off_lat = read_latencies(&mut off_ctrl);
-
-    let inline_p99 = p99(&mut inline_lat);
-    let off_p99 = p99(&mut off_lat);
-    eprintln!(
-        "mixed read+FUA QD{QD} over a {SYNC_DELAY:?} sync: read p99 inline={inline_p99:?} \
-         offloaded={off_p99:?} ({:.1}x)",
-        inline_p99.as_secs_f64() / off_p99.as_secs_f64().max(f64::EPSILON)
-    );
-
-    // Inline dispatch cannot answer a queued read before the fsync it
-    // is stuck in returns: its p99 is bounded below by the device
-    // barrier itself.
+    let mut lat = read_latencies(&mut controller());
+    let p99 = p99(&mut lat);
+    eprintln!("mixed read+FUA QD{QD} over a {SYNC_DELAY:?} sync: read p99 {p99:?}");
+    // A read answered only after the fsync returned would sit at or
+    // above the device barrier itself.
     assert!(
-        inline_p99 >= SYNC_DELAY,
-        "inline read p99 {inline_p99:?} beat the sync delay — harness broken"
-    );
-    // The headline: ≥5× better read tail with the sync offloaded.
-    assert!(
-        off_p99 * 5 <= inline_p99,
-        "offloaded read p99 {off_p99:?} is not ≥5x better than inline {inline_p99:?}"
+        p99 * 5 <= SYNC_DELAY,
+        "read p99 {p99:?} is not ≥5x below the {SYNC_DELAY:?} sync"
     );
 }

@@ -507,7 +507,7 @@ fn scope_names_follow_one_rule_at_every_entry_point() {
 
 #[test]
 fn file_backed_fua_burst_releases_without_a_timer_and_times_every_fold() {
-    use nvme_oaf::store::vfs::SharedMemVfs;
+    use nvme_oaf::store::vfs::MemVfs;
     use nvme_oaf::store::FileDisk;
 
     // Each `fdatasync` takes 500 µs on the sync worker. FUA completions
@@ -515,7 +515,7 @@ fn file_backed_fua_burst_releases_without_a_timer_and_times_every_fold() {
     // socket — exactly when a loop parked in a timed transport wait
     // would leave their release to the timer. The 64 KiB journal holds
     // 15 of these 4 KiB records, so the burst also folds the log.
-    let vfs = SharedMemVfs::new();
+    let vfs = MemVfs::new();
     vfs.set_sync_delay(Duration::from_micros(500));
     let disk = FileDisk::create_on(Box::new(vfs.clone()), 4096, 256, 64 * 1024)
         .and_then(|d| d.with_cache(64))
