@@ -58,7 +58,7 @@ pub struct AfPair {
 
 /// One-call setup of a single client↔target pair: registers both
 /// processes, has the [`ConnectionManager`] establish the fabric with the
-/// target on its own single-connection loop, and wraps the initiator in
+/// target's reactor serving the one connection, and wraps the initiator in
 /// the co-designed client API. Telemetry scopes carry no suffix
 /// (`client`, `target`, `transport_client`, …).
 ///

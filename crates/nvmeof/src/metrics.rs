@@ -334,10 +334,10 @@ pub struct TargetMetrics {
     /// Wall time a parked barrier completion waited for its sync ticket
     /// to retire, nanoseconds.
     pub barrier_park_ns: Histo,
-    /// Timed transport waits the single-connection loop entered while
-    /// this connection held a parked completion — each one a release
-    /// left to a timer. A parked completion keeps both idle paths
-    /// polling, so this stays 0.
+    /// Idle sleeps the reactor entered while this connection held a
+    /// parked completion — each one a release left to a timer. A parked
+    /// completion keeps the reactor yielding where it would sleep, so
+    /// this stays 0.
     pub timer_wakeups: Counter,
     /// Payload bytes moved at the device copy (reads and writes, inline
     /// or shared-memory) — the counter the serve pass's mid-pass flush

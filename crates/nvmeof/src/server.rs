@@ -1,16 +1,18 @@
-//! The multi-connection storage service.
+//! The storage service's one poll-mode reactor.
 //!
 //! The paper's architecture (Fig. 1) has one storage service per target
 //! VM serving several client applications, each over its own connection
 //! and — when co-located — its own isolated shared-memory channel (§4.2,
-//! §6). [`spawn_multi`] runs a single poll-mode reactor (an SPDK poll
-//! group) that services every connection against one shared controller
-//! set; the sharded runtime in [`crate::shard`] runs several of the same
-//! reactor, each over its own connections.
+//! §6). Every target runs the reactor spawned here (an SPDK poll group):
+//! [`spawn_target`] over one connection, [`spawn_multi`] over several
+//! against one shared controller set, and the sharded runtime in
+//! [`crate::shard`] several of it, each over its own connections.
+//!
+//! [`spawn_target`]: crate::target::spawn_target
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bytes::BytesMut;
 
@@ -21,8 +23,7 @@ use crate::pdu::Pdu;
 use crate::shard::{ShardConfig, ShardStats, Steering, ThreadHook};
 use crate::spsc::spsc;
 use crate::target::{ReactorPort, TargetConfig, TargetConnection, TargetHandle};
-use crate::transport::{queue_pdu, Frame, Transport, CORK_BUDGET};
-use crate::tune::{BusyPollController, PollClass};
+use crate::transport::{queue_pdu, BackoffConfig, Transport, WaitLadder, WaitStep, CORK_BUDGET};
 use oaf_telemetry::Registry;
 
 /// One client connection a [`spawn_multi`] reactor services.
@@ -46,7 +47,7 @@ pub struct ConnectionSpec {
 pub struct LiveConnection {
     transport: Box<dyn Transport>,
     conn: TargetConnection,
-    pub(crate) alive: bool,
+    alive: bool,
     /// Reusable response staging and encode scratch: the steady-state
     /// serve pass allocates nothing per frame.
     out: Vec<Pdu>,
@@ -80,7 +81,7 @@ impl LiveConnection {
         }
     }
 
-    /// One serve pass — the body of every target reactor loop: drain
+    /// One serve pass — the reactor's body per connection: drain
     /// the ready frames in one batch, execute them, release parked
     /// barrier completions whose sync retired, and answer.
     ///
@@ -96,7 +97,7 @@ impl LiveConnection {
     /// 0 = idle). A peer that hung up, broke the protocol or left its
     /// ring full past the backoff budget ends this connection, never the
     /// reactor; only a transport fault is an error.
-    pub(crate) fn pass(&mut self, controller: &mut Controller) -> Result<usize, NvmeofError> {
+    fn pass(&mut self, controller: &mut Controller) -> Result<usize, NvmeofError> {
         let LiveConnection {
             transport,
             conn,
@@ -161,117 +162,91 @@ impl LiveConnection {
 
     /// Whether a completion is parked on a sync ticket. That is work
     /// outstanding whose producer — the store's sync worker — cannot
-    /// wake an idle loop, so no idle path may sleep while it is held:
-    /// the loop polls until [`pass`](LiveConnection::pass) releases it.
-    pub(crate) fn has_parked(&self) -> bool {
+    /// wake a sleeping reactor, so the reactor may not sleep while it is
+    /// held: it polls until [`pass`](LiveConnection::pass) releases it.
+    fn has_parked(&self) -> bool {
         self.conn.parked_barriers() > 0
-    }
-
-    /// The single-connection loop's idle step: park in the transport for
-    /// up to `timeout` and execute the frame that ends the wait, if any.
-    /// Its answers leave with the next [`pass`](LiveConnection::pass).
-    /// Callers poll instead while [`has_parked`](LiveConnection::has_parked);
-    /// a wait entered anyway is counted in `timer_wakeups`.
-    pub(crate) fn wait_frame(
-        &mut self,
-        controller: &mut Controller,
-        timeout: Duration,
-    ) -> Result<(), NvmeofError> {
-        if self.has_parked() {
-            self.conn.metrics().timer_wakeups.inc();
-        }
-        match self.transport.recv_timeout(timeout) {
-            Ok(Some(frame)) => {
-                let handled = self
-                    .conn
-                    .handle(Frame::Owned(frame), controller, &mut self.out);
-                self.alive = handled.is_ok();
-            }
-            Ok(None) => {}
-            Err(NvmeofError::TransportClosed) => self.alive = false,
-            Err(e) => return Err(e),
-        }
-        Ok(())
     }
 }
 
-/// One poll-mode reactor's connection set and idle policy.
+/// One poll-mode reactor's connection set and idle ladder.
 struct Reactor {
     live: Vec<LiveConnection>,
-    poller: BusyPollController,
-    last_work: std::time::Instant,
-    idle_sleep: Duration,
+    ladder: WaitLadder,
 }
 
 impl Reactor {
-    // Workload-adaptive idle policy (§4.5, Fig. 10): the reactor learns
-    // the typical gap between work arrivals and keeps spinning while the
-    // next frame is expected imminently; past that budget it backs off
-    // exponentially so an idle reactor does not burn a core.
-    const IDLE_SLEEP_MIN: Duration = Duration::from_micros(5);
-    const IDLE_SLEEP_MAX: Duration = Duration::from_micros(500);
-    const GAP_CLAMP: Duration = Duration::from_millis(1);
+    /// How long an idle ladder runs before it is re-armed — spin, yield,
+    /// then sleep slices of at most 500 µs, starting over each period.
+    const IDLE_PERIOD: Duration = Duration::from_millis(1);
 
     fn new(live: Vec<LiveConnection>) -> Self {
         Reactor {
             live,
-            poller: BusyPollController::new(),
-            last_work: std::time::Instant::now(),
-            idle_sleep: Self::IDLE_SLEEP_MIN,
+            ladder: Self::arm(),
         }
     }
 
-    fn alive_count(&self) -> usize {
-        self.live.iter().filter(|l| l.alive).count()
+    fn arm() -> WaitLadder {
+        WaitLadder::until(
+            Instant::now() + Self::IDLE_PERIOD,
+            &BackoffConfig::default(),
+        )
     }
 
-    /// One fair round-robin pass over every live connection (like an
-    /// SPDK poll group), each served by [`LiveConnection::pass`].
-    /// Returns the total progress (0 = the pass was idle).
+    /// One fair round-robin pass over every connection (like an SPDK
+    /// poll group), each served by [`LiveConnection::pass`]. A
+    /// connection the pass ended leaves the reactor here, so its
+    /// transport closes and the peer reads EOF. Returns the total
+    /// progress (0 = the pass was idle).
     fn poll_pass(&mut self, controller: &mut Controller) -> Result<usize, NvmeofError> {
         let mut progress = 0;
-        for l in self.live.iter_mut().filter(|l| l.alive) {
+        for l in &mut self.live {
             progress += l.pass(controller)?;
         }
+        self.live.retain(|l| l.alive);
         Ok(progress)
     }
 
-    /// Advances the adaptive idle policy after a poll pass: spin while
-    /// the next arrival is expected within the learned budget, back off
-    /// exponentially past it — unless a completion is parked, which is
-    /// outstanding work: then yield and poll again, so its release
-    /// waits for the sync worker, never for the back-off timer.
+    /// Idles after a poll pass on the crate's [`WaitLadder`], re-armed
+    /// on progress and once per [`IDLE_PERIOD`](Self::IDLE_PERIOD) while
+    /// idle. Where the ladder would sleep while a completion is parked,
+    /// the reactor yields and polls again instead, so the release waits
+    /// for the sync worker, never for a timer; a sleep entered anyway is
+    /// counted in the parking connection's `timer_wakeups`.
     fn idle_step(&mut self, progressed: bool) {
         if progressed {
-            self.poller.observe(
-                PollClass::Read,
-                self.last_work.elapsed().min(Self::GAP_CLAMP),
-            );
-            self.last_work = std::time::Instant::now();
-            self.idle_sleep = Self::IDLE_SLEEP_MIN;
-        } else if self.last_work.elapsed() < self.poller.budget(PollClass::Read) {
-            std::hint::spin_loop();
-        } else if self.live.iter().any(LiveConnection::has_parked) {
-            std::thread::yield_now();
-        } else {
-            std::thread::sleep(self.idle_sleep);
-            self.idle_sleep = (self.idle_sleep * 2).min(Self::IDLE_SLEEP_MAX);
+            self.ladder = Self::arm();
+            return;
+        }
+        match self.ladder.step() {
+            WaitStep::Again => {}
+            WaitStep::Sleep(_) if self.live.iter().any(LiveConnection::has_parked) => {
+                std::thread::yield_now()
+            }
+            WaitStep::Sleep(d) => {
+                for l in self.live.iter().filter(|l| l.has_parked()) {
+                    l.conn.metrics().timer_wakeups.inc();
+                }
+                std::thread::sleep(d);
+            }
+            WaitStep::Expired => self.ladder = Self::arm(),
         }
     }
 }
 
 impl TargetHandle {
     /// Adds one reactor thread (shard `self.shards()`) to this target —
-    /// the only place a reactor is spawned: [`spawn_multi`] calls it
-    /// once, [`spawn_sharded`](crate::shard::spawn_sharded) once per
-    /// shard.
+    /// the only place a reactor is spawned: [`spawn_multi`] (and through
+    /// it [`spawn_target`](crate::target::spawn_target)) calls it once,
+    /// [`spawn_sharded`](crate::shard::spawn_sharded) once per shard.
     ///
     /// The reactor exclusively owns `live` and its `controller` view and
     /// records into `stats`. Besides the stop flag, only the admin
     /// mailbox created here reaches into it: connections adopted at
     /// runtime (built against `registry`), drained between poll passes
     /// with a wait-free `pop`. It runs until told to stop, even with no
-    /// live connection left. `hook` runs first on the new thread.
+    /// connection left. `hook` runs first on the new thread.
     pub(crate) fn spawn_reactor(
         &mut self,
         live: Vec<LiveConnection>,
@@ -307,7 +282,7 @@ impl TargetHandle {
                         progressed = true;
                     }
                     thread_stats.polls.inc();
-                    thread_stats.conns.set(reactor.alive_count() as i64);
+                    thread_stats.conns.set(reactor.live.len() as i64);
                     reactor.idle_step(progressed);
                 }
                 Ok(())
@@ -423,57 +398,70 @@ mod tests {
         handle.shutdown().unwrap();
     }
 
+    /// A FUA held parked for well over the ladder's spin and yield
+    /// phases keeps the reactor from sleeping: reads issued meanwhile
+    /// complete, and no sleep is entered with the completion parked.
     #[test]
-    fn a_timed_wait_entered_with_a_parked_completion_is_counted() {
-        use crate::nvme::command::NvmeCommand;
-        use crate::pdu::{CapsuleCmd, DataRef, ICReq};
+    fn a_parked_completion_keeps_the_reactor_from_sleeping() {
+        use crate::target::spawn_target_observed;
         let vfs = oaf_store::vfs::MemVfs::new();
         let disk =
             oaf_store::FileDisk::create_on(Box::new(vfs.clone()), 4096, 64, 256 * 1024).unwrap();
         let mut ctrl = Controller::new();
         ctrl.add_namespace(Namespace::with_file(1, disk));
+        let registry = Registry::new();
         let (client, served) = MemTransport::pair();
-        let mut live = LiveConnection::build(
-            ConnectionSpec {
+        let handle =
+            spawn_target_observed(served, ctrl, TargetConfig::default(), None, Some(&registry));
+        let mut ini =
+            Initiator::connect(client, InitiatorOptions::default(), None, TIMEOUT).unwrap();
+        vfs.hold_syncs(true);
+        let fua = ini
+            .submit_write_fua(1, 0, 1, Bytes::from(vec![0xab; 4096]))
+            .unwrap();
+        for lba in 1..5 {
+            std::thread::sleep(Duration::from_millis(5));
+            let read = ini.submit_read(1, lba, 1, 4096).unwrap();
+            assert!(ini.wait(read, TIMEOUT).unwrap().status.is_ok());
+        }
+        std::thread::sleep(Duration::from_millis(5));
+        vfs.hold_syncs(false);
+        assert!(ini.wait(fua, TIMEOUT).unwrap().status.is_ok());
+        ini.disconnect().unwrap();
+        handle.shutdown().unwrap();
+
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("target", "barriers_parked"), 1);
+        assert_eq!(snap.counter("target", "timer_wakeups"), 0);
+    }
+
+    /// A connection the reactor ends — here for a command before ICReq —
+    /// leaves it, so the peer reads EOF instead of a silent socket.
+    #[test]
+    fn a_connection_ended_for_a_protocol_error_is_closed() {
+        use crate::nvme::command::NvmeCommand;
+        use crate::pdu::CapsuleCmd;
+        use crate::tcp::{TcpConfig, TcpTransport};
+        let (client, served) = TcpTransport::loopback_pair(TcpConfig::default()).unwrap();
+        let handle = spawn_multi(
+            controller(),
+            vec![ConnectionSpec {
                 transport: Box::new(served),
                 cfg: TargetConfig::default(),
                 payload: None,
                 scope: None,
-            },
-            0,
-            None,
+            }],
         );
-        vfs.hold_syncs(true);
-        let icreq = ICReq {
-            pfv: 1,
-            maxr2t: 4,
-            af_caps: 0,
-            host_id: 7,
+        let read = CapsuleCmd {
+            cmd: NvmeCommand::read(1, 1, 0, 1),
+            data: None,
         };
-        client.send(Pdu::ICReq(icreq).encode()).unwrap();
-        let fua = CapsuleCmd {
-            cmd: NvmeCommand::write_fua(1, 1, 0, 1),
-            data: Some(DataRef::Inline(Bytes::from(vec![0xab; 4096]))),
-        };
-        client.send(Pdu::CapsuleCmd(fua).encode()).unwrap();
-        live.pass(&mut ctrl).unwrap();
-        assert!(live.has_parked(), "the FUA completion parks on its ticket");
-        let metrics = Arc::clone(live.conn.metrics());
-        live.wait_frame(&mut ctrl, Duration::from_micros(100))
-            .unwrap();
-        assert_eq!(metrics.timer_wakeups.get(), 1);
-        vfs.hold_syncs(false);
-        while live.has_parked() {
-            live.pass(&mut ctrl).unwrap();
-            std::thread::yield_now();
-        }
-        live.wait_frame(&mut ctrl, Duration::from_micros(100))
-            .unwrap();
-        assert_eq!(
-            metrics.timer_wakeups.get(),
-            1,
-            "nothing parked, nothing counted"
-        );
+        client.send(Pdu::CapsuleCmd(read).encode()).unwrap();
+        assert!(matches!(
+            client.recv_timeout(Duration::from_secs(1)),
+            Err(NvmeofError::TransportClosed)
+        ));
+        handle.shutdown().unwrap();
     }
 
     #[test]

@@ -182,8 +182,9 @@ pub fn spawn_sharded(
     handle
 }
 
-/// The per-shard view of a running target. A [`spawn_target`] handle has
-/// no reactor shard: `shards()` is 0 and it adopts no connection.
+/// The per-shard view of a running target. Every handle has at least
+/// one reactor shard: a [`spawn_target`] handle has exactly one, and
+/// adopts connections like any other.
 ///
 /// [`spawn_target`]: crate::target::spawn_target
 impl TargetHandle {
@@ -210,9 +211,9 @@ impl TargetHandle {
         self.ports.iter().map(|p| p.stats.ops.get()).collect()
     }
 
-    /// The shard connection number `conn` is steered to (0 without shards).
+    /// The shard connection number `conn` is steered to.
     pub fn shard_of(&self, conn: usize) -> usize {
-        self.steering.shard_for(conn, self.shards().max(1))
+        self.steering.shard_for(conn, self.shards())
     }
 
     /// Steers `spec` to its shard (per the configured policy), builds
@@ -220,14 +221,8 @@ impl TargetHandle {
     /// through the shard's admin mailbox. Returns the shard index.
     ///
     /// Fails with [`NvmeofError::RingFull`] if the shard's mailbox is
-    /// full (the reactor is wedged or shutdown already drained it), and
-    /// with a protocol error on a handle without reactor shards.
+    /// full (the reactor is wedged or shutdown already drained it).
     pub fn add_connection(&mut self, spec: ConnectionSpec) -> Result<usize, NvmeofError> {
-        if self.ports.is_empty() {
-            return Err(NvmeofError::Protocol(
-                "a single-connection target adopts no connection".into(),
-            ));
-        }
         let conn_index = self.next_conn;
         self.next_conn += 1;
         let shard = self.shard_of(conn_index);

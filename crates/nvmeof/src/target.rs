@@ -4,13 +4,13 @@
 //! pure function — frames in, frames out — which keeps every flow
 //! (handshake, in-capsule write, conservative R2T write, inline-chunked
 //! read, shared-memory read/write) unit-testable without threads.
-//! [`spawn_target`] wraps it in the polled reactor thread the examples and
-//! integration tests run, mirroring SPDK's poll-mode target design (§2.2).
+//! [`spawn_target`] serves one connection on the shared poll-mode reactor
+//! of [`crate::server`], mirroring SPDK's poll-mode target design (§2.2).
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use bytes::Bytes;
 
@@ -26,7 +26,7 @@ use crate::pdu::{
     KeepAlive, Pdu, PduView, AF_CAP_SHM, AF_CAP_SHM_INCAPSULE, AF_CAP_ZERO_COPY, R2T,
 };
 use crate::recovery::{AbortDecision, TargetRecovery};
-use crate::server::{ConnectionSpec, LiveConnection};
+use crate::server::{spawn_multi_observed, ConnectionSpec, LiveConnection};
 use crate::shard::{ShardStats, Steering};
 use crate::spsc::SpscSender;
 use crate::transport::{Frame, Transport};
@@ -795,8 +795,8 @@ pub(crate) struct ReactorPort {
 }
 
 /// Handle to a running target — the one handle every spawn function
-/// returns: [`spawn_target`] (one connection on its own loop, no reactor
-/// shard), [`spawn_multi`] (one reactor shard) and [`spawn_sharded`] (N).
+/// returns: [`spawn_target`] and [`spawn_multi`] (one reactor shard) and
+/// [`spawn_sharded`] (N).
 /// Dropping it stops and joins every thread; [`TargetHandle::shutdown`]
 /// does the same and reports the first error a thread hit. The per-shard
 /// accessors live in [`crate::shard`].
@@ -849,7 +849,7 @@ impl Drop for TargetHandle {
     }
 }
 
-/// Spawns a polled target reactor serving one connection.
+/// Spawns the target reactor serving one connection.
 pub fn spawn_target<T: Transport + 'static>(
     transport: T,
     controller: Controller,
@@ -859,64 +859,24 @@ pub fn spawn_target<T: Transport + 'static>(
     spawn_target_observed(transport, controller, cfg, payload, None)
 }
 
-/// [`spawn_target`] with telemetry: the connection's target-side metric
-/// bundle is registered into `registry` under the `target` scope before
-/// the reactor starts.
-///
-/// This loop is deliberately not the shared reactor of
-/// [`crate::server`]: with exactly one transport it idles by *parking in
-/// it* (`wait_frame`, 1 ms), where the reactor idles by learned spin then
-/// back-off sleep. Swapping only that idle step cost `inregion_4k_qd32`
-/// 10–17 % IOPS and +26 % read p95, and `oshm_4k_qd1` up to 17 % IOPS
-/// (EXPERIMENTS.md, "One way to bring a fabric up"); and the reactor
-/// cannot park per connection without `wait_frame`'s owned frame, an
-/// allocation per wake that the sharded steady state forbids. The two
-/// merge once the reactor has a wake source (ROADMAP item 1).
-///
-/// The transport is the only thing that can end that wait early, so
-/// while a completion is parked on a sync ticket — released by the
-/// store's sync worker, not by a frame — the loop does not park: it
-/// yields and passes again until the release, which then waits for the
-/// worker's `fdatasync` alone, never for the 1 ms timer.
+/// [`spawn_target`] with telemetry: [`spawn_multi_observed`] over the one
+/// connection, whose target-side metric bundle is registered into
+/// `registry` under the `target` scope before the reactor starts. The
+/// reactor's [`ShardStats`] are registered nowhere.
 pub fn spawn_target_observed<T: Transport + 'static>(
     transport: T,
-    mut controller: Controller,
+    controller: Controller,
     cfg: TargetConfig,
     payload: Option<Arc<dyn PayloadChannel>>,
     registry: Option<&Registry>,
 ) -> TargetHandle {
-    let mut live = LiveConnection::build(
-        ConnectionSpec {
-            transport: Box::new(transport),
-            cfg,
-            payload,
-            scope: Some("target".into()),
-        },
-        0,
-        registry,
-    );
-    let mut handle = TargetHandle::new(Steering::RoundRobin, 1);
-    let stop = handle.stop.clone();
-    let join = std::thread::Builder::new()
-        .name("nvmeof-target".into())
-        .spawn(move || {
-            while !stop.load(Ordering::Acquire) && live.alive {
-                if live.pass(&mut controller)? > 0 {
-                    continue;
-                }
-                if live.has_parked() {
-                    std::thread::yield_now();
-                } else {
-                    // Idle: bounded spin→yield wait inside the
-                    // transport, never a blind spin.
-                    live.wait_frame(&mut controller, Duration::from_millis(1))?;
-                }
-            }
-            Ok(())
-        })
-        .expect("spawn target thread");
-    handle.joins.push(join);
-    handle
+    let spec = ConnectionSpec {
+        transport: Box::new(transport),
+        cfg,
+        payload,
+        scope: Some("target".into()),
+    };
+    spawn_multi_observed(controller, vec![spec], registry)
 }
 
 #[cfg(test)]
@@ -924,6 +884,7 @@ mod tests {
     use super::*;
     use crate::nvme::namespace::Namespace;
     use crate::pdu::{CapsuleCmd, ICReq};
+    use std::time::Duration;
 
     fn controller() -> Controller {
         let mut c = Controller::new();
