@@ -1,7 +1,9 @@
 //! Criterion micro-benchmarks of the real shared-memory channel: the
 //! Fig. 8 ablation ladder measured on actual hardware (this machine)
 //! rather than the calibrated model — lock-free ring vs locked region,
-//! one-copy send vs zero-copy lease, across payload sizes.
+//! one-copy send vs zero-copy lease, across payload sizes. Every
+//! lock-free row claims its slot from the Buffer Manager; the one-copy
+//! rows then copy the payload in, the zero-copy rows build it in place.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use oaf_shmem::channel::Side;
@@ -22,7 +24,9 @@ fn bench_lock_free_one_copy(c: &mut Criterion) {
         g.throughput(Throughput::Bytes(size as u64));
         g.bench_with_input(BenchmarkId::from_parameter(size), &size, |b, _| {
             b.iter(|| {
-                let (slot, len) = client.send(&payload).expect("send");
+                let mut lease = client.buffer_manager().lease(size).expect("lease");
+                lease.copy_from_slice(&payload);
+                let (slot, len) = lease.publish();
                 let guard = target.recv(slot, len).expect("recv");
                 guard.copy_to(&mut out[..len]);
             })
@@ -43,7 +47,7 @@ fn bench_lock_free_zero_copy(c: &mut Criterion) {
             b.iter(|| {
                 // The application builds its data in place (§4.4.3): the
                 // publish itself costs nothing.
-                let mut lease = client.lease(size).expect("lease");
+                let mut lease = client.buffer_manager().lease(size).expect("lease");
                 lease[0] = 1; // the app "fills" its buffer
                 let (slot, len) = lease.publish();
                 let guard = target.recv(slot, len).expect("recv");
@@ -98,15 +102,14 @@ fn bench_cross_thread_pipeline(c: &mut Criterion) {
             let payload = vec![0x5au8; size];
             let start = std::time::Instant::now();
             for _ in 0..iters {
-                loop {
-                    match client.send(&payload) {
-                        Ok(pair) => {
-                            tx.send(pair).expect("consumer alive");
-                            break;
-                        }
+                let mut lease = loop {
+                    match client.buffer_manager().lease(size) {
+                        Ok(lease) => break lease,
                         Err(_) => std::hint::spin_loop(),
                     }
-                }
+                };
+                lease.copy_from_slice(&payload);
+                tx.send(lease.publish()).expect("consumer alive");
             }
             drop(tx);
             consumer.join().expect("consumer");

@@ -37,11 +37,14 @@ pub fn slots() -> FigureReport {
     for _ in 0..trials {
         // Lock-free ring (the paper's §4.4.1 design).
         let ch = ShmChannel::allocate(16, 64 * 1024);
-        let client = ch.endpoint(Side::Client);
+        let client = ch.buffer_manager(Dir::ToTarget);
         let target = ch.endpoint(Side::Target);
         let t0 = std::time::Instant::now();
         for _ in 0..iters {
-            let (slot, len) = client.send(&payload).expect("send");
+            // One-copy send: lease a slot, copy the payload in, publish.
+            let mut lease = client.lease(payload.len()).expect("lease");
+            lease.copy_from_slice(&payload);
+            let (slot, len) = lease.publish();
             let g = target.recv(slot, len).expect("recv");
             g.copy_to(&mut scratch[..len]);
         }

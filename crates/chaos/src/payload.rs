@@ -119,27 +119,6 @@ impl PayloadChannel for ChaosPayloadChannel {
         }
     }
 
-    fn publish(&self, data: &[u8]) -> Result<(u32, u32), NvmeofError> {
-        self.roll(
-            self.plan.shm_publish_fail_per_10k,
-            FaultKind::ShmPublishFail,
-        )?;
-        self.inner.publish(data)
-    }
-
-    fn consume(&self, slot: u32, len: u32, dst: &mut [u8]) -> Result<(), NvmeofError> {
-        match self.roll(
-            self.plan.shm_consume_fail_per_10k,
-            FaultKind::ShmConsumeFail,
-        ) {
-            Ok(()) => self.inner.consume(slot, len, dst),
-            Err(e) => {
-                let _ = self.inner.consume_with(slot, len, &mut |_| {});
-                Err(e)
-            }
-        }
-    }
-
     fn max_payload(&self) -> usize {
         self.inner.max_payload()
     }

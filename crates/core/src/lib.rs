@@ -49,7 +49,6 @@ pub mod locality;
 pub mod payload_impl;
 pub mod runtime;
 pub mod sim;
-pub mod stats;
 
 pub use conn::ConnectionManager;
 pub use endpoint::{AfEndpoint, ChannelKind};

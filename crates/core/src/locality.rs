@@ -180,7 +180,9 @@ mod tests {
         assert_eq!(a.host_id, 1);
 
         // The channel moves bytes.
-        let (slot, len) = hp.channel.endpoint(Side::Client).send(b"hi").unwrap();
+        let mut lease = hp.channel.endpoint(Side::Client).lease_managed(2).unwrap();
+        lease.copy_from_slice(b"hi");
+        let (slot, len) = lease.publish();
         assert_eq!(
             hp.channel
                 .endpoint(Side::Target)

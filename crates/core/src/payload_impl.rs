@@ -1,18 +1,17 @@
-//! Shared-memory implementations of the NVMe-oF payload channel.
+//! The shared-memory implementation of the NVMe-oF payload channel.
 //!
-//! [`ShmPayloadChannel`] is the production path: one side's view of the
-//! lock-free double buffer, bridged to [`oaf_nvmeof::PayloadChannel`] so
-//! the NVMe-oF stack can publish/consume payloads without knowing about
-//! slots or atomics. [`LockedPayloadChannel`] is the mutex-guarded
-//! SHM-baseline kept for the Fig. 8 ablation benchmarks.
+//! [`ShmPayloadChannel`] is one side's view of the lock-free double
+//! buffer, bridged to [`oaf_nvmeof::PayloadChannel`] so the NVMe-oF stack
+//! can publish/consume payloads without knowing about slots or atomics.
+//! It implements the lease methods only: every transmit slot, for a
+//! zero-copy lease and a copying `publish` alike, comes from the
+//! direction's [`BufferManager`].
 
 use std::sync::Arc;
 
 use oaf_nvmeof::error::NvmeofError;
 use oaf_nvmeof::payload::{PayloadChannel, WriteLease};
 use oaf_shmem::channel::{ShmEndpoint, Side};
-use oaf_shmem::layout::Dir;
-use oaf_shmem::locked::LockedShm;
 use oaf_shmem::{BufStats, BufferManager, ShmChannel, ShmError};
 
 fn map_err(e: ShmError) -> NvmeofError {
@@ -35,11 +34,6 @@ impl ShmPayloadChannel {
         Arc::new(ShmPayloadChannel { endpoint, mgr })
     }
 
-    /// The underlying endpoint (for zero-copy leases).
-    pub fn endpoint(&self) -> &ShmEndpoint {
-        &self.endpoint
-    }
-
     /// The transmit-direction Buffer Manager's telemetry bundle.
     pub fn lease_stats(&self) -> &Arc<BufStats> {
         self.mgr.stats()
@@ -59,11 +53,11 @@ impl ShmPayloadChannel {
 
 impl PayloadChannel for ShmPayloadChannel {
     fn alloc(&self, len: usize) -> Result<WriteLease, NvmeofError> {
-        // Same bounded wait as `publish`: the round-robin pool drains as
-        // the consumer frees slots, so short spins cover transient
-        // exhaustion while hard errors surface immediately. A
-        // quarantined pool fails fast instead of spinning out the
-        // budget — the peer that would drain it is gone.
+        // A bounded wait: the round-robin pool drains as the consumer
+        // frees slots, so short spins cover transient exhaustion while
+        // hard errors surface immediately. A quarantined pool fails fast
+        // instead of spinning out the budget — the peer that would drain
+        // it is gone.
         let mut spins = 0u32;
         loop {
             match self.mgr.lease(len) {
@@ -86,8 +80,8 @@ impl PayloadChannel for ShmPayloadChannel {
                 let (slot, len) = slot_lease.publish();
                 Ok((slot as u32, len as u32))
             }
-            // A heap lease can only come from a foreign channel; keep the
-            // data moving through the one-copy path.
+            // A heap lease can only come from a foreign channel; copy it
+            // into a slot of this one.
             Err(heap) => self.publish(&heap),
         }
     }
@@ -98,6 +92,8 @@ impl PayloadChannel for ShmPayloadChannel {
         len: u32,
         f: &mut dyn FnMut(&[u8]),
     ) -> Result<(), NvmeofError> {
+        // The publication notification races ahead of our read in rare
+        // interleavings; spin until the Ready state is visible.
         let mut spins = 0u32;
         let guard = loop {
             match self.endpoint.recv(slot as usize, len as usize) {
@@ -113,52 +109,8 @@ impl PayloadChannel for ShmPayloadChannel {
         Ok(())
     }
 
-    fn publish(&self, data: &[u8]) -> Result<(u32, u32), NvmeofError> {
-        if self.mgr.is_quarantined() {
-            return Err(NvmeofError::Payload("channel quarantined".into()));
-        }
-        // Slot rings reject when the consumer is queue-depth behind;
-        // retry briefly — the paper's round-robin guarantee makes waits
-        // short in the steady state.
-        let mut spins = 0u32;
-        loop {
-            match self.endpoint.send(data) {
-                Ok((slot, len)) => return Ok((slot as u32, len as u32)),
-                Err(ShmError::NoFreeSlot) if spins < 1_000_000 && !self.mgr.is_quarantined() => {
-                    spins += 1;
-                    std::hint::spin_loop();
-                }
-                Err(e) => return Err(map_err(e)),
-            }
-        }
-    }
-
-    fn consume(&self, slot: u32, len: u32, dst: &mut [u8]) -> Result<(), NvmeofError> {
-        if dst.len() != len as usize {
-            return Err(NvmeofError::Payload(format!(
-                "destination {} != payload {len}",
-                dst.len()
-            )));
-        }
-        // The publication notification races ahead of our read in rare
-        // interleavings; spin until the Ready state is visible.
-        let mut spins = 0u32;
-        let guard = loop {
-            match self.endpoint.recv(slot as usize, len as usize) {
-                Ok(g) => break g,
-                Err(ShmError::WrongState { .. }) if spins < 1_000_000 => {
-                    spins += 1;
-                    std::hint::spin_loop();
-                }
-                Err(e) => return Err(map_err(e)),
-            }
-        };
-        guard.copy_to(dst);
-        Ok(())
-    }
-
     fn max_payload(&self) -> usize {
-        self.endpoint.channel().slot_size()
+        self.mgr.slot_size()
     }
 
     fn quarantine(&self) {
@@ -175,105 +127,6 @@ impl PayloadChannel for ShmPayloadChannel {
 
     fn reclaim_slot(&self, slot: u32) -> bool {
         self.mgr.reclaim_slot(slot as usize)
-    }
-}
-
-/// Mutex-guarded baseline payload channel (Fig. 8's "SHM-baseline").
-pub struct LockedPayloadChannel {
-    shm: LockedShm,
-    side: Side,
-}
-
-impl LockedPayloadChannel {
-    /// Creates both sides over one locked region.
-    pub fn pair(depth: usize, slot_size: usize) -> (Arc<Self>, Arc<Self>) {
-        let shm = LockedShm::allocate(depth, slot_size);
-        (
-            Arc::new(LockedPayloadChannel {
-                shm: shm.clone(),
-                side: Side::Client,
-            }),
-            Arc::new(LockedPayloadChannel {
-                shm,
-                side: Side::Target,
-            }),
-        )
-    }
-
-    fn tx_dir(&self) -> Dir {
-        self.side.tx_dir()
-    }
-
-    fn rx_dir(&self) -> Dir {
-        self.side.rx_dir()
-    }
-}
-
-impl PayloadChannel for LockedPayloadChannel {
-    // The locked baseline deliberately keeps every copy of Fig. 8's
-    // first ablation step: leases are plain heap buffers and the borrow
-    // goes through a scratch materialization.
-    fn alloc(&self, len: usize) -> Result<WriteLease, NvmeofError> {
-        if len > self.max_payload() {
-            return Err(NvmeofError::Payload(format!(
-                "payload {len} exceeds slot {}",
-                self.max_payload()
-            )));
-        }
-        Ok(WriteLease::heap(len))
-    }
-
-    fn publish_lease(&self, lease: WriteLease) -> Result<(u32, u32), NvmeofError> {
-        self.publish(&lease)
-    }
-
-    fn consume_with(
-        &self,
-        slot: u32,
-        len: u32,
-        f: &mut dyn FnMut(&[u8]),
-    ) -> Result<(), NvmeofError> {
-        let mut scratch = vec![0u8; len as usize];
-        self.consume(slot, len, &mut scratch)?;
-        f(&scratch);
-        Ok(())
-    }
-
-    fn publish(&self, data: &[u8]) -> Result<(u32, u32), NvmeofError> {
-        let mut spins = 0u32;
-        loop {
-            match self.shm.send(self.tx_dir(), data) {
-                Ok(slot) => return Ok((slot as u32, data.len() as u32)),
-                Err(ShmError::NoFreeSlot) if spins < 1_000_000 => {
-                    spins += 1;
-                    std::thread::yield_now();
-                }
-                Err(e) => return Err(map_err(e)),
-            }
-        }
-    }
-
-    fn consume(&self, slot: u32, len: u32, dst: &mut [u8]) -> Result<(), NvmeofError> {
-        let mut spins = 0u32;
-        loop {
-            match self.shm.recv(self.rx_dir(), slot as usize, dst) {
-                Ok(n) if n == len as usize => return Ok(()),
-                Ok(n) => {
-                    return Err(NvmeofError::Payload(format!(
-                        "length mismatch: stored {n}, notified {len}"
-                    )))
-                }
-                Err(ShmError::WrongState { .. }) if spins < 1_000_000 => {
-                    spins += 1;
-                    std::thread::yield_now();
-                }
-                Err(e) => return Err(map_err(e)),
-            }
-        }
-    }
-
-    fn max_payload(&self) -> usize {
-        self.shm.slot_size()
     }
 }
 
@@ -316,20 +169,6 @@ mod tests {
     }
 
     #[test]
-    fn locked_baseline_roundtrip() {
-        let (client, target) = LockedPayloadChannel::pair(4, 1024);
-        let (slot, len) = client.publish(b"locked path").unwrap();
-        let mut buf = vec![0u8; len as usize];
-        target.consume(slot, len, &mut buf).unwrap();
-        assert_eq!(buf, b"locked path");
-        // And the reverse direction.
-        let (slot, len) = target.publish(b"reply").unwrap();
-        let mut buf = vec![0u8; len as usize];
-        client.consume(slot, len, &mut buf).unwrap();
-        assert_eq!(buf, b"reply");
-    }
-
-    #[test]
     fn quarantined_channel_fails_fast_and_reclaims() {
         let ch = ShmChannel::allocate(4, 256);
         let client: Arc<dyn PayloadChannel> = ShmPayloadChannel::new(&ch, Side::Client);
@@ -344,6 +183,46 @@ mod tests {
         assert_eq!(client.reclaim(), 2);
         assert!(!client.reclaim_slot(slot_a));
         assert!(!client.reclaim_slot(slot_b));
+    }
+
+    /// A copying `publish` leases its slot from the Buffer Manager
+    /// exactly as `alloc` does, so the manager's probing, ledger and
+    /// quarantine cover both send paths.
+    #[test]
+    fn copying_publish_and_leases_share_one_allocator() {
+        let ch = ShmChannel::allocate(4, 256);
+        let client = ShmPayloadChannel::new(&ch, Side::Client);
+        let target = ShmPayloadChannel::new(&ch, Side::Target);
+        // Leased and never published: both paths must probe past it.
+        let straggler = client.alloc(8).unwrap();
+        for i in 0..6u8 {
+            let body = [i; 32];
+            let (slot, len) = if i % 2 == 0 {
+                client.publish(&body).unwrap()
+            } else {
+                let mut lease = client.alloc(body.len()).unwrap();
+                lease.copy_from_slice(&body);
+                client.publish_lease(lease).unwrap()
+            };
+            let mut out = [0u8; 32];
+            target.consume(slot, len, &mut out).unwrap();
+            assert_eq!(out, body);
+        }
+        // Two the (dead) target never consumes.
+        client.publish(b"orphan a").unwrap();
+        client.publish(b"orphan b").unwrap();
+
+        let stats = client.lease_stats();
+        assert_eq!(stats.leases.get(), 1 + 6 + 2, "every publish is a lease");
+        assert_eq!(stats.leases_live.get(), 1, "only the straggler is live");
+        client.quarantine();
+        assert!(client.publish(b"after quarantine").is_err());
+        assert!(client.alloc(8).is_err());
+        // The sweep frees the two orphans, never the straggler's slot.
+        assert_eq!(client.reclaim(), 2);
+        drop(straggler);
+        assert_eq!(stats.leases_live.get(), 0);
+        assert_eq!(stats.lease_aborted.get(), 1);
     }
 
     #[test]

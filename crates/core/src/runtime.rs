@@ -25,8 +25,7 @@ use crate::conn::{ConnectionManager, EstablishedFabric, FabricSettings};
 use crate::endpoint::AfEndpoint;
 use crate::locality::{HostRegistry, ProcessId};
 use crate::payload_impl::ShmPayloadChannel;
-use crate::stats::{ClientStats, StatsSnapshot};
-use oaf_telemetry::{Registry, Scope};
+use oaf_telemetry::{Counter, Registry, Scope};
 
 /// Default I/O timeout for the blocking convenience API.
 pub const DEFAULT_TIMEOUT: Duration = Duration::from_secs(10);
@@ -36,10 +35,43 @@ pub struct AfClient {
     initiator: Initiator<ControlTransport>,
     bufmgr: BufferManager,
     endpoint: Arc<AfEndpoint>,
-    stats: Arc<ClientStats>,
+    app: AppCounters,
     /// Per-command accounting metadata: `(bytes, zero_copy, is_read)`,
     /// consumed when the completion arrives.
     inflight_meta: std::collections::HashMap<u16, (u64, bool, bool)>,
+}
+
+/// The client's application view, in its `app` scope. An op is counted
+/// at completion; a failed one counts as an error, not an op.
+struct AppCounters {
+    writes: Counter,
+    reads: Counter,
+    bytes_written: Counter,
+    bytes_read: Counter,
+    /// Writes that published a zero-copy shared-memory lease.
+    zero_copy_writes: Counter,
+    /// Failed operations (NVMe errors, timeouts, transport errors).
+    errors: Counter,
+    /// Wall-clock microseconds spent in blocking calls.
+    blocking_micros: Counter,
+}
+
+impl AppCounters {
+    fn new(app: &Scope) -> Self {
+        AppCounters {
+            writes: app.counter("writes"),
+            reads: app.counter("reads"),
+            bytes_written: app.counter("bytes_written"),
+            bytes_read: app.counter("bytes_read"),
+            zero_copy_writes: app.counter("zero_copy_writes"),
+            errors: app.counter("errors"),
+            blocking_micros: app.counter("blocking_micros"),
+        }
+    }
+
+    fn blocked_since(&self, t0: std::time::Instant) {
+        self.blocking_micros.add(t0.elapsed().as_micros() as u64);
+    }
 }
 
 /// Handle pair returned by [`launch`]: the client plus the target handle
@@ -275,13 +307,11 @@ impl AfClient {
             settings.slot_size.max(settings.read_chunk) * 2,
             settings.depth.max(8),
         );
-        let stats = ClientStats::new();
-        stats.register(app);
         AfClient {
             initiator,
             bufmgr: BufferManager::new(pool, shm),
             endpoint,
-            stats,
+            app: AppCounters::new(app),
             inflight_meta: std::collections::HashMap::new(),
         }
     }
@@ -324,7 +354,7 @@ impl AfClient {
         let t0 = std::time::Instant::now();
         let cid = self.submit_write(nsid, slba, nlb, buf)?;
         let result = self.wait(cid, timeout);
-        self.stats.record_blocking(t0.elapsed());
+        self.app.blocked_since(t0);
         match result {
             Ok(r) if r.status.is_ok() => Ok(()),
             Ok(r) => Err(NvmeofError::Nvme(r.status)),
@@ -374,7 +404,7 @@ impl AfClient {
         let t0 = std::time::Instant::now();
         let cid = self.submit_read(nsid, slba, nlb, expected_len)?;
         let result = self.wait(cid, timeout);
-        self.stats.record_blocking(t0.elapsed());
+        self.app.blocked_since(t0);
         match result {
             Ok(r) if r.status.is_ok() => Ok(r.data),
             Ok(r) => Err(NvmeofError::Nvme(r.status)),
@@ -403,23 +433,12 @@ impl AfClient {
         self.inflight_meta
             .insert(cid, (expected_len as u64, false, true));
         let result = self.wait(cid, timeout);
-        self.stats.record_blocking(t0.elapsed());
+        self.app.blocked_since(t0);
         match result {
             Ok(mut r) if r.status.is_ok() => self.initiator.consume_read_with(&mut r, f),
             Ok(r) => Err(NvmeofError::Nvme(r.status)),
             Err(e) => Err(e),
         }
-    }
-
-    /// A snapshot of this client's I/O counters (lock-free; readable from
-    /// any thread via a cloned handle from [`AfClient::stats_handle`]).
-    pub fn stats(&self) -> StatsSnapshot {
-        self.stats.snapshot()
-    }
-
-    /// Shares the live counter set with an observer thread.
-    pub fn stats_handle(&self) -> Arc<ClientStats> {
-        self.stats.clone()
     }
 
     /// Asynchronous read submission. Queued like
@@ -442,12 +461,18 @@ impl AfClient {
         let Some((bytes, zero_copy, is_read)) = self.inflight_meta.remove(&r.cid) else {
             return;
         };
+        let app = &self.app;
         if !r.status.is_ok() {
-            self.stats.record_error();
+            app.errors.inc();
         } else if is_read {
-            self.stats.record_read(bytes);
+            app.reads.inc();
+            app.bytes_read.add(bytes);
         } else {
-            self.stats.record_write(bytes, zero_copy);
+            app.writes.inc();
+            app.bytes_written.add(bytes);
+            if zero_copy {
+                app.zero_copy_writes.inc();
+            }
         }
     }
 
@@ -473,7 +498,7 @@ impl AfClient {
             }
             Err(e) => {
                 if matches!(e, NvmeofError::Timeout { .. }) {
-                    self.stats.record_error();
+                    self.app.errors.inc();
                 }
                 Err(e)
             }
@@ -487,7 +512,7 @@ impl AfClient {
         let t0 = std::time::Instant::now();
         let cid = self.initiator.submit_flush(nsid)?;
         let result = self.wait(cid, timeout);
-        self.stats.record_blocking(t0.elapsed());
+        self.app.blocked_since(t0);
         match result {
             Ok(r) if r.status.is_ok() => Ok(()),
             Ok(r) => Err(NvmeofError::Nvme(r.status)),
@@ -507,7 +532,7 @@ impl AfClient {
         let t0 = std::time::Instant::now();
         let cid = self.initiator.submit_trim(nsid, slba, nlb)?;
         let result = self.wait(cid, timeout);
-        self.stats.record_blocking(t0.elapsed());
+        self.app.blocked_since(t0);
         match result {
             Ok(r) if r.status.is_ok() => Ok(()),
             Ok(r) => Err(NvmeofError::Nvme(r.status)),
@@ -534,7 +559,7 @@ impl AfClient {
         let cid = self.initiator.submit_write_fua(nsid, slba, nlb, data)?;
         self.inflight_meta.insert(cid, (bytes, false, false));
         let result = self.wait(cid, timeout);
-        self.stats.record_blocking(t0.elapsed());
+        self.app.blocked_since(t0);
         match result {
             Ok(r) if r.status.is_ok() => Ok(()),
             Ok(r) => Err(NvmeofError::Nvme(r.status)),

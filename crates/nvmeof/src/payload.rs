@@ -12,13 +12,13 @@
 //! * receive side: [`PayloadChannel::consume_with`] lends the published
 //!   bytes to a closure *in place*, freeing the slot afterwards.
 //!
-//! The original copying API ([`PayloadChannel::publish`] /
-//! [`PayloadChannel::consume`]) survives as default-implemented
-//! compatibility shims over the leases: `publish` is alloc + one copy +
-//! publish, `consume` is a borrow + one copy out. Implementations with a
-//! cheaper dedicated copy path (or deliberately copying baselines for the
-//! Fig. 8 ablation) can still override them. `oaf-core` implements this
-//! trait over the real lock-free [`oaf_shmem::ShmChannel`].
+//! The copying calls ([`PayloadChannel::publish`] /
+//! [`PayloadChannel::consume`]) are provided methods over the leases and
+//! the only copy path: `publish` is alloc + one copy + publish, `consume`
+//! is a borrow + one copy out. No implementation overrides them, so a
+//! copying publish takes its slot from the same allocator as a lease.
+//! `oaf-core` implements this trait over the real lock-free
+//! [`oaf_shmem::ShmChannel`].
 
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
@@ -172,8 +172,8 @@ pub trait PayloadChannel: Send + Sync {
     /// Largest payload a single slot can carry.
     fn max_payload(&self) -> usize;
 
-    /// Publishes `data` by copying it into a fresh lease (one-copy
-    /// compatibility shim over [`PayloadChannel::alloc`] +
+    /// Publishes `data` by copying it into a fresh lease (the one-copy
+    /// path: [`PayloadChannel::alloc`] + copy +
     /// [`PayloadChannel::publish_lease`]).
     fn publish(&self, data: &[u8]) -> Result<(u32, u32), NvmeofError> {
         let mut lease = self.alloc(data.len())?;
@@ -183,8 +183,7 @@ pub trait PayloadChannel: Send + Sync {
 
     /// Consumes the payload published by the peer at `slot`, copying it
     /// into `dst` (which must be exactly `len` bytes) and freeing the
-    /// slot (one-copy compatibility shim over
-    /// [`PayloadChannel::consume_with`]).
+    /// slot (the one-copy path: [`PayloadChannel::consume_with`] + copy).
     fn consume(&self, slot: u32, len: u32, dst: &mut [u8]) -> Result<(), NvmeofError> {
         if dst.len() != len as usize {
             return Err(NvmeofError::Payload("length mismatch".into()));
@@ -234,21 +233,10 @@ impl MailboxSide {
 /// A loopback payload channel for tests: an indexed in-memory mailbox per
 /// direction, mimicking slot semantics without shared memory. Each handle
 /// publishes into its own transmit direction and consumes from the peer's.
-///
-/// Handles can be *partitioned* ([`MailboxChannel::with_partition`]): a
-/// partitioned handle publishes only into its own contiguous slot range,
-/// wrapping within it, mirroring how a sharded runtime carves one shm
-/// ring into per-shard pools.
 pub struct MailboxChannel {
     dirs: Arc<[Mutex<MailboxSide>; 2]>,
     tx_dir: usize,
-    /// First transmit slot this handle may use (absolute index).
-    part_start: usize,
-    /// Transmit slots this handle may use; probing wraps within
-    /// `[part_start, part_start + part_len)` — never into a neighbor
-    /// partition's slots.
-    part_len: usize,
-    /// Per-handle round-robin cursor (partition-relative).
+    /// Round-robin cursor over the transmit slots.
     cursor: std::sync::atomic::AtomicUsize,
     /// Shared "the region died" flag: set by [`PayloadChannel::quarantine`]
     /// (or a chaos hook) on either handle, fails all publishes on both.
@@ -268,46 +256,16 @@ impl MailboxChannel {
             Arc::new(MailboxChannel {
                 dirs: dirs.clone(),
                 tx_dir: 0,
-                part_start: 0,
-                part_len: depth,
                 cursor: std::sync::atomic::AtomicUsize::new(0),
                 poisoned: poisoned.clone(),
             }),
             Arc::new(MailboxChannel {
                 dirs,
                 tx_dir: 1,
-                part_start: 0,
-                part_len: depth,
                 cursor: std::sync::atomic::AtomicUsize::new(0),
                 poisoned,
             }),
         )
-    }
-
-    /// A handle over the same mailbox restricted to the `len` transmit
-    /// slots starting at `start`. Consuming is unaffected (slot indices
-    /// arrive from the peer); publishing and reclamation stay inside the
-    /// partition. Panics on an empty or out-of-range partition.
-    pub fn with_partition(&self, start: usize, len: usize) -> Arc<Self> {
-        let depth = self.dirs[self.tx_dir].lock().slots.len();
-        assert!(len > 0, "mailbox partition must be non-empty");
-        assert!(
-            start.checked_add(len).is_some_and(|end| end <= depth),
-            "partition [{start}, {start}+{len}) exceeds mailbox depth {depth}"
-        );
-        Arc::new(MailboxChannel {
-            dirs: self.dirs.clone(),
-            tx_dir: self.tx_dir,
-            part_start: start,
-            part_len: len,
-            cursor: std::sync::atomic::AtomicUsize::new(0),
-            poisoned: self.poisoned.clone(),
-        })
-    }
-
-    /// This handle's transmit partition as `(first_slot, slot_count)`.
-    pub fn partition(&self) -> (usize, usize) {
-        (self.part_start, self.part_len)
     }
 
     fn is_poisoned(&self) -> bool {
@@ -321,7 +279,7 @@ impl PayloadChannel for MailboxChannel {
             return Err(NvmeofError::Payload("channel quarantined".into()));
         }
         // No shared region behind the mailbox: leases are heap-backed and
-        // publish_lease stores the bytes (the copy the real channel avoids).
+        // publish_lease adopts the buffer as the slot's contents.
         Ok(WriteLease::heap(len))
     }
 
@@ -329,20 +287,20 @@ impl PayloadChannel for MailboxChannel {
         if self.is_poisoned() {
             return Err(NvmeofError::Payload("channel quarantined".into()));
         }
+        let len = lease.len() as u32;
+        let bytes = lease.into_heap().unwrap_or_else(|slot| slot.to_vec());
         let mut side = self.dirs[self.tx_dir].lock();
-        // Round-robin within the partition (§4.4.1): probe forward past
-        // stragglers, wrapping inside the partition; only a genuinely
-        // full partition is an error — a neighbor's slots are never
-        // borrowed.
-        for _ in 0..self.part_len {
-            let rel = self
+        // Round-robin (§4.4.1): probe forward past stragglers; only a
+        // genuinely full mailbox is an error.
+        let depth = side.slots.len();
+        for _ in 0..depth {
+            let slot = self
                 .cursor
                 .fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-                % self.part_len;
-            let slot = self.part_start + rel;
+                % depth;
             if side.slots[slot].is_none() {
-                side.slots[slot] = Some(lease.to_vec());
-                return Ok((slot as u32, lease.len() as u32));
+                side.slots[slot] = Some(bytes);
+                return Ok((slot as u32, len));
             }
         }
         Err(NvmeofError::Payload("no free slot".into()))
@@ -368,8 +326,9 @@ impl PayloadChannel for MailboxChannel {
         Ok(())
     }
 
+    /// The most a slot reference can carry: the wire's `len` is a `u32`.
     fn max_payload(&self) -> usize {
-        usize::MAX
+        u32::MAX as usize
     }
 
     fn quarantine(&self) {
@@ -380,7 +339,7 @@ impl PayloadChannel for MailboxChannel {
     fn reclaim(&self) -> usize {
         let mut side = self.dirs[self.tx_dir].lock();
         let mut freed = 0;
-        for slot in &mut side.slots[self.part_start..self.part_start + self.part_len] {
+        for slot in &mut side.slots {
             if slot.take().is_some() {
                 freed += 1;
             }
@@ -389,12 +348,10 @@ impl PayloadChannel for MailboxChannel {
     }
 
     fn reclaim_slot(&self, slot: u32) -> bool {
-        let slot = slot as usize;
-        if slot < self.part_start || slot >= self.part_start + self.part_len {
-            return false;
-        }
         let mut side = self.dirs[self.tx_dir].lock();
-        side.slots.get_mut(slot).is_some_and(|s| s.take().is_some())
+        side.slots
+            .get_mut(slot as usize)
+            .is_some_and(|s| s.take().is_some())
     }
 }
 
@@ -483,61 +440,17 @@ mod tests {
     }
 
     #[test]
-    fn exhausted_partition_never_publishes_into_neighbor() {
-        // Satellite regression: a full partition must deny the publish
-        // rather than wrap into the neighbor partition's slots.
-        let (client, target) = MailboxChannel::pair(8);
-        let a = client.with_partition(0, 4);
-        let b = client.with_partition(4, 4);
-        assert_eq!(a.partition(), (0, 4));
-        assert_eq!(b.partition(), (4, 4));
-        let mut a_slots = Vec::new();
-        for _ in 0..4 {
-            let (slot, _) = a.publish(b"x").unwrap();
-            a_slots.push(slot);
-        }
-        assert!(a_slots.iter().all(|&s| s < 4));
-        // A is full: error, not a lease from B's range.
-        assert!(a.publish(b"overflow").is_err());
-        // B's slots are all still free and publishable, all in [4, 8).
-        for _ in 0..4 {
-            let (slot, _) = b.publish(b"y").unwrap();
-            assert!((4..8).contains(&slot));
-        }
-        // Consuming is partition-agnostic: the target drains both.
-        let mut buf = vec![0u8; 1];
-        for slot in 0..8u32 {
-            target.consume(slot, 1, &mut buf).unwrap();
-        }
-        // A recovers within its own range.
-        assert!(a.publish(b"z").unwrap().0 < 4);
-    }
-
-    #[test]
-    fn partition_reclaim_stays_local() {
-        let (client, _target) = MailboxChannel::pair(6);
-        let a = client.with_partition(0, 3);
-        let b = client.with_partition(3, 3);
+    fn reclaim_frees_published_slots() {
+        let (client, _target) = MailboxChannel::pair(3);
         for _ in 0..3 {
-            a.publish(b"a").unwrap();
-            b.publish(b"b").unwrap();
+            client.publish(b"a").unwrap();
         }
-        // A's sweep frees only its own three slots.
-        assert_eq!(a.reclaim(), 3);
-        assert!(a.publish(b"again").is_ok());
-        // B's slots were untouched by A's sweep: still full.
-        assert!(b.publish(b"full").is_err());
-        // Targeted reclaim refuses out-of-partition slots.
-        assert!(!a.reclaim_slot(3));
-        assert!(b.reclaim_slot(3));
-        assert!(b.publish(b"after").is_ok());
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds mailbox depth")]
-    fn out_of_range_partition_panics() {
-        let (client, _target) = MailboxChannel::pair(4);
-        let _ = client.with_partition(2, 3);
+        assert!(client.publish(b"full").is_err());
+        assert_eq!(client.reclaim(), 3);
+        let (slot, _) = client.publish(b"again").unwrap();
+        assert!(client.reclaim_slot(slot));
+        assert!(!client.reclaim_slot(slot)); // already free
+        assert!(!client.reclaim_slot(3)); // out of range
     }
 
     #[test]

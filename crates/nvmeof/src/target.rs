@@ -1061,33 +1061,6 @@ mod tests {
         assert_eq!(reassembled, data);
     }
 
-    /// The test mailbox with the bound every real channel has: a slot
-    /// carries at most `slot_size` bytes (the mailbox alone is unbounded).
-    struct SlotBounded(Arc<crate::payload::MailboxChannel>);
-
-    impl PayloadChannel for SlotBounded {
-        fn alloc(&self, len: usize) -> Result<crate::payload::WriteLease, NvmeofError> {
-            self.0.alloc(len)
-        }
-        fn publish_lease(
-            &self,
-            lease: crate::payload::WriteLease,
-        ) -> Result<(u32, u32), NvmeofError> {
-            self.0.publish_lease(lease)
-        }
-        fn consume_with(
-            &self,
-            slot: u32,
-            len: u32,
-            f: &mut dyn FnMut(&[u8]),
-        ) -> Result<(), NvmeofError> {
-            self.0.consume_with(slot, len, f)
-        }
-        fn max_payload(&self) -> usize {
-            128 * 1024
-        }
-    }
-
     /// A Read capsule whose `nlb` asks for 16 TiB (too large for a slot
     /// lease, so it reaches the inline path with or without shm) ends
     /// in a typed status on a live connection — not in an allocation
@@ -1097,8 +1070,7 @@ mod tests {
         for shm in [false, true] {
             let (_client_ch, target_ch) = crate::payload::MailboxChannel::pair(8);
             let mut ctrl = controller();
-            let channel: Arc<dyn PayloadChannel> = Arc::new(SlotBounded(target_ch));
-            let mut conn = TargetConnection::new(TargetConfig::default(), Some(channel));
+            let mut conn = TargetConnection::new(TargetConfig::default(), Some(target_ch));
             handshake(&mut conn, &mut ctrl, if shm { AF_CAP_SHM } else { 0 });
             assert_eq!(conn.shm_active(), shm);
             let capsule = Pdu::CapsuleCmd(CapsuleCmd {

@@ -481,8 +481,6 @@ fn steady_state_lease_path_cycle_allocates_nothing() {
     assert_eq!(snap.counter("app", "cycles"), 1000);
     for scope in ["bufmgr_client", "bufmgr_target"] {
         assert_eq!(snap.counter(scope, "leases"), 1064);
-        assert_eq!(snap.counter(scope, "zero_copy_bytes"), 1064 * LEN as u64);
-        assert_eq!(snap.counter(scope, "copies_avoided"), 1064);
         assert_eq!(snap.counter(scope, "lease_denied"), 0);
         assert_eq!(snap.counter(scope, "lease_aborted"), 0);
         let (live, hwm) = snap.gauge(scope, "leases_live").expect("registered");

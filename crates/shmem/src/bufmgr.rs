@@ -1,11 +1,13 @@
-//! The Buffer Manager: lease-based zero-copy buffer placement (§4.4.3).
+//! The Buffer Manager: lease-based buffer placement (§4.4.1, §4.4.3).
 //!
 //! The paper's final shm ablation step removes the last `memcpy` by
 //! *co-designing the application with the fabric*: instead of handing the
 //! transport a private buffer to copy into a slot, the application asks
 //! the Buffer Manager for a buffer that already **is** a slot of the
 //! shared double-buffer region. [`BufferManager`] implements that
-//! allocator over one direction's [`SlotRing`]:
+//! allocator over one direction's [`SlotRing`], and it is the only code
+//! that claims a transmit slot — a sender that holds its bytes elsewhere
+//! leases a slot here and copies into it (the one-copy rung of Fig. 8):
 //!
 //! * slots are handed out round-robin within the I/O depth (§4.4.1) —
 //!   with the queue depth bounded by the ring depth, the next
@@ -20,9 +22,9 @@
 //! * in debug builds a per-slot ledger asserts no two live leases ever
 //!   alias the same slot — belt and braces over the state-machine CAS.
 //!
-//! The lease records `zero_copy_bytes` and `copies_avoided` at publish
-//! time: each published lease is one application-side `memcpy` that the
-//! step-2 one-copy path would have performed and this path did not.
+//! Whether a lease saved a copy is known only to its caller, so the
+//! `zero_copy_bytes` / `copies_avoided` counters live in the initiator
+//! and target bundles, not here.
 
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
@@ -44,11 +46,6 @@ pub struct BufStats {
     /// Leases dropped without being published (slot returned to the
     /// pool unused).
     pub lease_aborted: Counter,
-    /// Payload bytes published without an application-side copy.
-    pub zero_copy_bytes: Counter,
-    /// Published leases — each one is a `memcpy` the one-copy path
-    /// would have performed and this path did not.
-    pub copies_avoided: Counter,
     /// Live (unpublished, undropped) leases right now; `hwm()` is the
     /// deepest the pool has ever been.
     pub leases_live: Gauge,
@@ -68,8 +65,6 @@ impl BufStats {
         scope.adopt_counter("leases", &self.leases);
         scope.adopt_counter("lease_denied", &self.lease_denied);
         scope.adopt_counter("lease_aborted", &self.lease_aborted);
-        scope.adopt_counter("zero_copy_bytes", &self.zero_copy_bytes);
-        scope.adopt_counter("copies_avoided", &self.copies_avoided);
         scope.adopt_gauge("leases_live", &self.leases_live);
         scope.adopt_counter("slots_reclaimed", &self.slots_reclaimed);
     }
@@ -77,17 +72,7 @@ impl BufStats {
 
 struct MgrInner {
     ring: SlotRing,
-    /// First slot of this manager's partition (absolute ring index).
-    part_start: usize,
-    /// Slots in this manager's partition. Probing wraps *within* the
-    /// partition — a manager can exhaust its own slots but never leases
-    /// (or reclaims) a neighbor partition's slot, which is what lets a
-    /// sharded runtime carve one ring into per-shard pools with no
-    /// cross-shard coordination.
-    part_len: usize,
-    /// Per-manager round-robin cursor (partition-relative). The ring's
-    /// own cursor is shared by every handle; partitioned managers must
-    /// not advance it or they would perturb their neighbors' probes.
+    /// Round-robin cursor: the next slot to probe.
     cursor: std::sync::atomic::AtomicUsize,
     stats: Arc<BufStats>,
     /// No-aliasing ledger: one flag per slot, set while a manager lease
@@ -127,36 +112,16 @@ pub struct BufferManager {
 }
 
 impl BufferManager {
-    /// Builds a manager over the whole of `ring`. The ring handle is
-    /// cloned; the manager shares slot state with every other handle to
-    /// the ring.
+    /// Builds the manager of `ring`'s slots. Build one per ring: two
+    /// managers over one ring would each see the other's leases only as
+    /// occupied slots.
     pub fn new(ring: SlotRing) -> Self {
-        let depth = ring.depth();
-        Self::with_partition(ring, 0, depth)
-    }
-
-    /// Builds a manager over the `len` slots starting at `start` —
-    /// a *partition* of the ring. Leasing, probing and reclamation all
-    /// stay inside `[start, start + len)`; slots outside the partition
-    /// are invisible to this manager. Panics on an empty or
-    /// out-of-range partition.
-    pub fn with_partition(ring: SlotRing, start: usize, len: usize) -> Self {
-        assert!(len > 0, "buffer manager partition must be non-empty");
-        assert!(
-            start
-                .checked_add(len)
-                .is_some_and(|end| end <= ring.depth()),
-            "partition [{start}, {start}+{len}) exceeds ring depth {}",
-            ring.depth()
-        );
         let live = (0..ring.depth())
             .map(|_| std::sync::atomic::AtomicBool::new(false))
             .collect();
         BufferManager {
             inner: Arc::new(MgrInner {
                 ring,
-                part_start: start,
-                part_len: len,
                 cursor: std::sync::atomic::AtomicUsize::new(0),
                 stats: BufStats::new(),
                 live,
@@ -165,39 +130,9 @@ impl BufferManager {
         }
     }
 
-    /// Carves `ring` into `n` contiguous partitions (near-equal sizes;
-    /// the first `depth % n` partitions get one extra slot) and returns
-    /// one manager per partition. Panics if `n` is zero or exceeds the
-    /// ring depth.
-    pub fn partitions(ring: SlotRing, n: usize) -> Vec<BufferManager> {
-        assert!(n > 0, "cannot carve a ring into zero partitions");
-        let depth = ring.depth();
-        assert!(
-            n <= depth,
-            "cannot carve {depth} slots into {n} non-empty partitions"
-        );
-        let base = depth / n;
-        let extra = depth % n;
-        let mut start = 0;
-        (0..n)
-            .map(|i| {
-                let len = base + usize::from(i < extra);
-                let mgr = BufferManager::with_partition(ring.clone(), start, len);
-                start += len;
-                mgr
-            })
-            .collect()
-    }
-
-    /// Slots in this manager's partition.
+    /// Slots in the pool.
     pub fn depth(&self) -> usize {
-        self.inner.part_len
-    }
-
-    /// The partition as `(first_slot, slot_count)` in absolute ring
-    /// indices.
-    pub fn partition(&self) -> (usize, usize) {
-        (self.inner.part_start, self.inner.part_len)
+        self.inner.ring.depth()
     }
 
     /// Capacity of each buffer in bytes.
@@ -232,16 +167,15 @@ impl BufferManager {
                 slot_size: self.slot_size(),
             });
         }
-        // The per-manager cursor advances on every probe, so consecutive
-        // attempts walk consecutive partition slots — and wrap *within*
-        // the partition, never into a neighbor's slots.
-        for _ in 0..self.depth() {
-            let rel = self
+        // The cursor advances on every probe, so consecutive attempts
+        // walk consecutive slots.
+        let depth = self.depth();
+        for _ in 0..depth {
+            let slot = self
                 .inner
                 .cursor
                 .fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-                % self.inner.part_len;
-            let slot = self.inner.part_start + rel;
+                % depth;
             match self.inner.ring.begin_write_slot(slot) {
                 Ok(guard) => {
                     self.inner.on_issue(guard.slot());
@@ -284,9 +218,8 @@ impl BufferManager {
     /// in-flight command whose payload lives in a published slot — a
     /// reclaimed slot's bytes may be reused immediately.
     pub fn reclaim(&self) -> usize {
-        let (start, len) = self.partition();
         let mut freed = 0;
-        for slot in start..start + len {
+        for slot in 0..self.depth() {
             if self.inner.live[slot].load(std::sync::atomic::Ordering::Acquire) {
                 continue; // a live local lease still points into this slot
             }
@@ -300,15 +233,16 @@ impl BufferManager {
         freed
     }
 
-    /// Forces one slot (absolute ring index) back to `Free` (same
-    /// contract as [`BufferManager::reclaim`]); returns whether the slot
-    /// was actually occupied. Slots outside this manager's partition or
-    /// held by live local leases are refused.
+    /// Forces one slot back to `Free` (same contract as
+    /// [`BufferManager::reclaim`]); returns whether the slot was actually
+    /// occupied. Out-of-range slots and slots held by live local leases
+    /// are refused.
     pub fn reclaim_slot(&self, slot: usize) -> bool {
-        let (start, len) = self.partition();
-        if slot < start
-            || slot >= start + len
-            || self.inner.live[slot].load(std::sync::atomic::Ordering::Acquire)
+        if self
+            .inner
+            .live
+            .get(slot)
+            .is_none_or(|live| live.load(std::sync::atomic::Ordering::Acquire))
         {
             return false;
         }
@@ -364,15 +298,13 @@ impl SlotLease {
     }
 
     /// Publishes the buffer without copying; returns `(slot, len)` for
-    /// the out-of-band notification. Records the avoided copy.
+    /// the out-of-band notification.
     pub fn publish(mut self) -> (usize, usize) {
         let mut guard = self.guard.take().expect("publish consumes the guard once");
         guard
             .set_len(self.len)
             .expect("len validated at lease time");
         self.inner.on_release(guard.slot());
-        self.inner.stats.zero_copy_bytes.add(self.len as u64);
-        self.inner.stats.copies_avoided.inc();
         guard.publish()
     }
 }
@@ -430,8 +362,21 @@ mod tests {
         assert_eq!(rd.as_slice(), b"zerocopy");
         drop(rd);
         assert_eq!(ring.state(slot).unwrap(), SlotState::Free);
-        assert_eq!(m.stats().zero_copy_bytes.get(), 8);
-        assert_eq!(m.stats().copies_avoided.get(), 1);
+        assert_eq!(m.stats().leases.get(), 1);
+    }
+
+    #[test]
+    fn round_robin_cycles_slots() {
+        let (m, ring) = mgr(3, 64);
+        let mut order = Vec::new();
+        for _ in 0..3 {
+            let (slot, len) = m.lease(0).unwrap().publish();
+            order.push(slot);
+            drop(ring.begin_read(slot, len).unwrap());
+        }
+        assert_eq!(order, vec![0, 1, 2]);
+        // Wraps around.
+        assert_eq!(m.lease(0).unwrap().slot(), 0);
     }
 
     #[test]
@@ -545,82 +490,6 @@ mod tests {
     }
 
     #[test]
-    fn partitions_cover_ring_without_overlap() {
-        let (_m, ring) = mgr(10, 64);
-        let parts = BufferManager::partitions(ring, 3);
-        // 10 slots over 3 partitions: 4 + 3 + 3, contiguous, disjoint.
-        assert_eq!(parts[0].partition(), (0, 4));
-        assert_eq!(parts[1].partition(), (4, 3));
-        assert_eq!(parts[2].partition(), (7, 3));
-        assert_eq!(parts.iter().map(|p| p.depth()).sum::<usize>(), 10);
-    }
-
-    #[test]
-    fn exhausted_partition_never_probes_neighbor() {
-        // Satellite regression: exhausting one partition must deny the
-        // lease rather than wrap into the neighbor's slots.
-        let (_m, ring) = mgr(8, 64);
-        let parts = BufferManager::partitions(ring.clone(), 2);
-        let (a, b) = (&parts[0], &parts[1]);
-        let held: Vec<_> = (0..4).map(|_| a.lease(1).unwrap()).collect();
-        assert!(held.iter().all(|l| l.slot() < 4));
-        // Partition A is full: deny, do not steal from B.
-        assert!(matches!(a.lease(1), Err(ShmError::NoFreeSlot)));
-        assert_eq!(a.stats().lease_denied.get(), 1);
-        for slot in 4..8 {
-            assert_eq!(ring.state(slot).unwrap(), SlotState::Free);
-        }
-        // B is entirely unaffected: all four of its slots lease fine,
-        // all inside [4, 8).
-        let b_leases: Vec<_> = (0..4).map(|_| b.lease(1).unwrap()).collect();
-        assert!(b_leases.iter().all(|l| (4..8).contains(&l.slot())));
-        assert_eq!(b.stats().lease_denied.get(), 0);
-        drop(held);
-        // A recovers once its own slots free up.
-        assert!(a.lease(1).unwrap().slot() < 4);
-    }
-
-    #[test]
-    fn partition_probe_wraps_within_partition() {
-        let (_m, ring) = mgr(6, 64);
-        let parts = BufferManager::partitions(ring, 2);
-        let b = &parts[1]; // slots [3, 6)
-        for _ in 0..10 {
-            let lease = b.lease(1).unwrap();
-            assert!((3..6).contains(&lease.slot()));
-            let (slot, len) = lease.publish();
-            drop(b.inner.ring.begin_read(slot, len).unwrap());
-        }
-    }
-
-    #[test]
-    fn partition_reclaim_stays_local() {
-        let (_m, ring) = mgr(8, 64);
-        let parts = BufferManager::partitions(ring.clone(), 2);
-        let (a, b) = (&parts[0], &parts[1]);
-        // Publish one slot in each partition (simulating a dead peer
-        // that never drains them).
-        let (slot_a, _) = a.lease(4).unwrap().publish();
-        let (slot_b, _) = b.lease(4).unwrap().publish();
-        a.quarantine();
-        // A's sweep reclaims its own published slot but not B's.
-        assert_eq!(a.reclaim(), 1);
-        assert_eq!(ring.state(slot_a).unwrap(), SlotState::Free);
-        assert_eq!(ring.state(slot_b).unwrap(), SlotState::Ready);
-        // Targeted reclaim refuses out-of-partition slots too.
-        assert!(!a.reclaim_slot(slot_b));
-        assert_eq!(ring.state(slot_b).unwrap(), SlotState::Ready);
-        assert!(b.reclaim_slot(slot_b));
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds ring depth")]
-    fn out_of_range_partition_panics() {
-        let (_m, ring) = mgr(4, 64);
-        let _ = BufferManager::with_partition(ring, 2, 3);
-    }
-
-    #[test]
     fn stats_register_into_scope() {
         let (m, ring) = mgr(2, 64);
         let registry = Registry::new();
@@ -630,7 +499,6 @@ mod tests {
         drop(ring.begin_read(slot, len).unwrap());
         let snap = registry.snapshot();
         assert_eq!(snap.counter("bufmgr", "leases"), 1);
-        assert_eq!(snap.counter("bufmgr", "zero_copy_bytes"), 4);
-        assert_eq!(snap.counter("bufmgr", "copies_avoided"), 1);
+        assert_eq!(snap.gauge("bufmgr", "leases_live"), Some((0, 1)));
     }
 }

@@ -11,9 +11,8 @@ use std::sync::Arc;
 
 use crate::bufmgr::{BufferManager, SlotLease};
 use crate::layout::{Dir, DoubleBufferLayout};
-use crate::lease::ZcBuf;
 use crate::region::ShmRegion;
-use crate::slot::{ReadGuard, SlotRing, WriteGuard};
+use crate::slot::{ReadGuard, SlotRing};
 use crate::ShmError;
 
 /// Which endpoint of the channel a handle represents.
@@ -51,16 +50,13 @@ impl Side {
 /// let client = ch.endpoint(Side::Client);
 /// let target = ch.endpoint(Side::Target);
 ///
-/// // One-copy path: copy a payload into the next round-robin slot…
-/// let (slot, len) = client.send(b"write payload").unwrap();
-/// // …the (slot, len) pair travels out-of-band (over TCP in the paper);
-/// // the target drains the slot and frees it on guard drop.
-/// assert_eq!(target.recv(slot, len).unwrap().as_slice(), b"write payload");
-///
-/// // Zero-copy path: the application buffer *is* the slot.
-/// let mut lease = client.lease(5).unwrap();
+/// // The Buffer Manager leases the next round-robin slot; the
+/// // application builds its payload in it and publishes it in place…
+/// let mut lease = client.buffer_manager().lease(5).unwrap();
 /// lease.copy_from_slice(b"hello");
 /// let (slot, len) = lease.publish();
+/// // …the (slot, len) pair travels out-of-band (over TCP in the paper);
+/// // the target drains the slot and frees it on guard drop.
 /// assert_eq!(target.recv(slot, len).unwrap().as_slice(), b"hello");
 /// ```
 #[derive(Clone)]
@@ -158,28 +154,8 @@ impl ShmEndpoint {
         &self.channel
     }
 
-    /// Sends `payload` by copying it into the next transmit slot
-    /// (one-copy path). Returns `(slot, len)` for the out-of-band
-    /// notification.
-    pub fn send(&self, payload: &[u8]) -> Result<(usize, usize), ShmError> {
-        let mut guard = self.begin_send()?;
-        guard.fill(payload)?;
-        Ok(guard.publish())
-    }
-
-    /// Claims the next transmit slot for manual filling.
-    pub fn begin_send(&self) -> Result<WriteGuard, ShmError> {
-        self.channel.ring(self.side.tx_dir()).begin_write()
-    }
-
-    /// Leases a zero-copy application buffer of `len` bytes in the
-    /// transmit direction (§4.4.3).
-    pub fn lease(&self, len: usize) -> Result<ZcBuf, ShmError> {
-        ZcBuf::lease(self.channel.ring(self.side.tx_dir()), len)
-    }
-
-    /// The Buffer Manager pooling this side's *transmit* slots: managed
-    /// RAII leases with forward probing and zero-copy telemetry.
+    /// The Buffer Manager pooling this side's *transmit* slots: the only
+    /// way to claim one (RAII leases with forward probing).
     pub fn buffer_manager(&self) -> &BufferManager {
         self.channel.buffer_manager(self.side.tx_dir())
     }
@@ -200,16 +176,23 @@ impl ShmEndpoint {
 mod tests {
     use super::*;
 
+    /// One-copy send: lease a transmit slot, copy `payload` in, publish.
+    fn send(ep: &ShmEndpoint, payload: &[u8]) -> Result<(usize, usize), ShmError> {
+        let mut lease = ep.buffer_manager().lease(payload.len())?;
+        lease.copy_from_slice(payload);
+        Ok(lease.publish())
+    }
+
     #[test]
     fn client_to_target_and_back() {
         let ch = ShmChannel::allocate(4, 1024);
         let client = ch.endpoint(Side::Client);
         let target = ch.endpoint(Side::Target);
 
-        let (slot, len) = client.send(b"write payload").unwrap();
+        let (slot, len) = send(&client, b"write payload").unwrap();
         assert_eq!(target.recv(slot, len).unwrap().as_slice(), b"write payload");
 
-        let (slot, len) = target.send(b"read payload").unwrap();
+        let (slot, len) = send(&target, b"read payload").unwrap();
         assert_eq!(client.recv(slot, len).unwrap().as_slice(), b"read payload");
     }
 
@@ -225,7 +208,7 @@ mod tests {
     fn recv_from_own_tx_direction_fails() {
         let ch = ShmChannel::allocate(2, 64);
         let client = ch.endpoint(Side::Client);
-        let (slot, len) = client.send(b"x").unwrap();
+        let (slot, len) = send(&client, b"x").unwrap();
         // Client must not consume its own transmit slot.
         assert!(client.recv(slot, len).is_err());
     }
@@ -235,7 +218,7 @@ mod tests {
         let ch = ShmChannel::allocate(2, 256);
         let target = ch.endpoint(Side::Target);
         let client = ch.endpoint(Side::Client);
-        let mut buf = target.lease(6).unwrap();
+        let mut buf = target.lease_managed(6).unwrap();
         buf.copy_from_slice(b"zcopy!");
         let (slot, len) = buf.publish();
         assert_eq!(client.recv(slot, len).unwrap().as_slice(), b"zcopy!");
@@ -254,7 +237,7 @@ mod tests {
             for i in 0..1_000u32 {
                 let body = vec![(i % 255) as u8; 2048];
                 loop {
-                    match client.send(&body) {
+                    match send(&client, &body) {
                         Ok(pair) => {
                             c2t_tx.send(pair).unwrap();
                             break;
@@ -299,7 +282,7 @@ mod tests {
             // Best-effort: skipping on NoFreeSlot avoids a two-sided
             // spin deadlock when the client is busy producing.
             if received.is_multiple_of(4) {
-                match target.send(&buf[..64]) {
+                match send(&target, &buf[..64]) {
                     Ok(pair) => {
                         let _ = t2c_tx.send(pair);
                     }

@@ -10,19 +10,18 @@
 //! * [`layout::DoubleBufferLayout`] — the lock-free *double buffer* split:
 //!   one half per direction, each divided into `queue_depth` slots of the
 //!   I/O size (§4.4.1),
-//! * [`slot::SlotRing`] — round-robin slot selection with a per-slot
-//!   atomic state machine providing release/acquire publication,
+//! * [`slot::SlotRing`] — one direction's slots, each with an atomic
+//!   state machine providing release/acquire publication,
 //! * [`ring::NotifyRing`] — a lock-free SPSC notification ring living
 //!   inside the region, and [`byte_ring::ByteRing`] — its variable-size
 //!   sibling, carrying whole control PDUs for the fully in-region
 //!   control path (the paper's §5.5 future-work direction),
 //! * [`flag::FlagPage`] — the pre-reserved page the helper process uses to
 //!   announce locality (§4.2),
-//! * [`lease::ZcBuf`] — zero-copy buffer leases: the application's buffer
-//!   *is* a slot in the region (§4.4.3),
-//! * [`bufmgr::BufferManager`] — the Buffer Manager proper: a round-robin
-//!   lease pool over one direction's slots, with RAII [`bufmgr::SlotLease`]s,
-//!   forward-probing allocation, and zero-copy telemetry (§4.4.3),
+//! * [`bufmgr::BufferManager`] — the Buffer Manager proper and the only
+//!   code that claims a transmit slot: a round-robin lease pool over one
+//!   direction's slots, with RAII [`bufmgr::SlotLease`]s whose bytes *are*
+//!   the slot (§4.4.1, §4.4.3),
 //! * [`locked::LockedShm`] — the mutex-guarded "SHM-baseline" variant kept
 //!   for the Fig. 8 ablation.
 //!
@@ -42,7 +41,6 @@ pub mod byte_ring;
 pub mod channel;
 pub mod flag;
 pub mod layout;
-pub mod lease;
 pub mod locked;
 pub mod region;
 pub mod ring;

@@ -10,14 +10,16 @@
 //!    +---- store(Release) <--- Reading <--------+
 //! ```
 //!
-//! The producer picks slots round-robin (the paper's scheme, §4.4.1): with
-//! the application queue depth bounded by the ring depth, the round-robin
-//! slot is guaranteed drained by the time it comes around again, so the
-//! CAS never spins in the steady state — it exists to *detect* misuse, not
-//! to wait. Publication is release/acquire: the payload bytes written
+//! The ring does not pick slots: the producer names the slot it claims,
+//! and the one producer is the [`BufferManager`](crate::BufferManager),
+//! which walks them round-robin (the paper's scheme, §4.4.1). With the
+//! application queue depth bounded by the ring depth, the round-robin
+//! slot is drained by the time it comes around again, so the claim CAS
+//! fails only on a straggler — it exists to *detect* an occupied slot,
+//! not to wait. Publication is release/acquire: the payload bytes written
 //! while in `Writing` happen-before any read that observed `Ready`.
 
-use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 
 use crate::layout::{Dir, DoubleBufferLayout};
@@ -59,7 +61,6 @@ pub struct SlotRing {
     region: Arc<ShmRegion>,
     layout: DoubleBufferLayout,
     dir: Dir,
-    next: Arc<AtomicUsize>,
 }
 
 impl SlotRing {
@@ -74,7 +75,6 @@ impl SlotRing {
             region,
             layout,
             dir,
-            next: Arc::new(AtomicUsize::new(0)),
         })
     }
 
@@ -103,14 +103,8 @@ impl SlotRing {
         ))
     }
 
-    /// Producer: claims the next round-robin slot for writing.
-    pub fn begin_write(&self) -> Result<WriteGuard, ShmError> {
-        let slot = self.next.fetch_add(1, Ordering::Relaxed) % self.layout.depth;
-        self.begin_write_slot(slot)
-    }
-
-    /// Producer: claims a specific slot (used by the buffer manager when it
-    /// hands out pre-assigned slots for zero-copy leases).
+    /// Producer: claims `slot` for writing; [`ShmError::NoFreeSlot`] if
+    /// it is not `Free`. The Buffer Manager decides which slot to claim.
     pub fn begin_write_slot(&self, slot: usize) -> Result<WriteGuard, ShmError> {
         if slot >= self.layout.depth {
             return Err(ShmError::BadSlot(slot));
@@ -183,19 +177,6 @@ impl SlotRing {
         let atom = self.state_atom(slot);
         let prev = atom.swap(SlotState::Free as u8, Ordering::AcqRel);
         Ok(prev != SlotState::Free as u8)
-    }
-
-    /// Sweeps every slot of this direction back to `Free` (see
-    /// [`SlotRing::force_reclaim`] for the safety contract), returning
-    /// how many were actually reclaimed.
-    pub fn reclaim_all(&self) -> usize {
-        let mut freed = 0;
-        for slot in 0..self.layout.depth {
-            if self.force_reclaim(slot).unwrap_or(false) {
-                freed += 1;
-            }
-        }
-        freed
     }
 }
 
@@ -363,7 +344,7 @@ mod tests {
     #[test]
     fn write_publish_read_roundtrip() {
         let r = ring(4, 4096, Dir::ToTarget);
-        let mut g = r.begin_write().unwrap();
+        let mut g = r.begin_write_slot(0).unwrap();
         g.fill(b"hello shared memory").unwrap();
         let (slot, len) = g.publish();
         assert_eq!(slot, 0);
@@ -376,27 +357,12 @@ mod tests {
     }
 
     #[test]
-    fn round_robin_cycles_slots() {
-        let r = ring(3, 64, Dir::ToTarget);
-        let mut order = Vec::new();
-        for _ in 0..3 {
-            let g = r.begin_write().unwrap();
-            order.push(g.slot());
-            let (slot, _) = g.publish();
-            drop(r.begin_read(slot, 0).unwrap());
-        }
-        assert_eq!(order, vec![0, 1, 2]);
-        // Wraps around.
-        assert_eq!(r.begin_write().unwrap().slot(), 0);
-    }
-
-    #[test]
     fn occupied_slot_rejects_writer() {
         let r = ring(1, 64, Dir::ToClient);
-        let g = r.begin_write().unwrap();
-        assert!(matches!(r.begin_write(), Err(ShmError::NoFreeSlot)));
+        let g = r.begin_write_slot(0).unwrap();
+        assert!(matches!(r.begin_write_slot(0), Err(ShmError::NoFreeSlot)));
         drop(g); // aborted, slot freed
-        assert!(r.begin_write().is_ok());
+        assert!(r.begin_write_slot(0).is_ok());
     }
 
     #[test]
@@ -414,7 +380,7 @@ mod tests {
     #[test]
     fn oversized_payload_rejected() {
         let r = ring(2, 16, Dir::ToTarget);
-        let mut g = r.begin_write().unwrap();
+        let mut g = r.begin_write_slot(0).unwrap();
         assert!(matches!(
             g.fill(&[0u8; 17]),
             Err(ShmError::PayloadTooLarge { .. })
@@ -434,7 +400,7 @@ mod tests {
     #[test]
     fn zero_copy_in_place_write() {
         let r = ring(2, 1024, Dir::ToClient);
-        let mut g = r.begin_write().unwrap();
+        let mut g = r.begin_write_slot(0).unwrap();
         g.as_mut_slice()[..5].copy_from_slice(b"01234");
         g.set_len(5).unwrap();
         let (slot, len) = g.publish();
@@ -448,8 +414,8 @@ mod tests {
         let region = Arc::new(ShmRegion::new(layout.total()));
         let to_t = SlotRing::new(region.clone(), layout, Dir::ToTarget).unwrap();
         let to_c = SlotRing::new(region, layout, Dir::ToClient).unwrap();
-        let mut a = to_t.begin_write().unwrap();
-        let mut b = to_c.begin_write().unwrap();
+        let mut a = to_t.begin_write_slot(0).unwrap();
+        let mut b = to_c.begin_write_slot(0).unwrap();
         a.fill(b"tgt").unwrap();
         b.fill(b"cli").unwrap();
         let (sa, la) = a.publish();
@@ -472,10 +438,14 @@ mod tests {
         let producer = {
             let ring = ring.clone();
             std::thread::spawn(move || {
+                // Round-robin claims, as the Buffer Manager makes them.
+                let mut next = 0usize;
                 for i in 0..2_000u64 {
                     let stamp = (i % 251) as u8 + 1;
                     loop {
-                        match ring.begin_write() {
+                        let slot = next % depth;
+                        next += 1;
+                        match ring.begin_write_slot(slot) {
                             Ok(mut g) => {
                                 let body = vec![stamp; slot_size];
                                 g.fill(&body).unwrap();

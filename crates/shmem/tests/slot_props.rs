@@ -11,7 +11,7 @@ use proptest::prelude::*;
 
 #[derive(Clone, Copy, Debug)]
 enum Op {
-    /// Claim the next slot and stage a payload byte.
+    /// Claim the next round-robin slot and stage a payload byte.
     Claim(u8),
     /// Publish the oldest staged claim.
     Publish,
@@ -50,11 +50,16 @@ proptest! {
             std::collections::VecDeque::new();
         let mut published: std::collections::VecDeque<(usize, usize, u8)> =
             std::collections::VecDeque::new();
+        // The producer's round-robin cursor: it advances on every claim
+        // attempt, as the Buffer Manager's does.
+        let mut next = 0usize;
 
         for op in ops {
             match op {
                 Op::Claim(stamp) => {
-                    match ring.begin_write() {
+                    let slot = next % depth;
+                    next += 1;
+                    match ring.begin_write_slot(slot) {
                         Ok(mut guard) => {
                             let body = vec![stamp; 64];
                             guard.fill(&body).expect("fits");
@@ -136,21 +141,26 @@ proptest! {
 
         let mut ti = to_target.iter();
         let mut ci = to_client.iter();
+        // Each ring is drained before its next claim, so one round-robin
+        // cursor serves both directions.
+        let mut next = 0usize;
         loop {
+            let slot = next % layout.depth;
+            next += 1;
             let t = ti.next();
             let c = ci.next();
             if t.is_none() && c.is_none() {
                 break;
             }
             if let Some(&stamp) = t {
-                let mut g = t_ring.begin_write().expect("free");
+                let mut g = t_ring.begin_write_slot(slot).expect("free");
                 g.fill(&[stamp; 100]).expect("fits");
                 let (slot, len) = g.publish();
                 let r = t_ring.begin_read(slot, len).expect("ready");
                 prop_assert!(r.as_slice().iter().all(|&b| b == stamp));
             }
             if let Some(&stamp) = c {
-                let mut g = c_ring.begin_write().expect("free");
+                let mut g = c_ring.begin_write_slot(slot).expect("free");
                 g.fill(&[stamp; 100]).expect("fits");
                 let (slot, len) = g.publish();
                 let r = c_ring.begin_read(slot, len).expect("ready");

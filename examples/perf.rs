@@ -278,17 +278,17 @@ fn main() {
             q(0.50), q(0.90), q(0.99), q(0.999), lats_us[lats_us.len() - 1]
         );
     }
-    let stats = pair.client.stats();
-    println!(
-        "client stats: {} writes ({}% zero-copy), {} reads, {} errors",
-        stats.writes,
-        (stats.zero_copy_fraction() * 100.0) as u32,
-        stats.reads,
-        stats.errors
-    );
     reporter.stop();
-    // Final registry view: transport-level frame accounting for the run.
+    // Final registry view: the client's application counters, then
+    // transport-level frame accounting for the run.
     let snap = pair.telemetry.snapshot();
+    let writes = snap.counter("app", "writes");
+    println!(
+        "client stats: {writes} writes ({}% zero-copy), {} reads, {} errors",
+        snap.counter("app", "zero_copy_writes") * 100 / writes.max(1),
+        snap.counter("app", "reads"),
+        snap.counter("app", "errors")
+    );
     println!(
         "transport: {} frames sent / {} received, {} ring-full events",
         snap.counter("transport_client", "frames_sent"),

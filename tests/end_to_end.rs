@@ -147,8 +147,8 @@ fn out_of_range_io_surfaces_nvme_error() {
 #[test]
 fn client_stats_reflect_traffic() {
     let mut p = pair(true);
-    let observer = p.client.stats_handle();
-    assert_eq!(observer.snapshot().ops(), 0);
+    let app = |name: &str| p.telemetry.snapshot().counter("app", name);
+    assert_eq!(app("writes") + app("reads"), 0);
 
     let len = 8192;
     let mut buf = p.client.alloc(len).expect("alloc");
@@ -158,14 +158,13 @@ fn client_stats_reflect_traffic() {
     // An error counts as an error, not an op.
     let _ = p.client.read(1, 1 << 40, 1, 4096, TIMEOUT);
 
-    let snap = observer.snapshot();
-    assert_eq!(snap.writes, 1);
-    assert_eq!(snap.reads, 1);
-    assert_eq!(snap.bytes_written, len as u64);
-    assert_eq!(snap.bytes_read, len as u64);
-    assert_eq!(snap.errors, 1);
-    assert_eq!(snap.zero_copy_writes, 1, "local write must be zero-copy");
-    assert!(snap.mean_blocking_latency().expect("ops > 0") > Duration::ZERO);
+    assert_eq!(app("writes"), 1);
+    assert_eq!(app("reads"), 1);
+    assert_eq!(app("bytes_written"), len as u64);
+    assert_eq!(app("bytes_read"), len as u64);
+    assert_eq!(app("errors"), 1);
+    assert_eq!(app("zero_copy_writes"), 1, "local write must be zero-copy");
+    assert!(app("blocking_micros") > 0);
 
     p.client.disconnect().expect("disconnect");
     p.target.shutdown().expect("shutdown");

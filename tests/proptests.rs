@@ -133,7 +133,9 @@ proptest! {
             } else {
                 (&target, &client)
             };
-            let (slot, len) = tx.send(p).expect("send");
+            let mut lease = tx.buffer_manager().lease(p.len()).expect("lease");
+            lease.copy_from_slice(p);
+            let (slot, len) = lease.publish();
             let guard = rx.recv(slot, len).expect("recv");
             prop_assert_eq!(guard.as_slice(), &p[..]);
         }

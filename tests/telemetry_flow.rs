@@ -112,7 +112,7 @@ fn local_traffic_produces_consistent_counters_at_every_layer() {
         snap.counter("transport_client", "frames_sent")
     );
 
-    // App-level stats (the ClientStats shim) feed the same registry.
+    // App-level counters feed the same registry.
     assert_eq!(snap.counter("app", "writes"), WRITES);
     assert_eq!(snap.counter("app", "reads"), READS);
     assert_eq!(snap.counter("app", "bytes_written"), WRITES * len as u64);
