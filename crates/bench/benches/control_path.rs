@@ -3,7 +3,9 @@
 //! comparing the seed-style per-frame path (owned `Bytes` per hop)
 //! against the batched hot path (scratch `encode_into` + `send_frame` +
 //! borrowed `recv_batch` drain), plus an allocations-per-op probe via a
-//! counting global allocator.
+//! counting global allocator. `control/initiator` times the real state
+//! machines: one QD32 submit → `poll_into` cycle of an `Initiator`
+//! against a `TargetConnection` over a `ShmTransport` pair.
 //!
 //! Both roles run on the bench thread: the numbers isolate codec + ring
 //! cost per round trip, not thread wake-up latency.
@@ -14,12 +16,18 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use bytes::BytesMut;
+use std::time::Duration;
+
+use bytes::{Bytes, BytesMut};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use oaf_nvmeof::initiator::{Initiator, InitiatorOptions, IoResult};
 use oaf_nvmeof::nvme::command::NvmeCommand;
 use oaf_nvmeof::nvme::completion::NvmeCompletion;
+use oaf_nvmeof::nvme::controller::Controller;
+use oaf_nvmeof::nvme::namespace::Namespace;
 use oaf_nvmeof::pdu::{CapsuleCmd, CapsuleResp, DataRef, Pdu};
-use oaf_nvmeof::transport::{MemTransport, ShmTransport, Transport};
+use oaf_nvmeof::target::{TargetConfig, TargetConnection};
+use oaf_nvmeof::transport::{queue_pdu, MemTransport, ShmTransport, Transport};
 
 /// Counts allocations on the bench thread when tracking is on;
 /// delegates to [`System`]. Thread-local so criterion's own helper
@@ -157,6 +165,101 @@ fn bench_roundtrips(c: &mut Criterion) {
     g.finish();
 }
 
+/// The target half of [`bench_initiator`]: a [`TargetConnection`] over
+/// its end of the ring pair, pumped the way the reactor's serve pass
+/// runs it (drain, execute, queue the answers, one flush).
+struct Target {
+    transport: ShmTransport,
+    conn: TargetConnection,
+    ctrl: Controller,
+    out: Vec<Pdu>,
+    scratch: BytesMut,
+}
+
+impl Target {
+    fn pump(&mut self) {
+        let Target {
+            transport,
+            conn,
+            ctrl,
+            out,
+            scratch,
+        } = self;
+        transport
+            .recv_batch(&mut |frame| conn.handle(frame, ctrl, out).expect("target handle"))
+            .expect("target drain");
+        for pdu in out.drain(..) {
+            queue_pdu(&*transport, &pdu, scratch).expect("target queue");
+        }
+        transport.flush_queued().expect("target flush");
+    }
+}
+
+/// One QD32 submit → `poll_into` cycle of a real [`Initiator`] against
+/// a [`TargetConnection`] over a [`ShmTransport`] pair (RAM namespace,
+/// 16 4 KiB reads + 16 4 KiB in-capsule writes). Time per element is
+/// the client's plus the target's CPU per command — the layer number
+/// under `inregion_4k_qd32`'s iops, without the payload channel.
+fn bench_initiator(c: &mut Criterion) {
+    const QD: usize = 32;
+    const BS: usize = 4096;
+    let (client_tr, target_tr) = ShmTransport::pair(256 * 1024);
+    let mut ctrl = Controller::new();
+    ctrl.add_namespace(Namespace::new(1, BS as u32, 1024));
+    let mut target = Target {
+        transport: target_tr,
+        conn: TargetConnection::new(TargetConfig::default(), None),
+        ctrl,
+        out: Vec::new(),
+        scratch: BytesMut::with_capacity(8 * 1024),
+    };
+    // `connect` blocks on the handshake, so it runs on a helper thread
+    // while this one serves it.
+    let mut client = std::thread::scope(|s| {
+        let connecting = s.spawn(|| {
+            Initiator::connect(
+                client_tr,
+                InitiatorOptions::default(),
+                None,
+                Duration::from_secs(5),
+            )
+        });
+        while !connecting.is_finished() {
+            target.pump();
+            std::thread::yield_now();
+        }
+        connecting.join().expect("connect thread").expect("connect")
+    });
+    let payload = Bytes::from(vec![0x5au8; BS]);
+    let mut done: Vec<IoResult> = Vec::with_capacity(QD);
+    let mut lba = 0u64;
+    let mut cycle = || {
+        for i in 0..QD {
+            lba = (lba + 1) % 1024;
+            if i % 2 == 0 {
+                client.submit_read(1, lba, 1, BS).expect("submit read");
+            } else {
+                client
+                    .submit_write(1, lba, 1, payload.clone())
+                    .expect("submit write");
+            }
+        }
+        let mut completed = 0;
+        while completed < QD {
+            target.pump();
+            completed += client.poll_into(&mut done).expect("poll");
+            assert!(done.iter().all(|r| r.status.is_ok()));
+            done.clear();
+        }
+    };
+    let mut g = c.benchmark_group("control/initiator");
+    g.throughput(Throughput::Elements(QD as u64));
+    g.bench_function(BenchmarkId::new("submit-poll-qd32", "shm"), |b| {
+        b.iter(&mut cycle)
+    });
+    g.finish();
+}
+
 type TransportPair = (Box<dyn Transport>, Box<dyn Transport>);
 type TransportCase = (&'static str, fn() -> TransportPair);
 
@@ -209,5 +312,10 @@ fn report_allocations(_c: &mut Criterion) {
     }
 }
 
-criterion_group!(benches, bench_roundtrips, report_allocations);
+criterion_group!(
+    benches,
+    bench_roundtrips,
+    bench_initiator,
+    report_allocations
+);
 criterion_main!(benches);

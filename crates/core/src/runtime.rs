@@ -14,6 +14,7 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use oaf_nvmeof::nvme::controller::{Controller, IdentifyInfo};
+use oaf_nvmeof::recovery::CidMap;
 use oaf_nvmeof::server::{spawn_multi_observed, ConnectionSpec};
 use oaf_nvmeof::shard::{spawn_sharded, ShardConfig};
 use oaf_nvmeof::target::TargetHandle;
@@ -38,7 +39,7 @@ pub struct AfClient {
     app: AppCounters,
     /// Per-command accounting metadata: `(bytes, zero_copy, is_read)`,
     /// consumed when the completion arrives.
-    inflight_meta: std::collections::HashMap<u16, (u64, bool, bool)>,
+    inflight_meta: CidMap<(u64, bool, bool)>,
 }
 
 /// The client's application view, in its `app` scope. An op is counted
@@ -312,7 +313,7 @@ impl AfClient {
             bufmgr: BufferManager::new(pool, shm),
             endpoint,
             app: AppCounters::new(app),
-            inflight_meta: std::collections::HashMap::new(),
+            inflight_meta: CidMap::default(),
         }
     }
 

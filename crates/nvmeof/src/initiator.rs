@@ -7,7 +7,6 @@
 //! thread), and all three write flow-control paths — inline in-capsule,
 //! conservative R2T, and shared-memory in-capsule (§4.4.2).
 
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -24,7 +23,7 @@ use crate::pdu::{
     KeepAlive, Pdu, PduView, AF_CAP_SHM,
 };
 use crate::recovery::{
-    Action, DataArrival, DataNeed, InitiatorRecovery, KeepAliveNanos, Nanos, RecoveryConfig,
+    Action, CidMap, DataArrival, DataNeed, InitiatorRecovery, KeepAliveNanos, Nanos, RecoveryConfig,
 };
 use crate::transport::{self, BackoffConfig, Frame, Transport, WaitLadder, WaitStep};
 use crate::tune::{BusyPollController, PollClass};
@@ -170,7 +169,8 @@ struct PendingIo {
     /// bookkeeping only; the hold/release *decision* runs on the
     /// recovery core's own watermark (`crate::recovery`).
     got: usize,
-    submitted_at: Instant,
+    /// Core time of the submission (nanoseconds since the epoch).
+    submitted_at: Nanos,
     /// Retained write/compare payload (a refcount clone, no copy) so a
     /// lost command can be replayed — including over TCP after a shm
     /// degradation. `None` for zero-copy published writes, which cannot
@@ -215,8 +215,16 @@ struct ClientState {
     opts: InitiatorOptions,
     shm_active: bool,
     in_capsule_max: usize,
-    pending: HashMap<u16, PendingIo>,
+    pending: CidMap<PendingIo>,
     completed: Vec<IoResult>,
+    /// `(opcode, submitted_at)` of the completions not yet recorded in
+    /// the latency histograms. A poll records them all with the one
+    /// clock read it takes after its batch — when the caller actually
+    /// sees them.
+    unstamped: Vec<(Opcode, Nanos)>,
+    /// Completions found while [`Initiator::wait`] looks for its cid;
+    /// kept so the blocking path allocates nothing in the steady state.
+    wait_buf: Vec<IoResult>,
     /// Reusable encode scratch: every control PDU is encoded here and
     /// handed to [`Transport::queue_frame`], so the steady state
     /// allocates nothing on the send side.
@@ -225,6 +233,12 @@ struct ClientState {
     /// last flush (a read's length, a write's data) — what the
     /// submit-time flush rule weighs against the cork budget.
     queued_bytes: usize,
+    /// Something queued and not yet flushed must reach the peer, so a
+    /// full ring at the flush is an error. Recovery traffic alone
+    /// ([`ClientState::queue_pdu_lossy`]) just waits for a later flush,
+    /// as it waited for the next deadline sweep when sends were
+    /// immediate.
+    queued_owed: bool,
     metrics: Arc<InitiatorMetrics>,
     /// User cids whose retry budget ran out; `wait` surfaces them as
     /// [`NvmeofError::Timeout`].
@@ -261,23 +275,31 @@ struct ClientState {
 ///
 /// A caller that submits behind in-flight work and then never polls again
 /// has its commands flushed by [`disconnect`](Initiator::disconnect) or
-/// drop. Ring and channel transports send at once; none of this applies.
+/// drop. The in-region ring transport stages queued capsules the same way
+/// and publishes each flush with one ring store; channel transports send
+/// at once, and none of this applies to them.
 pub struct Initiator<T: Transport> {
     transport: T,
     state: ClientState,
 }
 
+/// Core time at this instant: nanoseconds since `epoch`.
+fn nanos_since(epoch: Instant) -> Nanos {
+    duration_nanos(epoch.elapsed())
+}
+
 impl ClientState {
     /// Core time: nanoseconds since the connection epoch.
     fn now(&self) -> Nanos {
-        Nanos::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(Nanos::MAX)
+        nanos_since(self.epoch)
     }
 
     /// Registers a new in-flight command: the recovery core allocates
     /// the wire cid and generation tag (skipping live *and*
     /// recently-retired cids) and arms the deadline; the shell mirrors
     /// the buffer state. Returns the stamped command — its cid is also
-    /// the user cid, this being a first submission.
+    /// the user cid, this being a first submission. The submit's one
+    /// clock read.
     fn track(
         &mut self,
         mut cmd: NvmeCommand,
@@ -301,7 +323,7 @@ impl ClientState {
                 borrow,
                 shm_data: None,
                 got: 0,
-                submitted_at: self.epoch + Duration::from_nanos(now),
+                submitted_at: now,
                 retry_payload: None,
                 published_slot: None,
             },
@@ -323,6 +345,7 @@ impl ClientState {
         transport: &T,
         pdu: &Pdu,
     ) -> Result<(), NvmeofError> {
+        self.queued_owed = true;
         transport::queue_pdu(transport, pdu, &mut self.scratch)
     }
 
@@ -348,10 +371,18 @@ impl ClientState {
         Ok(())
     }
 
-    /// Puts everything queued so far on the wire.
+    /// Puts everything queued so far on the wire. A full ring is an
+    /// error only while something owed is still queued.
     fn flush<T: Transport + ?Sized>(&mut self, transport: &T) -> Result<(), NvmeofError> {
         self.queued_bytes = 0;
-        transport.flush_queued()
+        match transport.flush_queued() {
+            Ok(()) => {
+                self.queued_owed = false;
+                Ok(())
+            }
+            Err(NvmeofError::RingFull) if !self.queued_owed => Ok(()),
+            Err(e) => Err(e),
+        }
     }
 
     /// Feeds one completed wait into the adaptive busy-poll controller
@@ -380,7 +411,7 @@ impl ClientState {
         transport: &T,
         pdu: &Pdu,
     ) -> Result<(), NvmeofError> {
-        match self.queue_pdu(transport, pdu) {
+        match transport::queue_pdu(transport, pdu, &mut self.scratch) {
             Err(NvmeofError::RingFull) => Ok(()),
             other => other,
         }
@@ -452,8 +483,11 @@ impl ClientState {
     /// decisions for every in-flight shm-published command (writes with
     /// a retained payload resubmit under a fresh cid; zero-copy writes
     /// go through the abort round-trip).
-    fn degrade<T: Transport + ?Sized>(&mut self, transport: &T) -> Result<(), NvmeofError> {
-        let now = self.now();
+    fn degrade<T: Transport + ?Sized>(
+        &mut self,
+        transport: &T,
+        now: Nanos,
+    ) -> Result<(), NvmeofError> {
         if !self.core.degrade(now, &mut self.actions) {
             return Ok(());
         }
@@ -532,7 +566,8 @@ impl ClientState {
     /// retired the cid): settles telemetry and queues the [`IoResult`]
     /// under the user cid. Driven by [`Action::Complete`] from the
     /// in-order path, the held-completion release and the abort-ack
-    /// "already applied" path alike.
+    /// "already applied" path alike. The latency sample waits for the
+    /// poll's stamp ([`ClientState::stamp_latencies`]).
     fn finish_command(&mut self, cid: u16, completion: NvmeCompletion) {
         let Some(mut pending) = self.pending.remove(&cid) else {
             return;
@@ -542,9 +577,8 @@ impl ClientState {
         if !completion.status.is_ok() {
             self.metrics.errors.inc();
         }
-        self.metrics
-            .latency(pending.cmd.opcode)
-            .record_nanos(pending.submitted_at.elapsed());
+        self.unstamped
+            .push((pending.cmd.opcode, pending.submitted_at));
         if let Some((_, len)) = pending.shm_data {
             self.metrics.zero_copy_bytes.add(u64::from(len));
             self.metrics.copies_avoided.inc();
@@ -562,17 +596,36 @@ impl ClientState {
         });
     }
 
-    /// Deadline + keep-alive pass, run once per poll. Costs one clock
-    /// read when either feature is enabled and nothing when both are
-    /// off; the core's deadline sweep only runs when its scalar
-    /// watermark has actually expired.
-    fn tick<T: Transport + ?Sized>(&mut self, transport: &T) -> Result<(), NvmeofError> {
+    /// Deadline + keep-alive pass, run once per poll at `now`, the
+    /// poll's pre-batch time if it took one. Nothing when both features
+    /// are off; otherwise at most one clock read, and the core's
+    /// deadline sweep only runs when its scalar watermark has actually
+    /// expired.
+    fn tick<T: Transport + ?Sized>(
+        &mut self,
+        transport: &T,
+        now: Option<Nanos>,
+    ) -> Result<(), NvmeofError> {
         if self.opts.cmd_deadline.is_none() && self.opts.keepalive.is_none() {
             return Ok(());
         }
-        let now = self.now();
+        let now = now.unwrap_or_else(|| self.now());
         self.core.tick(now, &mut self.actions);
         self.apply_actions(transport)
+    }
+
+    /// Records the latency of every completion resolved since the last
+    /// stamp, all against one clock read.
+    fn stamp_latencies(&mut self) {
+        if self.unstamped.is_empty() {
+            return;
+        }
+        let now = self.now();
+        for (opcode, submitted_at) in self.unstamped.drain(..) {
+            self.metrics
+                .latency(opcode)
+                .record(now.saturating_sub(submitted_at));
+        }
     }
 }
 
@@ -630,12 +683,15 @@ impl<T: Transport> Initiator<T> {
                 opts,
                 shm_active,
                 in_capsule_max: resp.ioccsz as usize,
-                pending: HashMap::new(),
+                pending: CidMap::default(),
                 completed: Vec::new(),
+                unstamped: Vec::with_capacity(64),
+                wait_buf: Vec::new(),
                 // Control PDUs top out well under this; sized so the
                 // steady state never regrows it.
                 scratch: BytesMut::with_capacity(256),
                 queued_bytes: 0,
+                queued_owed: false,
                 metrics: InitiatorMetrics::new(),
                 // Pre-sized so cold recovery paths (give-up, the abort
                 // round-trip) don't pay a first-growth allocation when
@@ -739,7 +795,10 @@ impl<T: Transport> Initiator<T> {
                 // The slot region stalled or poisoned under us: abandon
                 // it mid-flight and serve this (and everything after it)
                 // over the control path.
-                Err(_) => self.state.degrade(&self.transport)?,
+                Err(_) => {
+                    let now = self.state.now();
+                    self.state.degrade(&self.transport, now)?
+                }
             }
         }
         if capsule_data.is_none() && stashed.is_none() {
@@ -1033,13 +1092,21 @@ impl<T: Transport> Initiator<T> {
     /// instead of returning a fresh vector, so a caller that retains its
     /// buffer keeps the completion path allocation-free. Returns how
     /// many completions were appended.
+    ///
+    /// A poll reads the clock at most twice: once when its first frame
+    /// arrives (or for the tick, if timers are on), as the time of every
+    /// frame in the batch, and once after the batch to stamp the
+    /// latency of the completions it hands back.
     pub fn poll_into(&mut self, out: &mut Vec<IoResult>) -> Result<usize, NvmeofError> {
         let transport = &self.transport;
         let state = &mut self.state;
+        let epoch = state.epoch;
+        let mut now = None;
         let mut err = None;
         transport.recv_batch(&mut |frame| {
             if err.is_none() {
-                if let Err(e) = state.on_frame(transport, frame) {
+                let now = *now.get_or_insert_with(|| nanos_since(epoch));
+                if let Err(e) = state.on_frame(transport, frame, now) {
                     err = Some(e);
                 }
             }
@@ -1047,10 +1114,11 @@ impl<T: Transport> Initiator<T> {
         if let Some(e) = err {
             return Err(e);
         }
-        state.tick(transport)?;
+        state.tick(transport, now)?;
         // Whatever this poll queued — recovery traffic from `tick`,
         // echoes, commands submitted since the last poll — leaves now.
         state.flush(transport)?;
+        state.stamp_latencies();
         let n = state.completed.len();
         out.append(&mut state.completed);
         Ok(n)
@@ -1081,29 +1149,44 @@ impl<T: Transport> Initiator<T> {
         };
         let budget = self.state.poller.budget(class);
         let mut ladder = WaitLadder::until_with_spin(deadline, &self.state.opts.backoff, budget);
-        let mut done = Vec::new();
+        let mut done = std::mem::take(&mut self.state.wait_buf);
+        let result = self.wait_in(cid, class, started, &mut ladder, &mut done);
+        // Everything else that completed meanwhile goes to the next poll.
+        self.state.completed.append(&mut done);
+        self.state.wait_buf = done;
+        result
+    }
+
+    /// [`Initiator::wait`]'s loop: polls into `done` until `cid` is
+    /// among the completions there (and takes it out), times out, or
+    /// the ladder expires.
+    fn wait_in(
+        &mut self,
+        cid: u16,
+        class: PollClass,
+        started: Instant,
+        ladder: &mut WaitLadder,
+        done: &mut Vec<IoResult>,
+    ) -> Result<IoResult, NvmeofError> {
         loop {
-            done.extend(self.poll()?);
+            self.poll_into(done)?;
             if let Some(pos) = done.iter().position(|r| r.cid == cid) {
-                let result = done.swap_remove(pos);
-                self.state.completed.extend(done);
+                let result = done.remove(pos);
                 self.state.observe_wait(class, started.elapsed());
                 return Ok(result);
             }
             if let Some(pos) = self.state.timed_out.iter().position(|&c| c == cid) {
                 self.state.timed_out.swap_remove(pos);
-                self.state.completed.extend(done);
                 return Err(NvmeofError::Timeout { cid: Some(cid) });
             }
             match ladder.step() {
-                WaitStep::Expired => {
-                    self.state.completed.extend(done);
-                    return Err(NvmeofError::timeout());
-                }
+                WaitStep::Expired => return Err(NvmeofError::timeout()),
                 WaitStep::Again => {}
                 WaitStep::Sleep(d) => {
                     if let Some(frame) = self.transport.recv_timeout(d)? {
-                        self.state.on_frame(&self.transport, Frame::Owned(frame))?;
+                        let now = self.state.now();
+                        self.state
+                            .on_frame(&self.transport, Frame::Owned(frame), now)?;
                     }
                 }
             }
@@ -1180,14 +1263,12 @@ impl ClientState {
                             "C2H shm data beyond read buffer".into(),
                         ));
                     }
-                    // The channel's `consume` copies into an initialized
-                    // slice (shm payload code is left as it was).
-                    let end = off + len as usize;
-                    if pending.read_buf.len() < end {
-                        pending.read_buf.resize(end, 0);
-                    }
+                    // Straight from the slot into the never-zeroed read
+                    // buffer, the way inline chunks land.
+                    let total = pending.read_len;
+                    let buf = &mut pending.read_buf;
                     consume_failed = ch
-                        .consume(slot, len, &mut pending.read_buf[off..end])
+                        .consume_with(slot, len, &mut |bytes| land_chunk(buf, total, off, bytes))
                         .is_err();
                     if !consume_failed {
                         if off <= pending.got {
@@ -1204,7 +1285,7 @@ impl ClientState {
         if consume_failed {
             // The region died with the payload inside: abandon shm and
             // re-fetch this read over TCP.
-            self.degrade(transport)?;
+            self.degrade(transport, now)?;
             self.core.retry(d.cid, now, &mut self.actions);
             self.apply_actions(transport)?;
         } else if let Some(arrival) = arrival {
@@ -1216,10 +1297,13 @@ impl ClientState {
         Ok(())
     }
 
+    /// Handles one received frame; `now` is the time of the batch it
+    /// arrived in.
     fn on_frame<T: Transport + ?Sized>(
         &mut self,
         transport: &T,
         frame: Frame<'_>,
+        now: Nanos,
     ) -> Result<(), NvmeofError> {
         // C2H payload bytes stay borrowed from the frame (for a socket,
         // the transport's receive window) until they land in the read
@@ -1234,7 +1318,6 @@ impl ClientState {
             }
             Err(e) => return Err(e),
         };
-        let now = self.now();
         // Any decoded traffic proves the peer alive.
         self.core.on_rx(now);
         let pdu = match view {
@@ -1295,7 +1378,7 @@ impl ClientState {
                         Err(_) => {
                             // Region died between grant and publish:
                             // degrade and ship the payload inline.
-                            self.degrade(transport)?;
+                            self.degrade(transport, now)?;
                             DataRef::Inline(data)
                         }
                     }
@@ -1403,7 +1486,7 @@ impl ClientState {
             Pdu::Degrade(_) => {
                 // Target-initiated degradation: abandon the shm path from
                 // this side too (idempotent if we already did).
-                self.degrade(transport)?;
+                self.degrade(transport, now)?;
             }
             Pdu::ICResp(_) => {
                 // Duplicate handshake answer (the connect loop re-asks

@@ -73,11 +73,12 @@ impl TransportMetrics {
         self.frames_owned.inc();
     }
 
+    /// Record `frames` borrowed frames of `bytes` bytes in total.
     #[inline]
-    pub(crate) fn on_recv_borrowed(&self, bytes: usize) {
-        self.frames_received.inc();
+    pub(crate) fn on_recv_borrowed(&self, frames: usize, bytes: usize) {
+        self.frames_received.add(frames as u64);
         self.bytes_received.add(bytes as u64);
-        self.frames_borrowed.inc();
+        self.frames_borrowed.add(frames as u64);
     }
 
     /// Record a completed wait (successful or not) on a ring.
@@ -413,7 +414,7 @@ mod tests {
     fn transport_metrics_register_all() {
         let m = TransportMetrics::new();
         m.on_send(64);
-        m.on_recv_borrowed(64);
+        m.on_recv_borrowed(1, 64);
         m.batch_sizes.record(1);
         let registry = Registry::new();
         m.register(&registry.scope("transport"));

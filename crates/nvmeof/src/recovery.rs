@@ -39,7 +39,7 @@
 //! run on live time.
 
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 use crate::nvme::command::Opcode;
 use crate::nvme::completion::NvmeCompletion;
@@ -54,6 +54,39 @@ pub type Nanos = u64;
 /// abort answering. Fixed-size rings: no heap, far above any sane
 /// queue depth.
 pub const RETIRED_RING: usize = 256;
+
+/// A map keyed by wire cid. Cids are dense `u16`s chosen by this crate,
+/// not by an adversary, so the table hashes them with one multiply
+/// ([`CidHasher`]) instead of SipHash: every command passes through
+/// several of these maps on both its submit and its completion.
+pub type CidMap<V> = HashMap<u16, V, BuildHasherDefault<CidHasher>>;
+
+/// The [`CidMap`] hasher: Fibonacci hashing of the one integer key. The
+/// odd multiplier keeps the low (bucket-index) bits a bijection of the
+/// cid's low bits, and mixes every cid bit into the high bits the table
+/// uses as its tag byte.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct CidHasher(u64);
+
+impl Hasher for CidHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0.rotate_left(8) ^ u64::from(b));
+        }
+    }
+
+    fn write_u16(&mut self, n: u16) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
 
 /// Keep-alive timing in core units.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -229,12 +262,15 @@ impl CmdRecovery {
 #[derive(Clone, Debug)]
 pub struct InitiatorRecovery {
     cfg: RecoveryConfig,
-    cmds: HashMap<u16, CmdRecovery>,
+    cmds: CidMap<CmdRecovery>,
     next_cid: u16,
     next_gseq: u32,
     /// Recently-retired `(wire cid, gseq)` pairs (cid 0 = empty slot;
     /// cid 0 is never allocated).
     retired: [(u16, u32); RETIRED_RING],
+    /// The cid column of `retired`, kept apart so the membership test
+    /// every allocation runs is one branch-free pass over 512 bytes.
+    retired_cids: [u16; RETIRED_RING],
     retired_at: usize,
     /// Earliest pending deadline, tracked as a scalar so the steady
     /// state pays one comparison per poll.
@@ -256,10 +292,11 @@ impl InitiatorRecovery {
     pub fn new(cfg: RecoveryConfig, now: Nanos) -> Self {
         InitiatorRecovery {
             cfg,
-            cmds: HashMap::new(),
+            cmds: CidMap::default(),
             next_cid: 1,
             next_gseq: 1,
             retired: [(0, 0); RETIRED_RING],
+            retired_cids: [0; RETIRED_RING],
             retired_at: 0,
             next_deadline: None,
             // Pre-sized so the first genuine expiry (a cold path that
@@ -291,11 +328,16 @@ impl InitiatorRecovery {
     /// Whether `cid` is in the retired ring (late frames for it are
     /// stale, not protocol violations).
     pub fn is_retired_cid(&self, cid: u16) -> bool {
-        self.retired.iter().any(|&(c, _)| c == cid)
+        // No early exit: the fold compiles to wide compares over the
+        // whole column, cheaper than a data-dependent branch per entry.
+        self.retired_cids
+            .iter()
+            .fold(false, |hit, &c| hit | (c == cid))
     }
 
     fn retire(&mut self, cid: u16, gseq: u32) {
         self.retired[self.retired_at] = (cid, gseq);
+        self.retired_cids[self.retired_at] = cid;
         self.retired_at = (self.retired_at + 1) % RETIRED_RING;
     }
 
@@ -716,6 +758,11 @@ pub struct TargetRecovery {
     /// `(cid, gseq)` pairs answered `applied = false` to an Abort.
     aborted: [(u16, u32); RETIRED_RING],
     aborted_at: usize,
+    /// How many entries of `aborted` hold a remembered abort (saturates
+    /// at the ring size). While it is 0 — every connection that never
+    /// had an Abort answered `NotApplied` — the per-command duplicate
+    /// check is one comparison.
+    aborted_len: usize,
     /// Ttags whose staging buffer was resolved (completed or aborted).
     retired_ttags: [u16; RETIRED_RING],
     retired_ttags_at: usize,
@@ -735,6 +782,7 @@ impl TargetRecovery {
             completed_at: 0,
             aborted: [(0, 0); RETIRED_RING],
             aborted_at: 0,
+            aborted_len: 0,
             retired_ttags: [0u16; RETIRED_RING],
             retired_ttags_at: 0,
         }
@@ -759,6 +807,7 @@ impl TargetRecovery {
         }
         self.aborted[self.aborted_at] = (cid, gseq);
         self.aborted_at = (self.aborted_at + 1) % RETIRED_RING;
+        self.aborted_len = (self.aborted_len + 1).min(RETIRED_RING);
         AbortDecision::NotApplied
     }
 
@@ -766,7 +815,11 @@ impl TargetRecovery {
     /// already answered an abort for (the client has resubmitted it
     /// under a fresh cid; applying this copy would double-apply).
     pub fn should_drop_command(&self, cid: u16, gseq: u32) -> bool {
-        self.aborted.iter().any(|&(c, g)| c == cid && g == gseq)
+        // The ring fills from slot 0, so the remembered aborts are its
+        // first `aborted_len` entries; never-written slots match nothing.
+        self.aborted[..self.aborted_len]
+            .iter()
+            .any(|&(c, g)| c == cid && g == gseq)
     }
 
     /// Remembers a resolved staging ttag.

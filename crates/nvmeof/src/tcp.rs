@@ -629,7 +629,7 @@ impl Transport for TcpTransport {
         loop {
             match self.peek_frame(&rx) {
                 Ok(Some(r)) => {
-                    self.metrics.on_recv_borrowed(r.len());
+                    self.metrics.on_recv_borrowed(1, r.len());
                     f(Frame::Borrowed(&rx.buf[r.clone()]));
                     rx.consumed = r.end;
                     n += 1;

@@ -24,6 +24,7 @@
 //! point they choose ([`Transport::flush_queued`]), so a socket pays one
 //! `write` per pass instead of one per frame.
 
+use std::cell::RefCell;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -315,7 +316,9 @@ pub trait Transport: Send {
     /// [`Transport::flush_queued`]. Order against every other send on
     /// this endpoint is kept. Socket transports append to their send
     /// queue so a poll loop pays one `write` for everything it queued;
-    /// ring and channel transports, where a send is already a memcpy,
+    /// ring transports stage the frame off the ring until
+    /// `flush_queued`, which publishes the whole batch with one tail
+    /// store. Channel transports, where a send is already a hand-off,
     /// send at once.
     fn queue_frame(&self, frame: &[u8]) -> Result<(), NvmeofError> {
         self.send_frame(frame)
@@ -445,12 +448,63 @@ impl Transport for MemTransport {
 /// direction — replacing even the TCP control hop). Each endpoint pushes
 /// to its transmit ring and pops from its receive ring; wake-up is the
 /// consumer's poll loop, exactly like the SPDK reactor.
+///
+/// Queued frames ([`Transport::queue_frame`]) are staged in endpoint
+/// memory and published by [`Transport::flush_queued`] with one
+/// [`ByteRing::push_n`](oaf_shmem::byte_ring::ByteRing::push_n): one
+/// tail store and one stats update per batch instead of per frame. An
+/// immediate send publishes the staged frames first, so order holds.
 pub struct ShmTransport {
     tx: oaf_shmem::byte_ring::ByteRing,
     rx: oaf_shmem::byte_ring::ByteRing,
     config: BackoffConfig,
     metrics: Arc<TransportMetrics>,
     tx_ring_stats: Arc<RingStats>,
+    staged: RefCell<Staged>,
+}
+
+/// Frames accepted by `queue_frame` and not yet in the ring: their bytes
+/// back to back, and where each one ends. Both vectors keep their
+/// capacity, so the steady state allocates nothing.
+struct Staged {
+    bytes: Vec<u8>,
+    ends: Vec<usize>,
+}
+
+impl Staged {
+    /// Sized for a deep queue's worth of command capsules.
+    fn new() -> Self {
+        Staged {
+            bytes: Vec::with_capacity(8 * 1024),
+            ends: Vec::with_capacity(64),
+        }
+    }
+
+    /// Where the `n` oldest frames end.
+    fn end_of(&self, n: usize) -> usize {
+        n.checked_sub(1).map_or(0, |i| self.ends[i])
+    }
+
+    /// The staged frames from the `skip`-th on, oldest first.
+    fn frames(&self, skip: usize) -> impl Iterator<Item = &[u8]> {
+        self.ends[skip..]
+            .iter()
+            .scan(self.end_of(skip), |at, &end| {
+                let frame = &self.bytes[*at..end];
+                *at = end;
+                Some(frame)
+            })
+    }
+
+    /// Forgets the `n` oldest frames (they are in the ring now).
+    fn consume(&mut self, n: usize) {
+        let cut = self.end_of(n);
+        self.bytes.drain(..cut);
+        self.ends.drain(..n);
+        for end in &mut self.ends {
+            *end -= cut;
+        }
+    }
 }
 
 impl ShmTransport {
@@ -485,6 +539,7 @@ impl ShmTransport {
                 config,
                 metrics: TransportMetrics::new(),
                 tx_ring_stats: a_stats,
+                staged: RefCell::new(Staged::new()),
             },
             ShmTransport {
                 tx: b,
@@ -492,6 +547,7 @@ impl ShmTransport {
                 config,
                 metrics: TransportMetrics::new(),
                 tx_ring_stats: b_stats,
+                staged: RefCell::new(Staged::new()),
             },
         )
     }
@@ -515,6 +571,57 @@ impl ShmTransport {
     pub fn backoff_config(&self) -> BackoffConfig {
         self.config
     }
+
+    /// Runs `push` until it reports everything published (`Ok(true)`),
+    /// waiting out a full ring (`Ok(false)`) with a bounded spin→yield:
+    /// a live peer poll loop drains in microseconds; one that stays away
+    /// for [`BackoffConfig::send_full_timeout`] surfaces as
+    /// [`NvmeofError::RingFull`]. The first attempt reads no clock.
+    fn publish(
+        &self,
+        mut push: impl FnMut() -> Result<bool, oaf_shmem::ShmError>,
+    ) -> Result<(), NvmeofError> {
+        let mut backoff = None;
+        let result = loop {
+            match push() {
+                Ok(true) => break Ok(()),
+                Ok(false) => {}
+                Err(e) => break Err(NvmeofError::Payload(e.to_string())),
+            }
+            let backoff = backoff.get_or_insert_with(|| {
+                Backoff::until(
+                    Instant::now() + self.config.send_full_timeout,
+                    self.config.spin_limit,
+                )
+            });
+            if !backoff.snooze() {
+                self.metrics.ring_full.inc();
+                break Err(NvmeofError::RingFull);
+            }
+        };
+        if let Some(backoff) = backoff {
+            backoff.flush(&self.metrics);
+        }
+        result
+    }
+
+    /// Publishes every staged frame, oldest first. What a full ring
+    /// refused for the whole backoff budget stays staged, in order, for
+    /// the next flush, and the flush reports [`NvmeofError::RingFull`].
+    fn publish_staged(&self, staged: &mut Staged) -> Result<(), NvmeofError> {
+        let total = staged.ends.len();
+        let mut done = 0;
+        let result = self.publish(|| {
+            done += self.tx.push_n(staged.frames(done))?;
+            Ok(done == total)
+        });
+        if done > 0 {
+            self.metrics.frames_sent.add(done as u64);
+            self.metrics.bytes_sent.add(staged.end_of(done) as u64);
+            staged.consume(done);
+        }
+        result
+    }
 }
 
 impl Transport for ShmTransport {
@@ -523,42 +630,45 @@ impl Transport for ShmTransport {
     }
 
     fn send_frame(&self, frame: &[u8]) -> Result<(), NvmeofError> {
+        // Frames queued earlier go first.
+        let mut staged = self.staged.borrow_mut();
+        if !staged.ends.is_empty() {
+            self.publish_staged(&mut staged)?;
+        }
         // Straight from the caller's scratch into the ring — no owned
-        // buffer in between. Fast path: the push lands first try and
-        // telemetry costs two relaxed atomics.
-        match self.tx.push(frame) {
-            Ok(()) => {
-                self.metrics.on_send(frame.len());
-                return Ok(());
-            }
-            Err(oaf_shmem::ShmError::RingFull) => {}
-            Err(e) => return Err(NvmeofError::Payload(e.to_string())),
+        // buffer in between.
+        self.publish(|| match self.tx.push(frame) {
+            Ok(()) => Ok(true),
+            Err(oaf_shmem::ShmError::RingFull) => Ok(false),
+            Err(e) => Err(e),
+        })?;
+        self.metrics.on_send(frame.len());
+        Ok(())
+    }
+
+    fn queue_frame(&self, frame: &[u8]) -> Result<(), NvmeofError> {
+        // Refused here, as an immediate push would refuse it, so a
+        // staged batch never holds a frame the ring cannot carry.
+        if frame.len() > self.tx.max_frame() {
+            let too_large = oaf_shmem::ShmError::PayloadTooLarge {
+                len: frame.len(),
+                slot_size: self.tx.max_frame(),
+            };
+            return Err(NvmeofError::Payload(too_large.to_string()));
         }
-        // Bounded spin→yield on a full ring: a live peer poll loop
-        // drains in microseconds; a dead one surfaces as RingFull.
-        let mut backoff = Backoff::until(
-            Instant::now() + self.config.send_full_timeout,
-            self.config.spin_limit,
-        );
-        loop {
-            if !backoff.snooze() {
-                backoff.flush(&self.metrics);
-                self.metrics.ring_full.inc();
-                return Err(NvmeofError::RingFull);
-            }
-            match self.tx.push(frame) {
-                Ok(()) => {
-                    backoff.flush(&self.metrics);
-                    self.metrics.on_send(frame.len());
-                    return Ok(());
-                }
-                Err(oaf_shmem::ShmError::RingFull) => {}
-                Err(e) => {
-                    backoff.flush(&self.metrics);
-                    return Err(NvmeofError::Payload(e.to_string()));
-                }
-            }
+        let mut staged = self.staged.borrow_mut();
+        staged.bytes.extend_from_slice(frame);
+        let end = staged.bytes.len();
+        staged.ends.push(end);
+        Ok(())
+    }
+
+    fn flush_queued(&self) -> Result<(), NvmeofError> {
+        let mut staged = self.staged.borrow_mut();
+        if staged.ends.is_empty() {
+            return Ok(());
         }
+        self.publish_staged(&mut staged)
     }
 
     fn try_recv(&self) -> Result<Option<Bytes>, NvmeofError> {
@@ -589,13 +699,15 @@ impl Transport for ShmTransport {
     fn recv_batch(&self, f: &mut dyn FnMut(Frame<'_>)) -> Result<usize, NvmeofError> {
         // Borrowed frames straight out of the ring: zero copies, zero
         // allocations, one Acquire/Release pair for the whole batch.
-        let metrics = &*self.metrics;
+        // Telemetry is settled once per batch, not per frame.
+        let mut bytes = 0;
         let n = self.rx.drain(|frame| {
-            metrics.on_recv_borrowed(frame.len());
+            bytes += frame.len();
             f(Frame::Borrowed(frame));
         });
         if n > 0 {
-            metrics.batch_sizes.record(n as u64);
+            self.metrics.on_recv_borrowed(n, bytes);
+            self.metrics.batch_sizes.record(n as u64);
         }
         Ok(n)
     }
@@ -1036,6 +1148,101 @@ mod tests {
             .unwrap();
         assert_eq!(n, 20);
         assert_eq!(seen, burst);
+    }
+
+    /// Frame `i` of the staging tests: its index up front, a
+    /// length that varies with it.
+    fn numbered(i: u32) -> Vec<u8> {
+        let mut f = i.to_le_bytes().to_vec();
+        f.resize(16 + (i % 5) as usize * 12, i as u8);
+        f
+    }
+
+    /// Indices of every frame `b` has ready, in arrival order.
+    fn drain_numbered(b: &ShmTransport) -> Vec<u32> {
+        let mut seen = Vec::new();
+        b.recv_batch(&mut |frame| {
+            let f = frame.as_slice();
+            assert_eq!(f, numbered(u32::from_le_bytes(f[..4].try_into().unwrap())));
+            seen.push(u32::from_le_bytes(f[..4].try_into().unwrap()));
+        })
+        .unwrap();
+        seen
+    }
+
+    #[test]
+    fn shm_staged_frames_keep_order_across_queue_send_and_flush() {
+        let (a, b) = ShmTransport::pair(64 * 1024);
+        // Queued frames stay off the ring until something publishes them.
+        a.queue_frame(&numbered(0)).unwrap();
+        a.queue_frame(&numbered(1)).unwrap();
+        assert!(
+            drain_numbered(&b).is_empty(),
+            "queue_frame touched the ring"
+        );
+        // An immediate send carries the staged frames ahead of it.
+        a.send_frame(&numbered(2)).unwrap();
+        assert_eq!(drain_numbered(&b), [0, 1, 2]);
+        // Interleaved, with the peer draining at arbitrary points.
+        let mut seen = Vec::new();
+        for i in 3..300u32 {
+            match i % 7 {
+                0 | 3 => a.send_frame(&numbered(i)).unwrap(),
+                5 => {
+                    a.queue_frame(&numbered(i)).unwrap();
+                    a.flush_queued().unwrap();
+                }
+                _ => a.queue_frame(&numbered(i)).unwrap(),
+            }
+            if i % 11 == 0 {
+                seen.extend(drain_numbered(&b));
+            }
+        }
+        a.flush_queued().unwrap();
+        a.flush_queued().unwrap(); // nothing staged: a no-op
+        seen.extend(drain_numbered(&b));
+        assert_eq!(
+            seen,
+            (3..300).collect::<Vec<_>>(),
+            "every frame once, in order"
+        );
+        assert_eq!(a.metrics().frames_sent.get(), 300);
+        assert_eq!(a.tx_ring_stats().frames.get(), 300);
+    }
+
+    #[test]
+    fn shm_flush_into_a_full_ring_keeps_the_rest_staged() {
+        let cfg = BackoffConfig {
+            spin_limit: 8,
+            send_full_timeout: Duration::from_millis(20),
+        };
+        let (a, b) = ShmTransport::pair_with(4096, cfg);
+        // Twice what the ring holds, and nobody draining.
+        let total = 120u32;
+        for i in 0..total {
+            a.queue_frame(&numbered(i)).unwrap();
+        }
+        let t0 = Instant::now();
+        let err = a.flush_queued().unwrap_err();
+        assert!(matches!(err, NvmeofError::RingFull), "{err:?}");
+        assert!(t0.elapsed() >= cfg.send_full_timeout, "gave up early");
+        assert_eq!(a.metrics().ring_full.get(), 1);
+        let first = drain_numbered(&b);
+        assert!(!first.is_empty() && first.len() < total as usize);
+        assert_eq!(first, (0..first.len() as u32).collect::<Vec<_>>());
+        // The unpublished tail is still staged, in order: a send now goes
+        // out behind it, and the next flushes deliver it once.
+        a.send_frame(&numbered(total)).unwrap();
+        let mut seen = first;
+        seen.extend(drain_numbered(&b));
+        a.flush_queued().unwrap();
+        seen.extend(drain_numbered(&b));
+        assert_eq!(
+            seen,
+            (0..=total).collect::<Vec<_>>(),
+            "reordered or duplicated"
+        );
+        assert_eq!(a.metrics().frames_sent.get(), u64::from(total) + 1);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! allocator skips live *and* recently-retired cids, so no churn volume
 //! can recreate the confusion.
 
-use std::collections::HashSet;
+use std::collections::{HashSet, VecDeque};
 
 use oaf_nvmeof::nvme::command::Opcode;
 use oaf_nvmeof::nvme::completion::{NvmeCompletion, Status};
@@ -183,4 +183,153 @@ proptest! {
             }
         }
     }
+}
+
+/// The last [`RETIRED_RING`] retired cids, oldest first: a linear model
+/// of the initiator's retired ring to check its membership test against.
+struct RetiredModel(VecDeque<u16>);
+
+impl RetiredModel {
+    /// Records a retirement; returns the cid it pushed out of the ring.
+    fn retire(&mut self, cid: u16) -> Option<u16> {
+        let evicted = if self.0.len() == RETIRED_RING {
+            self.0.pop_front()
+        } else {
+            None
+        };
+        self.0.push_back(cid);
+        evicted
+    }
+
+    fn contains(&self, cid: u16) -> bool {
+        self.0.contains(&cid)
+    }
+}
+
+/// Completes `cid` (a write, so nothing holds it) and checks the core's
+/// membership test against the model at the ring position it moved to:
+/// the retired cid is in, the one it evicted is out, and so is every
+/// cid still live. With `all_members` every remembered cid is checked.
+fn complete_and_check(
+    core: &mut InitiatorRecovery,
+    model: &mut RetiredModel,
+    live: &[u16],
+    cid: u16,
+    all_members: bool,
+) {
+    let mut out = Vec::new();
+    assert!(core.on_completion(cid, NvmeCompletion::ok(cid), &mut out));
+    assert_eq!(out.len(), 1);
+    let evicted = model.retire(cid);
+    assert!(core.is_retired_cid(cid), "retired cid {cid} not found");
+    if let Some(e) = evicted.filter(|&e| !model.contains(e)) {
+        assert!(!core.is_retired_cid(e), "evicted cid {e} still found");
+    }
+    for &l in live {
+        assert!(!core.is_retired_cid(l), "live cid {l} reported retired");
+    }
+    if all_members {
+        for &m in &model.0 {
+            assert!(core.is_retired_cid(m), "remembered cid {m} not found");
+        }
+    }
+}
+
+/// Every allocatable cid: the core's test against the model's. (Cid 0
+/// marks an empty ring slot and is never allocated.)
+fn sweep(core: &InitiatorRecovery, model: &RetiredModel) {
+    for cid in 1..=u16::MAX {
+        assert_eq!(
+            core.is_retired_cid(cid),
+            model.contains(cid),
+            "membership of cid {cid} disagrees with the linear reference"
+        );
+    }
+}
+
+/// Cid wrap under the retired ring's membership test: one command stays
+/// live across more than 65 535 allocations, and when the allocator
+/// wraps, the ring is full of recently retired low cids. `alloc` must
+/// skip both, and the test must agree with a linear reference at every
+/// position of the ring.
+#[test]
+fn cid_wrap_skips_the_live_cid_and_every_ring_resident_cid() {
+    let mut core = InitiatorRecovery::new(RecoveryConfig::default(), 0);
+    let mut model = RetiredModel(VecDeque::with_capacity(RETIRED_RING));
+    let begin = |core: &mut InitiatorRecovery, model: &RetiredModel, live: &[u16]| {
+        let (cid, _) = core.begin(Opcode::Write, false, DataNeed::None, false, 0);
+        assert_ne!(cid, 0, "cid 0 is never allocated");
+        assert!(!live.contains(&cid), "alloc handed out live cid {cid}");
+        assert!(
+            !model.contains(cid),
+            "alloc handed out ring-resident cid {cid}"
+        );
+        assert!(!core.is_retired_cid(cid));
+        cid
+    };
+    let pinned = begin(&mut core, &model, &[]);
+    let mut live = vec![pinned];
+    // Low cids that stay live until just before the wrap.
+    let early: Vec<u16> = (0..RETIRED_RING + 44)
+        .map(|_| {
+            let cid = begin(&mut core, &model, &live);
+            live.push(cid);
+            cid
+        })
+        .collect();
+    sweep(&core, &model);
+    let mut allocations = 1 + early.len();
+    // Churn up to the top of the cid space with the ring full (the
+    // early cids are left to the sweeps, to keep this loop cheap).
+    loop {
+        let cid = begin(&mut core, &model, &live);
+        allocations += 1;
+        complete_and_check(&mut core, &mut model, &[pinned], cid, false);
+        if cid == u16::MAX {
+            break;
+        }
+    }
+    sweep(&core, &model);
+    // Retire the early cids: the ring now holds the newest of them.
+    for &cid in &early {
+        live.retain(|&l| l != cid);
+        complete_and_check(&mut core, &mut model, &live, cid, true);
+    }
+    sweep(&core, &model);
+    let resident: Vec<u16> = model.0.iter().copied().collect();
+    // Wrap with a burst held live, so the allocator runs into the pinned
+    // cid and then into the ring's residents.
+    let burst: Vec<u16> = (0..RETIRED_RING / 2)
+        .map(|_| {
+            let cid = begin(&mut core, &model, &live);
+            live.push(cid);
+            cid
+        })
+        .collect();
+    allocations += burst.len();
+    assert!(
+        burst.iter().any(|&c| c > *resident.last().unwrap()),
+        "the burst never had to step over the ring: {burst:?}"
+    );
+    sweep(&core, &model);
+    // One lap of retirements visits every ring position.
+    for (i, &cid) in burst.iter().enumerate() {
+        live.retain(|&l| l != cid);
+        complete_and_check(&mut core, &mut model, &live, cid, true);
+        if i == burst.len() / 2 {
+            sweep(&core, &model);
+        }
+    }
+    for _ in 0..RETIRED_RING {
+        let cid = begin(&mut core, &model, &live);
+        allocations += 1;
+        complete_and_check(&mut core, &mut model, &live, cid, true);
+    }
+    sweep(&core, &model);
+    assert!(
+        allocations > usize::from(u16::MAX),
+        "{allocations} allocations"
+    );
+    assert_eq!(live, [pinned]);
+    assert_eq!(core.inflight(), 1, "the pinned command stayed in flight");
 }
