@@ -6,7 +6,9 @@
 //! syscalls. The cached-read group measures the block cache's hit
 //! (pure memcpy, zero syscalls) and miss (fill + thrash) paths, and
 //! the group-commit group measures concurrent FUA barriers coalescing
-//! through the shared disk's sync worker.
+//! through the shared disk's sync worker. `store/real-file/paced-flush`
+//! times a Flush after a pause in which that worker may start the
+//! page-cache write-out of the blocks dirtied before it.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use oaf_ssd::{BlockStore, SharedRamDisk};
@@ -293,6 +295,28 @@ fn bench_real_file_fdatasync(c: &mut Criterion) {
                         disk.write(lba, 1, &block, false).expect("write");
                     }
                     round += 1;
+                    let t0 = std::time::Instant::now();
+                    disk.flush().expect("flush");
+                    flushing += t0.elapsed();
+                }
+                flushing
+            })
+        });
+        // The same barrier on the shared form, whose sync worker paces
+        // write-back: DIRTY scattered cached writes, a 2 ms pause in
+        // which the worker may start their write-out, then the timed
+        // Flush.
+        let disk = disk.into_shared();
+        g.bench_with_input(BenchmarkId::new("paced-flush", DIRTY), &DIRTY, |b, &n| {
+            b.iter_custom(|iters| {
+                let mut flushing = std::time::Duration::ZERO;
+                for _ in 0..iters {
+                    for i in 0..n {
+                        let lba = (i * 613 + round * 7) % 4096;
+                        disk.write(lba, 1, &block, false).expect("write");
+                    }
+                    round += 1;
+                    std::thread::sleep(std::time::Duration::from_millis(2));
                     let t0 = std::time::Instant::now();
                     disk.flush().expect("flush");
                     flushing += t0.elapsed();

@@ -17,8 +17,8 @@
 //! - [`submit_sync`](GroupCommit::submit_sync) enrolls a barrier ticket
 //!   and returns a [`BarrierTicket`] immediately — no blocking, no
 //!   allocation. The worker is woken through a condvar.
-//! - The worker loops on `next_sync_request` / `complete_sync`
-//!   (crate-private): each round snapshots the highest requested
+//! - The worker loops on `next_round` / `complete_sync`
+//!   (crate-private): each sync round snapshots the highest requested
 //!   sequence, reads the covered watermark under the disk lock (no
 //!   I/O), runs one device barrier through its own vfs handle with the
 //!   disk lock released, and publishes either a new `durable_seq` or a
@@ -34,14 +34,51 @@
 //!   successful sync is durable no matter what an earlier round said.
 //! - The blocking [`barrier`](GroupCommit::barrier) enrolls the same
 //!   ticket and waits on the retired condvar.
+//!
+//! ## Paced write-back between rounds
+//!
+//! A barrier's `fdatasync` must push every page dirtied since the last
+//! one. So between rounds the worker *kicks*: it starts page-cache
+//! write-out ([`Vfs::start_writeback`](crate::vfs::Vfs::start_writeback))
+//! and does not wait for it, so the next barrier finds only the tail.
+//!
+//! - Every journal append of a shared disk publishes its sequence here
+//!   with one relaxed store, under the disk lock.
+//! - While records were appended past the worker's last kick or sync,
+//!   the worker waits with a `KICK_PERIOD` (1 ms) timeout; a timeout
+//!   with no barrier enrolled is a kick round. A barrier always wins
+//!   over a kick.
+//! - When nothing was appended, the worker raises an idle flag (under
+//!   the disk lock) and blocks with no timeout. The first append that
+//!   finds the flag up clears it and wakes the worker — once per
+//!   idle-to-busy transition, so the append path takes no syscall in the
+//!   steady state and an idle disk takes no timed wake-ups.
+//! - A kick is never durability: it moves neither watermark, retires no
+//!   ticket and replaces no sync (`writeback_kicks` counts them).
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
+use std::time::{Duration, Instant};
 
 use oaf_ssd::block::{BarrierPoll, BarrierTicket};
 use oaf_ssd::ram::BlockError;
 
 use crate::metrics::StoreMetrics;
+
+/// How long the worker lets records appended past its last kick or sync
+/// sit before it starts their write-out.
+const KICK_PERIOD: Duration = Duration::from_millis(1);
+
+/// What the sync worker does next.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) enum Round {
+    /// Sync the journal for every ticket up to this snapshot target.
+    Sync(u64),
+    /// Start write-out of what was appended; no barrier is waiting.
+    Kick,
+    /// Exit.
+    Shutdown,
+}
 
 /// Coordinator state: the durability watermarks and the worker's queue.
 #[derive(Default)]
@@ -76,6 +113,12 @@ pub struct GroupCommit {
     durable: AtomicU64,
     /// Lock-free mirror of `failed_seq` for reactor-side polling.
     failed: AtomicU64,
+    /// Highest journal sequence appended, published under the disk lock.
+    appended: AtomicU64,
+    /// The worker found nothing appended past its last kick or sync and
+    /// blocks with no timeout. Raised by the worker and cleared by the
+    /// first append after it, both under the disk lock.
+    idle: AtomicBool,
 }
 
 impl GroupCommit {
@@ -153,6 +196,44 @@ impl GroupCommit {
         }
     }
 
+    /// Append side of paced write-back, called under the disk lock after
+    /// every journal append: one relaxed store, plus — only for the
+    /// first append after the worker went idle — a wake-up.
+    #[inline]
+    pub(crate) fn note_append(&self, seq: u64) {
+        self.appended.store(seq, Ordering::Relaxed);
+        if self.idle.load(Ordering::Relaxed) {
+            self.idle.store(false, Ordering::Relaxed);
+            // The worker checks the flag under this lock before it
+            // waits, so the notify cannot fall between check and wait.
+            let _guard = self.state.lock().expect("commit lock poisoned");
+            self.work.notify_one();
+        }
+    }
+
+    /// Highest journal sequence appended so far.
+    pub(crate) fn appended(&self) -> u64 {
+        self.appended.load(Ordering::Relaxed)
+    }
+
+    /// Worker side, under the disk lock that every append publishes
+    /// under: whether records were appended past `paced` (the seq its
+    /// last kick or sync covered). If none were, raises the idle flag so
+    /// the next append wakes the worker.
+    pub(crate) fn appended_past(&self, paced: u64) -> bool {
+        let busy = self.appended() > paced;
+        if !busy {
+            self.idle.store(true, Ordering::Relaxed);
+        }
+        busy
+    }
+
+    /// Whether the worker is blocked with no timeout.
+    #[cfg(test)]
+    pub(crate) fn worker_idle(&self) -> bool {
+        self.idle.load(Ordering::Relaxed)
+    }
+
     /// Asks the worker to exit, waking it (and any blocked waiter) if
     /// parked.
     pub(crate) fn shutdown_worker(&self) {
@@ -164,23 +245,47 @@ impl GroupCommit {
         self.retired.notify_all();
     }
 
-    /// Worker side: block until there is something to sync (or shutdown).
-    /// Returns the snapshot target — the highest requested sequence at
-    /// the moment the round starts. Tickets enrolled *after* this call
-    /// belong to the next round.
-    pub(crate) fn next_sync_request(&self) -> Option<u64> {
+    /// Worker side: block until the next round. A sync round returns
+    /// its snapshot target — the highest requested sequence at the
+    /// moment the round starts; tickets enrolled *after* it belong to
+    /// the next round. With `busy` (records appended past the last kick
+    /// or sync) the wait times out after [`KICK_PERIOD`] into a kick
+    /// round; without it the caller has raised the idle flag
+    /// ([`appended_past`](GroupCommit::appended_past)) and the wait has
+    /// no timeout until an append clears the flag.
+    pub(crate) fn next_round(&self, busy: bool) -> Round {
         let mut guard = self.state.lock().expect("commit lock poisoned");
+        let mut deadline = busy.then(|| Instant::now() + KICK_PERIOD);
         loop {
             if guard.worker_shutdown {
-                return None;
+                return Round::Shutdown;
             }
             let retired_hi = guard.durable_seq.max(guard.failed_seq);
             if guard.requested_seq > retired_hi {
+                self.idle.store(false, Ordering::Relaxed);
                 guard.syncing_tickets += guard.tickets;
                 guard.tickets = 0;
-                return Some(guard.requested_seq);
+                return Round::Sync(guard.requested_seq);
             }
-            guard = self.work.wait(guard).expect("commit lock poisoned");
+            match deadline {
+                Some(at) => {
+                    let now = Instant::now();
+                    if now >= at {
+                        return Round::Kick;
+                    }
+                    guard = self
+                        .work
+                        .wait_timeout(guard, at - now)
+                        .expect("commit lock poisoned")
+                        .0;
+                }
+                None if self.idle.load(Ordering::Relaxed) => {
+                    guard = self.work.wait(guard).expect("commit lock poisoned");
+                }
+                // An append woke the idle worker: give the burst one
+                // period to build up before kicking it.
+                None => deadline = Some(Instant::now() + KICK_PERIOD),
+            }
         }
     }
 
@@ -235,6 +340,18 @@ mod tests {
     use super::*;
     use std::sync::Arc;
     use std::thread::JoinHandle;
+
+    impl GroupCommit {
+        /// The worker's wait on a disk with nothing appended: the next
+        /// sync target, or `None` at shutdown.
+        fn next_sync_request(&self) -> Option<u64> {
+            match self.next_round(self.appended_past(u64::MAX)) {
+                Round::Sync(target) => Some(target),
+                Round::Shutdown => None,
+                Round::Kick => unreachable!("an idle worker never kicks"),
+            }
+        }
+    }
 
     /// A blocking barrier on its own thread; the test plays the worker.
     fn blocking_barrier(
@@ -402,5 +519,39 @@ mod tests {
         // A barrier nobody will sync fails instead of hanging.
         let err = blocking_barrier(&gc, &m, 1).join().unwrap().unwrap_err();
         assert!(matches!(err, BlockError::Io(_)), "{err:?}");
+    }
+
+    #[test]
+    fn appends_pace_a_kick_that_retires_nothing_and_a_barrier_still_syncs() {
+        let gc = Arc::new(GroupCommit::new());
+        let m = StoreMetrics::new();
+        gc.note_append(3);
+        assert!(gc.appended_past(0), "seq 3 was appended past 0");
+        assert!(!gc.worker_idle());
+        let t0 = Instant::now();
+        assert_eq!(gc.next_round(true), Round::Kick);
+        assert!(t0.elapsed() >= KICK_PERIOD, "a kick waits out one period");
+        // The kick moved no watermark: a ticket for seq 3 still parks.
+        assert_eq!(gc.durable_seq(), 0);
+        assert_eq!(gc.poll_sync(BarrierTicket::new(3)), BarrierPoll::Pending);
+        // A barrier beats the kick timer and gets its own sync round.
+        let ticket = gc.submit_sync(3, &m);
+        assert_eq!(gc.next_round(true), Round::Sync(3));
+        gc.complete_sync(3, Ok(3), &m);
+        assert_eq!(gc.poll_sync(ticket), BarrierPoll::Durable);
+        assert!(!gc.appended_past(3), "the sync covered every append");
+        assert!(gc.worker_idle());
+        // The first append after the worker went idle wakes it: it
+        // leaves the untimed wait and kicks one period later.
+        let worker = {
+            let gc = Arc::clone(&gc);
+            std::thread::spawn(move || gc.next_round(false))
+        };
+        std::thread::sleep(Duration::from_millis(5));
+        assert!(!worker.is_finished(), "an idle worker has no timeout");
+        gc.note_append(4);
+        assert!(!gc.worker_idle(), "the append cleared the flag");
+        assert_eq!(worker.join().unwrap(), Round::Kick);
+        assert_eq!(gc.durable_seq(), 3);
     }
 }

@@ -35,6 +35,14 @@
 //! concurrent barriers from many queues coalesce into one `fdatasync`
 //! per worker round, and no caller ever runs the syscall itself.
 //!
+//! Between rounds that worker paces write-back: while records have been
+//! appended past its last kick or sync, it starts their page-cache
+//! write-out every `KICK_PERIOD` ([`Vfs::start_writeback`]), so a
+//! barrier's `fdatasync` waits only for the tail. A kick makes nothing
+//! durable and retires no ticket; an idle disk takes no kicks and no
+//! timed wake-ups. The unshared [`FileDisk`] has no worker and does not
+//! kick.
+//!
 //! ## Recovery invariants
 //!
 //! On open the log is replayed idempotently from the checkpoint
@@ -68,6 +76,7 @@
 //! old-epoch byte in the log region is fenced forever.
 
 use std::cell::RefCell;
+use std::io::IoSlice;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
@@ -76,7 +85,7 @@ use oaf_ssd::block::{BarrierPoll, BarrierTicket, BlockStore};
 use oaf_ssd::ram::{check_range, BlockError};
 
 use crate::cache::BlockCache;
-use crate::commit::GroupCommit;
+use crate::commit::{GroupCommit, Round};
 use crate::log::{
     rec_len, RecordHeader, RecordKind, Superblock, LOG_OFFSET, REC_FLAG_FUA, REC_HDR_LEN,
     SB_SLOT_LEN, SB_VERSION,
@@ -155,6 +164,9 @@ pub struct FileDisk {
     live_blocks: u64,
     /// Adaptive cache controller state (`None` = fixed capacity).
     adapt: Option<AdaptState>,
+    /// The shared form's coordinator, to which every append publishes
+    /// its sequence for paced write-back (`None`: unshared, no worker).
+    commit: Option<Arc<GroupCommit>>,
     metrics: Arc<StoreMetrics>,
 }
 
@@ -213,6 +225,7 @@ impl FileDisk {
             live: vec![0u64; blocks.div_ceil(64) as usize],
             live_blocks: 0,
             adapt: None,
+            commit: None,
             metrics: StoreMetrics::new(),
         })
     }
@@ -265,6 +278,7 @@ impl FileDisk {
             live: vec![0u64; sb.capacity_blocks.div_ceil(64) as usize],
             live_blocks: 0,
             adapt: None,
+            commit: None,
             sb,
             metrics: StoreMetrics::new(),
         })
@@ -506,7 +520,7 @@ impl FileDisk {
     }
 
     /// Appends one intent record at the log tail, checkpointing first if
-    /// it would not fit. Three positional writes (header, payload, CRC
+    /// it would not fit. One vectored write (header, payload, CRC
     /// trailer) — the payload is never copied into a staging buffer.
     fn append_record(
         &mut self,
@@ -538,19 +552,18 @@ impl FileDisk {
         };
         let hdr_raw = hdr.encode();
         let crc = crate::log::record_crc(&hdr_raw, payload).to_le_bytes();
-        let base = LOG_OFFSET + self.log_tail;
+        let record = [
+            IoSlice::new(&hdr_raw),
+            IoSlice::new(payload),
+            IoSlice::new(&crc),
+        ];
         self.vfs
-            .write_at(base, &hdr_raw)
-            .map_err(|e| io_err("log append", e))?;
-        if !payload.is_empty() {
-            self.vfs
-                .write_at(base + REC_HDR_LEN as u64, payload)
-                .map_err(|e| io_err("log append", e))?;
-        }
-        self.vfs
-            .write_at(base + (REC_HDR_LEN + payload.len()) as u64, &crc)
+            .write_vectored_at(LOG_OFFSET + self.log_tail, &record)
             .map_err(|e| io_err("log append", e))?;
         self.log_tail += total;
+        if let Some(commit) = &self.commit {
+            commit.note_append(self.next_seq);
+        }
         self.next_seq += 1;
         self.dirty_bytes += total;
         self.metrics.log_appends.inc();
@@ -783,12 +796,13 @@ impl FileDisk {
     /// When the second handle cannot be opened or the worker thread
     /// cannot be spawned: a shared disk never syncs on its callers'
     /// threads.
-    pub fn into_shared(self) -> SharedFileDisk {
+    pub fn into_shared(mut self) -> SharedFileDisk {
         let sync_vfs = self
             .vfs
             .try_clone()
             .expect("second store handle for the sync worker");
         let commit = Arc::new(GroupCommit::new());
+        self.commit = Some(Arc::clone(&commit));
         let metrics = Arc::clone(&self.metrics);
         let (block_size, capacity_blocks) = (self.sb.block_size, self.sb.capacity_blocks);
         let inner = Arc::new(parking_lot::Mutex::new(self));
@@ -981,31 +995,57 @@ impl SyncWorker {
     }
 }
 
-/// The sync worker loop: wait for barrier tickets, read the covered
-/// watermark under the disk lock (phase 1, no I/O), then run the
-/// `fdatasync` through the worker's own vfs handle with the disk lock
-/// released (phase 2), and publish the outcome. Reads and journaled
-/// writes proceed on other threads for the entire syscall; an error
-/// fails exactly the round's parked set via
-/// [`GroupCommit::complete_sync`].
+/// The sync worker loop. A sync round reads the covered watermark
+/// under the disk lock (phase 1, no I/O), then runs the `fdatasync`
+/// through the worker's own vfs handle with the disk lock released
+/// (phase 2), and publishes the outcome. Reads and journaled writes
+/// proceed on other threads for the entire syscall; an error fails
+/// exactly the round's parked set via [`GroupCommit::complete_sync`].
+///
+/// Between sync rounds the worker paces write-back: `paced` is the
+/// highest seq its last kick or sync covered. While appends run past
+/// it, a kick round starts their write-out ([`Vfs::start_writeback`])
+/// — no watermark moves. Once none do, the worker goes idle under the
+/// disk lock, where every append checks the flag.
 fn run_sync_worker(
     commit: Arc<GroupCommit>,
     inner: Arc<parking_lot::Mutex<FileDisk>>,
     metrics: Arc<StoreMetrics>,
     sync_vfs: Arc<std::sync::Mutex<Box<dyn Vfs>>>,
 ) {
-    while let Some(target) = commit.next_sync_request() {
-        let res = (|| {
-            let (covered, dirty) = inner.lock().prepare_offload_sync();
-            let t0 = Instant::now();
-            let mut vfs = sync_vfs.lock().expect("sync handle lock poisoned");
-            vfs.sync().map_err(|e| io_err("fsync", e))?;
-            metrics.fsyncs.inc();
-            metrics.fsync_ns.record_nanos(t0.elapsed());
-            metrics.flushed_bytes.add(dirty);
-            Ok(covered)
-        })();
-        commit.complete_sync(target, res, &metrics);
+    let mut paced = 0u64;
+    loop {
+        let busy = commit.appended() > paced || {
+            let _disk = inner.lock();
+            commit.appended_past(paced)
+        };
+        match commit.next_round(busy) {
+            Round::Shutdown => return,
+            Round::Kick => {
+                paced = commit.appended();
+                let vfs = sync_vfs.lock().expect("sync handle lock poisoned");
+                // A hint: a failed kick leaves the work to the next sync.
+                if vfs.start_writeback().is_ok() {
+                    metrics.writeback_kicks.inc();
+                }
+            }
+            Round::Sync(target) => {
+                let res = (|| {
+                    let (covered, dirty) = inner.lock().prepare_offload_sync();
+                    let t0 = Instant::now();
+                    let mut vfs = sync_vfs.lock().expect("sync handle lock poisoned");
+                    vfs.sync().map_err(|e| io_err("fsync", e))?;
+                    metrics.fsyncs.inc();
+                    metrics.fsync_ns.record_nanos(t0.elapsed());
+                    metrics.flushed_bytes.add(dirty);
+                    Ok(covered)
+                })();
+                if let Ok(covered) = res {
+                    paced = paced.max(covered);
+                }
+                commit.complete_sync(target, res, &metrics);
+            }
+        }
     }
 }
 
@@ -1584,6 +1624,151 @@ mod tests {
         d2.write(0, 1, &[1u8; 512], true).unwrap();
         drop(d2);
         drop(d); // must not hang: shutdown wakes the parked worker
+    }
+
+    /// One call a [`RecordingVfs`] saw.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Call {
+        Write,
+        Sync,
+        StartWriteback,
+    }
+
+    /// A `MemVfs` that logs every mutating call through any handle.
+    #[derive(Clone, Default)]
+    struct RecordingVfs {
+        inner: MemVfs,
+        calls: Arc<std::sync::Mutex<Vec<Call>>>,
+    }
+
+    impl RecordingVfs {
+        fn calls(&self) -> Vec<Call> {
+            self.calls.lock().unwrap().clone()
+        }
+
+        fn count(&self, call: Call) -> usize {
+            self.calls().iter().filter(|&&c| c == call).count()
+        }
+
+        fn log(&self, call: Call) {
+            self.calls.lock().unwrap().push(call);
+        }
+    }
+
+    impl Vfs for RecordingVfs {
+        fn read_at(&self, off: u64, buf: &mut [u8]) -> std::io::Result<()> {
+            self.inner.read_at(off, buf)
+        }
+
+        fn write_at(&mut self, off: u64, buf: &[u8]) -> std::io::Result<()> {
+            self.log(Call::Write);
+            self.inner.write_at(off, buf)
+        }
+
+        fn sync(&mut self) -> std::io::Result<()> {
+            self.log(Call::Sync);
+            self.inner.sync()
+        }
+
+        fn start_writeback(&self) -> std::io::Result<()> {
+            self.log(Call::StartWriteback);
+            Ok(())
+        }
+
+        fn len(&self) -> std::io::Result<u64> {
+            self.inner.len()
+        }
+
+        fn set_len(&mut self, len: u64) -> std::io::Result<()> {
+            self.inner.set_len(len)
+        }
+
+        fn try_clone(&self) -> std::io::Result<Box<dyn Vfs>> {
+            Ok(Box::new(self.clone()))
+        }
+    }
+
+    fn wait_for(what: &str, mut done: impl FnMut() -> bool) {
+        let deadline = Instant::now() + std::time::Duration::from_secs(5);
+        while !done() {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::sleep(std::time::Duration::from_micros(200));
+        }
+    }
+
+    #[test]
+    fn plain_writes_are_kicked_toward_the_platter_but_never_made_durable() {
+        let vfs = RecordingVfs::default();
+        let d = FileDisk::create_on(Box::new(vfs.clone()), 512, 64, 64 * 1024)
+            .and_then(|d| d.with_cache(16))
+            .unwrap()
+            .into_shared();
+        let formatted = vfs.count(Call::Sync);
+        let durable = d.group_commit().durable_seq();
+        for lba in 0..8u64 {
+            d.write(lba, 1, &[lba as u8 + 1; 512], false).unwrap();
+        }
+        wait_for("a write-out kick", || vfs.count(Call::StartWriteback) > 0);
+        // No watermark moved: not even the first write's ticket retires,
+        // and nothing was synced since the format.
+        assert_eq!(d.group_commit().durable_seq(), durable);
+        assert_eq!(
+            d.poll_barrier(BarrierTicket::new(durable + 1)),
+            BarrierPoll::Pending
+        );
+        assert_eq!(vfs.count(Call::Sync), formatted);
+        assert!(d.metrics().writeback_kicks.get() > 0);
+        assert_eq!(d.metrics().fsyncs.get(), 0);
+        // A later Flush still syncs, after the kicks.
+        d.flush().unwrap();
+        let calls = vfs.calls();
+        let last_kick = calls.iter().rposition(|&c| c == Call::StartWriteback);
+        let last_sync = calls.iter().rposition(|&c| c == Call::Sync);
+        assert!(last_sync > last_kick, "{calls:?}");
+        assert_eq!(d.metrics().fsyncs.get(), 1);
+        assert!(d.group_commit().durable_seq() > durable);
+    }
+
+    #[test]
+    fn an_idle_shared_disk_takes_no_kicks_and_no_timed_wakeups() {
+        let vfs = RecordingVfs::default();
+        let d = FileDisk::create_on(Box::new(vfs.clone()), 512, 64, 64 * 1024)
+            .unwrap()
+            .into_shared();
+        d.write(0, 1, &[1u8; 512], false).unwrap();
+        d.flush().unwrap();
+        // The flush's sync covered every append: the worker goes idle.
+        wait_for("the worker to go idle", || d.group_commit().worker_idle());
+        let kicks = vfs.count(Call::StartWriteback);
+        let calls = vfs.calls().len();
+        for _ in 0..10 {
+            std::thread::sleep(std::time::Duration::from_millis(5));
+            assert!(
+                d.group_commit().worker_idle(),
+                "an idle worker stays blocked with no timeout"
+            );
+        }
+        assert_eq!(vfs.count(Call::StartWriteback), kicks, "kicks while idle");
+        assert_eq!(vfs.calls().len(), calls, "an idle disk makes no calls");
+        // The next append ends the idle wait.
+        d.write(1, 1, &[2u8; 512], false).unwrap();
+        assert!(!d.group_commit().worker_idle());
+        wait_for("a kick after the idle spell", || {
+            vfs.count(Call::StartWriteback) > kicks
+        });
+    }
+
+    #[test]
+    fn the_unshared_disk_never_kicks() {
+        let vfs = RecordingVfs::default();
+        let mut d = FileDisk::create_on(Box::new(vfs.clone()), 512, 64, 64 * 1024).unwrap();
+        for lba in 0..8u64 {
+            d.write(lba, 1, &[1u8; 512], false).unwrap();
+        }
+        std::thread::sleep(std::time::Duration::from_millis(5));
+        d.flush().unwrap();
+        assert_eq!(vfs.count(Call::StartWriteback), 0);
+        assert_eq!(d.metrics().writeback_kicks.get(), 0);
     }
 
     #[test]

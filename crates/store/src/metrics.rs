@@ -72,6 +72,10 @@ pub struct StoreMetrics {
     pub cache_grows: Counter,
     /// Adaptive cache shrink decisions taken.
     pub cache_shrinks: Counter,
+    /// Page-cache write-outs the sync worker started between barriers
+    /// (`Vfs::start_writeback`), so a barrier's `fdatasync` finds less
+    /// to push. A kick makes nothing durable and retires no ticket.
+    pub writeback_kicks: Counter,
 }
 
 impl StoreMetrics {
@@ -106,6 +110,7 @@ impl StoreMetrics {
         scope.adopt_gauge("cache_capacity", &self.cache_capacity);
         scope.adopt_counter("cache_grows", &self.cache_grows);
         scope.adopt_counter("cache_shrinks", &self.cache_shrinks);
+        scope.adopt_counter("writeback_kicks", &self.writeback_kicks);
     }
 }
 
@@ -154,6 +159,7 @@ mod tests {
         m.barriers_offloaded.add(5);
         m.cache_capacity.set(256);
         m.cache_grows.inc();
+        m.writeback_kicks.add(3);
         m.checkpoint_ns.record(7_500_000);
         let registry = Registry::new();
         m.register(&registry.scope("store"));
@@ -164,5 +170,6 @@ mod tests {
         assert_eq!(snap.gauge("store", "cache_capacity").unwrap().0, 256);
         assert_eq!(snap.counter("store", "cache_grows"), 1);
         assert_eq!(snap.counter("store", "cache_shrinks"), 0);
+        assert_eq!(snap.counter("store", "writeback_kicks"), 3);
     }
 }

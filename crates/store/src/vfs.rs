@@ -5,9 +5,20 @@
 //! every byte goes through a [`Vfs`]. Every `Vfs` can hand out a second
 //! handle onto the same bytes ([`Vfs::try_clone`]): the shared disk's
 //! sync worker syncs through one, so `fdatasync` never runs under the
-//! disk lock. Three implementations:
+//! disk lock.
 //!
-//! * [`RealVfs`] — a real file with positional I/O and `fdatasync`;
+//! Two provided methods are performance hooks with a default that keeps
+//! every model exact: [`Vfs::write_vectored_at`] (one journal record,
+//! one device write — the default is one [`Vfs::write_at`] per slice)
+//! and [`Vfs::start_writeback`] (start page-cache write-out so a later
+//! [`Vfs::sync`] has less left to push — the default does nothing). A
+//! kick is never durability: only `sync` is a barrier.
+//!
+//! Three implementations:
+//!
+//! * [`RealVfs`] — a real file with positional I/O and `fdatasync`; on
+//!   Linux, `pwritev` for vectored writes and
+//!   `sync_file_range(SYNC_FILE_RANGE_WRITE)` for the write-out kick;
 //! * [`MemVfs`] — a flat in-memory image with no volatile cache
 //!   (always "durable"), for unit tests and allocation-budget tests,
 //!   with slow-sync / failing-sync knobs shared by every handle;
@@ -21,7 +32,7 @@
 //!   post-power-loss mount.
 
 use std::fs::File;
-use std::io;
+use std::io::{self, IoSlice};
 use std::os::unix::fs::FileExt;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -40,9 +51,32 @@ pub trait Vfs: Send {
     /// Writes all of `buf` at absolute offset `off`.
     fn write_at(&mut self, off: u64, buf: &[u8]) -> io::Result<()>;
 
+    /// Writes the concatenation of `bufs` at absolute offset `off`. The
+    /// default issues one [`Vfs::write_at`] per non-empty slice, in
+    /// order, so a crash model sees — and can tear — exactly the writes
+    /// it would see from separate calls.
+    fn write_vectored_at(&mut self, off: u64, bufs: &[IoSlice<'_>]) -> io::Result<()> {
+        let mut off = off;
+        for buf in bufs.iter().filter(|b| !b.is_empty()) {
+            self.write_at(off, buf)?;
+            off += buf.len() as u64;
+        }
+        Ok(())
+    }
+
     /// Durability barrier: every write acknowledged before this call
     /// must survive a crash after it (`fdatasync` semantics).
     fn sync(&mut self) -> io::Result<()>;
+
+    /// Starts write-out of the file's dirty pages and returns without
+    /// waiting for it: a hint that leaves the next [`Vfs::sync`] less to
+    /// push. It makes nothing durable, so nothing may be acknowledged on
+    /// its strength. The default does nothing — right for a backend with
+    /// no volatile cache, and for the crash model, where only `sync`
+    /// moves bytes to the platter.
+    fn start_writeback(&self) -> io::Result<()> {
+        Ok(())
+    }
 
     /// Current file length in bytes.
     fn len(&self) -> io::Result<u64>;
@@ -54,6 +88,85 @@ pub trait Vfs: Send {
     /// handle is visible to reads through both, and `sync` through
     /// either makes every earlier write durable.
     fn try_clone(&self) -> io::Result<Box<dyn Vfs>>;
+}
+
+/// Direct `pwritev`/`sync_file_range` bindings. `std` already links
+/// libc, so declaring the symbols avoids a dependency; other targets
+/// take the trait's provided bodies.
+#[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+mod sys {
+    use std::fs::File;
+    use std::io::{self, IoSlice};
+    use std::os::fd::AsRawFd;
+    use std::os::unix::fs::FileExt;
+
+    /// Start write-out of the range's dirty pages; do not wait.
+    const SYNC_FILE_RANGE_WRITE: u32 = 2;
+    /// The kernel's `UIO_MAXIOV`.
+    const IOV_MAX: usize = 1024;
+
+    extern "C" {
+        fn pwritev(fd: i32, iov: *const core::ffi::c_void, iovcnt: i32, offset: i64) -> isize;
+        fn sync_file_range(fd: i32, offset: i64, nbytes: i64, flags: u32) -> i32;
+    }
+
+    /// Writes every slice of `bufs` at `off` with as few `pwritev`
+    /// calls as the kernel allows. A slice a short write cut is finished
+    /// with a positional write of its tail, so nothing is copied or
+    /// allocated.
+    pub fn write_all_vectored_at(
+        file: &File,
+        mut off: u64,
+        mut bufs: &[IoSlice<'_>],
+    ) -> io::Result<()> {
+        loop {
+            while bufs.first().is_some_and(|b| b.is_empty()) {
+                bufs = &bufs[1..];
+            }
+            if bufs.is_empty() {
+                return Ok(());
+            }
+            let cnt = bufs.len().min(IOV_MAX) as i32;
+            let offset = i64::try_from(off).map_err(|_| io::Error::other("offset overflow"))?;
+            // SAFETY: `IoSlice` is ABI-compatible with `struct iovec`,
+            // and `cnt` slices of `bufs` are live for the call.
+            let n = unsafe { pwritev(file.as_raw_fd(), bufs.as_ptr().cast(), cnt, offset) };
+            if n < 0 {
+                let e = io::Error::last_os_error();
+                if e.kind() == io::ErrorKind::Interrupted {
+                    continue;
+                }
+                return Err(e);
+            }
+            if n == 0 {
+                return Err(io::ErrorKind::WriteZero.into());
+            }
+            let mut n = n as usize;
+            off += n as u64;
+            while let Some(b) = bufs.first().filter(|b| n >= b.len()) {
+                n -= b.len();
+                bufs = &bufs[1..];
+            }
+            if n > 0 {
+                let tail = &bufs[0][n..];
+                file.write_all_at(tail, off)?;
+                off += tail.len() as u64;
+                bufs = &bufs[1..];
+            }
+        }
+    }
+
+    /// Starts write-out of every dirty page of `file` (offset 0, length
+    /// 0 = to the end of the file) without waiting for any of it.
+    pub fn start_writeback(file: &File) -> io::Result<()> {
+        // SAFETY: plain syscall on a descriptor `file` keeps open.
+        let rc = unsafe { sync_file_range(file.as_raw_fd(), 0, 0, SYNC_FILE_RANGE_WRITE) };
+        if rc == 0 {
+            Ok(())
+        } else {
+            Err(io::Error::last_os_error())
+        }
+    }
 }
 
 /// A real file. `sync` is `fdatasync` — the store's own metadata lives
@@ -90,8 +203,22 @@ impl Vfs for RealVfs {
         self.file.write_all_at(buf, off)
     }
 
+    /// `pwritev`: one syscall for a whole journal record.
+    #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+    fn write_vectored_at(&mut self, off: u64, bufs: &[IoSlice<'_>]) -> io::Result<()> {
+        sys::write_all_vectored_at(&self.file, off, bufs)
+    }
+
     fn sync(&mut self) -> io::Result<()> {
         self.file.sync_data()
+    }
+
+    /// `sync_file_range(fd, 0, 0, SYNC_FILE_RANGE_WRITE)`: queues every
+    /// dirty page for write-out and returns. It flushes neither the
+    /// device cache nor metadata — only [`Vfs::sync`] is a barrier.
+    #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+    fn start_writeback(&self) -> io::Result<()> {
+        sys::start_writeback(&self.file)
     }
 
     fn len(&self) -> io::Result<u64> {
@@ -497,6 +624,73 @@ mod tests {
         assert!(crash.read_at(0, &mut [0u8; 1]).is_err());
         assert!(clone.read_at(0, &mut [0u8; 1]).is_err());
         assert!(crash.write_at(0, &[1u8; 4]).is_err());
+    }
+
+    /// The `write_vectored_at` contract: a header, a payload and a
+    /// trailer written in one vectored call (an empty slice among them)
+    /// leave the bytes three `write_at`s leave. Returns the image.
+    fn vectored_matches_three_writes(vectored: &mut dyn Vfs, separate: &mut dyn Vfs) -> Vec<u8> {
+        let (hdr, payload, crc) = ([0x11u8; 40], [0x22u8; 4096], [0x33u8; 4]);
+        vectored.set_len(8192).unwrap();
+        separate.set_len(8192).unwrap();
+        let iov = [
+            IoSlice::new(&hdr),
+            IoSlice::new(&[]),
+            IoSlice::new(&payload),
+            IoSlice::new(&crc),
+        ];
+        vectored.write_vectored_at(100, &iov).unwrap();
+        separate.write_at(100, &hdr).unwrap();
+        separate.write_at(140, &payload).unwrap();
+        separate.write_at(4236, &crc).unwrap();
+        let (mut a, mut b) = (vec![0u8; 8192], vec![0u8; 8192]);
+        vectored.read_at(0, &mut a).unwrap();
+        separate.read_at(0, &mut b).unwrap();
+        assert!(a == b, "vectored bytes differ from three positional writes");
+        assert_eq!(&a[4236..4240], &crc);
+        a
+    }
+
+    #[test]
+    fn a_vectored_write_lands_the_bytes_of_three_positional_writes() {
+        let dir = std::env::temp_dir();
+        let pid = std::process::id();
+        let (pa, pb) = (
+            dir.join(format!("oaf-vfs-iov-a-{pid}")),
+            dir.join(format!("oaf-vfs-iov-b-{pid}")),
+        );
+        vectored_matches_three_writes(
+            &mut RealVfs::create(&pa).unwrap(),
+            &mut RealVfs::create(&pb).unwrap(),
+        );
+        std::fs::remove_file(&pa).unwrap();
+        std::fs::remove_file(&pb).unwrap();
+
+        vectored_matches_three_writes(&mut MemVfs::new(), &mut MemVfs::new());
+
+        // The crash model sees the vectored call as the same three
+        // writes, so a kill point tears it where it tore three calls.
+        let (mut a, mut b) = (CrashVfs::new(1, None), CrashVfs::new(1, None));
+        vectored_matches_three_writes(&mut a, &mut b);
+        assert_eq!(a.syscalls(), 3);
+        assert_eq!(b.syscalls(), 3);
+    }
+
+    #[test]
+    fn a_writeback_kick_makes_nothing_durable_in_the_crash_model() {
+        let mut v = CrashVfs::new(9, None);
+        v.set_len(16).unwrap();
+        v.write_at(0, &[0xaa; 16]).unwrap();
+        v.start_writeback().unwrap();
+        assert_eq!(v.syscalls(), 1, "a kick is not a syscall the model counts");
+        assert!(v.durable_image().iter().all(|&b| b == 0));
+        // On a real file the kick is `sync_file_range`: it must succeed.
+        let path = std::env::temp_dir().join(format!("oaf-vfs-kick-{}", std::process::id()));
+        let mut real = RealVfs::create(&path).unwrap();
+        real.set_len(4096).unwrap();
+        real.write_at(0, &[1u8; 4096]).unwrap();
+        real.start_writeback().unwrap();
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

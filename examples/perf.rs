@@ -312,11 +312,12 @@ fn print_store_report(snap: &oaf_telemetry::Snapshot) {
     let fold_p99 = snap.histo(scope, "checkpoint_ns").map_or(0, |h| h.p99());
     println!(
         "store: {} journal appends ({} MiB), {} fsyncs (p99 {:.0}us), \
-         {} trims, {} checkpoints (p99 {:.1}ms)",
+         {} write-out kicks, {} trims, {} checkpoints (p99 {:.1}ms)",
         snap.counter(scope, "log_appends"),
         snap.counter(scope, "log_bytes") >> 20,
         snap.counter(scope, "fsyncs"),
         fsync.p99() as f64 / 1e3,
+        snap.counter(scope, "writeback_kicks"),
         snap.counter(scope, "trims"),
         snap.counter(scope, "checkpoints"),
         fold_p99 as f64 / 1e6,

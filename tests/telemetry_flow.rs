@@ -575,6 +575,28 @@ fn file_backed_fua_burst_releases_without_a_timer_and_times_every_fold() {
         Some(folds)
     );
 
+    // Plain writes with no barrier behind them: the sync worker starts
+    // their write-out on its own, and a Flush still syncs after it.
+    for i in 0..QD {
+        let mut buf = p.client.alloc(4096).expect("alloc");
+        buf.fill(0xee);
+        p.client.write(1, 128 + i, 1, buf, TIMEOUT).expect("write");
+    }
+    let kicks = || {
+        p.telemetry
+            .snapshot()
+            .counter("store_ns1", "writeback_kicks")
+    };
+    let deadline = std::time::Instant::now() + TIMEOUT;
+    while kicks() == 0 && std::time::Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    p.client.flush(1, TIMEOUT).expect("flush");
+    assert!(
+        kicks() > 0,
+        "plain writes were never kicked toward the platter"
+    );
+
     p.client.disconnect().expect("disconnect");
     p.target.shutdown().expect("shutdown");
 }
