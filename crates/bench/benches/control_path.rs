@@ -85,16 +85,26 @@ fn resp_pdu(cid: u16) -> Pdu {
     })
 }
 
+/// The one frame `t` has ready, copied out into an owned buffer.
+fn recv_owned<T: Transport>(t: &T) -> Bytes {
+    let mut got = None;
+    t.recv_batch(&mut |frame| got = Some(frame.into_bytes()))
+        .expect("recv");
+    got.expect("frame ready")
+}
+
 /// Seed-style round trip: every hop materializes an owned frame.
 fn roundtrip_owned<T: Transport>(client: &T, target: &T) {
-    client.send(cmd_pdu(7).encode()).expect("send cmd");
-    let frame = target.try_recv().expect("recv cmd").expect("cmd ready");
+    client.send_frame(&cmd_pdu(7).encode()).expect("send cmd");
+    let frame = recv_owned(target);
     let cid = match Pdu::decode(frame).expect("decode cmd") {
         Pdu::CapsuleCmd(c) => c.cmd.cid,
         other => panic!("unexpected pdu: {other:?}"),
     };
-    target.send(resp_pdu(cid).encode()).expect("send resp");
-    let frame = client.try_recv().expect("recv resp").expect("resp ready");
+    target
+        .send_frame(&resp_pdu(cid).encode())
+        .expect("send resp");
+    let frame = recv_owned(client);
     match Pdu::decode(frame).expect("decode resp") {
         Pdu::CapsuleResp(_) => {}
         other => panic!("unexpected pdu: {other:?}"),

@@ -4,20 +4,22 @@
 //! dropping, delaying, duplicating, reordering or corrupting a frame on
 //! receipt is indistinguishable (to the protocol above) from the same
 //! misfortune anywhere along the path, and keeping injection on one
-//! side keeps the decision stream deterministic per endpoint. On the
-//! receive side the wrapper implements only the primitive methods; the
-//! batched helper inherits the trait default and therefore routes every
-//! frame through the chaos filter. On the send side it also forwards the
-//! queued path, so the wrapped transport corks exactly as it would bare.
+//! side keeps the decision stream deterministic per endpoint. The
+//! wrapper's `recv_batch` runs every frame through the chaos filter, one
+//! filter poll per frame it hands over, and takes frames off the wrapped
+//! transport through that transport's own `recv_batch`, so a wrapped
+//! socket or ring receives exactly as it does bare. On the send side it
+//! forwards every send (vectored and queued included), so the wrapped
+//! transport writes and corks as it would bare.
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 
 use oaf_nvmeof::error::NvmeofError;
-use oaf_nvmeof::transport::Transport;
+use oaf_nvmeof::transport::{Frame, Transport};
 
 use crate::rng::ChaosRng;
 use crate::{ChaosStats, FaultKind, FaultPlan, FaultScript};
@@ -50,6 +52,9 @@ struct RxState {
     overtake: Option<Bytes>,
     /// Fresh frames observed while armed (the scripted-fault index).
     fresh: u64,
+    /// Frames taken off the wrapped transport and not yet filtered, in
+    /// arrival order.
+    arrived: VecDeque<Bytes>,
 }
 
 /// A [`Transport`] that injects faults from a seeded schedule.
@@ -86,6 +91,7 @@ impl<T: Transport> ChaosTransport<T> {
                 dup_pending: None,
                 overtake: None,
                 fresh: 0,
+                arrived: VecDeque::new(),
             }),
         }
     }
@@ -124,6 +130,17 @@ impl<T: Transport> ChaosTransport<T> {
         Bytes::from(bytes)
     }
 
+    /// The next fresh frame, in arrival order. The wrapped transport is
+    /// polled (one `recv_batch`) only once the last batch it handed over
+    /// has been filtered.
+    fn fresh(&self, st: &mut RxState) -> Result<Option<Bytes>, NvmeofError> {
+        if st.arrived.is_empty() {
+            self.inner
+                .recv_batch(&mut |f| st.arrived.push_back(f.into_bytes()))?;
+        }
+        Ok(st.arrived.pop_front())
+    }
+
     /// One receive poll through the chaos filter.
     fn pull(&self) -> Result<Option<Bytes>, NvmeofError> {
         if self.dead() {
@@ -150,7 +167,7 @@ impl<T: Transport> ChaosTransport<T> {
         if let Some(i) = st.delayed.iter().position(|(due, _)| *due <= now) {
             return Ok(Some(st.delayed.remove(i).1));
         }
-        let frame = match self.inner.try_recv()? {
+        let frame = match self.fresh(&mut st)? {
             Some(f) => f,
             // Once disarmed, a reordered frame that nothing overtook
             // still goes out.
@@ -242,13 +259,24 @@ impl<T: Transport> ChaosTransport<T> {
 }
 
 impl<T: Transport> Transport for ChaosTransport<T> {
-    fn send(&self, frame: Bytes) -> Result<(), NvmeofError> {
+    fn send_frame(&self, frame: &[u8]) -> Result<(), NvmeofError> {
         if self.dead() {
             // A dead peer acknowledges nothing — but the local kernel
             // would still accept the write into its buffers.
             return Ok(());
         }
-        self.inner.send(frame)
+        self.inner.send_frame(frame)
+    }
+
+    fn send_split(&self, prefix: &[u8], payload: &[u8]) -> Result<(), NvmeofError> {
+        if self.dead() {
+            return Ok(());
+        }
+        self.inner.send_split(prefix, payload)
+    }
+
+    fn prefers_split(&self) -> bool {
+        self.inner.prefers_split()
     }
 
     fn queue_frame(&self, frame: &[u8]) -> Result<(), NvmeofError> {
@@ -265,20 +293,20 @@ impl<T: Transport> Transport for ChaosTransport<T> {
         self.inner.flush_queued()
     }
 
-    fn try_recv(&self) -> Result<Option<Bytes>, NvmeofError> {
-        self.pull()
-    }
-
-    fn recv_timeout(&self, timeout: Duration) -> Result<Option<Bytes>, NvmeofError> {
-        let deadline = Instant::now() + timeout;
+    /// Pulls until the filter yields nothing: the batch ends at the
+    /// first poll that delivers no frame.
+    fn recv_batch(&self, f: &mut dyn FnMut(Frame<'_>)) -> Result<usize, NvmeofError> {
+        let mut n = 0;
         loop {
-            if let Some(f) = self.pull()? {
-                return Ok(Some(f));
+            match self.pull() {
+                Ok(Some(frame)) => {
+                    f(Frame::Owned(frame));
+                    n += 1;
+                }
+                Ok(None) => return Ok(n),
+                Err(_) if n > 0 => return Ok(n),
+                Err(e) => return Err(e),
             }
-            if Instant::now() >= deadline {
-                return Ok(None);
-            }
-            std::thread::sleep(Duration::from_micros(100));
         }
     }
 }
@@ -363,10 +391,29 @@ pub fn wrap_pair<A: Transport, B: Transport>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oaf_nvmeof::transport::MemTransport;
+    use oaf_nvmeof::transport::{recv_batch_until, BackoffConfig, MemTransport};
+    use std::time::{Duration, Instant};
 
     fn frame(tag: u8) -> Bytes {
         Bytes::from(vec![tag; 16])
+    }
+
+    /// One receive poll: every frame the filter hands over now.
+    fn poll<T: Transport>(t: &T) -> Vec<Bytes> {
+        let mut got = Vec::new();
+        t.recv_batch(&mut |f| got.push(f.into_bytes())).unwrap();
+        got
+    }
+
+    /// The next batch within `timeout` (empty if none came).
+    fn recv_within<T: Transport>(t: &T, timeout: Duration) -> Vec<Bytes> {
+        let mut got = Vec::new();
+        let deadline = Instant::now() + timeout;
+        recv_batch_until(t, deadline, &BackoffConfig::default(), &mut |f| {
+            got.push(f.into_bytes())
+        })
+        .unwrap();
+        got
     }
 
     #[test]
@@ -375,9 +422,9 @@ mod tests {
         let (ca, cb, controls) = wrap_pair(a, b, &FaultPlan::quiet(1));
         controls.arm();
         for i in 0..100u8 {
-            ca.send(frame(i)).unwrap();
-            let got = cb.recv_timeout(Duration::from_secs(1)).unwrap().unwrap();
-            assert_eq!(got, frame(i));
+            ca.send_frame(&frame(i)).unwrap();
+            let got = recv_within(&cb, Duration::from_secs(1));
+            assert_eq!(got, [frame(i)]);
         }
         assert_eq!(controls.stats().total(), 0);
     }
@@ -387,11 +434,8 @@ mod tests {
         let (a, b) = MemTransport::pair();
         let (ca, cb, controls) = wrap_pair(a, b, &FaultPlan::heavy(2));
         for i in 0..200u8 {
-            ca.send(frame(i)).unwrap();
-            assert_eq!(
-                cb.recv_timeout(Duration::from_secs(1)).unwrap().unwrap(),
-                frame(i)
-            );
+            ca.send_frame(&frame(i)).unwrap();
+            assert_eq!(recv_within(&cb, Duration::from_secs(1)), [frame(i)]);
         }
         assert_eq!(controls.stats().total(), 0);
     }
@@ -404,13 +448,11 @@ mod tests {
             controls.arm();
             let mut delivered = Vec::new();
             for i in 0..255u8 {
-                ca.send(frame(i)).unwrap();
+                ca.send_frame(&frame(i)).unwrap();
             }
             // Poll well past the longest delay.
             for _ in 0..4000 {
-                if let Some(f) = cb.try_recv().unwrap() {
-                    delivered.push(f);
-                }
+                delivered.extend(poll(&cb));
             }
             (delivered, controls.stats().total())
         };
@@ -427,14 +469,11 @@ mod tests {
     fn killed_endpoint_goes_silent() {
         let (a, b) = MemTransport::pair();
         let (ca, cb, controls) = wrap_pair(a, b, &FaultPlan::quiet(3));
-        ca.send(frame(1)).unwrap();
+        ca.send_frame(&frame(1)).unwrap();
         controls.kill(1);
-        assert!(cb
-            .recv_timeout(Duration::from_millis(20))
-            .unwrap()
-            .is_none());
+        assert!(recv_within(&cb, Duration::from_millis(20)).is_empty());
         // Sends are swallowed, not errors.
-        cb.send(frame(2)).unwrap();
+        cb.send_frame(&frame(2)).unwrap();
         assert_eq!(controls.stats().count(FaultKind::PeerDeath), 1);
     }
 
@@ -462,13 +501,11 @@ mod tests {
             let (ca, cb, controls) = wrap_pair_scripted(a, b, FaultScript::empty(), script);
             controls.arm();
             for i in 0..5u8 {
-                ca.send(frame(i)).unwrap();
+                ca.send_frame(&frame(i)).unwrap();
             }
             let mut got = Vec::new();
             for _ in 0..50 {
-                if let Some(f) = cb.try_recv().unwrap() {
-                    got.push(f[0]);
-                }
+                got.extend(poll(&cb).iter().map(|f| f[0]));
             }
             (got, controls.stats().total())
         };
@@ -497,8 +534,13 @@ mod tests {
         assert_eq!(ca.inner().tcp_metrics().tx_syscalls.get(), 0);
         ca.flush_queued().unwrap();
         assert_eq!(ca.inner().tcp_metrics().tx_syscalls.get(), 1);
-        for _ in 0..4 {
-            let got = cb.recv_timeout(Duration::from_secs(1)).unwrap().unwrap();
+        let mut got = Vec::new();
+        while got.len() < 4 {
+            let batch = recv_within(&cb, Duration::from_secs(1));
+            assert!(!batch.is_empty(), "queued frames never arrived");
+            got.extend(batch);
+        }
+        for got in &got {
             assert_eq!(&got[..], &wire[..]);
         }
     }
@@ -513,13 +555,10 @@ mod tests {
         let (ca, cb, controls) = wrap_pair(a, b, &plan);
         controls.arm();
         for _ in 0..20 {
-            let _ = cb.try_recv().unwrap();
+            let _ = poll(&cb);
         }
-        ca.send(frame(9)).unwrap();
-        assert!(cb
-            .recv_timeout(Duration::from_millis(20))
-            .unwrap()
-            .is_none());
+        ca.send_frame(&frame(9)).unwrap();
+        assert!(recv_within(&cb, Duration::from_millis(20)).is_empty());
         assert_eq!(controls.stats().count(FaultKind::PeerDeath), 1);
     }
 }

@@ -19,7 +19,7 @@ use crate::nvme::completion::{NvmeCompletion, Status};
 use crate::nvme::controller::IdentifyInfo;
 use crate::payload::{PayloadChannel, WriteLease};
 use crate::pdu::{
-    land_chunk, Abort, CapsuleCmd, DataPdu, DataPduView, DataRef, DataView, Degrade, ICReq,
+    land_chunk, Abort, CapsuleCmd, DataPdu, DataPduView, DataRef, DataView, Degrade, ICReq, ICResp,
     KeepAlive, Pdu, PduView, AF_CAP_SHM,
 };
 use crate::recovery::{
@@ -292,6 +292,25 @@ impl ClientState {
     /// Core time: nanoseconds since the connection epoch.
     fn now(&self) -> Nanos {
         nanos_since(self.epoch)
+    }
+
+    /// A receive callback's body: hands `frame` to `on_frame` unless an
+    /// earlier frame of the batch failed, against one clock read per
+    /// batch (`now`, taken at its first frame).
+    #[inline]
+    fn take_frame<T: Transport + ?Sized>(
+        &mut self,
+        transport: &T,
+        frame: Frame<'_>,
+        now: &mut Option<Nanos>,
+        err: &mut Option<NvmeofError>,
+    ) {
+        if err.is_none() {
+            let now = *now.get_or_insert_with(|| nanos_since(self.epoch));
+            if let Err(e) = self.on_frame(transport, frame, now) {
+                *err = Some(e);
+            }
+        }
     }
 
     /// Registers a new in-flight command: the recovery core allocates
@@ -629,6 +648,27 @@ impl ClientState {
     }
 }
 
+/// What one frame received during the handshake settles: the grant, or
+/// a fatal error. A damaged frame settles nothing: it is dropped and the
+/// (idempotent) ICReq re-asked; the target answers duplicates with the
+/// same grant.
+fn settle_handshake<T: Transport + ?Sized>(
+    transport: &T,
+    icreq: &[u8],
+    frame: Frame<'_>,
+) -> Option<Result<ICResp, NvmeofError>> {
+    match Pdu::decode_frame(frame) {
+        Ok(Pdu::ICResp(r)) => Some(Ok(r)),
+        Ok(other) => Some(Err(NvmeofError::Protocol(format!(
+            "expected ICResp, got {other:?}"
+        )))),
+        Err(NvmeofError::CorruptFrame) | Err(NvmeofError::Codec(_)) => {
+            transport.send_frame(icreq).err().map(Err)
+        }
+        Err(e) => Some(Err(e)),
+    }
+}
+
 impl<T: Transport> Initiator<T> {
     /// Connects: performs the ICReq/ICResp handshake of Fig. 5. `payload`
     /// is the hot-plugged shared-memory channel, if locality detection
@@ -644,36 +684,23 @@ impl<T: Transport> Initiator<T> {
             maxr2t: opts.maxr2t,
             af_caps: opts.af_caps,
             host_id: opts.host_id,
-        });
-        transport.send(icreq.encode())?;
+        })
+        .encode();
+        transport.send_frame(&icreq)?;
         let deadline = Instant::now() + timeout;
-        let mut ladder = WaitLadder::until(deadline, &opts.backoff);
-        let resp = loop {
-            let frame = match transport.try_recv()? {
-                Some(frame) => Some(frame),
-                None => match ladder.step() {
-                    WaitStep::Expired => return Err(NvmeofError::timeout()),
-                    WaitStep::Again => None,
-                    WaitStep::Sleep(d) => transport.recv_timeout(d)?,
-                },
-            };
-            let Some(frame) = frame else { continue };
-            match Pdu::decode(frame) {
-                Ok(Pdu::ICResp(r)) => break r,
-                Ok(other) => {
-                    return Err(NvmeofError::Protocol(format!(
-                        "expected ICResp, got {other:?}"
-                    )))
+        // The first frame that settles the handshake ends it.
+        let mut outcome = None;
+        while outcome.is_none() {
+            let n = transport::recv_batch_until(&transport, deadline, &opts.backoff, &mut |f| {
+                if outcome.is_none() {
+                    outcome = settle_handshake(&transport, &icreq, f);
                 }
-                // A damaged handshake frame is dropped and the (idempotent)
-                // ICReq re-asked; the target answers duplicates with the
-                // same grant.
-                Err(NvmeofError::CorruptFrame) | Err(NvmeofError::Codec(_)) => {
-                    transport.send(icreq.encode())?;
-                }
-                Err(e) => return Err(e),
+            })?;
+            if n == 0 {
+                return Err(NvmeofError::timeout());
             }
-        };
+        }
+        let resp = outcome.expect("handshake settled")?;
         let shm_active = resp.af_caps & AF_CAP_SHM != 0 && payload.is_some();
         let core = InitiatorRecovery::new(opts.recovery_config(), 0);
         Ok(Initiator {
@@ -1100,17 +1127,10 @@ impl<T: Transport> Initiator<T> {
     pub fn poll_into(&mut self, out: &mut Vec<IoResult>) -> Result<usize, NvmeofError> {
         let transport = &self.transport;
         let state = &mut self.state;
-        let epoch = state.epoch;
         let mut now = None;
         let mut err = None;
-        transport.recv_batch(&mut |frame| {
-            if err.is_none() {
-                let now = *now.get_or_insert_with(|| nanos_since(epoch));
-                if let Err(e) = state.on_frame(transport, frame, now) {
-                    err = Some(e);
-                }
-            }
-        })?;
+        transport
+            .recv_batch(&mut |frame| state.take_frame(transport, frame, &mut now, &mut err))?;
         if let Some(e) = err {
             return Err(e);
         }
@@ -1183,10 +1203,19 @@ impl<T: Transport> Initiator<T> {
                 WaitStep::Expired => return Err(NvmeofError::timeout()),
                 WaitStep::Again => {}
                 WaitStep::Sleep(d) => {
-                    if let Some(frame) = self.transport.recv_timeout(d)? {
-                        let now = self.state.now();
-                        self.state
-                            .on_frame(&self.transport, Frame::Owned(frame), now)?;
+                    // Frames that end the slice are handled here; the
+                    // next poll ticks, flushes and collects them.
+                    let (transport, state) = (&self.transport, &mut self.state);
+                    let backoff = state.opts.backoff;
+                    let (mut now, mut err) = (None, None);
+                    transport::recv_batch_until(
+                        transport,
+                        Instant::now() + d,
+                        &backoff,
+                        &mut |f| state.take_frame(transport, f, &mut now, &mut err),
+                    )?;
+                    if let Some(e) = err {
+                        return Err(e);
                     }
                 }
             }

@@ -456,9 +456,9 @@ mod tests {
             cmd: NvmeCommand::read(1, 1, 0, 1),
             data: None,
         };
-        client.send(Pdu::CapsuleCmd(read).encode()).unwrap();
+        client.send_frame(&Pdu::CapsuleCmd(read).encode()).unwrap();
         assert!(matches!(
-            client.recv_timeout(Duration::from_secs(1)),
+            crate::transport::recv_n(&client, 1, Duration::from_secs(1)),
             Err(NvmeofError::TransportClosed)
         ));
         handle.shutdown().unwrap();

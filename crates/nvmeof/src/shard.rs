@@ -372,7 +372,7 @@ mod tests {
 
     #[test]
     fn dropping_the_handle_stops_every_reactor() {
-        use crate::transport::Transport;
+        use crate::transport::recv_n;
         let (c1, t1) = MemTransport::pair();
         let (c2, t2) = MemTransport::pair();
         let target = spawn_sharded(
@@ -387,7 +387,7 @@ mod tests {
         // both connections open (and its thread polling) forever.
         for client in [c1, c2] {
             assert!(matches!(
-                client.recv_timeout(Duration::from_secs(1)),
+                recv_n(&client, 1, Duration::from_secs(1)),
                 Err(NvmeofError::TransportClosed)
             ));
         }

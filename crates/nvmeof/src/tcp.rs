@@ -11,7 +11,7 @@
 //! * **Queued sends.** [`Transport::queue_frame`] appends a small frame
 //!   to the send queue and [`Transport::flush_queued`] writes the queue
 //!   with one `write`; a vectored send that finds frames queued ahead of
-//!   it takes them along in the same `writev`. `send`, `send_frame` and
+//!   it takes them along in the same `writev`. `send_frame` and
 //!   `send_split` themselves never defer.
 //! * **Resumable partial I/O.** Short writes park the unsent tail in a
 //!   per-connection backlog that later sends *and* receive polls
@@ -19,9 +19,10 @@
 //!   parses frames by the header's `plen` and compacts partial tails
 //!   in place. Both directions are pure state machines — no thread is
 //!   ever blocked inside the kernel.
-//! * **Poll-mode timeouts.** `recv_timeout` runs the same
-//!   spin→yield→sleep [`WaitLadder`] as the ring waiters, so the §4.5
-//!   adaptive busy-poll budget applies to socket waits unchanged.
+//! * **One receive path.** Every frame leaves the window through
+//!   [`Transport::recv_batch`], borrowed; a blocking waiter polls it
+//!   through [`crate::transport::recv_batch_until`], the same
+//!   spin→yield→sleep [`WaitLadder`] every transport waits on.
 //!
 //! Frame boundaries come from the PDU common header itself (`plen` at
 //! byte 4 covers the whole PDU), so the receive side needs no extra
@@ -31,9 +32,7 @@
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
-
-use bytes::Bytes;
+use std::time::Instant;
 
 use crate::error::NvmeofError;
 use crate::metrics::{TcpMetrics, TransportMetrics};
@@ -551,10 +550,6 @@ impl TcpTransport {
 }
 
 impl Transport for TcpTransport {
-    fn send(&self, frame: Bytes) -> Result<(), NvmeofError> {
-        self.transmit(&frame, &[])
-    }
-
     fn send_frame(&self, frame: &[u8]) -> Result<(), NvmeofError> {
         self.transmit(frame, &[])
     }
@@ -584,41 +579,6 @@ impl Transport for TcpTransport {
     fn flush_queued(&self) -> Result<(), NvmeofError> {
         let mut tx = lock_ignore_poison(&self.tx);
         self.write_out(&mut tx, &[], &[]).map(drop)
-    }
-
-    fn try_recv(&self) -> Result<Option<Bytes>, NvmeofError> {
-        self.opportunistic_flush();
-        let mut rx = lock_ignore_poison(&self.rx);
-        if self.peek_frame(&rx)?.is_none() {
-            self.fill(&mut rx)?;
-        }
-        if let Some(r) = self.peek_frame(&rx)? {
-            let frame = Bytes::copy_from_slice(&rx.buf[r.clone()]);
-            rx.consumed = r.end;
-            Self::rewind_if_empty(&mut rx);
-            self.metrics.on_recv_owned(frame.len());
-            return Ok(Some(frame));
-        }
-        if rx.eof {
-            // Peer hung up; a truncated tail frame is unrecoverable.
-            return Err(NvmeofError::TransportClosed);
-        }
-        Ok(None)
-    }
-
-    fn recv_timeout(&self, timeout: Duration) -> Result<Option<Bytes>, NvmeofError> {
-        let deadline = Instant::now() + timeout;
-        let mut ladder = WaitLadder::until(deadline, &self.cfg.backoff);
-        loop {
-            if let Some(frame) = self.try_recv()? {
-                return Ok(Some(frame));
-            }
-            match ladder.step() {
-                WaitStep::Again => {}
-                WaitStep::Sleep(d) => std::thread::sleep(d),
-                WaitStep::Expired => return Ok(None),
-            }
-        }
     }
 
     fn recv_batch(&self, f: &mut dyn FnMut(Frame<'_>)) -> Result<usize, NvmeofError> {
@@ -668,7 +628,9 @@ impl Transport for TcpTransport {
 mod tests {
     use super::*;
     use crate::pdu::{CapsuleResp, Pdu};
-    use bytes::BytesMut;
+    use crate::transport::{recv_batch_until, recv_n};
+    use bytes::{Bytes, BytesMut};
+    use std::time::Duration;
 
     fn pair() -> (TcpTransport, TcpTransport) {
         TcpTransport::loopback_pair(TcpConfig::default()).expect("loopback pair")
@@ -681,10 +643,10 @@ mod tests {
             completion: crate::nvme::completion::NvmeCompletion::ok(7),
         });
         a.send_frame(&p.encode()).unwrap();
-        let got = b.recv_timeout(Duration::from_secs(2)).unwrap().unwrap();
+        let got = recv_n(&b, 1, Duration::from_secs(2)).unwrap().remove(0);
         assert_eq!(Pdu::decode(got).unwrap(), p);
         b.send_frame(&p.encode()).unwrap();
-        let got = a.recv_timeout(Duration::from_secs(2)).unwrap().unwrap();
+        let got = recv_n(&a, 1, Duration::from_secs(2)).unwrap().remove(0);
         assert_eq!(Pdu::decode(got).unwrap(), p);
     }
 
@@ -703,7 +665,7 @@ mod tests {
         let tail = pdu.encode_split_into(&mut scratch).unwrap();
         assert!(a.prefers_split());
         a.send_split(&scratch, tail).unwrap();
-        let got = b.recv_timeout(Duration::from_secs(2)).unwrap().unwrap();
+        let got = recv_n(&b, 1, Duration::from_secs(2)).unwrap().remove(0);
         assert_eq!(Pdu::decode(got).unwrap(), pdu);
         assert!(a.tcp_metrics().vectored_sends.get() >= 1);
     }
@@ -715,9 +677,10 @@ mod tests {
         // The closure may take a few polls to surface.
         let deadline = Instant::now() + Duration::from_secs(2);
         loop {
-            match a.recv_timeout(Duration::from_millis(50)) {
+            let within = Instant::now() + Duration::from_millis(50);
+            match recv_batch_until(&a, within, &a.backoff_config(), &mut |_| {}) {
                 Err(NvmeofError::TransportClosed) => break,
-                Ok(None) | Ok(Some(_)) => {}
+                Ok(_) => {}
                 Err(e) => panic!("unexpected error: {e}"),
             }
             assert!(Instant::now() < deadline, "closure never surfaced");
@@ -733,12 +696,12 @@ mod tests {
         a.send_frame(&junk).unwrap();
         let deadline = Instant::now() + Duration::from_secs(2);
         loop {
-            match b.try_recv() {
+            match b.recv_batch(&mut |_| {}) {
                 Err(NvmeofError::Protocol(m)) => {
                     assert!(m.contains("desync"), "{m}");
                     break;
                 }
-                Ok(None) => {}
+                Ok(0) => {}
                 other => panic!("unexpected: {other:?}"),
             }
             assert!(Instant::now() < deadline, "desync never surfaced");
@@ -765,9 +728,9 @@ mod tests {
         a.flush_queued().unwrap();
         assert_eq!(a.tcp_metrics().tx_syscalls.get(), 1);
         assert_eq!(a.tcp_metrics().frames_per_flush.count(), 1);
-        for f in &frames {
-            let got = b.recv_timeout(Duration::from_secs(2)).unwrap().unwrap();
-            assert_eq!(&got, f);
+        let got = recv_n(&b, frames.len(), Duration::from_secs(2)).unwrap();
+        for (i, f) in frames.iter().enumerate() {
+            assert_eq!(&got[i], f);
         }
         // Nothing queued: a flush costs no syscall.
         a.flush_queued().unwrap();
@@ -783,9 +746,9 @@ mod tests {
         a.send_frame(&[2u8, 0, 0, 0, 13, 0, 0, 0, 0, 0, 0, 0, 0xbb])
             .unwrap();
         assert_eq!(a.tcp_metrics().tx_syscalls.get(), 1, "one writev for both");
-        for tag in [0xaau8, 0xbb] {
-            let got = b.recv_timeout(Duration::from_secs(2)).unwrap().unwrap();
-            assert_eq!(got[12], tag);
+        let got = recv_n(&b, 2, Duration::from_secs(2)).unwrap();
+        for (i, tag) in [0xaau8, 0xbb].into_iter().enumerate() {
+            assert_eq!(got[i][12], tag);
         }
     }
 

@@ -10,15 +10,16 @@
 //!
 //! # Hot-path discipline
 //!
-//! Reactor loops receive through [`Transport::recv_batch`], which lets
+//! Every frame arrives through [`Transport::recv_batch`], which lets
 //! ring-based transports hand out *borrowed* frames ([`Frame`]) and
 //! amortize one Acquire/Release pair over every frame ready in the
-//! poll-loop iteration, with zero allocations in the steady state.
-//! Waiting is a bounded adaptive spin→yield backoff, never a blind
-//! spin.
+//! poll-loop iteration, with zero allocations in the steady state. A
+//! caller that must block for a frame polls it on a [`WaitLadder`]
+//! through [`recv_batch_until`], the one receive wait: a bounded
+//! spin→yield→sleep descent, never a blind spin.
 //!
-//! Sends come in two kinds. `send`, `send_frame` and `send_split` never
-//! defer: the frame is on the transport when the call returns. The
+//! Sends come in two kinds. `send_frame` and `send_split` never defer:
+//! the frame is on the transport when the call returns. The
 //! poll loops instead *queue* their small PDUs
 //! ([`Transport::queue_frame`], [`queue_pdu`]) and release them at a
 //! point they choose ([`Transport::flush_queued`]), so a socket pays one
@@ -29,7 +30,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::{Bytes, BytesMut};
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 
 use crate::error::NvmeofError;
 use crate::metrics::TransportMetrics;
@@ -137,63 +138,21 @@ impl Default for BackoffConfig {
     }
 }
 
-/// Bounded adaptive backoff helper: spin briefly, then yield until the
-/// deadline. Returns `false` once the deadline has passed. Counts its
-/// spins and yields locally so a completed wait can be flushed into
-/// [`TransportMetrics`] with two atomics instead of one per iteration.
-struct Backoff {
-    spins: u32,
-    yields: u32,
-    spin_limit: u32,
-    deadline: Instant,
-}
-
-impl Backoff {
-    fn until(deadline: Instant, spin_limit: u32) -> Self {
-        Backoff {
-            spins: 0,
-            yields: 0,
-            spin_limit,
-            deadline,
-        }
-    }
-
-    /// One backoff step. Returns `false` when the deadline has passed.
-    fn snooze(&mut self) -> bool {
-        if self.spins < self.spin_limit {
-            self.spins += 1;
-            std::hint::spin_loop();
-            return true;
-        }
-        if Instant::now() >= self.deadline {
-            return false;
-        }
-        self.yields += 1;
-        std::thread::yield_now();
-        true
-    }
-
-    /// Flush the local spin/yield tally into `metrics`.
-    fn flush(&self, metrics: &TransportMetrics) {
-        metrics.on_backoff(u64::from(self.spins), u64::from(self.yields));
-    }
-}
-
 /// What a [`WaitLadder`] caller should do before polling again.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WaitStep {
     /// Poll again immediately — the ladder already spun or yielded.
     Again,
-    /// Park on the transport (`recv_timeout`) for up to this long, then
-    /// poll again.
+    /// Sleep for up to this long, then poll again.
     Sleep(Duration),
     /// The deadline has passed without progress.
     Expired,
 }
 
-/// Spin→yield→sleep ladder for blocking waiters (`Initiator::wait`,
-/// `Initiator::connect`), driven by the same [`BackoffConfig`] the ring
-/// transports use so wait aggressiveness is one knob fabric-wide.
+/// Spin→yield→sleep ladder for blocking waiters ([`recv_batch_until`],
+/// `Initiator::wait`, a full ring or socket backlog), driven by the same
+/// [`BackoffConfig`] everywhere so wait aggressiveness is one knob
+/// fabric-wide.
 ///
 /// The first `spin_limit` steps busy-poll (latency-critical window where
 /// the completion is probably already in flight), the next few multiples
@@ -273,24 +232,61 @@ impl WaitLadder {
         }
         WaitStep::Sleep((self.deadline - now).min(Self::SLEEP_SLICE))
     }
+
+    /// Adds the spins and yields taken so far to `metrics`: two atomics
+    /// per wait instead of one per iteration.
+    fn report(&self, metrics: &TransportMetrics) {
+        metrics.on_backoff(u64::from(self.spins), u64::from(self.yields));
+    }
 }
 
-/// A duplex, frame-oriented transport endpoint.
-pub trait Transport: Send {
-    /// Sends one frame to the peer.
-    fn send(&self, frame: Bytes) -> Result<(), NvmeofError>;
-    /// Receives a frame if one is ready.
-    fn try_recv(&self) -> Result<Option<Bytes>, NvmeofError>;
-    /// Receives a frame, waiting up to `timeout`.
-    fn recv_timeout(&self, timeout: Duration) -> Result<Option<Bytes>, NvmeofError>;
-
-    /// Sends one frame from a borrowed buffer — the zero-allocation send
-    /// path for callers that encode into a reusable scratch. Ring
-    /// transports copy the slice straight into the ring; channel
-    /// transports fall back to one owned copy.
-    fn send_frame(&self, frame: &[u8]) -> Result<(), NvmeofError> {
-        self.send(Bytes::copy_from_slice(frame))
+/// Polls `transport.recv_batch(f)` until a batch arrives (its size is
+/// returned), `deadline` passes (`Ok(0)`) or the peer closes
+/// ([`NvmeofError::TransportClosed`]) — the one receive wait. Between
+/// polls it descends a [`WaitLadder`] on `cfg`; after each sleep slice
+/// the ladder starts over, so a frame that lands during a long wait is
+/// still met by spins and yields, not only by the next slice's end.
+pub fn recv_batch_until<T: Transport + ?Sized>(
+    transport: &T,
+    deadline: Instant,
+    cfg: &BackoffConfig,
+    f: &mut dyn FnMut(Frame<'_>),
+) -> Result<usize, NvmeofError> {
+    let mut ladder = WaitLadder::until(deadline, cfg);
+    loop {
+        let n = transport.recv_batch(f)?;
+        if n > 0 {
+            return Ok(n);
+        }
+        match ladder.step() {
+            WaitStep::Again => {}
+            WaitStep::Sleep(d) => {
+                std::thread::sleep(d);
+                ladder = WaitLadder::until(deadline, cfg);
+            }
+            WaitStep::Expired => return Ok(0),
+        }
     }
+}
+
+/// A duplex, frame-oriented transport endpoint: one send
+/// ([`Transport::send_frame`]) and one receive ([`Transport::recv_batch`])
+/// are required; the vectored and queued sends are provided on top.
+pub trait Transport: Send {
+    /// Sends one frame to the peer from a borrowed buffer, so callers
+    /// encode into a reusable scratch. Ring transports copy the slice
+    /// straight into the ring; channel transports hand over one owned
+    /// copy.
+    fn send_frame(&self, frame: &[u8]) -> Result<(), NvmeofError>;
+
+    /// Hands every frame that is currently ready to `f`, returning the
+    /// count. Ring transports pass frames *borrowed* (no allocation, no
+    /// copy) and pay one Acquire/Release pair for the whole batch.
+    ///
+    /// An error is reported only when no frame was consumed this call:
+    /// frames queued ahead of a peer hang-up are delivered (and counted)
+    /// first, and the closure surfaces on the next call.
+    fn recv_batch(&self, f: &mut dyn FnMut(Frame<'_>)) -> Result<usize, NvmeofError>;
 
     /// Sends one logical frame supplied as `prefix ++ payload` — the
     /// vectored path for data PDUs whose payload is borrowed from the
@@ -330,29 +326,6 @@ pub trait Transport: Send {
     fn flush_queued(&self) -> Result<(), NvmeofError> {
         Ok(())
     }
-
-    /// Hands every frame that is currently ready to `f`, returning the
-    /// count. Ring transports pass frames *borrowed* (no allocation, no
-    /// copy) and pay one Acquire/Release pair for the whole batch.
-    ///
-    /// An error is reported only when no frame was consumed this call:
-    /// frames queued ahead of a peer hang-up are delivered (and counted)
-    /// first, and the closure surfaces on the next call.
-    fn recv_batch(&self, f: &mut dyn FnMut(Frame<'_>)) -> Result<usize, NvmeofError> {
-        let mut n = 0usize;
-        loop {
-            match self.try_recv() {
-                Ok(Some(frame)) => {
-                    f(Frame::Owned(frame));
-                    n += 1;
-                }
-                Ok(None) => return Ok(n),
-                Err(e) => {
-                    return if n > 0 { Ok(n) } else { Err(e) };
-                }
-            }
-        }
-    }
 }
 
 /// In-process duplex transport endpoint.
@@ -388,49 +361,27 @@ impl MemTransport {
 }
 
 impl Transport for MemTransport {
-    fn send(&self, frame: Bytes) -> Result<(), NvmeofError> {
-        let len = frame.len();
+    fn send_frame(&self, frame: &[u8]) -> Result<(), NvmeofError> {
         self.tx
-            .send(frame)
+            .send(Bytes::copy_from_slice(frame))
             .map_err(|_| NvmeofError::TransportClosed)?;
-        self.metrics.on_send(len);
+        self.metrics.on_send(frame.len());
         Ok(())
-    }
-
-    fn try_recv(&self) -> Result<Option<Bytes>, NvmeofError> {
-        match self.rx.try_recv() {
-            Ok(f) => {
-                self.metrics.on_recv_owned(f.len());
-                Ok(Some(f))
-            }
-            Err(TryRecvError::Empty) => Ok(None),
-            Err(TryRecvError::Disconnected) => Err(NvmeofError::TransportClosed),
-        }
-    }
-
-    fn recv_timeout(&self, timeout: Duration) -> Result<Option<Bytes>, NvmeofError> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(f) => {
-                self.metrics.on_recv_owned(f.len());
-                Ok(Some(f))
-            }
-            Err(RecvTimeoutError::Timeout) => Ok(None),
-            Err(RecvTimeoutError::Disconnected) => Err(NvmeofError::TransportClosed),
-        }
     }
 
     fn recv_batch(&self, f: &mut dyn FnMut(Frame<'_>)) -> Result<usize, NvmeofError> {
         let mut n = 0usize;
         loop {
-            match self.try_recv() {
-                Ok(Some(frame)) => {
+            match self.rx.try_recv() {
+                Ok(frame) => {
+                    self.metrics.on_recv_owned(frame.len());
                     f(Frame::Owned(frame));
                     n += 1;
                 }
-                Ok(None) => break,
-                Err(e) => {
+                Err(TryRecvError::Empty) => break,
+                Err(TryRecvError::Disconnected) => {
                     if n == 0 {
-                        return Err(e);
+                        return Err(NvmeofError::TransportClosed);
                     }
                     break;
                 }
@@ -573,34 +524,35 @@ impl ShmTransport {
     }
 
     /// Runs `push` until it reports everything published (`Ok(true)`),
-    /// waiting out a full ring (`Ok(false)`) with a bounded spin→yield:
-    /// a live peer poll loop drains in microseconds; one that stays away
-    /// for [`BackoffConfig::send_full_timeout`] surfaces as
+    /// waiting out a full ring (`Ok(false)`) on a [`WaitLadder`]: a live
+    /// peer poll loop drains in microseconds; one that stays away for
+    /// [`BackoffConfig::send_full_timeout`] surfaces as
     /// [`NvmeofError::RingFull`]. The first attempt reads no clock.
     fn publish(
         &self,
         mut push: impl FnMut() -> Result<bool, oaf_shmem::ShmError>,
     ) -> Result<(), NvmeofError> {
-        let mut backoff = None;
+        let mut ladder = None;
         let result = loop {
             match push() {
                 Ok(true) => break Ok(()),
                 Ok(false) => {}
                 Err(e) => break Err(NvmeofError::Payload(e.to_string())),
             }
-            let backoff = backoff.get_or_insert_with(|| {
-                Backoff::until(
-                    Instant::now() + self.config.send_full_timeout,
-                    self.config.spin_limit,
-                )
+            let ladder = ladder.get_or_insert_with(|| {
+                WaitLadder::until(Instant::now() + self.config.send_full_timeout, &self.config)
             });
-            if !backoff.snooze() {
-                self.metrics.ring_full.inc();
-                break Err(NvmeofError::RingFull);
+            match ladder.step() {
+                WaitStep::Again => {}
+                WaitStep::Sleep(d) => std::thread::sleep(d),
+                WaitStep::Expired => {
+                    self.metrics.ring_full.inc();
+                    break Err(NvmeofError::RingFull);
+                }
             }
         };
-        if let Some(backoff) = backoff {
-            backoff.flush(&self.metrics);
+        if let Some(ladder) = ladder {
+            ladder.report(&self.metrics);
         }
         result
     }
@@ -625,10 +577,6 @@ impl ShmTransport {
 }
 
 impl Transport for ShmTransport {
-    fn send(&self, frame: Bytes) -> Result<(), NvmeofError> {
-        self.send_frame(&frame)
-    }
-
     fn send_frame(&self, frame: &[u8]) -> Result<(), NvmeofError> {
         // Frames queued earlier go first.
         let mut staged = self.staged.borrow_mut();
@@ -669,31 +617,6 @@ impl Transport for ShmTransport {
             return Ok(());
         }
         self.publish_staged(&mut staged)
-    }
-
-    fn try_recv(&self) -> Result<Option<Bytes>, NvmeofError> {
-        Ok(self.rx.pop().map(|f| {
-            self.metrics.on_recv_owned(f.len());
-            Bytes::from(f)
-        }))
-    }
-
-    fn recv_timeout(&self, timeout: Duration) -> Result<Option<Bytes>, NvmeofError> {
-        if let Some(f) = self.try_recv()? {
-            return Ok(Some(f));
-        }
-        let mut backoff = Backoff::until(Instant::now() + timeout, self.config.spin_limit);
-        loop {
-            if let Some(f) = self.rx.pop() {
-                backoff.flush(&self.metrics);
-                self.metrics.on_recv_owned(f.len());
-                return Ok(Some(Bytes::from(f)));
-            }
-            if !backoff.snooze() {
-                backoff.flush(&self.metrics);
-                return Ok(None);
-            }
-        }
     }
 
     fn recv_batch(&self, f: &mut dyn FnMut(Frame<'_>)) -> Result<usize, NvmeofError> {
@@ -752,27 +675,6 @@ impl ControlTransport {
 }
 
 impl Transport for ControlTransport {
-    fn send(&self, frame: Bytes) -> Result<(), NvmeofError> {
-        match self {
-            ControlTransport::Shm(t) => t.send(frame),
-            ControlTransport::Tcp(t) => t.send(frame),
-        }
-    }
-
-    fn try_recv(&self) -> Result<Option<Bytes>, NvmeofError> {
-        match self {
-            ControlTransport::Shm(t) => t.try_recv(),
-            ControlTransport::Tcp(t) => t.try_recv(),
-        }
-    }
-
-    fn recv_timeout(&self, timeout: Duration) -> Result<Option<Bytes>, NvmeofError> {
-        match self {
-            ControlTransport::Shm(t) => t.recv_timeout(timeout),
-            ControlTransport::Tcp(t) => t.recv_timeout(timeout),
-        }
-    }
-
     fn send_frame(&self, frame: &[u8]) -> Result<(), NvmeofError> {
         match self {
             ControlTransport::Shm(t) => t.send_frame(frame),
@@ -817,18 +719,6 @@ impl Transport for ControlTransport {
 }
 
 impl Transport for Box<dyn Transport> {
-    fn send(&self, frame: Bytes) -> Result<(), NvmeofError> {
-        (**self).send(frame)
-    }
-
-    fn try_recv(&self) -> Result<Option<Bytes>, NvmeofError> {
-        (**self).try_recv()
-    }
-
-    fn recv_timeout(&self, timeout: Duration) -> Result<Option<Bytes>, NvmeofError> {
-        (**self).recv_timeout(timeout)
-    }
-
     fn send_frame(&self, frame: &[u8]) -> Result<(), NvmeofError> {
         (**self).send_frame(frame)
     }
@@ -874,42 +764,20 @@ impl ShapeParams {
     }
 }
 
-/// A frame parked in the delivery queue until its deadline. Ordered by
-/// `(deliver_at, seq)` so equal deadlines stay FIFO.
-struct Delayed {
-    deliver_at: Instant,
-    seq: u64,
-    frame: Bytes,
-}
-
-impl PartialEq for Delayed {
-    fn eq(&self, other: &Self) -> bool {
-        self.deliver_at == other.deliver_at && self.seq == other.seq
-    }
-}
-impl Eq for Delayed {}
-impl PartialOrd for Delayed {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Delayed {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.deliver_at, self.seq).cmp(&(other.deliver_at, other.seq))
-    }
-}
-
-/// A transport wrapper that delays frame *delivery* according to a serial
-/// link model: each frame becomes visible `latency + serialization` after
-/// the previous frame's wire time.
+/// A transport wrapper over a serial link model. The sending side is held
+/// for each frame's serialization time behind the frames already on the
+/// link (back-pressure); the receiving side holds each arrival for
+/// [`ShapeParams::latency`] before handing it over. Frames cross the
+/// wrapped transport unchanged, so it composes with transports that find
+/// frame boundaries in the PDU header (the socket); wrap both ends for the
+/// whole model.
 pub struct RateLimited<T: Transport> {
     inner: T,
     params: ShapeParams,
     tx_free: std::sync::Mutex<Instant>,
-    /// Min-heap on `deliver_at`: peeking the next due frame is O(1),
-    /// delivery is O(log n) — not the O(n) scan of a flat queue.
-    rx_queue: std::sync::Mutex<std::collections::BinaryHeap<std::cmp::Reverse<Delayed>>>,
-    rx_seq: std::sync::atomic::AtomicU64,
+    /// Arrivals waiting out the latency, oldest first. Every one is due
+    /// `latency` after it arrived, so the queue is in deadline order.
+    rx_queue: std::sync::Mutex<std::collections::VecDeque<(Instant, Bytes)>>,
 }
 
 impl<T: Transport> RateLimited<T> {
@@ -919,100 +787,101 @@ impl<T: Transport> RateLimited<T> {
             inner,
             params,
             tx_free: std::sync::Mutex::new(Instant::now()),
-            rx_queue: std::sync::Mutex::new(std::collections::BinaryHeap::new()),
-            rx_seq: std::sync::atomic::AtomicU64::new(0),
+            rx_queue: std::sync::Mutex::new(std::collections::VecDeque::new()),
         }
     }
 
-    fn stamp(&self, len: usize) -> Duration {
+    /// Holds the sender until a `len`-byte frame has been serialized
+    /// onto the link behind everything sent before it.
+    fn pace(&self, len: usize) {
         let ser = Duration::from_secs_f64(len as f64 / self.params.bytes_per_sec);
-        let mut free = self.tx_free.lock().expect("tx mutex");
-        let now = Instant::now();
-        let start = (*free).max(now);
-        *free = start + ser;
-        (start + ser + self.params.latency) - now
-    }
-}
-
-impl<T: Transport> RateLimited<T> {
-    /// Delays the *sender* for `frame`'s serialization time
-    /// (back-pressure) and returns the frame behind an 8-byte prefix of
-    /// the remaining latency, in nanos, for the receiver to honor.
-    fn shape(&self, frame: &[u8]) -> Vec<u8> {
-        let wait = self.stamp(frame.len());
-        let ser_part = wait.saturating_sub(self.params.latency);
-        if !ser_part.is_zero() {
-            std::thread::sleep(ser_part);
+        let sent_at = {
+            let mut free = self.tx_free.lock().expect("tx mutex");
+            *free = (*free).max(Instant::now()) + ser;
+            *free
+        };
+        let wait = sent_at.saturating_duration_since(Instant::now());
+        if !wait.is_zero() {
+            std::thread::sleep(wait);
         }
-        let mut framed = Vec::with_capacity(8 + frame.len());
-        framed.extend_from_slice(&self.params.latency.as_nanos().to_le_bytes()[..8]);
-        framed.extend_from_slice(frame);
-        framed
     }
 }
 
 impl<T: Transport> Transport for RateLimited<T> {
-    fn send(&self, frame: Bytes) -> Result<(), NvmeofError> {
-        self.inner.send(Bytes::from(self.shape(&frame)))
+    fn send_frame(&self, frame: &[u8]) -> Result<(), NvmeofError> {
+        self.pace(frame.len());
+        self.inner.send_frame(frame)
     }
 
     fn queue_frame(&self, frame: &[u8]) -> Result<(), NvmeofError> {
-        self.inner.queue_frame(&self.shape(frame))
+        self.pace(frame.len());
+        self.inner.queue_frame(frame)
     }
 
     fn flush_queued(&self) -> Result<(), NvmeofError> {
         self.inner.flush_queued()
     }
 
-    fn try_recv(&self) -> Result<Option<Bytes>, NvmeofError> {
-        let now = Instant::now();
-        // One queue-mutex acquisition per call: stage arrivals and check
-        // the earliest deadline under the same lock.
+    fn recv_batch(&self, f: &mut dyn FnMut(Frame<'_>)) -> Result<usize, NvmeofError> {
+        // One queue-mutex acquisition and one clock read per call: stage
+        // the arrivals, then hand over whatever has come due.
         let mut q = self.rx_queue.lock().expect("rx mutex");
-        while let Some(f) = self.inner.try_recv()? {
-            let lat = u64::from_le_bytes(f[..8].try_into().expect("latency prefix"));
-            q.push(std::cmp::Reverse(Delayed {
-                deliver_at: now + Duration::from_nanos(lat),
-                seq: self
-                    .rx_seq
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed),
-                frame: f.slice(8..),
-            }));
+        let now = Instant::now();
+        let due_at = now + self.params.latency;
+        let arrived = self
+            .inner
+            .recv_batch(&mut |frame| q.push_back((due_at, frame.into_bytes())));
+        let mut n = 0;
+        while q.front().is_some_and(|(at, _)| *at <= now) {
+            let (_, frame) = q.pop_front().expect("front checked");
+            f(Frame::Owned(frame));
+            n += 1;
         }
-        match q.peek() {
-            Some(std::cmp::Reverse(d)) if d.deliver_at <= Instant::now() => {
-                Ok(q.pop().map(|std::cmp::Reverse(d)| d.frame))
-            }
-            _ => Ok(None),
+        // A closed peer surfaces once every staged frame is out.
+        match arrived {
+            Err(e) if n == 0 && q.is_empty() => Err(e),
+            _ => Ok(n),
         }
     }
+}
 
-    fn recv_timeout(&self, timeout: Duration) -> Result<Option<Bytes>, NvmeofError> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            if let Some(f) = self.try_recv()? {
-                return Ok(Some(f));
-            }
-            if Instant::now() >= deadline {
-                return Ok(None);
-            }
-            std::thread::sleep(Duration::from_micros(20));
-        }
-    }
+/// Waits until `n` frames have arrived or `timeout` has passed, and
+/// returns what arrived, owned and in order.
+#[cfg(test)]
+pub(crate) fn recv_n<T: Transport + ?Sized>(
+    t: &T,
+    n: usize,
+    timeout: Duration,
+) -> Result<Vec<Bytes>, NvmeofError> {
+    let deadline = Instant::now() + timeout;
+    let mut got = Vec::new();
+    while got.len() < n
+        && recv_batch_until(t, deadline, &BackoffConfig::default(), &mut |f| {
+            got.push(f.into_bytes())
+        })? > 0
+    {}
+    Ok(got)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// One receive poll: every frame ready now, owned.
+    fn drain<T: Transport + ?Sized>(t: &T) -> Result<Vec<Bytes>, NvmeofError> {
+        let mut got = Vec::new();
+        t.recv_batch(&mut |f| got.push(f.into_bytes()))?;
+        Ok(got)
+    }
+
     #[test]
     fn mem_pair_is_duplex() {
         let (a, b) = MemTransport::pair();
-        a.send(Bytes::from_static(b"ping")).unwrap();
-        b.send(Bytes::from_static(b"pong")).unwrap();
-        assert_eq!(b.try_recv().unwrap().unwrap(), Bytes::from_static(b"ping"));
-        assert_eq!(a.try_recv().unwrap().unwrap(), Bytes::from_static(b"pong"));
-        assert!(a.try_recv().unwrap().is_none());
+        a.send_frame(b"ping").unwrap();
+        b.send_frame(b"pong").unwrap();
+        assert_eq!(drain(&b).unwrap(), [Bytes::from_static(b"ping")]);
+        assert_eq!(drain(&a).unwrap(), [Bytes::from_static(b"pong")]);
+        assert!(drain(&a).unwrap().is_empty());
     }
 
     #[test]
@@ -1020,24 +889,24 @@ mod tests {
         let (a, b) = MemTransport::pair();
         drop(b);
         assert!(matches!(
-            a.send(Bytes::from_static(b"x")),
+            a.send_frame(b"x"),
             Err(NvmeofError::TransportClosed)
         ));
-        assert!(matches!(a.try_recv(), Err(NvmeofError::TransportClosed)));
+        assert!(matches!(drain(&a), Err(NvmeofError::TransportClosed)));
     }
 
     #[test]
-    fn recv_timeout_waits_and_returns() {
+    fn recv_batch_until_waits_and_returns() {
         let (a, b) = MemTransport::pair();
         let h = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(10));
-            b.send(Bytes::from_static(b"late")).unwrap();
+            b.send_frame(b"late").unwrap();
             // Keep b alive long enough for the receive.
             std::thread::sleep(Duration::from_millis(50));
         });
-        let got = a.recv_timeout(Duration::from_millis(500)).unwrap();
-        assert_eq!(got.unwrap(), Bytes::from_static(b"late"));
-        assert!(a.recv_timeout(Duration::from_millis(5)).unwrap().is_none());
+        let got = recv_n(&a, 1, Duration::from_millis(500)).unwrap();
+        assert_eq!(got, [Bytes::from_static(b"late")]);
+        assert!(recv_n(&a, 1, Duration::from_millis(5)).unwrap().is_empty());
         h.join().unwrap();
     }
 
@@ -1047,10 +916,10 @@ mod tests {
         let a = RateLimited::new(a, ShapeParams::gbps(10.0, Duration::from_millis(5)));
         let b = RateLimited::new(b, ShapeParams::gbps(10.0, Duration::from_millis(5)));
         let t0 = Instant::now();
-        a.send(Bytes::from_static(b"hello")).unwrap();
-        let got = b.recv_timeout(Duration::from_secs(1)).unwrap().unwrap();
+        a.send_frame(b"hello").unwrap();
+        let got = recv_n(&b, 1, Duration::from_secs(1)).unwrap();
         let elapsed = t0.elapsed();
-        assert_eq!(got, Bytes::from_static(b"hello"));
+        assert_eq!(got, [Bytes::from_static(b"hello")]);
         assert!(elapsed >= Duration::from_millis(5), "{elapsed:?}");
     }
 
@@ -1060,42 +929,59 @@ mod tests {
         let a = RateLimited::new(a, ShapeParams::gbps(100.0, Duration::from_micros(200)));
         let b = RateLimited::new(b, ShapeParams::gbps(100.0, Duration::from_micros(200)));
         for i in 0..50u32 {
-            a.send(Bytes::from(i.to_le_bytes().to_vec())).unwrap();
+            a.send_frame(&i.to_le_bytes()).unwrap();
         }
+        let got = recv_n(&b, 50, Duration::from_secs(1)).unwrap();
         for i in 0..50u32 {
-            let f = b.recv_timeout(Duration::from_secs(1)).unwrap().unwrap();
+            let f = &got[i as usize];
             assert_eq!(u32::from_le_bytes(f[..].try_into().unwrap()), i);
         }
+    }
+
+    /// A shaped socket carries real PDUs intact: the shaping adds time,
+    /// never bytes, so the socket still finds each frame by its header.
+    #[test]
+    fn rate_limited_over_loopback_tcp_keeps_framing() {
+        let (a, b) = crate::tcp::TcpTransport::loopback_pair(Default::default()).unwrap();
+        let shape = ShapeParams::gbps(10.0, Duration::from_millis(2));
+        let (a, b) = (RateLimited::new(a, shape), RateLimited::new(b, shape));
+        let frame = Pdu::CapsuleResp(crate::pdu::CapsuleResp {
+            completion: crate::nvme::completion::NvmeCompletion::ok(7),
+        })
+        .encode();
+        let t0 = Instant::now();
+        a.send_frame(&frame).unwrap();
+        let got = recv_n(&b, 1, Duration::from_secs(5)).unwrap();
+        assert!(t0.elapsed() >= shape.latency, "{:?}", t0.elapsed());
+        assert_eq!(got, [frame]);
     }
 
     #[test]
     fn shm_transport_is_duplex_and_ordered() {
         let (a, b) = ShmTransport::pair(64 * 1024);
         for i in 0..100u32 {
-            a.send(Bytes::from(i.to_le_bytes().to_vec())).unwrap();
+            a.send_frame(&i.to_le_bytes()).unwrap();
         }
-        b.send(Bytes::from_static(b"reverse")).unwrap();
+        b.send_frame(b"reverse").unwrap();
+        let got = drain(&b).unwrap();
         for i in 0..100u32 {
-            let f = b.try_recv().unwrap().unwrap();
+            let f = &got[i as usize];
             assert_eq!(u32::from_le_bytes(f[..].try_into().unwrap()), i);
         }
-        assert_eq!(
-            a.try_recv().unwrap().unwrap(),
-            Bytes::from_static(b"reverse")
-        );
-        assert!(a.try_recv().unwrap().is_none());
+        assert_eq!(drain(&a).unwrap(), [Bytes::from_static(b"reverse")]);
+        assert!(drain(&a).unwrap().is_empty());
     }
 
     #[test]
-    fn shm_transport_recv_timeout() {
+    fn shm_transport_waits_for_a_late_frame() {
         let (a, b) = ShmTransport::pair(4096);
-        assert!(a.recv_timeout(Duration::from_millis(10)).unwrap().is_none());
+        assert!(recv_n(&a, 1, Duration::from_millis(10)).unwrap().is_empty());
         let h = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(15));
-            b.send(Bytes::from_static(b"late")).unwrap();
+            b.send_frame(b"late").unwrap();
         });
-        let got = a.recv_timeout(Duration::from_secs(2)).unwrap().unwrap();
-        assert_eq!(got, Bytes::from_static(b"late"));
+        let got = recv_n(&a, 1, Duration::from_secs(2)).unwrap();
+        assert_eq!(got, [Bytes::from_static(b"late")]);
         h.join().unwrap();
     }
 
@@ -1111,8 +997,8 @@ mod tests {
                 len: 131072,
             }),
         });
-        a.send(pdu.encode()).unwrap();
-        let frame = b.try_recv().unwrap().unwrap();
+        a.send_frame(&pdu.encode()).unwrap();
+        let frame = drain(&b).unwrap().remove(0);
         assert_eq!(Pdu::decode(frame).unwrap(), pdu);
     }
 
@@ -1121,9 +1007,9 @@ mod tests {
         let (a, _b) = ShmTransport::pair(4096);
         // Nobody drains `_b`; the ring fills and send must fail with the
         // dedicated congestion error, not a stringified payload error.
-        let frame = Bytes::from(vec![0u8; 1024]);
+        let frame = vec![0u8; 1024];
         let err = loop {
-            match a.send(frame.clone()) {
+            match a.send_frame(&frame) {
                 Ok(()) => continue,
                 Err(e) => break e,
             }
@@ -1273,14 +1159,11 @@ mod tests {
     }
 
     impl Transport for Arc<QueueProbe> {
-        fn send(&self, _: Bytes) -> Result<(), NvmeofError> {
+        fn send_frame(&self, _: &[u8]) -> Result<(), NvmeofError> {
             panic!("queued frame fell back to an immediate send");
         }
-        fn try_recv(&self) -> Result<Option<Bytes>, NvmeofError> {
-            Ok(None)
-        }
-        fn recv_timeout(&self, _: Duration) -> Result<Option<Bytes>, NvmeofError> {
-            Ok(None)
+        fn recv_batch(&self, _: &mut dyn FnMut(Frame<'_>)) -> Result<usize, NvmeofError> {
+            Ok(0)
         }
         fn queue_frame(&self, _: &[u8]) -> Result<(), NvmeofError> {
             self.queued
@@ -1314,8 +1197,8 @@ mod tests {
     #[test]
     fn recv_batch_drains_before_reporting_closure() {
         let (a, b) = MemTransport::pair();
-        a.send(Bytes::from_static(b"x")).unwrap();
-        a.send(Bytes::from_static(b"y")).unwrap();
+        a.send_frame(b"x").unwrap();
+        a.send_frame(b"y").unwrap();
         drop(a); // frames queued ahead of the hang-up must still arrive
         let mut n = 0;
         assert_eq!(b.recv_batch(&mut |_| n += 1).unwrap(), 2);
@@ -1339,9 +1222,9 @@ mod tests {
                 completion: crate::nvme::completion::NvmeCompletion::ok(7),
             })
             .encode();
-            a.send(frame.clone()).unwrap();
-            let got = b.recv_timeout(Duration::from_secs(5)).unwrap();
-            assert_eq!(got.unwrap(), frame);
+            a.send_frame(&frame).unwrap();
+            let got = recv_n(&b, 1, Duration::from_secs(5)).unwrap();
+            assert_eq!(got, [frame]);
         }
     }
 
@@ -1357,10 +1240,10 @@ mod tests {
             },
         );
         let t0 = Instant::now();
-        a.send(Bytes::from(vec![0u8; 1_000_000])).unwrap();
+        a.send_frame(&vec![0u8; 1_000_000]).unwrap();
         let sent_in = t0.elapsed();
         assert!(sent_in >= Duration::from_millis(9), "{sent_in:?}");
-        let got = b.try_recv().unwrap().unwrap();
-        assert_eq!(got.len(), 8 + 1_000_000); // b is unwrapped: sees prefix
+        let got = drain(&b).unwrap().remove(0);
+        assert_eq!(got.len(), 1_000_000); // shaping adds time, not bytes
     }
 }

@@ -18,7 +18,7 @@ use nvme_oaf::nvmeof::nvme::namespace::Namespace;
 use nvme_oaf::nvmeof::payload::{MailboxChannel, PayloadChannel};
 use nvme_oaf::nvmeof::pdu::AF_CAP_SHM;
 use nvme_oaf::nvmeof::target::{spawn_target, TargetConfig, TargetConnection};
-use nvme_oaf::nvmeof::transport::{MemTransport, Transport};
+use nvme_oaf::nvmeof::transport::{recv_batch_until, BackoffConfig, MemTransport, Transport};
 use nvme_oaf::nvmeof::{FlowMode, NvmeofError};
 
 fn controller() -> Controller {
@@ -105,16 +105,20 @@ fn wait_times_out_when_target_is_stalled() {
     let h = std::thread::spawn(move || {
         let mut ctrl = controller();
         let mut conn = TargetConnection::new(TargetConfig::default(), None);
-        let frame = loop {
-            if let Some(f) = tt.recv_timeout(Duration::from_secs(5)).unwrap() {
-                break f;
-            }
-        };
-        for resp in conn.on_frame(frame, &mut ctrl).unwrap() {
-            tt.send(resp).unwrap();
+        let cfg = BackoffConfig::default();
+        let within = || Instant::now() + Duration::from_secs(5);
+        let mut frame = None;
+        while frame.is_none() {
+            recv_batch_until(&tt, within(), &cfg, &mut |f| {
+                frame.get_or_insert(f.into_bytes());
+            })
+            .unwrap();
+        }
+        for resp in conn.on_frame(frame.unwrap(), &mut ctrl).unwrap() {
+            tt.send_frame(&resp).unwrap();
         }
         // Swallow the next frame and go silent (stalled target).
-        let _ = tt.recv_timeout(Duration::from_secs(5));
+        let _ = recv_batch_until(&tt, within(), &cfg, &mut |_| {});
         std::thread::sleep(Duration::from_millis(500));
     });
     let mut ini = Initiator::connect(ct, InitiatorOptions::default(), None, TIMEOUT).unwrap();
@@ -401,7 +405,10 @@ fn seeded_chaos_soak_recovers_every_fault() {
 /// `SO_SNDBUF`/`SO_RCVBUF`. Chaos rides *above* a byte stream that is
 /// itself being short-written and short-read, so the recovery machinery
 /// (deadlines, retries, aborts) and the resumable partial-I/O framing of
-/// [`TcpTransport`] are exercised together.
+/// [`TcpTransport`] are exercised together. The chaos layer takes its
+/// frames through the socket's own borrowed-window `recv_batch` — the
+/// receive path `launch` runs — so no frame is ever copied out of the
+/// socket's window by a second intake.
 ///
 /// [`TcpTransport`]: nvme_oaf::nvmeof::tcp::TcpTransport
 #[test]
@@ -414,12 +421,20 @@ fn seeded_chaos_soak_recovers_over_loopback_tcp() {
         ..TcpConfig::default()
     };
     let (ct, tt) = TcpTransport::loopback_pair(cfg).expect("loopback sockets");
+    let sockets = [ct.metrics().clone(), tt.metrics().clone()];
     let stats = chaos_soak_on(seed, ShmMode::Off, 200, false, ct, tt);
     assert!(
         stats.total() > 0,
         "seed {seed}: no faults fired over the tcp-socket soak \
          (replay with OAF_CHAOS_SEED={seed})"
     );
+    for m in &sockets {
+        assert!(
+            m.frames_borrowed.get() > 0,
+            "seed {seed}: no borrowed frame"
+        );
+        assert_eq!(m.frames_owned.get(), 0, "seed {seed}: owned intake ran");
+    }
 }
 
 /// Heavy-rate chaos across a seed matrix — the CI `chaos` job runs this
