@@ -36,7 +36,9 @@ use oaf_nvmeof::pdu::{DataPdu, DataRef, Pdu};
 use oaf_nvmeof::tcp::{TcpConfig, TcpTransport};
 use oaf_nvmeof::transport::Transport;
 use oaf_nvmeof::tune::{BusyPollController, ChunkCostModel, ChunkSelector, PollClass, KIB, MIB};
-use oaf_store::crc32::{crc32_update, crc32_update_table, digest_impl};
+use oaf_store::crc32::{
+    crc32_update, crc32_update_table, crc32_update_with, digest_impl, DigestImpl,
+};
 
 /// Counts allocations on the bench thread when tracking is on;
 /// delegates to [`System`]. Thread-local so the sink threads don't
@@ -329,9 +331,12 @@ fn bench_tcp_path(c: &mut Criterion) {
 }
 
 /// The frame/journal digest alone: the table fold against whatever
-/// [`crc32_update`] dispatches to on this host (the CRC32C instruction
-/// where there is one), at a control-frame, a 4 KiB and a 128 KiB
-/// payload size. Criterion reports GiB/s from the byte throughput.
+/// [`crc32_update`] dispatches to on this host, at a control-frame, a
+/// 4 KiB and a 128 KiB payload size, plus the three-stream `crc32`
+/// instruction kernel and the 512-bit carry-less-multiply fold forced by
+/// name at the two payload sizes (a kernel this host cannot run is
+/// reported and skipped). Criterion reports GiB/s from the byte
+/// throughput.
 fn bench_digest(c: &mut Criterion) {
     let mut g = c.benchmark_group("digest");
     let dispatched = format!("dispatched-{:?}", digest_impl());
@@ -344,6 +349,21 @@ fn bench_digest(c: &mut Criterion) {
         g.bench_function(BenchmarkId::new(dispatched.as_str(), size), |b| {
             b.iter(|| crc32_update(!0, black_box(&data)))
         });
+        if size < 4 * 1024 {
+            continue;
+        }
+        for (name, kernel) in [
+            ("sse42-3stream", DigestImpl::Sse42),
+            ("vpclmul-512", DigestImpl::Vpclmul),
+        ] {
+            if crc32_update_with(kernel, !0, &data).is_none() {
+                println!("digest/{name}/{size}: not available on this host");
+                continue;
+            }
+            g.bench_function(BenchmarkId::new(name, size), |b| {
+                b.iter(|| crc32_update_with(kernel, !0, black_box(&data)))
+            });
+        }
     }
     g.finish();
 }

@@ -2,10 +2,9 @@
 //!
 //! Allocates I/O buffers from the right place for the selected channel:
 //!
-//! * **TCP path** — a DPDK-style pool: fixed-size, cache-line-aligned,
-//!   pre-allocated buffers with a free-list, mirroring SPDK's DMA-able
-//!   memory pools (buffers are recycled, never freed, §4.1 "re-uses it
-//!   when possible");
+//! * **TCP path** — a DPDK-style pool of buffers claimed and returned
+//!   without a lock, mirroring SPDK's DMA-able memory pools (buffers are
+//!   recycled, never freed, §4.1 "re-uses it when possible");
 //! * **shared-memory path** — zero-copy leases: the application buffer is
 //!   a slot of the double buffer itself, so publishing costs nothing
 //!   (§4.4.3).
@@ -14,33 +13,55 @@
 //! h5bench in the paper; the examples here) write one allocation call and
 //! get zero-copy automatically when the fabric is local.
 
+use std::cell::UnsafeCell;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use oaf_nvmeof::payload::WriteLease;
 use oaf_shmem::ShmError;
-use parking_lot::Mutex;
 
 use crate::payload_impl::ShmPayloadChannel;
 
 /// A fixed-size pooled buffer pool (the DPDK mempool analog).
+///
+/// Lock-free: a buffer is claimed by a compare-and-swap on its busy flag
+/// and returned by clearing it, the claim-by-CAS scheme the shm slot
+/// leases use. The scan is first-fit from slot 0, and a slot's memory is
+/// allocated at its first claim, at the length asked for, and grown (up
+/// to `buf_size`) only when a later claim asks for more. So the memory a
+/// pool holds is the most buffers ever held at once times the largest
+/// length used, not its capacity times `buf_size`, and steady state
+/// allocates nothing.
 pub struct DpdkPool {
     buf_size: usize,
-    free: Mutex<Vec<Box<[u8]>>>,
-    capacity: usize,
+    slots: Box<[PoolSlot]>,
 }
 
+struct PoolSlot {
+    /// Set while a [`PooledBuf`] holds this slot.
+    busy: AtomicBool,
+    /// Never shrinks; empty until the first claim.
+    bytes: UnsafeCell<Vec<u8>>,
+}
+
+// SAFETY: `buf_size` and the slot array never change after `new`, and
+// every `busy` flag is an atomic. A slot's `bytes` are touched only
+// through the one `PooledBuf` whose CAS set its flag (Acquire), and that
+// holder's last access happens-before the Release store that frees the
+// slot, so no two threads ever reach one slot's bytes at once.
+unsafe impl Sync for DpdkPool {}
+
 impl DpdkPool {
-    /// Pre-allocates `capacity` buffers of `buf_size` bytes.
+    /// A pool of `capacity` buffers of up to `buf_size` bytes each.
     pub fn new(buf_size: usize, capacity: usize) -> Arc<Self> {
         assert!(buf_size > 0 && capacity > 0);
-        let free = (0..capacity)
-            .map(|_| vec![0u8; buf_size].into_boxed_slice())
+        let slots = (0..capacity)
+            .map(|_| PoolSlot {
+                busy: AtomicBool::new(false),
+                bytes: UnsafeCell::new(Vec::new()),
+            })
             .collect();
-        Arc::new(DpdkPool {
-            buf_size,
-            free: Mutex::new(free),
-            capacity,
-        })
+        Arc::new(DpdkPool { buf_size, slots })
     }
 
     /// Buffer size of the pool.
@@ -50,12 +71,15 @@ impl DpdkPool {
 
     /// Buffers currently available.
     pub fn available(&self) -> usize {
-        self.free.lock().len()
+        self.slots
+            .iter()
+            .filter(|s| !s.busy.load(Ordering::Acquire))
+            .count()
     }
 
     /// Total buffers in the pool.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.slots.len()
     }
 
     /// Takes a buffer; `None` when exhausted (caller backs off, exactly
@@ -64,19 +88,33 @@ impl DpdkPool {
         if len > self.buf_size {
             return None;
         }
-        let raw = self.free.lock().pop()?;
+        let slot = self.slots.iter().position(|s| {
+            !s.busy.load(Ordering::Relaxed)
+                && s.busy
+                    .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
+                    .is_ok()
+        })?;
+        // SAFETY: the CAS above gave this call the slot's claim.
+        let bytes = unsafe { &mut *self.slots[slot].bytes.get() };
+        if bytes.len() < len {
+            // First use at this length: zeroed, like a fresh buffer.
+            bytes.clear();
+            bytes.resize(len, 0);
+        }
         Some(PooledBuf {
             pool: self.clone(),
-            raw: Some(raw),
+            slot,
             len,
         })
     }
 }
 
-/// A buffer checked out of a [`DpdkPool`]; returns on drop.
+/// A buffer checked out of a [`DpdkPool`]; returns on drop. Handed to
+/// the wire as [`bytes::Bytes::from_owner`], it returns when the last
+/// view of the payload drops.
 pub struct PooledBuf {
     pool: Arc<DpdkPool>,
-    raw: Option<Box<[u8]>>,
+    slot: usize,
     len: usize,
 }
 
@@ -90,26 +128,40 @@ impl PooledBuf {
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
+
+    fn bytes(&self) -> *mut Vec<u8> {
+        self.pool.slots[self.slot].bytes.get()
+    }
 }
 
 impl std::ops::Deref for PooledBuf {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        &self.raw.as_ref().expect("present until drop")[..self.len]
+        // SAFETY: this buffer holds the slot's claim (see `DpdkPool`).
+        let bytes = unsafe { &*self.bytes() };
+        &bytes[..self.len]
     }
 }
 
 impl std::ops::DerefMut for PooledBuf {
     fn deref_mut(&mut self) -> &mut [u8] {
-        &mut self.raw.as_mut().expect("present until drop")[..self.len]
+        // SAFETY: as in `deref`, and `&mut self` excludes other views.
+        let bytes = unsafe { &mut *self.bytes() };
+        &mut bytes[..self.len]
+    }
+}
+
+impl AsRef<[u8]> for PooledBuf {
+    fn as_ref(&self) -> &[u8] {
+        self
     }
 }
 
 impl Drop for PooledBuf {
     fn drop(&mut self) {
-        if let Some(raw) = self.raw.take() {
-            self.pool.free.lock().push(raw);
-        }
+        self.pool.slots[self.slot]
+            .busy
+            .store(false, Ordering::Release);
     }
 }
 
@@ -208,6 +260,11 @@ impl BufferManager {
     pub fn max_alloc(&self) -> usize {
         self.pool.buf_size()
     }
+
+    /// The pool behind non-lease buffers.
+    pub fn pool(&self) -> &Arc<DpdkPool> {
+        &self.pool
+    }
 }
 
 #[cfg(test)]
@@ -227,6 +284,44 @@ mod tests {
         drop(a);
         assert_eq!(pool.available(), 1);
         drop(b);
+        assert_eq!(pool.available(), 2);
+    }
+
+    #[test]
+    fn pool_buffers_grow_once_and_are_reused_in_place() {
+        let pool = DpdkPool::new(4096, 2);
+        let mut a = pool.get(4096).unwrap();
+        assert!(a.iter().all(|&b| b == 0), "a fresh buffer is zeroed");
+        a.fill(7);
+        let at = a.as_ptr();
+        drop(a);
+        // First fit: slot 0 again, shorter view, same memory.
+        let b = pool.get(100).unwrap();
+        assert_eq!((b.as_ptr(), b.len()), (at, 100));
+        drop(b);
+        let c = pool.get(4096).unwrap();
+        assert_eq!(c.as_ptr(), at, "no reallocation at a size already held");
+    }
+
+    #[test]
+    fn pool_claims_are_exclusive_across_threads() {
+        let pool = DpdkPool::new(64, 2);
+        std::thread::scope(|s| {
+            for id in 1..=4u8 {
+                let pool = &pool;
+                s.spawn(move || {
+                    for _ in 0..2000 {
+                        let Some(mut buf) = pool.get(64) else {
+                            std::thread::yield_now();
+                            continue;
+                        };
+                        buf.fill(id);
+                        std::thread::yield_now();
+                        assert!(buf.iter().all(|&b| b == id), "slot shared");
+                    }
+                });
+            }
+        });
         assert_eq!(pool.available(), 2);
     }
 

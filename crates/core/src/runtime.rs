@@ -303,10 +303,12 @@ impl AfClient {
     ) -> Self {
         // Pool buffers are sized generously past the slot/chunk size so
         // block-level read-modify-write spans (payload + straddled blocks)
-        // still fit in one buffer.
+        // still fit in one buffer. A written buffer is held until its
+        // command completes, so the pool has a queue depth's worth of
+        // buffers on top of what the application may hold itself.
         let pool = DpdkPool::new(
             settings.slot_size.max(settings.read_chunk) * 2,
-            settings.depth.max(8),
+            settings.depth + settings.depth.max(8),
         );
         AfClient {
             initiator,
@@ -333,6 +335,13 @@ impl AfClient {
         self.bufmgr
             .alloc(len)
             .map_err(|e| NvmeofError::Payload(e.to_string()))
+    }
+
+    /// The pool [`AfClient::alloc`] falls back to (the only source on a
+    /// TCP fabric). A pooled buffer handed to a write is back in it once
+    /// the write completes or is given up.
+    pub fn pool(&self) -> &Arc<DpdkPool> {
+        self.bufmgr.pool()
     }
 
     /// Largest single buffer [`AfClient::alloc`] can provide; larger
@@ -382,11 +391,12 @@ impl AfClient {
             // The lease publishes in place: the slot the application
             // filled is handed to the target untouched (§4.4.3).
             IoBuffer::Shm(lease) => self.initiator.submit_write_lease(nsid, slba, nlb, lease)?,
+            // The pool buffer is the wire payload, adopted without a
+            // copy; it returns to the pool when the initiator drops the
+            // payload (at completion, give-up or teardown).
             IoBuffer::Pooled(b) => {
-                // The copy-out the zero-copy design eliminates (§4.4.3):
-                // the pooled buffer must be materialized for the wire.
                 self.initiator
-                    .submit_write(nsid, slba, nlb, Bytes::copy_from_slice(&b))?
+                    .submit_write(nsid, slba, nlb, Bytes::from_owner(b))?
             }
         };
         self.inflight_meta.insert(cid, (bytes, zero_copy, false));
@@ -552,13 +562,7 @@ impl AfClient {
         timeout: Duration,
     ) -> Result<(), NvmeofError> {
         let t0 = std::time::Instant::now();
-        let bytes = buf.len() as u64;
-        // FUA rides the payload-retaining submit path; a zero-copy lease
-        // cannot be replayed after an abort, so the payload is
-        // materialized here (durability over copy elision).
-        let data = Bytes::copy_from_slice(&buf);
-        let cid = self.initiator.submit_write_fua(nsid, slba, nlb, data)?;
-        self.inflight_meta.insert(cid, (bytes, false, false));
+        let cid = self.submit_write_fua(nsid, slba, nlb, buf)?;
         let result = self.wait(cid, timeout);
         self.app.blocked_since(t0);
         match result {
@@ -581,9 +585,14 @@ impl AfClient {
         buf: IoBuffer,
     ) -> Result<u16, NvmeofError> {
         let bytes = buf.len() as u64;
-        // Same materialization rule as the blocking form: a zero-copy
-        // lease cannot be replayed after an abort.
-        let data = Bytes::copy_from_slice(&buf);
+        // FUA rides the payload-retaining submit path. A pool buffer is
+        // adopted as that payload; a zero-copy lease cannot be replayed
+        // after an abort, so it is materialized here (durability over
+        // copy elision).
+        let data = match buf {
+            IoBuffer::Pooled(b) => Bytes::from_owner(b),
+            IoBuffer::Shm(lease) => Bytes::copy_from_slice(&lease),
+        };
         let cid = self.initiator.submit_write_fua(nsid, slba, nlb, data)?;
         self.inflight_meta.insert(cid, (bytes, false, false));
         Ok(cid)

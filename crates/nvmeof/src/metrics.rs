@@ -271,8 +271,10 @@ pub struct TcpMetrics {
     pub frames_per_flush: Histo,
     /// Which frame-digest (CRC32C) implementation this host runs —
     /// 0 = slicing-by-8 tables, 1 = x86-64 SSE4.2 instruction, 2 =
-    /// AArch64 `crc` instructions ([`oaf_store::crc32::DigestImpl`]). A
-    /// socket path an order of magnitude slower than its peers reads 0.
+    /// AArch64 `crc` instructions, 3 = x86-64 AVX-512 VPCLMULQDQ fold for
+    /// payloads of 512 B and up, the instruction below that
+    /// ([`oaf_store::crc32::DigestImpl`]). A socket path an order of
+    /// magnitude slower than its peers reads 0.
     pub digest_hw: Gauge,
 }
 

@@ -94,10 +94,27 @@ impl Controller {
             .map(|ns| cmd.transfer_len(ns.block_size()) as usize)
     }
 
+    /// Transfer length of the read `cmd`, with its range checked against
+    /// the namespace — the check that must pass before a wire-supplied
+    /// `nlb` sizes any buffer. `Err` is the completion to answer with.
+    pub fn read_len(&self, cmd: &NvmeCommand) -> Result<usize, NvmeCompletion> {
+        let Some(ns) = self.namespaces.get(&cmd.nsid) else {
+            return Err(NvmeCompletion::error(cmd.cid, Status::InvalidNamespace));
+        };
+        let len = cmd.transfer_len(ns.block_size()) as usize;
+        let status = ns.check(cmd.slba, cmd.nlb, len);
+        if status.is_ok() {
+            Ok(len)
+        } else {
+            Err(NvmeCompletion::error(cmd.cid, status))
+        }
+    }
+
     /// Executes a read directly into `dst` — the zero-copy path, where
-    /// `dst` is a leased shared-memory slot and the device's bytes land
-    /// in the region with no intermediate `Vec` (§4.4.3). `dst` must be
-    /// exactly the command's transfer length.
+    /// `dst` is a leased shared-memory slot (or the target's recycled
+    /// inline-read buffer) and the device's bytes land there with no
+    /// intermediate `Vec` (§4.4.3). `dst` must be exactly the command's
+    /// transfer length.
     pub fn read_into(&self, cmd: &NvmeCommand, dst: &mut [u8]) -> NvmeCompletion {
         debug_assert_eq!(cmd.opcode, Opcode::Read);
         let Some(ns) = self.namespaces.get(&cmd.nsid) else {
@@ -119,8 +136,7 @@ impl Controller {
     /// Returns the completion and, for reads/identify, the response
     /// payload. This is [`execute_async`](Controller::execute_async)
     /// plus waiting out a returned ticket, so it is for callers with
-    /// nothing else to serve meanwhile (the target uses it for inline
-    /// reads only, which never ticket).
+    /// nothing else to serve meanwhile.
     pub fn execute(
         &mut self,
         cmd: &NvmeCommand,
@@ -324,6 +340,13 @@ mod tests {
         let (comp, payload) = c.execute(&NvmeCommand::read(1, 2, 0, u32::MAX), None);
         assert_eq!(comp.status, Status::LbaOutOfRange);
         assert!(payload.is_none());
+        // The target's inline read path asks before it sizes its buffer.
+        let refused = c.read_len(&NvmeCommand::read(4, 2, 0, u32::MAX));
+        assert_eq!(refused.map_err(|c| c.status), Err(Status::LbaOutOfRange));
+        let fits = NvmeCommand::read(5, 2, 0, 2);
+        assert_eq!(c.read_len(&fits).ok(), c.transfer_len(&fits));
+        let nowhere = c.read_len(&NvmeCommand::read(6, 9, 0, 1));
+        assert_eq!(nowhere.map_err(|c| c.status), Err(Status::InvalidNamespace));
         let one_block = vec![0u8; 4096];
         let (comp, _) = c.execute(&NvmeCommand::compare(2, 2, 0, u32::MAX), Some(&one_block));
         assert_eq!(comp.status, Status::LbaOutOfRange, "range before length");

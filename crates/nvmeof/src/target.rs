@@ -109,7 +109,22 @@ pub struct TargetConnection {
     /// submission order. Released (in order) by
     /// [`TargetConnection::poll_parked`].
     parked: VecDeque<ParkedBarrier>,
+    /// Inline-read buffers: the device reads into one, and the C2H
+    /// chunks are `Bytes` views of it. The reactor sends and drops those
+    /// chunks within the pass that made them, so by the next read the
+    /// connection holds the only reference again and refills the buffer
+    /// in place — no allocation and no lock per read.
+    read_bufs: Vec<Arc<Vec<u8>>>,
 }
+
+/// Most inline-read buffers a connection keeps: one per read of a
+/// reactor pass, up to a queue depth's worth. Reads past it in one pass
+/// take a one-off buffer.
+const READ_BUFS: usize = 16;
+
+/// Largest read served from a recycled buffer; a larger one takes a
+/// one-off buffer, so a rare huge read does not pin its size.
+const READ_BUF_MAX: usize = 256 * 1024;
 
 impl TargetConnection {
     /// Creates the state machine. `payload` is the shared-memory channel
@@ -129,6 +144,7 @@ impl TargetConnection {
             // Pre-sized far above any sane barrier queue depth so the
             // steady-state park/release cycle never allocates.
             parked: VecDeque::with_capacity(64),
+            read_bufs: Vec::with_capacity(READ_BUFS),
         }
     }
 
@@ -720,15 +736,24 @@ impl TargetConnection {
                 }
             }
         }
-        let (comp, payload) = ctrl.execute(&cmd, None);
-        if let Some(data) = payload {
-            self.metrics.payload_bytes.add(data.len() as u64);
+        // `nlb` is a wire field: the range is checked before it sizes
+        // the buffer.
+        let len = match ctrl.read_len(&cmd) {
+            Ok(len) => len,
+            Err(comp) => {
+                self.finish(cmd.gseq, comp, out);
+                return Ok(());
+            }
+        };
+        let (comp, buf) = self.read_recycled(&cmd, len, ctrl);
+        if comp.status.is_ok() {
+            self.metrics.payload_bytes.add(len as u64);
             let mut published = None;
             if self.shm_active
                 && self
                     .payload
                     .as_ref()
-                    .is_some_and(|ch| data.len() <= ch.max_payload())
+                    .is_some_and(|ch| len <= ch.max_payload())
             {
                 // Publish through the double buffer; the control PDU only
                 // carries the slot reference (§4.3).
@@ -737,7 +762,7 @@ impl TargetConnection {
                     .as_ref()
                     .expect("shm_active implies channel")
                     .clone();
-                match ch.publish(&data) {
+                match ch.publish(&buf[..len]) {
                     Ok(p) => published = Some(p),
                     // Region died: abandon shm, fall through to the
                     // inline chunked path below.
@@ -754,23 +779,23 @@ impl TargetConnection {
                 }));
             } else {
                 // Stock NVMe/TCP: inline data chunked at the
-                // application-level chunk size (§4.5).
+                // application-level chunk size (§4.5). The chunks view
+                // the read buffer; none is copied.
                 let chunk = self.cfg.read_chunk.max(1);
-                let total = data.len();
-                let bytes = Bytes::from(data);
+                let bytes = Bytes::from_arc(Arc::clone(&buf));
                 let mut off = 0usize;
-                while off < total {
-                    let end = (off + chunk).min(total);
+                while off < len {
+                    let end = (off + chunk).min(len);
                     out.push(Pdu::C2HData(DataPdu {
                         cid: cmd.cid,
                         ttag: 0,
                         offset: off as u32,
-                        last: end == total,
+                        last: end == len,
                         data: DataRef::Inline(bytes.slice(off..end)),
                     }));
                     off = end;
                 }
-                if total == 0 {
+                if len == 0 {
                     out.push(Pdu::C2HData(DataPdu {
                         cid: cmd.cid,
                         ttag: 0,
@@ -783,6 +808,45 @@ impl TargetConnection {
         }
         self.finish(cmd.gseq, comp, out);
         Ok(())
+    }
+
+    /// Reads `cmd` (`len` bytes, range already checked) into a buffer
+    /// this connection holds alone and returns that buffer: the first
+    /// kept one whose views have all dropped (grown if short; the lowest
+    /// free index wins, so one read per pass keeps reusing one cache-warm
+    /// buffer), a newly kept one while there is room, or a one-off.
+    /// Reuse never clears, because the device overwrites all `len`
+    /// bytes; growth zero-fills once.
+    fn read_recycled(
+        &mut self,
+        cmd: &NvmeCommand,
+        len: usize,
+        ctrl: &Controller,
+    ) -> (NvmeCompletion, Arc<Vec<u8>>) {
+        let free = self
+            .read_bufs
+            .iter_mut()
+            .position(|b| Arc::get_mut(b).is_some());
+        let i = match free {
+            _ if len > READ_BUF_MAX => None,
+            Some(i) => Some(i),
+            None if self.read_bufs.len() < READ_BUFS => {
+                self.read_bufs.push(Arc::new(Vec::new()));
+                Some(self.read_bufs.len() - 1)
+            }
+            None => None,
+        };
+        let Some(i) = i else {
+            let mut buf = Arc::new(vec![0u8; len]);
+            let dst = Arc::get_mut(&mut buf).expect("fresh buffer");
+            return (ctrl.read_into(cmd, dst), buf);
+        };
+        let dst = Arc::get_mut(&mut self.read_bufs[i]).expect("checked unshared");
+        if dst.len() < len {
+            dst.resize(len, 0);
+        }
+        let comp = ctrl.read_into(cmd, &mut dst[..len]);
+        (comp, Arc::clone(&self.read_bufs[i]))
     }
 }
 

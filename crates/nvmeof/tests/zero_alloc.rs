@@ -943,16 +943,23 @@ fn steady_state_recovery_bookkeeping_allocates_nothing() {
 /// The socket data path's copy/allocation budget, end to end through
 /// the real state machines: an [`Initiator`] and a [`TargetConnection`]
 /// on a live loopback socket pair, both played on this thread so each
-/// side's allocations can be counted apart. A 128 KiB read costs the
-/// client exactly the buffer it hands back in `IoResult::data` (C2H
-/// chunks land in it straight from the receive window); a single-chunk
-/// 128 KiB write costs the target nothing (it executes from the receive
-/// window, no staging buffer).
+/// side's allocations can be counted apart. At 128 KiB and at 4 KiB, a
+/// read costs the client exactly the buffer it hands back in
+/// `IoResult::data` (C2H chunks land in it straight from the receive
+/// window) and costs the target nothing (the device reads into the
+/// connection's recycled buffer and the chunks are views of it); a
+/// single-chunk write costs the target nothing (it executes from the
+/// receive window, no staging buffer).
 ///
 /// [`Initiator`]: oaf_nvmeof::initiator::Initiator
 /// [`TargetConnection`]: oaf_nvmeof::target::TargetConnection
 #[test]
 fn socket_reads_cost_one_client_buffer_and_single_chunk_writes_no_target_allocation() {
+    socket_ops_allocation_budget(128 * 1024);
+    socket_ops_allocation_budget(4096);
+}
+
+fn socket_ops_allocation_budget(len: usize) {
     use bytes::Bytes;
     use oaf_nvmeof::initiator::{Initiator, InitiatorOptions};
     use oaf_nvmeof::nvme::controller::Controller;
@@ -961,8 +968,7 @@ fn socket_reads_cost_one_client_buffer_and_single_chunk_writes_no_target_allocat
     use oaf_nvmeof::tcp::{TcpConfig, TcpTransport};
     use oaf_nvmeof::transport::send_pdu;
 
-    const LEN: usize = 128 * 1024;
-    const NLB: u32 = (LEN / 4096) as u32;
+    let nlb = (len / 4096) as u32;
 
     /// Runs `f` with this thread's allocations counted into `into`.
     fn counted<R>(into: &mut u64, f: impl FnOnce() -> R) -> R {
@@ -1029,15 +1035,15 @@ fn socket_reads_cost_one_client_buffer_and_single_chunk_writes_no_target_allocat
         connecting.join().expect("connect thread").expect("connect")
     });
 
-    let payload = Bytes::from(vec![0xa5u8; LEN]);
+    let payload = Bytes::from(vec![0xa5u8; len]);
     let mut results = Vec::with_capacity(4);
     let mut op = |read: bool, client_allocs: &mut u64, target_allocs: &mut u64| {
         counted(client_allocs, || {
             if read {
-                client.submit_read(1, 0, NLB, LEN)
+                client.submit_read(1, 0, nlb, len)
             } else {
                 // A refcount bump: the payload is never copied client-side.
-                client.submit_write(1, 0, NLB, payload.clone())
+                client.submit_write(1, 0, nlb, payload.clone())
             }
         })
         .expect("submit");
@@ -1048,7 +1054,7 @@ fn socket_reads_cost_one_client_buffer_and_single_chunk_writes_no_target_allocat
         let done = results.pop().expect("one completion");
         assert!(done.status.is_ok(), "{:?}", done.status);
         if read {
-            assert_eq!(done.data.len(), LEN);
+            assert_eq!(done.data.len(), len);
             assert!(
                 done.data.iter().all(|&b| b == 0xa5),
                 "read back wrong bytes"
@@ -1064,18 +1070,22 @@ fn socket_reads_cost_one_client_buffer_and_single_chunk_writes_no_target_allocat
     }
 
     const OPS: u64 = 200;
-    let (mut client_on_reads, mut target_on_writes) = (0, 0);
+    let (mut client_on_reads, mut target_on_reads, mut target_on_writes) = (0, 0, 0);
     for _ in 0..OPS {
-        op(true, &mut client_on_reads, &mut unused_t);
+        op(true, &mut client_on_reads, &mut target_on_reads);
         op(false, &mut unused_c, &mut target_on_writes);
     }
     assert_eq!(
         client_on_reads, OPS,
-        "a socket read must cost the client exactly the buffer it returns"
+        "a {len}-byte socket read must cost the client exactly the buffer it returns"
+    );
+    assert_eq!(
+        target_on_reads, 0,
+        "a {len}-byte socket read must not allocate on the target"
     );
     assert_eq!(
         target_on_writes, 0,
-        "a single-chunk socket write must not allocate on the target"
+        "a single-chunk {len}-byte socket write must not allocate on the target"
     );
     // The target's C2H data rode the vectored split path.
     assert!(target.transport.tcp_metrics().vectored_sends.get() >= OPS);
@@ -1087,9 +1097,8 @@ fn socket_reads_cost_one_client_buffer_and_single_chunk_writes_no_target_allocat
 /// apart. Queueing frames, the submit-time and end-of-poll flushes and
 /// the target's queue-then-flush answer step allocate nothing: a wave of
 /// writes costs neither side anything, and a wave of reads costs the
-/// client exactly the eight buffers it hands back. (The target's inline
-/// read path builds its data buffer on the heap, as it did before the
-/// queue existed, so on read waves only its send half is pinned to 0.)
+/// client exactly the eight buffers it hands back and the target nothing
+/// (its eight reads of one pass take eight recycled buffers).
 ///
 /// [`Initiator`]: oaf_nvmeof::initiator::Initiator
 /// [`TargetConnection`]: oaf_nvmeof::target::TargetConnection
@@ -1212,7 +1221,7 @@ fn corked_socket_waves_allocate_only_the_read_buffers_returned() {
     const WAVES: u64 = 500;
     let sent_before = client_tcp.tx_syscalls.get();
     let (mut client_reads, mut client_writes) = (0, 0);
-    let (mut target_writes, mut target_sending) = (0, 0);
+    let (mut target_reads, mut target_writes, mut target_sending) = (0, 0, 0);
     for _ in 0..WAVES {
         wave(
             false,
@@ -1220,7 +1229,12 @@ fn corked_socket_waves_allocate_only_the_read_buffers_returned() {
             &mut target_writes,
             &mut target_sending,
         );
-        wave(true, &mut client_reads, &mut unused_a, &mut target_sending);
+        wave(
+            true,
+            &mut client_reads,
+            &mut target_reads,
+            &mut target_sending,
+        );
     }
     assert_eq!(client_writes, 0, "a corked write wave must not allocate");
     assert_eq!(
@@ -1232,6 +1246,7 @@ fn corked_socket_waves_allocate_only_the_read_buffers_returned() {
         target_writes, 0,
         "serving in-capsule writes must not allocate"
     );
+    assert_eq!(target_reads, 0, "serving inline reads must not allocate");
     assert_eq!(target_sending, 0, "queue + flush must not allocate");
     // And the waves really were corked: the first submit of a wave leaves
     // alone, the other seven with the next poll.
