@@ -6,11 +6,12 @@
 //!   each I/O encoded as one owned PDU frame (`Pdu::encode`: allocate,
 //!   memcpy the payload in, CRC-stamp), `write_all`, and a fresh owned
 //!   buffer per received frame; against
-//! * **vectored+chunked+adaptive** — `TcpTransport`: nonblocking
-//!   poll-mode sockets, the payload borrowed into a `write_vectored`
-//!   send (no staging copy), large I/O streamed as runtime-selected
-//!   chunks (Fig. 9), and the ack awaited under the busy-poll
-//!   controller's adaptive spin budget (Fig. 10).
+//! * **vectored+chunked** — `TcpTransport`: nonblocking poll-mode
+//!   sockets, the payload borrowed into a `write_vectored` send (no
+//!   staging copy), large I/O streamed as 512 KiB chunks (the
+//!   initiator's default `write_chunk`, Fig. 9), and the ack awaited on
+//!   the runtime's wait ladder (`WaitLadder` on the default
+//!   `BackoffConfig`).
 //!
 //! The receiving sink runs on its own thread for both paths and never
 //! copies more than the kernel forces it to, so the delta isolates the
@@ -32,10 +33,10 @@ use std::time::{Duration, Instant};
 
 use bytes::{Bytes, BytesMut};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use oaf_nvmeof::initiator::InitiatorOptions;
 use oaf_nvmeof::pdu::{DataPdu, DataRef, Pdu};
 use oaf_nvmeof::tcp::{TcpConfig, TcpTransport};
-use oaf_nvmeof::transport::Transport;
-use oaf_nvmeof::tune::{BusyPollController, ChunkCostModel, ChunkSelector, PollClass, KIB, MIB};
+use oaf_nvmeof::transport::{BackoffConfig, Transport, WaitLadder, WaitStep};
 use oaf_store::crc32::{
     crc32_update, crc32_update_table, crc32_update_with, digest_impl, DigestImpl,
 };
@@ -159,8 +160,8 @@ impl Drop for NaivePath {
 }
 
 // ---------------------------------------------------------------------
-// Optimized path: TcpTransport with vectored split sends, runtime
-// chunking, and the adaptive busy-poll wait for the ack.
+// Optimized path: TcpTransport with vectored split sends, chunking,
+// and the runtime's wait ladder for the ack.
 // ---------------------------------------------------------------------
 
 /// The optimized endpoint pair and its sink thread. The sink drains
@@ -168,11 +169,6 @@ impl Drop for NaivePath {
 /// each complete I/O with one tiny PDU.
 struct OafPath {
     tr: TcpTransport,
-    poller: BusyPollController,
-    /// Spinning away a busy-poll budget only helps when the peer can
-    /// make progress on another core; on a uniprocessor it just starves
-    /// the sink, so fall straight through to `yield_now` there.
-    spin_ok: bool,
     sink: Option<std::thread::JoinHandle<()>>,
     stop: std::sync::Arc<std::sync::atomic::AtomicBool>,
 }
@@ -219,8 +215,6 @@ impl OafPath {
         });
         Self {
             tr,
-            poller: BusyPollController::new(),
-            spin_ok: std::thread::available_parallelism().is_ok_and(|n| n.get() > 1),
             sink: Some(sink),
             stop,
         }
@@ -228,8 +222,9 @@ impl OafPath {
 
     /// One I/O: the payload streams as `chunk`-sized offset-stamped
     /// sub-PDUs, each sent vectored with the payload slice borrowed
-    /// (refcount bump, no copy), then the ack is awaited under the
-    /// write-class busy-poll budget.
+    /// (refcount bump, no copy), then the ack is awaited the way
+    /// `Initiator::wait` awaits a completion: spin, yield, then sleep
+    /// in bounded slices.
     fn io(&mut self, payload: &Bytes, chunk: usize, scratch: &mut BytesMut) {
         let mut offset = 0usize;
         while offset < payload.len() {
@@ -246,20 +241,15 @@ impl OafPath {
             self.tr.send_split(scratch, tail).expect("split send");
             offset = end;
         }
-        let t0 = Instant::now();
-        let budget = self.poller.budget(PollClass::Write);
-        let mut got = 0usize;
-        while got == 0 {
-            got = self.tr.recv_batch(&mut |_| {}).expect("ack");
-            if got == 0 {
-                if self.spin_ok && t0.elapsed() < budget {
-                    std::hint::spin_loop();
-                } else {
-                    std::thread::yield_now();
-                }
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let mut ladder = WaitLadder::until(deadline, &BackoffConfig::default());
+        while self.tr.recv_batch(&mut |_| {}).expect("ack") == 0 {
+            match ladder.step() {
+                WaitStep::Again => {}
+                WaitStep::Sleep(d) => std::thread::sleep(d),
+                WaitStep::Expired => panic!("no ack within 10 s"),
             }
         }
-        self.poller.observe(PollClass::Write, t0.elapsed());
     }
 
     /// Total wire bytes one I/O of `len` occupies at `chunk` granularity
@@ -297,11 +287,9 @@ impl Drop for OafPath {
 }
 
 fn select_chunk(size: usize) -> usize {
-    // The connection-setup policy: pick once from the link cost model
-    // over a large-I/O mix (25 Gb/s → 512 KiB, the paper's optimum),
-    // never chunk below the I/O size itself.
-    let selector = ChunkSelector::new(ChunkCostModel::for_link_gbps(25.0));
-    (selector.select(&[128 * KIB, 256 * KIB, 512 * KIB, MIB]) as usize).min(size.max(1))
+    // The runtime's socket chunk (Fig. 9's 512 KiB at 25 Gb/s), never
+    // below the I/O size itself.
+    InitiatorOptions::default().write_chunk.min(size.max(1))
 }
 
 fn bench_tcp_path(c: &mut Criterion) {
@@ -458,20 +446,18 @@ fn report_throughput(_c: &mut Criterion) {
         let oaf_dt = t0.elapsed();
         TRACK.with(|t| t.set(false));
         let oaf_allocs = ALLOCS.with(Cell::get) as f64 / ops as f64;
-        let budget = oaf.poller.budget(PollClass::Write);
         drop(oaf);
 
         let mbps = |dt: Duration| (ops * size) as f64 / dt.as_secs_f64() / (1024.0 * 1024.0);
         eprintln!(
             "  {:>4} KiB: naive-blocking {:>8.1} MB/s ({:.2} allocs/op)  \
-             vectored+chunked+adaptive {:>8.1} MB/s ({:.2} allocs/op, chunk {} KiB, budget {:?})",
+             vectored+chunked {:>8.1} MB/s ({:.2} allocs/op, chunk {} KiB)",
             size / 1024,
             mbps(naive_dt),
             naive_allocs,
             mbps(oaf_dt),
             oaf_allocs,
             chunk / 1024,
-            budget,
         );
     }
 }

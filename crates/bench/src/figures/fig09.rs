@@ -57,7 +57,7 @@ pub fn run() -> FigureReport {
         .expect("non-empty")
         .0;
     // The analytic selector's pick (what the adaptive fabric would use).
-    let selector = ChunkSelector::new(ChunkCostModel::for_link_gbps(25.0));
+    let selector = ChunkSelector::new(ChunkCostModel::for_gbps(25.0));
     let picked = selector.select(&ios);
 
     rep.checks.push(ShapeCheck::holds(

@@ -32,8 +32,7 @@ use oaf_nvmeof::payload::PayloadChannel;
 use oaf_nvmeof::pdu::{AF_CAP_SHM, AF_CAP_SHM_INCAPSULE, AF_CAP_ZERO_COPY};
 use oaf_nvmeof::target::{spawn_target_observed, TargetConfig, TargetHandle};
 use oaf_nvmeof::tcp::{TcpConfig, TcpTransport};
-use oaf_nvmeof::transport::{BackoffConfig, ControlTransport, ShmTransport};
-use oaf_nvmeof::tune::{ChunkCostModel, ChunkSelector, KIB, MIB};
+use oaf_nvmeof::transport::{ControlTransport, ShmTransport};
 use oaf_nvmeof::{FlowMode, NvmeofError};
 use oaf_shmem::channel::Side;
 use oaf_telemetry::Registry;
@@ -55,7 +54,11 @@ pub enum ControlPath {
     InRegion,
 }
 
-/// Fabric-level connection settings.
+/// Fabric-level connection settings: the knobs callers turn. What the
+/// paper fixes per fabric stays fixed — the stock NVMe/TCP in-capsule
+/// limit and read chunk ([`TargetConfig::default`]), a 256 KiB control
+/// ring per direction, the default wait ladder, and the initiator's
+/// 512 KiB socket write chunk (Fig. 9's optimum at 25 Gbps).
 #[derive(Clone, Debug)]
 pub struct FabricSettings {
     /// Double-buffer slots per direction (sized to the queue depth,
@@ -65,21 +68,8 @@ pub struct FabricSettings {
     pub slot_size: usize,
     /// Write flow-control regime once shared memory is active.
     pub flow: FlowMode,
-    /// In-capsule limit for the TCP path.
-    pub in_capsule_max: usize,
-    /// Read chunk size for the TCP path (§4.5).
-    pub read_chunk: usize,
     /// Control-PDU channel preference.
     pub control: ControlPath,
-    /// Per-direction byte-ring capacity for the in-region control path
-    /// (a power of two).
-    pub control_ring_bytes: u64,
-    /// Busy-poll iterations before a full/empty ring wait starts
-    /// yielding the CPU (in-region control path).
-    pub ring_spin_limit: u32,
-    /// How long a send may wait on a full control ring before giving up
-    /// with `RingFull`.
-    pub ring_full_timeout: Duration,
     /// Per-command deadline: a command with no completion after this
     /// long is retried (reads) or aborted-then-retried (writes), up to
     /// `max_retries` attempts. `None` disables deadline tracking.
@@ -92,39 +82,19 @@ pub struct FabricSettings {
     /// Keep-alive probe interval; the peer is declared dead after three
     /// quiet intervals. `None` disables keep-alive.
     pub keepalive_interval: Option<Duration>,
-    /// Link speed the remote TCP path is tuned for: the runtime
-    /// [`ChunkSelector`] sizes the write-chunk (Fig. 9) from this.
-    pub link_gbps: f64,
 }
 
 impl Default for FabricSettings {
     fn default() -> Self {
-        let backoff = BackoffConfig::default();
         FabricSettings {
             depth: 128,
             slot_size: 128 * 1024,
             flow: FlowMode::InCapsule,
-            in_capsule_max: 8 * 1024,
-            read_chunk: 128 * 1024,
             control: ControlPath::Tcp,
-            control_ring_bytes: 256 * 1024,
-            ring_spin_limit: backoff.spin_limit,
-            ring_full_timeout: backoff.send_full_timeout,
             cmd_deadline: None,
             max_retries: 3,
             retry_backoff: Duration::from_millis(2),
             keepalive_interval: None,
-            link_gbps: 25.0,
-        }
-    }
-}
-
-impl FabricSettings {
-    /// The ring-wait tuning these settings select.
-    pub fn backoff(&self) -> BackoffConfig {
-        BackoffConfig {
-            spin_limit: self.ring_spin_limit,
-            send_full_timeout: self.ring_full_timeout,
         }
     }
 }
@@ -195,8 +165,8 @@ impl ConnectionManager {
 
     /// Publishes the fabric-level decisions and the settings in effect
     /// into the `fabric` scope: which locality verdict was reached, which
-    /// control path was selected, and the tunables the connection runs
-    /// with.
+    /// control path was selected, and the slot geometry the connection
+    /// runs with.
     fn record_fabric(&self, settings: &FabricSettings, local: bool, in_region: bool) {
         let fab = self.telemetry.scope("fabric");
         if local {
@@ -211,15 +181,6 @@ impl ConnectionManager {
         }
         fab.gauge("depth").set(settings.depth as i64);
         fab.gauge("slot_size").set(settings.slot_size as i64);
-        fab.gauge("in_capsule_max")
-            .set(settings.in_capsule_max as i64);
-        fab.gauge("read_chunk").set(settings.read_chunk as i64);
-        fab.gauge("control_ring_bytes")
-            .set(settings.control_ring_bytes as i64);
-        fab.gauge("ring_spin_limit")
-            .set(settings.ring_spin_limit as i64);
-        fab.gauge("ring_full_timeout_ms")
-            .set(settings.ring_full_timeout.as_millis() as i64);
     }
 
     /// Wires one connection between two registered processes: locality,
@@ -259,23 +220,19 @@ impl ConnectionManager {
         // the verdict: in-region control (§5.5) needs co-location;
         // everything else rides the real-socket NVMe/TCP data plane over
         // loopback (§4.5).
-        let (client_tr, target_tr) = if settings.control == ControlPath::InRegion
-            && hotplug.is_some()
-        {
-            let (c, t) = ShmTransport::pair_with(settings.control_ring_bytes, settings.backoff());
-            // The in-region path also exposes producer-side ring
-            // occupancy and full events per endpoint.
-            c.tx_ring_stats().register(&scope("control_ring_client"));
-            t.tx_ring_stats().register(&scope("control_ring_target"));
-            (ControlTransport::Shm(c), ControlTransport::Shm(t))
-        } else {
-            let (c, t) = TcpTransport::loopback_pair(TcpConfig {
-                backoff: settings.backoff(),
-                ..TcpConfig::default()
-            })
-            .map_err(|_| NvmeofError::TransportClosed)?;
-            (ControlTransport::Tcp(c), ControlTransport::Tcp(t))
-        };
+        let (client_tr, target_tr) =
+            if settings.control == ControlPath::InRegion && hotplug.is_some() {
+                let (c, t) = ShmTransport::pair(256 * 1024);
+                // The in-region path also exposes producer-side ring
+                // occupancy and full events per endpoint.
+                c.tx_ring_stats().register(&scope("control_ring_client"));
+                t.tx_ring_stats().register(&scope("control_ring_target"));
+                (ControlTransport::Shm(c), ControlTransport::Shm(t))
+            } else {
+                let (c, t) = TcpTransport::loopback_pair(TcpConfig::default())
+                    .map_err(|_| NvmeofError::TransportClosed)?;
+                (ControlTransport::Tcp(c), ControlTransport::Tcp(t))
+            };
         self.record_fabric(settings, hotplug.is_some(), client_tr.is_in_region());
         client_tr.metrics().register(&scope("transport_client"));
         target_tr.metrics().register(&scope("transport_target"));
@@ -292,10 +249,8 @@ impl ConnectionManager {
             TargetSide {
                 transport: target_tr,
                 cfg: TargetConfig {
-                    in_capsule_max: settings.in_capsule_max,
-                    read_chunk: settings.read_chunk,
-                    af_caps: AF_CAP_SHM | AF_CAP_SHM_INCAPSULE | AF_CAP_ZERO_COPY,
                     target_id: target.0,
+                    ..TargetConfig::default()
                 },
                 payload: target_shm.map(|t| t as Arc<dyn PayloadChannel>),
             },
@@ -328,35 +283,25 @@ impl ConnectionManager {
         } else {
             0
         };
-        // Runtime chunking (Fig. 9): on the socket path, large H2C data
-        // is streamed as write_chunk-sized sub-PDUs sized for the link;
-        // in-memory channels move payloads whole.
-        let write_chunk = if transport.is_socket() {
-            let selector = ChunkSelector::new(ChunkCostModel::for_link_gbps(settings.link_gbps));
-            let mix = [128 * KIB, 256 * KIB, 512 * KIB, MIB, 2 * MIB];
-            selector.select(&mix) as usize
-        } else {
-            0
-        };
-        self.telemetry
-            .scope("fabric")
-            .gauge("write_chunk")
-            .set(write_chunk as i64);
-        let opts = InitiatorOptions {
+        let mut opts = InitiatorOptions {
             host_id: pid.0,
             af_caps,
             flow: settings.flow,
             maxr2t: 16,
-            write_chunk,
             cmd_deadline: settings.cmd_deadline,
             max_retries: settings.max_retries,
             retry_backoff: settings.retry_backoff,
             keepalive: settings
                 .keepalive_interval
                 .map(KeepAliveConfig::with_interval),
-            backoff: settings.backoff(),
             ..InitiatorOptions::default()
         };
+        // Chunking (Fig. 9): on the socket path large H2C data streams
+        // as sub-PDUs of the default write_chunk; in-memory channels
+        // move payloads whole.
+        if !transport.is_socket() {
+            opts.write_chunk = 0;
+        }
         let initiator = Initiator::connect(
             transport,
             opts,

@@ -17,7 +17,7 @@ use oaf_nvmeof::nvme::controller::{Controller, IdentifyInfo};
 use oaf_nvmeof::recovery::CidMap;
 use oaf_nvmeof::server::{spawn_multi_observed, ConnectionSpec};
 use oaf_nvmeof::shard::{spawn_sharded, ShardConfig};
-use oaf_nvmeof::target::TargetHandle;
+use oaf_nvmeof::target::{TargetConfig, TargetHandle};
 use oaf_nvmeof::transport::ControlTransport;
 use oaf_nvmeof::{Initiator, NvmeofError};
 
@@ -301,13 +301,13 @@ impl AfClient {
         settings: &FabricSettings,
         app: &Scope,
     ) -> Self {
-        // Pool buffers are sized generously past the slot/chunk size so
-        // block-level read-modify-write spans (payload + straddled blocks)
-        // still fit in one buffer. A written buffer is held until its
+        // Pool buffers are sized generously past the slot and read-chunk
+        // size so block-level read-modify-write spans (payload +
+        // straddled blocks) still fit in one buffer. A written buffer is held until its
         // command completes, so the pool has a queue depth's worth of
         // buffers on top of what the application may hold itself.
         let pool = DpdkPool::new(
-            settings.slot_size.max(settings.read_chunk) * 2,
+            settings.slot_size.max(TargetConfig::default().read_chunk) * 2,
             settings.depth + settings.depth.max(8),
         );
         AfClient {

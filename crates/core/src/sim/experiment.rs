@@ -418,7 +418,7 @@ mod tests {
     }
 
     #[test]
-    fn explicit_busy_poll_budget_changes_tcp_behaviour() {
+    fn explicit_busy_poll_changes_tcp_behaviour() {
         let interrupt = run_uniform(
             FabricKind::TcpOpt {
                 gbps: 10.0,

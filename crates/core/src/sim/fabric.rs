@@ -85,9 +85,9 @@ impl FabricKind {
             } => {
                 // The adaptive fabric tunes its TCP fallback per link:
                 // chunk size from the analytic selector (§4.5, Fig. 9)
-                // and the busy-poll controller's steady-state budget
-                // (see `oaf_nvmeof::tune::BusyPollController`).
-                let selector = ChunkSelector::new(ChunkCostModel::for_link_gbps(tcp_gbps));
+                // and a fixed 50 µs busy-poll budget, inside the 25–50 µs
+                // band Fig. 10's sweep finds best for reads.
+                let selector = ChunkSelector::new(ChunkCostModel::for_gbps(tcp_gbps));
                 let mix = [128 * KIB, 512 * KIB, 1024 * KIB, 2048 * KIB];
                 FabricKind::TcpOpt {
                     gbps: tcp_gbps,

@@ -38,6 +38,13 @@ pub enum NvmeofError {
     /// The peer stopped responding to keep-alives past the grace
     /// period; the connection is unusable.
     PeerDead,
+    /// A wait named a command id that is not in flight on this
+    /// connection — already returned, or never issued — so no frame can
+    /// ever complete it.
+    UnknownCid {
+        /// The command id that was awaited.
+        cid: u16,
+    },
 }
 
 impl std::fmt::Display for NvmeofError {
@@ -55,6 +62,7 @@ impl std::fmt::Display for NvmeofError {
             NvmeofError::Timeout { cid: None } => write!(f, "operation timed out"),
             NvmeofError::CorruptFrame => write!(f, "frame failed CRC (corrupt)"),
             NvmeofError::PeerDead => write!(f, "peer declared dead (keep-alive misses)"),
+            NvmeofError::UnknownCid { cid } => write!(f, "command {cid} is not in flight"),
         }
     }
 }
@@ -82,6 +90,9 @@ mod tests {
             .contains("17"));
         assert!(NvmeofError::CorruptFrame.to_string().contains("CRC"));
         assert!(NvmeofError::PeerDead.to_string().contains("dead"));
+        assert!(NvmeofError::UnknownCid { cid: 42 }
+            .to_string()
+            .contains("42 is not in flight"));
         assert!(NvmeofError::Nvme(Status::LbaOutOfRange)
             .to_string()
             .contains("LbaOutOfRange"));

@@ -26,7 +26,6 @@ use crate::recovery::{
     Action, CidMap, DataArrival, DataNeed, InitiatorRecovery, KeepAliveNanos, Nanos, RecoveryConfig,
 };
 use crate::transport::{self, BackoffConfig, Frame, Transport, WaitLadder, WaitStep};
-use crate::tune::{BusyPollController, PollClass};
 use crate::FlowMode;
 
 /// Keep-alive tuning: how long a connection may stay silent before the
@@ -89,14 +88,11 @@ pub struct InitiatorOptions {
     /// Default `false` even when the feature is compiled in.
     #[cfg(feature = "mc-mutations")]
     pub mc_deliver_early: bool,
-    /// Spin→yield→sleep ladder tuning for the blocking waits
-    /// (`connect`, `wait`) — the same knob the ring transports use.
-    pub backoff: BackoffConfig,
     /// Application-level chunk size for inline H2C transfers (§4.5,
     /// Fig. 9): an R2T-granted payload larger than this is shipped as
     /// `ceil(len / write_chunk)` pipelined sub-requests. `0` disables
-    /// chunking. The connection manager sizes this with the runtime
-    /// [`crate::tune::ChunkSelector`] when the link is a real socket.
+    /// chunking. The connection manager keeps the default on a real
+    /// socket and passes `0` for in-memory channels.
     pub write_chunk: usize,
 }
 
@@ -114,7 +110,6 @@ impl Default for InitiatorOptions {
             barrier_grace: Duration::from_millis(250),
             #[cfg(feature = "mc-mutations")]
             mc_deliver_early: false,
-            backoff: BackoffConfig::default(),
             // Fig. 9's optimum for the paper's 25 Gbps testbed; payloads
             // at or below this are untouched.
             write_chunk: 512 * 1024,
@@ -251,10 +246,6 @@ struct ClientState {
     /// Reusable buffer for the core's emitted actions, drained by
     /// [`ClientState::apply_actions`] (steady state allocates nothing).
     actions: Vec<Action>,
-    /// Workload-adaptive busy-poll budgets (§4.5, Fig. 10): observed
-    /// wait times feed per-direction EWMAs; [`Initiator::wait`] spins
-    /// for the chosen budget before descending to yields and sleeps.
-    poller: BusyPollController,
 }
 
 /// An NVMe-oF initiator over a transport.
@@ -404,19 +395,15 @@ impl ClientState {
         }
     }
 
-    /// Feeds one completed wait into the adaptive busy-poll controller
-    /// and publishes the refreshed per-direction budgets as gauges.
-    /// Waits that ran into retries or stalls are clamped so a single
-    /// outlier can't blow the EWMA past the ladder.
-    fn observe_wait(&mut self, class: PollClass, elapsed: Duration) {
-        const CLAMP: Duration = Duration::from_millis(1);
-        self.poller.observe(class, elapsed.min(CLAMP));
-        self.metrics
-            .busy_poll_read_us
-            .set(self.poller.budget(PollClass::Read).as_micros() as i64);
-        self.metrics
-            .busy_poll_write_us
-            .set(self.poller.budget(PollClass::Write).as_micros() as i64);
+    /// Whether a wait on user cid `cid` can end in its result: the
+    /// command is in flight (under its own cid, or a retry's wire cid),
+    /// its completion waits for the next poll, or its retry budget ran
+    /// out and `wait` owes the caller that timeout.
+    fn awaits(&self, cid: u16) -> bool {
+        self.pending.get(&cid).is_some_and(|p| p.user_cid == cid)
+            || self.completed.iter().any(|r| r.cid == cid)
+            || self.timed_out.contains(&cid)
+            || self.pending.values().any(|p| p.user_cid == cid)
     }
 
     /// Like [`queue_pdu`], but treats ring congestion as transient: the
@@ -691,11 +678,16 @@ impl<T: Transport> Initiator<T> {
         // The first frame that settles the handshake ends it.
         let mut outcome = None;
         while outcome.is_none() {
-            let n = transport::recv_batch_until(&transport, deadline, &opts.backoff, &mut |f| {
-                if outcome.is_none() {
-                    outcome = settle_handshake(&transport, &icreq, f);
-                }
-            })?;
+            let n = transport::recv_batch_until(
+                &transport,
+                deadline,
+                &BackoffConfig::default(),
+                &mut |f| {
+                    if outcome.is_none() {
+                        outcome = settle_handshake(&transport, &icreq, f);
+                    }
+                },
+            )?;
             if n == 0 {
                 return Err(NvmeofError::timeout());
             }
@@ -727,7 +719,6 @@ impl<T: Transport> Initiator<T> {
                 epoch: Instant::now(),
                 core,
                 actions: Vec::with_capacity(16),
-                poller: BusyPollController::new(),
             },
         })
     }
@@ -751,21 +742,6 @@ impl<T: Transport> Initiator<T> {
     /// a [`oaf_telemetry::Registry`] scope).
     pub fn metrics(&self) -> &Arc<InitiatorMetrics> {
         &self.state.metrics
-    }
-
-    /// The current workload-adaptive busy-poll budget for `class` waits
-    /// (§4.5, Fig. 10).
-    pub fn busy_poll_budget(&self, class: PollClass) -> Duration {
-        self.state.poller.budget(class)
-    }
-
-    /// Feeds one measured wait into the busy-poll controller, exactly as
-    /// a live [`wait`](Self::wait) would — EWMA update plus the
-    /// `busy_poll_*_us` telemetry gauges. This is the Fig. 10 replay
-    /// interface: recorded per-direction wait traces can be played back
-    /// to inspect which budgets the controller settles on.
-    pub fn observe_wait_sample(&mut self, class: PollClass, wait: Duration) {
-        self.state.observe_wait(class, wait);
     }
 
     /// Submits a write of `data` (must be `nlb * block_size` bytes).
@@ -1153,24 +1129,20 @@ impl<T: Transport> Initiator<T> {
     }
 
     /// Polls until `cid` completes or `timeout` elapses, descending the
-    /// spin→yield→sleep ladder while the transport stays quiet.
+    /// spin→yield→sleep ladder of the default [`BackoffConfig`] while
+    /// the transport stays quiet — the ladder every blocking wait of the
+    /// fabric runs.
     ///
-    /// The busy-poll phase is workload-adaptive (§4.5, Fig. 10): waits
-    /// are classified by the awaited command's direction, observed wait
-    /// times feed a per-direction EWMA, and the spin budget is the
-    /// controller's current pick for that class — so reads converge to
-    /// short budgets and writes to long ones.
+    /// A `cid` that is not in flight (already returned, or never issued)
+    /// can never complete, so it fails at once with
+    /// [`NvmeofError::UnknownCid`].
     pub fn wait(&mut self, cid: u16, timeout: Duration) -> Result<IoResult, NvmeofError> {
-        let started = Instant::now();
-        let deadline = started + timeout;
-        let class = match self.state.pending.get(&cid).map(|p| p.cmd.opcode) {
-            Some(Opcode::Read) | Some(Opcode::Identify) | None => PollClass::Read,
-            Some(_) => PollClass::Write,
-        };
-        let budget = self.state.poller.budget(class);
-        let mut ladder = WaitLadder::until_with_spin(deadline, &self.state.opts.backoff, budget);
+        if !self.state.awaits(cid) {
+            return Err(NvmeofError::UnknownCid { cid });
+        }
+        let mut ladder = WaitLadder::until(Instant::now() + timeout, &BackoffConfig::default());
         let mut done = std::mem::take(&mut self.state.wait_buf);
-        let result = self.wait_in(cid, class, started, &mut ladder, &mut done);
+        let result = self.wait_in(cid, &mut ladder, &mut done);
         // Everything else that completed meanwhile goes to the next poll.
         self.state.completed.append(&mut done);
         self.state.wait_buf = done;
@@ -1183,17 +1155,13 @@ impl<T: Transport> Initiator<T> {
     fn wait_in(
         &mut self,
         cid: u16,
-        class: PollClass,
-        started: Instant,
         ladder: &mut WaitLadder,
         done: &mut Vec<IoResult>,
     ) -> Result<IoResult, NvmeofError> {
         loop {
             self.poll_into(done)?;
             if let Some(pos) = done.iter().position(|r| r.cid == cid) {
-                let result = done.remove(pos);
-                self.state.observe_wait(class, started.elapsed());
-                return Ok(result);
+                return Ok(done.remove(pos));
             }
             if let Some(pos) = self.state.timed_out.iter().position(|&c| c == cid) {
                 self.state.timed_out.swap_remove(pos);
@@ -1206,12 +1174,11 @@ impl<T: Transport> Initiator<T> {
                     // Frames that end the slice are handled here; the
                     // next poll ticks, flushes and collects them.
                     let (transport, state) = (&self.transport, &mut self.state);
-                    let backoff = state.opts.backoff;
                     let (mut now, mut err) = (None, None);
                     transport::recv_batch_until(
                         transport,
                         Instant::now() + d,
-                        &backoff,
+                        &BackoffConfig::default(),
                         &mut |f| state.take_frame(transport, f, &mut now, &mut err),
                     )?;
                     if let Some(e) = err {

@@ -161,12 +161,6 @@ pub struct InitiatorMetrics {
     pub chunks_per_io: Histo,
     /// H2C data PDUs sent in response to R2T grants (chunked or not).
     pub h2c_chunks: Counter,
-    /// Current adaptive busy-poll budget for read-class waits, in
-    /// microseconds (§4.5, Fig. 10).
-    pub busy_poll_read_us: Gauge,
-    /// Current adaptive busy-poll budget for write-class waits, in
-    /// microseconds.
-    pub busy_poll_write_us: Gauge,
     latency: [Histo; OPCODES],
 }
 
@@ -188,8 +182,6 @@ impl Default for InitiatorMetrics {
             aborts_sent: Counter::new(),
             chunks_per_io: Histo::new(),
             h2c_chunks: Counter::new(),
-            busy_poll_read_us: Gauge::new(),
-            busy_poll_write_us: Gauge::new(),
             latency: std::array::from_fn(|_| Histo::new()),
         }
     }
@@ -222,20 +214,11 @@ impl InitiatorMetrics {
         scope.adopt_counter("stale_frames", &self.stale_frames);
         scope.adopt_counter("corrupt_frames", &self.corrupt_frames);
         scope.adopt_counter("aborts_sent", &self.aborts_sent);
+        scope.adopt_histo("chunks_per_io", &self.chunks_per_io);
+        scope.adopt_counter("h2c_chunks", &self.h2c_chunks);
         for (i, h) in self.latency.iter().enumerate() {
             scope.adopt_histo(&format!("lat_{}_ns", OPCODE_NAMES[i]), h);
         }
-        self.register_tcp_path(scope);
-    }
-
-    /// Publish just the TCP-path tuning metrics (chunking + busy-poll)
-    /// into `scope` — used to surface them under the `tcp` scope next to
-    /// the socket transport's own counters.
-    pub fn register_tcp_path(&self, scope: &Scope) {
-        scope.adopt_histo("chunks_per_io", &self.chunks_per_io);
-        scope.adopt_counter("h2c_chunks", &self.h2c_chunks);
-        scope.adopt_gauge("busy_poll_read_us", &self.busy_poll_read_us);
-        scope.adopt_gauge("busy_poll_write_us", &self.busy_poll_write_us);
     }
 }
 

@@ -116,8 +116,10 @@ pub fn queue_pdu<T: Transport + ?Sized>(
     transport.queue_frame(scratch)
 }
 
-/// Ring-wait tuning knobs, settable per connection (through
-/// `FabricSettings` in `oaf-core`) instead of compile-time constants.
+/// Spin→yield→sleep tuning for a [`WaitLadder`]. The runtime runs every
+/// blocking wait on the default; tests that need a ring to give up fast
+/// build a transport with their own ([`ShmTransport::pair_with`],
+/// `TcpConfig::backoff`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BackoffConfig {
     /// Busy-poll iterations before a waiter starts yielding the CPU.
@@ -163,10 +165,6 @@ pub struct WaitLadder {
     yields: u32,
     spin_limit: u32,
     deadline: Instant,
-    /// When set, the busy-poll phase is *time*-based: spin until this
-    /// instant (the §4.5 adaptive budget) instead of counting
-    /// `spin_limit` iterations.
-    spin_until: Option<Instant>,
 }
 
 impl WaitLadder {
@@ -183,43 +181,16 @@ impl WaitLadder {
             yields: 0,
             spin_limit: cfg.spin_limit,
             deadline,
-            spin_until: None,
-        }
-    }
-
-    /// A ladder whose busy-poll phase lasts `spin_budget` of wall time —
-    /// the workload-adaptive budget chosen by
-    /// [`crate::tune::BusyPollController`] (§4.5, Fig. 10) — before
-    /// descending to yields and bounded sleeps. A zero budget skips the
-    /// spin phase entirely (interrupt mode).
-    pub fn until_with_spin(deadline: Instant, cfg: &BackoffConfig, spin_budget: Duration) -> Self {
-        WaitLadder {
-            spins: 0,
-            yields: 0,
-            spin_limit: cfg.spin_limit,
-            deadline,
-            spin_until: Some(Instant::now() + spin_budget),
         }
     }
 
     /// One wait step. The caller polls, and on no-progress calls `step`
     /// and obeys the returned [`WaitStep`].
     pub fn step(&mut self) -> WaitStep {
-        match self.spin_until {
-            Some(t) => {
-                if Instant::now() < t {
-                    self.spins += 1;
-                    std::hint::spin_loop();
-                    return WaitStep::Again;
-                }
-            }
-            None => {
-                if self.spins < self.spin_limit {
-                    self.spins += 1;
-                    std::hint::spin_loop();
-                    return WaitStep::Again;
-                }
-            }
+        if self.spins < self.spin_limit {
+            self.spins += 1;
+            std::hint::spin_loop();
+            return WaitStep::Again;
         }
         let now = Instant::now();
         if now >= self.deadline {

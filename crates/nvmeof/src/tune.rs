@@ -1,20 +1,16 @@
-//! Runtime tuning knobs for the TCP data path (§4.5).
+//! The chunk-size model of the paper's optimized NVMe/TCP (§4.5).
 //!
-//! The paper's two inter-node optimizations, expressed on plain
-//! [`std::time::Duration`] + `f64` so the *real* socket transport, the
-//! discrete-event fabric and the figure harness share one implementation:
-//!
-//! * **Application-level chunk size.** Stock NVMe/TCP statically splits
-//!   I/O into 128 KiB sub-requests, and the chunk size also sizes the
-//!   target's buffer pools. Small chunks multiply per-chunk CPU cost,
-//!   huge chunks waste target memory — Fig. 9 finds 512 KiB optimal for
-//!   25 Gbps Ethernet. [`ChunkSelector`] encodes that trade-off as an
-//!   explicit cost model and picks the best chunk for the link.
-//! * **Adaptive busy polling.** Static budgets are suboptimal because
-//!   read and write waits differ (Fig. 10): writes want long budgets
-//!   (~100 µs), reads want 25–50 µs. [`BusyPollController`] tracks an
-//!   EWMA of observed wait times per direction and selects a budget
-//!   from the candidate ladder.
+//! Stock NVMe/TCP statically splits I/O into 128 KiB sub-requests, and
+//! the chunk size also sizes the target's buffer pools. Small chunks
+//! multiply per-chunk CPU cost, huge chunks waste target memory —
+//! Fig. 9 finds 512 KiB optimal for 25 Gbps Ethernet. [`ChunkCostModel`]
+//! prices that trade-off and [`ChunkSelector`] picks the best chunk for
+//! a link; the discrete-event fabric (`oaf-core`'s `sim::fabric`) and
+//! the Fig. 9 harness use them. The real socket path streams writes at
+//! the initiator's fixed `write_chunk` (512 KiB, this model's pick for
+//! 25 Gbps), and the §4.5 busy-poll budget (Fig. 10) is a parameter of
+//! the simulated fabric only: the runtime's blocking waits all descend
+//! one spin→yield→sleep ladder (`transport::WaitLadder`).
 
 use std::time::Duration;
 
@@ -50,7 +46,7 @@ pub struct ChunkCostModel {
 impl ChunkCostModel {
     /// The paper's testbed model: `gbps` Ethernet at ~94% goodput, 12 µs
     /// of per-chunk CPU per side, Fig. 9's memory penalty.
-    pub fn for_link_gbps(gbps: f64) -> Self {
+    pub fn for_gbps(gbps: f64) -> Self {
         ChunkCostModel {
             per_chunk_cpu: Duration::from_micros(12),
             goodput_bytes_per_sec: gbps * 1e9 / 8.0 * 0.94,
@@ -75,7 +71,7 @@ impl ChunkCostModel {
 /// ```
 /// use oaf_nvmeof::tune::{ChunkCostModel, ChunkSelector, KIB, MIB};
 ///
-/// let selector = ChunkSelector::new(ChunkCostModel::for_link_gbps(25.0));
+/// let selector = ChunkSelector::new(ChunkCostModel::for_gbps(25.0));
 /// // The paper's Fig. 9 conclusion for 25 Gbps Ethernet:
 /// assert_eq!(selector.select(&[128 * KIB, 512 * KIB, MIB, 2 * MIB]), 512 * KIB);
 /// ```
@@ -113,143 +109,27 @@ impl ChunkSelector {
     }
 }
 
-/// The workload directions the busy-poll controller distinguishes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum PollClass {
-    /// Waits for read data / read completions.
-    Read,
-    /// Waits for R2T grants / write completions.
-    Write,
-}
-
-/// Workload-adaptive busy-poll budget selection.
-pub struct BusyPollController {
-    ladder: Vec<Duration>,
-    ewma_alpha: f64,
-    read_wait_us: f64,
-    write_wait_us: f64,
-    samples: u64,
-}
-
-impl BusyPollController {
-    /// The candidate budgets the paper evaluates (Fig. 10), plus
-    /// interrupt mode (zero).
-    pub fn default_ladder() -> Vec<Duration> {
-        vec![
-            Duration::ZERO,
-            Duration::from_micros(25),
-            Duration::from_micros(50),
-            Duration::from_micros(100),
-        ]
-    }
-
-    /// Creates a controller with the default ladder.
-    pub fn new() -> Self {
-        BusyPollController {
-            ladder: Self::default_ladder(),
-            ewma_alpha: 0.05,
-            read_wait_us: 30.0,
-            write_wait_us: 80.0,
-            samples: 0,
-        }
-    }
-
-    /// Feeds one observed wait (time between posting a receive and data
-    /// arrival) for `class`.
-    pub fn observe(&mut self, class: PollClass, wait: Duration) {
-        let target = match class {
-            PollClass::Read => &mut self.read_wait_us,
-            PollClass::Write => &mut self.write_wait_us,
-        };
-        *target = (1.0 - self.ewma_alpha) * *target + self.ewma_alpha * wait.as_secs_f64() * 1e6;
-        self.samples += 1;
-    }
-
-    /// Current EWMA estimate for a class, in microseconds.
-    pub fn estimate_us(&self, class: PollClass) -> f64 {
-        match class {
-            PollClass::Read => self.read_wait_us,
-            PollClass::Write => self.write_wait_us,
-        }
-    }
-
-    /// Selects the budget for a class: the smallest ladder rung covering
-    /// ~the EWMA wait (catching the arrival without oversizing the spin,
-    /// which wastes the core at high queue depth — the Fig. 10 read dip
-    /// at 100 µs).
-    pub fn budget(&self, class: PollClass) -> Duration {
-        let want = self.estimate_us(class) * 1.15; // slack for jitter
-        for &rung in &self.ladder[1..] {
-            if rung.as_secs_f64() * 1e6 >= want {
-                return rung;
-            }
-        }
-        *self.ladder.last().expect("non-empty ladder")
-    }
-
-    /// Observations consumed so far.
-    pub fn samples(&self) -> u64 {
-        self.samples
-    }
-}
-
-impl Default for BusyPollController {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn selector_picks_512k_for_25g() {
-        let sel = ChunkSelector::new(ChunkCostModel::for_link_gbps(25.0));
+        let sel = ChunkSelector::new(ChunkCostModel::for_gbps(25.0));
         let mix = [128 * KIB, 256 * KIB, 512 * KIB, MIB, 2 * MIB];
         assert_eq!(sel.select(&mix), 512 * KIB);
     }
 
     #[test]
     fn tiny_chunks_lose_to_cpu_cost() {
-        let m = ChunkCostModel::for_link_gbps(25.0);
+        let m = ChunkCostModel::for_gbps(25.0);
         assert!(m.cost_us(2 * MIB, 64 * KIB) > m.cost_us(2 * MIB, 512 * KIB));
     }
 
     #[test]
     fn huge_chunks_lose_to_memory_penalty() {
-        let m = ChunkCostModel::for_link_gbps(25.0);
+        let m = ChunkCostModel::for_gbps(25.0);
         assert!(m.cost_us(128 * KIB, 2 * MIB) > m.cost_us(128 * KIB, 512 * KIB));
-    }
-
-    #[test]
-    fn controller_tracks_waits_and_separates_classes() {
-        let mut c = BusyPollController::new();
-        for _ in 0..400 {
-            c.observe(PollClass::Read, Duration::from_micros(28));
-            c.observe(PollClass::Write, Duration::from_micros(85));
-        }
-        assert_eq!(c.samples(), 800);
-        assert!((c.estimate_us(PollClass::Read) - 28.0).abs() < 2.0);
-        assert!((c.estimate_us(PollClass::Write) - 85.0).abs() < 3.0);
-        // Reads settle on a mid budget, writes on the long one — the
-        // paper's "carefully selects the busy polling rate based on the
-        // type of workload".
-        assert_eq!(c.budget(PollClass::Read), Duration::from_micros(50));
-        assert_eq!(c.budget(PollClass::Write), Duration::from_micros(100));
-    }
-
-    #[test]
-    fn controller_adapts_when_workload_shifts() {
-        let mut c = BusyPollController::new();
-        for _ in 0..400 {
-            c.observe(PollClass::Read, Duration::from_micros(18));
-        }
-        assert_eq!(c.budget(PollClass::Read), Duration::from_micros(25));
-        for _ in 0..800 {
-            c.observe(PollClass::Read, Duration::from_micros(70));
-        }
-        assert_eq!(c.budget(PollClass::Read), Duration::from_micros(100));
     }
 
     #[test]

@@ -1,16 +1,12 @@
 //! The real-socket NVMe/TCP data plane under duress (§4.5).
 //!
-//! Two kinds of pressure on the loopback transport, and the queued-send
-//! contract ("who flushes when") seen from both ends:
+//! Pressure on the loopback transport, and the queued-send contract
+//! ("who flushes when") seen from both ends:
 //!
 //! * **Partial-I/O torture.** Deliberately tiny `SO_SNDBUF`/`SO_RCVBUF`
 //!   force short writes and short reads mid-header and mid-payload; the
 //!   resumable framing state machine must reassemble every frame intact
 //!   and in order.
-//! * **Workload-adaptive busy polling.** Under a mixed read/write
-//!   workload the per-direction EWMA controller must settle on a longer
-//!   spin budget for writes than for reads (Fig. 10), observable through
-//!   the published telemetry gauges.
 //! * **Corking semantics.** What a submit, a poll, a disconnect and a
 //!   drop each put on the wire, counted in the client's own
 //!   `tx_syscalls` and observed by a target pumped by hand.
@@ -27,7 +23,6 @@ use oaf_nvmeof::pdu::{DataPdu, DataRef, Pdu};
 use oaf_nvmeof::target::{spawn_target, TargetConfig, TargetConnection};
 use oaf_nvmeof::tcp::{TcpConfig, TcpTransport};
 use oaf_nvmeof::transport::{queue_pdu, Transport};
-use oaf_nvmeof::tune::PollClass;
 use oaf_telemetry::Registry;
 
 // Generous: these tests run concurrently on whatever cores the harness
@@ -212,91 +207,6 @@ fn end_to_end_io_survives_tiny_socket_buffers() {
     assert!(
         ct_tcp.partial_write_resumptions.get() > 0,
         "1 MiB writes through 4 KiB buffers never parked mid-frame"
-    );
-
-    ini.disconnect().expect("disconnect");
-    handle.shutdown().expect("shutdown");
-}
-
-/// The Fig. 10 acceptance check, in two parts over one live connection.
-///
-/// 1. A real mixed workload (small reads, large chunked writes) runs
-///    over the socket; the controller's budgets must stay consistent
-///    with the published telemetry gauges, and the write budget must
-///    never fall below the read budget.
-/// 2. The paper's measured wait profile (reads ~28 µs, writes ~85 µs) is
-///    replayed through [`Initiator::observe_wait_sample`] — timing-
-///    independent, so it holds on any machine — and the controller must
-///    settle on a strictly longer write budget, visible through the same
-///    gauges an operator reads.
-#[test]
-fn busy_poll_budgets_settle_write_above_read() {
-    let (ct, tt) = TcpTransport::loopback_pair(TcpConfig::default()).expect("loopback sockets");
-    let handle = spawn_target(tt, controller(), TargetConfig::default(), None);
-    let registry = Registry::new();
-    let mut ini = Initiator::connect(
-        ct,
-        InitiatorOptions {
-            write_chunk: 256 * 1024,
-            ..InitiatorOptions::default()
-        },
-        None,
-        TIMEOUT,
-    )
-    .expect("connect");
-    ini.metrics().register(&registry.scope("client"));
-
-    // Part 1: live mixed workload. Latency-bound 4 KiB reads,
-    // bandwidth-bound 512 KiB writes through the R2T + chunking path.
-    let blob = Bytes::from(vec![0xabu8; 512 * 1024]);
-    for i in 0..40u64 {
-        ini.read_blocking(1, i % 16, 1, 4096, TIMEOUT)
-            .expect("read");
-        if i % 4 == 0 {
-            ini.write_blocking(1, 128, 128, blob.clone(), TIMEOUT)
-                .expect("write");
-        }
-    }
-    let read_budget = ini.busy_poll_budget(PollClass::Read);
-    let write_budget = ini.busy_poll_budget(PollClass::Write);
-    assert!(
-        write_budget >= read_budget,
-        "live workload inverted the budgets: read={read_budget:?} write={write_budget:?}"
-    );
-    let snap = registry.snapshot();
-    let (read_us, _) = snap
-        .gauge("client", "busy_poll_read_us")
-        .expect("read gauge");
-    let (write_us, _) = snap
-        .gauge("client", "busy_poll_write_us")
-        .expect("write gauge");
-    assert_eq!(read_us, read_budget.as_micros() as i64);
-    assert_eq!(write_us, write_budget.as_micros() as i64);
-
-    // Part 2: replay the paper's wait profile until the EWMAs converge.
-    // Reads must settle on a short budget, writes on the 100 µs rung.
-    for _ in 0..400 {
-        ini.observe_wait_sample(PollClass::Read, Duration::from_micros(28));
-        ini.observe_wait_sample(PollClass::Write, Duration::from_micros(85));
-    }
-    assert_eq!(
-        ini.busy_poll_budget(PollClass::Read),
-        Duration::from_micros(50)
-    );
-    assert_eq!(
-        ini.busy_poll_budget(PollClass::Write),
-        Duration::from_micros(100)
-    );
-    let snap = registry.snapshot();
-    let (read_us, _) = snap
-        .gauge("client", "busy_poll_read_us")
-        .expect("read gauge");
-    let (write_us, _) = snap
-        .gauge("client", "busy_poll_write_us")
-        .expect("write gauge");
-    assert!(
-        write_us > read_us,
-        "gauges failed to separate directions: read={read_us}µs write={write_us}µs"
     );
 
     ini.disconnect().expect("disconnect");

@@ -1,6 +1,6 @@
 //! Remote-path quickstart: a real NVMe/TCP initiator↔target link over
-//! `127.0.0.1` (paper §4.5) — vectored framing, runtime-selected write
-//! chunking, and workload-adaptive busy polling, all live.
+//! `127.0.0.1` (paper §4.5) — vectored framing and chunked H2C writes,
+//! both live.
 //!
 //! ```text
 //! cargo run --release --example tcp_remote
@@ -19,7 +19,6 @@ use nvme_oaf::nvmeof::nvme::controller::Controller;
 use nvme_oaf::nvmeof::nvme::namespace::Namespace;
 use nvme_oaf::nvmeof::target::{spawn_target, TargetConfig};
 use nvme_oaf::nvmeof::tcp::{TcpConfig, TcpTransport};
-use nvme_oaf::nvmeof::tune::{ChunkCostModel, ChunkSelector, PollClass, KIB, MIB};
 use nvme_oaf::telemetry::Registry;
 
 const TIMEOUT: Duration = Duration::from_secs(10);
@@ -42,29 +41,17 @@ fn main() {
     controller.add_namespace(Namespace::new(1, 4096, 4096));
     let handle = spawn_target(tt, controller, TargetConfig::default(), None);
 
-    // 3. Pick the H2C write chunk at runtime from the link cost model
-    //    (Fig. 9): for 25 Gb/s and a mixed large-I/O profile this lands
-    //    on 512 KiB, the paper's optimum.
-    let selector = ChunkSelector::new(ChunkCostModel::for_link_gbps(25.0));
-    let write_chunk = selector.select(&[128 * KIB, 256 * KIB, 512 * KIB, MIB]) as usize;
-    println!("selected write chunk: {} KiB", write_chunk / 1024);
-
+    // 3. Connect with the default options: H2C writes stream in 512 KiB
+    //    chunks, Fig. 9's optimum for 25 Gb/s.
     let registry = Registry::new();
-    let mut ini = Initiator::connect(
-        ct,
-        InitiatorOptions {
-            write_chunk,
-            ..InitiatorOptions::default()
-        },
-        None,
-        TIMEOUT,
-    )
-    .expect("NVMe-oF connect");
+    let opts = InitiatorOptions::default();
+    let write_chunk = opts.write_chunk;
+    println!("write chunk: {} KiB", write_chunk / 1024);
+    let mut ini = Initiator::connect(ct, opts, None, TIMEOUT).expect("NVMe-oF connect");
     ini.metrics().register(&registry.scope("client"));
 
     // 4. Mixed workload: 1 MiB writes stream as chunked H2CData sub-PDUs
-    //    behind one R2T grant; 4 KiB reads stay latency-bound. Every
-    //    blocking wait feeds the per-direction busy-poll EWMA (Fig. 10).
+    //    behind one R2T grant; 4 KiB reads stay latency-bound.
     const IO: usize = 1024 * 1024;
     let payload: Vec<u8> = (0..IO).map(|i| i as u8).collect();
     for round in 0..8u64 {
@@ -87,17 +74,12 @@ fn main() {
         .expect("1 MiB read-back");
     assert_eq!(&back[..], &payload[..], "payload survived the wire");
 
-    // 5. What the adaptive machinery settled on.
+    // 5. How the writes went out: 8 writes × ⌈1 MiB / 512 KiB⌉ chunks.
     let snap = registry.snapshot();
     println!(
         "h2c chunks: {} ({} per write)",
         snap.counter("client", "h2c_chunks"),
-        IO / write_chunk,
-    );
-    println!(
-        "busy-poll budgets: read {:?}, write {:?}",
-        ini.busy_poll_budget(PollClass::Read),
-        ini.busy_poll_budget(PollClass::Write),
+        IO.div_ceil(write_chunk),
     );
 
     ini.disconnect().expect("disconnect");

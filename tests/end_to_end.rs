@@ -2,11 +2,12 @@
 //! moving actual bytes end to end over both channels.
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use nvme_oaf::nvmeof::nvme::controller::Controller;
 use nvme_oaf::nvmeof::nvme::namespace::Namespace;
-use nvme_oaf::oaf::conn::FabricSettings;
+use nvme_oaf::nvmeof::NvmeofError;
+use nvme_oaf::oaf::conn::{ControlPath, FabricSettings};
 use nvme_oaf::oaf::endpoint::ChannelKind;
 use nvme_oaf::oaf::locality::{HostRegistry, ProcessId};
 use nvme_oaf::oaf::runtime::{launch, AfPair};
@@ -168,6 +169,88 @@ fn client_stats_reflect_traffic() {
 
     p.client.disconnect().expect("disconnect");
     p.target.shutdown().expect("shutdown");
+}
+
+/// Waiting on a cid that is not in flight — one the client already
+/// collected, or one it never issued — fails at once with a typed error
+/// on both fabrics, instead of spinning out the whole timeout as a
+/// connection-level `Timeout` that `app.errors` counts.
+#[test]
+fn wait_on_a_cid_not_in_flight_fails_at_once() {
+    const LONG: Duration = Duration::from_millis(700);
+    for local in [true, false] {
+        let mut p = pair(local);
+        let mut buf = p.client.alloc(4096).expect("alloc");
+        buf.copy_from_slice(&pattern(9, 4096));
+        let cid = p.client.submit_write(1, 0, 1, buf).expect("submit");
+        p.client.wait(cid, TIMEOUT).expect("first wait collects it");
+
+        for stale in [cid, 4242] {
+            let t0 = Instant::now();
+            let err = p.client.wait(stale, LONG).expect_err("no such command");
+            let took = t0.elapsed();
+            assert_eq!(err, NvmeofError::UnknownCid { cid: stale }, "local={local}");
+            assert!(took < LONG / 4, "local={local}: cid {stale} took {took:?}");
+        }
+        assert_eq!(p.telemetry.snapshot().counter("app", "errors"), 0);
+
+        // The connection is unharmed.
+        let back = p.client.read(1, 0, 1, 4096, TIMEOUT).expect("read");
+        assert_eq!(back, pattern(9, 4096), "local={local}");
+        p.client.disconnect().expect("disconnect");
+        p.target.shutdown().expect("shutdown");
+    }
+}
+
+/// The socket path streams a write larger than the 512 KiB write chunk
+/// as ⌈len / 512 KiB⌉ H2C data PDUs behind one R2T; a co-located client
+/// with in-region control moves the same write through shared memory
+/// and sends none.
+#[test]
+fn launched_socket_writes_stream_in_512k_chunks() {
+    const LEN: usize = 1280 * 1024;
+    for (local, control, chunks) in [
+        (false, ControlPath::Tcp, LEN.div_ceil(512 * 1024) as u64),
+        (true, ControlPath::InRegion, 0),
+    ] {
+        let registry = Arc::new(HostRegistry::new());
+        let mut p = launch(
+            &registry,
+            (ProcessId(1), 1),
+            (ProcessId(2), if local { 1 } else { 2 }),
+            controller(4096),
+            FabricSettings {
+                depth: 4,
+                slot_size: LEN,
+                control,
+                ..FabricSettings::default()
+            },
+        )
+        .expect("fabric establishment");
+        assert_eq!(p.client.shm_active(), local);
+
+        let data = pattern(5, LEN);
+        let mut buf = p.client.alloc(LEN).expect("alloc");
+        buf.copy_from_slice(&data);
+        let blocks = (LEN / 4096) as u32;
+        p.client.write(1, 0, blocks, buf, TIMEOUT).expect("write");
+        let back = p.client.read(1, 0, blocks, LEN, TIMEOUT).expect("read");
+        assert_eq!(back, data, "local={local}");
+
+        let snap = p.telemetry.snapshot();
+        assert_eq!(
+            snap.counter("client", "h2c_chunks"),
+            chunks,
+            "local={local}"
+        );
+        let per_io = snap
+            .histo("client", "chunks_per_io")
+            .expect("chunks_per_io");
+        assert_eq!(per_io.count, u64::from(chunks > 0), "local={local}");
+        assert_eq!(per_io.sum, chunks, "local={local}");
+        p.client.disconnect().expect("disconnect");
+        p.target.shutdown().expect("shutdown");
+    }
 }
 
 #[test]
