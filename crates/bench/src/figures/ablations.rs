@@ -73,11 +73,11 @@ pub fn slots() -> FigureReport {
     );
     rep.tables.push(t);
 
-    // Single-threaded ping-drain: the lock-free design must not be
-    // slower beyond scheduling noise (its win is concurrency + tails,
-    // Fig. 8; this guards against regression in the common path).
+    // Single-threaded ping-drain: the lock-free design may trail by up
+    // to 20 % (scheduling noise); its win is concurrency + tails
+    // (Fig. 8). The bound guards against a regression in the common path.
     rep.checks.push(ShapeCheck::holds(
-        "the lock-free ring is at least as fast as the locked region",
+        "the lock-free ring reaches >= 80% of the locked region's ops/s (20% bound)",
         format!("lock-free {lock_free_ops:.0} vs locked {locked_ops:.0} ops/s (best of 5)"),
         lock_free_ops >= locked_ops * 0.8,
     ));

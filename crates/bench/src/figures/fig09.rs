@@ -5,8 +5,8 @@
 //! small chunks hurt bandwidth (per-chunk CPU), very large chunks waste
 //! target memory for little gain; 512 KiB is the sweet spot for 25 G.
 
-use oaf_core::sim::{run_uniform, FabricKind, Pattern};
-use oaf_nvmeof::tune::{ChunkCostModel, ChunkSelector};
+use oaf_core::sim::fabric::{select_chunk, CHUNK_LADDER};
+use oaf_core::sim::{run_uniform, FabricKind, Pattern, SimParams};
 use oaf_simnet::time::SimDuration;
 use oaf_simnet::units::{KIB, MIB};
 
@@ -21,7 +21,6 @@ pub fn run() -> FigureReport {
         "1 stream, QD128, chunk 64K..2M x I/O 128K..2M; plus the adaptive selector's pick",
     );
 
-    let chunks = [64 * KIB, 128 * KIB, 256 * KIB, 512 * KIB, MIB, 2 * MIB];
     let ios = [128 * KIB, 512 * KIB, MIB, 2 * MIB];
 
     let mut t = Table::new(
@@ -29,7 +28,7 @@ pub fn run() -> FigureReport {
         &["128K", "512K", "1M", "2M"],
     );
     let mut by_chunk: Vec<(u64, f64)> = Vec::new();
-    for &chunk in &chunks {
+    for chunk in CHUNK_LADDER {
         let mut row = Vec::new();
         let mut sum = 0.0;
         for &io in &ios {
@@ -56,9 +55,9 @@ pub fn run() -> FigureReport {
         .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite"))
         .expect("non-empty")
         .0;
-    // The analytic selector's pick (what the adaptive fabric would use).
-    let selector = ChunkSelector::new(ChunkCostModel::for_gbps(25.0));
-    let picked = selector.select(&ios);
+    // The model's own pick (what the adaptive fabric uses): the chunk
+    // whose per-chunk service, as the sweep above charges it, is least.
+    let picked = select_chunk(&SimParams::paper_testbed(), &ios);
 
     rep.checks.push(ShapeCheck::holds(
         "512K is near-optimal for 25G (§4.5): measured best within {256K, 512K, 1M}",

@@ -22,12 +22,12 @@
 //!
 //! * [`flow`] — shared-memory flow control: in-capsule semantics for every
 //!   I/O size, eliminating two of four control messages per write (§4.4.2);
-//! * [`oaf_nvmeof::tune`] — TCP-channel optimizations, shared with the
-//!   socket transport: application-level chunk-size selection (Fig. 9)
-//!   and workload-adaptive busy polling (Fig. 10, §4.5);
+//! * TCP-channel optimizations (§4.5): the real socket path streams
+//!   writes in the initiator's 512 KiB chunks; the discrete-event model
+//!   prices the chunk ladder with [`sim::fabric::select_chunk`] (Fig. 9)
+//!   and sweeps a fixed busy-poll budget (Fig. 10);
 //! * [`payload_impl`] — the lock-free double-buffer payload channel
-//!   implementing [`oaf_nvmeof::PayloadChannel`] over real shared memory,
-//!   plus the locked baseline variant for the Fig. 8 ablation.
+//!   implementing [`oaf_nvmeof::PayloadChannel`] over real shared memory.
 //!
 //! Runtime and evaluation:
 //!

@@ -11,9 +11,8 @@
 //! processing, including the client-side buffer fill and copy-out the
 //! zero-copy design removes).
 
-use oaf_nvmeof::tune::{ChunkCostModel, ChunkSelector};
 use oaf_simnet::time::{SimDuration, SimTime};
-use oaf_simnet::units::{Rate, KIB};
+use oaf_simnet::units::{chunks_for, Rate, KIB, MIB};
 use oaf_ssd::IoOp;
 
 use super::metrics::Breakdown;
@@ -83,15 +82,16 @@ impl FabricKind {
                 local: false,
                 tcp_gbps,
             } => {
-                // The adaptive fabric tunes its TCP fallback per link:
-                // chunk size from the analytic selector (§4.5, Fig. 9)
-                // and a fixed 50 µs busy-poll budget, inside the 25–50 µs
-                // band Fig. 10's sweep finds best for reads.
-                let selector = ChunkSelector::new(ChunkCostModel::for_gbps(tcp_gbps));
-                let mix = [128 * KIB, 512 * KIB, 1024 * KIB, 2048 * KIB];
+                // The adaptive fabric's TCP fallback: the chunk that
+                // minimizes the per-chunk CPU `data_tcp` charges on the
+                // paper testbed (§4.5, Fig. 9) — the link rate does not
+                // enter it — and a fixed 50 µs busy-poll budget,
+                // inside the 25–50 µs band Fig. 10's sweep finds best for
+                // reads.
+                let mix = [128 * KIB, 512 * KIB, MIB, 2 * MIB];
                 FabricKind::TcpOpt {
                     gbps: tcp_gbps,
-                    chunk: selector.select(&mix),
+                    chunk: select_chunk(&SimParams::paper_testbed(), &mix),
                     busy_poll: SimDuration::from_micros(50),
                 }
             }
@@ -157,6 +157,55 @@ fn chunk_softirq_cost(p: &SimParams, bytes: u64) -> SimDuration {
 fn chunk_pool_penalty(p: &SimParams, chunk: u64) -> SimDuration {
     let ratio = chunk as f64 / (512.0 * 1024.0);
     SimDuration::from_secs_f64(p.chunk_pool_quad.as_secs_f64() * ratio * ratio)
+}
+
+/// The sizes `data_tcp` cuts a `bytes`-long payload into at `chunk`.
+fn chunk_pieces(bytes: u64, chunk: u64) -> impl Iterator<Item = u64> {
+    let mut remaining = bytes;
+    (0..chunks_for(bytes, chunk)).map(move |_| {
+        let piece = remaining.min(chunk).max(1);
+        remaining = remaining.saturating_sub(piece);
+        piece
+    })
+}
+
+/// Per-chunk CPU service `data_tcp` charges for moving `bytes` at
+/// `chunk`: app and softirq cost on both sides, plus the receiver's pool
+/// penalty. The wire is left out, so the price does not depend on the
+/// link rate; the chunk moves wire time only by its per-chunk header.
+fn chunked_cpu_cost(p: &SimParams, bytes: u64, chunk: u64) -> SimDuration {
+    chunk_pieces(bytes, chunk)
+        .map(|piece| {
+            (chunk_app_cost(p, piece) + chunk_softirq_cost(p, piece)).mul_u64(2)
+                + chunk_pool_penalty(p, chunk)
+        })
+        .sum()
+}
+
+/// The chunk ladder of the paper's sweep (Fig. 9).
+pub const CHUNK_LADDER: [u64; 6] = [64 * KIB, 128 * KIB, 256 * KIB, 512 * KIB, MIB, 2 * MIB];
+
+/// Picks the optimized-TCP chunk (§4.5) from [`CHUNK_LADDER`]: the one
+/// whose per-chunk CPU service, summed over the I/O sizes in `mix`, is
+/// least. Small chunks multiply the per-chunk cost; large ones pay the
+/// pool penalty, which grows with the square of the chunk.
+///
+/// ```
+/// use oaf_core::sim::{fabric::select_chunk, SimParams};
+///
+/// let mix = [128 << 10, 512 << 10, 1 << 20, 2 << 20];
+/// // The paper's Fig. 9 conclusion for 25 Gbps Ethernet:
+/// assert_eq!(select_chunk(&SimParams::paper_testbed(), &mix), 512 << 10);
+/// ```
+pub fn select_chunk(p: &SimParams, mix: &[u64]) -> u64 {
+    CHUNK_LADDER
+        .into_iter()
+        .min_by_key(|&chunk| {
+            mix.iter()
+                .map(|&bytes| chunked_cpu_cost(p, bytes, chunk))
+                .sum::<SimDuration>()
+        })
+        .expect("non-empty ladder")
 }
 
 /// Sentinel budget meaning "dedicated poll-mode reactor" (no kernel
@@ -315,13 +364,9 @@ fn data_tcp(
             p.copy_rate_client,
         ),
     };
-    let chunks = oaf_simnet::units::chunks_for(bytes, chunk);
-    let mut remaining = bytes;
     let mut last = now;
     let mut svc = 0.0;
-    for _ in 0..chunks {
-        let piece = remaining.min(chunk).max(1);
-        remaining = remaining.saturating_sub(piece);
+    for piece in chunk_pieces(bytes, chunk) {
         let app = chunk_app_cost(&p, piece);
         let sirq = chunk_softirq_cost(&p, piece);
         let pool = chunk_pool_penalty(&p, chunk);
@@ -811,18 +856,49 @@ mod tests {
                 variant: ShmVariant::ZeroCopy
             }
         );
-        match (FabricKind::Adaptive {
-            local: false,
-            tcp_gbps: 25.0,
-        })
-        .resolve()
-        {
-            FabricKind::TcpOpt { gbps, chunk, .. } => {
-                assert_eq!(gbps, 25.0);
-                assert_eq!(chunk, 512 * KIB);
+        // The remote chunk is priced on the testbed's CPU costs, so it is
+        // the same at every link rate.
+        for tcp_gbps in [10.0, 25.0, 100.0] {
+            match (FabricKind::Adaptive {
+                local: false,
+                tcp_gbps,
+            })
+            .resolve()
+            {
+                FabricKind::TcpOpt { gbps, chunk, .. } => {
+                    assert_eq!(gbps, tcp_gbps);
+                    assert_eq!(chunk, 512 * KIB, "{tcp_gbps} Gb/s");
+                }
+                other => panic!("{other:?}"),
             }
-            other => panic!("{other:?}"),
         }
+    }
+
+    #[test]
+    fn select_chunk_picks_512k() {
+        let p = SimParams::paper_testbed();
+        assert_eq!(
+            select_chunk(&p, &[128 * KIB, 512 * KIB, MIB, 2 * MIB]),
+            512 * KIB
+        );
+        assert_eq!(
+            select_chunk(&p, &[128 * KIB, 256 * KIB, 512 * KIB, MIB, 2 * MIB]),
+            512 * KIB
+        );
+    }
+
+    #[test]
+    fn tiny_chunks_lose_to_per_chunk_cpu() {
+        let p = SimParams::paper_testbed();
+        assert!(chunked_cpu_cost(&p, 2 * MIB, 64 * KIB) > chunked_cpu_cost(&p, 2 * MIB, 512 * KIB));
+    }
+
+    #[test]
+    fn huge_chunks_lose_to_the_pool_penalty() {
+        let p = SimParams::paper_testbed();
+        assert!(
+            chunked_cpu_cost(&p, 128 * KIB, 2 * MIB) > chunked_cpu_cost(&p, 128 * KIB, 512 * KIB)
+        );
     }
 
     #[test]

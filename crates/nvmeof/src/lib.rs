@@ -46,7 +46,6 @@ pub mod spsc;
 pub mod target;
 pub mod tcp;
 pub mod transport;
-pub mod tune;
 
 pub use error::NvmeofError;
 pub use initiator::Initiator;

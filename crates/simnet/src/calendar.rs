@@ -1,11 +1,11 @@
 //! Order-insensitive single-resource scheduling: the calendar server.
 //!
-//! [`crate::server::FifoServer`] assumes jobs are *submitted* in
-//! non-decreasing time order. Experiment drivers that simulate one I/O's
-//! whole phase chain eagerly violate that: I/O *k*'s early phases are
-//! submitted to a resource after I/O *k−1*'s late phases, even though
-//! they happen earlier in virtual time — a FIFO server would serialize
-//! the pipeline.
+//! A FIFO server, which only remembers when it next falls free, assumes
+//! jobs are *submitted* in non-decreasing time order. Experiments that
+//! simulate one I/O's whole phase chain eagerly violate that: I/O *k*'s
+//! early phases are submitted to a resource after I/O *k−1*'s late
+//! phases, even though they happen earlier in virtual time — a FIFO
+//! server would serialize the pipeline.
 //!
 //! [`CalendarServer`] fixes this by keeping the resource's actual busy
 //! schedule (a set of disjoint busy intervals) and placing each job in
@@ -115,8 +115,8 @@ impl CalendarServer {
         self.floor = self.floor.max(cutoff);
     }
 
-    /// End of the currently known schedule (the analog of
-    /// `FifoServer::next_free` for in-order workloads).
+    /// End of the currently known schedule (when a FIFO server would
+    /// next fall free, for in-order workloads).
     pub fn next_free(&self) -> SimTime {
         SimTime::from_nanos(self.horizon)
     }
@@ -141,7 +141,7 @@ impl CalendarServer {
 }
 
 /// `k` calendar lanes fed by earliest-gap selection (the order-
-/// insensitive analog of [`crate::server::MultiServer`]).
+/// insensitive analog of `k` parallel FIFO servers).
 #[derive(Clone, Debug)]
 pub struct CalendarMulti {
     lanes: Vec<CalendarServer>,
@@ -154,11 +154,6 @@ impl CalendarMulti {
         CalendarMulti {
             lanes: vec![CalendarServer::new(); k],
         }
-    }
-
-    /// Number of lanes.
-    pub fn lanes(&self) -> usize {
-        self.lanes.len()
     }
 
     /// Submits one job to the lane that can start it earliest.
@@ -230,12 +225,14 @@ mod tests {
     #[test]
     fn in_order_arrivals_match_fifo() {
         let mut cal = CalendarServer::new();
-        let mut fifo = crate::server::FifoServer::new();
+        // The FIFO oracle: start at arrival or when the server frees.
+        let mut next_free = SimTime::ZERO;
         let jobs = [(0u64, 10u64), (0, 10), (5, 3), (40, 8), (41, 8)];
         for &(t, s) in &jobs {
             let a = cal.submit(at(t), us(s));
-            let b = fifo.submit(at(t), us(s));
-            assert_eq!(a, b, "job at t={t}");
+            let start = next_free.max(at(t));
+            next_free = start + us(s);
+            assert_eq!(a, (start, next_free), "job at t={t}");
         }
     }
 

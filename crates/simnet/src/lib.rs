@@ -1,38 +1,33 @@
-//! Discrete-event simulation engine and network models for the NVMe-oAF
-//! reproduction.
+//! Simulation substrate for the NVMe-oAF discrete-event models.
 //!
-//! This crate provides the substrate every simulated experiment in the
-//! workspace runs on:
+//! `oaf-core`'s `sim` module walks every simulated I/O through shared
+//! contended resources built from this crate:
 //!
-//! * a deterministic [`sim::Simulator`] with a virtual [`time::SimTime`]
-//!   clock and a stable-order event queue,
-//! * analytic queueing primitives ([`server::FifoServer`],
-//!   [`server::MultiServer`], [`server::Pipeline`]) used to model NICs, CPU
-//!   copy engines and SSD channels without per-byte events,
-//! * calibrated link models for kernel TCP ([`tcp::TcpModel`]) and RDMA
-//!   ([`rdma::RdmaModel`]) transports, including busy-poll behaviour and
-//!   memory-registration tail effects, and
-//! * measurement utilities: streaming statistics and a log-bucketed
-//!   latency histogram ([`stats`]).
+//! * a virtual clock ([`time::SimTime`], [`time::SimDuration`]),
+//! * order-insensitive calendar servers ([`calendar::CalendarServer`],
+//!   [`calendar::CalendarMulti`]) that place each job in the earliest
+//!   gap of a resource's busy schedule, so an I/O's whole phase chain
+//!   can be simulated eagerly without serializing the pipeline,
+//! * a full-duplex [`link::Wire`] shared by every flow on one NIC,
+//! * the RDMA memory-registration cache ([`rdma::MrCache`]) behind the
+//!   paper's RDMA tail-latency effect,
+//! * a seeded random source ([`rng::SimRng`]), size and rate units
+//!   ([`units`]), and streaming statistics with a log-bucketed latency
+//!   histogram ([`stats`]).
 //!
-//! The models are deliberately parametric: all constants live in the
-//! per-model `*Params` structs so that the benchmark harness can publish the
-//! calibration next to the reproduced figures.
+//! The fabric phase models and their calibration constants live in
+//! `oaf-core` (`sim::fabric`, `sim::params`), which the benchmark
+//! harness prints next to every reproduced figure.
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod calendar;
-pub mod copy;
 pub mod link;
 pub mod rdma;
 pub mod rng;
-pub mod server;
-pub mod sim;
 pub mod stats;
-pub mod tcp;
 pub mod time;
 pub mod units;
 
-pub use sim::Simulator;
 pub use time::SimTime;

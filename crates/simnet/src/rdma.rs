@@ -1,4 +1,4 @@
-//! RDMA (InfiniBand / RoCE) transport model.
+//! RDMA (InfiniBand / RoCE) parameters and memory-registration cache.
 //!
 //! RDMA gives the paper its "fast but cumbersome" comparison point: one-digit
 //! microsecond message latency, near-wire bandwidth, no payload copies — but
@@ -13,10 +13,8 @@
 //! higher *fraction* of registration-delayed I/Os than long runs — exactly
 //! the amortization effect the paper describes.
 
-use crate::link::{Direction, Wire};
 use crate::rng::SimRng;
-use crate::server::FifoServer;
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimDuration;
 
 /// Static parameters of the RDMA model.
 #[derive(Clone, Copy, Debug)]
@@ -83,62 +81,9 @@ impl MrCache {
     }
 }
 
-/// The RDMA transport model (stateless; contended state lives in [`Wire`]
-/// and caller-owned CPU servers / [`MrCache`]).
-#[derive(Clone, Copy, Debug)]
-pub struct RdmaModel {
-    /// Model parameters.
-    pub params: RdmaParams,
-}
-
-impl RdmaModel {
-    /// Creates a model from parameters.
-    pub fn new(params: RdmaParams) -> Self {
-        RdmaModel { params }
-    }
-
-    /// One-sided data transfer of `bytes` (RDMA READ/WRITE executed by the
-    /// NIC): initiator CPU posts the work request, the wire moves the data,
-    /// no CPU on the passive side. Returns completion-visible time at the
-    /// initiator (after completion-queue reap).
-    pub fn transfer(
-        &self,
-        now: SimTime,
-        bytes: u64,
-        wire: &mut Wire,
-        dir: Direction,
-        initiator_cpu: &mut FifoServer,
-    ) -> SimTime {
-        let (_, posted) = initiator_cpu.submit(now, self.params.per_msg_cpu);
-        let landed = wire.transmit(posted, dir, bytes + self.params.header_bytes);
-        // Completion reap back on the initiator core.
-        let (_, reaped) = initiator_cpu.submit(landed, self.params.per_msg_cpu);
-        reaped
-    }
-
-    /// Two-sided send of a small message (command/completion capsules over
-    /// RDMA SEND): CPU on both sides.
-    pub fn send_msg(
-        &self,
-        now: SimTime,
-        bytes: u64,
-        wire: &mut Wire,
-        dir: Direction,
-        src_cpu: &mut FifoServer,
-        dst_cpu: &mut FifoServer,
-    ) -> SimTime {
-        let (_, posted) = src_cpu.submit(now, self.params.per_msg_cpu);
-        let landed = wire.transmit(posted, dir, bytes + self.params.header_bytes);
-        let (_, recv) = dst_cpu.submit(landed, self.params.per_msg_cpu);
-        recv
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::link::WireParams;
-    use crate::units::{Rate, KIB};
 
     fn params() -> RdmaParams {
         RdmaParams {
@@ -148,23 +93,6 @@ mod tests {
             pool_buffers: 64,
             invalidation_prob: 1e-4,
         }
-    }
-
-    fn wire() -> Wire {
-        Wire::new(WireParams {
-            rate: Rate::gbps(56.0),
-            efficiency: 0.95,
-            propagation: SimDuration::from_micros(1),
-        })
-    }
-
-    #[test]
-    fn small_message_latency_is_single_digit_us() {
-        let m = RdmaModel::new(params());
-        let mut w = wire();
-        let mut cpu = FifoServer::new();
-        let done = m.transfer(SimTime::ZERO, 4 * KIB, &mut w, Direction::C2H, &mut cpu);
-        assert!(done.as_micros_f64() < 5.0, "{done:?}");
     }
 
     #[test]
@@ -214,16 +142,5 @@ mod tests {
             miss as f64 / n as f64
         };
         assert!(run(1_000) > run(100_000) * 5.0);
-    }
-
-    #[test]
-    fn transfer_beats_tcp_style_copies() {
-        // RDMA 128KB at 56G: ~21us serialization + ~2us overhead.
-        let m = RdmaModel::new(params());
-        let mut w = wire();
-        let mut cpu = FifoServer::new();
-        let done = m.transfer(SimTime::ZERO, 128 * KIB, &mut w, Direction::C2H, &mut cpu);
-        let us = done.as_micros_f64();
-        assert!(us > 15.0 && us < 30.0, "got {us}us");
     }
 }

@@ -50,15 +50,6 @@ impl SimRng {
         self.inner.gen_range(0..n)
     }
 
-    /// Exponential sample with the given mean (inverse-transform).
-    #[inline]
-    pub fn exponential(&mut self, mean: f64) -> f64 {
-        debug_assert!(mean > 0.0);
-        // Guard the log: unit() can return exactly 0.0.
-        let u = (1.0 - self.unit()).max(f64::MIN_POSITIVE);
-        -mean * u.ln()
-    }
-
     /// Standard normal sample via Box-Muller.
     #[inline]
     pub fn std_normal(&mut self) -> f64 {
@@ -103,16 +94,6 @@ mod tests {
         let a: Vec<u64> = (0..8).map(|_| (parent.unit() * 1e9) as u64).collect();
         let b: Vec<u64> = (0..8).map(|_| (child.unit() * 1e9) as u64).collect();
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn exponential_mean_converges() {
-        let mut rng = SimRng::seed_from_u64(3);
-        let n = 20_000;
-        let mean = 5.0;
-        let sum: f64 = (0..n).map(|_| rng.exponential(mean)).sum();
-        let emp = sum / n as f64;
-        assert!((emp - mean).abs() < 0.2, "empirical mean {emp}");
     }
 
     #[test]

@@ -153,20 +153,6 @@ impl LatencyHistogram {
         (self.total > 0).then_some(self.min_value)
     }
 
-    /// Mean of bucket-quantized values.
-    pub fn mean_approx(&self) -> Option<f64> {
-        if self.total == 0 {
-            return None;
-        }
-        let mut sum = 0.0;
-        for (i, &c) in self.counts.iter().enumerate() {
-            if c > 0 {
-                sum += Self::bucket_upper(i) as f64 * c as f64;
-            }
-        }
-        Some(sum / self.total as f64)
-    }
-
     /// Value at quantile `q` in `[0, 1]`, with the histogram's relative
     /// error. Returns `None` when empty.
     pub fn value_at_quantile(&self, q: f64) -> Option<u64> {
@@ -183,11 +169,6 @@ impl LatencyHistogram {
             }
         }
         Some(self.max_value)
-    }
-
-    /// Convenience: quantile as a [`SimDuration`].
-    pub fn duration_at_quantile(&self, q: f64) -> Option<SimDuration> {
-        self.value_at_quantile(q).map(SimDuration::from_nanos)
     }
 
     /// Merges another histogram into this one.
@@ -355,7 +336,6 @@ mod tests {
         assert_eq!(h.value_at_quantile(0.5), None);
         assert_eq!(h.max(), None);
         assert!(Percentiles::from_histogram_us(&h).is_none());
-        assert_eq!(h.mean_approx(), None);
     }
 
     #[test]
@@ -364,22 +344,5 @@ mod tests {
         h.record(1_000_003);
         assert_eq!(h.value_at_quantile(1.0), Some(1_000_003));
         assert!(h.value_at_quantile(0.5).unwrap() <= 1_000_003);
-    }
-
-    #[test]
-    fn mean_approx_tracks_true_mean() {
-        let mut h = LatencyHistogram::new();
-        let mut sum = 0u64;
-        for i in 1..=10_000u64 {
-            let v = i * 37;
-            h.record(v);
-            sum += v;
-        }
-        let true_mean = sum as f64 / 10_000.0;
-        let approx = h.mean_approx().unwrap();
-        assert!(
-            (approx - true_mean).abs() / true_mean < 0.03,
-            "approx {approx} true {true_mean}"
-        );
     }
 }

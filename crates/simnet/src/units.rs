@@ -41,23 +41,10 @@ impl Rate {
         Rate::bytes_per_sec(g * GIB as f64)
     }
 
-    /// Constructs a rate from binary mebibytes per second.
-    #[inline]
-    pub fn mib_per_sec(m: f64) -> Rate {
-        Rate::bytes_per_sec(m * MIB as f64)
-    }
-
     /// The rate in bytes per second.
     #[inline]
     pub fn as_bytes_per_sec(self) -> f64 {
         self.0
-    }
-
-    /// The rate in binary mebibytes per second (how the paper's figures
-    /// report bandwidth).
-    #[inline]
-    pub fn as_mib_per_sec(self) -> f64 {
-        self.0 / MIB as f64
     }
 
     /// Time to move `bytes` at this rate, in seconds.
@@ -101,7 +88,6 @@ mod tests {
     fn gib_per_sec_is_binary() {
         let r = Rate::gib_per_sec(1.0);
         assert_eq!(r.as_bytes_per_sec(), GIB as f64);
-        assert!((r.as_mib_per_sec() - 1024.0).abs() < 1e-9);
     }
 
     #[test]

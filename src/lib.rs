@@ -4,7 +4,8 @@
 //! *NVMe-oAF: Towards Adaptive NVMe-oF for IO-Intensive Workloads on HPC
 //! Cloud* (Kashyap & Lu, HPDC '22).
 //!
-//! * [`simnet`] — discrete-event engine and TCP/RDMA link models
+//! * [`simnet`] — simulation substrate (clock, calendar servers, wire)
+//!   for the fabric models in [`oaf::sim`]
 //! * [`ssd`] — NVMe-SSD device model
 //! * [`store`] — durable log-structured file-backed block device
 //! * [`shmem`] — real lock-free shared-memory channel substrate
