@@ -29,11 +29,11 @@ use std::time::Duration;
 use oaf_nvmeof::initiator::{Initiator, InitiatorOptions, KeepAliveConfig};
 use oaf_nvmeof::nvme::controller::Controller;
 use oaf_nvmeof::payload::PayloadChannel;
-use oaf_nvmeof::pdu::{AF_CAP_SHM, AF_CAP_SHM_INCAPSULE, AF_CAP_ZERO_COPY};
+use oaf_nvmeof::pdu::AF_CAP_SHM;
 use oaf_nvmeof::target::{spawn_target_observed, TargetConfig, TargetHandle};
 use oaf_nvmeof::tcp::{TcpConfig, TcpTransport};
 use oaf_nvmeof::transport::{ControlTransport, ShmTransport};
-use oaf_nvmeof::{FlowMode, NvmeofError};
+use oaf_nvmeof::NvmeofError;
 use oaf_shmem::channel::Side;
 use oaf_telemetry::Registry;
 
@@ -66,8 +66,6 @@ pub struct FabricSettings {
     pub depth: usize,
     /// Slot size in bytes (sized to the I/O size, §4.4.1).
     pub slot_size: usize,
-    /// Write flow-control regime once shared memory is active.
-    pub flow: FlowMode,
     /// Control-PDU channel preference.
     pub control: ControlPath,
     /// Per-command deadline: a command with no completion after this
@@ -89,7 +87,6 @@ impl Default for FabricSettings {
         FabricSettings {
             depth: 128,
             slot_size: 128 * 1024,
-            flow: FlowMode::InCapsule,
             control: ControlPath::Tcp,
             cmd_deadline: None,
             max_retries: 3,
@@ -278,15 +275,10 @@ impl ConnectionManager {
             transport,
             shm,
         } = side;
-        let af_caps = if shm.is_some() {
-            AF_CAP_SHM | AF_CAP_SHM_INCAPSULE | AF_CAP_ZERO_COPY
-        } else {
-            0
-        };
+        let af_caps = if shm.is_some() { AF_CAP_SHM } else { 0 };
         let mut opts = InitiatorOptions {
             host_id: pid.0,
             af_caps,
-            flow: settings.flow,
             maxr2t: 16,
             cmd_deadline: settings.cmd_deadline,
             max_retries: settings.max_retries,

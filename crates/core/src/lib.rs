@@ -20,8 +20,12 @@
 //!
 //! Channel optimizations:
 //!
-//! * [`flow`] — shared-memory flow control: in-capsule semantics for every
-//!   I/O size, eliminating two of four control messages per write (§4.4.2);
+//! * shared-memory flow control (§4.4.2): once [`conn`] negotiates the
+//!   shared-memory channel, every write rides in-capsule as a slot
+//!   reference whatever its size, and every read lands in a leased slot
+//!   (the initiator and target of `oaf-nvmeof`). The conservative
+//!   CMD → R2T → H2C shared-memory flow survives only as the simulated
+//!   Fig. 8 baseline ([`sim::fabric::ShmVariant`]);
 //! * TCP-channel optimizations (§4.5): the real socket path streams
 //!   writes in the initiator's 512 KiB chunks; the discrete-event model
 //!   prices the chunk ladder with [`sim::fabric::select_chunk`] (Fig. 9)
@@ -44,7 +48,6 @@
 pub mod buf;
 pub mod conn;
 pub mod endpoint;
-pub mod flow;
 pub mod locality;
 pub mod payload_impl;
 pub mod runtime;

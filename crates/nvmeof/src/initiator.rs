@@ -4,8 +4,9 @@
 //! handshake with adaptive-fabric capability negotiation, asynchronous
 //! command submission with completion polling (the SPDK-perf usage
 //! pattern: a queue depth of in-flight commands serviced by one polling
-//! thread), and all three write flow-control paths — inline in-capsule,
-//! conservative R2T, and shared-memory in-capsule (§4.4.2).
+//! thread), and the three write flow-control paths — inline in-capsule
+//! and conservative R2T over TCP, and shared-memory in-capsule for every
+//! size once the shm channel is negotiated (§4.4.2).
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -26,7 +27,6 @@ use crate::recovery::{
     Action, CidMap, DataArrival, DataNeed, InitiatorRecovery, KeepAliveNanos, Nanos, RecoveryConfig,
 };
 use crate::transport::{self, BackoffConfig, Frame, Transport, WaitLadder, WaitStep};
-use crate::FlowMode;
 
 /// Keep-alive tuning: how long a connection may stay silent before the
 /// initiator probes it, and how long before the peer is declared dead.
@@ -56,8 +56,6 @@ pub struct InitiatorOptions {
     pub host_id: u64,
     /// Adaptive-fabric capabilities requested.
     pub af_caps: u32,
-    /// Write flow-control regime to use once shared memory is active.
-    pub flow: FlowMode,
     /// Maximum R2Ts (informational).
     pub maxr2t: u32,
     /// Per-command deadline. When set, a command that has not completed
@@ -101,7 +99,6 @@ impl Default for InitiatorOptions {
         InitiatorOptions {
             host_id: 0x4846_u64, // "HF": host-fabric default identity
             af_caps: 0,
-            flow: FlowMode::Conservative,
             maxr2t: 16,
             cmd_deadline: None,
             max_retries: 3,
@@ -756,20 +753,16 @@ impl<T: Transport> Initiator<T> {
         data: Bytes,
     ) -> Result<u16, NvmeofError> {
         let cmd = NvmeCommand::write(0, nsid, slba, nlb);
-        let publish_over_shm = self.state.opts.flow == FlowMode::InCapsule;
-        self.submit_with_payload(cmd, data, publish_over_shm)
+        self.submit_with_payload(cmd, data)
     }
 
-    /// Shared payload-bearing submit path (writes and compares): picks
-    /// the channel per the negotiated flow, retains a refcount clone of
-    /// the payload for deadline-driven replay, and degrades to the TCP
-    /// control path if the shm publish fails mid-flight.
-    fn submit_with_payload(
-        &mut self,
-        cmd: NvmeCommand,
-        data: Bytes,
-        publish_over_shm: bool,
-    ) -> Result<u16, NvmeofError> {
+    /// Shared payload-bearing submit path (writes and compares): with a
+    /// shared-memory channel the payload rides in-capsule as a slot
+    /// reference whatever its size, otherwise it goes inline or waits
+    /// for an R2T. Retains a refcount clone of the payload for
+    /// deadline-driven replay, and degrades to the TCP control path if
+    /// the shm publish fails mid-flight.
+    fn submit_with_payload(&mut self, cmd: NvmeCommand, data: Bytes) -> Result<u16, NvmeofError> {
         let use_shm = self.state.shm_active
             && self
                 .state
@@ -780,7 +773,7 @@ impl<T: Transport> Initiator<T> {
         let mut stashed = None;
         let mut published = None;
         let mut capsule_data = None;
-        if use_shm && publish_over_shm {
+        if use_shm {
             // Shared-memory flow control: payload parks in the region and
             // the command alone reaches the target (§4.4.2 swaps steps ①
             // and ③ of Fig. 7 and drops R2T + H2C).
@@ -804,12 +797,8 @@ impl<T: Transport> Initiator<T> {
                 }
             }
         }
-        if capsule_data.is_none() && stashed.is_none() {
-            if use_shm && !self.state.core.degraded() && !publish_over_shm {
-                // Conservative flow over shm: wait for R2T, then publish
-                // (Fig. 7's NVMe-oSHM flow).
-                stashed = Some(data.clone());
-            } else if data.len() <= self.state.in_capsule_max {
+        if capsule_data.is_none() {
+            if data.len() <= self.state.in_capsule_max {
                 capsule_data = Some(DataRef::Inline(data.clone()));
             } else {
                 // Conservative flow: wait for R2T, then ship the payload
@@ -832,27 +821,10 @@ impl<T: Transport> Initiator<T> {
         Ok(cmd.cid)
     }
 
-    /// Leases a write buffer of `len` bytes from the connection's
-    /// payload channel. With a negotiated shared-memory channel the
-    /// buffer lives directly in the region (the Buffer Manager's
-    /// co-design, §4.4.3) and [`Initiator::submit_write_lease`] publishes
-    /// it with no copy; otherwise (or when `len` exceeds the slot size)
-    /// it is a plain heap buffer and submission copies once, exactly
-    /// like [`Initiator::submit_write`].
-    pub fn alloc_write_buf(&self, len: usize) -> Result<WriteLease, NvmeofError> {
-        if self.state.shm_active {
-            if let Some(ch) = self.state.payload.as_ref() {
-                if len <= ch.max_payload() {
-                    return ch.alloc(len);
-                }
-            }
-        }
-        Ok(WriteLease::heap(len))
-    }
-
-    /// Submits a write whose payload was built in place in a lease from
-    /// [`Initiator::alloc_write_buf`]. Zero-copy leases publish their
-    /// slot directly (§4.4.3); heap fallback leases route through the
+    /// Submits a write whose payload was built in place in `lease` (see
+    /// [`PayloadChannel::alloc`]). A slot lease from the negotiated
+    /// shared-memory channel publishes with no copy (§4.4.3): only the
+    /// slot reference rides the capsule. A heap lease routes through the
     /// regular copying write path.
     pub fn submit_write_lease(
         &mut self,
@@ -861,36 +833,20 @@ impl<T: Transport> Initiator<T> {
         nlb: u32,
         lease: WriteLease,
     ) -> Result<u16, NvmeofError> {
-        if lease.is_zero_copy() {
-            let bytes = lease.len() as u64;
-            let ch = self
-                .state
-                .payload
-                .as_ref()
-                .ok_or_else(|| NvmeofError::Protocol("slot lease without channel".into()))?
-                .clone();
-            let (slot, len) = ch.publish_lease(lease)?;
-            self.state.metrics.zero_copy_bytes.add(bytes);
-            self.state.metrics.copies_avoided.inc();
-            self.submit_write_published(nsid, slba, nlb, slot, len)
-        } else {
+        if !lease.is_zero_copy() {
             let buf = lease.into_heap().expect("non-slot lease is heap-backed");
-            self.submit_write(nsid, slba, nlb, Bytes::from(buf))
+            return self.submit_write(nsid, slba, nlb, Bytes::from(buf));
         }
-    }
-
-    /// Submits a write whose payload is *already published* in the
-    /// shared-memory channel at `(slot, len)` — the zero-copy path
-    /// (§4.4.3): the application built its data directly in the region,
-    /// so no bytes move here at all.
-    pub fn submit_write_published(
-        &mut self,
-        nsid: u32,
-        slba: u64,
-        nlb: u32,
-        slot: u32,
-        len: u32,
-    ) -> Result<u16, NvmeofError> {
+        let bytes = lease.len() as u64;
+        let ch = self
+            .state
+            .payload
+            .as_ref()
+            .ok_or_else(|| NvmeofError::Protocol("slot lease without channel".into()))?
+            .clone();
+        let (slot, len) = ch.publish_lease(lease)?;
+        self.state.metrics.zero_copy_bytes.add(bytes);
+        self.state.metrics.copies_avoided.inc();
         if !self.state.shm_active {
             return Err(NvmeofError::Protocol(
                 "zero-copy write requires a negotiated shared-memory channel".into(),
@@ -904,9 +860,9 @@ impl<T: Transport> Initiator<T> {
             DataNeed::None,
         );
         let cid = cmd.cid;
-        // Zero-copy published writes retain no payload clone — they
-        // cannot be replayed, only abort-resolved — but the slot is
-        // remembered so degradation/abort can reclaim it.
+        // Zero-copy writes retain no payload clone — they cannot be
+        // replayed, only abort-resolved — but the slot is remembered so
+        // degradation/abort can reclaim it.
         self.state
             .pending
             .get_mut(&cid)
@@ -1018,9 +974,7 @@ impl<T: Transport> Initiator<T> {
         data: Bytes,
     ) -> Result<u16, NvmeofError> {
         let cmd = NvmeCommand::compare(0, nsid, slba, nlb);
-        // Compares publish over shm regardless of the write flow mode
-        // whenever the payload fits a slot.
-        self.submit_with_payload(cmd, data, true)
+        self.submit_with_payload(cmd, data)
     }
 
     /// Submits a write-zeroes over `nlb` blocks (no payload transfer).
@@ -1066,8 +1020,7 @@ impl<T: Transport> Initiator<T> {
         data: Bytes,
     ) -> Result<u16, NvmeofError> {
         let cmd = NvmeCommand::write_fua(0, nsid, slba, nlb);
-        let publish_over_shm = self.state.opts.flow == FlowMode::InCapsule;
-        self.submit_with_payload(cmd, data, publish_over_shm)
+        self.submit_with_payload(cmd, data)
     }
 
     /// Submits a flush.
@@ -1636,7 +1589,6 @@ mod tests {
         let (c, t) = MailboxChannel::pair(16);
         let opts = InitiatorOptions {
             af_caps: AF_CAP_SHM,
-            flow: FlowMode::InCapsule,
             ..InitiatorOptions::default()
         };
         let (mut ini, handle) = setup(
@@ -1658,18 +1610,20 @@ mod tests {
         let (c, t) = MailboxChannel::pair(16);
         let opts = InitiatorOptions {
             af_caps: AF_CAP_SHM,
-            flow: FlowMode::InCapsule,
             ..InitiatorOptions::default()
         };
         let (mut ini, handle) = setup(
             opts,
             TargetConfig::default(),
-            Some((c as Arc<dyn PayloadChannel>, t as Arc<dyn PayloadChannel>)),
+            Some((
+                c.clone() as Arc<dyn PayloadChannel>,
+                t as Arc<dyn PayloadChannel>,
+            )),
         );
         assert!(ini.shm_active());
 
-        // Build the payload directly in a leased write buffer.
-        let mut lease = ini.alloc_write_buf(64 * 1024).unwrap();
+        // Build the payload directly in a buffer leased from the channel.
+        let mut lease = c.alloc(64 * 1024).unwrap();
         for (i, b) in lease.iter_mut().enumerate() {
             *b = (i % 251) as u8;
         }

@@ -12,7 +12,9 @@
 //!   (§4.3 of the paper),
 //! * the two write flow-control regimes of §4.4.2: in-capsule data for
 //!   small I/O and the conservative CMD → R2T → H2C exchange for large
-//!   I/O,
+//!   I/O over TCP, while with a negotiated shared-memory channel every
+//!   write rides in-capsule as a slot reference and every read lands in
+//!   a leased slot,
 //! * an in-process duplex [`transport::MemTransport`] (with an optional
 //!   rate-limited wrapper emulating NIC speeds in wall-clock time), and
 //! * a polled [`target::TargetConnection`] / [`initiator::Initiator`]
@@ -24,10 +26,10 @@
 //!   ([`transport::ShmTransport`]) over lock-free byte rings — the §5.5
 //!   future-work configuration where control PDUs leave kernel TCP too.
 //!
-//! The adaptive-fabric co-design hooks are deliberately *interfaces* here
-//! ([`payload::PayloadChannel`], [`FlowMode`]): the `oaf-core` crate wires
-//! them to the lock-free shared-memory channel, keeping this crate a
-//! faithful, transport-agnostic NVMe-oF stack.
+//! The adaptive-fabric co-design hook is deliberately an *interface* here
+//! ([`payload::PayloadChannel`]): the `oaf-core` crate wires it to the
+//! lock-free shared-memory channel, keeping this crate a faithful,
+//! transport-agnostic NVMe-oF stack.
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
@@ -52,17 +54,3 @@ pub use initiator::Initiator;
 pub use metrics::{InitiatorMetrics, TargetMetrics, TransportMetrics};
 pub use payload::PayloadChannel;
 pub use target::{TargetConfig, TargetConnection};
-
-/// Write flow-control regime for a connection (§4.4.2).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FlowMode {
-    /// Standard NVMe/TCP: in-capsule data only below the negotiated
-    /// threshold; larger writes take the conservative CMD → R2T → H2C
-    /// path (three control messages before the I/O reaches the SSD).
-    Conservative,
-    /// Shared-memory flow control: payload bytes can sit in the region
-    /// until the target drains them, so *every* write goes in-capsule
-    /// (one control message), eliminating R2T and the separate H2C
-    /// notification.
-    InCapsule,
-}

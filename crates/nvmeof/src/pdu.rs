@@ -63,14 +63,11 @@ pub const FLAG_SHM: u8 = 0x01;
 pub const FLAG_LAST: u8 = 0x02;
 
 /// Adaptive-fabric capability bit: endpoint can map a shared-memory
-/// channel (advertised in ICReq/ICResp, §4.1).
+/// channel (advertised in ICReq/ICResp, §4.1). Granting it switches the
+/// connection to the shared-memory flow: every write rides in-capsule as
+/// a slot reference (§4.4.2) and every read lands in a leased slot
+/// (§4.4.3). The other bits of `af_caps` are reserved.
 pub const AF_CAP_SHM: u32 = 0x1;
-/// Adaptive-fabric capability bit: endpoint supports in-capsule flow
-/// control over shared memory for all I/O sizes (§4.4.2).
-pub const AF_CAP_SHM_INCAPSULE: u32 = 0x2;
-/// Adaptive-fabric capability bit: endpoint supports zero-copy leases
-/// (§4.4.3).
-pub const AF_CAP_ZERO_COPY: u32 = 0x4;
 
 mod ptype {
     pub const ICREQ: u8 = 0x00;
@@ -211,7 +208,8 @@ pub struct ICReq {
     pub pfv: u16,
     /// Maximum outstanding R2Ts the client supports.
     pub maxr2t: u32,
-    /// Adaptive-fabric capability bits (`AF_CAP_*`).
+    /// Adaptive-fabric capability bits ([`AF_CAP_SHM`]; the rest are
+    /// reserved).
     pub af_caps: u32,
     /// Client host identity (used for locality matching, §4.2).
     pub host_id: u64,
@@ -868,7 +866,8 @@ mod tests {
         roundtrip(Pdu::ICReq(ICReq {
             pfv: 1,
             maxr2t: 16,
-            af_caps: AF_CAP_SHM | AF_CAP_ZERO_COPY,
+            // Reserved bits travel verbatim.
+            af_caps: AF_CAP_SHM | 0x8000_0000,
             host_id: 0x1122_3344_5566_7788,
         }));
         roundtrip(Pdu::ICResp(ICResp {

@@ -320,11 +320,6 @@ impl InitiatorRecovery {
         self.cmds.is_empty()
     }
 
-    /// The shm payload path has been abandoned mid-flight.
-    pub fn degraded(&self) -> bool {
-        self.degraded
-    }
-
     /// Whether `cid` is in the retired ring (late frames for it are
     /// stale, not protocol violations).
     pub fn is_retired_cid(&self, cid: u16) -> bool {

@@ -23,7 +23,7 @@ use crate::nvme::namespace::{BarrierPoll, BarrierTicket};
 use crate::payload::PayloadChannel;
 use crate::pdu::{
     land_chunk, AbortAck, CapsuleResp, DataPdu, DataPduView, DataRef, DataView, Degrade, ICResp,
-    KeepAlive, Pdu, PduView, AF_CAP_SHM, AF_CAP_SHM_INCAPSULE, AF_CAP_ZERO_COPY, R2T,
+    KeepAlive, Pdu, PduView, AF_CAP_SHM, R2T,
 };
 use crate::recovery::{AbortDecision, TargetRecovery};
 use crate::server::{spawn_multi_observed, ConnectionSpec, LiveConnection};
@@ -52,7 +52,7 @@ impl Default for TargetConfig {
         TargetConfig {
             in_capsule_max: 8 * 1024,
             read_chunk: 128 * 1024,
-            af_caps: AF_CAP_SHM | AF_CAP_SHM_INCAPSULE | AF_CAP_ZERO_COPY,
+            af_caps: AF_CAP_SHM,
             target_id: 1,
         }
     }
@@ -727,11 +727,12 @@ impl TargetConnection {
         if self.shm_active {
             if let (Some(ch), Some(expected)) = (self.payload.as_ref(), ctrl.transfer_len(&cmd)) {
                 if expected > 0 && expected <= ch.max_payload() {
-                    // Pool exhaustion (or any alloc failure) falls back to
-                    // the copying path below rather than stalling the
-                    // connection.
-                    if let Ok(lease) = ch.alloc(expected) {
-                        return self.read_via_lease(cmd, lease, ctrl, out);
+                    match ch.alloc(expected) {
+                        Ok(lease) => return self.read_via_lease(cmd, lease, ctrl, out),
+                        // The channel's own bounded wait found no slot
+                        // (pool exhausted or region dead): abandon shm
+                        // and answer this read inline below.
+                        Err(_) => self.degrade_self(out),
                     }
                 }
             }
@@ -748,62 +749,31 @@ impl TargetConnection {
         let (comp, buf) = self.read_recycled(&cmd, len, ctrl);
         if comp.status.is_ok() {
             self.metrics.payload_bytes.add(len as u64);
-            let mut published = None;
-            if self.shm_active
-                && self
-                    .payload
-                    .as_ref()
-                    .is_some_and(|ch| len <= ch.max_payload())
-            {
-                // Publish through the double buffer; the control PDU only
-                // carries the slot reference (§4.3).
-                let ch = self
-                    .payload
-                    .as_ref()
-                    .expect("shm_active implies channel")
-                    .clone();
-                match ch.publish(&buf[..len]) {
-                    Ok(p) => published = Some(p),
-                    // Region died: abandon shm, fall through to the
-                    // inline chunked path below.
-                    Err(_) => self.degrade_self(out),
-                }
+            // Stock NVMe/TCP: inline data chunked at the application-level
+            // chunk size (§4.5). The chunks view the read buffer; none is
+            // copied.
+            let chunk = self.cfg.read_chunk.max(1);
+            let bytes = Bytes::from_arc(Arc::clone(&buf));
+            let mut off = 0usize;
+            while off < len {
+                let end = (off + chunk).min(len);
+                out.push(Pdu::C2HData(DataPdu {
+                    cid: cmd.cid,
+                    ttag: 0,
+                    offset: off as u32,
+                    last: end == len,
+                    data: DataRef::Inline(bytes.slice(off..end)),
+                }));
+                off = end;
             }
-            if let Some((slot, len)) = published {
+            if len == 0 {
                 out.push(Pdu::C2HData(DataPdu {
                     cid: cmd.cid,
                     ttag: 0,
                     offset: 0,
                     last: true,
-                    data: DataRef::ShmSlot { slot, len },
+                    data: DataRef::Inline(Bytes::new()),
                 }));
-            } else {
-                // Stock NVMe/TCP: inline data chunked at the
-                // application-level chunk size (§4.5). The chunks view
-                // the read buffer; none is copied.
-                let chunk = self.cfg.read_chunk.max(1);
-                let bytes = Bytes::from_arc(Arc::clone(&buf));
-                let mut off = 0usize;
-                while off < len {
-                    let end = (off + chunk).min(len);
-                    out.push(Pdu::C2HData(DataPdu {
-                        cid: cmd.cid,
-                        ttag: 0,
-                        offset: off as u32,
-                        last: end == len,
-                        data: DataRef::Inline(bytes.slice(off..end)),
-                    }));
-                    off = end;
-                }
-                if len == 0 {
-                    out.push(Pdu::C2HData(DataPdu {
-                        cid: cmd.cid,
-                        ttag: 0,
-                        offset: 0,
-                        last: true,
-                        data: DataRef::Inline(Bytes::new()),
-                    }));
-                }
             }
         }
         self.finish(cmd.gseq, comp, out);
@@ -1204,7 +1174,7 @@ mod tests {
         let (client_ch, target_ch) = MailboxChannel::pair(8);
         let mut ctrl = controller();
         let mut conn = TargetConnection::new(TargetConfig::default(), Some(target_ch));
-        let resp = handshake(&mut conn, &mut ctrl, AF_CAP_SHM | AF_CAP_SHM_INCAPSULE);
+        let resp = handshake(&mut conn, &mut ctrl, AF_CAP_SHM);
         assert!(resp.af_caps & AF_CAP_SHM != 0);
         assert!(conn.shm_active());
 
@@ -1250,6 +1220,61 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
+    }
+
+    /// A read whose slot lease fails — here the channel is quarantined
+    /// under a live connection — abandons shm and is answered inline in
+    /// the same pass; the lease's own bounded wait is the only wait.
+    #[test]
+    fn a_read_without_a_lease_degrades_and_answers_inline() {
+        use crate::payload::MailboxChannel;
+        let (client_ch, target_ch) = MailboxChannel::pair(8);
+        let mut ctrl = controller();
+        let mut conn = TargetConnection::new(TargetConfig::default(), Some(target_ch));
+        handshake(&mut conn, &mut ctrl, AF_CAP_SHM);
+        assert!(conn.shm_active());
+        let data = vec![0x5au8; 4096];
+        let (slot, len) = client_ch.publish(&data).unwrap();
+        let mut out = Vec::new();
+        conn.handle(
+            Frame::Owned(
+                Pdu::CapsuleCmd(CapsuleCmd {
+                    cmd: NvmeCommand::write(1, 1, 3, 1),
+                    data: Some(DataRef::ShmSlot { slot, len }),
+                })
+                .encode(),
+            ),
+            &mut ctrl,
+            &mut out,
+        )
+        .unwrap();
+        assert!(matches!(out.as_slice(), [Pdu::CapsuleResp(r)] if r.completion.status.is_ok()));
+
+        client_ch.quarantine();
+        out.clear();
+        conn.handle(
+            Frame::Owned(
+                Pdu::CapsuleCmd(CapsuleCmd {
+                    cmd: NvmeCommand::read(2, 1, 3, 1),
+                    data: None,
+                })
+                .encode(),
+            ),
+            &mut ctrl,
+            &mut out,
+        )
+        .unwrap();
+        match out.as_slice() {
+            [Pdu::Degrade(_), Pdu::C2HData(d), Pdu::CapsuleResp(r)] => {
+                assert_eq!(d.cid, 2);
+                assert!(d.last);
+                assert!(matches!(&d.data, DataRef::Inline(b) if b[..] == data[..]));
+                assert_eq!(r.completion.cid, 2);
+                assert!(r.completion.status.is_ok());
+            }
+            other => panic!("expected [Degrade, inline C2H, CapsuleResp], got {other:?}"),
+        }
+        assert!(!conn.shm_active());
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! Variable-size SPSC frame ring in shared memory.
 //!
-//! [`crate::ring::NotifyRing`] carries fixed 64-byte records — enough for
-//! slot notifications. This ring carries *whole control PDUs* of
-//! arbitrary size, enabling the §5.5 future-work configuration where even
-//! the control path leaves kernel TCP: two byte rings (one per
-//! direction) make a full duplex in-region transport.
+//! This ring carries *whole control PDUs* of arbitrary size, enabling the
+//! §5.5 future-work configuration where even the control path leaves
+//! kernel TCP: two byte rings (one per direction) make a full duplex
+//! in-region transport.
 //!
 //! Layout: `[head u64 | pad][tail u64 | pad][data: capacity bytes]`.
 //! Frames are `[len: u32][payload]`, written contiguously; a frame that

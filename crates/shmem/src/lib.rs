@@ -12,10 +12,11 @@
 //!   I/O size (§4.4.1),
 //! * [`slot::SlotRing`] — one direction's slots, each with an atomic
 //!   state machine providing release/acquire publication,
-//! * [`ring::NotifyRing`] — a lock-free SPSC notification ring living
-//!   inside the region, and [`byte_ring::ByteRing`] — its variable-size
-//!   sibling, carrying whole control PDUs for the fully in-region
-//!   control path (the paper's §5.5 future-work direction),
+//! * [`byte_ring::ByteRing`] — a lock-free SPSC frame ring living inside
+//!   the region, carrying whole control PDUs for the fully in-region
+//!   control path (the paper's §5.5 future-work direction); on the
+//!   default TCP control path slot references ride the control PDUs,
+//!   so no separate notification ring exists,
 //! * [`flag::FlagPage`] — the pre-reserved page the helper process uses to
 //!   announce locality (§4.2),
 //! * [`bufmgr::BufferManager`] — the Buffer Manager proper and the only
@@ -43,7 +44,6 @@ pub mod flag;
 pub mod layout;
 pub mod locked;
 pub mod region;
-pub mod ring;
 pub mod slot;
 pub mod stats;
 
@@ -78,7 +78,7 @@ pub enum ShmError {
         /// Slot capacity.
         slot_size: usize,
     },
-    /// The notification ring is full.
+    /// The byte ring has no room for the frame.
     RingFull,
     /// The region is too small for the requested layout.
     RegionTooSmall {
@@ -104,7 +104,7 @@ impl std::fmt::Display for ShmError {
             ShmError::PayloadTooLarge { len, slot_size } => {
                 write!(f, "payload of {len} bytes exceeds slot size {slot_size}")
             }
-            ShmError::RingFull => write!(f, "notification ring full"),
+            ShmError::RingFull => write!(f, "byte ring full"),
             ShmError::RegionTooSmall { needed, have } => {
                 write!(f, "region too small: need {needed} bytes, have {have}")
             }

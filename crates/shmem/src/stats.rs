@@ -1,8 +1,8 @@
 //! Producer-side telemetry for the shared-memory rings.
 //!
 //! A [`RingStats`] bundle is attached to one *handle* of a
-//! [`crate::byte_ring::ByteRing`] or [`crate::ring::NotifyRing`] (the
-//! producer endpoint) via `set_stats`. Recording is a handful of relaxed
+//! [`crate::byte_ring::ByteRing`] (the producer endpoint) via
+//! `set_stats`. Recording is a handful of relaxed
 //! atomics per publish — cheap enough to leave on permanently — and a
 //! detached handle (no stats attached) pays only one branch.
 //!
@@ -16,7 +16,7 @@ use std::sync::Arc;
 /// Counters and gauges describing one ring endpoint's producer side.
 #[derive(Default, Debug)]
 pub struct RingStats {
-    /// Frames (ByteRing) or records (NotifyRing) successfully published.
+    /// Frames successfully published.
     pub frames: Counter,
     /// Payload bytes successfully published.
     pub bytes: Counter,
@@ -25,7 +25,7 @@ pub struct RingStats {
     pub full_events: Counter,
     /// Ring occupancy observed at publish time: `get()` is the
     /// last-published occupancy, `hwm()` the lifetime high-water mark.
-    /// Units are bytes (ByteRing) or records (NotifyRing).
+    /// Units are bytes.
     pub occupancy: Gauge,
 }
 

@@ -19,7 +19,7 @@ use nvme_oaf::nvmeof::payload::{MailboxChannel, PayloadChannel};
 use nvme_oaf::nvmeof::pdu::AF_CAP_SHM;
 use nvme_oaf::nvmeof::target::{spawn_target, TargetConfig, TargetConnection};
 use nvme_oaf::nvmeof::transport::{recv_batch_until, BackoffConfig, MemTransport, Transport};
-use nvme_oaf::nvmeof::{FlowMode, NvmeofError};
+use nvme_oaf::nvmeof::NvmeofError;
 
 fn controller() -> Controller {
     let mut c = Controller::new();
@@ -262,7 +262,6 @@ where
     );
     let opts = InitiatorOptions {
         af_caps: if use_shm { AF_CAP_SHM } else { 0 },
-        flow: FlowMode::InCapsule,
         cmd_deadline: Some(Duration::from_millis(40)),
         max_retries: 10,
         retry_backoff: Duration::from_millis(5),
@@ -669,7 +668,6 @@ fn forced_shm_failure_mid_workload_degrades_to_tcp() {
     );
     let opts = InitiatorOptions {
         af_caps: AF_CAP_SHM,
-        flow: FlowMode::InCapsule,
         cmd_deadline: Some(Duration::from_millis(50)),
         ..InitiatorOptions::default()
     };

@@ -13,7 +13,6 @@ use nvme_oaf::nvmeof::payload::PayloadChannel;
 use nvme_oaf::nvmeof::pdu::AF_CAP_SHM;
 use nvme_oaf::nvmeof::target::{spawn_target, TargetConfig};
 use nvme_oaf::nvmeof::transport::ShmTransport;
-use nvme_oaf::nvmeof::FlowMode;
 use nvme_oaf::oaf::payload_impl::ShmPayloadChannel;
 use nvme_oaf::shmem::channel::Side;
 use nvme_oaf::shmem::ShmChannel;
@@ -44,7 +43,6 @@ fn control_and_data_both_in_region() {
         ct,
         InitiatorOptions {
             af_caps: AF_CAP_SHM,
-            flow: FlowMode::InCapsule,
             ..InitiatorOptions::default()
         },
         Some(client_ch as Arc<dyn PayloadChannel>),
@@ -86,7 +84,6 @@ fn in_region_control_sustains_pipelined_load() {
         ct,
         InitiatorOptions {
             af_caps: AF_CAP_SHM,
-            flow: FlowMode::InCapsule,
             ..InitiatorOptions::default()
         },
         Some(client_ch as Arc<dyn PayloadChannel>),

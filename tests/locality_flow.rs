@@ -1,14 +1,16 @@
-//! Integration: locality awareness, hot-plug announcements, flow-control
-//! accounting, and fabric settings propagation across crates.
+//! Integration: locality awareness, hot-plug announcements, measured
+//! per-op control frames, and fabric settings propagation across crates.
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use nvme_oaf::nvmeof::nvme::controller::Controller;
 use nvme_oaf::nvmeof::nvme::namespace::Namespace;
-use nvme_oaf::nvmeof::FlowMode;
-use nvme_oaf::oaf::conn::{ConnectionManager, FabricSettings};
-use nvme_oaf::oaf::flow::{control_messages, messages_saved, DataChannel, OpKind};
+use nvme_oaf::oaf::conn::{ConnectionManager, ControlPath, FabricSettings};
 use nvme_oaf::oaf::locality::{poll_locality, HostRegistry, ProcessId};
+use nvme_oaf::oaf::runtime::{launch, AfPair};
+
+const TIMEOUT: Duration = Duration::from_secs(10);
 
 fn controller() -> Controller {
     let mut c = Controller::new();
@@ -91,43 +93,77 @@ fn fabric_settings_control_slot_geometry() {
         .expect("teardown");
 }
 
+/// Frames on the control path per op, measured at QD1 through the
+/// client transport's counters (`frames_sent + frames_received`; keep-
+/// alive and deadlines are off, so nothing else travels). With shared
+/// memory every write rides in-capsule whatever its size — CMD with the
+/// slot reference, then the response: Fig. 7 without steps ② and ④
+/// (§4.4.2) — so a 128 KiB write costs what a 4 KiB one does. Stock
+/// NVMe/TCP needs CMD → R2T → H2C → RESP once a write outgrows the 8 KiB
+/// in-capsule limit (the 512 KiB socket chunk keeps 128 KiB in one H2C),
+/// and a read is CMD → C2H → RESP on both fabrics. That shm read is the
+/// one row where the paper counts 2: the slot reference could ride the
+/// completion itself.
 #[test]
-fn flow_accounting_matches_the_papers_message_counts() {
-    let cap = 8 * 1024;
-    // Fig. 7's conservative shared-memory write: 4 control messages.
-    assert_eq!(
-        control_messages(
-            OpKind::Write,
-            16 * 1024,
-            DataChannel::Shm,
-            FlowMode::Conservative,
-            cap
+fn frames_per_op_follow_the_in_capsule_flow() {
+    const OPS: u64 = 8;
+    // (co-located, control path, [(io bytes, write frames, read frames)])
+    let cases = [
+        (true, ControlPath::Tcp, [(4096, 2, 3), (128 * 1024, 2, 3)]),
+        (
+            true,
+            ControlPath::InRegion,
+            [(4096, 2, 3), (128 * 1024, 2, 3)],
         ),
-        4
-    );
-    // §4.4.2 eliminates two of them for every size.
-    for size in [512usize, 16 * 1024, 1 << 21] {
-        assert_eq!(messages_saved(OpKind::Write, size, cap), 2, "size {size}");
-        assert_eq!(messages_saved(OpKind::Read, size, cap), 2, "size {size}");
+        (false, ControlPath::Tcp, [(4096, 2, 3), (128 * 1024, 4, 3)]),
+    ];
+    for (local, control, rows) in cases {
+        let registry = Arc::new(HostRegistry::new());
+        let mut p = launch(
+            &registry,
+            (ProcessId(1), 1),
+            (ProcessId(2), if local { 1 } else { 2 }),
+            controller(),
+            FabricSettings {
+                control,
+                ..FabricSettings::default()
+            },
+        )
+        .expect("launch");
+        assert_eq!(p.client.shm_active(), local);
+        let frames = |p: &AfPair| {
+            let snap = p.telemetry.snapshot();
+            snap.counter("transport_client", "frames_sent")
+                + snap.counter("transport_client", "frames_received")
+        };
+        for (len, write_frames, read_frames) in rows {
+            let nlb = (len / 4096) as u32;
+            let before = frames(&p);
+            for i in 0..OPS {
+                let mut buf = p.client.alloc(len).expect("alloc");
+                buf.fill(i as u8);
+                p.client
+                    .write(1, i * u64::from(nlb), nlb, buf, TIMEOUT)
+                    .expect("write");
+            }
+            let mid = frames(&p);
+            for i in 0..OPS {
+                let back = p
+                    .client
+                    .read(1, i * u64::from(nlb), nlb, len, TIMEOUT)
+                    .expect("read");
+                assert_eq!(back, vec![i as u8; len]);
+            }
+            let after = frames(&p);
+            let case = format!("local={local} {control:?} {len} B");
+            assert_eq!((mid - before) / OPS, write_frames, "{case}: write");
+            assert_eq!((mid - before) % OPS, 0, "{case}: write");
+            assert_eq!((after - mid) / OPS, read_frames, "{case}: read");
+            assert_eq!((after - mid) % OPS, 0, "{case}: read");
+        }
+        p.client.disconnect().expect("disconnect");
+        p.target.shutdown().expect("shutdown");
     }
-    // Stock TCP small writes were already in-capsule: nothing to save
-    // relative to the optimized shm flow.
-    assert_eq!(
-        control_messages(
-            OpKind::Write,
-            4096,
-            DataChannel::TcpInline,
-            FlowMode::Conservative,
-            cap
-        ),
-        control_messages(
-            OpKind::Write,
-            4096,
-            DataChannel::Shm,
-            FlowMode::InCapsule,
-            cap
-        ),
-    );
 }
 
 #[test]
