@@ -499,8 +499,7 @@ impl ClientState {
         self.queue_pdu_lossy(transport, &Pdu::Degrade(Degrade { reason: 1 }))?;
         self.apply_actions(transport)?;
         // Quarantine + sweep: no new leases succeed, and published-but-
-        // unconsumed slots return to the pool (counted by the channel's
-        // own `slots_reclaimed` stat).
+        // unconsumed slots return to the pool.
         if let Some(ch) = self.payload.as_ref() {
             ch.quarantine();
             ch.reclaim();
@@ -837,6 +836,13 @@ impl<T: Transport> Initiator<T> {
             let buf = lease.into_heap().expect("non-slot lease is heap-backed");
             return self.submit_write(nsid, slba, nlb, Bytes::from(buf));
         }
+        // Checked before the publish: a slot the target never looks at
+        // must not enter the channel, nor count as a copy avoided.
+        if !self.state.shm_active {
+            return Err(NvmeofError::Protocol(
+                "zero-copy write requires a negotiated shared-memory channel".into(),
+            ));
+        }
         let bytes = lease.len() as u64;
         let ch = self
             .state
@@ -847,11 +853,6 @@ impl<T: Transport> Initiator<T> {
         let (slot, len) = ch.publish_lease(lease)?;
         self.state.metrics.zero_copy_bytes.add(bytes);
         self.state.metrics.copies_avoided.inc();
-        if !self.state.shm_active {
-            return Err(NvmeofError::Protocol(
-                "zero-copy write requires a negotiated shared-memory channel".into(),
-            ));
-        }
         let cmd = self.state.track(
             NvmeCommand::write(0, nsid, slba, nlb),
             0,
@@ -1646,6 +1647,61 @@ mod tests {
     }
 
     #[test]
+    fn zero_copy_write_publishes_only_over_a_negotiated_channel() {
+        use crate::payload::MailboxChannel;
+        use oaf_shmem::channel::{ShmChannel, Side};
+        const LEN: usize = 4096;
+        // Real slot leases from a Buffer Manager over a shared region.
+        let region = ShmChannel::allocate(4, 64 * 1024);
+        let slot_lease = |fill: u8| {
+            let mut lease = region
+                .endpoint(Side::Client)
+                .lease_managed(LEN)
+                .expect("slot lease");
+            lease.fill(fill);
+            WriteLease::from_slot(lease)
+        };
+        let opts = InitiatorOptions {
+            af_caps: AF_CAP_SHM,
+            ..InitiatorOptions::default()
+        };
+
+        // Negotiated: the slot reference rides the capsule.
+        let (c, t) = MailboxChannel::pair(16);
+        let (mut ini, handle) = setup(
+            opts.clone(),
+            TargetConfig::default(),
+            Some((c as Arc<dyn PayloadChannel>, t as Arc<dyn PayloadChannel>)),
+        );
+        assert!(ini.shm_active());
+        let cid = ini.submit_write_lease(1, 3, 1, slot_lease(0xa5)).unwrap();
+        assert!(ini.wait(cid, TIMEOUT).unwrap().status.is_ok());
+        assert_eq!(ini.metrics().copies_avoided.get(), 1);
+        assert_eq!(ini.metrics().zero_copy_bytes.get(), LEN as u64);
+        let back = ini.read_blocking(1, 3, 1, LEN, TIMEOUT).unwrap();
+        assert!(back.iter().all(|&b| b == 0xa5));
+        handle.shutdown().unwrap();
+
+        // The target granted no channel: the write errs before anything
+        // is published or counted.
+        let (c, t) = MailboxChannel::pair(16);
+        let (ct, tt) = MemTransport::pair();
+        let mut ctrl = Controller::new();
+        ctrl.add_namespace(Namespace::new(1, 4096, 4096));
+        let handle = spawn_target(tt, ctrl, TargetConfig::default(), None);
+        let mut ini =
+            Initiator::connect(ct, opts, Some(c as Arc<dyn PayloadChannel>), TIMEOUT).unwrap();
+        assert!(!ini.shm_active());
+        assert!(ini.submit_write_lease(1, 3, 1, slot_lease(0x5a)).is_err());
+        for slot in 0..16 {
+            assert!(t.consume_with(slot, LEN as u32, &mut |_| ()).is_err());
+        }
+        assert_eq!(ini.metrics().copies_avoided.get(), 0);
+        assert_eq!(ini.metrics().zero_copy_bytes.get(), 0);
+        handle.shutdown().unwrap();
+    }
+
+    #[test]
     fn queue_depth_pipelining() {
         let (mut ini, handle) = setup(InitiatorOptions::default(), TargetConfig::default(), None);
         let qd = 32;
@@ -1696,6 +1752,14 @@ mod tests {
             .submit_compare(1, 9, 1, Bytes::from(vec![0u8; 4096]))
             .unwrap();
         assert!(ini.wait(cid, TIMEOUT).unwrap().status.is_ok());
+
+        // Each opcode lands in its own latency histogram.
+        let registry = oaf_telemetry::Registry::new();
+        ini.metrics().register(&registry.scope("client"));
+        let snap = registry.snapshot();
+        let count = |name: &str| snap.histo("client", name).map(|h| h.count);
+        assert_eq!(count("lat_compare_ns"), Some(3));
+        assert_eq!(count("lat_write_zeroes_ns"), Some(1));
         handle.shutdown().unwrap();
     }
 

@@ -34,7 +34,6 @@
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
-pub mod discovery;
 pub mod error;
 pub mod initiator;
 pub mod metrics;

@@ -34,9 +34,7 @@ pub struct TransportMetrics {
     /// Sends that exhausted the full-ring backoff and gave up with
     /// [`crate::error::NvmeofError::RingFull`].
     pub ring_full: Counter,
-    /// Busy-poll iterations spent waiting on a ring (send or receive).
-    pub backoff_spins: Counter,
-    /// `yield_now` calls spent waiting on a ring (send or receive).
+    /// `yield_now` calls spent waiting out a full ring.
     pub backoff_yields: Counter,
 }
 
@@ -56,7 +54,6 @@ impl TransportMetrics {
         scope.adopt_counter("frames_borrowed", &self.frames_borrowed);
         scope.adopt_counter("frames_owned", &self.frames_owned);
         scope.adopt_counter("ring_full", &self.ring_full);
-        scope.adopt_counter("backoff_spins", &self.backoff_spins);
         scope.adopt_counter("backoff_yields", &self.backoff_yields);
     }
 
@@ -81,12 +78,9 @@ impl TransportMetrics {
         self.frames_borrowed.add(frames as u64);
     }
 
-    /// Record a completed wait (successful or not) on a ring.
+    /// Record a completed wait (successful or not) on a full ring.
     #[inline]
-    pub(crate) fn on_backoff(&self, spins: u64, yields: u64) {
-        if spins > 0 {
-            self.backoff_spins.add(spins);
-        }
+    pub(crate) fn on_backoff(&self, yields: u64) {
         if yields > 0 {
             self.backoff_yields.add(yields);
         }
@@ -241,11 +235,6 @@ pub struct TcpMetrics {
     /// Receive fills that ended mid-frame and had to resume on a later
     /// poll.
     pub partial_read_resumptions: Counter,
-    /// Receive-buffer compactions (memmove of a partial tail frame).
-    pub rx_compactions: Counter,
-    /// Bytes currently parked in the send backlog; `hwm()` is the worst
-    /// case observed.
-    pub tx_backlog_bytes: Gauge,
     /// Frames accepted by `queue_frame` instead of being written at once.
     pub frames_queued: Counter,
     /// Queued frames released per flush decision — how much each
@@ -276,8 +265,6 @@ impl TcpMetrics {
         scope.adopt_counter("vectored_sends", &self.vectored_sends);
         scope.adopt_counter("partial_write_resumptions", &self.partial_write_resumptions);
         scope.adopt_counter("partial_read_resumptions", &self.partial_read_resumptions);
-        scope.adopt_counter("rx_compactions", &self.rx_compactions);
-        scope.adopt_gauge("tx_backlog_bytes", &self.tx_backlog_bytes);
         scope.adopt_counter("frames_queued", &self.frames_queued);
         scope.adopt_histo("frames_per_flush", &self.frames_per_flush);
         scope.adopt_gauge("digest_hw", &self.digest_hw);
@@ -306,9 +293,6 @@ pub struct TargetMetrics {
     pub copies_avoided: Counter,
     /// Commands that completed with a non-success NVMe status.
     pub errors: Counter,
-    /// Abort requests handled (either answered from the completed-cid
-    /// ring or acknowledged as not-applied).
-    pub aborts_handled: Counter,
     /// Keep-alive heartbeats echoed back to the client.
     pub keepalives: Counter,
     /// Received frames dropped by the reactor for failing CRC or
@@ -347,7 +331,6 @@ impl TargetMetrics {
         scope.adopt_counter("zero_copy_bytes", &self.zero_copy_bytes);
         scope.adopt_counter("copies_avoided", &self.copies_avoided);
         scope.adopt_counter("errors", &self.errors);
-        scope.adopt_counter("aborts_handled", &self.aborts_handled);
         scope.adopt_counter("keepalives", &self.keepalives);
         scope.adopt_counter("corrupt_frames", &self.corrupt_frames);
         scope.adopt_counter("barriers_parked", &self.barriers_parked);

@@ -20,11 +20,15 @@ use crate::error::NvmeofError;
 use crate::nvme::controller::Controller;
 use crate::payload::PayloadChannel;
 use crate::pdu::Pdu;
-use crate::shard::{ShardConfig, ShardStats, Steering, ThreadHook};
+use crate::shard::{ShardStats, ThreadHook};
 use crate::spsc::spsc;
 use crate::target::{ReactorPort, TargetConfig, TargetConnection, TargetHandle};
 use crate::transport::{queue_pdu, BackoffConfig, Transport, WaitLadder, WaitStep, CORK_BUDGET};
 use oaf_telemetry::Registry;
+
+/// Capacity of each reactor's admin mailbox: connections adopted at
+/// runtime that the reactor has not drained yet.
+const MAILBOX_DEPTH: usize = 64;
 
 /// One client connection a [`spawn_multi`] reactor services.
 pub struct ConnectionSpec {
@@ -253,11 +257,9 @@ impl TargetHandle {
         mut controller: Controller,
         stats: Arc<ShardStats>,
         registry: Arc<Registry>,
-        mailbox_depth: usize,
         hook: Option<ThreadHook>,
     ) {
-        assert!(mailbox_depth > 0, "admin mailbox needs a slot");
-        let (mailbox, rx) = spsc::<Box<LiveConnection>>(mailbox_depth);
+        let (mailbox, rx) = spsc::<Box<LiveConnection>>(MAILBOX_DEPTH);
         stats.conns.set(live.len() as i64);
         let n = self.ports.len();
         let stop = self.stop.clone();
@@ -320,15 +322,8 @@ pub fn spawn_multi_observed(
         .enumerate()
         .map(|(i, c)| LiveConnection::build(c, i, registry))
         .collect();
-    let mut handle = TargetHandle::new(Steering::RoundRobin, live.len());
-    handle.spawn_reactor(
-        live,
-        controller,
-        Arc::default(),
-        Arc::default(),
-        ShardConfig::MAILBOX_DEPTH,
-        None,
-    );
+    let mut handle = TargetHandle::new(live.len());
+    handle.spawn_reactor(live, controller, Arc::default(), Arc::default(), None);
     handle
 }
 

@@ -54,48 +54,6 @@ impl ShardStats {
     }
 }
 
-/// How connections are assigned to shards at accept/connect time.
-/// Steering is deterministic and happens exactly once per connection —
-/// connections never migrate, which is what makes exclusive ownership
-/// (and the no-cross-shard-locks property) possible.
-#[derive(Clone, Debug)]
-pub enum Steering {
-    /// Connection `i` goes to shard `i % shards`.
-    RoundRobin,
-    /// Connection `i` goes to shard `hash(i) % shards` (splitmix64
-    /// finalizer — deterministic across runs).
-    Hash,
-    /// Connection `i` goes to shard `pins[i]`; connections past the end
-    /// of the list fall back to round-robin.
-    Pinned(Vec<usize>),
-}
-
-impl Steering {
-    /// The shard connection number `conn` belongs to, in `0..shards`.
-    pub fn shard_for(&self, conn: usize, shards: usize) -> usize {
-        match self {
-            Steering::RoundRobin => conn % shards,
-            Steering::Hash => {
-                // splitmix64 finalizer: good avalanche, no state.
-                let mut z = (conn as u64).wrapping_add(0x9E37_79B9_7F4A_7C15);
-                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-                (z ^ (z >> 31)) as usize % shards
-            }
-            Steering::Pinned(pins) => match pins.get(conn) {
-                Some(&s) => {
-                    assert!(
-                        s < shards,
-                        "pinned shard {s} out of range ({shards} shards)"
-                    );
-                    s
-                }
-                None => conn % shards,
-            },
-        }
-    }
-}
-
 /// Per-thread setup hook of a reactor, called with the shard index.
 pub type ThreadHook = Arc<dyn Fn(usize) + Send + Sync>;
 
@@ -105,10 +63,6 @@ pub struct ShardConfig {
     /// oversubscribe; correctness is unaffected (each shard still owns
     /// its connections exclusively), only parallel speed-up is.
     pub shards: usize,
-    /// Connection → shard assignment policy.
-    pub steering: Steering,
-    /// Capacity of each shard's admin mailbox.
-    pub mailbox_depth: usize,
     /// Optional per-thread setup hook, called first thing on each shard
     /// thread with the shard index (CPU pinning, allocator tracking in
     /// tests, …).
@@ -116,14 +70,10 @@ pub struct ShardConfig {
 }
 
 impl ShardConfig {
-    pub(crate) const MAILBOX_DEPTH: usize = 64;
-
-    /// `shards` reactors, round-robin steering, depth-64 mailboxes.
+    /// `shards` reactors, no thread hook.
     pub fn new(shards: usize) -> Self {
         ShardConfig {
             shards,
-            steering: Steering::RoundRobin,
-            mailbox_depth: Self::MAILBOX_DEPTH,
             thread_hook: None,
         }
     }
@@ -144,19 +94,17 @@ pub fn spawn_sharded(
 ) -> TargetHandle {
     assert!(cfg.shards > 0, "need at least one shard");
 
-    // Partition the initial connections by the steering policy. Global
-    // connection numbering keeps telemetry scope names
-    // (`target_conn<i>`) stable regardless of shard count.
+    // Connection `i` goes to shard `i % shards`. Global connection
+    // numbering keeps telemetry scope names (`target_conn<i>`) stable
+    // regardless of shard count.
     let mut per_shard: Vec<Vec<(usize, ConnectionSpec)>> =
         (0..cfg.shards).map(|_| Vec::new()).collect();
-    let mut next_conn = 0;
-    for spec in conns {
-        let shard = cfg.steering.shard_for(next_conn, cfg.shards);
-        per_shard[shard].push((next_conn, spec));
-        next_conn += 1;
+    let next_conn = conns.len();
+    for (i, spec) in conns.into_iter().enumerate() {
+        per_shard[i % cfg.shards].push((i, spec));
     }
 
-    let mut handle = TargetHandle::new(cfg.steering, next_conn);
+    let mut handle = TargetHandle::new(next_conn);
     for (n, initial) in per_shard.into_iter().enumerate() {
         let shard_reg = Arc::new(Registry::new());
         let shard_stats = Arc::new(ShardStats::default());
@@ -175,7 +123,6 @@ pub fn spawn_sharded(
             controller.share(),
             shard_stats,
             shard_reg,
-            cfg.mailbox_depth,
             cfg.thread_hook.clone(),
         );
     }
@@ -198,25 +145,18 @@ impl TargetHandle {
         &self.ports[n].stats
     }
 
-    /// Shard `n`'s private registry: where connections it adopts at
-    /// runtime register. [`spawn_sharded`] merged it into the parent
-    /// registry, when one was supplied.
-    pub fn shard_registry(&self, n: usize) -> &Arc<Registry> {
-        &self.ports[n].registry
-    }
-
     /// Frames executed by each shard so far — the load-balance witness
     /// (`max/min ≤ bound` in the scale tests).
     pub fn ops_per_shard(&self) -> Vec<u64> {
         self.ports.iter().map(|p| p.stats.ops.get()).collect()
     }
 
-    /// The shard connection number `conn` is steered to.
+    /// The shard connection number `conn` is steered to: `conn % shards`.
     pub fn shard_of(&self, conn: usize) -> usize {
-        self.steering.shard_for(conn, self.shards())
+        conn % self.shards()
     }
 
-    /// Steers `spec` to its shard (per the configured policy), builds
+    /// Steers `spec` to its shard ([`TargetHandle::shard_of`]), builds
     /// the connection against that shard's registry, and delivers it
     /// through the shard's admin mailbox. Returns the shard index.
     ///
@@ -260,29 +200,6 @@ mod tests {
             payload: None,
             scope: None,
         }
-    }
-
-    #[test]
-    fn steering_policies_are_deterministic_and_in_range() {
-        for shards in 1..6 {
-            for conn in 0..32 {
-                assert_eq!(Steering::RoundRobin.shard_for(conn, shards), conn % shards);
-                let h = Steering::Hash.shard_for(conn, shards);
-                assert_eq!(h, Steering::Hash.shard_for(conn, shards));
-                assert!(h < shards);
-            }
-        }
-        let pinned = Steering::Pinned(vec![2, 0, 1]);
-        assert_eq!(pinned.shard_for(0, 3), 2);
-        assert_eq!(pinned.shard_for(1, 3), 0);
-        assert_eq!(pinned.shard_for(2, 3), 1);
-        assert_eq!(pinned.shard_for(5, 3), 2); // past the pins: round-robin
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn out_of_range_pin_panics() {
-        let _ = Steering::Pinned(vec![7]).shard_for(0, 2);
     }
 
     #[test]

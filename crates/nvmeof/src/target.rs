@@ -27,7 +27,7 @@ use crate::pdu::{
 };
 use crate::recovery::{AbortDecision, TargetRecovery};
 use crate::server::{spawn_multi_observed, ConnectionSpec, LiveConnection};
-use crate::shard::{ShardStats, Steering};
+use crate::shard::ShardStats;
 use crate::spsc::SpscSender;
 use crate::transport::{Frame, Transport};
 use oaf_telemetry::Registry;
@@ -228,7 +228,6 @@ impl TargetConnection {
                 // The abort that raced the parked barrier gets its
                 // deferred answer: the command *was* applied, with this
                 // final (possibly error) completion.
-                self.metrics.aborts_handled.inc();
                 out.push(Pdu::AbortAck(AbortAck {
                     cid: comp.cid,
                     applied: true,
@@ -397,7 +396,6 @@ impl TargetConnection {
             p.abort_requested = true;
             return;
         }
-        self.metrics.aborts_handled.inc();
         match self.core.on_abort(cid, gseq) {
             AbortDecision::Applied(completion) => {
                 out.push(Pdu::AbortAck(AbortAck {
@@ -842,19 +840,17 @@ pub struct TargetHandle {
     pub(crate) joins: Vec<std::thread::JoinHandle<Result<(), NvmeofError>>>,
     pub(crate) ports: Vec<ReactorPort>,
     pub(crate) next_conn: usize,
-    pub(crate) steering: Steering,
 }
 
 impl TargetHandle {
     /// A handle with no thread yet; `next_conn` is the number the first
     /// connection added at runtime gets.
-    pub(crate) fn new(steering: Steering, next_conn: usize) -> Self {
+    pub(crate) fn new(next_conn: usize) -> Self {
         TargetHandle {
             stop: Arc::new(AtomicBool::new(false)),
             joins: Vec::new(),
             ports: Vec::new(),
             next_conn,
-            steering,
         }
     }
 
@@ -1427,7 +1423,6 @@ mod tests {
         assert!(r.completion.status.is_ok());
         assert!(ack.applied, "the parked command executed");
         assert_eq!(ack.cid, 7);
-        assert_eq!(conn.metrics().aborts_handled.get(), 1);
     }
 
     #[test]

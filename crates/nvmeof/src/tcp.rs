@@ -320,7 +320,6 @@ impl TcpTransport {
         let queued = tx.pending();
         let total = queued + prefix.len() + payload.len();
         let mut done = 0usize;
-        let mut blocked = false;
         while done < total {
             let mut iov = [IoSlice::new(&[]); 3];
             let mut parts = 0;
@@ -343,10 +342,7 @@ impl TcpTransport {
             match res {
                 Ok(0) => return Err(NvmeofError::TransportClosed),
                 Ok(n) => done += n,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    blocked = true;
-                    break;
-                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(e) => return Err(closed(e)),
             }
@@ -356,9 +352,6 @@ impl TcpTransport {
             tx.head = 0;
         } else {
             tx.head += done;
-        }
-        if blocked || queued > 0 {
-            self.tcp.tx_backlog_bytes.set(tx.pending() as i64);
         }
         Ok(done.saturating_sub(queued))
     }
@@ -410,8 +403,6 @@ impl TcpTransport {
             tx.backlog
                 .extend_from_slice(&payload[written - prefix.len()..]);
         }
-        self.tcp.tx_backlog_bytes.observe_max(tx.pending() as i64);
-        self.tcp.tx_backlog_bytes.set(tx.pending() as i64);
         if tx.pending() <= self.cfg.max_backlog {
             self.metrics.on_send(total);
             return Ok(());
@@ -442,7 +433,6 @@ impl TcpTransport {
                     }
                     // Drop this (never-started) frame cleanly.
                     tx.backlog.truncate(queued_from);
-                    self.tcp.tx_backlog_bytes.set(tx.pending() as i64);
                     self.metrics.ring_full.inc();
                     return Err(NvmeofError::RingFull);
                 }
@@ -480,7 +470,6 @@ impl TcpTransport {
             rx.buf.copy_within(rx.consumed..rx.filled, 0);
             rx.filled -= rx.consumed;
             rx.consumed = 0;
-            self.tcp.rx_compactions.inc();
             if rx.filled < rx.buf.len() {
                 return;
             }
@@ -781,7 +770,7 @@ mod tests {
         // Fill the socket until a filler's tail parks.
         let filler = frame(1, 512);
         let mut accepted = 0usize;
-        while tx.tcp_metrics().tx_backlog_bytes.get() == 0 {
+        while lock_ignore_poison(&tx.tx).pending() == 0 {
             tx.send_frame(&filler).unwrap();
             accepted += 1;
             assert!(accepted < 1_000_000, "socket never filled");

@@ -204,10 +204,10 @@ impl WaitLadder {
         WaitStep::Sleep((self.deadline - now).min(Self::SLEEP_SLICE))
     }
 
-    /// Adds the spins and yields taken so far to `metrics`: two atomics
-    /// per wait instead of one per iteration.
+    /// Adds the yields taken so far to `metrics`: one atomic per wait
+    /// instead of one per iteration.
     fn report(&self, metrics: &TransportMetrics) {
-        metrics.on_backoff(u64::from(self.spins), u64::from(self.yields));
+        metrics.on_backoff(u64::from(self.yields));
     }
 }
 
@@ -1084,6 +1084,7 @@ mod tests {
         assert!(matches!(err, NvmeofError::RingFull), "{err:?}");
         assert!(t0.elapsed() >= cfg.send_full_timeout, "gave up early");
         assert_eq!(a.metrics().ring_full.get(), 1);
+        assert!(a.metrics().backoff_yields.get() > 0, "no wait was counted");
         let first = drain_numbered(&b);
         assert!(!first.is_empty() && first.len() < total as usize);
         assert_eq!(first, (0..first.len() as u32).collect::<Vec<_>>());

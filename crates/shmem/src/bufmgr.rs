@@ -49,9 +49,6 @@ pub struct BufStats {
     /// Live (unpublished, undropped) leases right now; `hwm()` is the
     /// deepest the pool has ever been.
     pub leases_live: Gauge,
-    /// Slots forced back to `Free` by a reclamation sweep after the
-    /// channel was quarantined (lost-peer recovery).
-    pub slots_reclaimed: Counter,
 }
 
 impl BufStats {
@@ -66,7 +63,6 @@ impl BufStats {
         scope.adopt_counter("lease_denied", &self.lease_denied);
         scope.adopt_counter("lease_aborted", &self.lease_aborted);
         scope.adopt_gauge("leases_live", &self.leases_live);
-        scope.adopt_counter("slots_reclaimed", &self.slots_reclaimed);
     }
 }
 
@@ -227,9 +223,6 @@ impl BufferManager {
                 freed += 1;
             }
         }
-        if freed > 0 {
-            self.inner.stats.slots_reclaimed.add(freed as u64);
-        }
         freed
     }
 
@@ -246,11 +239,7 @@ impl BufferManager {
         {
             return false;
         }
-        let freed = self.inner.ring.force_reclaim(slot).unwrap_or(false);
-        if freed {
-            self.inner.stats.slots_reclaimed.inc();
-        }
-        freed
+        self.inner.ring.force_reclaim(slot).unwrap_or(false)
     }
 }
 
@@ -469,7 +458,6 @@ mod tests {
         assert_eq!(freed, 1);
         assert_eq!(ring.state(published).unwrap(), SlotState::Free);
         assert_ne!(ring.state(held_slot).unwrap(), SlotState::Free);
-        assert_eq!(m.stats().slots_reclaimed.get(), 1);
         drop(held);
         // Now the straggler can be swept too.
         assert_eq!(m.reclaim(), 0); // drop already returned it to Free

@@ -220,12 +220,7 @@ impl ByteRing {
         }
         let tail = self.tail().load(Ordering::Relaxed); // producer-owned
         let (write_at, total) = self.placement(tail, frame.len());
-        if let Err(e) = self.ensure_space(tail, total) {
-            if let Some(stats) = &self.stats {
-                stats.on_full();
-            }
-            return Err(e);
-        }
+        self.ensure_space(tail, total)?;
         let next = self.write_frame(tail, frame, write_at, total);
         self.tail().store(next, Ordering::Release);
         if let Some(stats) = &self.stats {
@@ -253,7 +248,6 @@ impl ByteRing {
         let mut tail = start;
         let mut pushed = 0usize;
         let mut bytes = 0u64;
-        let mut hit_full = false;
         for frame in frames {
             let frame = frame.as_ref();
             if frame.len() > self.max_frame() {
@@ -267,7 +261,6 @@ impl ByteRing {
             }
             let (write_at, total) = self.placement(tail, frame.len());
             if self.ensure_space(tail, total).is_err() {
-                hit_full = true;
                 break;
             }
             tail = self.write_frame(tail, frame, write_at, total);
@@ -284,9 +277,6 @@ impl ByteRing {
                     bytes,
                     tail.wrapping_sub(self.cached_head.load(Ordering::Relaxed)),
                 );
-            }
-            if hit_full {
-                stats.on_full();
             }
         }
         Ok(pushed)
@@ -712,7 +702,7 @@ mod tests {
     }
 
     #[test]
-    fn stats_track_publishes_fulls_and_occupancy() {
+    fn stats_track_publishes_and_occupancy() {
         let mut r = ring(256);
         let stats = RingStats::new();
         r.set_stats(stats.clone());
@@ -720,13 +710,8 @@ mod tests {
         assert_eq!(r.push_n([[2u8; 30], [3u8; 30]]).unwrap(), 2);
         assert_eq!(stats.frames.get(), 3);
         assert_eq!(stats.bytes.get(), 100);
-        assert_eq!(stats.full_events.get(), 0);
         // Occupancy includes headers/padding, so it exceeds payload bytes.
         assert!(stats.occupancy.hwm() >= 100, "{}", stats.occupancy.hwm());
-        // Fill it up: the rejected push must count as a full event.
-        while r.push(&[9u8; 40]).is_ok() {}
-        let fulls = stats.full_events.get();
-        assert!(fulls >= 1);
         // A clone (the consumer handle) must not report into the bundle.
         let consumer = r.clone();
         let frames_before = stats.frames.get();

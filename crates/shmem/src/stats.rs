@@ -20,9 +20,6 @@ pub struct RingStats {
     pub frames: Counter,
     /// Payload bytes successfully published.
     pub bytes: Counter,
-    /// Push attempts rejected with [`crate::ShmError::RingFull`], plus
-    /// batched pushes cut short by a full ring.
-    pub full_events: Counter,
     /// Ring occupancy observed at publish time: `get()` is the
     /// last-published occupancy, `hwm()` the lifetime high-water mark.
     /// Units are bytes.
@@ -39,7 +36,6 @@ impl RingStats {
     pub fn register(&self, scope: &Scope) {
         scope.adopt_counter("frames", &self.frames);
         scope.adopt_counter("bytes", &self.bytes);
-        scope.adopt_counter("full_events", &self.full_events);
         scope.adopt_gauge("occupancy", &self.occupancy);
     }
 
@@ -50,12 +46,6 @@ impl RingStats {
         self.frames.add(frames);
         self.bytes.add(bytes);
         self.occupancy.set(occupancy.min(i64::MAX as u64) as i64);
-    }
-
-    /// Record a push rejected (or a batch cut short) by a full ring.
-    #[inline]
-    pub fn on_full(&self) {
-        self.full_events.inc();
     }
 }
 
@@ -70,11 +60,9 @@ mod tests {
         let registry = Registry::new();
         stats.register(&registry.scope("ring_tx"));
         stats.on_publish(2, 128, 96);
-        stats.on_full();
         let snap = registry.snapshot();
         assert_eq!(snap.counter("ring_tx", "frames"), 2);
         assert_eq!(snap.counter("ring_tx", "bytes"), 128);
-        assert_eq!(snap.counter("ring_tx", "full_events"), 1);
         assert_eq!(snap.gauge("ring_tx", "occupancy"), Some((96, 96)));
     }
 }

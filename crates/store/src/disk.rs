@@ -413,21 +413,18 @@ impl FileDisk {
             .set((self.live_blocks * u64::from(self.sb.block_size)) as i64);
     }
 
-    /// Clears `count` blocks from `lba`; returns how many were live.
-    fn live_clear_range(&mut self, lba: u64, count: u32) -> u64 {
-        let mut freed = 0u64;
+    /// Clears `count` blocks from `lba`.
+    fn live_clear_range(&mut self, lba: u64, count: u32) {
         for b in lba..lba + u64::from(count) {
             let (w, m) = ((b / 64) as usize, 1u64 << (b % 64));
             if self.live[w] & m != 0 {
                 self.live[w] &= !m;
                 self.live_blocks -= 1;
-                freed += 1;
             }
         }
         self.metrics
             .live_bytes
             .set((self.live_blocks * u64::from(self.sb.block_size)) as i64);
-        freed
     }
 
     /// Rebuilds the live-block bitmap from data-region content after
@@ -894,10 +891,7 @@ impl BlockStore for FileDisk {
         let dirty = self.cache.get_mut().dirty_blocks() as i64;
         self.metrics.cache_dirty.set(dirty);
         self.punch(lba, count)?;
-        let freed = self.live_clear_range(lba, count);
-        self.metrics
-            .bytes_reclaimed
-            .add(freed * u64::from(self.sb.block_size));
+        self.live_clear_range(lba, count);
         Ok(())
     }
 
@@ -909,10 +903,7 @@ impl BlockStore for FileDisk {
         let dirty = self.cache.get_mut().dirty_blocks() as i64;
         self.metrics.cache_dirty.set(dirty);
         self.punch(lba, count)?;
-        let freed = self.live_clear_range(lba, count);
-        self.metrics
-            .bytes_reclaimed
-            .add(freed * u64::from(self.sb.block_size));
+        self.live_clear_range(lba, count);
         self.metrics.trims.inc();
         Ok(())
     }
@@ -1491,11 +1482,11 @@ mod tests {
         assert_eq!(d.live_data_bytes(), 2048);
         assert_eq!(d.metrics().live_bytes.get(), 2048);
         d.trim(8, 2).unwrap();
-        assert_eq!(d.metrics().bytes_reclaimed.get(), 1024);
+        assert_eq!(d.metrics().live_bytes.get(), 1024);
         assert_eq!(d.live_data_bytes(), 1024);
         // Trimming dead blocks reclaims nothing further.
         d.trim(8, 2).unwrap();
-        assert_eq!(d.metrics().bytes_reclaimed.get(), 1024);
+        assert_eq!(d.metrics().live_bytes.get(), 1024);
     }
 
     #[test]

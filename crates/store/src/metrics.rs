@@ -54,9 +54,6 @@ pub struct StoreMetrics {
     pub cache_evictions: Counter,
     /// Dirty blocks currently resident in the cache.
     pub cache_dirty: Gauge,
-    /// Bytes deallocated by TRIM/Write Zeroes that were live (held
-    /// data) when punched — space actually reclaimed.
-    pub bytes_reclaimed: Counter,
     /// Bytes of live (written, not deallocated) data in the store.
     pub live_bytes: Gauge,
     /// Barrier tickets submitted to the sync worker and not yet retired
@@ -103,7 +100,6 @@ impl StoreMetrics {
         scope.adopt_counter("cache_writebacks", &self.cache_writebacks);
         scope.adopt_counter("cache_evictions", &self.cache_evictions);
         scope.adopt_gauge("cache_dirty", &self.cache_dirty);
-        scope.adopt_counter("bytes_reclaimed", &self.bytes_reclaimed);
         scope.adopt_gauge("live_bytes", &self.live_bytes);
         scope.adopt_gauge("sync_queue_depth", &self.sync_queue_depth);
         scope.adopt_counter("barriers_offloaded", &self.barriers_offloaded);
@@ -139,7 +135,6 @@ mod tests {
         m.commit_batch.record(4);
         m.cache_hits.add(10);
         m.cache_dirty.set(3);
-        m.bytes_reclaimed.add(4096);
         m.live_bytes.set(8192);
         let registry = Registry::new();
         m.register(&registry.scope("store"));
@@ -148,7 +143,6 @@ mod tests {
         assert_eq!(snap.histo("store", "commit_batch").unwrap().count, 1);
         assert_eq!(snap.counter("store", "cache_hits"), 10);
         assert_eq!(snap.gauge("store", "cache_dirty").unwrap().0, 3);
-        assert_eq!(snap.counter("store", "bytes_reclaimed"), 4096);
         assert_eq!(snap.gauge("store", "live_bytes").unwrap().0, 8192);
     }
 

@@ -51,10 +51,6 @@ pub struct Histo {
     inner: Arc<HistoCell>,
 }
 
-/// The paper-facing alias: every latency distribution in the runtime is
-/// one of these.
-pub type LatencyHisto = Histo;
-
 impl Default for Histo {
     fn default() -> Self {
         Histo {

@@ -16,9 +16,8 @@
 //!   their metric structs detached and `adopt_*` them into a scope at
 //!   wiring time.
 //! - **Snapshots are plain data.** [`Snapshot`] supports `delta`,
-//!   quantiles ([`HistoSnapshot::p50`]/`p95`/`p99`, max), and lossless
-//!   [`export`] to Prometheus text or JSON — both with parsers, so
-//!   round-trips are testable without third-party deps.
+//!   quantiles ([`HistoSnapshot::p50`]/`p95`/`p99`, max), and
+//!   [`export`] to Prometheus text or one-line JSON.
 //! - **A [`Reporter`] thread** turns a registry into a periodic
 //!   cumulative + delta feed for logs or scrapes.
 //!
@@ -35,7 +34,7 @@
 //! let snap = registry.snapshot();
 //! assert_eq!(snap.counter("transport_shm_client", "frames_sent"), 1);
 //! let text = export::prometheus_text(&snap);
-//! assert_eq!(export::from_prometheus_text(&text).unwrap(), snap);
+//! assert!(text.contains("oaf_transport_shm_client__frames_sent 1\n"));
 //! ```
 
 pub mod export;
@@ -44,7 +43,7 @@ mod metric;
 mod registry;
 mod reporter;
 
-pub use histo::{bucket_index, bucket_upper, Histo, HistoSnapshot, LatencyHisto, HISTO_BUCKETS};
+pub use histo::{bucket_index, bucket_upper, Histo, HistoSnapshot, HISTO_BUCKETS};
 pub use metric::{Counter, Gauge};
 pub use registry::{
     sanitize, Metric, MetricSnapshot, MetricValue, Registry, Scope, ScopeSnapshot, Snapshot,

@@ -6,7 +6,7 @@
 //! quantile `t` satisfies `t <= q <= 2t` — the estimate never
 //! understates and overstates by at most one power of two.
 
-use oaf_telemetry::LatencyHisto;
+use oaf_telemetry::Histo;
 use proptest::prelude::*;
 
 /// Reference quantile: nearest-rank on a sorted copy, with the same rank
@@ -22,7 +22,7 @@ proptest! {
         values in proptest::collection::vec(0u64..2_000_000_000, 1..400),
         p in 0.0f64..1.0,
     ) {
-        let h = LatencyHisto::new();
+        let h = Histo::new();
         for &v in &values {
             h.record(v);
         }
@@ -54,7 +54,7 @@ proptest! {
         // exact `sum` check below.
         values in proptest::collection::vec(1u64..u64::MAX / 256, 1..100),
     ) {
-        let h = LatencyHisto::new();
+        let h = Histo::new();
         for &v in &values {
             h.record(v);
         }

@@ -344,11 +344,7 @@ fn print_store_report(snap: &oaf_telemetry::Snapshot) {
         );
     }
     if let Some((live, _)) = snap.gauge(scope, "live_bytes") {
-        println!(
-            "store: {} MiB live data, {} MiB reclaimed by TRIM",
-            live >> 20,
-            snap.counter(scope, "bytes_reclaimed") >> 20,
-        );
+        println!("store: {} MiB live data", live >> 20);
     }
 }
 

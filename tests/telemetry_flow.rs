@@ -2,7 +2,9 @@
 //! runtime must leave the registry with numbers that agree across every
 //! layer — frames sent on one side equal frames received on the other,
 //! initiator submissions equal completions, target ops equal responses,
-//! and the exported Prometheus/JSON forms round-trip losslessly.
+//! every live metric renders once in each export format — and every
+//! registered name is in the catalogue (`METRICS.md`), moved by this
+//! file's census workloads or pinned by the test its row names.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -11,8 +13,10 @@ use nvme_oaf::nvmeof::nvme::controller::Controller;
 use nvme_oaf::nvmeof::nvme::namespace::Namespace;
 use nvme_oaf::oaf::conn::{ControlPath, FabricSettings};
 use nvme_oaf::oaf::locality::{HostRegistry, ProcessId};
-use nvme_oaf::oaf::runtime::{launch, launch_many, launch_many_sharded, AfGroup, AfPair};
-use oaf_telemetry::export;
+use nvme_oaf::oaf::runtime::{
+    launch, launch_many, launch_many_sharded, AfClient, AfGroup, AfPair, AfShardedGroup,
+};
+use oaf_telemetry::{export, MetricValue, Snapshot};
 
 const TIMEOUT: Duration = Duration::from_secs(10);
 
@@ -184,7 +188,7 @@ fn remote_reads_leave_the_single_connection_reactor_sending_vectored() {
 }
 
 #[test]
-fn live_snapshot_round_trips_through_both_export_formats() {
+fn live_snapshot_renders_every_metric_once_in_both_export_formats() {
     let mut p = pair(true);
     let len = 4096;
     for lba in 0..8u64 {
@@ -193,21 +197,43 @@ fn live_snapshot_round_trips_through_both_export_formats() {
         p.client.write(1, lba, 1, buf, TIMEOUT).expect("write");
     }
     let _ = p.client.read(1, 0, 1, len, TIMEOUT).expect("read");
-
-    let snap = p.telemetry.snapshot();
-    // A registry fed by live multi-layer traffic — counters, gauges with
-    // high-water marks, latency histograms — survives both wire formats
-    // byte-for-byte in value space.
-    let prom = export::prometheus_text(&snap);
-    let back = export::from_prometheus_text(&prom).expect("prometheus parse");
-    assert_eq!(back, snap);
-
-    let js = export::json(&snap);
-    let back = export::from_json(&js).expect("json parse");
-    assert_eq!(back, snap);
-
+    assert_renders_once(&p.telemetry.snapshot());
     p.client.disconnect().expect("disconnect");
     p.target.shutdown().expect("shutdown");
+
+    // The sharded view merges per-shard registries under prefixes.
+    let group = sharded_group_after_one_write_each();
+    assert_renders_once(&group.telemetry.snapshot());
+    shut_down_sharded(group);
+}
+
+/// Every metric of `snap` appears exactly once in the Prometheus text
+/// (one `# TYPE` line under its full name `oaf_<scope>__<name>`) and in
+/// the JSON (one object under its scope's one object), and no two
+/// metrics share a full name.
+fn assert_renders_once(snap: &Snapshot) {
+    let prom = export::prometheus_text(snap);
+    let js = export::json(snap);
+    let mut full_names = std::collections::HashSet::new();
+    for scope in &snap.scopes {
+        let head = format!(r#"{{"name":"{}","metrics":["#, scope.name);
+        assert_eq!(js.matches(&head).count(), 1, "{}", scope.name);
+        let body = &js[js.find(&head).unwrap() + head.len()..];
+        let body = &body[..body.find(r#"","metrics":["#).unwrap_or(body.len())];
+        for m in &scope.metrics {
+            let full = format!("oaf_{}__{}", scope.name, m.name);
+            assert!(full_names.insert(full.clone()), "{full} rendered twice");
+            let kind = match m.value {
+                MetricValue::Counter(_) => "counter",
+                MetricValue::Gauge { .. } => "gauge",
+                MetricValue::Histo(_) => "histogram",
+            };
+            let type_line = format!("# TYPE {full} {kind}\n");
+            assert_eq!(prom.matches(&type_line).count(), 1, "{full}");
+            let entry = format!(r#"{{"name":"{}","kind":"#, m.name);
+            assert_eq!(body.matches(&entry).count(), 1, "{full}");
+        }
+    }
 }
 
 #[test]
@@ -370,7 +396,35 @@ fn group_after_one_write_each(hosts: &[u64], control: ControlPath) -> AfGroup {
     group
 }
 
+/// `launch_many_sharded` with 2 shards, a co-located and a remote
+/// client, one blocking 4 KiB write each.
+fn sharded_group_after_one_write_each() -> AfShardedGroup {
+    let registry = Arc::new(HostRegistry::new());
+    let mut group = launch_many_sharded(
+        &registry,
+        &[(ProcessId(10), 1), (ProcessId(11), 2)],
+        (ProcessId(2), 1),
+        controller(4096),
+        FabricSettings::default(),
+        2,
+    )
+    .expect("sharded group");
+    for (i, client) in group.clients.iter_mut().enumerate() {
+        let mut buf = client.alloc(4096).expect("alloc");
+        buf.fill(i as u8);
+        client.write(1, i as u64, 1, buf, TIMEOUT).expect("write");
+    }
+    group
+}
+
 fn shut_down(mut group: AfGroup) {
+    for mut c in group.clients.drain(..) {
+        c.disconnect().expect("disconnect");
+    }
+    group.target.shutdown().expect("shutdown");
+}
+
+fn shut_down_sharded(mut group: AfShardedGroup) {
     for mut c in group.clients.drain(..) {
         c.disconnect().expect("disconnect");
     }
@@ -505,8 +559,12 @@ fn scope_names_follow_one_rule_at_every_entry_point() {
     }
 }
 
-#[test]
-fn file_backed_fua_burst_releases_without_a_timer_and_times_every_fold() {
+/// Launches a co-located pair over a shared file-backed namespace and
+/// drives it the way the store's background paths need: waves of QD8
+/// 4 KiB FUA writes that park on their sync tickets and fold the
+/// 64 KiB journal, then plain writes left to the sync worker's
+/// write-out kicks, then a Flush. Returns the pair still connected.
+fn file_backed_fua_burst() -> AfPair {
     use nvme_oaf::store::vfs::MemVfs;
     use nvme_oaf::store::FileDisk;
 
@@ -544,18 +602,46 @@ fn file_backed_fua_burst_releases_without_a_timer_and_times_every_fold() {
                 .submit_write_fua(1, wave * QD + i, 1, buf)
                 .expect("submit fua");
         }
-        let mut done = 0;
-        let deadline = std::time::Instant::now() + TIMEOUT;
-        while done < QD {
-            assert!(std::time::Instant::now() < deadline, "wave {wave} stalled");
-            for r in p.client.poll().expect("poll") {
-                assert!(r.status.is_ok());
-                done += 1;
-            }
-            std::thread::yield_now();
-        }
+        drain(&mut p.client, QD, wave);
     }
 
+    // Plain writes with no barrier behind them: the sync worker starts
+    // their write-out on its own, and a Flush still syncs after it.
+    for i in 0..QD {
+        let mut buf = p.client.alloc(4096).expect("alloc");
+        buf.fill(0xee);
+        p.client.write(1, 128 + i, 1, buf, TIMEOUT).expect("write");
+    }
+    let kicks = |p: &AfPair| {
+        p.telemetry
+            .snapshot()
+            .counter("store_ns1", "writeback_kicks")
+    };
+    let deadline = std::time::Instant::now() + TIMEOUT;
+    while kicks(&p) == 0 && std::time::Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    p.client.flush(1, TIMEOUT).expect("flush");
+    p
+}
+
+/// Polls `client` until `n` completions arrived, each successful.
+fn drain(client: &mut AfClient, n: u64, wave: u64) {
+    let mut done = 0;
+    let deadline = std::time::Instant::now() + TIMEOUT;
+    while done < n {
+        assert!(std::time::Instant::now() < deadline, "wave {wave} stalled");
+        for r in client.poll().expect("poll") {
+            assert!(r.status.is_ok());
+            done += 1;
+        }
+        std::thread::yield_now();
+    }
+}
+
+#[test]
+fn file_backed_fua_burst_releases_without_a_timer_and_times_every_fold() {
+    let mut p = file_backed_fua_burst();
     let snap = p.telemetry.snapshot();
     let parked = snap.counter("target", "barriers_parked");
     assert!(parked > 0, "no FUA completion took the parked path");
@@ -569,34 +655,196 @@ fn file_backed_fua_burst_releases_without_a_timer_and_times_every_fold() {
         "a parked completion waited on the idle timer"
     );
     let folds = snap.counter("store_ns1", "checkpoints");
-    assert!(folds >= 2, "{folds} checkpoints for {} records", WAVES * QD);
+    assert!(folds >= 2, "{folds} checkpoints for 64 FUA records");
     assert_eq!(
         snap.histo("store_ns1", "checkpoint_ns").map(|h| h.count),
         Some(folds)
     );
-
-    // Plain writes with no barrier behind them: the sync worker starts
-    // their write-out on its own, and a Flush still syncs after it.
-    for i in 0..QD {
-        let mut buf = p.client.alloc(4096).expect("alloc");
-        buf.fill(0xee);
-        p.client.write(1, 128 + i, 1, buf, TIMEOUT).expect("write");
-    }
-    let kicks = || {
-        p.telemetry
-            .snapshot()
-            .counter("store_ns1", "writeback_kicks")
-    };
-    let deadline = std::time::Instant::now() + TIMEOUT;
-    while kicks() == 0 && std::time::Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    p.client.flush(1, TIMEOUT).expect("flush");
     assert!(
-        kicks() > 0,
+        snap.counter("store_ns1", "writeback_kicks") > 0,
         "plain writes were never kicked toward the platter"
     );
 
     p.client.disconnect().expect("disconnect");
     p.target.shutdown().expect("shutdown");
+}
+
+/// The scope family a registered scope belongs to: `shard<n>_` and a
+/// trailing connection or namespace index stripped
+/// (`shard1_target_conn1` → `target_conn`, `store_ns1` → `store_ns`).
+fn family(scope: &str) -> &str {
+    let mut f = scope;
+    if let Some(rest) = f.strip_prefix("shard") {
+        if let Some((n, tail)) = rest.split_once('_') {
+            if !n.is_empty() && n.bytes().all(|b| b.is_ascii_digit()) {
+                f = tail;
+            }
+        }
+    }
+    f.trim_end_matches(|c: char| c.is_ascii_digit())
+}
+
+/// One `METRICS.md` row: `| scope | name | kind | meaning | moved by |`.
+struct Row {
+    family: String,
+    name: String,
+    kind: String,
+    moved_by: String,
+}
+
+fn catalogue() -> Vec<Row> {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/METRICS.md");
+    let text = std::fs::read_to_string(path).expect("read METRICS.md");
+    text.lines()
+        .filter(|l| l.starts_with("| `"))
+        .map(|l| {
+            let cells: Vec<&str> = l.trim_matches('|').split('|').map(str::trim).collect();
+            assert_eq!(cells.len(), 5, "malformed row: {l}");
+            let plain = |c: &str| c.trim_matches('`').to_string();
+            Row {
+                family: plain(cells[0]),
+                name: plain(cells[1]),
+                kind: plain(cells[2]),
+                moved_by: plain(cells[4]),
+            }
+        })
+        .collect()
+}
+
+fn kind_of(v: &MetricValue) -> &'static str {
+    match v {
+        MetricValue::Counter(_) => "counter",
+        MetricValue::Gauge { .. } => "gauge",
+        MetricValue::Histo(_) => "histo",
+    }
+}
+
+fn moved(v: &MetricValue) -> bool {
+    match v {
+        MetricValue::Counter(n) => *n > 0,
+        MetricValue::Gauge { value, max } => *value != 0 || *max != 0,
+        MetricValue::Histo(h) => h.count > 0,
+    }
+}
+
+/// 4 KiB and 128 KiB blocking write + read at `lba`.
+fn write_read_both_sizes(client: &mut AfClient) {
+    for (lba, len) in [(0u64, 4096usize), (8, 128 * 1024)] {
+        let mut buf = client.alloc(len).expect("alloc");
+        buf.fill(0x3c);
+        let nlb = (len / 4096) as u32;
+        client.write(1, lba, nlb, buf, TIMEOUT).expect("write");
+        let back = client.read(1, lba, nlb, len, TIMEOUT).expect("read");
+        assert!(back.iter().all(|&b| b == 0x3c));
+    }
+}
+
+/// The census: runs one workload per way into the runtime, unions the
+/// `(scope family, name)` pairs their registries hold, and checks them
+/// against `METRICS.md` in both directions. A `census` row must have
+/// moved here; any other row names `path/to/test.rs::fn`, a test in a
+/// file that also names the metric — as a string literal, or as the
+/// bundle field of the same name (`m.retries.get()`).
+#[test]
+fn every_registered_metric_is_catalogued_and_moves_or_names_its_pin() {
+    let mut snaps: Vec<Snapshot> = Vec::new();
+
+    // Local, in-region control: every client command kind.
+    let mut p = pair(true);
+    write_read_both_sizes(&mut p.client);
+    p.client.flush(1, TIMEOUT).expect("flush");
+    p.client.trim(1, 0, 1, TIMEOUT).expect("trim");
+    p.client.identify(1).expect("identify");
+    snaps.push(p.telemetry.snapshot());
+    p.client.disconnect().expect("disconnect");
+    p.target.shutdown().expect("shutdown");
+
+    // Remote: the socket path, R2T included.
+    let mut p = pair(false);
+    write_read_both_sizes(&mut p.client);
+    snaps.push(p.telemetry.snapshot());
+    p.client.disconnect().expect("disconnect");
+    p.target.shutdown().expect("shutdown");
+
+    // Groups: mixed locality on one reactor, then two shards.
+    let mut group = group_after_one_write_each(&[1, 2], ControlPath::Tcp);
+    group.clients.iter_mut().for_each(write_read_both_sizes);
+    snaps.push(group.telemetry.snapshot());
+    shut_down(group);
+    let mut group = sharded_group_after_one_write_each();
+    group.clients.iter_mut().for_each(write_read_both_sizes);
+    snaps.push(group.telemetry.snapshot());
+    shut_down_sharded(group);
+
+    // The durable store: parked barriers, a log fold, write-out kicks.
+    let mut p = file_backed_fua_burst();
+    snaps.push(p.telemetry.snapshot());
+    p.client.disconnect().expect("disconnect");
+    p.target.shutdown().expect("shutdown");
+
+    let mut live: std::collections::BTreeMap<(String, String), (&str, bool)> = Default::default();
+    for snap in &snaps {
+        for scope in &snap.scopes {
+            for m in &scope.metrics {
+                let key = (family(&scope.name).to_string(), m.name.clone());
+                let e = live.entry(key).or_insert((kind_of(&m.value), false));
+                e.1 |= moved(&m.value);
+            }
+        }
+    }
+
+    let mut problems = Vec::new();
+    let mut listed = std::collections::BTreeSet::new();
+    for row in catalogue() {
+        let key = (row.family.clone(), row.name.clone());
+        if !listed.insert(key.clone()) {
+            problems.push(format!("listed twice: {}.{}", row.family, row.name));
+        }
+        match live.get(&key) {
+            None => problems.push(format!(
+                "listed, not registered: {}.{}",
+                row.family, row.name
+            )),
+            Some((kind, _)) if *kind != row.kind => problems.push(format!(
+                "{}.{} is a {kind}, listed as {}",
+                row.family, row.name, row.kind
+            )),
+            Some(_) if row.moved_by != "census" => {
+                let (file, test) = row.moved_by.split_once("::").unwrap_or((&row.moved_by, ""));
+                let path = format!("{}/{file}", env!("CARGO_MANIFEST_DIR"));
+                let src = std::fs::read_to_string(&path).unwrap_or_default();
+                if test.is_empty() || !src.contains(&format!("fn {test}(")) {
+                    problems.push(format!(
+                        "{}.{}: no test {}",
+                        row.family, row.name, row.moved_by
+                    ));
+                } else if !src.contains(&format!("\"{}\"", row.name))
+                    && !src.contains(&format!(".{}.", row.name))
+                {
+                    problems.push(format!(
+                        "{}.{}: {file} never names {}",
+                        row.family, row.name, row.name
+                    ));
+                }
+            }
+            Some((_, true)) => {}
+            Some((_, false)) => problems.push(format!(
+                "census row {}.{} never moved",
+                row.family, row.name
+            )),
+        }
+    }
+    for ((fam, name), (kind, moved)) in &live {
+        if !listed.contains(&(fam.clone(), name.clone())) {
+            let by = if *moved { "census" } else { "?" };
+            problems.push(format!(
+                "not listed: | `{fam}` | `{name}` | {kind} | ? | {by} |"
+            ));
+        }
+    }
+    assert!(
+        problems.is_empty(),
+        "METRICS.md is stale:\n{}",
+        problems.join("\n")
+    );
 }
