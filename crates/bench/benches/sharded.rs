@@ -1,13 +1,14 @@
 //! Sharded-runtime scale microbenchmarks: blocking write round-trips
 //! against the thread-per-core sharded target at 1, 2, 4 and 8 shards —
 //! on this box all oversubscribing one core, so the numbers witness
-//! *overhead* (per-shard steering, mailbox polling, merged telemetry),
-//! not parallel speed-up. The 1-shard point is also what `spawn_multi`
-//! costs: it runs the same reactor, once.
+//! *overhead* (per-shard steering, mailbox polling, telemetry), not
+//! parallel speed-up. The 1-shard point is what `launch` and
+//! `launch_many` run.
 //!
 //! Run:    cargo bench -p oaf-bench --bench sharded
 //! Smoke:  cargo bench -p oaf-bench --bench sharded -- --test
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
@@ -38,7 +39,6 @@ fn wire(n: usize) -> (Vec<ConnectionSpec>, Vec<ShmTransport>) {
             transport: Box::new(tt),
             cfg: TargetConfig::default(),
             payload: None,
-            scope: None,
         });
         sides.push(ct);
     }
@@ -79,7 +79,12 @@ fn bench_sharded_scale(c: &mut Criterion) {
         g.throughput(Throughput::Bytes((IO_BYTES * shards) as u64));
         g.bench_with_input(BenchmarkId::new("shards", shards), &shards, |b, &shards| {
             let (specs, sides) = wire(shards);
-            let target = spawn_sharded(controller(), specs, ShardConfig::new(shards), None);
+            let target = spawn_sharded(
+                controller(),
+                specs,
+                ShardConfig::new(shards),
+                &Arc::default(),
+            );
             let mut clients = connect_all(sides);
             let mut lba = 0u64;
             b.iter(|| rotate_writes(&mut clients, &mut lba));

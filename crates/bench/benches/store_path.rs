@@ -17,7 +17,7 @@ use oaf_store::FileDisk;
 
 const BS: usize = 4096;
 const SIZES: &[usize] = &[4 << 10, 64 << 10, 128 << 10];
-const BLOCKS: u64 = 64 * 1024; // 256 MiB namespace, as examples/perf.rs
+const BLOCKS: u64 = 64 * 1024; // 256 MiB namespace
 
 fn bench_ram_baseline(c: &mut Criterion) {
     let mut g = c.benchmark_group("store/ram-baseline");

@@ -19,8 +19,10 @@
 //!    the intersection;
 //! 5. the AF endpoint object connects; data can flow.
 //!
-//! Every per-connection telemetry scope carries the caller's *tag* as a
-//! suffix: empty for a single pair, the client index in a group.
+//! Every client-side per-connection telemetry scope carries the caller's
+//! *tag* as a suffix: empty for a single pair, the client index in a
+//! group. The target side is named by the storage service
+//! (`target_conn<i>`, `reactor<n>`, [`oaf_nvmeof::shard`]).
 //! Teardown reclaims the region through [`HostRegistry::unplug`].
 
 use std::sync::Arc;
@@ -30,7 +32,9 @@ use oaf_nvmeof::initiator::{Initiator, InitiatorOptions, KeepAliveConfig};
 use oaf_nvmeof::nvme::controller::Controller;
 use oaf_nvmeof::payload::PayloadChannel;
 use oaf_nvmeof::pdu::AF_CAP_SHM;
-use oaf_nvmeof::target::{spawn_target_observed, TargetConfig, TargetHandle};
+use oaf_nvmeof::server::ConnectionSpec;
+use oaf_nvmeof::shard::{spawn_sharded, ShardConfig};
+use oaf_nvmeof::target::{TargetConfig, TargetHandle};
 use oaf_nvmeof::tcp::{TcpConfig, TcpTransport};
 use oaf_nvmeof::transport::{ControlTransport, ShmTransport};
 use oaf_nvmeof::NvmeofError;
@@ -112,9 +116,20 @@ pub struct EstablishedFabric {
 /// The target end of a wired connection: what the storage service is
 /// spawned over.
 pub(crate) struct TargetSide {
-    pub(crate) transport: ControlTransport,
-    pub(crate) cfg: TargetConfig,
-    pub(crate) payload: Option<Arc<dyn PayloadChannel>>,
+    transport: ControlTransport,
+    cfg: TargetConfig,
+    payload: Option<Arc<dyn PayloadChannel>>,
+}
+
+impl TargetSide {
+    /// The connection as the storage service takes it.
+    pub(crate) fn into_spec(self) -> ConnectionSpec {
+        ConnectionSpec {
+            transport: Box::new(self.transport),
+            cfg: self.cfg,
+            payload: self.payload,
+        }
+    }
 }
 
 /// The client end of a wired connection, held until the target serves
@@ -317,8 +332,9 @@ impl ConnectionManager {
 
     /// Establishes a connection between a registered client and target,
     /// spawning the target reactor over `controller`. Locality decides
-    /// the data channel; everything else follows Fig. 5. Scopes carry no
-    /// tag, and the target side reports under `target`.
+    /// the data channel; everything else follows Fig. 5. Client-side
+    /// scopes carry no tag; the target side reports under `target_conn0`
+    /// and `reactor0`, as connection 0 of a one-shard group would.
     pub fn establish(
         &self,
         client: ProcessId,
@@ -327,12 +343,11 @@ impl ConnectionManager {
         settings: &FabricSettings,
     ) -> Result<EstablishedFabric, NvmeofError> {
         let (served, side) = self.wire(client, target, settings, "")?;
-        let target_handle = spawn_target_observed(
-            served.transport,
+        let target_handle = spawn_sharded(
             controller,
-            served.cfg,
-            served.payload,
-            Some(&self.telemetry),
+            vec![served.into_spec()],
+            ShardConfig::new(1),
+            &self.telemetry,
         );
         let (initiator, endpoint, shm) = self.connect(side, target, settings, "")?;
         Ok(EstablishedFabric {

@@ -15,7 +15,6 @@ use std::time::Duration;
 use bytes::Bytes;
 use oaf_nvmeof::nvme::controller::{Controller, IdentifyInfo};
 use oaf_nvmeof::recovery::CidMap;
-use oaf_nvmeof::server::{spawn_multi_observed, ConnectionSpec};
 use oaf_nvmeof::shard::{spawn_sharded, ShardConfig};
 use oaf_nvmeof::target::{TargetConfig, TargetHandle};
 use oaf_nvmeof::transport::ControlTransport;
@@ -83,17 +82,19 @@ pub struct AfPair {
     /// The running target.
     pub target: TargetHandle,
     /// Telemetry registry every layer of this fabric reports into:
-    /// initiator (`client`), target (`target`), both transport endpoints,
-    /// the in-region control rings when active, fabric decisions
-    /// (`fabric`), and the client's application view (`app`).
+    /// initiator (`client`), target (`target_conn0`, `reactor0`), both
+    /// transport endpoints, the in-region control rings when active,
+    /// fabric decisions (`fabric`), and the client's application view
+    /// (`app`).
     pub telemetry: Arc<Registry>,
 }
 
 /// One-call setup of a single client↔target pair: registers both
 /// processes, has the [`ConnectionManager`] establish the fabric with the
 /// target's reactor serving the one connection, and wraps the initiator in
-/// the co-designed client API. Telemetry scopes carry no suffix
-/// (`client`, `target`, `transport_client`, …).
+/// the co-designed client API. Client-side telemetry scopes carry no
+/// suffix (`client`, `transport_client`, …); the target side is
+/// `target_conn0` and `reactor0`, the same rule as every group's.
 ///
 /// ```
 /// use std::sync::Arc;
@@ -146,32 +147,17 @@ pub fn launch(
     })
 }
 
-/// Handles returned by [`launch_many`]: the clients plus the shared
-/// storage-service handle.
+/// Handles returned by [`launch_many`] and [`launch_many_sharded`]: the
+/// clients plus the shared storage-service handle.
 pub struct AfGroup {
     /// One connected client per requested `(ProcessId, host)`.
     pub clients: Vec<AfClient>,
-    /// The storage service serving all of them.
+    /// The storage service serving all of them; client `i` is served by
+    /// shard `target.shard_of(i)`.
     pub target: TargetHandle,
     /// Telemetry registry with per-connection scopes suffixed by the
     /// client index: `client<i>`, `transport_client<i>`, `app<i>`, … and
-    /// `target_conn<i>`.
-    pub telemetry: Arc<Registry>,
-}
-
-/// [`AfGroup`] plus the shard assignment, returned by
-/// [`launch_many_sharded`]. A type of its own only because callers
-/// destructure `AfGroup` exhaustively, so it cannot grow a field.
-pub struct AfShardedGroup {
-    /// One connected client per requested `(ProcessId, host)`.
-    pub clients: Vec<AfClient>,
-    /// `shard_of[i]` is the reactor shard serving client `i`.
-    pub shard_of: Vec<usize>,
-    /// The sharded storage service (per-shard stats, late accepts).
-    pub target: TargetHandle,
-    /// As [`AfGroup::telemetry`], with the target-side reactor scopes
-    /// merged from the per-shard registries under `shard<n>_…` prefixes
-    /// (`shard0_target_conn0`, `shard1_reactor`, …).
+    /// `target_conn<i>`, plus `reactor<n>` per reactor shard.
     pub telemetry: Arc<Registry>,
 }
 
@@ -202,22 +188,16 @@ pub fn launch_many(
     controller: Controller,
     settings: FabricSettings,
 ) -> Result<AfGroup, NvmeofError> {
-    launch_group(
-        registry,
-        clients,
-        target,
-        controller,
-        settings,
-        |c, specs, t| spawn_multi_observed(c, specs, Some(t)),
-    )
+    launch_group(registry, clients, target, controller, settings, 1)
 }
 
 /// [`launch_many`] scaled out: the storage service runs one reactor
 /// thread per shard, each exclusively owning the connections steered to
-/// it (round-robin: client `i` → shard `i % shards`) and its own
-/// controller view over the one storage. No lock crosses shards on the
-/// data path; each shard records telemetry into its own registry, merged
-/// into the returned registry under `shard<n>` prefixes.
+/// it (round-robin: client `i` → shard `i % shards`, see
+/// [`TargetHandle::shard_of`]) and its own controller view over the one
+/// storage. No lock crosses shards on the data path; every shard reports
+/// into the one returned registry under the same scope names as
+/// [`launch_many`], plus `reactor<n>` per shard.
 pub fn launch_many_sharded(
     registry: &Arc<HostRegistry>,
     clients: &[(ProcessId, u64)],
@@ -225,36 +205,20 @@ pub fn launch_many_sharded(
     controller: Controller,
     settings: FabricSettings,
     shards: usize,
-) -> Result<AfShardedGroup, NvmeofError> {
-    let AfGroup {
-        clients,
-        target,
-        telemetry,
-    } = launch_group(
-        registry,
-        clients,
-        target,
-        controller,
-        settings,
-        |c, specs, t| spawn_sharded(c, specs, ShardConfig::new(shards), Some(t)),
-    )?;
-    Ok(AfShardedGroup {
-        shard_of: (0..clients.len()).map(|i| target.shard_of(i)).collect(),
-        clients,
-        target,
-        telemetry,
-    })
+) -> Result<AfGroup, NvmeofError> {
+    launch_group(registry, clients, target, controller, settings, shards)
 }
 
-/// The group bring-up: wire every client, have `serve` start the storage
-/// service over all the target ends, then connect every client.
+/// The group bring-up: wire every client, start the storage service on
+/// `shards` reactors over all the target ends, then connect every
+/// client.
 fn launch_group(
     registry: &Arc<HostRegistry>,
     clients: &[(ProcessId, u64)],
     target: (ProcessId, u64),
     controller: Controller,
     settings: FabricSettings,
-    serve: impl FnOnce(Controller, Vec<ConnectionSpec>, &Registry) -> TargetHandle,
+    shards: usize,
 ) -> Result<AfGroup, NvmeofError> {
     registry.register(target.0, target.1);
     let cm = ConnectionManager::new(registry.clone());
@@ -267,15 +231,10 @@ fn launch_group(
         registry.register(pid, host);
         let tag = i.to_string();
         let (served, side) = cm.wire(pid, target.0, &settings, &tag)?;
-        specs.push(ConnectionSpec {
-            transport: Box::new(served.transport),
-            cfg: served.cfg,
-            payload: served.payload,
-            scope: Some(format!("target_conn{i}")),
-        });
+        specs.push(served.into_spec());
         sides.push((tag, side));
     }
-    let target_handle = serve(controller, specs, &telemetry);
+    let target_handle = spawn_sharded(controller, specs, ShardConfig::new(shards), &telemetry);
 
     let mut afs = Vec::with_capacity(clients.len());
     for (tag, side) in sides {
@@ -764,7 +723,8 @@ mod tests {
         )
         .unwrap();
         assert_eq!(group.target.shards(), 2);
-        assert_eq!(group.shard_of, vec![0, 1, 0, 1]);
+        let shard_of: Vec<usize> = (0..4).map(|i| group.target.shard_of(i)).collect();
+        assert_eq!(shard_of, vec![0, 1, 0, 1]);
 
         // Every client writes its own block; every write is visible from
         // a client on the *other* shard: one storage behind the shards.
@@ -781,17 +741,17 @@ mod tests {
             assert!(back.iter().all(|&b| b == 0x40 + i as u8), "lba {i}");
         }
 
-        // Target-side telemetry arrives merged under shard prefixes and
-        // both shards actually served commands.
+        // Target-side telemetry lands in the one registry and both
+        // shards actually served commands.
         let snap = group.telemetry.snapshot();
         for shard in 0..2 {
             assert!(
-                snap.counter(&format!("shard{shard}_reactor"), "ops") > 0,
+                snap.counter(&format!("reactor{shard}"), "ops") > 0,
                 "shard {shard} reactor saw no ops"
             );
         }
-        assert!(snap.counter("shard0_target_conn0", "ops") > 0);
-        assert!(snap.counter("shard1_target_conn1", "ops") > 0);
+        assert!(snap.counter("target_conn0", "ops") > 0);
+        assert!(snap.counter("target_conn1", "ops") > 0);
 
         for c in &mut group.clients {
             c.disconnect().unwrap();

@@ -20,7 +20,7 @@
 //! * a polled [`target::TargetConnection`] / [`initiator::Initiator`]
 //!   pair that actually moves bytes into a [`oaf_ssd::SharedRamDisk`]-backed
 //!   namespace, plus a multi-connection storage service
-//!   ([`server::spawn_multi`]) matching the paper's one-service,
+//!   ([`shard::spawn_sharded`]) matching the paper's one-service,
 //!   many-clients architecture (Fig. 1),
 //! * an in-region duplex control transport
 //!   ([`transport::ShmTransport`]) over lock-free byte rings — the §5.5

@@ -3,11 +3,12 @@
 //! The paper's architecture (Fig. 1) has one storage service per target
 //! VM serving several client applications, each over its own connection
 //! and — when co-located — its own isolated shared-memory channel (§4.2,
-//! §6). Every target runs the reactor spawned here (an SPDK poll group):
-//! [`spawn_target`] over one connection, [`spawn_multi`] over several
-//! against one shared controller set, and the sharded runtime in
-//! [`crate::shard`] several of it, each over its own connections.
+//! §6). Every target runs the reactor spawned here (an SPDK poll group),
+//! started by [`spawn_sharded`] once per shard, each over its own
+//! connections against one shared controller set; one shard serves
+//! every connection of [`spawn_target`] and of `launch`/`launch_many`.
 //!
+//! [`spawn_sharded`]: crate::shard::spawn_sharded
 //! [`spawn_target`]: crate::target::spawn_target
 
 use std::sync::atomic::Ordering;
@@ -30,7 +31,8 @@ use oaf_telemetry::Registry;
 /// runtime that the reactor has not drained yet.
 const MAILBOX_DEPTH: usize = 64;
 
-/// One client connection a [`spawn_multi`] reactor services.
+/// One client connection a reactor services. Connection `i` reports its
+/// target-side metrics under the `target_conn<i>` scope.
 pub struct ConnectionSpec {
     /// The connection's control transport.
     pub transport: Box<dyn Transport>,
@@ -39,9 +41,6 @@ pub struct ConnectionSpec {
     /// The connection's isolated payload channel, if the client is
     /// co-located.
     pub payload: Option<Arc<dyn PayloadChannel>>,
-    /// Telemetry scope name for this connection's target-side metrics
-    /// (`target_conn<index>` when `None` and a registry is supplied).
-    pub scope: Option<String>,
 }
 
 /// A wired, servable connection owned by exactly one reactor. Opaque
@@ -62,19 +61,13 @@ pub struct LiveConnection {
 }
 
 impl LiveConnection {
-    /// Wires one spec into a servable connection, registering its
-    /// target-side metric bundle under the spec's scope name (or
-    /// `target_conn<index>`) when a registry is supplied.
-    pub(crate) fn build(
-        spec: ConnectionSpec,
-        index: usize,
-        registry: Option<&Registry>,
-    ) -> LiveConnection {
+    /// Wires connection `index` into a servable connection, registering
+    /// its target-side metric bundle into `registry` under
+    /// `target_conn<index>`.
+    pub(crate) fn build(spec: ConnectionSpec, index: usize, registry: &Registry) -> LiveConnection {
         let conn = TargetConnection::new(spec.cfg, spec.payload);
-        if let Some(reg) = registry {
-            let name = spec.scope.unwrap_or_else(|| format!("target_conn{index}"));
-            conn.metrics().register(&reg.scope(&name));
-        }
+        conn.metrics()
+            .register(&registry.scope(&format!("target_conn{index}")));
         LiveConnection {
             conn,
             transport: spec.transport,
@@ -240,28 +233,28 @@ impl Reactor {
 }
 
 impl TargetHandle {
-    /// Adds one reactor thread (shard `self.shards()`) to this target —
-    /// the only place a reactor is spawned: [`spawn_multi`] (and through
-    /// it [`spawn_target`](crate::target::spawn_target)) calls it once,
+    /// Adds one reactor thread (shard `n = self.shards()`) to this
+    /// target — the only place a reactor is spawned, called by
     /// [`spawn_sharded`](crate::shard::spawn_sharded) once per shard.
     ///
     /// The reactor exclusively owns `live` and its `controller` view and
-    /// records into `stats`. Besides the stop flag, only the admin
-    /// mailbox created here reaches into it: connections adopted at
-    /// runtime (built against `registry`), drained between poll passes
-    /// with a wait-free `pop`. It runs until told to stop, even with no
-    /// connection left. `hook` runs first on the new thread.
+    /// records into its [`ShardStats`], registered into the handle's
+    /// registry under `reactor<n>`. Besides the stop flag, only the
+    /// admin mailbox created here reaches into it: connections adopted
+    /// at runtime, drained between poll passes with a wait-free `pop`.
+    /// It runs until told to stop, even with no connection left. `hook`
+    /// runs first on the new thread.
     pub(crate) fn spawn_reactor(
         &mut self,
         live: Vec<LiveConnection>,
         mut controller: Controller,
-        stats: Arc<ShardStats>,
-        registry: Arc<Registry>,
         hook: Option<ThreadHook>,
     ) {
+        let stats = Arc::new(ShardStats::default());
         let (mailbox, rx) = spsc::<Box<LiveConnection>>(MAILBOX_DEPTH);
-        stats.conns.set(live.len() as i64);
         let n = self.ports.len();
+        stats.register(&self.registry.scope(&format!("reactor{n}")));
+        stats.conns.set(live.len() as i64);
         let stop = self.stop.clone();
         let thread_stats = stats.clone();
         let join = std::thread::Builder::new()
@@ -291,40 +284,8 @@ impl TargetHandle {
             })
             .expect("spawn reactor thread");
         self.joins.push(join);
-        self.ports.push(ReactorPort {
-            mailbox,
-            stats,
-            registry,
-        });
+        self.ports.push(ReactorPort { mailbox, stats });
     }
-}
-
-/// Spawns one reactor servicing `conns` connections over a shared
-/// controller: [`spawn_sharded`](crate::shard::spawn_sharded) with one
-/// shard, minus the per-shard registry (see [`spawn_multi_observed`]).
-pub fn spawn_multi(controller: Controller, conns: Vec<ConnectionSpec>) -> TargetHandle {
-    spawn_multi_observed(controller, conns, None)
-}
-
-/// [`spawn_multi`] with telemetry: each connection's target-side metric
-/// bundle is registered straight into `registry` under the spec's scope
-/// name (or `target_conn<index>`, no `shard0_` prefix) before the reactor
-/// starts, so observers see the per-connection split from the first
-/// served command. The reactor's own [`ShardStats`] are readable through
-/// the handle but registered nowhere.
-pub fn spawn_multi_observed(
-    controller: Controller,
-    conns: Vec<ConnectionSpec>,
-    registry: Option<&Registry>,
-) -> TargetHandle {
-    let live: Vec<LiveConnection> = conns
-        .into_iter()
-        .enumerate()
-        .map(|(i, c)| LiveConnection::build(c, i, registry))
-        .collect();
-    let mut handle = TargetHandle::new(live.len());
-    handle.spawn_reactor(live, controller, Arc::default(), Arc::default(), None);
-    handle
 }
 
 #[cfg(test)]
@@ -332,6 +293,7 @@ mod tests {
     use super::*;
     use crate::initiator::{Initiator, InitiatorOptions};
     use crate::nvme::namespace::Namespace;
+    use crate::shard::{spawn_sharded, ShardConfig};
     use crate::transport::MemTransport;
     use bytes::Bytes;
 
@@ -343,27 +305,24 @@ mod tests {
         c
     }
 
+    /// One reactor over `transports`, reporting nowhere anyone reads.
+    fn serve(transports: Vec<Box<dyn Transport>>) -> TargetHandle {
+        let specs = transports
+            .into_iter()
+            .map(|transport| ConnectionSpec {
+                transport,
+                cfg: TargetConfig::default(),
+                payload: None,
+            })
+            .collect();
+        spawn_sharded(controller(), specs, ShardConfig::new(1), &Arc::default())
+    }
+
     #[test]
     fn two_clients_share_one_service() {
         let (c1, t1) = MemTransport::pair();
         let (c2, t2) = MemTransport::pair();
-        let handle = spawn_multi(
-            controller(),
-            vec![
-                ConnectionSpec {
-                    transport: Box::new(t1),
-                    cfg: TargetConfig::default(),
-                    payload: None,
-                    scope: None,
-                },
-                ConnectionSpec {
-                    transport: Box::new(t2),
-                    cfg: TargetConfig::default(),
-                    payload: None,
-                    scope: None,
-                },
-            ],
-        );
+        let handle = serve(vec![Box::new(t1), Box::new(t2)]);
         let mut a = Initiator::connect(c1, InitiatorOptions::default(), None, TIMEOUT).unwrap();
         let mut b = Initiator::connect(c2, InitiatorOptions::default(), None, TIMEOUT).unwrap();
 
@@ -398,16 +357,19 @@ mod tests {
     /// complete, and no sleep is entered with the completion parked.
     #[test]
     fn a_parked_completion_keeps_the_reactor_from_sleeping() {
-        use crate::target::spawn_target_observed;
         let vfs = oaf_store::vfs::MemVfs::new();
         let disk =
             oaf_store::FileDisk::create_on(Box::new(vfs.clone()), 4096, 64, 256 * 1024).unwrap();
         let mut ctrl = Controller::new();
         ctrl.add_namespace(Namespace::with_file(1, disk));
-        let registry = Registry::new();
+        let registry = Arc::new(Registry::new());
         let (client, served) = MemTransport::pair();
-        let handle =
-            spawn_target_observed(served, ctrl, TargetConfig::default(), None, Some(&registry));
+        let spec = ConnectionSpec {
+            transport: Box::new(served),
+            cfg: TargetConfig::default(),
+            payload: None,
+        };
+        let handle = spawn_sharded(ctrl, vec![spec], ShardConfig::new(1), &registry);
         let mut ini =
             Initiator::connect(client, InitiatorOptions::default(), None, TIMEOUT).unwrap();
         vfs.hold_syncs(true);
@@ -426,8 +388,8 @@ mod tests {
         handle.shutdown().unwrap();
 
         let snap = registry.snapshot();
-        assert_eq!(snap.counter("target", "barriers_parked"), 1);
-        assert_eq!(snap.counter("target", "timer_wakeups"), 0);
+        assert_eq!(snap.counter("target_conn0", "barriers_parked"), 1);
+        assert_eq!(snap.counter("target_conn0", "timer_wakeups"), 0);
     }
 
     /// A connection the reactor ends — here for a command before ICReq —
@@ -438,15 +400,7 @@ mod tests {
         use crate::pdu::CapsuleCmd;
         use crate::tcp::{TcpConfig, TcpTransport};
         let (client, served) = TcpTransport::loopback_pair(TcpConfig::default()).unwrap();
-        let handle = spawn_multi(
-            controller(),
-            vec![ConnectionSpec {
-                transport: Box::new(served),
-                cfg: TargetConfig::default(),
-                payload: None,
-                scope: None,
-            }],
-        );
+        let handle = serve(vec![Box::new(served)]);
         let read = CapsuleCmd {
             cmd: NvmeCommand::read(1, 1, 0, 1),
             data: None,
@@ -463,23 +417,7 @@ mod tests {
     fn reactor_survives_one_client_hanging_up() {
         let (c1, t1) = MemTransport::pair();
         let (c2, t2) = MemTransport::pair();
-        let handle = spawn_multi(
-            controller(),
-            vec![
-                ConnectionSpec {
-                    transport: Box::new(t1),
-                    cfg: TargetConfig::default(),
-                    payload: None,
-                    scope: None,
-                },
-                ConnectionSpec {
-                    transport: Box::new(t2),
-                    cfg: TargetConfig::default(),
-                    payload: None,
-                    scope: None,
-                },
-            ],
-        );
+        let handle = serve(vec![Box::new(t1), Box::new(t2)]);
         let a = Initiator::connect(c1, InitiatorOptions::default(), None, TIMEOUT).unwrap();
         let mut b = Initiator::connect(c2, InitiatorOptions::default(), None, TIMEOUT).unwrap();
         drop(a); // client 1 vanishes without a TermReq

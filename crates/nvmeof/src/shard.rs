@@ -1,25 +1,27 @@
 //! Thread-per-core sharded target runtime: multi-queue scale-out.
 //!
-//! [`spawn_multi`] runs *one* reactor over every connection — faithful to
-//! a single SPDK poll group, but capped at one core. This module scales
-//! the storage service out the way NVMe itself scales: N of the same
-//! reactor ([`spawn_sharded`]), each exclusively owning
+//! [`spawn_sharded`] is the one way a target starts. It runs N of the
+//! same poll-mode reactor — one for `launch`, `launch_many` and
+//! [`spawn_target`] (a single SPDK poll group), more to scale the
+//! storage service out the way NVMe itself scales — each exclusively
+//! owning
 //!
 //! * a disjoint set of connections (steered at accept time, never
 //!   migrated),
 //! * its own controller view over the one storage service
 //!   ([`Controller::share`] — the multi-queue model),
-//! * its own telemetry [`Registry`] (merged into the caller's registry
-//!   by prefix, [`Registry::merge`]),
 //!
-//! so that **no lock crosses cores on the data path**. The only
-//! cross-shard structure is one bounded SPSC admin mailbox per shard
+//! so that **no lock crosses cores on the data path**. Telemetry needs
+//! no per-shard copy: every reactor registers its `Arc`'d counters
+//! straight into the caller's one [`Registry`] (connection `i` under
+//! `target_conn<i>`, shard `n` under `reactor<n>`), whose lock is taken
+//! only at registration and snapshot time. The only cross-shard
+//! structure is one bounded SPSC admin mailbox per shard
 //! ([`crate::spsc`]) through which the control plane delivers the
 //! connections accepted at runtime; the reactor drains it between poll
 //! passes with a wait-free `pop`, never a mutex.
 //!
-//! [`spawn_multi`]: crate::server::spawn_multi
-//! [`Registry::merge`]: oaf_telemetry::Registry::merge
+//! [`spawn_target`]: crate::target::spawn_target
 
 use std::sync::Arc;
 
@@ -27,11 +29,10 @@ use crate::error::NvmeofError;
 use crate::nvme::controller::Controller;
 use crate::server::{ConnectionSpec, LiveConnection};
 use crate::target::TargetHandle;
-use oaf_telemetry::{Counter, Gauge, Registry};
+use oaf_telemetry::{Counter, Gauge, Registry, Scope};
 
-/// Per-shard reactor telemetry, registered into the shard's own registry
-/// under scope `reactor` (so the merged view shows
-/// `shard<N>_reactor.*`).
+/// Per-shard reactor telemetry, registered under scope `reactor<n>` for
+/// shard `n`.
 #[derive(Default, Debug)]
 pub struct ShardStats {
     /// Frames drained and executed by this shard.
@@ -45,8 +46,7 @@ pub struct ShardStats {
 }
 
 impl ShardStats {
-    fn register(&self, registry: &Registry) {
-        let scope = registry.scope("reactor");
+    pub(crate) fn register(&self, scope: &Scope) {
         scope.adopt_counter("ops", &self.ops);
         scope.adopt_counter("polls", &self.polls);
         scope.adopt_counter("admin_cmds", &self.admin_cmds);
@@ -82,49 +82,31 @@ impl ShardConfig {
 /// Spawns `cfg.shards` reactor threads, each exclusively owning the
 /// connections steered to it and its own shared-storage controller view.
 ///
-/// When `registry` is supplied, each shard's private registry is merged
-/// into it under the prefix `shard<N>` before the shard starts — the
-/// merged snapshot observes every shard live (shared handles, no
-/// polling), while each shard records only into shard-local scopes.
+/// Connection `i` goes to shard `i % shards` and registers into
+/// `registry` under `target_conn<i>`; shard `n`'s [`ShardStats`] under
+/// `reactor<n>`. The handle keeps `registry`, so connections adopted
+/// later ([`TargetHandle::add_connection`]) register into it too.
 pub fn spawn_sharded(
     mut controller: Controller,
     conns: Vec<ConnectionSpec>,
     cfg: ShardConfig,
-    registry: Option<&Registry>,
+    registry: &Arc<Registry>,
 ) -> TargetHandle {
     assert!(cfg.shards > 0, "need at least one shard");
 
-    // Connection `i` goes to shard `i % shards`. Global connection
-    // numbering keeps telemetry scope names (`target_conn<i>`) stable
+    // Global connection numbering keeps the scope names stable
     // regardless of shard count.
-    let mut per_shard: Vec<Vec<(usize, ConnectionSpec)>> =
-        (0..cfg.shards).map(|_| Vec::new()).collect();
+    let mut per_shard: Vec<Vec<LiveConnection>> = (0..cfg.shards).map(|_| Vec::new()).collect();
     let next_conn = conns.len();
     for (i, spec) in conns.into_iter().enumerate() {
-        per_shard[i % cfg.shards].push((i, spec));
+        per_shard[i % cfg.shards].push(LiveConnection::build(spec, i, registry));
     }
 
-    let mut handle = TargetHandle::new(next_conn);
-    for (n, initial) in per_shard.into_iter().enumerate() {
-        let shard_reg = Arc::new(Registry::new());
-        let shard_stats = Arc::new(ShardStats::default());
-        shard_stats.register(&shard_reg);
-        let live: Vec<LiveConnection> = initial
-            .into_iter()
-            .map(|(i, spec)| LiveConnection::build(spec, i, Some(&shard_reg)))
-            .collect();
-        if let Some(reg) = registry {
-            reg.merge(&format!("shard{n}"), &shard_reg);
-        }
+    let mut handle = TargetHandle::new(next_conn, registry.clone());
+    for live in per_shard {
         // Every shard gets its own controller view over the one storage
         // service — the NVMe multi-queue model. No `&mut` is shared.
-        handle.spawn_reactor(
-            live,
-            controller.share(),
-            shard_stats,
-            shard_reg,
-            cfg.thread_hook.clone(),
-        );
+        handle.spawn_reactor(live, controller.share(), cfg.thread_hook.clone());
     }
     handle
 }
@@ -156,9 +138,11 @@ impl TargetHandle {
         conn % self.shards()
     }
 
-    /// Steers `spec` to its shard ([`TargetHandle::shard_of`]), builds
-    /// the connection against that shard's registry, and delivers it
-    /// through the shard's admin mailbox. Returns the shard index.
+    /// Steers `spec` to its shard ([`TargetHandle::shard_of`]), registers
+    /// it under `target_conn<i>` (`i` counting on from the spawned
+    /// connections) in the registry the target was spawned with, and
+    /// delivers it through the shard's admin mailbox. Returns the shard
+    /// index.
     ///
     /// Fails with [`NvmeofError::RingFull`] if the shard's mailbox is
     /// full (the reactor is wedged or shutdown already drained it).
@@ -166,9 +150,9 @@ impl TargetHandle {
         let conn_index = self.next_conn;
         self.next_conn += 1;
         let shard = self.shard_of(conn_index);
-        let port = &self.ports[shard];
-        let live = LiveConnection::build(spec, conn_index, Some(&port.registry));
-        port.mailbox
+        let live = LiveConnection::build(spec, conn_index, &self.registry);
+        self.ports[shard]
+            .mailbox
             .push(Box::new(live))
             .map_err(|_| NvmeofError::RingFull)?;
         Ok(shard)
@@ -198,7 +182,6 @@ mod tests {
             transport: Box::new(t),
             cfg: TargetConfig::default(),
             payload: None,
-            scope: None,
         }
     }
 
@@ -206,12 +189,12 @@ mod tests {
     fn sharded_target_serves_clients_on_distinct_shards() {
         let (c1, t1) = MemTransport::pair();
         let (c2, t2) = MemTransport::pair();
-        let registry = Registry::new();
+        let registry = Arc::new(Registry::new());
         let target = spawn_sharded(
             controller(),
             vec![spec(t1), spec(t2)],
             ShardConfig::new(2),
-            Some(&registry),
+            &registry,
         );
         let mut a = Initiator::connect(c1, InitiatorOptions::default(), None, TIMEOUT).unwrap();
         let mut b = Initiator::connect(c2, InitiatorOptions::default(), None, TIMEOUT).unwrap();
@@ -223,29 +206,24 @@ mod tests {
         let via_b = b.read_blocking(1, 0, 1, 4096, TIMEOUT).unwrap();
         assert!(via_b.iter().all(|&x| x == 0xaa));
 
-        // Both shards did real work, and the merged registry shows the
-        // per-shard split under prefixed scopes.
+        // Both shards did real work, and the one registry shows the
+        // per-shard and per-connection split.
         a.disconnect().unwrap();
         b.disconnect().unwrap();
         let ops = target.ops_per_shard();
         assert!(ops[0] > 0 && ops[1] > 0, "ops split: {ops:?}");
         let snap = registry.snapshot();
-        assert!(snap.counter("shard0_reactor", "ops") > 0);
-        assert!(snap.counter("shard1_reactor", "ops") > 0);
-        assert!(snap.counter("shard0_target_conn0", "ops") > 0);
-        assert!(snap.counter("shard1_target_conn1", "ops") > 0);
+        assert!(snap.counter("reactor0", "ops") > 0);
+        assert!(snap.counter("reactor1", "ops") > 0);
+        assert!(snap.counter("target_conn0", "ops") > 0);
+        assert!(snap.counter("target_conn1", "ops") > 0);
         target.shutdown().unwrap();
     }
 
     #[test]
     fn connection_added_at_runtime_lands_on_its_steered_shard() {
-        let registry = Registry::new();
-        let mut target = spawn_sharded(
-            controller(),
-            Vec::new(),
-            ShardConfig::new(2),
-            Some(&registry),
-        );
+        let registry = Arc::new(Registry::new());
+        let mut target = spawn_sharded(controller(), Vec::new(), ShardConfig::new(2), &registry);
         let (c1, t1) = MemTransport::pair();
         let (c2, t2) = MemTransport::pair();
         assert_eq!(target.add_connection(spec(t1)).unwrap(), 0);
@@ -263,6 +241,12 @@ mod tests {
         b.disconnect().unwrap();
         assert!(target.shard_stats(0).admin_cmds.get() >= 1);
         assert!(target.shard_stats(1).admin_cmds.get() >= 1);
+        // Adopted connections report into the registry the target was
+        // spawned with, numbered after the spawned ones.
+        let snap = registry.snapshot();
+        assert!(snap.counter("target_conn0", "ops") > 0);
+        assert!(snap.counter("target_conn1", "ops") > 0);
+        assert_eq!(snap.counter("reactor0", "admin_cmds"), 1);
         target.shutdown().unwrap();
     }
 
@@ -274,7 +258,7 @@ mod tests {
             controller(),
             vec![spec(t1), spec(t2)],
             ShardConfig::new(2),
-            None,
+            &Arc::default(),
         );
         let a = Initiator::connect(c1, InitiatorOptions::default(), None, TIMEOUT).unwrap();
         let mut b = Initiator::connect(c2, InitiatorOptions::default(), None, TIMEOUT).unwrap();
@@ -296,7 +280,7 @@ mod tests {
             controller(),
             vec![spec(t1), spec(t2)],
             ShardConfig::new(2),
-            None,
+            &Arc::default(),
         );
         drop(target); // no shutdown()
 
@@ -318,7 +302,7 @@ mod tests {
         cfg.thread_hook = Some(Arc::new(move |n| {
             seen2.lock().unwrap().push(n);
         }));
-        let target = spawn_sharded(controller(), Vec::new(), cfg, None);
+        let target = spawn_sharded(controller(), Vec::new(), cfg, &Arc::default());
         target.shutdown().unwrap();
         let mut order = seen.lock().unwrap().clone();
         order.sort_unstable();

@@ -5,7 +5,8 @@
 //! (handshake, in-capsule write, conservative R2T write, inline-chunked
 //! read, shared-memory read/write) unit-testable without threads.
 //! [`spawn_target`] serves one connection on the shared poll-mode reactor
-//! of [`crate::server`], mirroring SPDK's poll-mode target design (§2.2).
+//! of [`crate::server`], mirroring SPDK's poll-mode target design (§2.2);
+//! [`spawn_sharded`] serves many on one reactor or N.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -26,8 +27,8 @@ use crate::pdu::{
     KeepAlive, Pdu, PduView, AF_CAP_SHM, R2T,
 };
 use crate::recovery::{AbortDecision, TargetRecovery};
-use crate::server::{spawn_multi_observed, ConnectionSpec, LiveConnection};
-use crate::shard::ShardStats;
+use crate::server::{ConnectionSpec, LiveConnection};
+use crate::shard::{spawn_sharded, ShardConfig, ShardStats};
 use crate::spsc::SpscSender;
 use crate::transport::{Frame, Transport};
 use oaf_telemetry::Registry;
@@ -818,39 +819,38 @@ impl TargetConnection {
     }
 }
 
-/// The control-plane end of one reactor: its admin mailbox, its stats,
-/// and the registry connections it adopts at runtime register into.
+/// The control-plane end of one reactor: its admin mailbox and its stats.
 pub(crate) struct ReactorPort {
     pub(crate) mailbox: SpscSender<Box<LiveConnection>>,
     pub(crate) stats: Arc<ShardStats>,
-    pub(crate) registry: Arc<Registry>,
 }
 
-/// Handle to a running target — the one handle every spawn function
-/// returns: [`spawn_target`] and [`spawn_multi`] (one reactor shard) and
-/// [`spawn_sharded`] (N).
+/// Handle to a running target — the one handle [`spawn_sharded`] (and
+/// through it [`spawn_target`]) returns, with one reactor shard or N.
+/// It keeps the registry the target was spawned with: connections
+/// adopted at runtime report into it.
 /// Dropping it stops and joins every thread; [`TargetHandle::shutdown`]
 /// does the same and reports the first error a thread hit. The per-shard
 /// accessors live in [`crate::shard`].
-///
-/// [`spawn_multi`]: crate::server::spawn_multi
-/// [`spawn_sharded`]: crate::shard::spawn_sharded
 pub struct TargetHandle {
     pub(crate) stop: Arc<AtomicBool>,
     pub(crate) joins: Vec<std::thread::JoinHandle<Result<(), NvmeofError>>>,
     pub(crate) ports: Vec<ReactorPort>,
     pub(crate) next_conn: usize,
+    pub(crate) registry: Arc<Registry>,
 }
 
 impl TargetHandle {
-    /// A handle with no thread yet; `next_conn` is the number the first
-    /// connection added at runtime gets.
-    pub(crate) fn new(next_conn: usize) -> Self {
+    /// A handle with no thread yet, reporting into `registry`;
+    /// `next_conn` is the number the first connection added at runtime
+    /// gets.
+    pub(crate) fn new(next_conn: usize, registry: Arc<Registry>) -> Self {
         TargetHandle {
             stop: Arc::new(AtomicBool::new(false)),
             joins: Vec::new(),
             ports: Vec::new(),
             next_conn,
+            registry,
         }
     }
 
@@ -879,34 +879,20 @@ impl Drop for TargetHandle {
     }
 }
 
-/// Spawns the target reactor serving one connection.
+/// Spawns one reactor serving one connection, reporting into a registry
+/// nobody reads: [`spawn_sharded`] with one shard and one connection.
 pub fn spawn_target<T: Transport + 'static>(
     transport: T,
     controller: Controller,
     cfg: TargetConfig,
     payload: Option<Arc<dyn PayloadChannel>>,
 ) -> TargetHandle {
-    spawn_target_observed(transport, controller, cfg, payload, None)
-}
-
-/// [`spawn_target`] with telemetry: [`spawn_multi_observed`] over the one
-/// connection, whose target-side metric bundle is registered into
-/// `registry` under the `target` scope before the reactor starts. The
-/// reactor's [`ShardStats`] are registered nowhere.
-pub fn spawn_target_observed<T: Transport + 'static>(
-    transport: T,
-    controller: Controller,
-    cfg: TargetConfig,
-    payload: Option<Arc<dyn PayloadChannel>>,
-    registry: Option<&Registry>,
-) -> TargetHandle {
     let spec = ConnectionSpec {
         transport: Box::new(transport),
         cfg,
         payload,
-        scope: Some("target".into()),
     };
-    spawn_multi_observed(controller, vec![spec], registry)
+    spawn_sharded(controller, vec![spec], ShardConfig::new(1), &Arc::default())
 }
 
 #[cfg(test)]

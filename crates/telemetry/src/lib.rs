@@ -18,8 +18,6 @@
 //! - **Snapshots are plain data.** [`Snapshot`] supports `delta`,
 //!   quantiles ([`HistoSnapshot::p50`]/`p95`/`p99`, max), and
 //!   [`export`] to Prometheus text or one-line JSON.
-//! - **A [`Reporter`] thread** turns a registry into a periodic
-//!   cumulative + delta feed for logs or scrapes.
 //!
 //! ```
 //! use oaf_telemetry::{Registry, export};
@@ -41,11 +39,9 @@ pub mod export;
 mod histo;
 mod metric;
 mod registry;
-mod reporter;
 
 pub use histo::{bucket_index, bucket_upper, Histo, HistoSnapshot, HISTO_BUCKETS};
 pub use metric::{Counter, Gauge};
 pub use registry::{
     sanitize, Metric, MetricSnapshot, MetricValue, Registry, Scope, ScopeSnapshot, Snapshot,
 };
-pub use reporter::Reporter;

@@ -68,10 +68,6 @@ pub struct Scope {
 }
 
 impl Scope {
-    pub fn name(&self) -> &str {
-        &self.inner.name
-    }
-
     fn find(&self, name: &str) -> Option<Metric> {
         lock(&self.inner.metrics)
             .iter()
@@ -184,30 +180,6 @@ impl Registry {
         };
         scopes.push(s.clone());
         s
-    }
-
-    /// Adopts every metric of `other` into this registry under
-    /// `{prefix}.{scope}` scopes (sanitized, so `shard0.target_conn1`
-    /// becomes `shard0_target_conn1`).
-    ///
-    /// The *handles* are adopted, not the values: after a merge the
-    /// parent registry's snapshots observe everything the other
-    /// registry's threads keep recording, with no further
-    /// synchronization. This is how a sharded runtime exposes one
-    /// merged view over its per-shard registries — each shard records
-    /// into its own registry (no cross-shard locks), the parent merges
-    /// once at wiring time. Scopes `other` creates *after* the merge
-    /// are not seen; merge again to pick them up.
-    pub fn merge(&self, prefix: &str, other: &Registry) {
-        let src_scopes: Vec<Scope> = lock(&other.scopes).clone();
-        for src in src_scopes {
-            let dst = self.scope(&format!("{prefix}.{}", src.name()));
-            let metrics: Vec<(String, Metric)> = lock(&src.inner.metrics).clone();
-            for (name, metric) in metrics {
-                // Names were sanitized when `other` registered them.
-                dst.insert(name, metric);
-            }
-        }
     }
 
     pub fn scope_names(&self) -> Vec<String> {
@@ -389,68 +361,6 @@ mod tests {
         assert_eq!(hd.count, 1);
         assert_eq!(hd.sum, 9);
         assert_eq!(hd.max, 9);
-    }
-
-    #[test]
-    fn merge_adopts_live_handles_under_prefix() {
-        let parent = Registry::new();
-        let shard = Registry::new();
-        let ops = shard.scope("target_conn0").counter("ops");
-        let depth = shard.scope("target_conn0").gauge("queue_depth");
-        let lat = shard.scope("client").histo("lat");
-        ops.add(3);
-        parent.merge("shard0", &shard);
-        // Values recorded *after* the merge flow through: the handles
-        // are shared, not copied.
-        ops.add(4);
-        depth.set(2);
-        lat.record(17);
-        let snap = parent.snapshot();
-        assert_eq!(snap.counter("shard0_target_conn0", "ops"), 7);
-        assert_eq!(
-            snap.gauge("shard0_target_conn0", "queue_depth"),
-            Some((2, 2))
-        );
-        assert_eq!(snap.histo("shard0_client", "lat").unwrap().count, 1);
-        // The shard's own view is untouched.
-        assert_eq!(shard.snapshot().counter("target_conn0", "ops"), 7);
-    }
-
-    #[test]
-    fn merge_two_shards_stay_distinct() {
-        let parent = Registry::new();
-        let s0 = Registry::new();
-        let s1 = Registry::new();
-        s0.scope("t").counter("ops").add(10);
-        s1.scope("t").counter("ops").add(20);
-        parent.merge("shard0", &s0);
-        parent.merge("shard1", &s1);
-        let snap = parent.snapshot();
-        assert_eq!(snap.counter("shard0_t", "ops"), 10);
-        assert_eq!(snap.counter("shard1_t", "ops"), 20);
-    }
-
-    #[test]
-    fn merged_snapshot_renders_prefixed_full_names() {
-        // The merged (prefixed) view renders one full name per metric:
-        // the shard prefix joins the scope with a single `_`, so the
-        // last `__` still separates scope from name.
-        let parent = Registry::new();
-        for n in 0..2 {
-            let shard = Registry::new();
-            let s = shard.scope(format!("target_conn{n}").as_str());
-            s.counter("ops").add(100 + n);
-            parent.merge(&format!("shard{n}"), &shard);
-        }
-        let text = crate::export::prometheus_text(&parent.snapshot());
-        assert!(
-            text.contains("\noaf_shard0_target_conn0__ops 100\n"),
-            "{text}"
-        );
-        assert!(
-            text.contains("\noaf_shard1_target_conn1__ops 101\n"),
-            "{text}"
-        );
     }
 
     #[test]

@@ -523,12 +523,16 @@ fn sharded_chaos_soak_recovers_per_shard_plans() {
             transport: Box::new(tt),
             cfg: TargetConfig::default(),
             payload: None,
-            scope: None,
         });
         client_sides.push(ct);
         all_controls.push(controls);
     }
-    let target = spawn_sharded(controller(), specs, ShardConfig::new(SHARDS), None);
+    let target = spawn_sharded(
+        controller(),
+        specs,
+        ShardConfig::new(SHARDS),
+        &Arc::default(),
+    );
     let mut clients = Vec::new();
     for (s, ct) in client_sides.into_iter().enumerate() {
         let ini = Initiator::connect(

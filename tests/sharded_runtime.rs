@@ -2,7 +2,7 @@
 //! clients over 4 oversubscribed shards (the dev box has one core; the
 //! shards time-slice it, which only makes the interleavings nastier),
 //! one storage service behind all of them, near-uniform per-shard load,
-//! merged telemetry, runtime connection adoption, clean shutdown.
+//! one telemetry registry, runtime connection adoption, clean shutdown.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -42,8 +42,9 @@ fn four_shards_serve_eight_clients_with_balanced_load() {
 
     assert_eq!(group.target.shards(), SHARDS);
     // Round-robin steering: client i on shard i % SHARDS.
+    let shard_of: Vec<usize> = (0..CLIENTS).map(|i| group.target.shard_of(i)).collect();
     let want: Vec<usize> = (0..CLIENTS).map(|i| i % SHARDS).collect();
-    assert_eq!(group.shard_of, want);
+    assert_eq!(shard_of, want);
 
     // Uniform per-client traffic into disjoint LBA ranges; every write
     // must be readable back through a client on a *different* shard —
@@ -61,7 +62,7 @@ fn four_shards_serve_eight_clients_with_balanced_load() {
     }
     for i in 0..CLIENTS {
         let reader = (i + 1) % CLIENTS; // RR over 4 shards: always a different shard
-        assert_ne!(group.shard_of[i], group.shard_of[reader]);
+        assert_ne!(shard_of[i], shard_of[reader]);
         let base = (i as u64) * 256;
         let last = OPS - 1;
         let back = group.clients[reader]
@@ -71,7 +72,7 @@ fn four_shards_serve_eight_clients_with_balanced_load() {
         assert!(
             back.iter().all(|&b| b == want_byte),
             "client {i}'s write not visible from shard {}",
-            group.shard_of[reader]
+            shard_of[reader]
         );
     }
 
@@ -86,20 +87,19 @@ fn four_shards_serve_eight_clients_with_balanced_load() {
         "per-shard ops skewed beyond 1.5x: {ops:?}"
     );
 
-    // Merged telemetry: every shard's reactor scope and every
-    // connection's scope (prefixed by its owning shard) is visible in
-    // the one parent registry.
+    // One registry: every shard's reactor scope and every connection's
+    // scope is visible in the caller's registry.
     let snap = group.telemetry.snapshot();
     for s in 0..SHARDS {
         assert!(
-            snap.counter(&format!("shard{s}_reactor"), "ops") > 0,
-            "missing merged scope shard{s}_reactor"
+            snap.counter(&format!("reactor{s}"), "ops") > 0,
+            "missing scope reactor{s}"
         );
     }
-    for (i, &s) in group.shard_of.iter().enumerate() {
+    for i in 0..CLIENTS {
         assert!(
-            snap.counter(&format!("shard{s}_target_conn{i}"), "ops") > 0,
-            "missing merged scope shard{s}_target_conn{i}"
+            snap.counter(&format!("target_conn{i}"), "ops") > 0,
+            "missing scope target_conn{i}"
         );
     }
     // Client-side scopes stay flat — sharding is a target-side concern.
@@ -132,8 +132,8 @@ fn connection_adopted_at_runtime_is_served() {
     )
     .expect("launch_many_sharded");
 
-    // A connection arriving after launch: steered, built against its
-    // shard's registry, delivered through the shard's admin mailbox.
+    // A connection arriving after launch: steered, registered into the
+    // group's registry, delivered through the shard's admin mailbox.
     let (ct, tt) = MemTransport::pair();
     let shard = group
         .target
@@ -141,7 +141,6 @@ fn connection_adopted_at_runtime_is_served() {
             transport: Box::new(tt),
             cfg: TargetConfig::default(),
             payload: None,
-            scope: None,
         })
         .expect("adopt connection");
     assert_eq!(shard, 2 % 2); // third connection, round-robin
@@ -157,6 +156,55 @@ fn connection_adopted_at_runtime_is_served() {
     assert!(back.iter().all(|&b| b == 0x5d));
 
     late.disconnect().expect("late disconnect");
+    for c in &mut group.clients {
+        c.disconnect().expect("disconnect");
+    }
+    group.target.shutdown().expect("shutdown");
+}
+
+/// A connection adopted after launch reports into the group's one
+/// registry under the same rule as the launched ones: it is connection
+/// 2, so `target_conn2`, adopted by shard 0's reactor.
+#[test]
+fn connection_adopted_at_runtime_reports_into_the_group_registry() {
+    use nvme_oaf::nvmeof::initiator::{Initiator, InitiatorOptions};
+    use nvme_oaf::nvmeof::server::ConnectionSpec;
+    use nvme_oaf::nvmeof::target::TargetConfig;
+    use nvme_oaf::nvmeof::transport::MemTransport;
+
+    let registry = Arc::new(HostRegistry::new());
+    let clients = [(ProcessId(11), 1u64), (ProcessId(12), 1u64)];
+    let mut group = launch_many_sharded(
+        &registry,
+        &clients,
+        (ProcessId(99), 1u64),
+        controller(),
+        FabricSettings::default(),
+        2,
+    )
+    .expect("launch_many_sharded");
+
+    let (ct, tt) = MemTransport::pair();
+    let spec = ConnectionSpec {
+        transport: Box::new(tt),
+        cfg: TargetConfig::default(),
+        payload: None,
+    };
+    let shard = group.target.add_connection(spec).expect("adopt");
+    let mut late =
+        Initiator::connect(ct, InitiatorOptions::default(), None, TIMEOUT).expect("connect");
+    late.write_blocking(1, 9, 1, bytes::Bytes::from(vec![0x6e; 4096]), TIMEOUT)
+        .expect("late write");
+    late.disconnect().expect("late disconnect");
+
+    let snap = group.telemetry.snapshot();
+    assert!(
+        snap.counter("target_conn2", "ops") > 0,
+        "adopted connection missing from {:?}",
+        group.telemetry.scope_names()
+    );
+    assert_eq!(snap.counter(&format!("reactor{shard}"), "admin_cmds"), 1);
+
     for c in &mut group.clients {
         c.disconnect().expect("disconnect");
     }

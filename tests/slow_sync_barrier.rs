@@ -19,7 +19,9 @@ use bytes::Bytes;
 use nvme_oaf::nvmeof::initiator::{Initiator, InitiatorOptions, KeepAliveConfig};
 use nvme_oaf::nvmeof::nvme::controller::Controller;
 use nvme_oaf::nvmeof::nvme::namespace::Namespace;
-use nvme_oaf::nvmeof::target::{spawn_target, spawn_target_observed, TargetConfig, TargetHandle};
+use nvme_oaf::nvmeof::server::ConnectionSpec;
+use nvme_oaf::nvmeof::shard::{spawn_sharded, ShardConfig};
+use nvme_oaf::nvmeof::target::{spawn_target, TargetConfig, TargetHandle};
 use nvme_oaf::nvmeof::transport::MemTransport;
 use nvme_oaf::store::vfs::{MemVfs, Vfs};
 use nvme_oaf::store::FileDisk;
@@ -49,7 +51,9 @@ fn twitchy_options() -> InitiatorOptions {
 
 /// A target over one file-backed namespace whose every `fdatasync` takes
 /// 80 ms, reporting into `registry`, and an initiator connected to it.
-fn slow_sync_pair(registry: &oaf_telemetry::Registry) -> (Initiator<MemTransport>, TargetHandle) {
+fn slow_sync_pair(
+    registry: &Arc<oaf_telemetry::Registry>,
+) -> (Initiator<MemTransport>, TargetHandle) {
     let vfs = MemVfs::new();
     let disk = FileDisk::create_on(Box::new(vfs.clone()), BS as u32, BLOCKS, 256 * 1024)
         .expect("format disk");
@@ -58,13 +62,12 @@ fn slow_sync_pair(registry: &oaf_telemetry::Registry) -> (Initiator<MemTransport
     controller.add_namespace(Namespace::with_file(1, disk));
 
     let (ct, tt) = MemTransport::pair();
-    let handle = spawn_target_observed(
-        tt,
-        controller,
-        TargetConfig::default(),
-        None,
-        Some(registry),
-    );
+    let spec = ConnectionSpec {
+        transport: Box::new(tt),
+        cfg: TargetConfig::default(),
+        payload: None,
+    };
+    let handle = spawn_sharded(controller, vec![spec], ShardConfig::new(1), registry);
     let ini = Initiator::connect(ct, twitchy_options(), None, TIMEOUT).expect("connect");
     (ini, handle)
 }
@@ -84,7 +87,7 @@ fn assert_nothing_spurious(ini: &mut Initiator<MemTransport>) {
 /// the keep-alive grace: nothing spurious fires.
 #[test]
 fn slow_fsync_does_not_fire_timeout_or_peer_death() {
-    let registry = oaf_telemetry::Registry::new();
+    let registry = Arc::new(oaf_telemetry::Registry::new());
     let (mut ini, handle) = slow_sync_pair(&registry);
 
     let w = ini
@@ -110,7 +113,7 @@ fn slow_fsync_does_not_fire_timeout_or_peer_death() {
 
     let snap = registry.snapshot();
     assert!(
-        snap.counter("target", "barriers_parked") >= 3,
+        snap.counter("target_conn0", "barriers_parked") >= 3,
         "the barriers never took the parked path"
     );
 }
@@ -119,7 +122,7 @@ fn slow_fsync_does_not_fire_timeout_or_peer_death() {
 /// served on *live* 10 ms deadlines: the reactor never waits on the sync.
 #[test]
 fn offloaded_sync_keeps_reads_flowing_during_barrier() {
-    let registry = oaf_telemetry::Registry::new();
+    let registry = Arc::new(oaf_telemetry::Registry::new());
     let (mut ini, handle) = slow_sync_pair(&registry);
 
     // Seed blocks so the reads below return data.
@@ -152,7 +155,7 @@ fn offloaded_sync_keeps_reads_flowing_during_barrier() {
 
     let snap = registry.snapshot();
     assert!(
-        snap.counter("target", "barriers_parked") >= 1,
+        snap.counter("target_conn0", "barriers_parked") >= 1,
         "the FUA barrier never took the parked path"
     );
 }

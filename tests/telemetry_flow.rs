@@ -6,16 +6,19 @@
 //! registered name is in the catalogue (`METRICS.md`), moved by this
 //! file's census workloads or pinned by the test its row names.
 
+use std::io;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use nvme_oaf::nvmeof::nvme::controller::Controller;
 use nvme_oaf::nvmeof::nvme::namespace::Namespace;
+use nvme_oaf::nvmeof::NvmeofError;
 use nvme_oaf::oaf::conn::{ControlPath, FabricSettings};
 use nvme_oaf::oaf::locality::{HostRegistry, ProcessId};
-use nvme_oaf::oaf::runtime::{
-    launch, launch_many, launch_many_sharded, AfClient, AfGroup, AfPair, AfShardedGroup,
-};
+use nvme_oaf::oaf::runtime::{launch, launch_many, launch_many_sharded, AfClient, AfGroup, AfPair};
+use nvme_oaf::store::vfs::{MemVfs, Vfs};
+use nvme_oaf::store::FileDisk;
 use oaf_telemetry::{export, MetricValue, Snapshot};
 
 const TIMEOUT: Duration = Duration::from_secs(10);
@@ -80,8 +83,8 @@ fn local_traffic_produces_consistent_counters_at_every_layer() {
     );
 
     // Target accounting: every op answered.
-    let ops = snap.counter("target", "ops");
-    assert_eq!(ops, snap.counter("target", "responses"));
+    let ops = snap.counter("target_conn0", "ops");
+    assert_eq!(ops, snap.counter("target_conn0", "responses"));
     assert!(ops >= WRITES + READS);
 
     // Transport symmetry: the control rings carry each frame exactly
@@ -201,10 +204,10 @@ fn live_snapshot_renders_every_metric_once_in_both_export_formats() {
     p.client.disconnect().expect("disconnect");
     p.target.shutdown().expect("shutdown");
 
-    // The sharded view merges per-shard registries under prefixes.
+    // Two shards report into the one registry.
     let group = sharded_group_after_one_write_each();
     assert_renders_once(&group.telemetry.snapshot());
-    shut_down_sharded(group);
+    shut_down(group);
 }
 
 /// Every metric of `snap` appears exactly once in the Prometheus text
@@ -398,7 +401,7 @@ fn group_after_one_write_each(hosts: &[u64], control: ControlPath) -> AfGroup {
 
 /// `launch_many_sharded` with 2 shards, a co-located and a remote
 /// client, one blocking 4 KiB write each.
-fn sharded_group_after_one_write_each() -> AfShardedGroup {
+fn sharded_group_after_one_write_each() -> AfGroup {
     let registry = Arc::new(HostRegistry::new());
     let mut group = launch_many_sharded(
         &registry,
@@ -418,13 +421,6 @@ fn sharded_group_after_one_write_each() -> AfShardedGroup {
 }
 
 fn shut_down(mut group: AfGroup) {
-    for mut c in group.clients.drain(..) {
-        c.disconnect().expect("disconnect");
-    }
-    group.target.shutdown().expect("shutdown");
-}
-
-fn shut_down_sharded(mut group: AfShardedGroup) {
     for mut c in group.clients.drain(..) {
         c.disconnect().expect("disconnect");
     }
@@ -476,10 +472,12 @@ fn mixed_locality_group_transports_are_symmetric_per_connection() {
 
 #[test]
 fn scope_names_follow_one_rule_at_every_entry_point() {
-    // Per-connection scopes carry the caller's tag: none for `launch`,
-    // the client index for groups (whose target side is `target_conn<i>`,
-    // under `shard<n>_` when sharded). Which scopes exist depends only on
-    // locality and the control path. Target on host 1 throughout.
+    // Client-side scopes carry the caller's tag: none for `launch`, the
+    // client index for groups. The target side follows one rule at every
+    // entry point: `target_conn<i>` for connection `i`, `reactor<n>` for
+    // shard `n`, in the caller's registry — connections adopted at
+    // runtime included. Which scopes exist depends only on locality, the
+    // control path and the shard count. Target on host 1 throughout.
     let single = |client_host: u64, control: ControlPath| {
         let registry = Arc::new(HostRegistry::new());
         let settings = FabricSettings {
@@ -516,37 +514,59 @@ fn scope_names_follow_one_rule_at_every_entry_point() {
             }
         }
     };
+    let adopted = || {
+        use nvme_oaf::nvmeof::server::ConnectionSpec;
+        use nvme_oaf::nvmeof::target::TargetConfig;
+        use nvme_oaf::nvmeof::transport::MemTransport;
+        let (telemetry, mut target) = grouped(Some(2));
+        let (_client, served) = MemTransport::pair();
+        let spec = ConnectionSpec {
+            transport: Box::new(served),
+            cfg: TargetConfig::default(),
+            payload: None,
+        };
+        target.add_connection(spec).expect("adopt");
+        (telemetry, target)
+    };
     let table = [
         (
             "launch, local",
             single(1, ControlPath::Tcp),
-            "app bufmgr_client bufmgr_target client fabric target tcp_client tcp_target \
-             transport_client transport_target",
+            "app bufmgr_client bufmgr_target client fabric reactor0 target_conn0 tcp_client \
+             tcp_target transport_client transport_target",
         ),
         (
             "launch, remote",
             single(2, ControlPath::Tcp),
-            "app client fabric target tcp_client tcp_target transport_client transport_target",
+            "app client fabric reactor0 target_conn0 tcp_client tcp_target transport_client \
+             transport_target",
         ),
         (
             "launch, in-region",
             single(1, ControlPath::InRegion),
             "app bufmgr_client bufmgr_target client control_ring_client control_ring_target \
-             fabric target transport_client transport_target",
+             fabric reactor0 target_conn0 transport_client transport_target",
         ),
         (
             "launch_many, local + remote",
             grouped(None),
-            "app0 app1 bufmgr_client0 bufmgr_target0 client0 client1 fabric target_conn0 \
-             target_conn1 tcp_client0 tcp_client1 tcp_target0 tcp_target1 transport_client0 \
-             transport_client1 transport_target0 transport_target1",
+            "app0 app1 bufmgr_client0 bufmgr_target0 client0 client1 fabric reactor0 \
+             target_conn0 target_conn1 tcp_client0 tcp_client1 tcp_target0 tcp_target1 \
+             transport_client0 transport_client1 transport_target0 transport_target1",
         ),
         (
             "launch_many_sharded, 2 shards",
             grouped(Some(2)),
-            "app0 app1 bufmgr_client0 bufmgr_target0 client0 client1 fabric shard0_reactor \
-             shard0_target_conn0 shard1_reactor shard1_target_conn1 tcp_client0 tcp_client1 \
-             tcp_target0 tcp_target1 transport_client0 transport_client1 transport_target0 \
+            "app0 app1 bufmgr_client0 bufmgr_target0 client0 client1 fabric reactor0 reactor1 \
+             target_conn0 target_conn1 tcp_client0 tcp_client1 tcp_target0 tcp_target1 \
+             transport_client0 transport_client1 transport_target0 transport_target1",
+        ),
+        (
+            "launch_many_sharded, 2 shards, + add_connection",
+            adopted(),
+            "app0 app1 bufmgr_client0 bufmgr_target0 client0 client1 fabric reactor0 reactor1 \
+             target_conn0 target_conn1 target_conn2 tcp_client0 tcp_client1 tcp_target0 \
+             tcp_target1 transport_client0 transport_client1 transport_target0 \
              transport_target1",
         ),
     ];
@@ -565,9 +585,6 @@ fn scope_names_follow_one_rule_at_every_entry_point() {
 /// 64 KiB journal, then plain writes left to the sync worker's
 /// write-out kicks, then a Flush. Returns the pair still connected.
 fn file_backed_fua_burst() -> AfPair {
-    use nvme_oaf::store::vfs::MemVfs;
-    use nvme_oaf::store::FileDisk;
-
     // Each `fdatasync` takes 500 µs on the sync worker. FUA completions
     // park on their tickets meanwhile, with nothing else arriving on the
     // socket — exactly when a loop parked in a timed transport wait
@@ -643,14 +660,15 @@ fn drain(client: &mut AfClient, n: u64, wave: u64) {
 fn file_backed_fua_burst_releases_without_a_timer_and_times_every_fold() {
     let mut p = file_backed_fua_burst();
     let snap = p.telemetry.snapshot();
-    let parked = snap.counter("target", "barriers_parked");
+    let parked = snap.counter("target_conn0", "barriers_parked");
     assert!(parked > 0, "no FUA completion took the parked path");
     assert_eq!(
-        snap.histo("target", "barrier_park_ns").map(|h| h.count),
+        snap.histo("target_conn0", "barrier_park_ns")
+            .map(|h| h.count),
         Some(parked)
     );
     assert_eq!(
-        snap.counter("target", "timer_wakeups"),
+        snap.counter("target_conn0", "timer_wakeups"),
         0,
         "a parked completion waited on the idle timer"
     );
@@ -669,19 +687,100 @@ fn file_backed_fua_burst_releases_without_a_timer_and_times_every_fold() {
     p.target.shutdown().expect("shutdown");
 }
 
-/// The scope family a registered scope belongs to: `shard<n>_` and a
-/// trailing connection or namespace index stripped
-/// (`shard1_target_conn1` → `target_conn`, `store_ns1` → `store_ns`).
-fn family(scope: &str) -> &str {
-    let mut f = scope;
-    if let Some(rest) = f.strip_prefix("shard") {
-        if let Some((n, tail)) = rest.split_once('_') {
-            if !n.is_empty() && n.bytes().all(|b| b.is_ascii_digit()) {
-                f = tail;
-            }
+/// A [`MemVfs`] whose reads wait while `shut` is set: a target wedged
+/// in a device read answers nothing until it is let go.
+struct GatedReads {
+    inner: MemVfs,
+    shut: Arc<AtomicBool>,
+}
+
+impl Vfs for GatedReads {
+    fn read_at(&self, off: u64, buf: &mut [u8]) -> io::Result<()> {
+        while self.shut.load(Ordering::Acquire) {
+            std::thread::sleep(Duration::from_millis(1));
         }
+        self.inner.read_at(off, buf)
     }
-    f.trim_end_matches(|c: char| c.is_ascii_digit())
+
+    fn write_at(&mut self, off: u64, buf: &[u8]) -> io::Result<()> {
+        self.inner.write_at(off, buf)
+    }
+
+    fn sync(&mut self) -> io::Result<()> {
+        self.inner.sync()
+    }
+
+    fn len(&self) -> io::Result<u64> {
+        self.inner.len()
+    }
+
+    fn set_len(&mut self, len: u64) -> io::Result<()> {
+        self.inner.set_len(len)
+    }
+
+    fn try_clone(&self) -> io::Result<Box<dyn Vfs>> {
+        self.inner.try_clone()
+    }
+}
+
+/// The error counters move on their real paths: a read past the end of
+/// the namespace completes with an error status (`client.errors`), and
+/// a read the wedged target never answers spends its deadline and retry
+/// budget (`client.timeouts`). The application counts both failed calls
+/// (`app.errors`).
+#[test]
+fn error_counters_move_on_a_failed_read_and_a_spent_retry_budget() {
+    let shut = Arc::new(AtomicBool::new(false));
+    let vfs = GatedReads {
+        inner: MemVfs::new(),
+        shut: Arc::clone(&shut),
+    };
+    let disk = FileDisk::create_on(Box::new(vfs), 4096, 64, 64 * 1024).expect("format store");
+    let mut controller = Controller::new();
+    controller.add_namespace(Namespace::with_file(1, disk));
+    let registry = Arc::new(HostRegistry::new());
+    let mut p = launch(
+        &registry,
+        (ProcessId(1), 1),
+        (ProcessId(2), 1),
+        controller,
+        FabricSettings {
+            cmd_deadline: Some(Duration::from_millis(100)),
+            max_retries: 1,
+            retry_backoff: Duration::from_millis(1),
+            ..FabricSettings::default()
+        },
+    )
+    .expect("fabric establishment");
+
+    let err = p.client.read(1, 1 << 40, 1, 4096, TIMEOUT).unwrap_err();
+    assert!(matches!(err, NvmeofError::Nvme(_)), "{err}");
+
+    shut.store(true, Ordering::Release);
+    let err = p.client.read(1, 0, 1, 4096, TIMEOUT).unwrap_err();
+    shut.store(false, Ordering::Release);
+    assert!(
+        matches!(err, NvmeofError::Timeout { cid: Some(_) }),
+        "{err}"
+    );
+
+    let snap = p.telemetry.snapshot();
+    assert_eq!(snap.counter("client", "errors"), 1);
+    assert_eq!(snap.counter("client", "timeouts"), 1);
+    assert_eq!(snap.counter("app", "errors"), 2);
+
+    // Let go, the target serves the connection again.
+    let back = p.client.read(1, 0, 1, 4096, TIMEOUT).expect("read after");
+    assert_eq!(back, vec![0u8; 4096]);
+    p.client.disconnect().expect("disconnect");
+    p.target.shutdown().expect("shutdown");
+}
+
+/// The scope family a registered scope belongs to: the scope name
+/// without its trailing index (`target_conn1` → `target_conn`,
+/// `reactor0` → `reactor`, `store_ns1` → `store_ns`).
+fn family(scope: &str) -> &str {
+    scope.trim_end_matches(|c: char| c.is_ascii_digit())
 }
 
 /// One `METRICS.md` row: `| scope | name | kind | meaning | moved by |`.
@@ -774,7 +873,7 @@ fn every_registered_metric_is_catalogued_and_moves_or_names_its_pin() {
     let mut group = sharded_group_after_one_write_each();
     group.clients.iter_mut().for_each(write_read_both_sizes);
     snaps.push(group.telemetry.snapshot());
-    shut_down_sharded(group);
+    shut_down(group);
 
     // The durable store: parked barriers, a log fold, write-out kicks.
     let mut p = file_backed_fua_burst();
