@@ -2,46 +2,47 @@
 //!
 //! Establishes every adaptive-fabric connection between an NVMe-oF
 //! client and target — [`launch`](crate::runtime::launch)'s single pair
-//! and each client of a group alike:
+//! and each client of a group alike, through the one bring-up routine
+//! of [`runtime`](crate::runtime):
 //!
-//! 1. the Connection Manager consults [`HostRegistry`] — the helper
-//!    process — for locality; for co-located pairs an isolated
-//!    shared-memory channel is hot-plugged and announced on the flag
-//!    pages (§4.2);
+//! 1. the Connection Manager asks [`HostRegistry`] — the helper
+//!    process — whether the pair is co-located; if so it allocates the
+//!    connection its own isolated shared-memory region, sized by the
+//!    connection's `depth` and `slot_size` (§4.2, §6);
 //! 2. the control connection opens: a real nonblocking loopback socket
 //!    pair ([`oaf_nvmeof::tcp::TcpTransport`], §4.5), or in-region byte
 //!    rings when [`ControlPath::InRegion`] is set *and* the pair is
 //!    co-located (§5.5);
-//! 3. the caller starts the storage service over the target end — the
-//!    one step the entry points differ in;
+//! 3. the caller starts the storage service over the target end;
 //! 4. connection configuration parameters travel in ICReq/ICResp: the
 //!    client requests the AF capabilities it can use, the target grants
 //!    the intersection;
-//! 5. the AF endpoint object connects; data can flow.
+//! 5. the initiator connects; data can flow. Whether the shared-memory
+//!    path is live is the initiator's answer (`shm_active`), which also
+//!    follows a later degrade to TCP.
 //!
 //! Every client-side per-connection telemetry scope carries the caller's
 //! *tag* as a suffix: empty for a single pair, the client index in a
 //! group. The target side is named by the storage service
 //! (`target_conn<i>`, `reactor<n>`, [`oaf_nvmeof::shard`]).
-//! Teardown reclaims the region through [`HostRegistry::unplug`].
+//! The region has no owner but the connection: each side holds one end
+//! and it is freed when both ends are dropped.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use oaf_nvmeof::initiator::{Initiator, InitiatorOptions, KeepAliveConfig};
-use oaf_nvmeof::nvme::controller::Controller;
 use oaf_nvmeof::payload::PayloadChannel;
 use oaf_nvmeof::pdu::AF_CAP_SHM;
 use oaf_nvmeof::server::ConnectionSpec;
-use oaf_nvmeof::shard::{spawn_sharded, ShardConfig};
-use oaf_nvmeof::target::{TargetConfig, TargetHandle};
+use oaf_nvmeof::target::TargetConfig;
 use oaf_nvmeof::tcp::{TcpConfig, TcpTransport};
 use oaf_nvmeof::transport::{ControlTransport, ShmTransport};
 use oaf_nvmeof::NvmeofError;
 use oaf_shmem::channel::Side;
+use oaf_shmem::ShmChannel;
 use oaf_telemetry::Registry;
 
-use crate::endpoint::{AfEndpoint, ChannelKind};
 use crate::locality::{HostRegistry, ProcessId};
 use crate::payload_impl::ShmPayloadChannel;
 
@@ -100,19 +101,6 @@ impl Default for FabricSettings {
     }
 }
 
-/// An established adaptive-fabric connection: the client handle plus the
-/// running target.
-pub struct EstablishedFabric {
-    /// The connected initiator.
-    pub initiator: Initiator<ControlTransport>,
-    /// The client's AF endpoint object.
-    pub endpoint: Arc<AfEndpoint>,
-    /// The client-side shared-memory payload channel, when local.
-    pub shm: Option<Arc<ShmPayloadChannel>>,
-    /// Handle to the target reactor.
-    pub target: TargetHandle,
-}
-
 /// The target end of a wired connection: what the storage service is
 /// spawned over.
 pub(crate) struct TargetSide {
@@ -140,16 +128,12 @@ pub(crate) struct ClientSide {
     shm: Option<Arc<ShmPayloadChannel>>,
 }
 
-/// A connected client's parts: its initiator, its AF endpoint object and
-/// its side of the shared-memory payload channel, when local.
-pub(crate) type ConnectedClient = (
-    Initiator<ControlTransport>,
-    Arc<AfEndpoint>,
-    Option<Arc<ShmPayloadChannel>>,
-);
+/// A connected client's parts: its initiator and its end of the
+/// shared-memory payload channel, when local.
+pub(crate) type ConnectedClient = (Initiator<ControlTransport>, Option<Arc<ShmPayloadChannel>>);
 
 /// The Connection Manager.
-pub struct ConnectionManager {
+pub(crate) struct ConnectionManager {
     registry: Arc<HostRegistry>,
     telemetry: Arc<Registry>,
 }
@@ -157,21 +141,16 @@ pub struct ConnectionManager {
 impl ConnectionManager {
     /// Creates a manager over a helper-process registry with a fresh
     /// telemetry registry.
-    pub fn new(registry: Arc<HostRegistry>) -> Self {
+    pub(crate) fn new(registry: Arc<HostRegistry>) -> Self {
         ConnectionManager {
             registry,
             telemetry: Arc::new(Registry::new()),
         }
     }
 
-    /// The registry (for registering processes).
-    pub fn registry(&self) -> &Arc<HostRegistry> {
-        &self.registry
-    }
-
     /// The telemetry registry every fabric this manager establishes
     /// reports into.
-    pub fn telemetry(&self) -> &Arc<Registry> {
+    pub(crate) fn telemetry(&self) -> &Arc<Registry> {
         &self.telemetry
     }
 
@@ -209,43 +188,40 @@ impl ConnectionManager {
     ) -> Result<(TargetSide, ClientSide), NvmeofError> {
         let scope = |name: &str| self.telemetry.scope(&format!("{name}{tag}"));
 
-        // Locality detection via the helper process (§4.2), which
-        // hot-plugs an isolated region per co-located client (the §6
-        // security model).
-        let hotplug = self
-            .registry
-            .hotplug(client, target, settings.depth, settings.slot_size);
-        let (client_shm, target_shm) = match &hotplug {
-            Some(hp) => {
-                let c = ShmPayloadChannel::new(&hp.channel, Side::Client);
-                let t = ShmPayloadChannel::new(&hp.channel, Side::Target);
-                // Each side's lease pool (Buffer Manager) reports lease
-                // traffic and occupancy alongside the transport scopes.
-                c.lease_stats().register(&scope("bufmgr_client"));
-                t.lease_stats().register(&scope("bufmgr_target"));
-                (Some(c), Some(t))
-            }
-            None => (None, None),
+        // Locality detection via the helper process (§4.2); a co-located
+        // connection gets a region of its own (the §6 security model),
+        // owned by its two ends.
+        let local = self.registry.co_located(client, target);
+        let (client_shm, target_shm) = if local {
+            let region = ShmChannel::allocate(settings.depth, settings.slot_size);
+            let c = ShmPayloadChannel::new(&region, Side::Client);
+            let t = ShmPayloadChannel::new(&region, Side::Target);
+            // Each side's lease pool (Buffer Manager) reports lease
+            // traffic and occupancy alongside the transport scopes.
+            c.lease_stats().register(&scope("bufmgr_client"));
+            t.lease_stats().register(&scope("bufmgr_target"));
+            (Some(c), Some(t))
+        } else {
+            (None, None)
         };
 
         // The control connection, ordered after locality so it can use
         // the verdict: in-region control (§5.5) needs co-location;
         // everything else rides the real-socket NVMe/TCP data plane over
         // loopback (§4.5).
-        let (client_tr, target_tr) =
-            if settings.control == ControlPath::InRegion && hotplug.is_some() {
-                let (c, t) = ShmTransport::pair(256 * 1024);
-                // The in-region path also exposes producer-side ring
-                // occupancy and full events per endpoint.
-                c.tx_ring_stats().register(&scope("control_ring_client"));
-                t.tx_ring_stats().register(&scope("control_ring_target"));
-                (ControlTransport::Shm(c), ControlTransport::Shm(t))
-            } else {
-                let (c, t) = TcpTransport::loopback_pair(TcpConfig::default())
-                    .map_err(|_| NvmeofError::TransportClosed)?;
-                (ControlTransport::Tcp(c), ControlTransport::Tcp(t))
-            };
-        self.record_fabric(settings, hotplug.is_some(), client_tr.is_in_region());
+        let (client_tr, target_tr) = if settings.control == ControlPath::InRegion && local {
+            let (c, t) = ShmTransport::pair(256 * 1024);
+            // The in-region path also exposes producer-side ring
+            // occupancy and full events per endpoint.
+            c.tx_ring_stats().register(&scope("control_ring_client"));
+            t.tx_ring_stats().register(&scope("control_ring_target"));
+            (ControlTransport::Shm(c), ControlTransport::Shm(t))
+        } else {
+            let (c, t) = TcpTransport::loopback_pair(TcpConfig::default())
+                .map_err(|_| NvmeofError::TransportClosed)?;
+            (ControlTransport::Tcp(c), ControlTransport::Tcp(t))
+        };
+        self.record_fabric(settings, local, client_tr.is_in_region());
         client_tr.metrics().register(&scope("transport_client"));
         target_tr.metrics().register(&scope("transport_target"));
         // The socket path additionally reports syscall/partial-I/O
@@ -275,13 +251,11 @@ impl ConnectionManager {
     }
 
     /// Connects a wired client whose target end is being served: the
-    /// ICReq/ICResp handshake with the capabilities locality allows,
-    /// then the AF endpoint object (module steps 4–5). The initiator
-    /// reports under `client<tag>`.
+    /// ICReq/ICResp handshake with the capabilities locality allows
+    /// (module steps 4–5). The initiator reports under `client<tag>`.
     pub(crate) fn connect(
         &self,
         side: ClientSide,
-        target: ProcessId,
         settings: &FabricSettings,
         tag: &str,
     ) -> Result<ConnectedClient, NvmeofError> {
@@ -319,67 +293,16 @@ impl ConnectionManager {
             .metrics()
             .register(&self.telemetry.scope(&format!("client{tag}")));
 
-        let endpoint = AfEndpoint::new(pid.0);
-        let channel = if initiator.shm_active() {
-            ChannelKind::Shm
-        } else {
-            ChannelKind::Tcp
-        };
-        endpoint.connect(target.0, channel);
-
-        Ok((initiator, endpoint, shm))
-    }
-
-    /// Establishes a connection between a registered client and target,
-    /// spawning the target reactor over `controller`. Locality decides
-    /// the data channel; everything else follows Fig. 5. Client-side
-    /// scopes carry no tag; the target side reports under `target_conn0`
-    /// and `reactor0`, as connection 0 of a one-shard group would.
-    pub fn establish(
-        &self,
-        client: ProcessId,
-        target: ProcessId,
-        controller: Controller,
-        settings: &FabricSettings,
-    ) -> Result<EstablishedFabric, NvmeofError> {
-        let (served, side) = self.wire(client, target, settings, "")?;
-        let target_handle = spawn_sharded(
-            controller,
-            vec![served.into_spec()],
-            ShardConfig::new(1),
-            &self.telemetry,
-        );
-        let (initiator, endpoint, shm) = self.connect(side, target, settings, "")?;
-        Ok(EstablishedFabric {
-            initiator,
-            endpoint,
-            shm,
-            target: target_handle,
-        })
-    }
-
-    /// Tears a connection down, reclaiming the shared-memory region.
-    pub fn teardown(
-        &self,
-        client: ProcessId,
-        target: ProcessId,
-        mut fabric: EstablishedFabric,
-    ) -> Result<(), NvmeofError> {
-        fabric.initiator.disconnect()?;
-        fabric.endpoint.close();
-        let result = fabric.target.shutdown();
-        self.registry.unplug(client, target);
-        result
+        Ok((initiator, shm))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runtime::{launch, DEFAULT_TIMEOUT};
+    use oaf_nvmeof::nvme::controller::Controller;
     use oaf_nvmeof::nvme::namespace::Namespace;
-
-    const CLIENT: ProcessId = ProcessId(1);
-    const TARGET: ProcessId = ProcessId(2);
 
     fn controller() -> Controller {
         let mut c = Controller::new();
@@ -387,116 +310,55 @@ mod tests {
         c
     }
 
-    fn manager(client_host: u64, target_host: u64) -> ConnectionManager {
-        let reg = Arc::new(HostRegistry::new());
-        reg.register(CLIENT, client_host);
-        reg.register(TARGET, target_host);
-        ConnectionManager::new(reg)
-    }
-
+    /// Locality picks the data channel and gates in-region control; I/O
+    /// round-trips on every combination.
     #[test]
-    fn co_located_pair_selects_shm() {
-        let cm = manager(7, 7);
-        let fabric = cm
-            .establish(CLIENT, TARGET, controller(), &FabricSettings::default())
+    fn locality_decides_the_data_channel_and_the_control_path() {
+        for (target_host, control) in [
+            (7u64, ControlPath::Tcp),
+            (8, ControlPath::Tcp),
+            (7, ControlPath::InRegion),
+            (8, ControlPath::InRegion),
+        ] {
+            let local = target_host == 7;
+            let case = format!("local={local} {control:?}");
+            let registry = Arc::new(HostRegistry::new());
+            let settings = FabricSettings {
+                control,
+                ..FabricSettings::default()
+            };
+            let mut pair = launch(
+                &registry,
+                (ProcessId(1), 7),
+                (ProcessId(2), target_host),
+                controller(),
+                settings,
+            )
             .unwrap();
-        assert!(fabric.initiator.shm_active());
-        assert_eq!(fabric.endpoint.channel(), ChannelKind::Shm);
-        assert!(fabric.shm.is_some());
-        cm.teardown(CLIENT, TARGET, fabric).unwrap();
-    }
+            assert_eq!(pair.client.shm_active(), local, "{case}");
+            let snap = pair.telemetry.snapshot();
+            assert_eq!(
+                snap.counter("fabric", "locality_local"),
+                local as u64,
+                "{case}"
+            );
+            assert_eq!(
+                snap.counter("fabric", "control_in_region"),
+                (local && control == ControlPath::InRegion) as u64,
+                "{case}"
+            );
 
-    #[test]
-    fn remote_pair_falls_back_to_tcp() {
-        let cm = manager(7, 8);
-        let fabric = cm
-            .establish(CLIENT, TARGET, controller(), &FabricSettings::default())
-            .unwrap();
-        assert!(!fabric.initiator.shm_active());
-        assert_eq!(fabric.endpoint.channel(), ChannelKind::Tcp);
-        assert!(fabric.shm.is_none());
-        cm.teardown(CLIENT, TARGET, fabric).unwrap();
-    }
-
-    #[test]
-    fn io_works_on_both_channels() {
-        for (ch, th) in [(7u64, 7u64), (7, 8)] {
-            let cm = manager(ch, th);
-            let mut fabric = cm
-                .establish(CLIENT, TARGET, controller(), &FabricSettings::default())
+            let mut buf = pair.client.alloc(128 * 1024).unwrap();
+            assert_eq!(buf.is_zero_copy(), local, "{case}");
+            buf.fill(0x5c);
+            pair.client.write(1, 0, 32, buf, DEFAULT_TIMEOUT).unwrap();
+            let back = pair
+                .client
+                .read(1, 0, 32, 128 * 1024, DEFAULT_TIMEOUT)
                 .unwrap();
-            let data = bytes::Bytes::from(vec![0x5cu8; 128 * 1024]);
-            fabric
-                .initiator
-                .write_blocking(1, 0, 32, data.clone(), Duration::from_secs(5))
-                .unwrap();
-            let back = fabric
-                .initiator
-                .read_blocking(1, 0, 32, 128 * 1024, Duration::from_secs(5))
-                .unwrap();
-            assert_eq!(back, data);
-            cm.teardown(CLIENT, TARGET, fabric).unwrap();
+            assert!(back.iter().all(|&b| b == 0x5c), "{case}");
+            pair.client.disconnect().unwrap();
+            pair.target.shutdown().unwrap();
         }
-    }
-
-    #[test]
-    fn in_region_control_path_works_when_co_located() {
-        let cm = manager(7, 7);
-        let settings = FabricSettings {
-            control: ControlPath::InRegion,
-            ..FabricSettings::default()
-        };
-        let mut fabric = cm
-            .establish(CLIENT, TARGET, controller(), &settings)
-            .unwrap();
-        assert!(fabric.initiator.shm_active());
-        let data = bytes::Bytes::from(vec![0xa7u8; 64 * 1024]);
-        fabric
-            .initiator
-            .write_blocking(1, 4, 16, data.clone(), Duration::from_secs(5))
-            .unwrap();
-        let back = fabric
-            .initiator
-            .read_blocking(1, 4, 16, 64 * 1024, Duration::from_secs(5))
-            .unwrap();
-        assert_eq!(back, data);
-        cm.teardown(CLIENT, TARGET, fabric).unwrap();
-    }
-
-    #[test]
-    fn in_region_control_falls_back_to_tcp_when_remote() {
-        let cm = manager(7, 8);
-        let settings = FabricSettings {
-            control: ControlPath::InRegion,
-            ..FabricSettings::default()
-        };
-        let mut fabric = cm
-            .establish(CLIENT, TARGET, controller(), &settings)
-            .unwrap();
-        assert!(!fabric.initiator.shm_active());
-        let data = bytes::Bytes::from(vec![0x11u8; 4096]);
-        fabric
-            .initiator
-            .write_blocking(1, 0, 1, data.clone(), Duration::from_secs(5))
-            .unwrap();
-        assert_eq!(
-            fabric
-                .initiator
-                .read_blocking(1, 0, 1, 4096, Duration::from_secs(5))
-                .unwrap(),
-            data
-        );
-        cm.teardown(CLIENT, TARGET, fabric).unwrap();
-    }
-
-    #[test]
-    fn teardown_reclaims_region() {
-        let cm = manager(7, 7);
-        let fabric = cm
-            .establish(CLIENT, TARGET, controller(), &FabricSettings::default())
-            .unwrap();
-        assert!(cm.registry().channel_for(CLIENT, TARGET).is_some());
-        cm.teardown(CLIENT, TARGET, fabric).unwrap();
-        assert!(cm.registry().channel_for(CLIENT, TARGET).is_none());
     }
 }

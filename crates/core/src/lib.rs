@@ -8,15 +8,16 @@
 //!
 //! The three architectural components of Fig. 4:
 //!
-//! * [`conn`] — the **Connection Manager**: TCP handshake, adaptive-fabric
-//!   capability negotiation via ICReq/ICResp, AF endpoint objects, and
-//!   resource reclamation (§4.1);
+//! * [`conn`] — the **Connection Manager**: locality check, a fresh
+//!   isolated shared-memory region per co-located connection, the TCP
+//!   handshake and adaptive-fabric capability negotiation via
+//!   ICReq/ICResp (§4.1); every entry point of [`runtime`] brings its
+//!   connections up through it the same way;
 //! * [`buf`] — the **Buffer Manager**: DPDK-style pooled buffers for the
 //!   TCP path, shared-memory slots and zero-copy leases for the local
 //!   path (§4.1, §4.4.3);
-//! * [`locality`] — **Locality Awareness**: the helper-process hot-plug
-//!   protocol over a pre-reserved flag page, and the per-client isolated
-//!   region registry (§4.2).
+//! * [`locality`] — **Locality Awareness**: the helper process's host
+//!   registry, which answers whether two processes are co-located (§4.2).
 //!
 //! Channel optimizations:
 //!
@@ -47,12 +48,9 @@
 
 pub mod buf;
 pub mod conn;
-pub mod endpoint;
 pub mod locality;
 pub mod payload_impl;
 pub mod runtime;
 pub mod sim;
 
-pub use conn::ConnectionManager;
-pub use endpoint::{AfEndpoint, ChannelKind};
 pub use locality::HostRegistry;

@@ -21,8 +21,7 @@ use oaf_nvmeof::transport::ControlTransport;
 use oaf_nvmeof::{Initiator, NvmeofError};
 
 use crate::buf::{BufferManager, DpdkPool, IoBuffer};
-use crate::conn::{ConnectionManager, EstablishedFabric, FabricSettings};
-use crate::endpoint::AfEndpoint;
+use crate::conn::{ConnectionManager, FabricSettings};
 use crate::locality::{HostRegistry, ProcessId};
 use crate::payload_impl::ShmPayloadChannel;
 use oaf_telemetry::{Counter, Registry, Scope};
@@ -34,7 +33,6 @@ pub const DEFAULT_TIMEOUT: Duration = Duration::from_secs(10);
 pub struct AfClient {
     initiator: Initiator<ControlTransport>,
     bufmgr: BufferManager,
-    endpoint: Arc<AfEndpoint>,
     app: AppCounters,
     /// Per-command accounting metadata: `(bytes, zero_copy, is_read)`,
     /// consumed when the completion arrives.
@@ -89,12 +87,11 @@ pub struct AfPair {
     pub telemetry: Arc<Registry>,
 }
 
-/// One-call setup of a single client↔target pair: registers both
-/// processes, has the [`ConnectionManager`] establish the fabric with the
-/// target's reactor serving the one connection, and wraps the initiator in
-/// the co-designed client API. Client-side telemetry scopes carry no
-/// suffix (`client`, `transport_client`, …); the target side is
-/// `target_conn0` and `reactor0`, the same rule as every group's.
+/// One-call setup of a single client↔target pair: the group bring-up of
+/// [`launch_many`] with one client and one reactor. Client-side
+/// telemetry scopes carry no suffix (`client`, `transport_client`, …);
+/// the target side is `target_conn0` and `reactor0`, the same rule as
+/// every group's.
 ///
 /// ```
 /// use std::sync::Arc;
@@ -108,7 +105,7 @@ pub struct AfPair {
 /// let mut controller = Controller::new();
 /// controller.add_namespace(Namespace::new(1, 4096, 256));
 /// let registry = Arc::new(HostRegistry::new());
-/// // Same host id on both sides: the helper hot-plugs shared memory.
+/// // Same host id on both sides: the connection gets a shared-memory region.
 /// let mut pair = launch(&registry, (ProcessId(1), 7), (ProcessId(2), 7),
 ///                       controller, FabricSettings::default()).unwrap();
 /// assert!(pair.client.shm_active());
@@ -128,20 +125,15 @@ pub fn launch(
     controller: Controller,
     settings: FabricSettings,
 ) -> Result<AfPair, NvmeofError> {
-    registry.register(client.0, client.1);
-    registry.register(target.0, target.1);
-    let cm = ConnectionManager::new(registry.clone());
-    register_store_metrics(&controller, cm.telemetry());
-    let EstablishedFabric {
-        initiator,
-        endpoint,
-        shm,
+    let AfGroup {
+        mut clients,
         target,
-    } = cm.establish(client.0, target.0, controller, &settings)?;
-    let telemetry = cm.telemetry().clone();
-    let app = telemetry.scope("app");
+        telemetry,
+    } = launch_group(registry, &[client], target, controller, settings, 1, |_| {
+        String::new()
+    })?;
     Ok(AfPair {
-        client: AfClient::new(initiator, endpoint, shm, &settings, &app),
+        client: clients.pop().expect("one client"),
         target,
         telemetry,
     })
@@ -176,11 +168,10 @@ fn register_store_metrics(controller: &Controller, telemetry: &Registry) {
 /// Multi-client setup matching the paper's architecture (Fig. 1): one
 /// storage service — a single reactor — and several client applications,
 /// each over its own connection with its own isolated shared-memory
-/// channel when co-located (§4.2/§6). Every connection is established by
-/// the same [`ConnectionManager`] routine as [`launch`]'s, so the control
-/// transport follows `settings.control` and locality the same way;
-/// telemetry scopes carry the client index (`client0`, `target_conn0`,
-/// …).
+/// channel when co-located (§4.2/§6). [`launch`] runs this same
+/// bring-up with one client, so the control transport follows
+/// `settings.control` and locality the same way; telemetry scopes carry
+/// the client index (`client0`, `target_conn0`, …).
 pub fn launch_many(
     registry: &Arc<HostRegistry>,
     clients: &[(ProcessId, u64)],
@@ -188,7 +179,9 @@ pub fn launch_many(
     controller: Controller,
     settings: FabricSettings,
 ) -> Result<AfGroup, NvmeofError> {
-    launch_group(registry, clients, target, controller, settings, 1)
+    launch_group(registry, clients, target, controller, settings, 1, |i| {
+        i.to_string()
+    })
 }
 
 /// [`launch_many`] scaled out: the storage service runs one reactor
@@ -206,12 +199,20 @@ pub fn launch_many_sharded(
     settings: FabricSettings,
     shards: usize,
 ) -> Result<AfGroup, NvmeofError> {
-    launch_group(registry, clients, target, controller, settings, shards)
+    launch_group(
+        registry,
+        clients,
+        target,
+        controller,
+        settings,
+        shards,
+        |i| i.to_string(),
+    )
 }
 
-/// The group bring-up: wire every client, start the storage service on
-/// `shards` reactors over all the target ends, then connect every
-/// client.
+/// The one bring-up every entry point runs: wire every client, start the
+/// storage service on `shards` reactors over all the target ends, then
+/// connect every client. Client `i`'s scopes carry the suffix `tag(i)`.
 fn launch_group(
     registry: &Arc<HostRegistry>,
     clients: &[(ProcessId, u64)],
@@ -219,6 +220,7 @@ fn launch_group(
     controller: Controller,
     settings: FabricSettings,
     shards: usize,
+    tag: fn(usize) -> String,
 ) -> Result<AfGroup, NvmeofError> {
     registry.register(target.0, target.1);
     let cm = ConnectionManager::new(registry.clone());
@@ -229,7 +231,7 @@ fn launch_group(
     let mut sides = Vec::with_capacity(clients.len());
     for (i, &(pid, host)) in clients.iter().enumerate() {
         registry.register(pid, host);
-        let tag = i.to_string();
+        let tag = tag(i);
         let (served, side) = cm.wire(pid, target.0, &settings, &tag)?;
         specs.push(served.into_spec());
         sides.push((tag, side));
@@ -238,9 +240,9 @@ fn launch_group(
 
     let mut afs = Vec::with_capacity(clients.len());
     for (tag, side) in sides {
-        let (initiator, endpoint, shm) = cm.connect(side, target.0, &settings, &tag)?;
+        let (initiator, shm) = cm.connect(side, &settings, &tag)?;
         let app = telemetry.scope(&format!("app{tag}"));
-        afs.push(AfClient::new(initiator, endpoint, shm, &settings, &app));
+        afs.push(AfClient::new(initiator, shm, &settings, &app));
     }
     Ok(AfGroup {
         clients: afs,
@@ -255,7 +257,6 @@ impl AfClient {
     /// otherwise) and its application-view counters under `app`.
     fn new(
         initiator: Initiator<ControlTransport>,
-        endpoint: Arc<AfEndpoint>,
         shm: Option<Arc<ShmPayloadChannel>>,
         settings: &FabricSettings,
         app: &Scope,
@@ -272,18 +273,13 @@ impl AfClient {
         AfClient {
             initiator,
             bufmgr: BufferManager::new(pool, shm),
-            endpoint,
             app: AppCounters::new(app),
             inflight_meta: CidMap::default(),
         }
     }
 
-    /// The client's AF endpoint object.
-    pub fn endpoint(&self) -> &Arc<AfEndpoint> {
-        &self.endpoint
-    }
-
-    /// Whether the shared-memory data path is active.
+    /// Whether the shared-memory data path is active: true once the
+    /// handshake granted it, false for good after a degrade to TCP.
     pub fn shm_active(&self) -> bool {
         self.initiator.shm_active()
     }
@@ -564,7 +560,6 @@ impl AfClient {
 
     /// Graceful disconnect.
     pub fn disconnect(&mut self) -> Result<(), NvmeofError> {
-        self.endpoint.close();
         self.initiator.disconnect()
     }
 }

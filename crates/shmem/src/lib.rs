@@ -3,7 +3,10 @@
 //! In the paper, co-located client and target VMs/containers communicate
 //! through an IVSHMEM/ICSHMEM region hot-plugged by a helper process
 //! (§4.2). This crate implements that region and every algorithm the paper
-//! layers on it, for real — threads, atomics and `memcpy`, not a model:
+//! layers on it, for real — threads, atomics and `memcpy`, not a model.
+//! Here the Connection Manager allocates one region per co-located
+//! connection ([`ShmChannel::allocate`]), and the region lives as long
+//! as the channel ends that share it:
 //!
 //! * [`region::ShmRegion`] — a 64-byte-aligned shared segment with raw
 //!   read/write primitives (the IVSHMEM BAR analog),
@@ -17,8 +20,6 @@
 //!   control path (the paper's §5.5 future-work direction); on the
 //!   default TCP control path slot references ride the control PDUs,
 //!   so no separate notification ring exists,
-//! * [`flag::FlagPage`] — the pre-reserved page the helper process uses to
-//!   announce locality (§4.2),
 //! * [`bufmgr::BufferManager`] — the Buffer Manager proper and the only
 //!   code that claims a transmit slot: a round-robin lease pool over one
 //!   direction's slots, with RAII [`bufmgr::SlotLease`]s whose bytes *are*
@@ -40,7 +41,6 @@
 pub mod bufmgr;
 pub mod byte_ring;
 pub mod channel;
-pub mod flag;
 pub mod layout;
 pub mod locked;
 pub mod region;

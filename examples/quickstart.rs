@@ -20,8 +20,8 @@ fn main() {
     controller.add_namespace(Namespace::new(1, 4096, 16 * 1024));
 
     // 2. The helper process (the cluster resource manager in the paper):
-    //    both processes register; co-location triggers the shared-memory
-    //    hot-plug.
+    //    both processes register; co-location gives the connection its
+    //    own shared-memory region.
     let registry = Arc::new(HostRegistry::new());
     let host = 42; // same physical host for client and target
     let mut pair = launch(

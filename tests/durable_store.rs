@@ -14,7 +14,6 @@ use std::time::Duration;
 use nvme_oaf::nvmeof::nvme::controller::Controller;
 use nvme_oaf::nvmeof::nvme::namespace::Namespace;
 use nvme_oaf::oaf::conn::FabricSettings;
-use nvme_oaf::oaf::endpoint::ChannelKind;
 use nvme_oaf::oaf::locality::{HostRegistry, ProcessId};
 use nvme_oaf::oaf::runtime::{launch, AfPair};
 use nvme_oaf::ssd::BlockStore;
@@ -71,7 +70,6 @@ fn trim_flush_fua_roundtrip_over_real_sockets_survives_reopen() {
     let path = TempPath::new("e2e");
     let mut p = launch_remote_file_backed(&path.0);
     assert!(!p.client.shm_active());
-    assert_eq!(p.client.endpoint().channel(), ChannelKind::Tcp);
 
     // Plain writes across a few extents.
     for (lba, nlb) in [(0u64, 4u32), (16, 8), (100, 2)] {

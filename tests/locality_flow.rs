@@ -1,4 +1,4 @@
-//! Integration: locality awareness, hot-plug announcements, measured
+//! Integration: locality awareness, per-connection regions, measured
 //! per-op control frames, and fabric settings propagation across crates.
 
 use std::sync::Arc;
@@ -6,8 +6,8 @@ use std::time::Duration;
 
 use nvme_oaf::nvmeof::nvme::controller::Controller;
 use nvme_oaf::nvmeof::nvme::namespace::Namespace;
-use nvme_oaf::oaf::conn::{ConnectionManager, ControlPath, FabricSettings};
-use nvme_oaf::oaf::locality::{poll_locality, HostRegistry, ProcessId};
+use nvme_oaf::oaf::conn::{ControlPath, FabricSettings};
+use nvme_oaf::oaf::locality::{HostRegistry, ProcessId};
 use nvme_oaf::oaf::runtime::{launch, AfPair};
 
 const TIMEOUT: Duration = Duration::from_secs(10);
@@ -19,78 +19,116 @@ fn controller() -> Controller {
 }
 
 #[test]
-fn helper_process_announcements_follow_hotplug_lifecycle() {
-    let reg = HostRegistry::new();
-    let c = ProcessId(1);
-    let t = ProcessId(2);
-    let cflag = reg.register(c, 5);
-    let tflag = reg.register(t, 5);
-
-    // Nothing announced before hot-plug.
-    assert!(poll_locality(&cflag).is_none());
-    assert!(poll_locality(&tflag).is_none());
-
-    let hp = reg.hotplug(c, t, 8, 4096).expect("co-located");
-    let a = poll_locality(&cflag).expect("announced to client");
-    let b = poll_locality(&tflag).expect("announced to target");
-    assert_eq!(a.region_id, hp.region_id);
-    assert_eq!(a.region_id, b.region_id);
-    assert_eq!(a.host_id, 5);
-
-    // Unplug clears both pages.
-    reg.unplug(c, t);
-    assert!(poll_locality(&cflag).is_none());
-    assert!(poll_locality(&tflag).is_none());
-}
-
-#[test]
-fn establish_uses_hotplug_only_when_co_located() {
+fn launch_shares_a_region_only_when_co_located() {
     for (host_c, host_t, expect_shm) in [(9, 9, true), (9, 10, false)] {
-        let reg = Arc::new(HostRegistry::new());
-        reg.register(ProcessId(1), host_c);
-        reg.register(ProcessId(2), host_t);
-        let cm = ConnectionManager::new(reg.clone());
-        let fabric = cm
-            .establish(
-                ProcessId(1),
-                ProcessId(2),
-                controller(),
-                &FabricSettings::default(),
-            )
-            .expect("establish");
-        assert_eq!(fabric.initiator.shm_active(), expect_shm);
+        let registry = Arc::new(HostRegistry::new());
+        let mut p = launch(
+            &registry,
+            (ProcessId(1), host_c),
+            (ProcessId(2), host_t),
+            controller(),
+            FabricSettings::default(),
+        )
+        .expect("launch");
+        assert_eq!(p.client.shm_active(), expect_shm);
+        let buf = p.client.alloc(4096).expect("alloc");
+        assert_eq!(buf.is_zero_copy(), expect_shm, "lease only over a region");
+        drop(buf);
+        let snap = p.telemetry.snapshot();
+        assert_eq!(snap.counter("fabric", "locality_local"), expect_shm as u64);
         assert_eq!(
-            reg.channel_for(ProcessId(1), ProcessId(2)).is_some(),
-            expect_shm,
-            "hotplug record mismatch"
+            snap.counter("fabric", "locality_remote"),
+            !expect_shm as u64
         );
-        cm.teardown(ProcessId(1), ProcessId(2), fabric)
-            .expect("teardown");
-        assert!(reg.channel_for(ProcessId(1), ProcessId(2)).is_none());
+        p.client.disconnect().expect("disconnect");
+        p.target.shutdown().expect("shutdown");
     }
 }
 
+/// `depth` and `slot_size` shape the connection's region: a lease fits
+/// `slot_size` bytes and no more, and `depth` leases exhaust it (the
+/// next allocation falls back to the pool).
 #[test]
 fn fabric_settings_control_slot_geometry() {
-    let reg = Arc::new(HostRegistry::new());
-    reg.register(ProcessId(1), 3);
-    reg.register(ProcessId(2), 3);
-    let cm = ConnectionManager::new(reg.clone());
-    let settings = FabricSettings {
-        depth: 4,
-        slot_size: 8192,
-        ..FabricSettings::default()
-    };
-    let fabric = cm
-        .establish(ProcessId(1), ProcessId(2), controller(), &settings)
-        .expect("establish");
-    let hp = reg
-        .channel_for(ProcessId(1), ProcessId(2))
-        .expect("channel");
-    assert_eq!(hp.channel.depth(), 4);
-    assert_eq!(hp.channel.slot_size(), 8192);
-    cm.teardown(ProcessId(1), ProcessId(2), fabric)
-        .expect("teardown");
+    let registry = Arc::new(HostRegistry::new());
+    let mut p = launch(
+        &registry,
+        (ProcessId(1), 3),
+        (ProcessId(2), 3),
+        controller(),
+        FabricSettings {
+            depth: 4,
+            slot_size: 8192,
+            ..FabricSettings::default()
+        },
+    )
+    .expect("launch");
+    assert!(!p.client.alloc(8193).expect("alloc").is_zero_copy());
+    let held: Vec<_> = (0..4)
+        .map(|_| p.client.alloc(8192).expect("alloc"))
+        .collect();
+    assert!(held.iter().all(|b| b.is_zero_copy()), "4 slots of 8 KiB");
+    assert!(
+        !p.client.alloc(8192).expect("alloc").is_zero_copy(),
+        "depth 4"
+    );
+    drop(held);
+    assert!(p.client.alloc(8192).expect("alloc").is_zero_copy());
+    p.client.disconnect().expect("disconnect");
+    p.target.shutdown().expect("shutdown");
+}
+
+/// A connection's region belongs to that connection: a second `launch`
+/// between the same two processes on one registry gets the geometry its
+/// own settings ask for, not the region an earlier pair was given.
+#[test]
+fn a_second_launch_on_one_registry_gets_its_own_region() {
+    let registry = Arc::new(HostRegistry::new());
+    let runs = [
+        FabricSettings {
+            depth: 4,
+            slot_size: 8192,
+            ..FabricSettings::default()
+        },
+        FabricSettings::default(),
+    ];
+    for settings in runs {
+        let slot = settings.slot_size;
+        let mut p = launch(
+            &registry,
+            (ProcessId(1), 3),
+            (ProcessId(2), 3),
+            controller(),
+            settings,
+        )
+        .expect("launch");
+        assert!(p.client.shm_active(), "{slot} B slots");
+        assert!(
+            p.client.alloc(slot).expect("alloc").is_zero_copy(),
+            "{slot} B slots"
+        );
+        assert!(
+            !p.client.alloc(slot + 1).expect("alloc").is_zero_copy(),
+            "{slot} B slots"
+        );
+        let mut buf = p.client.alloc(slot.min(64 * 1024)).expect("alloc");
+        buf.fill(0x5a);
+        let nlb = (buf.len() / 4096) as u32;
+        p.client.write(1, 0, nlb, buf, TIMEOUT).expect("write");
+        let snap = p.telemetry.snapshot();
+        assert_eq!(
+            snap.counter("target_conn0", "shm_payloads"),
+            1,
+            "{slot} B slots"
+        );
+        assert_eq!(
+            snap.counter("target_conn0", "r2t_grants"),
+            0,
+            "{slot} B slots"
+        );
+        p.client.disconnect().expect("disconnect");
+        p.target.shutdown().expect("shutdown");
+    }
 }
 
 /// Frames on the control path per op, measured at QD1 through the
@@ -166,34 +204,33 @@ fn frames_per_op_follow_the_in_capsule_flow() {
     }
 }
 
+/// Five connections in a row between the same two processes on one
+/// registry: each comes up over shared memory and moves bytes.
 #[test]
 fn repeated_establish_teardown_cycles_are_stable() {
-    let reg = Arc::new(HostRegistry::new());
-    reg.register(ProcessId(1), 1);
-    reg.register(ProcessId(2), 1);
-    let cm = ConnectionManager::new(reg.clone());
-    for round in 0..5 {
-        let mut fabric = cm
-            .establish(
-                ProcessId(1),
-                ProcessId(2),
-                controller(),
-                &FabricSettings::default(),
-            )
+    let registry = Arc::new(HostRegistry::new());
+    for round in 0..5u8 {
+        let mut p = launch(
+            &registry,
+            (ProcessId(1), 1),
+            (ProcessId(2), 1),
+            controller(),
+            FabricSettings::default(),
+        )
+        .unwrap_or_else(|e| panic!("round {round}: {e}"));
+        assert!(p.client.shm_active(), "round {round}");
+        // One I/O per cycle proves the channel is live.
+        let mut buf = p.client.alloc(4096).expect("alloc");
+        assert!(buf.is_zero_copy(), "round {round}");
+        buf.fill(round);
+        p.client
+            .write(1, 0, 1, buf, TIMEOUT)
             .unwrap_or_else(|e| panic!("round {round}: {e}"));
-        assert!(fabric.initiator.shm_active(), "round {round}");
-        // Do one I/O per cycle to prove the channel is live.
-        fabric
-            .initiator
-            .write_blocking(
-                1,
-                0,
-                1,
-                bytes::Bytes::from(vec![round as u8; 4096]),
-                std::time::Duration::from_secs(5),
-            )
+        p.client
+            .disconnect()
             .unwrap_or_else(|e| panic!("round {round}: {e}"));
-        cm.teardown(ProcessId(1), ProcessId(2), fabric)
+        p.target
+            .shutdown()
             .unwrap_or_else(|e| panic!("round {round}: {e}"));
     }
 }

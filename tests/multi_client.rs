@@ -83,26 +83,34 @@ fn mixed_locality_clients_share_one_service() {
 fn per_client_channels_are_isolated_regions() {
     let registry = Arc::new(HostRegistry::new());
     let clients = [(ProcessId(21), 5u64), (ProcessId(22), 5u64)];
-    let group = launch_many(
+    let mut group = launch_many(
         &registry,
         &clients,
         (ProcessId(90), 5),
         controller(),
-        FabricSettings::default(),
+        FabricSettings {
+            depth: 4,
+            slot_size: 8192,
+            ..FabricSettings::default()
+        },
     )
     .expect("launch_many");
 
-    // The helper process allocated distinct regions (§6: per-client
-    // isolation so no tenant can snoop another's payloads).
-    let a = registry
-        .channel_for(ProcessId(21), ProcessId(90))
-        .expect("channel a");
-    let b = registry
-        .channel_for(ProcessId(22), ProcessId(90))
-        .expect("channel b");
-    assert_ne!(a.region_id, b.region_id);
+    // Each client has a region of its own (§6: per-client isolation so
+    // no tenant can snoop another's payloads): client 0 holding every
+    // slot of its region leaves client 1's untouched.
+    let held: Vec<_> = (0..4)
+        .map(|_| group.clients[0].alloc(8192).expect("alloc"))
+        .collect();
+    assert!(held.iter().all(|b| b.is_zero_copy()));
+    assert!(!group.clients[0].alloc(8192).expect("alloc").is_zero_copy());
+    assert!(group.clients[1].alloc(8192).expect("alloc").is_zero_copy());
+    drop(held);
 
-    drop(group);
+    for c in &mut group.clients {
+        c.disconnect().expect("disconnect");
+    }
+    group.target.shutdown().expect("service shutdown");
 }
 
 #[test]
