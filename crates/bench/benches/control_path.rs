@@ -1,5 +1,5 @@
-//! Control-path microbenchmarks (the PR's tentpole numbers): command →
-//! completion PDU round-trips over the real-runtime transports,
+//! Control-path microbenchmarks: command → completion PDU round-trips
+//! over the in-region ring transport,
 //! comparing the seed-style per-frame path (owned `Bytes` per hop)
 //! against the batched hot path (scratch `encode_into` + `send_frame` +
 //! borrowed `recv_batch` drain), plus an allocations-per-op probe via a
@@ -27,7 +27,7 @@ use oaf_nvmeof::nvme::controller::Controller;
 use oaf_nvmeof::nvme::namespace::Namespace;
 use oaf_nvmeof::pdu::{CapsuleCmd, CapsuleResp, DataRef, Pdu};
 use oaf_nvmeof::target::{TargetConfig, TargetConnection};
-use oaf_nvmeof::transport::{queue_pdu, MemTransport, ShmTransport, Transport};
+use oaf_nvmeof::transport::{queue_pdu, ShmTransport, Transport};
 
 /// Counts allocations on the bench thread when tracking is on;
 /// delegates to [`System`]. Thread-local so criterion's own helper
@@ -152,25 +152,24 @@ fn roundtrip_batched<T: Transport>(
 fn bench_roundtrips(c: &mut Criterion) {
     let mut g = c.benchmark_group("control/roundtrip");
 
-    for (label, mk) in transports() {
-        let (client, target) = mk();
-        g.throughput(Throughput::Elements(1));
-        g.bench_function(BenchmarkId::new("per-frame", label), |b| {
-            b.iter(|| roundtrip_owned(&client, &target))
-        });
+    let label = "shm";
+    let (client, target) = ring_pair();
+    g.throughput(Throughput::Elements(1));
+    g.bench_function(BenchmarkId::new("per-frame", label), |b| {
+        b.iter(|| roundtrip_owned(&client, &target))
+    });
 
-        let mut c_scratch = BytesMut::with_capacity(512);
-        let mut t_scratch = BytesMut::with_capacity(512);
-        g.bench_function(BenchmarkId::new("batched-qd1", label), |b| {
-            b.iter(|| roundtrip_batched(&client, &target, &mut c_scratch, &mut t_scratch, 1))
-        });
+    let mut c_scratch = BytesMut::with_capacity(512);
+    let mut t_scratch = BytesMut::with_capacity(512);
+    g.bench_function(BenchmarkId::new("batched-qd1", label), |b| {
+        b.iter(|| roundtrip_batched(&client, &target, &mut c_scratch, &mut t_scratch, 1))
+    });
 
-        for qd in [16u16, 64] {
-            g.throughput(Throughput::Elements(qd as u64));
-            g.bench_function(BenchmarkId::new(format!("batched-qd{qd}"), label), |b| {
-                b.iter(|| roundtrip_batched(&client, &target, &mut c_scratch, &mut t_scratch, qd))
-            });
-        }
+    for qd in [16u16, 64] {
+        g.throughput(Throughput::Elements(qd as u64));
+        g.bench_function(BenchmarkId::new(format!("batched-qd{qd}"), label), |b| {
+            b.iter(|| roundtrip_batched(&client, &target, &mut c_scratch, &mut t_scratch, qd))
+        });
     }
     g.finish();
 }
@@ -270,56 +269,38 @@ fn bench_initiator(c: &mut Criterion) {
     g.finish();
 }
 
-type TransportPair = (Box<dyn Transport>, Box<dyn Transport>);
-type TransportCase = (&'static str, fn() -> TransportPair);
-
-fn transports() -> Vec<TransportCase> {
-    fn shm() -> TransportPair {
-        let (a, b) = ShmTransport::pair(256 * 1024);
-        (Box::new(a), Box::new(b))
-    }
-    fn mem() -> TransportPair {
-        let (a, b) = MemTransport::pair();
-        (Box::new(a), Box::new(b))
-    }
-    vec![("shm", shm), ("mem", mem)]
+/// The ring pair every round-trip row runs over.
+fn ring_pair() -> (ShmTransport, ShmTransport) {
+    ShmTransport::pair(256 * 1024)
 }
 
 /// Measures allocations per round trip for each path and prints them —
 /// the bench-visible counterpart of the `zero_alloc` regression test.
 fn report_allocations(_c: &mut Criterion) {
     const OPS: u64 = 1000;
-    let mut lines = Vec::new();
-    for (label, mk) in transports() {
-        let (client, target) = mk();
-        let mut c_scratch = BytesMut::with_capacity(512);
-        let mut t_scratch = BytesMut::with_capacity(512);
-        // Warm up ring caches and scratch capacities off the books.
-        for _ in 0..64 {
-            roundtrip_owned(&client, &target);
-            roundtrip_batched(&client, &target, &mut c_scratch, &mut t_scratch, 1);
-        }
+    let (client, target) = ring_pair();
+    let mut c_scratch = BytesMut::with_capacity(512);
+    let mut t_scratch = BytesMut::with_capacity(512);
+    // Warm up ring caches and scratch capacities off the books.
+    for _ in 0..64 {
+        roundtrip_owned(&client, &target);
+        roundtrip_batched(&client, &target, &mut c_scratch, &mut t_scratch, 1);
+    }
 
-        let measure = |f: &mut dyn FnMut()| -> f64 {
-            TRACK.with(|t| t.set(true));
-            ALLOCS.with(|c| c.set(0));
-            for _ in 0..OPS {
-                f();
-            }
-            TRACK.with(|t| t.set(false));
-            ALLOCS.with(Cell::get) as f64 / OPS as f64
-        };
-        let owned = measure(&mut || roundtrip_owned(&client, &target));
-        let batched =
-            measure(&mut || roundtrip_batched(&client, &target, &mut c_scratch, &mut t_scratch, 1));
-        lines.push(format!(
-            "{label}: per-frame {owned:.2} allocs/op, batched {batched:.2} allocs/op"
-        ));
-    }
+    let measure = |f: &mut dyn FnMut()| -> f64 {
+        TRACK.with(|t| t.set(true));
+        ALLOCS.with(|c| c.set(0));
+        for _ in 0..OPS {
+            f();
+        }
+        TRACK.with(|t| t.set(false));
+        ALLOCS.with(Cell::get) as f64 / OPS as f64
+    };
+    let owned = measure(&mut || roundtrip_owned(&client, &target));
+    let batched =
+        measure(&mut || roundtrip_batched(&client, &target, &mut c_scratch, &mut t_scratch, 1));
     eprintln!("control_path allocations per round trip:");
-    for line in lines {
-        eprintln!("  {line}");
-    }
+    eprintln!("  shm: per-frame {owned:.2} allocs/op, batched {batched:.2} allocs/op");
 }
 
 criterion_group!(

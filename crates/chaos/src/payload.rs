@@ -139,11 +139,11 @@ impl PayloadChannel for ChaosPayloadChannel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oaf_nvmeof::payload::MailboxChannel;
+    use oaf_nvmeof::payload::ShmPayloadChannel;
 
     #[test]
     fn quiet_plan_passes_payloads_through() {
-        let (c, t) = MailboxChannel::pair(8);
+        let (c, t) = ShmPayloadChannel::pair(8, 64);
         let stats = Arc::new(ChaosStats::default());
         let chaos = ChaosPayloadChannel::wrap(c, 5, FaultPlan::quiet(5), stats.clone());
         chaos.arm();
@@ -157,7 +157,7 @@ mod tests {
     #[test]
     fn injected_publish_failures_are_reproducible() {
         let run = |seed: u64| {
-            let (c, _t) = MailboxChannel::pair(64);
+            let (c, _t) = ShmPayloadChannel::pair(64, 64);
             let stats = Arc::new(ChaosStats::default());
             let plan = FaultPlan {
                 shm_publish_fail_per_10k: 2_000,
@@ -177,7 +177,7 @@ mod tests {
 
     #[test]
     fn killed_channel_fails_everything() {
-        let (c, _t) = MailboxChannel::pair(8);
+        let (c, _t) = ShmPayloadChannel::pair(8, 64);
         let stats = Arc::new(ChaosStats::default());
         let chaos = ChaosPayloadChannel::wrap(c, 6, FaultPlan::quiet(6), stats);
         chaos.publish(b"before").unwrap();
@@ -188,7 +188,7 @@ mod tests {
 
     #[test]
     fn failed_consume_still_frees_the_slot() {
-        let (c, t) = MailboxChannel::pair(2);
+        let (c, t) = ShmPayloadChannel::pair(2, 64);
         let stats = Arc::new(ChaosStats::default());
         let plan = FaultPlan {
             shm_consume_fail_per_10k: 10_000,

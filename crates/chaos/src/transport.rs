@@ -391,8 +391,12 @@ pub fn wrap_pair<A: Transport, B: Transport>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oaf_nvmeof::transport::{recv_batch_until, BackoffConfig, MemTransport};
+    use oaf_nvmeof::transport::{recv_batch_until, BackoffConfig, ShmTransport};
     use std::time::{Duration, Instant};
+
+    /// Ring bytes per direction: room for every frame a test sends
+    /// before it polls.
+    const RING: u64 = 64 * 1024;
 
     fn frame(tag: u8) -> Bytes {
         Bytes::from(vec![tag; 16])
@@ -418,7 +422,7 @@ mod tests {
 
     #[test]
     fn quiet_plan_is_transparent() {
-        let (a, b) = MemTransport::pair();
+        let (a, b) = ShmTransport::pair(RING);
         let (ca, cb, controls) = wrap_pair(a, b, &FaultPlan::quiet(1));
         controls.arm();
         for i in 0..100u8 {
@@ -431,7 +435,7 @@ mod tests {
 
     #[test]
     fn unarmed_wrapper_injects_nothing() {
-        let (a, b) = MemTransport::pair();
+        let (a, b) = ShmTransport::pair(RING);
         let (ca, cb, controls) = wrap_pair(a, b, &FaultPlan::heavy(2));
         for i in 0..200u8 {
             ca.send_frame(&frame(i)).unwrap();
@@ -443,7 +447,7 @@ mod tests {
     #[test]
     fn heavy_plan_injects_reproducibly() {
         let run = |seed: u64| {
-            let (a, b) = MemTransport::pair();
+            let (a, b) = ShmTransport::pair(RING);
             let (ca, cb, controls) = wrap_pair(a, b, &FaultPlan::heavy(seed));
             controls.arm();
             let mut delivered = Vec::new();
@@ -467,7 +471,7 @@ mod tests {
 
     #[test]
     fn killed_endpoint_goes_silent() {
-        let (a, b) = MemTransport::pair();
+        let (a, b) = ShmTransport::pair(RING);
         let (ca, cb, controls) = wrap_pair(a, b, &FaultPlan::quiet(3));
         ca.send_frame(&frame(1)).unwrap();
         controls.kill(1);
@@ -481,7 +485,7 @@ mod tests {
     fn scripted_faults_fire_exactly_as_written() {
         use crate::{FaultScript, ScriptedFault};
         let run = || {
-            let (a, b) = MemTransport::pair();
+            let (a, b) = ShmTransport::pair(RING);
             let script = FaultScript {
                 faults: vec![
                     ScriptedFault {
@@ -547,7 +551,7 @@ mod tests {
 
     #[test]
     fn scheduled_peer_death_fires() {
-        let (a, b) = MemTransport::pair();
+        let (a, b) = ShmTransport::pair(RING);
         let plan = FaultPlan {
             peer_death_after: Some(10),
             ..FaultPlan::quiet(4)

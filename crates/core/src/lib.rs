@@ -31,8 +31,9 @@
 //!   writes in the initiator's 512 KiB chunks; the discrete-event model
 //!   prices the chunk ladder with [`sim::fabric::select_chunk`] (Fig. 9)
 //!   and sweeps a fixed busy-poll budget (Fig. 10);
-//! * [`payload_impl`] — the lock-free double-buffer payload channel
-//!   implementing [`oaf_nvmeof::PayloadChannel`] over real shared memory.
+//! * [`payload_impl`] — re-exports the lock-free double-buffer payload
+//!   channel, [`oaf_nvmeof::payload::ShmPayloadChannel`], which
+//!   implements [`oaf_nvmeof::PayloadChannel`] over real shared memory.
 //!
 //! Runtime and evaluation:
 //!

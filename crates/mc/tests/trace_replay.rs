@@ -19,11 +19,13 @@ use oaf_nvmeof::initiator::{Initiator, InitiatorOptions};
 use oaf_nvmeof::nvme::controller::Controller;
 use oaf_nvmeof::nvme::namespace::Namespace;
 use oaf_nvmeof::target::{spawn_target, TargetConfig};
-use oaf_nvmeof::transport::MemTransport;
+use oaf_nvmeof::transport::ShmTransport;
 
 const TIMEOUT: Duration = Duration::from_secs(10);
 const BS: usize = 4096;
 const PATTERN: u8 = 0xA5;
+/// Ring bytes per direction of the control transport.
+const RING: u64 = 64 * 1024;
 
 /// Model-checks the mutated (deliver-early) protocol over one read
 /// with a single reorder and returns the minimal counterexample.
@@ -48,7 +50,7 @@ fn model_counterexample() -> Counterexample {
 /// Runs one seeded-write + scripted-read exchange on the real stack and
 /// returns the bytes the read handed back.
 fn read_under_script(scripts: &FaultScripts, mutated: bool) -> Vec<u8> {
-    let (ct, tt) = MemTransport::pair();
+    let (ct, tt) = ShmTransport::pair(RING);
     let (ct, tt, controls) =
         wrap_pair_scripted(ct, tt, scripts.initiator.clone(), scripts.target.clone());
     let mut controller = Controller::new();

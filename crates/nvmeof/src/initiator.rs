@@ -821,10 +821,9 @@ impl<T: Transport> Initiator<T> {
     }
 
     /// Submits a write whose payload was built in place in `lease` (see
-    /// [`PayloadChannel::alloc`]). A slot lease from the negotiated
-    /// shared-memory channel publishes with no copy (§4.4.3): only the
-    /// slot reference rides the capsule. A heap lease routes through the
-    /// regular copying write path.
+    /// [`PayloadChannel::alloc`]). The slot lease publishes over the
+    /// negotiated shared-memory channel with no copy (§4.4.3): only the
+    /// slot reference rides the capsule.
     pub fn submit_write_lease(
         &mut self,
         nsid: u32,
@@ -832,10 +831,6 @@ impl<T: Transport> Initiator<T> {
         nlb: u32,
         lease: WriteLease,
     ) -> Result<u16, NvmeofError> {
-        if !lease.is_zero_copy() {
-            let buf = lease.into_heap().expect("non-slot lease is heap-backed");
-            return self.submit_write(nsid, slba, nlb, Bytes::from(buf));
-        }
         // Checked before the publish: a slot the target never looks at
         // must not enter the channel, nor count as a copy avoided.
         if !self.state.shm_active {
@@ -1541,17 +1536,20 @@ mod tests {
     use super::*;
     use crate::nvme::controller::Controller;
     use crate::nvme::namespace::Namespace;
+    use crate::payload::ShmPayloadChannel;
     use crate::target::{spawn_target, TargetConfig};
-    use crate::transport::MemTransport;
+    use crate::transport::ShmTransport;
 
     const TIMEOUT: Duration = Duration::from_secs(5);
+    /// Ring bytes per direction: a 128 KiB inline chunk fits a frame.
+    const RING: u64 = 1 << 20;
 
     fn setup(
         opts: InitiatorOptions,
         cfg: TargetConfig,
         channels: Option<(Arc<dyn PayloadChannel>, Arc<dyn PayloadChannel>)>,
-    ) -> (Initiator<MemTransport>, crate::target::TargetHandle) {
-        let (ct, tt) = MemTransport::pair();
+    ) -> (Initiator<ShmTransport>, crate::target::TargetHandle) {
+        let (ct, tt) = ShmTransport::pair(RING);
         let mut ctrl = Controller::new();
         ctrl.add_namespace(Namespace::new(1, 4096, 4096));
         let (client_ch, target_ch) = match channels {
@@ -1586,8 +1584,7 @@ mod tests {
 
     #[test]
     fn shm_negotiation_and_io() {
-        use crate::payload::MailboxChannel;
-        let (c, t) = MailboxChannel::pair(16);
+        let (c, t) = ShmPayloadChannel::pair(16, 256 * 1024);
         let opts = InitiatorOptions {
             af_caps: AF_CAP_SHM,
             ..InitiatorOptions::default()
@@ -1607,8 +1604,7 @@ mod tests {
 
     #[test]
     fn lease_write_and_borrowed_read() {
-        use crate::payload::MailboxChannel;
-        let (c, t) = MailboxChannel::pair(16);
+        let (c, t) = ShmPayloadChannel::pair(16, 64 * 1024);
         let opts = InitiatorOptions {
             af_caps: AF_CAP_SHM,
             ..InitiatorOptions::default()
@@ -1623,7 +1619,7 @@ mod tests {
         );
         assert!(ini.shm_active());
 
-        // Build the payload directly in a buffer leased from the channel.
+        // Build the payload directly in a slot leased from the channel.
         let mut lease = c.alloc(64 * 1024).unwrap();
         for (i, b) in lease.iter_mut().enumerate() {
             *b = (i % 251) as u8;
@@ -1631,6 +1627,9 @@ mod tests {
         let expect: Vec<u8> = (0..64 * 1024).map(|i| (i % 251) as u8).collect();
         let cid = ini.submit_write_lease(1, 0, 16, lease).unwrap();
         assert!(ini.wait(cid, TIMEOUT).unwrap().status.is_ok());
+        // The slot itself was published: nothing was copied.
+        assert_eq!(ini.metrics().copies_avoided.get(), 1);
+        assert_eq!(ini.metrics().zero_copy_bytes.get(), 64 * 1024);
 
         // Borrow the read payload in place instead of copying it out.
         let cid = ini.submit_read_borrowed(1, 0, 16, 64 * 1024).unwrap();
@@ -1648,18 +1647,12 @@ mod tests {
 
     #[test]
     fn zero_copy_write_publishes_only_over_a_negotiated_channel() {
-        use crate::payload::MailboxChannel;
-        use oaf_shmem::channel::{ShmChannel, Side};
         const LEN: usize = 4096;
-        // Real slot leases from a Buffer Manager over a shared region.
-        let region = ShmChannel::allocate(4, 64 * 1024);
-        let slot_lease = |fill: u8| {
-            let mut lease = region
-                .endpoint(Side::Client)
-                .lease_managed(LEN)
-                .expect("slot lease");
+        // Real slot leases from the channel's Buffer Manager.
+        let slot_lease = |c: &ShmPayloadChannel, fill: u8| {
+            let mut lease = c.alloc(LEN).expect("slot lease");
             lease.fill(fill);
-            WriteLease::from_slot(lease)
+            lease
         };
         let opts = InitiatorOptions {
             af_caps: AF_CAP_SHM,
@@ -1667,14 +1660,19 @@ mod tests {
         };
 
         // Negotiated: the slot reference rides the capsule.
-        let (c, t) = MailboxChannel::pair(16);
+        let (c, t) = ShmPayloadChannel::pair(16, 64 * 1024);
         let (mut ini, handle) = setup(
             opts.clone(),
             TargetConfig::default(),
-            Some((c as Arc<dyn PayloadChannel>, t as Arc<dyn PayloadChannel>)),
+            Some((
+                c.clone() as Arc<dyn PayloadChannel>,
+                t as Arc<dyn PayloadChannel>,
+            )),
         );
         assert!(ini.shm_active());
-        let cid = ini.submit_write_lease(1, 3, 1, slot_lease(0xa5)).unwrap();
+        let cid = ini
+            .submit_write_lease(1, 3, 1, slot_lease(&c, 0xa5))
+            .unwrap();
         assert!(ini.wait(cid, TIMEOUT).unwrap().status.is_ok());
         assert_eq!(ini.metrics().copies_avoided.get(), 1);
         assert_eq!(ini.metrics().zero_copy_bytes.get(), LEN as u64);
@@ -1684,15 +1682,22 @@ mod tests {
 
         // The target granted no channel: the write errs before anything
         // is published or counted.
-        let (c, t) = MailboxChannel::pair(16);
-        let (ct, tt) = MemTransport::pair();
+        let (c, t) = ShmPayloadChannel::pair(16, 64 * 1024);
+        let (ct, tt) = ShmTransport::pair(RING);
         let mut ctrl = Controller::new();
         ctrl.add_namespace(Namespace::new(1, 4096, 4096));
         let handle = spawn_target(tt, ctrl, TargetConfig::default(), None);
-        let mut ini =
-            Initiator::connect(ct, opts, Some(c as Arc<dyn PayloadChannel>), TIMEOUT).unwrap();
+        let mut ini = Initiator::connect(
+            ct,
+            opts,
+            Some(c.clone() as Arc<dyn PayloadChannel>),
+            TIMEOUT,
+        )
+        .unwrap();
         assert!(!ini.shm_active());
-        assert!(ini.submit_write_lease(1, 3, 1, slot_lease(0x5a)).is_err());
+        assert!(ini
+            .submit_write_lease(1, 3, 1, slot_lease(&c, 0x5a))
+            .is_err());
         for slot in 0..16 {
             assert!(t.consume_with(slot, LEN as u32, &mut |_| ()).is_err());
         }

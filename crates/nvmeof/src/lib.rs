@@ -15,21 +15,23 @@
 //!   I/O over TCP, while with a negotiated shared-memory channel every
 //!   write rides in-capsule as a slot reference and every read lands in
 //!   a leased slot,
-//! * an in-process duplex [`transport::MemTransport`] (with an optional
-//!   rate-limited wrapper emulating NIC speeds in wall-clock time), and
+//! * two control transports: a real nonblocking kernel-TCP socket
+//!   ([`tcp::TcpTransport`]) and an in-region duplex transport
+//!   ([`transport::ShmTransport`]) over lock-free byte rings — the §5.5
+//!   future-work configuration where control PDUs leave kernel TCP too,
+//!   and the transport every in-process test runs — with an optional
+//!   rate-limited wrapper emulating NIC speeds in wall-clock time, and
 //! * a polled [`target::TargetConnection`] / [`initiator::Initiator`]
 //!   pair that actually moves bytes into a [`oaf_ssd::SharedRamDisk`]-backed
 //!   namespace, plus a multi-connection storage service
 //!   ([`shard::spawn_sharded`]) matching the paper's one-service,
-//!   many-clients architecture (Fig. 1),
-//! * an in-region duplex control transport
-//!   ([`transport::ShmTransport`]) over lock-free byte rings — the §5.5
-//!   future-work configuration where control PDUs leave kernel TCP too.
+//!   many-clients architecture (Fig. 1).
 //!
-//! The adaptive-fabric co-design hook is deliberately an *interface* here
-//! ([`payload::PayloadChannel`]): the `oaf-core` crate wires it to the
-//! lock-free shared-memory channel, keeping this crate a faithful,
-//! transport-agnostic NVMe-oF stack.
+//! The adaptive-fabric co-design hook is an *interface*
+//! ([`payload::PayloadChannel`]) with one implementation,
+//! [`payload::ShmPayloadChannel`], over the lock-free shared-memory
+//! channel; the `oaf-core` crate decides per connection whether to wire
+//! it, keeping the protocol code transport-agnostic.
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]

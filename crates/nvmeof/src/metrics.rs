@@ -13,7 +13,7 @@ use oaf_telemetry::{Counter, Gauge, Histo, Scope};
 use std::sync::Arc;
 
 /// Per-endpoint transport counters: frame/byte flow, batch shape, the
-/// owned-vs-borrowed receive split, and congestion/backoff behavior.
+/// borrowed receive path, and congestion/backoff behavior.
 #[derive(Default, Debug)]
 pub struct TransportMetrics {
     /// Frames successfully handed to the peer.
@@ -29,8 +29,6 @@ pub struct TransportMetrics {
     pub batch_sizes: Histo,
     /// Frames delivered as borrowed ring slices (zero-copy path).
     pub frames_borrowed: Counter,
-    /// Frames delivered as owned buffers (copy or channel hand-off).
-    pub frames_owned: Counter,
     /// Sends that exhausted the full-ring backoff and gave up with
     /// [`crate::error::NvmeofError::RingFull`].
     pub ring_full: Counter,
@@ -52,7 +50,6 @@ impl TransportMetrics {
         scope.adopt_counter("bytes_received", &self.bytes_received);
         scope.adopt_histo("batch_sizes", &self.batch_sizes);
         scope.adopt_counter("frames_borrowed", &self.frames_borrowed);
-        scope.adopt_counter("frames_owned", &self.frames_owned);
         scope.adopt_counter("ring_full", &self.ring_full);
         scope.adopt_counter("backoff_yields", &self.backoff_yields);
     }
@@ -61,13 +58,6 @@ impl TransportMetrics {
     pub(crate) fn on_send(&self, bytes: usize) {
         self.frames_sent.inc();
         self.bytes_sent.add(bytes as u64);
-    }
-
-    #[inline]
-    pub(crate) fn on_recv_owned(&self, bytes: usize) {
-        self.frames_received.inc();
-        self.bytes_received.add(bytes as u64);
-        self.frames_owned.inc();
     }
 
     /// Record `frames` borrowed frames of `bytes` bytes in total.

@@ -1,4 +1,4 @@
-//! The out-of-band payload channel interface (co-design hook).
+//! The out-of-band payload channel (co-design hook).
 //!
 //! When a connection negotiates the shared-memory channel, data PDUs stop
 //! carrying bytes and instead reference a slot published through this
@@ -6,9 +6,9 @@
 //! interface is *lease-based* so the zero-copy ablation step (§4.4.3) needs
 //! no extra copies anywhere:
 //!
-//! * send side: [`PayloadChannel::alloc`] hands out a [`WriteLease`] — for
-//!   a shared-memory channel the lease **is** a slot of the region — and
-//!   [`PayloadChannel::publish_lease`] publishes it without copying;
+//! * send side: [`PayloadChannel::alloc`] hands out a [`WriteLease`] — a
+//!   slot of the region — and [`PayloadChannel::publish_lease`] publishes
+//!   it without copying;
 //! * receive side: [`PayloadChannel::consume_with`] lends the published
 //!   bytes to a closure *in place*, freeing the slot afterwards.
 //!
@@ -17,132 +17,56 @@
 //! the only copy path: `publish` is alloc + one copy + publish, `consume`
 //! is a borrow + one copy out. No implementation overrides them, so a
 //! copying publish takes its slot from the same allocator as a lease.
-//! `oaf-core` implements this trait over the real lock-free
-//! [`oaf_shmem::ShmChannel`].
+//! [`ShmPayloadChannel`] implements the trait over the real lock-free
+//! [`oaf_shmem::ShmChannel`]; `oaf-chaos` wraps it to inject faults.
 
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
-use oaf_shmem::SlotLease;
-use parking_lot::Mutex;
+use oaf_shmem::channel::{ShmEndpoint, Side};
+use oaf_shmem::{BufStats, BufferManager, ShmChannel, ShmError, SlotLease};
 
 use crate::error::NvmeofError;
 
-enum LeaseInner {
-    /// A managed slot of a shared-memory region: publishing is free.
-    Slot(SlotLease),
-    /// Fallback for channels with no shared region behind them: a plain
-    /// heap buffer the channel will copy at publish time.
-    Heap(Vec<u8>),
-}
-
-/// A write buffer leased from a payload channel.
+/// A write buffer leased from a payload channel: a managed slot of the
+/// shared region.
 ///
 /// Fill it through `DerefMut` (or any `&mut [u8]` API), then hand it to
-/// [`PayloadChannel::publish_lease`]. On a shared-memory channel the
-/// buffer lives directly in the region — publishing copies nothing. On a
-/// fallback channel it is a heap buffer and publishing copies once,
-/// exactly like the old `publish(&[u8])` path.
-pub struct WriteLease {
-    inner: LeaseInner,
-}
+/// [`PayloadChannel::publish_lease`]. The buffer lives directly in the
+/// region, so publishing copies nothing.
+pub struct WriteLease(SlotLease);
 
 impl std::fmt::Debug for WriteLease {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match &self.inner {
-            LeaseInner::Slot(l) => f
-                .debug_struct("WriteLease")
-                .field("kind", &"slot")
-                .field("slot", &l.slot())
-                .field("len", &l.len())
-                .finish(),
-            LeaseInner::Heap(b) => f
-                .debug_struct("WriteLease")
-                .field("kind", &"heap")
-                .field("len", &b.len())
-                .finish(),
-        }
+        f.debug_struct("WriteLease")
+            .field("slot", &self.0.slot())
+            .field("len", &self.0.len())
+            .finish()
     }
 }
 
 impl WriteLease {
-    /// Wraps a managed shared-memory slot lease.
-    pub fn from_slot(lease: SlotLease) -> Self {
-        WriteLease {
-            inner: LeaseInner::Slot(lease),
-        }
-    }
-
-    /// A zero-filled heap-backed lease of `len` bytes (copy fallback).
-    pub fn heap(len: usize) -> Self {
-        WriteLease {
-            inner: LeaseInner::Heap(vec![0u8; len]),
-        }
-    }
-
     /// Logical length of the buffer.
     pub fn len(&self) -> usize {
-        match &self.inner {
-            LeaseInner::Slot(l) => l.len(),
-            LeaseInner::Heap(b) => b.len(),
-        }
+        self.0.len()
     }
 
     /// Whether the logical length is zero.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Whether publishing this lease avoids the application-side copy.
-    pub fn is_zero_copy(&self) -> bool {
-        matches!(self.inner, LeaseInner::Slot(_))
-    }
-
-    /// Shrinks the logical length to `len` (e.g. a short final chunk).
-    pub fn truncate(&mut self, len: usize) {
-        match &mut self.inner {
-            LeaseInner::Slot(l) => {
-                if len < l.len() {
-                    l.set_len(len).expect("shrinking below slot size");
-                }
-            }
-            LeaseInner::Heap(b) => b.truncate(len),
-        }
-    }
-
-    /// Unwraps the managed slot lease, or gives the lease back.
-    pub fn into_slot(self) -> Result<SlotLease, WriteLease> {
-        match self.inner {
-            LeaseInner::Slot(l) => Ok(l),
-            other => Err(WriteLease { inner: other }),
-        }
-    }
-
-    /// Unwraps the heap buffer, or gives the lease back.
-    pub fn into_heap(self) -> Result<Vec<u8>, WriteLease> {
-        match self.inner {
-            LeaseInner::Heap(b) => Ok(b),
-            other => Err(WriteLease { inner: other }),
-        }
+        self.0.is_empty()
     }
 }
 
 impl Deref for WriteLease {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        match &self.inner {
-            LeaseInner::Slot(l) => l,
-            LeaseInner::Heap(b) => b,
-        }
+        &self.0
     }
 }
 
 impl DerefMut for WriteLease {
     fn deref_mut(&mut self) -> &mut [u8] {
-        match &mut self.inner {
-            LeaseInner::Slot(l) => l,
-            LeaseInner::Heap(b) => b,
-        }
+        &mut self.0
     }
 }
 
@@ -150,9 +74,8 @@ impl DerefMut for WriteLease {
 /// target. Implementations must be cheap to share across the polling
 /// threads of a connection.
 pub trait PayloadChannel: Send + Sync {
-    /// Leases a transmit buffer of `len` bytes. On a shared-memory
-    /// channel the buffer is a slot of the region (zero-copy, §4.4.3);
-    /// otherwise it is heap-backed and `publish_lease` copies once.
+    /// Leases a transmit buffer of `len` bytes: a slot of the region
+    /// (zero-copy, §4.4.3).
     fn alloc(&self, len: usize) -> Result<WriteLease, NvmeofError>;
 
     /// Publishes a filled lease in this side's transmit direction;
@@ -193,117 +116,101 @@ pub trait PayloadChannel: Send + Sync {
 
     /// Marks the channel unusable for new traffic: subsequent `alloc` /
     /// `publish` calls fail fast so the connection's degradation logic
-    /// can route payloads elsewhere. Default: no-op for channels with no
-    /// failure mode worth isolating.
-    fn quarantine(&self) {}
+    /// can route payloads elsewhere.
+    fn quarantine(&self);
 
     /// Force-reclaims every published-but-unconsumed (or stuck mid-write)
     /// slot, returning how many were freed. Called after [`quarantine`]
-    /// so in-flight references cannot race new leases. Default: nothing
-    /// to reclaim.
+    /// so in-flight references cannot race new leases.
     ///
     /// [`quarantine`]: PayloadChannel::quarantine
-    fn reclaim(&self) -> usize {
-        0
-    }
+    fn reclaim(&self) -> usize;
 
     /// Force-reclaims one published slot in this side's transmit
     /// direction — used when a retry abandons a payload the peer provably
-    /// never consumed. Returns whether the slot was freed. Default:
-    /// nothing to free.
-    fn reclaim_slot(&self, slot: u32) -> bool {
-        let _ = slot;
-        false
+    /// never consumed. Returns whether the slot was freed.
+    fn reclaim_slot(&self, slot: u32) -> bool;
+}
+
+fn map_err(e: ShmError) -> NvmeofError {
+    NvmeofError::Payload(e.to_string())
+}
+
+/// The lock-free double-buffer payload channel (one side's view),
+/// bridged to [`PayloadChannel`] so the NVMe-oF stack can publish and
+/// consume payloads without knowing about slots or atomics. It
+/// implements the lease methods only: every transmit slot, for a
+/// zero-copy lease and a copying `publish` alike, comes from the
+/// direction's [`BufferManager`].
+pub struct ShmPayloadChannel {
+    endpoint: ShmEndpoint,
+    /// Transmit-direction Buffer Manager: the lease pool behind
+    /// [`PayloadChannel::alloc`] (§4.4.3).
+    mgr: BufferManager,
+}
+
+impl ShmPayloadChannel {
+    /// Wraps `side`'s endpoint of `channel`.
+    pub fn new(channel: &ShmChannel, side: Side) -> Arc<Self> {
+        let endpoint = channel.endpoint(side);
+        let mgr = endpoint.buffer_manager().clone();
+        Arc::new(ShmPayloadChannel { endpoint, mgr })
     }
-}
 
-#[derive(Default)]
-struct MailboxSide {
-    slots: Vec<Option<Vec<u8>>>,
-}
-
-impl MailboxSide {
-    fn with_depth(depth: usize) -> Self {
-        MailboxSide {
-            slots: vec![None; depth],
-        }
-    }
-}
-
-/// A loopback payload channel for tests: an indexed in-memory mailbox per
-/// direction, mimicking slot semantics without shared memory. Each handle
-/// publishes into its own transmit direction and consumes from the peer's.
-pub struct MailboxChannel {
-    dirs: Arc<[Mutex<MailboxSide>; 2]>,
-    tx_dir: usize,
-    /// Round-robin cursor over the transmit slots.
-    cursor: std::sync::atomic::AtomicUsize,
-    /// Shared "the region died" flag: set by [`PayloadChannel::quarantine`]
-    /// (or a chaos hook) on either handle, fails all publishes on both.
-    poisoned: Arc<std::sync::atomic::AtomicBool>,
-}
-
-impl MailboxChannel {
-    /// Creates a connected `(client, target)` pair with `depth` slots per
-    /// direction.
-    pub fn pair(depth: usize) -> (Arc<Self>, Arc<Self>) {
-        let dirs = Arc::new([
-            Mutex::new(MailboxSide::with_depth(depth)),
-            Mutex::new(MailboxSide::with_depth(depth)),
-        ]);
-        let poisoned = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    /// A connected `(client, target)` pair over a fresh region of
+    /// `depth` slots of `slot_size` bytes per direction, freed when both
+    /// ends drop.
+    pub fn pair(depth: usize, slot_size: usize) -> (Arc<Self>, Arc<Self>) {
+        let channel = ShmChannel::allocate(depth, slot_size);
         (
-            Arc::new(MailboxChannel {
-                dirs: dirs.clone(),
-                tx_dir: 0,
-                cursor: std::sync::atomic::AtomicUsize::new(0),
-                poisoned: poisoned.clone(),
-            }),
-            Arc::new(MailboxChannel {
-                dirs,
-                tx_dir: 1,
-                cursor: std::sync::atomic::AtomicUsize::new(0),
-                poisoned,
-            }),
+            Self::new(&channel, Side::Client),
+            Self::new(&channel, Side::Target),
         )
     }
 
-    fn is_poisoned(&self) -> bool {
-        self.poisoned.load(std::sync::atomic::Ordering::Acquire)
+    /// The transmit-direction Buffer Manager's telemetry bundle.
+    pub fn lease_stats(&self) -> &Arc<BufStats> {
+        self.mgr.stats()
+    }
+
+    /// Non-blocking lease attempt for allocator fallback chains:
+    /// `Ok(None)` means every slot is in flight after a full round-robin
+    /// probe — the caller should fall back to its pool rather than spin.
+    pub fn try_lease(&self, len: usize) -> Result<Option<WriteLease>, ShmError> {
+        match self.mgr.lease(len) {
+            Ok(lease) => Ok(Some(WriteLease(lease))),
+            Err(ShmError::NoFreeSlot) => Ok(None),
+            Err(e) => Err(e),
+        }
     }
 }
 
-impl PayloadChannel for MailboxChannel {
+impl PayloadChannel for ShmPayloadChannel {
     fn alloc(&self, len: usize) -> Result<WriteLease, NvmeofError> {
-        if self.is_poisoned() {
-            return Err(NvmeofError::Payload("channel quarantined".into()));
+        // A bounded wait: the round-robin pool drains as the consumer
+        // frees slots, so short spins cover transient exhaustion while
+        // hard errors surface immediately. A quarantined pool fails fast
+        // instead of spinning out the budget — the peer that would drain
+        // it is gone.
+        let mut spins = 0u32;
+        loop {
+            match self.mgr.lease(len) {
+                Ok(lease) => return Ok(WriteLease(lease)),
+                Err(ShmError::NoFreeSlot) if spins < 1_000_000 && !self.mgr.is_quarantined() => {
+                    spins += 1;
+                    std::hint::spin_loop();
+                }
+                Err(ShmError::NoFreeSlot) if self.mgr.is_quarantined() => {
+                    return Err(NvmeofError::Payload("channel quarantined".into()))
+                }
+                Err(e) => return Err(map_err(e)),
+            }
         }
-        // No shared region behind the mailbox: leases are heap-backed and
-        // publish_lease adopts the buffer as the slot's contents.
-        Ok(WriteLease::heap(len))
     }
 
     fn publish_lease(&self, lease: WriteLease) -> Result<(u32, u32), NvmeofError> {
-        if self.is_poisoned() {
-            return Err(NvmeofError::Payload("channel quarantined".into()));
-        }
-        let len = lease.len() as u32;
-        let bytes = lease.into_heap().unwrap_or_else(|slot| slot.to_vec());
-        let mut side = self.dirs[self.tx_dir].lock();
-        // Round-robin (§4.4.1): probe forward past stragglers; only a
-        // genuinely full mailbox is an error.
-        let depth = side.slots.len();
-        for _ in 0..depth {
-            let slot = self
-                .cursor
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-                % depth;
-            if side.slots[slot].is_none() {
-                side.slots[slot] = Some(bytes);
-                return Ok((slot as u32, len));
-            }
-        }
-        Err(NvmeofError::Payload("no free slot".into()))
+        let (slot, len) = lease.0.publish();
+        Ok((slot as u32, len as u32))
     }
 
     fn consume_with(
@@ -312,46 +219,41 @@ impl PayloadChannel for MailboxChannel {
         len: u32,
         f: &mut dyn FnMut(&[u8]),
     ) -> Result<(), NvmeofError> {
-        let mut side = self.dirs[1 - self.tx_dir].lock();
-        let stored = side
-            .slots
-            .get_mut(slot as usize)
-            .ok_or_else(|| NvmeofError::Payload(format!("bad slot {slot}")))?
-            .take()
-            .ok_or_else(|| NvmeofError::Payload(format!("slot {slot} empty")))?;
-        if stored.len() != len as usize {
-            return Err(NvmeofError::Payload("length mismatch".into()));
-        }
-        f(&stored);
+        // The publication notification races ahead of our read in rare
+        // interleavings; spin until the Ready state is visible.
+        let mut spins = 0u32;
+        let guard = loop {
+            match self.endpoint.recv(slot as usize, len as usize) {
+                Ok(g) => break g,
+                Err(ShmError::WrongState { .. }) if spins < 1_000_000 => {
+                    spins += 1;
+                    std::hint::spin_loop();
+                }
+                Err(e) => return Err(map_err(e)),
+            }
+        };
+        f(guard.as_slice());
         Ok(())
     }
 
-    /// The most a slot reference can carry: the wire's `len` is a `u32`.
     fn max_payload(&self) -> usize {
-        u32::MAX as usize
+        self.mgr.slot_size()
     }
 
     fn quarantine(&self) {
-        self.poisoned
-            .store(true, std::sync::atomic::Ordering::Release);
+        self.mgr.quarantine();
     }
 
     fn reclaim(&self) -> usize {
-        let mut side = self.dirs[self.tx_dir].lock();
-        let mut freed = 0;
-        for slot in &mut side.slots {
-            if slot.take().is_some() {
-                freed += 1;
-            }
-        }
-        freed
+        // Sweeps the transmit-direction ring: slots this side published
+        // that a dead (or degraded) peer will never drain. The receive
+        // direction is the peer's transmit ring — its own manager sweeps
+        // it when that side degrades.
+        self.mgr.reclaim()
     }
 
     fn reclaim_slot(&self, slot: u32) -> bool {
-        let mut side = self.dirs[self.tx_dir].lock();
-        side.slots
-            .get_mut(slot as usize)
-            .is_some_and(|s| s.take().is_some())
+        self.mgr.reclaim_slot(slot as usize)
     }
 }
 
@@ -361,7 +263,7 @@ mod tests {
 
     #[test]
     fn publish_on_one_side_consume_on_other() {
-        let (client, target) = MailboxChannel::pair(4);
+        let (client, target) = ShmPayloadChannel::pair(4, 256);
         let (slot, len) = client.publish(b"write payload").unwrap();
         let mut out = vec![0u8; len as usize];
         target.consume(slot, len, &mut out).unwrap();
@@ -372,7 +274,7 @@ mod tests {
 
     #[test]
     fn directions_are_independent() {
-        let (client, target) = MailboxChannel::pair(2);
+        let (client, target) = ShmPayloadChannel::pair(2, 64);
         let (cs, cl) = client.publish(b"c2t").unwrap();
         let (ts, tl) = target.publish(b"t2c").unwrap();
         assert_eq!((cs, ts), (0, 0)); // same index, different direction
@@ -385,7 +287,7 @@ mod tests {
 
     #[test]
     fn depth_exhaustion() {
-        let (client, _target) = MailboxChannel::pair(2);
+        let (client, _target) = ShmPayloadChannel::pair(2, 64);
         client.publish(b"1").unwrap();
         client.publish(b"2").unwrap();
         assert!(client.publish(b"3").is_err());
@@ -396,7 +298,7 @@ mod tests {
         // Fill all three slots, drain only the middle one: the next
         // publish must probe forward from next%depth (= occupied slot 0)
         // and land in the freed slot 1 instead of erroring.
-        let (client, target) = MailboxChannel::pair(3);
+        let (client, target) = ShmPayloadChannel::pair(3, 64);
         client.publish(b"a").unwrap();
         let (s1, l1) = client.publish(b"b").unwrap();
         client.publish(b"c").unwrap();
@@ -407,10 +309,9 @@ mod tests {
     }
 
     #[test]
-    fn lease_roundtrip_through_mailbox() {
-        let (client, target) = MailboxChannel::pair(2);
+    fn lease_roundtrip_in_place() {
+        let (client, target) = ShmPayloadChannel::pair(2, 64);
         let mut lease = client.alloc(5).unwrap();
-        assert!(!lease.is_zero_copy());
         lease.copy_from_slice(b"hello");
         let (slot, len) = client.publish_lease(lease).unwrap();
         let mut seen = Vec::new();
@@ -423,25 +324,31 @@ mod tests {
     }
 
     #[test]
-    fn truncate_shrinks_lease() {
-        let mut lease = WriteLease::heap(8);
-        lease[..3].copy_from_slice(b"xyz");
-        lease.truncate(3);
-        assert_eq!(lease.len(), 3);
-        assert_eq!(&lease[..], b"xyz");
+    fn max_payload_is_slot_size() {
+        let (client, _target) = ShmPayloadChannel::pair(2, 8192);
+        assert_eq!(client.max_payload(), 8192);
     }
 
     #[test]
-    fn length_mismatch_rejected() {
-        let (client, target) = MailboxChannel::pair(2);
+    fn wrong_destination_length_rejected() {
+        let (client, target) = ShmPayloadChannel::pair(2, 64);
         let (slot, len) = client.publish(b"abc").unwrap();
         let mut small = vec![0u8; 1];
         assert!(target.consume(slot, len, &mut small).is_err());
     }
 
     #[test]
+    fn consuming_own_direction_fails() {
+        let (client, _target) = ShmPayloadChannel::pair(2, 64);
+        let (slot, len) = client.publish(b"abc").unwrap();
+        let mut buf = vec![0u8; 3];
+        // Client consumes from the *target's* direction, which is empty.
+        assert!(client.consume(slot, len, &mut buf).is_err());
+    }
+
+    #[test]
     fn reclaim_frees_published_slots() {
-        let (client, _target) = MailboxChannel::pair(3);
+        let (client, _target) = ShmPayloadChannel::pair(3, 64);
         for _ in 0..3 {
             client.publish(b"a").unwrap();
         }
@@ -454,11 +361,82 @@ mod tests {
     }
 
     #[test]
-    fn consuming_own_direction_fails() {
-        let (client, _target) = MailboxChannel::pair(2);
-        let (slot, len) = client.publish(b"abc").unwrap();
-        let mut buf = vec![0u8; 3];
-        // Client consumes from the *target's* direction, which is empty.
-        assert!(client.consume(slot, len, &mut buf).is_err());
+    fn quarantined_channel_fails_fast_and_reclaims() {
+        let (client, _target) = ShmPayloadChannel::pair(4, 256);
+        let client: Arc<dyn PayloadChannel> = client;
+        // Publish two payloads the (dead) target never consumes.
+        let (slot_a, _) = client.publish(b"orphan a").unwrap();
+        let (slot_b, _) = client.publish(b"orphan b").unwrap();
+        client.quarantine();
+        // Denied immediately, not after the spin budget.
+        assert!(client.publish(b"after quarantine").is_err());
+        assert!(client.alloc(8).is_err());
+        // The sweep claws both orphaned slots back.
+        assert_eq!(client.reclaim(), 2);
+        assert!(!client.reclaim_slot(slot_a));
+        assert!(!client.reclaim_slot(slot_b));
+    }
+
+    /// A copying `publish` leases its slot from the Buffer Manager
+    /// exactly as `alloc` does, so the manager's probing, ledger and
+    /// quarantine cover both send paths.
+    #[test]
+    fn copying_publish_and_leases_share_one_allocator() {
+        let (client, target) = ShmPayloadChannel::pair(4, 256);
+        // Leased and never published: both paths must probe past it.
+        let straggler = client.alloc(8).unwrap();
+        for i in 0..6u8 {
+            let body = [i; 32];
+            let (slot, len) = if i % 2 == 0 {
+                client.publish(&body).unwrap()
+            } else {
+                let mut lease = client.alloc(body.len()).unwrap();
+                lease.copy_from_slice(&body);
+                client.publish_lease(lease).unwrap()
+            };
+            let mut out = [0u8; 32];
+            target.consume(slot, len, &mut out).unwrap();
+            assert_eq!(out, body);
+        }
+        // Two the (dead) target never consumes.
+        client.publish(b"orphan a").unwrap();
+        client.publish(b"orphan b").unwrap();
+
+        let stats = client.lease_stats();
+        assert_eq!(stats.leases.get(), 1 + 6 + 2, "every publish is a lease");
+        assert_eq!(stats.leases_live.get(), 1, "only the straggler is live");
+        client.quarantine();
+        assert!(client.publish(b"after quarantine").is_err());
+        assert!(client.alloc(8).is_err());
+        // The sweep frees the two orphans, never the straggler's slot.
+        assert_eq!(client.reclaim(), 2);
+        drop(straggler);
+        assert_eq!(stats.leases_live.get(), 0);
+        assert_eq!(stats.lease_aborted.get(), 1);
+    }
+
+    #[test]
+    fn concurrent_producer_consumer_through_trait() {
+        let (client, target) = ShmPayloadChannel::pair(8, 4096);
+        let (client, target): (Arc<dyn PayloadChannel>, Arc<dyn PayloadChannel>) = (client, target);
+        let (tx, rx) = std::sync::mpsc::channel::<(u32, u32, u8)>();
+
+        let producer = std::thread::spawn(move || {
+            for i in 0..2_000u32 {
+                let stamp = (i % 250) as u8 + 1;
+                let body = vec![stamp; 1024];
+                let (slot, len) = client.publish(&body).unwrap();
+                tx.send((slot, len, stamp)).unwrap();
+            }
+        });
+        let consumer = std::thread::spawn(move || {
+            let mut buf = vec![0u8; 1024];
+            while let Ok((slot, len, stamp)) = rx.recv() {
+                target.consume(slot, len, &mut buf).unwrap();
+                assert!(buf.iter().all(|&b| b == stamp));
+            }
+        });
+        producer.join().unwrap();
+        consumer.join().unwrap();
     }
 }

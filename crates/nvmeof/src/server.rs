@@ -294,10 +294,12 @@ mod tests {
     use crate::initiator::{Initiator, InitiatorOptions};
     use crate::nvme::namespace::Namespace;
     use crate::shard::{spawn_sharded, ShardConfig};
-    use crate::transport::MemTransport;
+    use crate::transport::ShmTransport;
     use bytes::Bytes;
 
     const TIMEOUT: Duration = Duration::from_secs(5);
+    /// Ring bytes per direction: a 128 KiB inline chunk fits a frame.
+    const RING: u64 = 1 << 20;
 
     fn controller() -> Controller {
         let mut c = Controller::new();
@@ -320,8 +322,8 @@ mod tests {
 
     #[test]
     fn two_clients_share_one_service() {
-        let (c1, t1) = MemTransport::pair();
-        let (c2, t2) = MemTransport::pair();
+        let (c1, t1) = ShmTransport::pair(RING);
+        let (c2, t2) = ShmTransport::pair(RING);
         let handle = serve(vec![Box::new(t1), Box::new(t2)]);
         let mut a = Initiator::connect(c1, InitiatorOptions::default(), None, TIMEOUT).unwrap();
         let mut b = Initiator::connect(c2, InitiatorOptions::default(), None, TIMEOUT).unwrap();
@@ -363,7 +365,7 @@ mod tests {
         let mut ctrl = Controller::new();
         ctrl.add_namespace(Namespace::with_file(1, disk));
         let registry = Arc::new(Registry::new());
-        let (client, served) = MemTransport::pair();
+        let (client, served) = ShmTransport::pair(RING);
         let spec = ConnectionSpec {
             transport: Box::new(served),
             cfg: TargetConfig::default(),
@@ -393,30 +395,38 @@ mod tests {
     }
 
     /// A connection the reactor ends — here for a command before ICReq —
-    /// leaves it, so the peer reads EOF instead of a silent socket.
+    /// leaves it, so the peer reads EOF (a closed socket, a closed ring)
+    /// instead of a silent transport.
     #[test]
     fn a_connection_ended_for_a_protocol_error_is_closed() {
         use crate::nvme::command::NvmeCommand;
         use crate::pdu::CapsuleCmd;
         use crate::tcp::{TcpConfig, TcpTransport};
-        let (client, served) = TcpTransport::loopback_pair(TcpConfig::default()).unwrap();
-        let handle = serve(vec![Box::new(served)]);
-        let read = CapsuleCmd {
-            cmd: NvmeCommand::read(1, 1, 0, 1),
-            data: None,
-        };
-        client.send_frame(&Pdu::CapsuleCmd(read).encode()).unwrap();
-        assert!(matches!(
-            crate::transport::recv_n(&client, 1, Duration::from_secs(1)),
-            Err(NvmeofError::TransportClosed)
-        ));
-        handle.shutdown().unwrap();
+        let (tcp_client, tcp_served) = TcpTransport::loopback_pair(TcpConfig::default()).unwrap();
+        let (shm_client, shm_served) = ShmTransport::pair(RING);
+        let pairs: [(Box<dyn Transport>, Box<dyn Transport>); 2] = [
+            (Box::new(tcp_client), Box::new(tcp_served)),
+            (Box::new(shm_client), Box::new(shm_served)),
+        ];
+        for (client, served) in pairs {
+            let handle = serve(vec![served]);
+            let read = CapsuleCmd {
+                cmd: NvmeCommand::read(1, 1, 0, 1),
+                data: None,
+            };
+            client.send_frame(&Pdu::CapsuleCmd(read).encode()).unwrap();
+            assert!(matches!(
+                crate::transport::recv_n(&client, 1, Duration::from_secs(1)),
+                Err(NvmeofError::TransportClosed)
+            ));
+            handle.shutdown().unwrap();
+        }
     }
 
     #[test]
     fn reactor_survives_one_client_hanging_up() {
-        let (c1, t1) = MemTransport::pair();
-        let (c2, t2) = MemTransport::pair();
+        let (c1, t1) = ShmTransport::pair(RING);
+        let (c2, t2) = ShmTransport::pair(RING);
         let handle = serve(vec![Box::new(t1), Box::new(t2)]);
         let a = Initiator::connect(c1, InitiatorOptions::default(), None, TIMEOUT).unwrap();
         let mut b = Initiator::connect(c2, InitiatorOptions::default(), None, TIMEOUT).unwrap();

@@ -165,11 +165,13 @@ mod tests {
     use crate::initiator::{Initiator, InitiatorOptions};
     use crate::nvme::namespace::Namespace;
     use crate::target::TargetConfig;
-    use crate::transport::MemTransport;
+    use crate::transport::ShmTransport;
     use bytes::Bytes;
     use std::time::Duration;
 
     const TIMEOUT: Duration = Duration::from_secs(5);
+    /// Ring bytes per direction: a 128 KiB inline chunk fits a frame.
+    const RING: u64 = 1 << 20;
 
     fn controller() -> Controller {
         let mut c = Controller::new();
@@ -177,7 +179,7 @@ mod tests {
         c
     }
 
-    fn spec(t: MemTransport) -> ConnectionSpec {
+    fn spec(t: ShmTransport) -> ConnectionSpec {
         ConnectionSpec {
             transport: Box::new(t),
             cfg: TargetConfig::default(),
@@ -187,8 +189,8 @@ mod tests {
 
     #[test]
     fn sharded_target_serves_clients_on_distinct_shards() {
-        let (c1, t1) = MemTransport::pair();
-        let (c2, t2) = MemTransport::pair();
+        let (c1, t1) = ShmTransport::pair(RING);
+        let (c2, t2) = ShmTransport::pair(RING);
         let registry = Arc::new(Registry::new());
         let target = spawn_sharded(
             controller(),
@@ -224,8 +226,8 @@ mod tests {
     fn connection_added_at_runtime_lands_on_its_steered_shard() {
         let registry = Arc::new(Registry::new());
         let mut target = spawn_sharded(controller(), Vec::new(), ShardConfig::new(2), &registry);
-        let (c1, t1) = MemTransport::pair();
-        let (c2, t2) = MemTransport::pair();
+        let (c1, t1) = ShmTransport::pair(RING);
+        let (c2, t2) = ShmTransport::pair(RING);
         assert_eq!(target.add_connection(spec(t1)).unwrap(), 0);
         assert_eq!(target.add_connection(spec(t2)).unwrap(), 1);
         let mut a = Initiator::connect(c1, InitiatorOptions::default(), None, TIMEOUT).unwrap();
@@ -252,8 +254,8 @@ mod tests {
 
     #[test]
     fn shard_survives_sibling_client_vanishing() {
-        let (c1, t1) = MemTransport::pair();
-        let (c2, t2) = MemTransport::pair();
+        let (c1, t1) = ShmTransport::pair(RING);
+        let (c2, t2) = ShmTransport::pair(RING);
         let target = spawn_sharded(
             controller(),
             vec![spec(t1), spec(t2)],
@@ -274,8 +276,8 @@ mod tests {
     #[test]
     fn dropping_the_handle_stops_every_reactor() {
         use crate::transport::recv_n;
-        let (c1, t1) = MemTransport::pair();
-        let (c2, t2) = MemTransport::pair();
+        let (c1, t1) = ShmTransport::pair(RING);
+        let (c2, t2) = ShmTransport::pair(RING);
         let target = spawn_sharded(
             controller(),
             vec![spec(t1), spec(t2)],

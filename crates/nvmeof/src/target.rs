@@ -684,7 +684,6 @@ impl TargetConnection {
         if comp.status.is_ok() {
             let bytes = lease.len() as u64;
             self.metrics.payload_bytes.add(bytes);
-            let zero_copy = lease.is_zero_copy();
             let ch = self
                 .payload
                 .as_ref()
@@ -700,10 +699,8 @@ impl TargetConnection {
                     return self.on_read(cmd, ctrl, out);
                 }
             };
-            if zero_copy {
-                self.metrics.zero_copy_bytes.add(bytes);
-                self.metrics.copies_avoided.inc();
-            }
+            self.metrics.zero_copy_bytes.add(bytes);
+            self.metrics.copies_avoided.inc();
             out.push(Pdu::C2HData(DataPdu {
                 cid: cmd.cid,
                 ttag: 0,
@@ -899,6 +896,7 @@ pub fn spawn_target<T: Transport + 'static>(
 mod tests {
     use super::*;
     use crate::nvme::namespace::Namespace;
+    use crate::payload::ShmPayloadChannel;
     use crate::pdu::{CapsuleCmd, ICReq};
     use std::time::Duration;
 
@@ -1084,7 +1082,7 @@ mod tests {
     #[test]
     fn oversized_read_capsule_gets_a_status_not_an_abort() {
         for shm in [false, true] {
-            let (_client_ch, target_ch) = crate::payload::MailboxChannel::pair(8);
+            let (_client_ch, target_ch) = ShmPayloadChannel::pair(8, 4096);
             let mut ctrl = controller();
             let mut conn = TargetConnection::new(TargetConfig::default(), Some(target_ch));
             handshake(&mut conn, &mut ctrl, if shm { AF_CAP_SHM } else { 0 });
@@ -1152,8 +1150,7 @@ mod tests {
 
     #[test]
     fn shm_write_and_read_use_slot_references() {
-        use crate::payload::MailboxChannel;
-        let (client_ch, target_ch) = MailboxChannel::pair(8);
+        let (client_ch, target_ch) = ShmPayloadChannel::pair(8, 128 * 1024);
         let mut ctrl = controller();
         let mut conn = TargetConnection::new(TargetConfig::default(), Some(target_ch));
         let resp = handshake(&mut conn, &mut ctrl, AF_CAP_SHM);
@@ -1209,10 +1206,9 @@ mod tests {
     /// the same pass; the lease's own bounded wait is the only wait.
     #[test]
     fn a_read_without_a_lease_degrades_and_answers_inline() {
-        use crate::payload::MailboxChannel;
-        let (client_ch, target_ch) = MailboxChannel::pair(8);
+        let (client_ch, target_ch) = ShmPayloadChannel::pair(8, 4096);
         let mut ctrl = controller();
-        let mut conn = TargetConnection::new(TargetConfig::default(), Some(target_ch));
+        let mut conn = TargetConnection::new(TargetConfig::default(), Some(target_ch.clone()));
         handshake(&mut conn, &mut ctrl, AF_CAP_SHM);
         assert!(conn.shm_active());
         let data = vec![0x5au8; 4096];
@@ -1232,7 +1228,7 @@ mod tests {
         .unwrap();
         assert!(matches!(out.as_slice(), [Pdu::CapsuleResp(r)] if r.completion.status.is_ok()));
 
-        client_ch.quarantine();
+        target_ch.quarantine();
         out.clear();
         conn.handle(
             Frame::Owned(

@@ -1,12 +1,14 @@
 //! Frame transports for the real (threaded) runtime.
 //!
-//! [`MemTransport`] is the control path of the in-process deployment: a
-//! duplex, frame-oriented channel standing in for the TCP connection
-//! between the client VM and the target VM. [`ShmTransport`] is the
-//! fully in-region control path (§5.5). [`RateLimited`] wraps either
-//! with a wall-clock token-bucket + latency model so examples can
-//! *feel* the difference between a 10 Gbps and a 100 Gbps control path
-//! without a NIC.
+//! The runtime has two control paths, picked per connection by
+//! [`ControlTransport`]: a real kernel-TCP socket
+//! ([`TcpTransport`](crate::tcp::TcpTransport), §4.5) and the fully
+//! in-region [`ShmTransport`] (§5.5), whose byte rings also carry every
+//! in-process test. Either reports a peer that hung up as
+//! [`NvmeofError::TransportClosed`] once the frames it sent before are
+//! delivered. [`RateLimited`] wraps either with a wall-clock
+//! token-bucket and latency model so examples can *feel* the difference
+//! between a 10 Gbps and a 100 Gbps control path without a NIC.
 //!
 //! # Hot-path discipline
 //!
@@ -30,15 +32,15 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::{Bytes, BytesMut};
-use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 
 use crate::error::NvmeofError;
 use crate::metrics::TransportMetrics;
 use crate::pdu::Pdu;
 use oaf_shmem::RingStats;
 
-/// A received frame: owned (channel transports hand over their buffer)
-/// or borrowed straight out of a shared-memory ring (zero-copy).
+/// A received frame: owned (a wrapper that held the frame back hands
+/// over its copy) or borrowed straight out of the transport's receive
+/// window (zero-copy).
 pub enum Frame<'a> {
     /// The transport transfers ownership of the buffer.
     Owned(Bytes),
@@ -246,8 +248,7 @@ pub fn recv_batch_until<T: Transport + ?Sized>(
 pub trait Transport: Send {
     /// Sends one frame to the peer from a borrowed buffer, so callers
     /// encode into a reusable scratch. Ring transports copy the slice
-    /// straight into the ring; channel transports hand over one owned
-    /// copy.
+    /// straight into the ring; socket transports write it out.
     fn send_frame(&self, frame: &[u8]) -> Result<(), NvmeofError>;
 
     /// Hands every frame that is currently ready to `f`, returning the
@@ -285,8 +286,7 @@ pub trait Transport: Send {
     /// queue so a poll loop pays one `write` for everything it queued;
     /// ring transports stage the frame off the ring until
     /// `flush_queued`, which publishes the whole batch with one tail
-    /// store. Channel transports, where a send is already a hand-off,
-    /// send at once.
+    /// store. The default sends at once.
     fn queue_frame(&self, frame: &[u8]) -> Result<(), NvmeofError> {
         self.send_frame(frame)
     }
@@ -296,72 +296,6 @@ pub trait Transport: Send {
     /// queues must call this before it waits for the answer.
     fn flush_queued(&self) -> Result<(), NvmeofError> {
         Ok(())
-    }
-}
-
-/// In-process duplex transport endpoint.
-pub struct MemTransport {
-    tx: Sender<Bytes>,
-    rx: Receiver<Bytes>,
-    metrics: Arc<TransportMetrics>,
-}
-
-impl MemTransport {
-    /// Creates a connected pair of endpoints.
-    pub fn pair() -> (MemTransport, MemTransport) {
-        let (a_tx, b_rx) = unbounded();
-        let (b_tx, a_rx) = unbounded();
-        (
-            MemTransport {
-                tx: a_tx,
-                rx: a_rx,
-                metrics: TransportMetrics::new(),
-            },
-            MemTransport {
-                tx: b_tx,
-                rx: b_rx,
-                metrics: TransportMetrics::new(),
-            },
-        )
-    }
-
-    /// This endpoint's transport metrics (detached until registered).
-    pub fn metrics(&self) -> &Arc<TransportMetrics> {
-        &self.metrics
-    }
-}
-
-impl Transport for MemTransport {
-    fn send_frame(&self, frame: &[u8]) -> Result<(), NvmeofError> {
-        self.tx
-            .send(Bytes::copy_from_slice(frame))
-            .map_err(|_| NvmeofError::TransportClosed)?;
-        self.metrics.on_send(frame.len());
-        Ok(())
-    }
-
-    fn recv_batch(&self, f: &mut dyn FnMut(Frame<'_>)) -> Result<usize, NvmeofError> {
-        let mut n = 0usize;
-        loop {
-            match self.rx.try_recv() {
-                Ok(frame) => {
-                    self.metrics.on_recv_owned(frame.len());
-                    f(Frame::Owned(frame));
-                    n += 1;
-                }
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => {
-                    if n == 0 {
-                        return Err(NvmeofError::TransportClosed);
-                    }
-                    break;
-                }
-            }
-        }
-        if n > 0 {
-            self.metrics.batch_sizes.record(n as u64);
-        }
-        Ok(n)
     }
 }
 
@@ -376,6 +310,12 @@ impl Transport for MemTransport {
 /// [`ByteRing::push_n`](oaf_shmem::byte_ring::ByteRing::push_n): one
 /// tail store and one stats update per batch instead of per frame. An
 /// immediate send publishes the staged frames first, so order holds.
+///
+/// Dropping an endpoint [closes](oaf_shmem::byte_ring::ByteRing::close)
+/// its transmit ring. The peer's `recv_batch` delivers every frame
+/// published before that and then reports
+/// [`NvmeofError::TransportClosed`], as a socket reads EOF; a send that
+/// finds its ring full and the peer gone reports the same at once.
 pub struct ShmTransport {
     tx: oaf_shmem::byte_ring::ByteRing,
     rx: oaf_shmem::byte_ring::ByteRing,
@@ -498,7 +438,9 @@ impl ShmTransport {
     /// waiting out a full ring (`Ok(false)`) on a [`WaitLadder`]: a live
     /// peer poll loop drains in microseconds; one that stays away for
     /// [`BackoffConfig::send_full_timeout`] surfaces as
-    /// [`NvmeofError::RingFull`]. The first attempt reads no clock.
+    /// [`NvmeofError::RingFull`]; a full ring whose peer hung up, which
+    /// nobody will drain, as [`NvmeofError::TransportClosed`]. The first
+    /// attempt reads no clock.
     fn publish(
         &self,
         mut push: impl FnMut() -> Result<bool, oaf_shmem::ShmError>,
@@ -507,6 +449,7 @@ impl ShmTransport {
         let result = loop {
             match push() {
                 Ok(true) => break Ok(()),
+                Ok(false) if self.rx.is_closed() => break Err(NvmeofError::TransportClosed),
                 Ok(false) => {}
                 Err(e) => break Err(NvmeofError::Payload(e.to_string())),
             }
@@ -544,6 +487,12 @@ impl ShmTransport {
             staged.consume(done);
         }
         result
+    }
+}
+
+impl Drop for ShmTransport {
+    fn drop(&mut self) {
+        self.tx.close();
     }
 }
 
@@ -595,10 +544,19 @@ impl Transport for ShmTransport {
         // allocations, one Acquire/Release pair for the whole batch.
         // Telemetry is settled once per batch, not per frame.
         let mut bytes = 0;
-        let n = self.rx.drain(|frame| {
+        let mut take = |frame: &[u8]| {
             bytes += frame.len();
             f(Frame::Borrowed(frame));
-        });
+        };
+        let mut n = self.rx.drain(&mut take);
+        if n == 0 && self.rx.is_closed() {
+            // The peer hung up. Its mark was stored after its last
+            // publish, so one more drain sees everything it sent.
+            n = self.rx.drain(&mut take);
+            if n == 0 {
+                return Err(NvmeofError::TransportClosed);
+            }
+        }
         if n > 0 {
             self.metrics.on_recv_borrowed(n, bytes);
             self.metrics.batch_sizes.record(n as u64);
@@ -846,29 +804,25 @@ mod tests {
     }
 
     #[test]
-    fn mem_pair_is_duplex() {
-        let (a, b) = MemTransport::pair();
-        a.send_frame(b"ping").unwrap();
-        b.send_frame(b"pong").unwrap();
-        assert_eq!(drain(&b).unwrap(), [Bytes::from_static(b"ping")]);
-        assert_eq!(drain(&a).unwrap(), [Bytes::from_static(b"pong")]);
-        assert!(drain(&a).unwrap().is_empty());
-    }
-
-    #[test]
     fn closed_peer_reports_disconnect() {
-        let (a, b) = MemTransport::pair();
+        let (a, b) = ShmTransport::pair(4096);
         drop(b);
-        assert!(matches!(
-            a.send_frame(b"x"),
-            Err(NvmeofError::TransportClosed)
-        ));
         assert!(matches!(drain(&a), Err(NvmeofError::TransportClosed)));
+        // Sends are only copies into the ring, so they land until it
+        // fills; the full ring of a peer that hung up then reports the
+        // closure at once instead of waiting out the timeout.
+        let err = loop {
+            if let Err(e) = a.send_frame(&[0u8; 512]) {
+                break e;
+            }
+        };
+        assert!(matches!(err, NvmeofError::TransportClosed), "{err:?}");
+        assert_eq!(a.metrics().ring_full.get(), 0);
     }
 
     #[test]
     fn recv_batch_until_waits_and_returns() {
-        let (a, b) = MemTransport::pair();
+        let (a, b) = ShmTransport::pair(4096);
         let h = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(10));
             b.send_frame(b"late").unwrap();
@@ -883,7 +837,7 @@ mod tests {
 
     #[test]
     fn rate_limited_adds_latency() {
-        let (a, b) = MemTransport::pair();
+        let (a, b) = ShmTransport::pair(4096);
         let a = RateLimited::new(a, ShapeParams::gbps(10.0, Duration::from_millis(5)));
         let b = RateLimited::new(b, ShapeParams::gbps(10.0, Duration::from_millis(5)));
         let t0 = Instant::now();
@@ -896,7 +850,7 @@ mod tests {
 
     #[test]
     fn rate_limited_preserves_fifo_order() {
-        let (a, b) = MemTransport::pair();
+        let (a, b) = ShmTransport::pair(4096);
         let a = RateLimited::new(a, ShapeParams::gbps(100.0, Duration::from_micros(200)));
         let b = RateLimited::new(b, ShapeParams::gbps(100.0, Duration::from_micros(200)));
         for i in 0..50u32 {
@@ -1103,25 +1057,6 @@ mod tests {
         assert_eq!(a.metrics().frames_sent.get(), u64::from(total) + 1);
     }
 
-    #[test]
-    fn mem_queue_default_path_sends_at_once() {
-        let (a, b) = MemTransport::pair();
-        for i in 0..5u8 {
-            a.queue_frame(&[i; 4]).unwrap();
-        }
-        // No flush: a transport that does not override the queue must
-        // not hold frames back.
-        let mut count = 0;
-        b.recv_batch(&mut |frame| {
-            assert!(matches!(frame, Frame::Owned(_)));
-            count += 1;
-            let _ = frame.as_slice();
-        })
-        .unwrap();
-        assert_eq!(count, 5);
-        a.flush_queued().unwrap();
-    }
-
     /// Counts what reaches it, so a wrapper that falls back to the trait
     /// defaults (queue → `send_frame`, flush → no-op) is caught.
     #[derive(Default)]
@@ -1168,9 +1103,10 @@ mod tests {
 
     #[test]
     fn recv_batch_drains_before_reporting_closure() {
-        let (a, b) = MemTransport::pair();
+        let (a, b) = ShmTransport::pair(4096);
         a.send_frame(b"x").unwrap();
-        a.send_frame(b"y").unwrap();
+        a.queue_frame(b"y").unwrap();
+        a.flush_queued().unwrap();
         drop(a); // frames queued ahead of the hang-up must still arrive
         let mut n = 0;
         assert_eq!(b.recv_batch(&mut |_| n += 1).unwrap(), 2);
@@ -1179,6 +1115,34 @@ mod tests {
             b.recv_batch(&mut |_| {}),
             Err(NvmeofError::TransportClosed)
         ));
+    }
+
+    /// The hang-up and the frames before it race the consumer's empty
+    /// poll: whichever poll sees the mark, no frame is lost and the
+    /// closure comes last.
+    #[test]
+    fn a_hang_up_racing_the_consumer_loses_no_frame() {
+        for round in 0..200u32 {
+            let (a, b) = ShmTransport::pair(64 * 1024);
+            let sender = std::thread::spawn(move || {
+                for i in 0..round % 8 {
+                    a.send_frame(&i.to_le_bytes()).unwrap();
+                }
+            });
+            let mut got = Vec::new();
+            let closed = loop {
+                match b.recv_batch(&mut |f| got.push(f.into_bytes())) {
+                    Ok(_) => std::thread::yield_now(),
+                    Err(e) => break e,
+                }
+            };
+            sender.join().unwrap();
+            assert!(matches!(closed, NvmeofError::TransportClosed), "{closed:?}");
+            let want: Vec<Bytes> = (0..round % 8)
+                .map(|i| Bytes::copy_from_slice(&i.to_le_bytes()))
+                .collect();
+            assert_eq!(got, want, "round {round}");
+        }
     }
 
     #[test]
@@ -1202,7 +1166,7 @@ mod tests {
 
     #[test]
     fn rate_limited_serializes_large_frames() {
-        let (a, b) = MemTransport::pair();
+        let (a, b) = ShmTransport::pair(4 << 20);
         // 1 MB at 100 MB/s = 10ms of serialization back-pressure.
         let a = RateLimited::new(
             a,

@@ -5,12 +5,16 @@
 //! kernel TCP: two byte rings (one per direction) make a full duplex
 //! in-region transport.
 //!
-//! Layout: `[head u64 | pad][tail u64 | pad][data: capacity bytes]`.
-//! Frames are `[len: u32][payload]`, written contiguously; a frame that
-//! would straddle the wrap point writes a `len == u32::MAX` skip marker
-//! and starts at offset 0. Producer owns `tail`, consumer owns `head`;
-//! publication is the release-store of `tail`, consumption the
-//! release-store of `head` — the same discipline as the slot ring.
+//! Layout: `[head u64 | pad][tail u64, closed u64 | pad][data: capacity
+//! bytes]`. Frames are `[len: u32][payload]`, written contiguously; a
+//! frame that would straddle the wrap point writes a `len == u32::MAX`
+//! skip marker and starts at offset 0. Producer owns `tail` and
+//! `closed`, consumer owns `head`; publication is the release-store of
+//! `tail`, consumption the release-store of `head` — the same discipline
+//! as the slot ring. A producer that hangs up release-stores `closed`
+//! ([`ByteRing::close`]) after its last publish, so a consumer that
+//! finds the ring empty and the mark set has seen every frame once it
+//! drains one more time.
 //!
 //! # Hot-path discipline
 //!
@@ -144,6 +148,26 @@ impl ByteRing {
 
     fn tail(&self) -> &AtomicU64 {
         self.region.atomic_u64(self.base + CACHE_LINE)
+    }
+
+    /// The hang-up mark, in the padding of `tail`'s cache line: a
+    /// consumer reads it only after it reloaded `tail` and found the
+    /// ring empty, so the read costs no extra miss.
+    fn closed(&self) -> &AtomicU64 {
+        self.region.atomic_u64(self.base + CACHE_LINE + 8)
+    }
+
+    /// Producer: marks the ring closed — the producer hung up. Frames
+    /// published before the mark stay readable.
+    pub fn close(&self) {
+        self.closed().store(1, Ordering::Release);
+    }
+
+    /// Consumer: whether the producer hung up. Acquire pairs with
+    /// [`ByteRing::close`], so once this reads `true` every frame the
+    /// producer published is visible to the next drain.
+    pub fn is_closed(&self) -> bool {
+        self.closed().load(Ordering::Acquire) != 0
     }
 
     fn data_off(&self, pos: u64) -> usize {
@@ -699,6 +723,21 @@ mod tests {
         });
         assert!(model.is_empty());
         assert!(r.is_empty());
+    }
+
+    #[test]
+    fn close_marks_the_ring_without_hiding_published_frames() {
+        let r = ring(256);
+        let consumer = r.clone();
+        r.push(b"last words").unwrap();
+        assert!(!consumer.is_closed());
+        r.close();
+        assert!(consumer.is_closed());
+        assert_eq!(consumer.pop().unwrap(), b"last words");
+        assert!(consumer.pop().is_none());
+        // The mark lives in the tail line's padding: the data area and
+        // the region size are what they were.
+        assert_eq!(ByteRing::required_len(256), 2 * CACHE_LINE + 256);
     }
 
     #[test]

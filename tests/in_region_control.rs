@@ -3,7 +3,7 @@
 //! double-buffer channel. Not a single byte crosses a socket.
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use nvme_oaf::nvmeof::initiator::{Initiator, InitiatorOptions};
@@ -13,7 +13,11 @@ use nvme_oaf::nvmeof::payload::PayloadChannel;
 use nvme_oaf::nvmeof::pdu::AF_CAP_SHM;
 use nvme_oaf::nvmeof::target::{spawn_target, TargetConfig};
 use nvme_oaf::nvmeof::transport::ShmTransport;
+use nvme_oaf::nvmeof::NvmeofError;
+use nvme_oaf::oaf::conn::{ControlPath, FabricSettings};
+use nvme_oaf::oaf::locality::{HostRegistry, ProcessId};
 use nvme_oaf::oaf::payload_impl::ShmPayloadChannel;
+use nvme_oaf::oaf::runtime::{launch, AfPair};
 use nvme_oaf::shmem::channel::Side;
 use nvme_oaf::shmem::ShmChannel;
 
@@ -108,4 +112,67 @@ fn in_region_control_sustains_pipelined_load() {
     }
     ini.disconnect().expect("disconnect");
     handle.shutdown().expect("shutdown");
+}
+
+/// A co-located pair launched with its control path in the region.
+fn launch_in_region() -> AfPair {
+    let settings = FabricSettings {
+        control: ControlPath::InRegion,
+        ..FabricSettings::default()
+    };
+    let registry = Arc::new(HostRegistry::new());
+    let p = launch(
+        &registry,
+        (ProcessId(1), 1),
+        (ProcessId(2), 1),
+        controller(),
+        settings,
+    )
+    .expect("launch");
+    assert!(p.client.shm_active());
+    p
+}
+
+/// A client that vanishes without a TermReq leaves the reactor: its
+/// ring reports the hang-up, as a socket reads EOF, and the connection
+/// with its rings and slot region is retired instead of being polled
+/// until the target shuts down.
+#[test]
+fn a_vanished_in_region_client_leaves_the_reactor() {
+    let AfPair {
+        mut client,
+        target,
+        telemetry,
+    } = launch_in_region();
+    let mut buf = client.alloc(4096).expect("alloc");
+    buf.fill(0x3c);
+    client.write(1, 0, 1, buf, TIMEOUT).expect("write");
+    let conns = || telemetry.snapshot().gauge("reactor0", "conns").map(|g| g.0);
+    assert_eq!(conns(), Some(1));
+    drop(client); // no disconnect: no TermReq
+    let deadline = Instant::now() + Duration::from_secs(1);
+    while conns() != Some(0) && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(
+        conns(),
+        Some(0),
+        "the reactor still serves a dropped client"
+    );
+    target.shutdown().expect("shutdown");
+}
+
+/// A target shut down under a live in-region client closes its rings:
+/// the client's next poll reports the closure, not a timeout.
+#[test]
+fn a_shut_down_target_closes_the_in_region_client() {
+    let AfPair {
+        mut client, target, ..
+    } = launch_in_region();
+    let mut buf = client.alloc(4096).expect("alloc");
+    buf.fill(0x3c);
+    client.write(1, 0, 1, buf, TIMEOUT).expect("write");
+    target.shutdown().expect("shutdown");
+    let err = client.poll().expect_err("a closed ring polled clean");
+    assert!(matches!(err, NvmeofError::TransportClosed), "{err}");
 }

@@ -118,7 +118,7 @@ fn connection_adopted_at_runtime_is_served() {
     use nvme_oaf::nvmeof::initiator::{Initiator, InitiatorOptions};
     use nvme_oaf::nvmeof::server::ConnectionSpec;
     use nvme_oaf::nvmeof::target::TargetConfig;
-    use nvme_oaf::nvmeof::transport::MemTransport;
+    use nvme_oaf::nvmeof::transport::ShmTransport;
 
     let registry = Arc::new(HostRegistry::new());
     let clients = [(ProcessId(11), 1u64), (ProcessId(12), 1u64)];
@@ -134,7 +134,7 @@ fn connection_adopted_at_runtime_is_served() {
 
     // A connection arriving after launch: steered, registered into the
     // group's registry, delivered through the shard's admin mailbox.
-    let (ct, tt) = MemTransport::pair();
+    let (ct, tt) = ShmTransport::pair(1 << 20);
     let shard = group
         .target
         .add_connection(ConnectionSpec {
@@ -170,7 +170,7 @@ fn connection_adopted_at_runtime_reports_into_the_group_registry() {
     use nvme_oaf::nvmeof::initiator::{Initiator, InitiatorOptions};
     use nvme_oaf::nvmeof::server::ConnectionSpec;
     use nvme_oaf::nvmeof::target::TargetConfig;
-    use nvme_oaf::nvmeof::transport::MemTransport;
+    use nvme_oaf::nvmeof::transport::ShmTransport;
 
     let registry = Arc::new(HostRegistry::new());
     let clients = [(ProcessId(11), 1u64), (ProcessId(12), 1u64)];
@@ -184,7 +184,7 @@ fn connection_adopted_at_runtime_reports_into_the_group_registry() {
     )
     .expect("launch_many_sharded");
 
-    let (ct, tt) = MemTransport::pair();
+    let (ct, tt) = ShmTransport::pair(1 << 20);
     let spec = ConnectionSpec {
         transport: Box::new(tt),
         cfg: TargetConfig::default(),

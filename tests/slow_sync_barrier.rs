@@ -22,13 +22,15 @@ use nvme_oaf::nvmeof::nvme::namespace::Namespace;
 use nvme_oaf::nvmeof::server::ConnectionSpec;
 use nvme_oaf::nvmeof::shard::{spawn_sharded, ShardConfig};
 use nvme_oaf::nvmeof::target::{spawn_target, TargetConfig, TargetHandle};
-use nvme_oaf::nvmeof::transport::MemTransport;
+use nvme_oaf::nvmeof::transport::ShmTransport;
 use nvme_oaf::store::vfs::{MemVfs, Vfs};
 use nvme_oaf::store::FileDisk;
 
 const TIMEOUT: Duration = Duration::from_secs(10);
 const BS: usize = 4096;
 const BLOCKS: u64 = 64;
+/// Control ring bytes per direction.
+const RING: u64 = 1 << 20;
 
 /// Deadline and keep-alive tuned an order of magnitude *below* the sync
 /// stall: a reactor blocked in an 80 ms fsync would fire several
@@ -53,7 +55,7 @@ fn twitchy_options() -> InitiatorOptions {
 /// 80 ms, reporting into `registry`, and an initiator connected to it.
 fn slow_sync_pair(
     registry: &Arc<oaf_telemetry::Registry>,
-) -> (Initiator<MemTransport>, TargetHandle) {
+) -> (Initiator<ShmTransport>, TargetHandle) {
     let vfs = MemVfs::new();
     let disk = FileDisk::create_on(Box::new(vfs.clone()), BS as u32, BLOCKS, 256 * 1024)
         .expect("format disk");
@@ -61,7 +63,7 @@ fn slow_sync_pair(
     let mut controller = Controller::new();
     controller.add_namespace(Namespace::with_file(1, disk));
 
-    let (ct, tt) = MemTransport::pair();
+    let (ct, tt) = ShmTransport::pair(RING);
     let spec = ConnectionSpec {
         transport: Box::new(tt),
         cfg: TargetConfig::default(),
@@ -73,7 +75,7 @@ fn slow_sync_pair(
 }
 
 /// No deadline retry, timeout, abort, degrade or peer death fired.
-fn assert_nothing_spurious(ini: &mut Initiator<MemTransport>) {
+fn assert_nothing_spurious(ini: &mut Initiator<ShmTransport>) {
     let m = ini.metrics();
     assert_eq!(m.timeouts.get(), 0, "spurious Timeout fired");
     assert_eq!(m.retries.get(), 0, "a command timed out behind the barrier");
@@ -214,7 +216,7 @@ fn keepalive_still_detects_a_peer_wedged_past_the_grace() {
         FileDisk::create_on(Box::new(vfs), BS as u32, BLOCKS, 64 * 1024).expect("format disk");
     let mut controller = Controller::new();
     controller.add_namespace(Namespace::with_file(1, disk));
-    let (ct, tt) = MemTransport::pair();
+    let (ct, tt) = ShmTransport::pair(RING);
     let handle = spawn_target(tt, controller, TargetConfig::default(), None);
 
     let opts = InitiatorOptions {

@@ -517,9 +517,9 @@ fn scope_names_follow_one_rule_at_every_entry_point() {
     let adopted = || {
         use nvme_oaf::nvmeof::server::ConnectionSpec;
         use nvme_oaf::nvmeof::target::TargetConfig;
-        use nvme_oaf::nvmeof::transport::MemTransport;
+        use nvme_oaf::nvmeof::transport::ShmTransport;
         let (telemetry, mut target) = grouped(Some(2));
-        let (_client, served) = MemTransport::pair();
+        let (_client, served) = ShmTransport::pair(1 << 20);
         let spec = ConnectionSpec {
             transport: Box::new(served),
             cfg: TargetConfig::default(),
