@@ -165,7 +165,7 @@ fn bench_group_commit(c: &mut Criterion) {
                     let start = std::time::Instant::now();
                     let threads: Vec<_> = (0..w as u64)
                         .map(|t| {
-                            let d = disk.clone();
+                            let mut d = disk.clone();
                             std::thread::spawn(move || {
                                 let payload = [0xabu8; BS];
                                 for i in 0..iters {
@@ -306,7 +306,7 @@ fn bench_real_file_fdatasync(c: &mut Criterion) {
         // write-back: DIRTY scattered cached writes, a 2 ms pause in
         // which the worker may start their write-out, then the timed
         // Flush.
-        let disk = disk.into_shared();
+        let mut disk = disk.into_shared();
         g.bench_with_input(BenchmarkId::new("paced-flush", DIRTY), &DIRTY, |b, &n| {
             b.iter_custom(|iters| {
                 let mut flushing = std::time::Duration::ZERO;

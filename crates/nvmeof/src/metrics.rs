@@ -12,8 +12,8 @@ use crate::nvme::command::Opcode;
 use oaf_telemetry::{Counter, Gauge, Histo, Scope};
 use std::sync::Arc;
 
-/// Per-endpoint transport counters: frame/byte flow, batch shape, the
-/// borrowed receive path, and congestion/backoff behavior.
+/// Per-endpoint transport counters: frame/byte flow, batch shape, and
+/// congestion/backoff behavior.
 #[derive(Default, Debug)]
 pub struct TransportMetrics {
     /// Frames successfully handed to the peer.
@@ -27,8 +27,6 @@ pub struct TransportMetrics {
     /// `recv_batch` burst sizes (only non-empty batches are recorded,
     /// so idle polls don't swamp the distribution).
     pub batch_sizes: Histo,
-    /// Frames delivered as borrowed ring slices (zero-copy path).
-    pub frames_borrowed: Counter,
     /// Sends that exhausted the full-ring backoff and gave up with
     /// [`crate::error::NvmeofError::RingFull`].
     pub ring_full: Counter,
@@ -49,7 +47,6 @@ impl TransportMetrics {
         scope.adopt_counter("frames_received", &self.frames_received);
         scope.adopt_counter("bytes_received", &self.bytes_received);
         scope.adopt_histo("batch_sizes", &self.batch_sizes);
-        scope.adopt_counter("frames_borrowed", &self.frames_borrowed);
         scope.adopt_counter("ring_full", &self.ring_full);
         scope.adopt_counter("backoff_yields", &self.backoff_yields);
     }
@@ -65,7 +62,6 @@ impl TransportMetrics {
     pub(crate) fn on_recv_borrowed(&self, frames: usize, bytes: usize) {
         self.frames_received.add(frames as u64);
         self.bytes_received.add(bytes as u64);
-        self.frames_borrowed.add(frames as u64);
     }
 
     /// Record a completed wait (successful or not) on a full ring.
@@ -379,7 +375,7 @@ mod tests {
         let snap = registry.snapshot();
         assert_eq!(snap.counter("transport", "frames_sent"), 1);
         assert_eq!(snap.counter("transport", "bytes_received"), 64);
-        assert_eq!(snap.counter("transport", "frames_borrowed"), 1);
+        assert_eq!(snap.counter("transport", "frames_received"), 1);
         assert_eq!(snap.histo("transport", "batch_sizes").unwrap().count, 1);
     }
 }

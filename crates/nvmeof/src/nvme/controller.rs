@@ -2,6 +2,8 @@
 
 use std::collections::BTreeMap;
 
+use oaf_ssd::block::wait_barrier;
+
 use crate::nvme::command::{NvmeCommand, Opcode};
 use crate::nvme::completion::{NvmeCompletion, Status};
 use crate::nvme::namespace::{BarrierPoll, BarrierTicket, Namespace};
@@ -144,13 +146,7 @@ impl Controller {
     ) -> (NvmeCompletion, Option<Vec<u8>>) {
         let (mut comp, payload, ticket) = self.execute_async(cmd, write_payload);
         if let Some(ticket) = ticket {
-            let verdict = loop {
-                match self.poll_barrier(cmd.nsid, ticket) {
-                    BarrierPoll::Pending => std::thread::yield_now(),
-                    resolved => break resolved,
-                }
-            };
-            if verdict == BarrierPoll::Failed {
+            if wait_barrier(|| self.poll_barrier(cmd.nsid, ticket)) == BarrierPoll::Failed {
                 comp = NvmeCompletion::error(cmd.cid, Status::InternalError);
             }
         }

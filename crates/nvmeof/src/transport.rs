@@ -243,8 +243,10 @@ pub fn recv_batch_until<T: Transport + ?Sized>(
 }
 
 /// A duplex, frame-oriented transport endpoint: one send
-/// ([`Transport::send_frame`]) and one receive ([`Transport::recv_batch`])
-/// are required; the vectored and queued sends are provided on top.
+/// ([`Transport::send_frame`]), one receive ([`Transport::recv_batch`])
+/// and the queued send ([`Transport::queue_frame`] +
+/// [`Transport::flush_queued`]) are required; the vectored send is
+/// provided on top.
 pub trait Transport: Send {
     /// Sends one frame to the peer from a borrowed buffer, so callers
     /// encode into a reusable scratch. Ring transports copy the slice
@@ -286,17 +288,13 @@ pub trait Transport: Send {
     /// queue so a poll loop pays one `write` for everything it queued;
     /// ring transports stage the frame off the ring until
     /// `flush_queued`, which publishes the whole batch with one tail
-    /// store. The default sends at once.
-    fn queue_frame(&self, frame: &[u8]) -> Result<(), NvmeofError> {
-        self.send_frame(frame)
-    }
+    /// store.
+    fn queue_frame(&self, frame: &[u8]) -> Result<(), NvmeofError>;
 
     /// Puts every frame accepted by [`Transport::queue_frame`] on the
     /// transport. Only the caller knows when its batch ends, so whoever
     /// queues must call this before it waits for the answer.
-    fn flush_queued(&self) -> Result<(), NvmeofError> {
-        Ok(())
-    }
+    fn flush_queued(&self) -> Result<(), NvmeofError>;
 }
 
 /// Fully in-region control path: a duplex transport over two lock-free

@@ -9,13 +9,20 @@
 //! exactly the point — exclusivity and lock-freedom are properties of
 //! the code path, not of the core count, and they must hold under the
 //! worst-case interleavings oversubscription produces.
+//!
+//! The file-backed case runs the same probes over a durable store. Its
+//! shard still allocates nothing; it takes at most one lock per store
+//! call, the disk's own, since every clone of a shared file store
+//! serializes its journal behind it. Its barriers park on tickets that
+//! the store's sync worker retires without that lock.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+use bytes::Bytes;
 use oaf_nvmeof::initiator::{Initiator, InitiatorOptions, IoResult};
 use oaf_nvmeof::nvme::controller::Controller;
 use oaf_nvmeof::nvme::namespace::Namespace;
@@ -23,6 +30,8 @@ use oaf_nvmeof::server::ConnectionSpec;
 use oaf_nvmeof::shard::{spawn_sharded, ShardConfig};
 use oaf_nvmeof::target::TargetConfig;
 use oaf_nvmeof::transport::ShmTransport;
+use oaf_store::vfs::MemVfs;
+use oaf_store::FileDisk;
 use oaf_telemetry::Registry;
 
 /// Counts allocations made by shard threads while the measurement phase
@@ -33,6 +42,9 @@ struct CountingAlloc;
 
 static PHASE_OPEN: AtomicBool = AtomicBool::new(false);
 static SHARD_ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+/// The probes are process-wide: one test measures at a time.
+static SERIAL: Mutex<()> = Mutex::new(());
 
 thread_local! {
     static ON_SHARD: Cell<bool> = const { Cell::new(false) };
@@ -81,6 +93,11 @@ fn cycle(ini: &mut Initiator<ShmTransport>, done: &mut Vec<IoResult>, i: u64) {
     } else {
         ini.submit_flush(1).expect("submit")
     };
+    complete(ini, done, cid);
+}
+
+/// Polls until the one op in flight, `cid`, completes successfully.
+fn complete(ini: &mut Initiator<ShmTransport>, done: &mut Vec<IoResult>, cid: u16) {
     loop {
         done.clear();
         if ini.poll_into(done).expect("poll") > 0 {
@@ -95,6 +112,7 @@ fn cycle(ini: &mut Initiator<ShmTransport>, done: &mut Vec<IoResult>, i: u64) {
 
 #[test]
 fn sharded_steady_state_allocates_nothing_and_takes_no_locks() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let mut controller = Controller::new();
     controller.add_namespace(Namespace::new(1, 4096, 2048));
 
@@ -182,5 +200,95 @@ fn sharded_steady_state_allocates_nothing_and_takes_no_locks() {
 
     a.disconnect().expect("a disconnect");
     b.disconnect().expect("b disconnect");
+    target.shutdown().expect("shutdown");
+}
+
+/// One op of the file-backed mix, each one store call: a 4 KiB write, a
+/// read of it, a FUA write and a Flush. The two barriers park on their
+/// tickets until the sync worker retires them.
+fn file_cycle(ini: &mut Initiator<ShmTransport>, done: &mut Vec<IoResult>, block: &Bytes, i: u64) {
+    let lba = i / 4 % LBA_SPAN;
+    let cid = match i % 4 {
+        0 => ini.submit_write(1, lba, 1, block.clone()),
+        1 => ini.submit_read(1, lba, 1, 4096),
+        2 => ini.submit_write_fua(1, lba + LBA_SPAN, 1, block.clone()),
+        _ => ini.submit_flush(1),
+    }
+    .expect("submit");
+    complete(ini, done, cid);
+}
+
+#[test]
+fn file_backed_shard_allocates_nothing_and_takes_at_most_the_disk_lock() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    const OPS: u64 = 2000;
+    // The log holds every record of the run, so no checkpoint folds it
+    // mid-measurement.
+    let disk =
+        FileDisk::create_on(Box::new(MemVfs::new()), 4096, 2 * LBA_SPAN, 16 << 20).expect("format");
+    let store = Arc::clone(disk.metrics());
+    let mut controller = Controller::new();
+    controller.add_namespace(Namespace::with_file(1, disk));
+
+    let registry = Arc::new(Registry::new());
+    let (c, t) = ShmTransport::pair(256 * 1024);
+    let spec = ConnectionSpec {
+        transport: Box::new(t),
+        cfg: TargetConfig::default(),
+        payload: None,
+    };
+    let mut cfg = ShardConfig::new(1);
+    cfg.thread_hook = Some(Arc::new(|_shard| {
+        ON_SHARD.with(|c| c.set(true));
+        parking_lot::probe::arm_thread();
+    }));
+    let target = spawn_sharded(controller, vec![spec], cfg, &registry);
+    let mut ini =
+        Initiator::connect(c, InitiatorOptions::default(), None, TIMEOUT).expect("connect");
+    let mut done: Vec<IoResult> = Vec::with_capacity(16);
+    let block = Bytes::from(vec![0x5au8; 4096]);
+
+    // Warm-up over every LBA the measured phase revisits.
+    for i in 0..8 * LBA_SPAN {
+        file_cycle(&mut ini, &mut done, &block, i);
+    }
+
+    let (barriers, checkpoints) = (store.barriers_offloaded.get(), store.checkpoints.get());
+    parking_lot::probe::reset();
+    parking_lot::probe::set_counting(true);
+    SHARD_ALLOCS.store(0, Ordering::SeqCst);
+    PHASE_OPEN.store(true, Ordering::SeqCst);
+
+    for i in 0..OPS {
+        file_cycle(&mut ini, &mut done, &block, i);
+    }
+
+    PHASE_OPEN.store(false, Ordering::SeqCst);
+    parking_lot::probe::set_counting(false);
+
+    let allocs = SHARD_ALLOCS.load(Ordering::SeqCst);
+    let locks = parking_lot::probe::acquisitions();
+    eprintln!(
+        "file-backed shard: {locks} parking_lot acquisitions over {OPS} store calls \
+         ({:.2} per call), {allocs} allocations",
+        locks as f64 / OPS as f64
+    );
+    assert_eq!(
+        allocs, 0,
+        "a file-backed shard must not allocate in steady state \
+         (saw {allocs} allocations across {OPS} ops)"
+    );
+    assert!(
+        locks <= OPS,
+        "at most the disk's own lock per store call: {locks} acquisitions across {OPS} ops"
+    );
+
+    // Every FUA write and Flush took a ticket, and the log never folded
+    // under the measurement.
+    assert_eq!(store.barriers_offloaded.get() - barriers, OPS / 2);
+    assert_eq!(store.checkpoints.get(), checkpoints);
+    assert!(registry.snapshot().counter("reactor0", "ops") >= OPS);
+
+    ini.disconnect().expect("disconnect");
     target.shutdown().expect("shutdown");
 }

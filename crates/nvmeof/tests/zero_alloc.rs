@@ -311,7 +311,6 @@ fn steady_state_cycle_with_telemetry_recording_allocates_nothing() {
     for scope in ["transport_client", "transport_target"] {
         assert_eq!(snap.counter(scope, "frames_sent"), 1064);
         assert_eq!(snap.counter(scope, "frames_received"), 1064);
-        assert_eq!(snap.counter(scope, "frames_borrowed"), 1064);
         assert_eq!(snap.counter(scope, "ring_full"), 0);
     }
     assert_eq!(snap.counter("ring_client", "frames"), 1064);

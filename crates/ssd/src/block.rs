@@ -9,7 +9,8 @@
 //! `flush_submit`, resolved by `poll_barrier`). A store that completes
 //! its barriers at once takes the provided submitting methods, which
 //! never hand out a [`BarrierTicket`]; only a store that can leave an
-//! `fdatasync` in flight overrides them. The RAM-backed store in
+//! `fdatasync` in flight overrides them, and its blocking forms are a
+//! ticket waited out with [`wait_barrier`]. The RAM-backed store in
 //! [`crate::ram`] implements the trait trivially (RAM is "always
 //! durable", so FUA and flush are no-ops and TRIM is a zero-fill); the
 //! file-backed log-structured store in `oaf-store` implements it with a
@@ -52,6 +53,19 @@ pub enum BarrierPoll {
     /// not known durable, and the barrier must complete with an error.
     /// Later tickets may still succeed.
     Failed,
+}
+
+/// Yield-polls `poll` until the barrier it probes resolves — the one
+/// blocking wait for durability. A reactor parks its tickets instead;
+/// only a caller that must block (a blocking barrier, a blocking
+/// command) runs this.
+pub fn wait_barrier(mut poll: impl FnMut() -> BarrierPoll) -> BarrierPoll {
+    loop {
+        match poll() {
+            BarrierPoll::Pending => std::thread::yield_now(),
+            resolved => return resolved,
+        }
+    }
 }
 
 /// A fixed-geometry block device.

@@ -11,48 +11,56 @@
 //!
 //! Every [`SharedFileDisk`](crate::disk::SharedFileDisk) owns a sync
 //! worker thread, and that worker is the only place a barrier's
-//! `fdatasync` runs — never a reactor thread, never under the disk
-//! lock:
+//! `fdatasync` runs — never a reactor thread. The worker holds no handle
+//! to the disk: it reads this coordinator's watermarks and nothing else.
 //!
 //! - [`submit_sync`](GroupCommit::submit_sync) enrolls a barrier ticket
 //!   and returns a [`BarrierTicket`] immediately — no blocking, no
 //!   allocation. The worker is woken through a condvar.
-//! - The worker loops on `next_round` / `complete_sync`
+//! - The worker loops on `next_round` / `sync` / `complete_sync`
 //!   (crate-private): each sync round snapshots the highest requested
-//!   sequence, reads the covered watermark under the disk lock (no
-//!   I/O), runs one device barrier through its own vfs handle with the
-//!   disk lock released, and publishes either a new `durable_seq` or a
-//!   `failed_seq` watermark equal to the snapshot target — so an error
-//!   fails exactly the set of tickets that were parked behind that sync
-//!   and nothing submitted after it. A round that retires k tickets
+//!   sequence, reads the `appended` watermark, runs one device barrier
+//!   through its own vfs handle and publishes either a new `durable_seq`
+//!   or a `failed_seq` watermark equal to the snapshot target — so an
+//!   error fails exactly the set of tickets that were parked behind that
+//!   sync and nothing submitted after it. A round that retires k tickets
 //!   counts one `fsyncs` and k − 1 `fsyncs_coalesced`; each round
 //!   records its batch size (`commit_batch`), so with K concurrent
 //!   writers the histogram's mass sits near K.
+//! - `sync` is the one sync routine: the unshared disk runs it inline on
+//!   its own handle (a barrier or a checkpoint), the worker on its own.
+//!   The bytes it adds to `flushed_bytes` reach it through one atomic
+//!   swap.
 //! - [`poll_sync`](GroupCommit::poll_sync) is a lock-free read of two
 //!   monotonic atomics, cheap enough for a reactor to probe every pass.
 //!   Durability wins over failure: a ticket covered by a *later*
 //!   successful sync is durable no matter what an earlier round said.
-//! - The blocking [`barrier`](GroupCommit::barrier) enrolls the same
-//!   ticket and waits on the retired condvar.
+//! - A caller that must block waits on its ticket with `wait`, the
+//!   yield-poll of [`wait_barrier`]; a failed round hands it the
+//!   worker's error text.
 //!
 //! ## Paced write-back between rounds
 //!
 //! A barrier's `fdatasync` must push every page dirtied since the last
 //! one. So between rounds the worker *kicks*: it starts page-cache
-//! write-out ([`Vfs::start_writeback`](crate::vfs::Vfs::start_writeback))
-//! and does not wait for it, so the next barrier finds only the tail.
+//! write-out ([`Vfs::start_writeback`]) and does not wait for it, so the
+//! next barrier finds only the tail.
 //!
-//! - Every journal append of a shared disk publishes its sequence here
-//!   with one relaxed store, under the disk lock.
+//! - Every journal append publishes its sequence here, after the log
+//!   write returns: one `SeqCst` store of `appended`. A worker that
+//!   loads sequence S therefore syncs after S's write returned.
 //! - While records were appended past the worker's last kick or sync,
 //!   the worker waits with a `KICK_PERIOD` (1 ms) timeout; a timeout
 //!   with no barrier enrolled is a kick round. A barrier always wins
 //!   over a kick.
-//! - When nothing was appended, the worker raises an idle flag (under
-//!   the disk lock) and blocks with no timeout. The first append that
-//!   finds the flag up clears it and wakes the worker — once per
-//!   idle-to-busy transition, so the append path takes no syscall in the
-//!   steady state and an idle disk takes no timed wake-ups.
+//! - When nothing was appended, the worker raises an idle flag and
+//!   reads `appended` again, under the state lock it then blocks on with
+//!   no timeout. An append stores `appended`, then reads the flag
+//!   (`SeqCst` on both sides, so at least one of them sees the other's
+//!   store). Only the append that clears the flag takes the lock and
+//!   wakes the worker — once per idle-to-busy transition, so the append
+//!   path takes no lock and no syscall in the steady state and an idle
+//!   disk takes no timed wake-ups.
 //! - A kick is never durability: it moves neither watermark, retires no
 //!   ticket and replaces no sync (`writeback_kicks` counts them).
 
@@ -60,10 +68,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use oaf_ssd::block::{BarrierPoll, BarrierTicket};
+use oaf_ssd::block::{wait_barrier, BarrierPoll, BarrierTicket};
 use oaf_ssd::ram::BlockError;
 
 use crate::metrics::StoreMetrics;
+use crate::vfs::Vfs;
 
 /// How long the worker lets records appended past its last kick or sync
 /// sit before it starts their write-out.
@@ -101,23 +110,25 @@ struct CommitState {
     fail_msg: Option<String>,
 }
 
-/// The sync coordinator shared by every queue view of one
-/// [`SharedFileDisk`](crate::disk::SharedFileDisk).
+/// The sync coordinator of one file store, shared by its every queue
+/// view and its sync worker.
 #[derive(Default)]
 pub struct GroupCommit {
     state: Mutex<CommitState>,
-    retired: Condvar,
-    /// Wakes the sync worker when new tickets arrive or shutdown is set.
+    /// Wakes the sync worker when new tickets arrive, an append ends its
+    /// idle spell or shutdown is set.
     work: Condvar,
     /// Lock-free mirror of `durable_seq` for reactor-side polling.
     durable: AtomicU64,
     /// Lock-free mirror of `failed_seq` for reactor-side polling.
     failed: AtomicU64,
-    /// Highest journal sequence appended, published under the disk lock.
+    /// Highest journal sequence whose log write has returned.
     appended: AtomicU64,
+    /// Bytes written since the last sync (for `flushed_bytes`).
+    unflushed: AtomicU64,
     /// The worker found nothing appended past its last kick or sync and
-    /// blocks with no timeout. Raised by the worker and cleared by the
-    /// first append after it, both under the disk lock.
+    /// blocks with no timeout. Raised by the worker under the state
+    /// lock; cleared by the first append after it.
     idle: AtomicBool,
 }
 
@@ -168,62 +179,57 @@ impl GroupCommit {
         }
     }
 
-    /// Blocks until every record with sequence ≤ `seq` is durable: a
-    /// ticket like [`submit_sync`](GroupCommit::submit_sync)'s, waited
-    /// out on the retired condvar. Fails with the worker's error when
-    /// the round covering it failed.
-    pub fn barrier(&self, seq: u64, metrics: &StoreMetrics) -> Result<(), BlockError> {
-        let ticket = self.submit_sync(seq, metrics);
-        let mut guard = self.state.lock().expect("commit lock poisoned");
-        loop {
-            // The watermarks only move under this lock, so a round that
-            // completes after this check wakes the wait below.
-            match self.poll_sync(ticket) {
-                BarrierPoll::Durable => return Ok(()),
-                BarrierPoll::Failed => {
-                    let msg = guard.fail_msg.clone();
-                    return Err(BlockError::Io(
-                        msg.unwrap_or_else(|| "sync worker failed".into()),
-                    ));
-                }
-                BarrierPoll::Pending if guard.worker_shutdown => {
-                    return Err(BlockError::Io("sync worker stopped".into()));
-                }
-                BarrierPoll::Pending => {
-                    guard = self.retired.wait(guard).expect("commit lock poisoned");
-                }
-            }
+    /// Blocks until `ticket` resolves, yield-polling it through
+    /// [`wait_barrier`]. Fails with the worker's error text when the
+    /// round covering it failed.
+    pub(crate) fn wait(&self, ticket: BarrierTicket) -> Result<(), BlockError> {
+        if wait_barrier(|| self.poll_sync(ticket)) == BarrierPoll::Durable {
+            return Ok(());
         }
+        let guard = self.state.lock().expect("commit lock poisoned");
+        let msg = guard.fail_msg.clone();
+        Err(BlockError::Io(
+            msg.unwrap_or_else(|| "sync worker stopped".into()),
+        ))
     }
 
-    /// Append side of paced write-back, called under the disk lock after
-    /// every journal append: one relaxed store, plus — only for the
-    /// first append after the worker went idle — a wake-up.
+    /// Append side, called after every journal append's log write
+    /// returned: one store, plus — only for the first append after the
+    /// worker went idle — a wake-up under the state lock, which the
+    /// worker holds from raising the flag until it waits.
     #[inline]
     pub(crate) fn note_append(&self, seq: u64) {
-        self.appended.store(seq, Ordering::Relaxed);
-        if self.idle.load(Ordering::Relaxed) {
-            self.idle.store(false, Ordering::Relaxed);
-            // The worker checks the flag under this lock before it
-            // waits, so the notify cannot fall between check and wait.
+        self.appended.store(seq, Ordering::SeqCst);
+        if self.idle.load(Ordering::SeqCst) && self.idle.swap(false, Ordering::SeqCst) {
             let _guard = self.state.lock().expect("commit lock poisoned");
             self.work.notify_one();
         }
     }
 
-    /// Highest journal sequence appended so far.
-    pub(crate) fn appended(&self) -> u64 {
-        self.appended.load(Ordering::Relaxed)
+    /// Counts `bytes` written to the file toward the next sync's
+    /// `flushed_bytes`.
+    #[inline]
+    pub(crate) fn note_dirty(&self, bytes: u64) {
+        self.unflushed.fetch_add(bytes, Ordering::Relaxed);
     }
 
-    /// Worker side, under the disk lock that every append publishes
-    /// under: whether records were appended past `paced` (the seq its
-    /// last kick or sync covered). If none were, raises the idle flag so
-    /// the next append wakes the worker.
-    pub(crate) fn appended_past(&self, paced: u64) -> bool {
-        let busy = self.appended() > paced;
-        if !busy {
-            self.idle.store(true, Ordering::Relaxed);
+    /// Highest journal sequence appended so far.
+    pub(crate) fn appended(&self) -> u64 {
+        self.appended.load(Ordering::Acquire)
+    }
+
+    /// Worker side: whether records were appended past `paced` (the seq
+    /// its last kick or sync covered). If none were, raises the idle
+    /// flag and reads again: an append this second read misses sees the
+    /// flag and wakes the wait that follows.
+    fn appended_since(&self, paced: u64) -> bool {
+        if self.appended.load(Ordering::SeqCst) > paced {
+            return true;
+        }
+        self.idle.store(true, Ordering::SeqCst);
+        let busy = self.appended.load(Ordering::SeqCst) > paced;
+        if busy {
+            self.idle.store(false, Ordering::SeqCst);
         }
         busy
     }
@@ -231,41 +237,44 @@ impl GroupCommit {
     /// Whether the worker is blocked with no timeout.
     #[cfg(test)]
     pub(crate) fn worker_idle(&self) -> bool {
-        self.idle.load(Ordering::Relaxed)
+        self.idle.load(Ordering::SeqCst)
     }
 
-    /// Asks the worker to exit, waking it (and any blocked waiter) if
-    /// parked.
+    /// Asks the worker to exit, waking it if parked. A ticket nobody
+    /// will sync now fails instead of leaving its waiter polling.
     pub(crate) fn shutdown_worker(&self) {
-        self.state
-            .lock()
-            .expect("commit lock poisoned")
-            .worker_shutdown = true;
+        let mut guard = self.state.lock().expect("commit lock poisoned");
+        guard.worker_shutdown = true;
+        guard.failed_seq = u64::MAX;
+        self.failed.store(u64::MAX, Ordering::Release);
         self.work.notify_all();
-        self.retired.notify_all();
     }
 
     /// Worker side: block until the next round. A sync round returns
     /// its snapshot target — the highest requested sequence at the
     /// moment the round starts; tickets enrolled *after* it belong to
-    /// the next round. With `busy` (records appended past the last kick
-    /// or sync) the wait times out after [`KICK_PERIOD`] into a kick
-    /// round; without it the caller has raised the idle flag
-    /// ([`appended_past`](GroupCommit::appended_past)) and the wait has
-    /// no timeout until an append clears the flag.
-    pub(crate) fn next_round(&self, busy: bool) -> Round {
+    /// the next round. While records were appended past `paced`, the
+    /// wait times out after [`KICK_PERIOD`] into a kick round; otherwise
+    /// the worker goes idle and the wait has no timeout until an append
+    /// clears the flag.
+    pub(crate) fn next_round(&self, paced: u64) -> Round {
         let mut guard = self.state.lock().expect("commit lock poisoned");
-        let mut deadline = busy.then(|| Instant::now() + KICK_PERIOD);
+        let mut deadline = None;
         loop {
             if guard.worker_shutdown {
                 return Round::Shutdown;
             }
             let retired_hi = guard.durable_seq.max(guard.failed_seq);
             if guard.requested_seq > retired_hi {
-                self.idle.store(false, Ordering::Relaxed);
+                self.idle.store(false, Ordering::SeqCst);
                 guard.syncing_tickets += guard.tickets;
                 guard.tickets = 0;
                 return Round::Sync(guard.requested_seq);
+            }
+            // An append that woke the idle worker gives the burst one
+            // period to build up before it is kicked.
+            if deadline.is_none() && self.appended_since(paced) {
+                deadline = Some(Instant::now() + KICK_PERIOD);
             }
             match deadline {
                 Some(at) => {
@@ -279,14 +288,28 @@ impl GroupCommit {
                         .expect("commit lock poisoned")
                         .0;
                 }
-                None if self.idle.load(Ordering::Relaxed) => {
-                    guard = self.work.wait(guard).expect("commit lock poisoned");
-                }
-                // An append woke the idle worker: give the burst one
-                // period to build up before kicking it.
-                None => deadline = Some(Instant::now() + KICK_PERIOD),
+                None => guard = self.work.wait(guard).expect("commit lock poisoned"),
             }
         }
+    }
+
+    /// One durability barrier through `vfs` — the `fdatasync` and its
+    /// `fsyncs`/`fsync_ns`/`flushed_bytes` bookkeeping. Returns the
+    /// appended watermark read before the sync, which the sync covers.
+    pub(crate) fn sync(
+        &self,
+        vfs: &mut dyn Vfs,
+        metrics: &StoreMetrics,
+    ) -> Result<u64, BlockError> {
+        let covered = self.appended();
+        let bytes = self.unflushed.swap(0, Ordering::AcqRel);
+        let t0 = Instant::now();
+        vfs.sync()
+            .map_err(|e| BlockError::Io(format!("fsync: {e}")))?;
+        metrics.fsyncs.inc();
+        metrics.fsync_ns.record_nanos(t0.elapsed());
+        metrics.flushed_bytes.add(bytes);
+        Ok(covered)
     }
 
     /// Worker side: publish one round's outcome. On success the durable
@@ -330,8 +353,6 @@ impl GroupCommit {
         metrics
             .sync_queue_depth
             .set((guard.tickets + guard.syncing_tickets) as i64);
-        drop(guard);
-        self.retired.notify_all();
     }
 }
 
@@ -345,7 +366,7 @@ mod tests {
         /// The worker's wait on a disk with nothing appended: the next
         /// sync target, or `None` at shutdown.
         fn next_sync_request(&self) -> Option<u64> {
-            match self.next_round(self.appended_past(u64::MAX)) {
+            match self.next_round(u64::MAX) {
                 Round::Sync(target) => Some(target),
                 Round::Shutdown => None,
                 Round::Kick => unreachable!("an idle worker never kicks"),
@@ -353,14 +374,15 @@ mod tests {
         }
     }
 
-    /// A blocking barrier on its own thread; the test plays the worker.
+    /// A blocking barrier on its own thread — a ticket, waited out; the
+    /// test plays the worker.
     fn blocking_barrier(
         gc: &Arc<GroupCommit>,
         m: &Arc<StoreMetrics>,
         seq: u64,
     ) -> JoinHandle<Result<(), BlockError>> {
         let (gc, m) = (Arc::clone(gc), Arc::clone(m));
-        std::thread::spawn(move || gc.barrier(seq, &m))
+        std::thread::spawn(move || gc.wait(gc.submit_sync(seq, &m)))
     }
 
     #[test]
@@ -387,7 +409,7 @@ mod tests {
         // Seqs 4..=10 were covered by the first round: both forms retire
         // at once, without a second round.
         assert_eq!(gc.poll_sync(gc.submit_sync(10, &m)), BarrierPoll::Durable);
-        gc.barrier(10, &m).unwrap();
+        gc.wait(gc.submit_sync(10, &m)).unwrap();
         assert_eq!(m.fsyncs_coalesced.get(), 2);
         assert_eq!(m.commit_batch.snapshot().count, 1);
     }
@@ -526,32 +548,36 @@ mod tests {
         let gc = Arc::new(GroupCommit::new());
         let m = StoreMetrics::new();
         gc.note_append(3);
-        assert!(gc.appended_past(0), "seq 3 was appended past 0");
         assert!(!gc.worker_idle());
         let t0 = Instant::now();
-        assert_eq!(gc.next_round(true), Round::Kick);
+        // Seq 3 was appended past 0: the worker kicks it.
+        assert_eq!(gc.next_round(0), Round::Kick);
         assert!(t0.elapsed() >= KICK_PERIOD, "a kick waits out one period");
         // The kick moved no watermark: a ticket for seq 3 still parks.
         assert_eq!(gc.durable_seq(), 0);
         assert_eq!(gc.poll_sync(BarrierTicket::new(3)), BarrierPoll::Pending);
         // A barrier beats the kick timer and gets its own sync round.
-        let ticket = gc.submit_sync(3, &m);
-        assert_eq!(gc.next_round(true), Round::Sync(3));
-        gc.complete_sync(3, Ok(3), &m);
+        gc.note_append(4);
+        let ticket = gc.submit_sync(4, &m);
+        assert_eq!(gc.next_round(3), Round::Sync(4));
+        gc.complete_sync(4, Ok(4), &m);
         assert_eq!(gc.poll_sync(ticket), BarrierPoll::Durable);
-        assert!(!gc.appended_past(3), "the sync covered every append");
-        assert!(gc.worker_idle());
-        // The first append after the worker went idle wakes it: it
-        // leaves the untimed wait and kicks one period later.
+        // The sync covered every append: the worker goes idle, and the
+        // first append after that wakes it. It leaves the untimed wait
+        // and kicks one period later.
         let worker = {
             let gc = Arc::clone(&gc);
-            std::thread::spawn(move || gc.next_round(false))
+            std::thread::spawn(move || gc.next_round(4))
         };
+        while !gc.worker_idle() {
+            std::thread::yield_now();
+        }
         std::thread::sleep(Duration::from_millis(5));
         assert!(!worker.is_finished(), "an idle worker has no timeout");
-        gc.note_append(4);
+        assert!(gc.worker_idle());
+        gc.note_append(5);
         assert!(!gc.worker_idle(), "the append cleared the flag");
         assert_eq!(worker.join().unwrap(), Round::Kick);
-        assert_eq!(gc.durable_seq(), 3);
+        assert_eq!(gc.durable_seq(), 4);
     }
 }

@@ -30,10 +30,13 @@
 //! data region first. Only a checkpoint, which folds the log away,
 //! drains the cache.
 //!
-//! Under [`SharedFileDisk`], FUA/Flush barriers go through a
-//! [`GroupCommit`] coordinator to the disk's own sync worker thread:
-//! concurrent barriers from many queues coalesce into one `fdatasync`
-//! per worker round, and no caller ever runs the syscall itself.
+//! Every append publishes its sequence to the disk's [`GroupCommit`]
+//! coordinator. Under [`SharedFileDisk`], FUA/Flush barriers are
+//! tickets on that coordinator, retired by the disk's own sync worker
+//! thread: concurrent barriers from many queues coalesce into one
+//! `fdatasync` per worker round, and no caller ever runs the syscall
+//! itself. The worker reads the coordinator's watermarks only; it never
+//! takes the disk lock.
 //!
 //! Between rounds that worker paces write-back: while records have been
 //! appended past its last kick or sync, it starts their page-cache
@@ -41,7 +44,7 @@
 //! barrier's `fdatasync` waits only for the tail. A kick makes nothing
 //! durable and retires no ticket; an idle disk takes no kicks and no
 //! timed wake-ups. The unshared [`FileDisk`] has no worker and does not
-//! kick.
+//! kick: it runs the coordinator's one sync routine inline.
 //!
 //! ## Recovery invariants
 //!
@@ -150,8 +153,6 @@ pub struct FileDisk {
     log_tail: u64,
     /// Sequence number of the next record.
     next_seq: u64,
-    /// Bytes written since the last sync barrier (for `flushed_bytes`).
-    dirty_bytes: u64,
     /// Write-back block cache (capacity 0 = uncached). `RefCell`
     /// because [`BlockStore::read`] takes `&self` but a hit updates
     /// recency; never borrowed across a `vfs` call that could re-enter.
@@ -164,9 +165,10 @@ pub struct FileDisk {
     live_blocks: u64,
     /// Adaptive cache controller state (`None` = fixed capacity).
     adapt: Option<AdaptState>,
-    /// The shared form's coordinator, to which every append publishes
-    /// its sequence for paced write-back (`None`: unshared, no worker).
-    commit: Option<Arc<GroupCommit>>,
+    /// The durability coordinator: every append publishes its sequence
+    /// and written bytes here, and every sync runs through it. The
+    /// shared form's sync worker reads it and nothing else of the disk.
+    commit: Arc<GroupCommit>,
     metrics: Arc<StoreMetrics>,
 }
 
@@ -220,12 +222,11 @@ impl FileDisk {
             sb,
             log_tail: 0,
             next_seq: 1,
-            dirty_bytes: 0,
             cache: RefCell::new(BlockCache::new(block_size as usize, 0)),
             live: vec![0u64; blocks.div_ceil(64) as usize],
             live_blocks: 0,
             adapt: None,
-            commit: None,
+            commit: Arc::new(GroupCommit::new()),
             metrics: StoreMetrics::new(),
         })
     }
@@ -273,12 +274,11 @@ impl FileDisk {
             vfs,
             next_seq: sb.next_seq,
             log_tail: 0,
-            dirty_bytes: 0,
             cache: RefCell::new(BlockCache::new(sb.block_size as usize, 0)),
             live: vec![0u64; sb.capacity_blocks.div_ceil(64) as usize],
             live_blocks: 0,
             adapt: None,
-            commit: None,
+            commit: Arc::new(GroupCommit::new()),
             sb,
             metrics: StoreMetrics::new(),
         })
@@ -368,7 +368,7 @@ impl FileDisk {
                 self.vfs
                     .write_at(off, payload)
                     .map_err(|e| io_err("replay write", e))?;
-                self.dirty_bytes += payload.len() as u64;
+                self.commit.note_dirty(payload.len() as u64);
             }
             RecordKind::Trim | RecordKind::Zeroes => {
                 self.punch(hdr.lba, hdr.nlb)?;
@@ -395,7 +395,8 @@ impl FileDisk {
             off += n as u64;
             left -= n as u64;
         }
-        self.dirty_bytes += u64::from(count) * u64::from(self.sb.block_size);
+        self.commit
+            .note_dirty(u64::from(count) * u64::from(self.sb.block_size));
         Ok(())
     }
 
@@ -474,7 +475,7 @@ impl FileDisk {
             vfs,
             sb,
             cache,
-            dirty_bytes,
+            commit,
             metrics,
             ..
         } = self;
@@ -483,7 +484,7 @@ impl FileDisk {
         let written = cache.get_mut().drain_dirty(&mut |wlba, data| {
             vfs.write_at(data_offset + wlba * bs, data)
                 .map_err(|e| io_err("writeback", e))?;
-            *dirty_bytes += data.len() as u64;
+            commit.note_dirty(data.len() as u64);
             Ok(())
         })?;
         metrics.cache_writebacks.add(written);
@@ -491,28 +492,11 @@ impl FileDisk {
         Ok(())
     }
 
-    /// Phase 1 of a barrier, run by the sync worker under the disk
-    /// lock: a watermark read with no I/O. The worker issues
-    /// the `fdatasync` through its own vfs handle after releasing this
-    /// lock, so reads and journaled writes keep flowing for the
-    /// barrier's whole duration. Returns `(covered_seq,
-    /// dirty_bytes_taken)`; the worker accounts the bytes to
-    /// `flushed_bytes` once the sync lands.
-    pub(crate) fn prepare_offload_sync(&mut self) -> (u64, u64) {
-        let dirty = std::mem::take(&mut self.dirty_bytes);
-        (self.next_seq - 1, dirty)
-    }
-
-    /// One durability barrier over the journal: `fdatasync` + the
-    /// flushed-bytes/latency bookkeeping. Dirty cache blocks stay
-    /// cached: their records are in the journal this sync makes durable.
+    /// One durability barrier over the journal, inline on this handle:
+    /// the coordinator's sync routine. Dirty cache blocks stay cached:
+    /// their records are in the journal this sync makes durable.
     fn sync_barrier(&mut self) -> Result<(), BlockError> {
-        let t0 = Instant::now();
-        self.vfs.sync().map_err(|e| io_err("fsync", e))?;
-        self.metrics.fsyncs.inc();
-        self.metrics.fsync_ns.record_nanos(t0.elapsed());
-        self.metrics.flushed_bytes.add(self.dirty_bytes);
-        self.dirty_bytes = 0;
+        self.commit.sync(self.vfs.as_mut(), &self.metrics)?;
         Ok(())
     }
 
@@ -558,11 +542,9 @@ impl FileDisk {
             .write_vectored_at(LOG_OFFSET + self.log_tail, &record)
             .map_err(|e| io_err("log append", e))?;
         self.log_tail += total;
-        if let Some(commit) = &self.commit {
-            commit.note_append(self.next_seq);
-        }
+        self.commit.note_dirty(total);
+        self.commit.note_append(self.next_seq);
         self.next_seq += 1;
-        self.dirty_bytes += total;
         self.metrics.log_appends.inc();
         self.metrics.log_bytes.add(total);
         Ok(())
@@ -682,7 +664,7 @@ impl FileDisk {
             vfs,
             sb,
             cache,
-            dirty_bytes,
+            commit,
             metrics,
             ..
         } = self;
@@ -692,7 +674,7 @@ impl FileDisk {
         cache.resize(new_cap, &mut |wlba, data| {
             vfs.write_at(data_offset + wlba * bs, data)
                 .map_err(|e| io_err("writeback", e))?;
-            *dirty_bytes += data.len() as u64;
+            commit.note_dirty(data.len() as u64);
             metrics.cache_writebacks.inc();
             Ok(())
         })?;
@@ -735,7 +717,7 @@ impl FileDisk {
                 vfs,
                 sb,
                 cache,
-                dirty_bytes,
+                commit,
                 metrics,
                 ..
             } = self;
@@ -745,7 +727,7 @@ impl FileDisk {
             let mut wb = |wlba: u64, data: &[u8]| -> Result<(), BlockError> {
                 vfs.write_at(data_offset + wlba * bs as u64, data)
                     .map_err(|e| io_err("writeback", e))?;
-                *dirty_bytes += data.len() as u64;
+                commit.note_dirty(data.len() as u64);
                 metrics.cache_writebacks.inc();
                 Ok(())
             };
@@ -761,7 +743,7 @@ impl FileDisk {
             self.vfs
                 .write_at(self.data_off(lba), buf)
                 .map_err(|e| io_err("write", e))?;
-            self.dirty_bytes += buf.len() as u64;
+            self.commit.note_dirty(buf.len() as u64);
         }
         Ok(seq)
     }
@@ -793,24 +775,18 @@ impl FileDisk {
     /// When the second handle cannot be opened or the worker thread
     /// cannot be spawned: a shared disk never syncs on its callers'
     /// threads.
-    pub fn into_shared(mut self) -> SharedFileDisk {
+    pub fn into_shared(self) -> SharedFileDisk {
         let sync_vfs = self
             .vfs
             .try_clone()
             .expect("second store handle for the sync worker");
-        let commit = Arc::new(GroupCommit::new());
-        self.commit = Some(Arc::clone(&commit));
-        let metrics = Arc::clone(&self.metrics);
-        let (block_size, capacity_blocks) = (self.sb.block_size, self.sb.capacity_blocks);
-        let inner = Arc::new(parking_lot::Mutex::new(self));
-        let worker = SyncWorker::spawn(&commit, &inner, &metrics, sync_vfs);
         SharedFileDisk {
-            block_size,
-            capacity_blocks,
-            metrics,
-            commit,
-            inner,
-            worker,
+            block_size: self.sb.block_size,
+            capacity_blocks: self.sb.capacity_blocks,
+            worker: SyncWorker::spawn(&self.commit, &self.metrics, sync_vfs),
+            metrics: Arc::clone(&self.metrics),
+            commit: Arc::clone(&self.commit),
+            inner: Arc::new(parking_lot::Mutex::new(self)),
         }
     }
 
@@ -915,7 +891,8 @@ impl BlockStore for FileDisk {
 }
 
 /// A [`FileDisk`] shareable across reactor threads — the multi-queue
-/// form behind `Controller::share()`.
+/// form behind `Controller::share()`. Everything it does is its
+/// [`BlockStore`] impl.
 ///
 /// The fabric's LBA-exclusivity contract (disjoint ranges per queue,
 /// overlapping writes are a protocol violation by the initiators) is the
@@ -927,12 +904,13 @@ impl BlockStore for FileDisk {
 /// Durability barriers do **not** queue behind that lock: a FUA/Flush
 /// releases the disk lock after its journal append, then takes a
 /// [`GroupCommit`] ticket for its record's sequence. The disk's sync
-/// worker issues a single `fdatasync` per round, through its own vfs
-/// handle with the disk lock released, covering every sequence
+/// worker, which never takes the disk lock, issues a single `fdatasync`
+/// per round through its own vfs handle, covering every sequence
 /// appended so far; all tickets waiting on it retire together
-/// (`fsyncs_coalesced` counts them). The sync makes the journal durable
-/// and leaves dirty cache blocks where they are — only a checkpoint
-/// drains them.
+/// (`fsyncs_coalesced` counts them). The submitting forms hand the
+/// ticket back; the blocking `write(fua)` and `flush` wait it out. The
+/// sync makes the journal durable and leaves dirty cache blocks where
+/// they are — only a checkpoint drains them.
 ///
 /// [`SharedRamDisk`]: oaf_ssd::ram::SharedRamDisk
 #[derive(Clone)]
@@ -963,20 +941,15 @@ struct SyncWorker {
 impl SyncWorker {
     fn spawn(
         commit: &Arc<GroupCommit>,
-        inner: &Arc<parking_lot::Mutex<FileDisk>>,
         metrics: &Arc<StoreMetrics>,
         sync_vfs: Box<dyn Vfs>,
     ) -> Arc<SyncWorker> {
         let vfs = Arc::new(std::sync::Mutex::new(sync_vfs));
-        let (commit_w, inner, metrics, vfs_w) = (
-            Arc::clone(commit),
-            Arc::clone(inner),
-            Arc::clone(metrics),
-            Arc::clone(&vfs),
-        );
+        let (commit_w, metrics, vfs_w) =
+            (Arc::clone(commit), Arc::clone(metrics), Arc::clone(&vfs));
         let join = std::thread::Builder::new()
             .name("oaf-sync".into())
-            .spawn(move || run_sync_worker(commit_w, inner, metrics, vfs_w))
+            .spawn(move || run_sync_worker(&commit_w, &metrics, &vfs_w))
             .expect("spawn sync worker");
         Arc::new(SyncWorker {
             commit: Arc::clone(commit),
@@ -986,31 +959,24 @@ impl SyncWorker {
     }
 }
 
-/// The sync worker loop. A sync round reads the covered watermark
-/// under the disk lock (phase 1, no I/O), then runs the `fdatasync`
-/// through the worker's own vfs handle with the disk lock released
-/// (phase 2), and publishes the outcome. Reads and journaled writes
-/// proceed on other threads for the entire syscall; an error fails
-/// exactly the round's parked set via [`GroupCommit::complete_sync`].
+/// The sync worker loop, over the coordinator's watermarks and its own
+/// vfs handle only. A sync round runs [`GroupCommit`]'s sync routine
+/// through that handle while reads and journaled writes proceed on
+/// other threads, and publishes the outcome; an error fails exactly the
+/// round's parked set.
 ///
 /// Between sync rounds the worker paces write-back: `paced` is the
 /// highest seq its last kick or sync covered. While appends run past
 /// it, a kick round starts their write-out ([`Vfs::start_writeback`])
-/// — no watermark moves. Once none do, the worker goes idle under the
-/// disk lock, where every append checks the flag.
+/// — no watermark moves. Once none do, the worker goes idle.
 fn run_sync_worker(
-    commit: Arc<GroupCommit>,
-    inner: Arc<parking_lot::Mutex<FileDisk>>,
-    metrics: Arc<StoreMetrics>,
-    sync_vfs: Arc<std::sync::Mutex<Box<dyn Vfs>>>,
+    commit: &GroupCommit,
+    metrics: &StoreMetrics,
+    sync_vfs: &std::sync::Mutex<Box<dyn Vfs>>,
 ) {
     let mut paced = 0u64;
     loop {
-        let busy = commit.appended() > paced || {
-            let _disk = inner.lock();
-            commit.appended_past(paced)
-        };
-        match commit.next_round(busy) {
+        match commit.next_round(paced) {
             Round::Shutdown => return,
             Round::Kick => {
                 paced = commit.appended();
@@ -1021,20 +987,12 @@ fn run_sync_worker(
                 }
             }
             Round::Sync(target) => {
-                let res = (|| {
-                    let (covered, dirty) = inner.lock().prepare_offload_sync();
-                    let t0 = Instant::now();
-                    let mut vfs = sync_vfs.lock().expect("sync handle lock poisoned");
-                    vfs.sync().map_err(|e| io_err("fsync", e))?;
-                    metrics.fsyncs.inc();
-                    metrics.fsync_ns.record_nanos(t0.elapsed());
-                    metrics.flushed_bytes.add(dirty);
-                    Ok(covered)
-                })();
+                let mut vfs = sync_vfs.lock().expect("sync handle lock poisoned");
+                let res = commit.sync(vfs.as_mut(), metrics);
                 if let Ok(covered) = res {
                     paced = paced.max(covered);
                 }
-                commit.complete_sync(target, res, &metrics);
+                commit.complete_sync(target, res, metrics);
             }
         }
     }
@@ -1061,16 +1019,6 @@ impl SharedFileDisk {
         self
     }
 
-    /// Block size in bytes.
-    pub fn block_size(&self) -> u32 {
-        self.block_size
-    }
-
-    /// Capacity in blocks.
-    pub fn capacity_blocks(&self) -> u64 {
-        self.capacity_blocks
-    }
-
     /// The shared metric bundle (one per underlying file).
     pub fn metrics(&self) -> &Arc<StoreMetrics> {
         &self.metrics
@@ -1080,40 +1028,6 @@ impl SharedFileDisk {
     /// inspect its durable watermark).
     pub fn group_commit(&self) -> &Arc<GroupCommit> {
         &self.commit
-    }
-
-    /// Reads `count` blocks starting at `lba` into `buf`.
-    pub fn read(&self, lba: u64, count: u32, buf: &mut [u8]) -> Result<(), BlockError> {
-        self.inner.lock().read(lba, count, buf)
-    }
-
-    /// Writes `count` blocks starting at `lba` from `buf`; with `fua`
-    /// the write is durable before returning (a group-commit ticket
-    /// waited out, so concurrent FUA writers share one `fdatasync` per
-    /// worker round).
-    pub fn write(&self, lba: u64, count: u32, buf: &[u8], fua: bool) -> Result<(), BlockError> {
-        let seq = self.inner.lock().write_journaled(lba, count, buf, fua)?;
-        if fua {
-            self.commit.barrier(seq, &self.metrics)?;
-        }
-        Ok(())
-    }
-
-    /// Zeroes `count` blocks starting at `lba` (journaled).
-    pub fn write_zeroes(&self, lba: u64, count: u32) -> Result<(), BlockError> {
-        self.inner.lock().write_zeroes(lba, count)
-    }
-
-    /// Deallocates `count` blocks starting at `lba` (journaled).
-    pub fn trim(&self, lba: u64, count: u32) -> Result<(), BlockError> {
-        self.inner.lock().trim(lba, count)
-    }
-
-    /// Durability barrier for every acknowledged write (group-commit
-    /// coalesced).
-    pub fn flush(&self) -> Result<(), BlockError> {
-        let seq = self.inner.lock().append_flush_record()?;
-        self.commit.barrier(seq, &self.metrics)
     }
 }
 
@@ -1127,23 +1041,31 @@ impl BlockStore for SharedFileDisk {
     }
 
     fn read(&self, lba: u64, count: u32, buf: &mut [u8]) -> Result<(), BlockError> {
-        SharedFileDisk::read(self, lba, count, buf)
+        self.inner.lock().read(lba, count, buf)
     }
 
+    /// With `fua`, the write's ticket waited out: concurrent FUA writers
+    /// share one `fdatasync` per worker round.
     fn write(&mut self, lba: u64, count: u32, buf: &[u8], fua: bool) -> Result<(), BlockError> {
-        SharedFileDisk::write(self, lba, count, buf, fua)
+        match self.write_submit(lba, count, buf, fua)? {
+            Some(ticket) => self.commit.wait(ticket),
+            None => Ok(()),
+        }
     }
 
     fn write_zeroes(&mut self, lba: u64, count: u32) -> Result<(), BlockError> {
-        SharedFileDisk::write_zeroes(self, lba, count)
+        self.inner.lock().write_zeroes(lba, count)
     }
 
     fn trim(&mut self, lba: u64, count: u32) -> Result<(), BlockError> {
-        SharedFileDisk::trim(self, lba, count)
+        self.inner.lock().trim(lba, count)
     }
 
+    /// The Flush's ticket, waited out (group-commit coalesced).
     fn flush(&mut self) -> Result<(), BlockError> {
-        SharedFileDisk::flush(self)
+        let seq = self.inner.lock().append_flush_record()?;
+        self.commit
+            .wait(self.commit.submit_sync(seq, &self.metrics))
     }
 
     /// Journals (and applies/caches) the write; an FUA barrier is
@@ -1319,10 +1241,10 @@ mod tests {
 
     #[test]
     fn shared_disk_serves_disjoint_threads() {
-        let d = mem_disk(64 * 1024).into_shared();
+        let mut d = mem_disk(64 * 1024).into_shared();
         let threads: Vec<_> = (0..4u64)
             .map(|t| {
-                let d = d.clone();
+                let mut d = d.clone();
                 std::thread::spawn(move || {
                     for i in 0..16u64 {
                         let lba = t * 16 + i;
@@ -1506,7 +1428,7 @@ mod tests {
         let d = mem_disk(256 * 1024).with_cache(32).unwrap().into_shared();
         let threads: Vec<_> = (0..4u64)
             .map(|t| {
-                let d = d.clone();
+                let mut d = d.clone();
                 std::thread::spawn(move || {
                     for i in 0..16u64 {
                         let lba = t * 16 + i;
@@ -1572,6 +1494,23 @@ mod tests {
     }
 
     #[test]
+    fn a_sync_round_completes_while_the_disk_lock_is_held() {
+        let mut d = mem_disk(64 * 1024).into_shared();
+        let ticket = d
+            .write_submit(0, 1, &[3u8; 512], true)
+            .unwrap()
+            .expect("fua on a shared disk returns a ticket");
+        // The worker reads the coordinator's watermarks only: its round
+        // runs to the end while another thread holds the disk.
+        let _disk = d.inner.lock();
+        let deadline = Instant::now() + std::time::Duration::from_secs(2);
+        while d.poll_barrier(ticket) == BarrierPoll::Pending && Instant::now() < deadline {
+            std::thread::yield_now();
+        }
+        assert_eq!(d.poll_barrier(ticket), BarrierPoll::Durable);
+    }
+
+    #[test]
     fn worker_sync_failure_fails_parked_tickets_then_recovers() {
         let vfs = MemVfs::new();
         let mut d = FileDisk::create_on(Box::new(vfs.clone()), 512, 64, 64 * 1024)
@@ -1593,7 +1532,7 @@ mod tests {
     fn with_sync_worker_chooses_the_handle_the_worker_syncs_through() {
         let vfs = MemVfs::new();
         let own = MemVfs::new();
-        let d = FileDisk::create_on(Box::new(vfs.clone()), 512, 64, 64 * 1024)
+        let mut d = FileDisk::create_on(Box::new(vfs.clone()), 512, 64, 64 * 1024)
             .unwrap()
             .into_shared()
             .with_sync_worker(Box::new(own.clone()));
@@ -1611,7 +1550,7 @@ mod tests {
     #[test]
     fn dropping_every_clone_joins_the_worker() {
         let d = mem_disk(64 * 1024).into_shared();
-        let d2 = d.clone();
+        let mut d2 = d.clone();
         d2.write(0, 1, &[1u8; 512], true).unwrap();
         drop(d2);
         drop(d); // must not hang: shutdown wakes the parked worker
@@ -1690,7 +1629,7 @@ mod tests {
     #[test]
     fn plain_writes_are_kicked_toward_the_platter_but_never_made_durable() {
         let vfs = RecordingVfs::default();
-        let d = FileDisk::create_on(Box::new(vfs.clone()), 512, 64, 64 * 1024)
+        let mut d = FileDisk::create_on(Box::new(vfs.clone()), 512, 64, 64 * 1024)
             .and_then(|d| d.with_cache(16))
             .unwrap()
             .into_shared();
@@ -1723,7 +1662,7 @@ mod tests {
     #[test]
     fn an_idle_shared_disk_takes_no_kicks_and_no_timed_wakeups() {
         let vfs = RecordingVfs::default();
-        let d = FileDisk::create_on(Box::new(vfs.clone()), 512, 64, 64 * 1024)
+        let mut d = FileDisk::create_on(Box::new(vfs.clone()), 512, 64, 64 * 1024)
             .unwrap()
             .into_shared();
         d.write(0, 1, &[1u8; 512], false).unwrap();

@@ -23,9 +23,9 @@
 //! * **Async durability pipeline.** Every [`SharedFileDisk`] owns a
 //!   sync worker, and the trait's `write_submit`/`flush_submit` hand
 //!   back an [`oaf_ssd::BarrierTicket`] resolved by a lock-free poll —
-//!   the `fdatasync` runs on the worker with the disk lock released, so
-//!   reads and journaled writes flow at full rate while a sync is in
-//!   flight.
+//!   the `fdatasync` runs on the worker, which reads the coordinator's
+//!   watermarks and never takes the disk lock, so reads and journaled
+//!   writes flow at full rate while a sync is in flight.
 //! * **Block cache.** A fixed-capacity segmented-LRU write-back cache
 //!   ([`cache::BlockCache`]) serves read hits with zero syscalls and
 //!   defers in-place applies; dirty entries are pinned to journal

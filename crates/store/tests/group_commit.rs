@@ -227,7 +227,7 @@ fn group_commit_keeps_fua_durable_across_reopen() {
 
     let threads: Vec<_> = (0..4u64)
         .map(|t| {
-            let d = disk.clone();
+            let mut d = disk.clone();
             std::thread::spawn(move || {
                 for i in 0..16u64 {
                     let lba = t * 16 + i;

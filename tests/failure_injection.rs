@@ -433,8 +433,8 @@ fn seeded_chaos_soak_recovers_over_loopback_tcp() {
     );
     for m in &sockets {
         assert!(
-            m.frames_borrowed.get() > 0,
-            "seed {seed}: no borrowed frame"
+            m.frames_received.get() > 0,
+            "seed {seed}: no frame received"
         );
     }
 }
